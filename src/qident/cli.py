@@ -15,7 +15,7 @@ import time
 import click
 
 from . import jets, nahm, presets, quiver, qweyl
-from .nahm import BudgetExceeded, CoercivityError
+from .nahm import BudgetExceeded
 from .report import EXIT_USAGE, VerificationReport
 from .series import euler_product, series_eq
 
@@ -37,13 +37,19 @@ def _emit(settings, report, started):
     sys.exit(report.exit_code)
 
 
+def _read_spec(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return nahm.NahmSumSpec.from_json(fh.read())
+
+
 def _mono_str(exps):
     return "*".join(f"x{i+1}" if p == 1 else f"x{i+1}^{p}"
                     for i, p in enumerate(exps) if p)
 
 
-def _budget_exit(exc):
-    click.echo(f"error: {exc}", err=True)
+def _usage_exit(message):
+    """Input and budget errors: one line on stderr, exit 2, no report."""
+    click.echo(f"error: {message}", err=True)
     sys.exit(EXIT_USAGE)
 
 
@@ -87,18 +93,18 @@ def verify_thm1(settings, variant, n, order, charges):
     """Lattice form (B or B') against the Cartan character side."""
     started = time.time()
     build = nahm.build_B_form if variant == "a" else nahm.build_Bprime_form
-    lhs = build(n)
-    rhs = nahm.build_cartan_side("A", n)
+    try:
+        lhs = build(n)
+        rhs = nahm.build_cartan_side("A", n)
+        result = nahm.verify_identity(lhs, rhs, order, with_charges=charges,
+                                      node_budget=settings.budget)
+    except (BudgetExceeded, ValueError) as exc:
+        _usage_exit(exc)
     report = VerificationReport(
         command="verify thm1",
         parameters={"lhs preset": lhs.name, "rhs preset": rhs.name,
                     "order": f"q^{order}", "charges": "on" if charges else "off"},
         notes=list(lhs.notes))
-    try:
-        result = nahm.verify_identity(lhs, rhs, order, with_charges=charges,
-                                      node_budget=settings.budget)
-    except (BudgetExceeded, CoercivityError) as exc:
-        _budget_exit(exc)
     _emit(settings, _series_report(report, result), started)
 
 
@@ -149,8 +155,7 @@ def verify_ordered_product(settings, kind, xdeg, qorder):
         result, factors = qweyl.ordered_product_check("a", int(kind[1:]),
                                                       xdeg=xdeg, qorder=qorder)
     else:
-        click.echo(f"error: bad --type {kind!r}", err=True)
-        sys.exit(EXIT_USAGE)
+        _usage_exit(f"bad --type {kind!r}")
     report = VerificationReport(
         command="verify ordered-product",
         parameters={"type": kind, "xdeg": xdeg, "qorder": qorder})
@@ -181,8 +186,7 @@ def verify_quiver(settings, rank, orientation, kmax, order):
     try:
         qv = quiver.QuiverA.from_string(rank, orientation)
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
+        _usage_exit(exc)
     report = VerificationReport(
         command="verify quiver",
         parameters={"rank": rank, "orientation": orientation,
@@ -222,8 +226,8 @@ def verify_b2(settings, order, charges):
     try:
         result = nahm.verify_identity(lhs, rhs, order, with_charges=charges,
                                       node_budget=settings.budget)
-    except (BudgetExceeded, CoercivityError) as exc:
-        _budget_exit(exc)
+    except (BudgetExceeded, ValueError) as exc:
+        _usage_exit(exc)
     _emit(settings, _series_report(report, result), started)
 
 
@@ -248,8 +252,8 @@ def verify_b2_product(settings, order):
         a1 = nahm.evaluate(nahm.build_cartan_side("A", 2), order, charges=False,
                            node_budget=settings.budget)
         r2 = series_eq(ch, a2 * a1)
-    except (BudgetExceeded, CoercivityError) as exc:
-        _budget_exit(exc)
+    except (BudgetExceeded, ValueError) as exc:
+        _usage_exit(exc)
     report.lines = [
         f"sum vs product: {'equal' if r1.equal else 'mismatch'}",
         f"factorization ch[W_B2] = ch[W_A2]*ch[W_A1]: {'equal' if r2.equal else 'mismatch'}",
@@ -283,8 +287,8 @@ def verify_d4(settings, order, primed, charges):
     try:
         result = nahm.verify_identity(lhs, rhs, order, with_charges=charges,
                                       node_budget=settings.budget)
-    except (BudgetExceeded, CoercivityError) as exc:
-        _budget_exit(exc)
+    except (BudgetExceeded, ValueError) as exc:
+        _usage_exit(exc)
     _emit(settings, _series_report(report, result), started)
 
 
@@ -297,20 +301,18 @@ def verify_d4(settings, order, primed, charges):
 def verify_custom(settings, lhs_file, rhs_file, order, charges):
     """Compare two user-defined lattice forms (JSON spec files)."""
     started = time.time()
-    with open(lhs_file, "r", encoding="utf-8") as fh:
-        lhs = nahm.NahmSumSpec.from_json(fh.read())
-    with open(rhs_file, "r", encoding="utf-8") as fh:
-        rhs = nahm.NahmSumSpec.from_json(fh.read())
+    try:
+        lhs = _read_spec(lhs_file)
+        rhs = _read_spec(rhs_file)
+        result = nahm.verify_identity(lhs, rhs, order, with_charges=charges,
+                                      node_budget=settings.budget)
+    except (BudgetExceeded, ValueError) as exc:
+        _usage_exit(exc)
     report = VerificationReport(
         command="verify custom",
         parameters={"lhs": lhs.name or lhs_file, "rhs": rhs.name or rhs_file,
                     "order": f"q^{order}", "charges": "on" if charges else "off"},
         notes=list(lhs.notes) + list(rhs.notes))
-    try:
-        result = nahm.verify_identity(lhs, rhs, order, with_charges=charges,
-                                      node_budget=settings.budget)
-    except (BudgetExceeded, CoercivityError) as exc:
-        _budget_exit(exc)
     _emit(settings, _series_report(report, result), started)
 
 
@@ -329,23 +331,19 @@ def jets_group():
               help="plain-text relation file instead of a named preset")
 @click.option("--weight", type=int, required=True)
 @click.option("--multigraded", is_flag=True)
-@click.option("--fast", is_flag=True, help="modular rank above weight 8 "
-              "(validated against exact arithmetic on low weights)")
 @click.option("--d4-reading", type=click.Choice(jets.D4_READINGS), default="printed")
 @pass_settings
-def jets_hilbert(settings, preset_name, preset_file, weight, multigraded, fast,
+def jets_hilbert(settings, preset_name, preset_file, weight, multigraded,
                  d4_reading):
     """Hilbert series of a jet algebra, weight by weight."""
     started = time.time()
     if (preset_name is None) == (preset_file is None):
-        click.echo("error: need exactly one of --preset / --preset-file", err=True)
-        sys.exit(EXIT_USAGE)
+        _usage_exit("need exactly one of --preset / --preset-file")
     try:
         preset = (presets.jet_preset(preset_name, d4_reading) if preset_name
                   else jets.load_preset_file(preset_file))
     except (KeyError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
+        _usage_exit(exc)
     report = VerificationReport(
         command="jets hilbert",
         parameters={"preset": preset.name, "weight": weight,
@@ -353,9 +351,9 @@ def jets_hilbert(settings, preset_name, preset_file, weight, multigraded, fast,
         verdict="info", notes=list(preset.notes))
     try:
         hs = jets.hilbert_series(preset, weight, multigraded=multigraded,
-                                 fast=fast, budget=settings.budget)
+                                 budget=settings.budget)
     except (BudgetExceeded, ValueError) as exc:
-        _budget_exit(exc)
+        _usage_exit(exc)
     report.lines = [f"series: {hs.render()}",
                     f"(dimensions computed through weight {weight}; "
                     "statements at this truncation are 'consistent to weight "
@@ -374,7 +372,10 @@ def jets_classically_free(settings, n, weight):
         command="jets classically-free",
         parameters={"n": n, "weight": weight},
         notes=[f"equality witnesses classical freeness to weight {weight} only"])
-    result = jets.verify_classically_free(n, weight)
+    try:
+        result = jets.verify_classically_free(n, weight, budget=settings.budget)
+    except (BudgetExceeded, ValueError) as exc:
+        _usage_exit(exc)
     _emit(settings, _series_report(report, result), started)
 
 
@@ -428,8 +429,7 @@ def forms_show(settings, preset_name):
     try:
         spec = presets.nahm_preset(preset_name)
     except KeyError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
+        _usage_exit(exc)
     click.echo(spec.to_json())
     sys.exit(0)
 
@@ -444,17 +444,12 @@ def forms_eval(settings, preset_name, spec_file, order, charges):
     """Evaluate one lattice form and print the truncated series."""
     started = time.time()
     if (preset_name is None) == (spec_file is None):
-        click.echo("error: need exactly one of --preset / --spec-file", err=True)
-        sys.exit(EXIT_USAGE)
-    if preset_name:
-        try:
-            spec = presets.nahm_preset(preset_name)
-        except KeyError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_USAGE)
-    else:
-        with open(spec_file, "r", encoding="utf-8") as fh:
-            spec = nahm.NahmSumSpec.from_json(fh.read())
+        _usage_exit("need exactly one of --preset / --spec-file")
+    try:
+        spec = (presets.nahm_preset(preset_name) if preset_name
+                else _read_spec(spec_file))
+    except (KeyError, ValueError) as exc:
+        _usage_exit(exc)
     report = VerificationReport(
         command="forms eval",
         parameters={"preset": spec.name or spec_file, "order": f"q^{order}",
@@ -463,8 +458,8 @@ def forms_eval(settings, preset_name, spec_file, order, charges):
     try:
         series = nahm.evaluate(spec, order, charges=charges,
                                node_budget=settings.budget)
-    except (BudgetExceeded, CoercivityError) as exc:
-        _budget_exit(exc)
+    except (BudgetExceeded, ValueError) as exc:
+        _usage_exit(exc)
     report.lines = [f"series: {series.render()}"]
     _emit(settings, report, started)
 

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import MODULUS, rank_of_rows
+from .linalg import rank_of_rows
 from .nahm import BudgetExceeded
 from .series import QSeries, CompareResult, series_eq
 
@@ -197,11 +197,14 @@ def generate_ideal(preset: JetPreset, max_weight):
     return out
 
 
-def monomials_of_weight(ngens, w, _cache={}):
-    """Sorted monomials (multisets of (g, d)) of total weight w."""
+def monomials_of_weight(ngens, w, cache=None):
+    """Sorted monomials (multisets of (g, d)) of total weight w.
+
+    With a cache dict, each (ngens, w) is enumerated once per cache; callers
+    own the cache and must not mutate the lists it hands back."""
     key = (ngens, w)
-    if key in _cache:
-        return _cache[key]
+    if cache is not None and key in cache:
+        return cache[key]
     out = []
 
     def rec(remaining, min_var, acc):
@@ -219,18 +222,19 @@ def monomials_of_weight(ngens, w, _cache={}):
 
     rec(w, (0, 0), [])
     out.sort()
-    _cache[key] = out
+    if cache is not None:
+        cache[key] = out
     return out
 
 
-def hilbert_series(preset: JetPreset, weight, multigraded=False, fast=False,
+def hilbert_series(preset: JetPreset, weight, multigraded=False,
                    budget=None) -> QSeries:
     """Graded dimensions of the jet quotient through the given weight.
 
     dim at weight w (and charge, when graded) is #monomials minus the rank of
-    the span of monomial multiples of the T-derivatives of the relations.
-    With fast=True, weights above 8 use the modular rank, accepted only
-    because it matched the exact path on every weight <= min(weight, 8).
+    the span of monomial multiples of the T-derivatives of the relations,
+    computed by exact elimination over Q block by block.  The budget caps the
+    cells (rows x columns) of each block before its rank is taken.
     """
     ring = preset.ring
     ngens = len(ring.generators)
@@ -241,10 +245,10 @@ def hilbert_series(preset: JetPreset, weight, multigraded=False, fast=False,
     gens_by_weight = {}
     for h in generate_ideal(preset, weight):
         gens_by_weight.setdefault(h.weight(), []).append(h)
-    validated_fast = True
+    monomials = {}
     terms = {(0, (0,) * rank_out): 1}
     for w in range(1, weight + 1):
-        cols = monomials_of_weight(ngens, w)
+        cols = monomials_of_weight(ngens, w, monomials)
         blocks = {}
         for mono in cols:
             ch = _mono_charge(ring, mono) if graded else ()
@@ -255,7 +259,7 @@ def hilbert_series(preset: JetPreset, weight, multigraded=False, fast=False,
                 continue
             for h in gens:
                 hch = h.charge(ring) if graded else ()
-                for mult in monomials_of_weight(ngens, w - u):
+                for mult in monomials_of_weight(ngens, w - u, monomials):
                     row_poly = h.times_monomial(mult)
                     ch = (tuple(a + b for a, b in zip(hch, _mono_charge(ring, mult)))
                           if graded else ())
@@ -267,21 +271,7 @@ def hilbert_series(preset: JetPreset, weight, multigraded=False, fast=False,
                 rows.append({col_index[m]: c for m, c in rp.terms.items()})
             if budget is not None and len(rows) * len(block_cols) > budget:
                 raise BudgetExceeded(f"matrix cells at weight {w}", budget)
-            use_modular = fast and w > 8
-            if fast and w <= 8:
-                exact = rank_of_rows(rows)
-                modular = rank_of_rows(rows, modulus=MODULUS)
-                if exact != modular:
-                    validated_fast = False
-                    raise ArithmeticError(
-                        f"modular rank disagrees with exact rank at weight {w}")
-                rk = exact
-            elif use_modular:
-                if not validated_fast:
-                    raise ArithmeticError("modular fast path not validated")
-                rk = rank_of_rows(rows, modulus=MODULUS)
-            else:
-                rk = rank_of_rows(rows)
+            rk = rank_of_rows(rows)
             dim = len(block_cols) - rk
             if dim:
                 key = (2 * w, ch if rank_out else ())
@@ -596,11 +586,13 @@ def power_preset(p) -> JetPreset:
     return JetPreset(ring, (rel,), name=f"x^{p}")
 
 
-def verify_classically_free(n, weight) -> CompareResult:
+def verify_classically_free(n, weight, budget=None) -> CompareResult:
     """Jet Hilbert series of the symmetrized presentation against the lattice
-    form evaluation, through the given weight (inclusive)."""
+    form evaluation, through the given weight (inclusive).  The budget caps
+    both the matrix cells of each rank block and the enumeration nodes."""
     from . import nahm
 
-    hs = hilbert_series(sln_A(n), weight)
-    ev = nahm.evaluate(nahm.build_B_form(n), weight + 1, charges=False)
+    hs = hilbert_series(sln_A(n), weight, budget=budget)
+    ev = nahm.evaluate(nahm.build_B_form(n), weight + 1, charges=False,
+                       node_budget=budget)
     return series_eq(hs, ev)

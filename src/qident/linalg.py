@@ -1,78 +1,67 @@
-"""Sparse exact rank computation over Q, with a modular fast path.
+"""Sparse exact rank computation over Q.
 
-Rows are dicts column->coefficient.  The exact path is the reference
-arithmetic; the modular path (single word-sized prime) can only under-count a
-rank, and is accepted by callers only after agreeing with the exact path on
-low weights.
+Rows are dicts column->coefficient.  A row with a single nonzero entry pivots
+its column outright; the other rows, with those columns deleted, go through
+exact `Fraction` elimination.  This is the only rank path; there is no
+modular or floating-point shortcut.  In the differential ideals of jet
+algebras most rows are monomial multiples of monomial relations, so most of
+the rank is peeled without any arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-MODULUS = 2**31 - 1  # Mersenne prime
 
-
-def rank_of_rows(rows, modulus=None):
+def rank_of_rows(rows):
     """Rank of the span of the given sparse rows.
 
-    Pivot columns are chosen by (column support size, column index), support
-    counted once up front; rows are consumed shortest-first.  Deterministic.
+    Every row with exactly one nonzero entry pivots its column, so the rank
+    is the number of distinct such columns plus the rank of the other rows
+    with those columns removed.  Removing columns can leave new single-term
+    rows, so peeling repeats until none is left.  Zero-valued entries are not
+    terms.
     """
-    if modulus is None:
-        work = [{c: Fraction(v) for c, v in row.items() if v} for row in rows]
-    else:
-        work = []
-        for row in rows:
-            r = {}
-            for c, v in row.items():
-                if isinstance(v, Fraction):
-                    num = v.numerator % modulus
-                    den = v.denominator % modulus
-                    if den == 0:
-                        raise ZeroDivisionError("denominator divisible by modulus")
-                    x = num * pow(den, modulus - 2, modulus) % modulus
-                else:
-                    x = v % modulus
-                if x:
-                    r[c] = x
-            work.append(r)
+    work = [{c: v for c, v in row.items() if v} for row in rows]
+    rank = 0
+    while True:
+        peeled = {c for row in work if len(row) == 1 for c in row}
+        if not peeled:
+            break
+        rank += len(peeled)
+        work = [{c: v for c, v in row.items() if c not in peeled}
+                for row in work if len(row) > 1]
+    return rank + _eliminate([{c: Fraction(v) for c, v in row.items()}
+                              for row in work if row])
+
+
+def _eliminate(work):
+    """Rank by exact elimination, consuming rows shortest-first.
+
+    Pivot columns are chosen by (column support size, column index), support
+    counted once up front.  Deterministic.  Rows are reduced in place.
+    """
     support = {}
     for row in work:
         for c in row:
             support[c] = support.get(c, 0) + 1
-    work = [r for r in work if r]
     work.sort(key=lambda r: (len(r), sorted(r)))
     pivots = {}
-    rank = 0
     for row in work:
         # reduce against existing pivots until stable
         while True:
-            hit = None
-            for c in row:
-                if c in pivots:
-                    hit = c
-                    break
+            hit = next((c for c in row if c in pivots), None)
             if hit is None:
                 break
             factor = row[hit]
-            prow = pivots[hit]
-            for c, v in prow.items():
-                if modulus is None:
-                    nv = row.get(c, Fraction(0)) - factor * v
-                else:
-                    nv = (row.get(c, 0) - factor * v) % modulus
+            for c, v in pivots[hit].items():
+                nv = row.get(c, 0) - factor * v
                 if nv:
                     row[c] = nv
                 elif c in row:
                     del row[c]
-        if not row:
-            continue
-        pc = min(row, key=lambda c: (support.get(c, 0), c))
-        inv = (1 / row[pc]) if modulus is None else pow(row[pc], modulus - 2, modulus)
-        if modulus is None:
+        if row:
+            pc = min(row, key=lambda c: (support[c], c))
+            inv = 1 / row[pc]
             pivots[pc] = {c: v * inv for c, v in row.items()}
-        else:
-            pivots[pc] = {c: v * inv % modulus for c, v in row.items()}
-        rank += 1
-    return rank
+    return len(pivots)

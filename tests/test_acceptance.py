@@ -340,8 +340,10 @@ def test_criterion_14_property_suites():
         rng.shuffle(perm)
         ok = ok and nahm.evaluate(spec.permuted(perm), 10, charges=True) == bases[spec.name]
 
-    # modular vs exact rank, 200 random sparse matrices
-    from qident.linalg import MODULUS, rank_of_rows
+    # sparse peel-then-eliminate rank vs dense elimination, 200 random
+    # sparse matrices
+    from dense_rank import dense_rank
+    from qident.linalg import rank_of_rows
     for _ in range(200):
         nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
         rows = []
@@ -349,8 +351,8 @@ def test_criterion_14_property_suites():
             row = {c: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                    for c in rng.sample(range(ncols), rng.randint(0, ncols))}
             rows.append({c: v for c, v in row.items() if v})
-        ok = ok and rank_of_rows(rows) == rank_of_rows(rows, modulus=MODULUS)
+        ok = ok and rank_of_rows(rows) == dense_rank(rows)
 
     _report(14, ok, "property suites: ring laws, truncation closure, "
             "pochhammer inverse, enumeration-order independence, "
-            "modular-vs-exact rank (>= 200 randomized cases each)", started)
+            "sparse-vs-dense exact rank (>= 200 randomized cases each)", started)

@@ -170,6 +170,51 @@ def test_usage_error_is_exit_2(runner, tmp_path):
     assert result.exit_code == 2   # no charge data declared
 
 
+def assert_usage_exit(result):
+    """Exit 2 through the CLI's own error line, not an escaped exception."""
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "error:" in result.output
+
+
+def test_budget_caps_classically_free(runner):
+    result = run(runner, "--budget", "5", "jets", "classically-free",
+                 "--n", "3", "--weight", "6")
+    assert_usage_exit(result)
+    assert "budget" in result.output
+
+
+def test_thm1_rank_too_small_is_exit_2(runner):
+    result = run(runner, "verify", "thm1", "--variant", "a", "--n", "1",
+                 "--order", "5")
+    assert_usage_exit(result)
+    assert "n >= 2" in result.output
+
+
+def test_custom_malformed_json_is_exit_2(runner, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json", encoding="utf-8")
+    good = tmp_path / "good.json"
+    good.write_text(nahm.build_cartan_side("A", 2).to_json(), encoding="utf-8")
+    result = run(runner, "verify", "custom", "--lhs", str(bad), "--rhs", str(good),
+                 "--order", "6")
+    assert_usage_exit(result)
+
+
+def test_forms_eval_malformed_json_is_exit_2(runner, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json", encoding="utf-8")
+    result = run(runner, "forms", "eval", "--spec-file", str(bad), "--order", "6")
+    assert_usage_exit(result)
+
+
+def test_jets_hilbert_has_no_fast_option(runner):
+    result = run(runner, "jets", "hilbert", "--preset", "b2-a", "--weight", "3",
+                 "--fast")
+    assert result.exit_code == 2
+    assert "No such option" in result.output
+
+
 def test_forms_eval_preset_file(runner, tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(nahm.build_B_form(2).to_json(), encoding="utf-8")
