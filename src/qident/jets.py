@@ -3,9 +3,13 @@
 Generators get depth-indexed variables (g, d) of weight d >= 1 (depth d
 standing for the mode x_{g,(-d)}); a presented relation f contributes
 T^s f for every s, where T is the derivation T(x_{g,(-d)}) = -d x_{g,(-d-1)}.
-The Hilbert series of the quotient is computed weight by weight through exact
-sparse rank over Q, with the multigrading by charge splitting each weight
-block into many small ones.
+The Hilbert series of the quotient is computed weight by weight.  A
+single-term T^s f only removes the monomials it divides, so those are
+dropped by a divisibility pass and build no rows; the multi-term ones give
+the rows of an exact sparse rank over Q on the monomials that are left, with
+the multigrading by charge splitting each weight block into many small ones.
+This is the leading-term view of arc-space ideals (Bruschek-Mourtada-Schepers,
+"Arc spaces and Rogers-Ramanujan identities").
 """
 
 from __future__ import annotations
@@ -110,11 +114,6 @@ class JetPoly:
             raise ValueError("polynomial is not charge-homogeneous")
         return chs.pop()
 
-    def times_monomial(self, mono):
-        out = JetPoly.__new__(JetPoly)
-        out.terms = {tuple(sorted(m + mono)): c for m, c in self.terms.items()}
-        return out
-
     def render(self, ring=None):
         if not self.terms:
             return "0"
@@ -207,21 +206,19 @@ def monomials_of_weight(ngens, w, cache=None):
         return cache[key]
     out = []
 
-    def rec(remaining, min_var, acc):
+    def rec(remaining, g0, d0, acc):
+        # variables are appended in non-decreasing order, starting at
+        # (g0, d0), so the monomials come out sorted
         if remaining == 0:
             out.append(tuple(acc))
             return
-        for g in range(ngens):
-            for d in range(1, remaining + 1):
-                v = (g, d)
-                if v < min_var:
-                    continue
-                acc.append(v)
-                rec(remaining - d, v, acc)
+        for g in range(g0, ngens):
+            for d in range(d0 if g == g0 else 1, remaining + 1):
+                acc.append((g, d))
+                rec(remaining - d, g, d, acc)
                 acc.pop()
 
-    rec(w, (0, 0), [])
-    out.sort()
+    rec(w, 0, 1, [])
     if cache is not None:
         cache[key] = out
     return out
@@ -232,9 +229,15 @@ def hilbert_series(preset: JetPreset, weight, multigraded=False,
     """Graded dimensions of the jet quotient through the given weight.
 
     dim at weight w (and charge, when graded) is #monomials minus the rank of
-    the span of monomial multiples of the T-derivatives of the relations,
-    computed by exact elimination over Q block by block.  The budget caps the
-    cells (rows x columns) of each block before its rank is taken.
+    the span of monomial multiples of the T-derivatives of the relations.
+    The multiples of a single-term derivative m span exactly the coordinates
+    of the monomials m divides, so those monomials are "killed": they are
+    not columns and m builds no rows.  dim is then #surviving monomials
+    minus the rank of the multi-term multiples restricted to the survivors,
+    by exact elimination over Q block by block.  A killed multiplier kills
+    every term of its row, so only surviving monomials are multipliers.  The
+    budget caps the cells (rows x columns) of each of these reduced blocks
+    before its rank is taken.
     """
     ring = preset.ring
     ngens = len(ring.generators)
@@ -242,37 +245,59 @@ def hilbert_series(preset: JetPreset, weight, multigraded=False,
     rank_out = ring.charge_rank if (multigraded and graded) else 0
     if multigraded and not graded:
         raise ValueError("preset has no charge data for a multigraded series")
-    gens_by_weight = {}
+    singles_by_weight = {}
+    multis_by_weight = {}
     for h in generate_ideal(preset, weight):
-        gens_by_weight.setdefault(h.weight(), []).append(h)
+        if len(h.terms) == 1:
+            (mono,) = h.terms
+            singles_by_weight.setdefault(mono_weight(mono), []).append(mono)
+        else:
+            multis_by_weight.setdefault(h.weight(), []).append(h.terms)
     monomials = {}
+    survivors = {0: [()]}
+    # charge of every surviving monomial, built from its prefix, which
+    # survives too (a relation dividing the prefix divides the monomial)
+    charge = {(): (0,) * ring.charge_rank}
     terms = {(0, (0,) * rank_out): 1}
     for w in range(1, weight + 1):
-        cols = monomials_of_weight(ngens, w, monomials)
+        killed = {tuple(sorted(m + mult))
+                  for u, singles in singles_by_weight.items() if u <= w
+                  for mult in monomials_of_weight(ngens, w - u, monomials)
+                  for m in singles}
+        cols = [m for m in monomials_of_weight(ngens, w, monomials)
+                if m not in killed]
+        survivors[w] = cols
         blocks = {}
+        col_pos = {}
         for mono in cols:
-            ch = _mono_charge(ring, mono) if graded else ()
-            blocks.setdefault(ch, []).append(mono)
+            if graded:
+                ch = tuple(a + b for a, b in
+                           zip(charge[mono[:-1]], ring.charges[mono[-1][0]]))
+                charge[mono] = ch
+            else:
+                ch = ()
+            block = blocks.setdefault(ch, [])
+            col_pos[mono] = (ch, len(block))
+            block.append(mono)
         rows_by_block = {}
-        for u, gens in gens_by_weight.items():
+        for u, polys in multis_by_weight.items():
             if u > w:
                 continue
-            for h in gens:
-                hch = h.charge(ring) if graded else ()
-                for mult in monomials_of_weight(ngens, w - u, monomials):
-                    row_poly = h.times_monomial(mult)
-                    ch = (tuple(a + b for a, b in zip(hch, _mono_charge(ring, mult)))
-                          if graded else ())
-                    rows_by_block.setdefault(ch, []).append(row_poly)
+            for mult in survivors[w - u]:
+                for poly in polys:
+                    row = {}
+                    for m, c in poly.items():
+                        pos = col_pos.get(tuple(sorted(m + mult)))
+                        if pos is not None:
+                            ch, i = pos
+                            row[i] = c
+                    if row:
+                        rows_by_block.setdefault(ch, []).append(row)
         for ch, block_cols in sorted(blocks.items()):
-            col_index = {m: i for i, m in enumerate(block_cols)}
-            rows = []
-            for rp in rows_by_block.get(ch, ()):
-                rows.append({col_index[m]: c for m, c in rp.terms.items()})
+            rows = rows_by_block.get(ch, [])
             if budget is not None and len(rows) * len(block_cols) > budget:
                 raise BudgetExceeded(f"matrix cells at weight {w}", budget)
-            rk = rank_of_rows(rows)
-            dim = len(block_cols) - rk
+            dim = len(block_cols) - rank_of_rows(rows)
             if dim:
                 key = (2 * w, ch if rank_out else ())
                 terms[key] = terms.get(key, 0) + dim

@@ -3,9 +3,10 @@
 Rows are dicts column->coefficient.  A row with a single nonzero entry pivots
 its column outright; the other rows, with those columns deleted, go through
 exact `Fraction` elimination.  This is the only rank path; there is no
-modular or floating-point shortcut.  In the differential ideals of jet
-algebras most rows are monomial multiples of monomial relations, so most of
-the rank is peeled without any arithmetic.
+modular or floating-point shortcut.  The jet Hilbert series never builds the
+monomial multiples of single-term relations (it drops the columns they kill
+instead), so the single-term rows that reach this function are multi-term
+rows that lost their other terms to those columns.
 """
 
 from __future__ import annotations

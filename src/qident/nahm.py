@@ -130,6 +130,12 @@ class NahmSumSpec:
 
     @classmethod
     def from_json_dict(cls, data):
+        """Inverse of to_json_dict; a missing required key is a ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("form spec must be a JSON object")
+        missing = [k for k in ("labels", "quadratic", "linear") if k not in data]
+        if missing:
+            raise ValueError("form spec lacks " + ", ".join(map(repr, missing)))
         return cls(
             labels=tuple(data["labels"]),
             quad=tuple(tuple(Fraction(x) for x in row) for row in data["quadratic"]),

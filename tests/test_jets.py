@@ -1,11 +1,13 @@
 import json
 import random
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
 from fractions import Fraction
 
 from dense_rank import dense_rank
+from jet_reference import reference_blocks, reference_terms
 from qident import jets, nahm, presets
 from qident.jets import JetPoly, JetPreset, WeightedRing, apply_T
 from qident.linalg import rank_of_rows
@@ -257,13 +259,90 @@ class TestRankBackend:
         assert a == b
 
 
+def _random_charged_preset(rng):
+    """2-4 generators with small charges; quadratic and cubic relations, each
+    a monomial or, where another monomial shares its charge, a binomial."""
+    ngens = rng.randint(2, 4)
+    rank = rng.randint(1, 2)
+    charges = tuple(tuple(rng.randint(0, 1) for _ in range(rank))
+                    for _ in range(ngens))
+    ring = WeightedRing(tuple(f"a{i}" for i in range(ngens)), charges)
+    rels = []
+    for _ in range(rng.randint(1, 4)):
+        monos = list(combinations_with_replacement(
+            [(g, 1) for g in range(ngens)], rng.choice((2, 2, 3))))
+        first = rng.choice(monos)
+        mates = [m for m in monos if m != first
+                 and jets._mono_charge(ring, m) == jets._mono_charge(ring, first)]
+        terms = {first: rng.choice((1, 2))}
+        if mates and rng.random() < 0.6:
+            terms[rng.choice(mates)] = rng.choice((-2, -1, 1, 3))
+        rels.append(JetPoly(terms))
+    return JetPreset(ring, tuple(rels))
+
+
+class TestBuilder:
+    """`hilbert_series` kills the columns of single-term derivatives instead
+    of building their rows; the reference builds every row."""
+
+    @pytest.mark.parametrize("ngens,w", [(1, 6), (2, 5), (3, 4), (4, 3)])
+    def test_monomials_match_bruteforce(self, ngens, w):
+        variables = [(g, d) for g in range(ngens) for d in range(1, w + 1)]
+        brute = sorted(mono for k in range(w + 1)
+                       for mono in combinations_with_replacement(variables, k)
+                       if sum(d for _g, d in mono) == w)
+        assert jets.monomials_of_weight(ngens, w) == brute
+
+    @pytest.mark.parametrize("name,reading,weight", [
+        ("sln-a2", "printed", 6), ("sln-b2", "printed", 6),
+        ("sln-h2", "printed", 6), ("sln-a3", "printed", 5),
+        ("sln-b3", "printed", 5), ("sln-h3", "printed", 5),
+        ("sln-a4", "printed", 4), ("sln-b4", "printed", 4),
+        ("sln-h4", "printed", 4), ("b2-a", "printed", 5),
+        ("b2-b", "printed", 5), ("d4-d", "printed", 4),
+        ("d4-d", "printed-v", 4), ("d4-d", "repaired", 4),
+        ("power-2", "printed", 8), ("power-3", "printed", 8),
+    ])
+    def test_matches_reference_on_shipped_presets(self, name, reading, weight):
+        pre = presets.jet_preset(name, reading)
+        for multigraded in (False, True):
+            hs = jets.hilbert_series(pre, weight, multigraded=multigraded)
+            assert hs.terms == reference_terms(pre, weight, multigraded)
+
+    def test_matches_reference_randomized(self):
+        rng = random.Random(29)
+        for _ in range(40):
+            pre = _random_charged_preset(rng)
+            for multigraded in (False, True):
+                hs = jets.hilbert_series(pre, 6, multigraded=multigraded)
+                assert hs.terms == reference_terms(pre, 6, multigraded)
+
+    def test_budget_counts_reduced_block(self):
+        # the budget caps the block that is ranked: killed columns (those of
+        # single-term rows), single-term rows and rows with no surviving term
+        # are not counted
+        pre = jets.sln_B(3)
+        full = reduced = 0
+        for _w, _ch, cols, rows in reference_blocks(pre, 6):
+            killed = {c for row in rows if len(row) == 1 for c in row}
+            kept = [row for row in rows if len(row) > 1 and set(row) - killed]
+            full = max(full, len(rows) * len(cols))
+            reduced = max(reduced, len(kept) * (len(cols) - len(killed)))
+        assert reduced < full
+        want = jets.hilbert_series(pre, 6)
+        assert jets.hilbert_series(pre, 6, budget=reduced) == want
+        with pytest.raises(BudgetExceeded):
+            jets.hilbert_series(pre, 6, budget=reduced - 1)
+
+
 GOLDENS = json.loads((Path(__file__).parent / "hilbert_goldens.json")
                      .read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("case", sorted(GOLDENS))
 def test_multigraded_golden(case):
-    """Multigraded series pinned before the rank path was rewritten."""
+    """Multigraded series recorded before the rank path and the row builder
+    were rewritten."""
     g = GOLDENS[case]
     hs = jets.hilbert_series(presets.jet_preset(g["preset"], g["d4_reading"]),
                              g["weight"], multigraded=True)
