@@ -254,7 +254,7 @@ def hilbert_series(preset: JetPreset, weight, multigraded=False,
         else:
             multis_by_weight.setdefault(h.weight(), []).append(h.terms)
     monomials = {}
-    survivors = {0: [()]}
+    survivors = [[()]]      # surviving monomials, by weight
     # charge of every surviving monomial, built from its prefix, which
     # survives too (a relation dividing the prefix divides the monomial)
     charge = {(): (0,) * ring.charge_rank}
@@ -266,7 +266,7 @@ def hilbert_series(preset: JetPreset, weight, multigraded=False,
                   for m in singles}
         cols = [m for m in monomials_of_weight(ngens, w, monomials)
                 if m not in killed]
-        survivors[w] = cols
+        survivors.append(cols)
         blocks = {}
         col_pos = {}
         for mono in cols:
