@@ -62,23 +62,27 @@ def binom_div(list arr, Py_ssize_t step, c):
 
 def nahm_tail(list res2, list scratch, long long e2_base, long long diag2,
               long long c2, long long order2):
-    """Innermost Nahm-sum variable loop for monotone forms; see _kernels_py."""
+    """Innermost Nahm-sum variable loop (diag2 > 0, c2 of any sign); see _kernels_py."""
     cdef long long v = 0
+    cdef long long skipped = 0
     cdef long long e2
     cdef Py_ssize_t k, kmax
     cdef Py_ssize_t lp = len(scratch)
     while True:
         e2 = e2_base + diag2 * v * v + c2 * v
-        if e2 >= order2:
+        if e2 < order2:
+            kmax = <Py_ssize_t> ((order2 - e2 + 1) // 2)
+            if kmax > lp:
+                kmax = lp
+            for k in range(kmax):
+                sk = scratch[k]
+                if sk:
+                    res2[e2 + 2 * k] = res2[e2 + 2 * k] + sk
+        elif 2 * diag2 * v + c2 + diag2 >= 0:
             break
-        kmax = <Py_ssize_t> ((order2 - e2 + 1) // 2)
-        if kmax > lp:
-            kmax = lp
-        for k in range(kmax):
-            sk = scratch[k]
-            if sk:
-                res2[e2 + 2 * k] = res2[e2 + 2 * k] + sk
+        else:
+            skipped += 1
         v += 1
         for k in range(<Py_ssize_t> v, lp):
             scratch[k] = scratch[k] + scratch[k - v]
-    return v
+    return v - skipped

@@ -51,28 +51,33 @@ def binom_div(arr, step, c):
 
 
 def nahm_tail(res2, scratch, e2_base, diag2, c2, order2):
-    """Innermost Nahm-sum variable loop for monotone (all-nonnegative) forms.
+    """Innermost Nahm-sum variable loop (diag2 > 0, c2 of any sign).
 
     scratch holds the partial product over the already-fixed variables; it is
     consumed in place.  For multiplicity v the term contributes
     q^(e2_base + diag2*v^2 + c2*v) * scratch / (q)_v; contributions are added
-    into res2 (doubled-exponent indexing).  Returns the number of lattice
-    points visited.
+    into res2 (doubled-exponent indexing).  A v whose exponent reaches order2
+    is skipped before the vertex of that parabola and ends the loop past it.
+    Returns the number of lattice points added.
     """
     v = 0
+    skipped = 0
     lp = len(scratch)
     while True:
         e2 = e2_base + diag2 * v * v + c2 * v
-        if e2 >= order2:
+        if e2 < order2:
+            kmax = (order2 - e2 + 1) // 2
+            if kmax > lp:
+                kmax = lp
+            for k in range(kmax):
+                sk = scratch[k]
+                if sk:
+                    res2[e2 + 2 * k] += sk
+        elif 2 * diag2 * v + c2 + diag2 >= 0:
             break
-        kmax = (order2 - e2 + 1) // 2
-        if kmax > lp:
-            kmax = lp
-        for k in range(kmax):
-            sk = scratch[k]
-            if sk:
-                res2[e2 + 2 * k] += sk
+        else:
+            skipped += 1
         v += 1
         for k in range(v, lp):
             scratch[k] += scratch[k - v]
-    return v
+    return v - skipped

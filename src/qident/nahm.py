@@ -6,7 +6,9 @@ A NahmSumSpec describes one side of an identity
 
 with Q(m) = m^T quad m + linear.m.  Enumeration refuses to run unless the
 form is certifiably coercive (all-nonnegative with positive diagonal, or
-positive definite), so truncated output can never silently lose terms.
+positive definite), so truncated output can never silently lose terms.  One
+depth-first search enumerates both kinds, pruned by an exact integer bound
+on the completion of each prefix (see _dfs_table).
 """
 
 from __future__ import annotations
@@ -130,19 +132,31 @@ class NahmSumSpec:
 
     @classmethod
     def from_json_dict(cls, data):
-        """Inverse of to_json_dict; a missing required key is a ValueError."""
+        """Inverse of to_json_dict; a missing or malformed key is a ValueError."""
         if not isinstance(data, dict):
             raise ValueError("form spec must be a JSON object")
         missing = [k for k in ("labels", "quadratic", "linear") if k not in data]
         if missing:
             raise ValueError("form spec lacks " + ", ".join(map(repr, missing)))
+
+        def field(key, convert, matrix=False):
+            value = data.get(key, [])
+            try:
+                if not isinstance(value, list) or (
+                        matrix and not all(isinstance(r, list) for r in value)):
+                    raise TypeError(key)
+                return tuple(tuple(map(convert, r)) if matrix else convert(r) for r in value)
+            except (TypeError, ValueError, ArithmeticError):
+                shape = "a list of lists" if matrix else "a list"
+                raise ValueError(f"form spec {key!r} must be {shape} of valid entries") from None
+
         return cls(
-            labels=tuple(data["labels"]),
-            quad=tuple(tuple(Fraction(x) for x in row) for row in data["quadratic"]),
-            linear=tuple(Fraction(x) for x in data["linear"]),
-            charges=tuple(tuple(int(x) for x in row) for row in data.get("charges", [])),
+            labels=field("labels", lambda x: x),
+            quad=field("quadratic", Fraction, matrix=True),
+            linear=field("linear", Fraction),
+            charges=field("charges", int, matrix=True),
             name=data.get("name", ""),
-            notes=tuple(data.get("notes", [])),
+            notes=field("notes", lambda x: x),
         )
 
     @classmethod
@@ -492,14 +506,59 @@ def compute_bound(spec: NahmSumSpec, order) -> EnumerationBound:
 # evaluation
 # ---------------------------------------------------------------------------
 
+def _dfs_table(spec: NahmSumSpec, strategy):
+    """Integer per-level bound table of the enumeration DFS.
+
+    Returns (G, levels, R).  With s_d the running sum at level d (fixing
+    x_i = v adds v*R[i][d] to s_d for every d > i), fixing x_d = v adds
+
+        a*v^2 + (beta*s_d + gamma)*v + delta*s_d^2,   (a, beta, gamma, delta) = levels[d]
+
+    to the bound of the prefix.  The bound is G times a lower bound on the
+    doubled exponent of every completion of the prefix, and G times the
+    doubled exponent itself once every variable is fixed.
+
+    All-nonnegative forms use the doubled exponent with the free variables
+    at zero (G = 1, R = cross2): those variables can only add to it.
+    Positive-definite forms use the reverse LDL^T split
+    x^T Q x = sum_k D_k (x_k + sum_{i<k} M_ki x_i)^2, whose later squares can
+    all be made zero by real values, so the fixed squares are the exact real
+    minimum of the completion (Fincke-Pohst); s_k = den * sum_{i<k} M_ki x_i
+    with den the lcm of the denominators of M, and G clears the denominators
+    of 2*D_k/den^2.
+    """
+    l = spec.nvars
+    diag2, lin2, cross2 = spec._tables()
+    if strategy == "all_nonneg":
+        return 1, [(diag2[d], 1, lin2[d], 0) for d in range(l)], cross2
+    A = [list(row) for row in spec.quad]
+    D = [None] * l
+    M = [[Fraction(0)] * l for _ in range(l)]
+    for k in range(l - 1, -1, -1):
+        D[k] = A[k][k]
+        for i in range(k):
+            M[k][i] = A[k][i] / D[k]
+        for i in range(k):
+            for j in range(k):
+                A[i][j] -= M[k][i] * A[k][j]
+    den = math.lcm(*(x.denominator for row in M for x in row))
+    G = math.lcm(*((2 * Dk / den ** 2).denominator for Dk in D))
+    W = [int(G * 2 * Dk / den ** 2) for Dk in D]
+    R = [[int(den * M[j][d]) for j in range(l)] for d in range(l)]
+    return G, [(w * den * den, 2 * w * den, 0, w) for w in W], R
+
+
 def evaluate(spec: NahmSumSpec, order, charges=True, node_budget=None) -> QSeries:
     """Exact truncated evaluation of the lattice sum.
 
-    Depth-first over the certified box; for all-nonnegative forms the partial
-    exponent is monotone so subtrees are pruned exactly, for positive-definite
-    forms a certified completion lower bound prunes instead.  With
-    charges=False the charge monomials are projected away up front (much
-    faster at high order).
+    One depth-first search over the variables in order.  At each level the
+    bound of _dfs_table is a parabola in the value v being fixed: v is
+    visited while the bound is below the limit, skipped before the vertex,
+    and the loop stops past it (for all-nonnegative forms, at the first v
+    over the limit).  compute_bound only certifies coercivity; its box is
+    what evaluate_bruteforce iterates.  node_budget caps the visited points.
+    With charges=False the charge monomials are projected away up front
+    (much faster at high order).
     """
     bound = compute_bound(spec, order)
     order2 = twice_of(order)
@@ -508,8 +567,13 @@ def evaluate(spec: NahmSumSpec, order, charges=True, node_budget=None) -> QSerie
     l = spec.nvars
     if order2 <= 0:
         return QSeries._raw(max(order2, 0), rank, {})
-    diag2, lin2, cross2 = spec._tables()
-    int_len = (order2 + 1) // 2
+    if l == 0:
+        return QSeries._raw(order2, rank, {(0, (0,) * rank): 1})
+    G, levels, R = _dfs_table(spec, bound.strategy)
+    limit = order2 * G
+    G2 = 2 * G
+    geom_div = kernels.geom_div
+    nahm_tail = kernels.nahm_tail
     counter = [0]
 
     def spend(n=1):
@@ -519,147 +583,71 @@ def evaluate(spec: NahmSumSpec, order, charges=True, node_budget=None) -> QSerie
 
     res_dense = [0] * order2          # doubled-exponent indexing, uncharged
     res_charged = {}
-    c2 = list(lin2)
+    s = [0] * l
     ucols = [tuple(row[d] for row in spec.charges) for d in range(l)] if use_charges else None
 
-    if bound.strategy == "all_nonneg":
-        _eval_monotone(spec, order2, int_len, diag2, cross2, c2, ucols,
-                       res_dense, res_charged, spend, use_charges, rank)
-    else:
-        _eval_pd(spec, order2, int_len, bound, diag2, cross2, c2, ucols,
-                 res_dense, res_charged, spend, use_charges, rank)
+    def tail_charged(e2_base, diag2, c2, charge, scratch):
+        # nahm_tail with a charge per v
+        col = ucols[l - 1]
+        lp = len(scratch)
+        v = 0
+        while True:
+            e2 = e2_base + diag2 * v * v + c2 * v
+            if e2 < order2:
+                spend()
+                ch = tuple(x + v * u for x, u in zip(charge, col))
+                for k in range(min((order2 - e2 + 1) // 2, lp)):
+                    sk = scratch[k]
+                    if sk:
+                        key = (e2 + 2 * k, ch)
+                        res_charged[key] = res_charged.get(key, 0) + sk
+            elif 2 * diag2 * v + c2 + diag2 >= 0:
+                break
+            v += 1
+            geom_div(scratch, v)
+
+    def rec(d, P, charge, T):
+        # T is the caller's fresh slice: the partial product, consumed in place
+        a, beta, gamma, delta = levels[d]
+        sd = s[d]
+        b = beta * sd + gamma
+        c = P + delta * sd * sd
+        if d == l - 1:
+            # the bound is G times the exact doubled exponent, G | a, b, c
+            if use_charges:
+                tail_charged(c // G, a // G, b // G, charge, T)
+            else:
+                spend(nahm_tail(res_dense, T, c // G, a // G, b // G, order2))
+            return
+        row = R[d]
+        col = ucols[d] if use_charges else None
+        v = 0
+        while True:
+            e = c + a * v * v + b * v
+            if e < limit:
+                spend()
+                child_len = min(-((e - limit) // G2), len(T))
+                child_charge = (tuple(x + v * u for x, u in zip(charge, col))
+                                if use_charges else charge)
+                rec(d + 1, e, child_charge, T[:child_len])
+            elif 2 * a * v + a + b >= 0:
+                break
+            v += 1
+            geom_div(T, v)
+            for j in range(d + 1, l):
+                s[j] += row[j]
+        for j in range(d + 1, l):
+            s[j] -= v * row[j]
+
+    seed = [0] * ((order2 + 1) // 2)
+    seed[0] = 1
+    rec(0, 0, (0,) * rank, seed)
 
     if use_charges:
         terms = {k: v for k, v in res_charged.items() if v}
         return QSeries._raw(order2, rank, terms)
     terms = {(e2, ()): c for e2, c in enumerate(res_dense) if c}
     return QSeries._raw(order2, 0, terms)
-
-
-def _eval_monotone(spec, order2, int_len, diag2, cross2, c2, ucols,
-                   res_dense, res_charged, spend, use_charges, rank):
-    l = spec.nvars
-    geom_div = kernels.geom_div
-    nahm_tail = kernels.nahm_tail
-    zero_charge = (0,) * rank
-
-    def tail_charged(e2_base, charge, scratch):
-        d = l - 1
-        v = 0
-        col = ucols[d]
-        lp = len(scratch)
-        while True:
-            e2 = e2_base + diag2[d] * v * v + c2[d] * v
-            if e2 >= order2:
-                break
-            spend()
-            ch = tuple(c + v * u for c, u in zip(charge, col))
-            kmax = min((order2 - e2 + 1) // 2, lp)
-            for k in range(kmax):
-                sk = scratch[k]
-                if sk:
-                    key = (e2 + 2 * k, ch)
-                    res_charged[key] = res_charged.get(key, 0) + sk
-            v += 1
-            geom_div(scratch, v)
-
-    def rec(d, e2, charge, partial):
-        if d == l - 1:
-            scratch = list(partial)
-            if use_charges:
-                tail_charged(e2, charge, scratch)
-            else:
-                spend(nahm_tail(res_dense, scratch, e2, diag2[d], c2[d], order2))
-            return
-        T = list(partial)
-        row = cross2[d]
-        col = ucols[d] if use_charges else None
-        v = 0
-        while True:
-            e2v = e2 + diag2[d] * v * v + c2[d] * v
-            if e2v >= order2:
-                break
-            spend()
-            child_len = min((order2 - e2v + 1) // 2, len(T))
-            child_charge = tuple(c + v * u for c, u in zip(charge, col)) if use_charges else charge
-            rec(d + 1, e2v, child_charge, T[:child_len])
-            v += 1
-            geom_div(T, v)
-            for j in range(d + 1, l):
-                c2[j] += row[j]
-        for j in range(d + 1, l):
-            c2[j] -= v * row[j]
-
-    if l == 0:
-        res_dense[0] += 1
-        return
-    seed = [0] * int_len
-    seed[0] = 1
-    rec(0, 0, (0,) * rank if use_charges else (), seed)
-
-
-def _eval_pd(spec, order2, int_len, bound, diag2, cross2, c2, ucols,
-             res_dense, res_charged, spend, use_charges, rank):
-    l = spec.nvars
-    geom_div = kernels.geom_div
-    lam2 = 2 * bound.lambda_lower       # doubled-exponent eigenvalue bound
-
-    def per_var_min(cj):
-        # min over integer v >= 0 of lam2*v^2 + cj*v  (0 unless cj < 0)
-        if cj >= 0:
-            return Fraction(0)
-        t = Fraction(-cj) / (2 * lam2)
-        best = Fraction(0)
-        for v in {t.numerator // t.denominator, -(-t.numerator // t.denominator)}:
-            if v >= 0:
-                val = lam2 * v * v + cj * v
-                if val < best:
-                    best = val
-        return best
-
-    def suffix_lower(d):
-        return sum((per_var_min(c2[j]) for j in range(d, l)), Fraction(0))
-
-    def rec(d, e2, charge, partial):
-        if d == l:
-            if e2 < 0:
-                raise ValueError("negative exponent reached; form is not graded-safe")
-            spend()
-            if use_charges:
-                for k in range(min((order2 - e2 + 1) // 2, len(partial))):
-                    if partial[k]:
-                        key = (e2 + 2 * k, charge)
-                        res_charged[key] = res_charged.get(key, 0) + partial[k]
-            else:
-                for k in range(min((order2 - e2 + 1) // 2, len(partial))):
-                    if partial[k]:
-                        res_dense[e2 + 2 * k] += partial[k]
-            return
-        T = list(partial)
-        row = cross2[d]
-        col = ucols[d] if use_charges else None
-        vmax = bound.per_variable_max[d]
-        for v in range(vmax + 1):
-            if v:
-                geom_div(T, v)
-                for j in range(d + 1, l):
-                    c2[j] += row[j]
-            e2v = e2 + diag2[d] * v * v + c2[d] * v
-            if e2v + suffix_lower(d + 1) < order2:
-                spend()
-                child_charge = (tuple(c + v * u for c, u in zip(charge, col))
-                                if use_charges else charge)
-                child_len = max(min(int_len, len(T)), 1)
-                rec(d + 1, e2v, child_charge, T[:child_len])
-        for j in range(d + 1, l):
-            c2[j] -= vmax * row[j]
-
-    if l == 0:
-        res_dense[0] += 1
-        return
-    seed = [0] * int_len
-    seed[0] = 1
-    rec(0, 0, (0,) * rank if use_charges else (), seed)
 
 
 def evaluate_bruteforce(spec: NahmSumSpec, order, box, charges=True) -> QSeries:

@@ -210,6 +210,15 @@ def test_custom_spec_missing_key_is_exit_2(runner, tmp_path):
     assert "'labels'" in result.output
 
 
+def test_custom_spec_wrong_shape_is_exit_2(runner, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"labels": ["a"], "quadratic": [1], "linear": [0]}', encoding="utf-8")
+    result = run(runner, "verify", "custom", "--lhs", str(spec), "--rhs", str(spec),
+                 "--order", "5")
+    assert_usage_exit(result)
+    assert "'quadratic'" in result.output
+
+
 def test_forms_eval_malformed_json_is_exit_2(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")

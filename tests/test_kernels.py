@@ -57,6 +57,41 @@ def test_binom_div_inverts_binom_mul():
         assert out == arr
 
 
+def _nahm_tail_case(rng):
+    """Random nahm_tail arguments, c2 < -diag2 included, minimum exponent >= 0."""
+    order2 = rng.randint(2, 40)
+    diag2 = rng.randint(1, 4)
+    c2 = rng.randint(-12, 4)
+    e2_min = min(diag2 * v * v + c2 * v for v in range(20))
+    e2 = rng.randint(0, 8) - e2_min
+    scr = _rand_list(rng, rng.randint(1, 12), lo=0, hi=5)
+    return order2, diag2, c2, e2, scr
+
+
+def test_nahm_tail_against_naive():
+    rng = random.Random(4)
+    skipped_first = 0
+    for _ in range(300):
+        order2, diag2, c2, e2, scr = _nahm_tail_case(rng)
+        naive = [0] * order2
+        points = 0
+        part = list(scr)
+        for v in range(40):
+            if v:
+                _kernels_py.geom_div(part, v)
+            ev = e2 + diag2 * v * v + c2 * v
+            if ev < order2:
+                points += 1
+                for k, sk in enumerate(part):
+                    if ev + 2 * k < order2:
+                        naive[ev + 2 * k] += sk
+        res = [0] * order2
+        assert _kernels_py.nahm_tail(res, list(scr), e2, diag2, c2, order2) == points
+        assert res == naive
+        skipped_first += e2 >= order2 and points > 0
+    assert skipped_first > 10      # cases where v = 0 is over the limit, later v are not
+
+
 @needs_compiled
 @pytest.mark.parametrize("fn", ["conv_trunc", "geom_div", "geom_mul",
                                 "binom_mul", "binom_div", "nahm_tail"])
@@ -69,13 +104,9 @@ def test_compiled_matches_pure(fn):
             n = rng.randint(1, 16)
             assert getattr(_kernels, fn)(a, b, n) == getattr(_kernels_py, fn)(a, b, n)
         elif fn == "nahm_tail":
-            order2 = rng.randint(2, 24)
+            order2, diag2, c2, e2, scr = _nahm_tail_case(rng)
             res_a = [0] * order2
             res_b = [0] * order2
-            scr = _rand_list(rng, rng.randint(1, 10), lo=0, hi=5)
-            e2 = rng.randint(0, 6)
-            diag2 = rng.randint(1, 4)
-            c2 = rng.randint(0, 4)
             na = _kernels.nahm_tail(res_a, list(scr), e2, diag2, c2, order2)
             nb = _kernels_py.nahm_tail(res_b, list(scr), e2, diag2, c2, order2)
             assert (na, res_a) == (nb, res_b)

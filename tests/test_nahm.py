@@ -195,6 +195,48 @@ class TestEvaluate:
         with pytest.raises(nahm.BudgetExceeded):
             nahm.evaluate(nahm.build_B_form(3), 20, node_budget=5)
 
+    def test_budget_counts_exact_bound_nodes(self):
+        # the Fincke-Pohst DFS visits 3712 points of cartan-a6 below q^16;
+        # the eigenvalue-bound enumeration it replaced needed 12201
+        spec = nahm.build_cartan_side("A", 6)
+        nahm.evaluate(spec, 16, charges=False, node_budget=3712)
+        with pytest.raises(nahm.BudgetExceeded):
+            nahm.evaluate(spec, 16, charges=False, node_budget=3711)
+
+    def test_no_variables_is_one(self):
+        spec = nahm.NahmSumSpec((), (), (), ((),))
+        for charges in (False, True):
+            s = nahm.evaluate(spec, 5, charges=charges)
+            assert s == nahm.evaluate_bruteforce(spec, 5, (), charges=charges)
+            assert s.terms == {(0, (0,) if charges else ()): 1}
+
+    def test_random_positive_definite_forms_match_bruteforce(self):
+        rng = random.Random(29)
+        checked = 0
+        while checked < 40:
+            l = rng.randint(2, 4)
+            quad = [[F(0)] * l for _ in range(l)]
+            for i in range(l):
+                quad[i][i] = F(rng.randint(1, 4), 2)
+                for j in range(i + 1, l):
+                    quad[i][j] = quad[j][i] = F(rng.randint(-3, 2), 4)
+            if not nahm.is_positive_definite(quad):
+                continue
+            rank = rng.randint(0, 2)
+            spec = nahm.NahmSumSpec(
+                tuple(f"x{i}" for i in range(l)), tuple(map(tuple, quad)), (F(0),) * l,
+                tuple(tuple(rng.randint(-1, 2) for _ in range(l)) for _ in range(rank)))
+            order = rng.randint(3, 8)
+            bound = nahm.compute_bound(spec, order)
+            box = bound.per_variable_max
+            if bound.strategy != "positive_definite" or (box[0] + 1) ** l > 1500:
+                continue
+            for charges in (False, True):
+                fast = nahm.evaluate(spec, order, charges=charges)
+                brute = nahm.evaluate_bruteforce(spec, order, box, charges=charges)
+                assert fast == brute, (quad, spec.charges, order, charges)
+            checked += 1
+
     def test_charges_dropped_matches_projection(self):
         spec = nahm.build_B_form(3)
         charged = nahm.evaluate(spec, 14, charges=True)
@@ -260,6 +302,21 @@ class TestSerialization:
         data = json.loads(nahm.build_B_form(2).to_json())
         assert data["labels"] == ["m[1,2]"]
         assert data["quadratic"] == [["1"]]
+
+
+    @pytest.mark.parametrize("key,value", [
+        ("labels", "ab"),
+        ("quadratic", [1]),
+        ("linear", 0),
+        ("linear", ["x"]),
+        ("charges", [1]),
+        ("notes", 3),
+    ])
+    def test_malformed_shape_names_key(self, key, value):
+        data = {"labels": ["a"], "quadratic": [[1]], "linear": [0]}
+        data[key] = value
+        with pytest.raises(ValueError, match=repr(key)):
+            nahm.NahmSumSpec.from_json_dict(data)
 
 
 class TestFormDifference:
