@@ -542,8 +542,9 @@ def _dfs_table(spec: NahmSumSpec, strategy):
             for j in range(k):
                 A[i][j] -= M[k][i] * A[k][j]
     den = math.lcm(*(x.denominator for row in M for x in row))
-    G = math.lcm(*((2 * Dk / den ** 2).denominator for Dk in D))
-    W = [int(G * 2 * Dk / den ** 2) for Dk in D]
+    scaled = [2 * Dk / den ** 2 for Dk in D]
+    G = math.lcm(*(x.denominator for x in scaled))
+    W = [int(G * x) for x in scaled]
     R = [[int(den * M[j][d]) for j in range(l)] for d in range(l)]
     return G, [(w * den * den, 2 * w * den, 0, w) for w in W], R
 
