@@ -7,7 +7,6 @@ violation (the report still prints), 2 on usage or budget errors.
 
 from __future__ import annotations
 
-import itertools
 import shlex
 import sys
 import time
@@ -56,7 +55,8 @@ def _usage_exit(message):
 @click.group()
 @click.option("--json", "as_json", is_flag=True, help="machine-readable report")
 @click.option("--budget", type=int, default=None,
-              help="cap on enumeration nodes / matrix cells; exceeding it is exit 2")
+              help="cap on enumeration nodes / matrix cells / monomial pairs / "
+                   "quiver representations; exceeding it is exit 2")
 @click.option("--timings", is_flag=True, help="include wall time (breaks byte-reproducibility)")
 @pass_settings
 def main(settings, as_json, budget, timings):
@@ -109,7 +109,7 @@ def verify_thm1(settings, variant, n, order, charges):
 
 
 @verify.command("pentagon")
-@click.option("--xdeg", type=int, required=True)
+@click.option("--xdeg", type=click.IntRange(min=1), required=True)
 @click.option("--qorder", type=int, required=True)
 @click.option("--variant", type=click.Choice(["plain", "shifted"]), default="plain")
 @click.option("--negative-control", is_flag=True,
@@ -118,8 +118,12 @@ def verify_thm1(settings, variant, n, order, charges):
 def verify_pentagon(settings, xdeg, qorder, variant, negative_control):
     """phi(y) phi(x) = phi(x) phi(-yx) phi(y) with xy = q yx."""
     started = time.time()
-    result = qweyl.pentagon_check(xdeg, qorder, variant=variant,
-                                  drop_middle=negative_control)
+    try:
+        result = qweyl.pentagon_check(xdeg, qorder, variant=variant,
+                                      drop_middle=negative_control,
+                                      budget=settings.budget)
+    except BudgetExceeded as exc:
+        _usage_exit(exc)
     report = VerificationReport(
         command="verify pentagon",
         parameters={"xdeg": xdeg, "qorder": qorder, "variant": variant,
@@ -143,19 +147,23 @@ def verify_pentagon(settings, xdeg, qorder, variant, negative_control):
 @verify.command("ordered-product")
 @click.option("--type", "kind", required=True,
               help="a{N} for the chain case, or d4")
-@click.option("--xdeg", type=int, required=True)
+@click.option("--xdeg", type=click.IntRange(min=1), required=True)
 @click.option("--qorder", type=int, required=True)
 @pass_settings
 def verify_ordered_product(settings, kind, xdeg, qorder):
     """Left-to-right dilogarithm factorization in the displayed order."""
     started = time.time()
     if kind == "d4":
-        result, factors = qweyl.ordered_product_check("d4", xdeg=xdeg, qorder=qorder)
+        args = ("d4",)
     elif kind.startswith("a") and kind[1:].isdigit():
-        result, factors = qweyl.ordered_product_check("a", int(kind[1:]),
-                                                      xdeg=xdeg, qorder=qorder)
+        args = ("a", int(kind[1:]))
     else:
         _usage_exit(f"bad --type {kind!r}")
+    try:
+        result, factors = qweyl.ordered_product_check(*args, xdeg=xdeg, qorder=qorder,
+                                                      budget=settings.budget)
+    except (BudgetExceeded, ValueError) as exc:
+        _usage_exit(exc)
     report = VerificationReport(
         command="verify ordered-product",
         parameters={"type": kind, "xdeg": xdeg, "qorder": qorder})
@@ -177,8 +185,8 @@ def verify_ordered_product(settings, kind, xdeg, qorder):
 @verify.command("quiver")
 @click.option("--rank", type=int, required=True)
 @click.option("--orientation", required=True, help="arrow letters, e.g. RRL")
-@click.option("--kmax", type=int, required=True)
-@click.option("--order", type=int, required=True)
+@click.option("--kmax", type=click.IntRange(min=0), required=True)
+@click.option("--order", type=click.IntRange(min=1), required=True)
 @pass_settings
 def verify_quiver(settings, rank, orientation, kmax, order):
     """Codimension partition identity for every k in the box."""
@@ -194,17 +202,25 @@ def verify_quiver(settings, rank, orientation, kmax, order):
     verdict = "equal"
     lines = []
     small = (kmax + 1) ** rank <= 16
-    for k in itertools.product(range(kmax + 1), repeat=rank):
-        result = quiver.verify_theorem51(qv, k, order)
-        if small:
-            reps = quiver.enumerate_reps(qv, k)
-            decomp = "; ".join(quiver.render_rep(r) for r in reps)
-            lines.append(f"k={k}: {len(reps)} representation(s): {decomp}")
-        if not result.equal:
-            verdict = "mismatch"
-            report.add_mismatch(result.mismatch)
-            lines.append(f"k={k}: MISMATCH")
-            break
+    decomps = {}
+
+    def keep(k, rep):
+        decomps.setdefault(k, []).append(quiver.render_rep(rep))
+
+    try:
+        for k, result in quiver.verify_theorem51_box(qv, (kmax,) * rank, order,
+                                                     settings.budget,
+                                                     keep if small else None):
+            if small:
+                reps = decomps[k]
+                lines.append(f"k={k}: {len(reps)} representation(s): {'; '.join(reps)}")
+            if not result.equal:
+                verdict = "mismatch"
+                report.add_mismatch(result.mismatch)
+                lines.append(f"k={k}: MISMATCH")
+                break
+    except BudgetExceeded as exc:
+        _usage_exit(exc)
     report.lines = lines
     report.verdict = verdict
     _emit(settings, report, started)

@@ -7,10 +7,13 @@ strand-pair sum, sensitive to the arrow orientation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .series import QSeries, CompareResult, inv_pochhammer_dense, series_eq
+from . import kernels
 from .halfint import twice_of
+from .nahm import BudgetExceeded
+from .series import QSeries, CompareResult, inv_pochhammer_dense, series_eq
 
 
 @dataclass(frozen=True)
@@ -117,49 +120,57 @@ def codim(quiver: QuiverA, rep) -> int:
     return total
 
 
-def _rep_denominator(rep, length):
-    prod = [1]
-    from . import kernels
+def _inv_denominator(mults, length, memo):
+    """Dense 1/prod (q)_m over the multiplicities m, through exponent
+    length-1 (shorter when every m is 0), memoized in memo by (sorted nonzero
+    multiplicities, length)."""
+    mults = tuple(sorted(m for m in mults if m))
+    hit = memo.get((mults, length))
+    if hit is None:
+        hit = [1]
+        for m in mults:
+            hit = kernels.conv_trunc(hit, inv_pochhammer_dense(m, length), length)
+        memo[(mults, length)] = hit
+    return hit
 
-    for m in sorted(rep.values()):
-        if m:
-            prod = kernels.conv_trunc(prod, inv_pochhammer_dense(m, length), length)
-    return prod
+
+def _add_rep(row, quiver, rep, memo):
+    """row += q^codim(rep) / prod (q)_{m_seg}, truncated to len(row)."""
+    c = codim(quiver, rep)
+    if c < len(row):
+        den = _inv_denominator(rep.values(), len(row), memo)
+        for e in range(min(len(den), len(row) - c)):
+            row[c + e] += den[e]
 
 
 def verify_theorem51(quiver: QuiverA, k, order) -> CompareResult:
     """1/prod (q)_{k_i} against sum over reps of q^codim / prod (q)_{m_seg}."""
-    order2 = twice_of(order)
-    length = (order2 + 1) // 2
-    lhs = [1]
-    from . import kernels
-
-    for ki in k:
-        lhs = kernels.conv_trunc(lhs, inv_pochhammer_dense(ki, length), length)
-    rhs_terms = {}
+    length = (twice_of(order) + 1) // 2
+    row = [0] * length
+    memo = {}
     for rep in enumerate_reps(quiver, k):
-        c = codim(quiver, rep)
-        if 2 * c >= order2:
-            continue
-        prod = _rep_denominator(rep, length - c)
-        for e, coeff in enumerate(prod):
-            if coeff:
-                key = (2 * (e + c), ())
-                rhs_terms[key] = rhs_terms.get(key, 0) + coeff
-    lhs_series = QSeries.from_dense(lhs, order)
-    rhs_series = QSeries._raw(order2, 0, {kk: v for kk, v in rhs_terms.items() if v})
-    return series_eq(lhs_series, rhs_series)
+        _add_rep(row, quiver, rep, memo)
+    return series_eq(QSeries.from_dense(_inv_denominator(k, length, memo), order),
+                     QSeries.from_dense(row, order))
 
 
-def _reps_in_box(quiver: QuiverA, kmax):
-    """All multiplicity functions whose dimension vector fits under kmax."""
+def _reps_in_box(quiver: QuiverA, kmax, budget=None):
+    """Yield (dimension vector, rep) for every multiplicity function whose
+    dimension vector fits under kmax, in lexicographic segment order (so the
+    reps of one dimension vector come in enumerate_reps order).  The rep dict
+    is reused between yields; copy it to keep it.  budget caps the reps."""
     segs = segments(quiver.rank)
-    out = []
     rep = {}
+    used = [0] * quiver.rank
+    count = 0
 
-    def rec(idx, used):
+    def rec(idx):
+        nonlocal count
         if idx == len(segs):
-            out.append(dict(rep))
+            count += 1
+            if budget is not None and count > budget:
+                raise BudgetExceeded("quiver representations", budget)
+            yield tuple(used), rep
             return
         a, b = segs[idx]
         cap = min(kmax[v - 1] - used[v - 1] for v in range(a, b + 1))
@@ -168,14 +179,44 @@ def _reps_in_box(quiver: QuiverA, kmax):
                 rep[(a, b)] = m
                 for v in range(a, b + 1):
                     used[v - 1] += m
-            rec(idx + 1, used)
+            yield from rec(idx + 1)
             if m:
                 del rep[(a, b)]
                 for v in range(a, b + 1):
                     used[v - 1] -= m
 
-    rec(0, [0] * quiver.rank)
-    return out
+    return rec(0)
+
+
+def _box_rows(quiver, kmax, length, memo, budget=None, on_rep=None):
+    """{k: dense sum of q^codim / prod (q)_{m_seg} over the reps of dimension
+    vector k} for every k <= kmax, from one walk over the box; on_rep(k, rep)
+    sees each rep as it is walked."""
+    rows = {}
+    for k, rep in _reps_in_box(quiver, kmax, budget):
+        if on_rep is not None:
+            on_rep(k, rep)
+        row = rows.get(k)
+        if row is None:
+            row = rows[k] = [0] * length
+        _add_rep(row, quiver, rep, memo)
+    return rows
+
+
+def verify_theorem51_box(quiver: QuiverA, kmax, order, budget=None, on_rep=None):
+    """verify_theorem51 for every k <= kmax, from one walk over the box.
+
+    Yields (k, CompareResult) for each k in itertools.product order, from the
+    same two series verify_theorem51(quiver, k, order) compares.  The walk
+    runs before the first result; on_rep(k, rep) sees each rep during it and
+    budget caps the reps walked (BudgetExceeded).
+    """
+    length = (twice_of(order) + 1) // 2
+    memo = {}
+    rows = _box_rows(quiver, kmax, length, memo, budget, on_rep)
+    for k in itertools.product(*(range(b + 1) for b in kmax)):
+        yield k, series_eq(QSeries.from_dense(_inv_denominator(k, length, memo), order),
+                           QSeries.from_dense(rows[k], order))
 
 
 def quiver_generating_series(quiver: QuiverA, kmax, order):
@@ -185,35 +226,21 @@ def quiver_generating_series(quiver: QuiverA, kmax, order):
     rhs: sum over reps with dimension vector in the box of
          q^codim(rep) x^dim(rep) / prod (q)_{m_seg}.
     """
-    import itertools
-
     order2 = twice_of(order)
     length = (order2 + 1) // 2
     rank = quiver.rank
-    from . import kernels
 
+    memo = {}
     lhs_terms = {}
     for k in itertools.product(*(range(b + 1) for b in kmax)):
-        prod = [1]
-        for ki in k:
-            prod = kernels.conv_trunc(prod, inv_pochhammer_dense(ki, length), length)
-        for e, c in enumerate(prod):
+        for e, c in enumerate(_inv_denominator(k, length, memo)):
             if c:
-                key = (2 * e, k)
-                lhs_terms[key] = lhs_terms.get(key, 0) + c
-    rhs_terms = {}
-    for rep in _reps_in_box(quiver, kmax):
-        cd = codim(quiver, rep)
-        if 2 * cd >= order2:
-            continue
-        dim = dimension_vector(rank, rep)
-        prod = _rep_denominator(rep, length - cd)
-        for e, c in enumerate(prod):
-            if c:
-                key = (2 * (e + cd), dim)
-                rhs_terms[key] = rhs_terms.get(key, 0) + c
-    lhs = QSeries._raw(order2, rank, {kk: v for kk, v in lhs_terms.items() if v})
-    rhs = QSeries._raw(order2, rank, {kk: v for kk, v in rhs_terms.items() if v})
+                lhs_terms[(2 * e, k)] = c
+    rhs_terms = {(2 * e, dim): c
+                 for dim, row in _box_rows(quiver, kmax, length, memo).items()
+                 for e, c in enumerate(row) if c}
+    lhs = QSeries._raw(order2, rank, lhs_terms)
+    rhs = QSeries._raw(order2, rank, rhs_terms)
     return lhs, rhs
 
 

@@ -5,15 +5,27 @@ matrix eps.  Elements are truncated in two directions at once: total x-degree
 (exclusive bound xdeg) and q-order; coefficients are Laurent polynomials in
 q^(1/2) whose validity order is tracked through every multiplication, so a
 comparison can certify exactly how far it is meaningful.
+
+Dilogarithm products are expanded to the q-order their comparison reads and
+no further.  Normal ordering and negative exponents cost validity, so the
+factors start at a padded order, sized by one pass that runs the same
+products over bound-only coefficients (`_Bound`): for each monomial it keeps
+a lower bound on the coefficient's lowest exponent and the validity order
+the `LaurentQ` rules give it.  A product's lowest exponent is the sum of its
+factors' lowest exponents and a sum's is at least the smaller one, so the
+bounds can only underestimate validity and every final coefficient is valid
+at least to the requested order.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .halfint import HalfInt, twice_of
+from .nahm import BudgetExceeded
 from .poly import SparsePoly
 from .series import inv_pochhammer_dense
 
@@ -375,24 +387,29 @@ def _inv_poch_laurent(n, base2, order2):
     return LaurentQ({base2 + 2 * k: c for k, c in enumerate(dense) if c}, order2)
 
 
-def dilog(algebra, prefactor_sign, qshift, word, xdeg, qorder2) -> NCElement:
-    """phi(prefactor_sign * q^qshift * word) as a truncated NCElement.
+def _dilog_terms(algebra, prefactor_sign, qshift, word, xdeg):
+    """Terms (exps, n, base2, sign) of phi(prefactor_sign * q^qshift * word)
+    below x-degree xdeg, the n-th being sign * q^(base2/2) x^exps / (q)_n.
 
     phi(z) = prod_{i>=0} (1 - q^i z) = sum_n (-1)^n q^(n(n-1)/2) z^n / (q)_n.
     """
     word = tuple(word)
     shift2 = twice_of(qshift)
-    terms = {}
     n = 0
     while n * len(word) < xdeg:
         p2, exps = normal_order(algebra, word, n) if n else (HalfInt(0), (0,) * algebra.generator_count)
-        base2 = n * (n - 1) + n * shift2 + p2.twice
-        sign = (-1) ** n * prefactor_sign ** n
+        yield exps, n, n * (n - 1) + n * shift2 + p2.twice, (-1) ** n * prefactor_sign ** n
+        n += 1
+
+
+def dilog(algebra, prefactor_sign, qshift, word, xdeg, qorder2) -> NCElement:
+    """phi(prefactor_sign * q^qshift * word) as a truncated NCElement."""
+    terms = {}
+    for exps, n, base2, sign in _dilog_terms(algebra, prefactor_sign, qshift, word, xdeg):
         coeff = _inv_poch_laurent(n, base2, qorder2)
         if sign < 0:
             coeff = -coeff
         terms[exps] = terms[exps] + coeff if exps in terms else coeff
-        n += 1
     return NCElement(algebra, xdeg, terms)
 
 
@@ -421,15 +438,74 @@ def product(factors):
     return acc
 
 
-def _padded_order2(xdeg, qorder):
-    # normal-ordering can push exponents down by O(xdeg^2); pad generously so
-    # every coefficient stays valid through the requested q-order
-    return twice_of(qorder) + 2 * xdeg * xdeg + 8
+class _Bound:
+    """Stand-in for a LaurentQ coefficient in the padding pass.
+
+    low2 is a lower bound on the lowest exponent and order2 the validity
+    order that LaurentQ's rules give, counted from the order the factors
+    start at.  The operations are the ones NCElement.__mul__ applies, with
+    LaurentQ's order2 rules; a zero coefficient would only raise the real
+    order, so every bound is treated as nonzero.
+    """
+
+    __slots__ = ("low2", "order2")
+
+    def __init__(self, low2, order2):
+        self.low2 = low2
+        self.order2 = order2
+
+    def is_zero(self):
+        return False
+
+    def __add__(self, other):
+        return _Bound(min(self.low2, other.low2), min(self.order2, other.order2))
+
+    def __mul__(self, other):
+        return _Bound(self.low2 + other.low2,
+                      min(self.order2 + min(other.low2, 0),
+                          other.order2 + min(self.low2, 0)))
+
+    def shifted(self, d2):
+        return _Bound(self.low2 + d2, self.order2 + d2)
 
 
-def expand_dilog_product(algebra, factors, xdeg, qorder) -> NCElement:
-    """Expand a list of (prefactor_sign, qshift, word) dilog factors."""
-    order2 = _padded_order2(xdeg, qorder)
+def _pair_count(a, b):
+    """Monomial pairs that NCElement.__mul__ visits for a * b."""
+    xdeg = min(a.xdeg, b.xdeg)
+    da = Counter(sum(e) for e in a.terms)
+    db = Counter(sum(e) for e in b.terms)
+    return sum(ca * cb for x, ca in da.items() for y, cb in db.items() if x + y < xdeg)
+
+
+def _padded_order2(algebra, factors, xdeg, qorder, budget=None):
+    """The order2 the factors must start at for every coefficient of their
+    product to be valid through qorder.
+
+    One pass multiplies the factors with _Bound coefficients started at
+    order 0; the lowest final order is the validity the expansion loses.  It
+    also counts the monomial pairs the products visit, and raises
+    BudgetExceeded when they pass budget.
+    """
+    acc = None
+    pairs = 0
+    for (s, sh, w) in factors:
+        elem = NCElement(algebra, xdeg, {
+            exps: _Bound(base2, 0)
+            for exps, _n, base2, _sign in _dilog_terms(algebra, s, sh, w, xdeg)})
+        if acc is not None:
+            pairs += _pair_count(acc, elem)
+            if budget is not None and pairs > budget:
+                raise BudgetExceeded("monomial pairs", budget)
+            elem = acc * elem
+        acc = elem
+    return twice_of(qorder) - min((c.order2 for c in acc.terms.values()), default=0)
+
+
+def expand_dilog_product(algebra, factors, xdeg, qorder, budget=None) -> NCElement:
+    """Expand a list of (prefactor_sign, qshift, word) dilog factors, every
+    coefficient valid at least through qorder.  budget caps the monomial
+    pairs of the products; it is checked before any coefficient is built."""
+    order2 = _padded_order2(algebra, factors, xdeg, qorder, budget)
     elems = [dilog(algebra, s, sh, w, xdeg, order2) for (s, sh, w) in factors]
     return product(elems)
 
@@ -452,12 +528,15 @@ def pentagon_factors(variant="plain", drop_middle=False):
     return lhs, rhs
 
 
-def pentagon_check(xdeg, qorder, variant="plain", drop_middle=False) -> NCCompareResult:
-    """phi(y) phi(x) = phi(x) phi(-yx) phi(y) for xy = q yx."""
+def pentagon_check(xdeg, qorder, variant="plain", drop_middle=False,
+                   budget=None) -> NCCompareResult:
+    """phi(y) phi(x) = phi(x) phi(-yx) phi(y) for xy = q yx.
+
+    budget caps the monomial pairs of each side's expansion."""
     algebra = NCAlgebra([[0, 1], [-1, 0]])
     lhs_f, rhs_f = pentagon_factors(variant, drop_middle)
-    lhs = expand_dilog_product(algebra, lhs_f, xdeg, qorder)
-    rhs = expand_dilog_product(algebra, rhs_f, xdeg, qorder)
+    lhs = expand_dilog_product(algebra, lhs_f, xdeg, qorder, budget)
+    rhs = expand_dilog_product(algebra, rhs_f, xdeg, qorder, budget)
     return nc_eq(lhs, rhs, qorder)
 
 
@@ -504,8 +583,10 @@ def ordered_product_factors(kind, n=None):
     raise ValueError(f"unknown ordered-product kind {kind!r}")
 
 
-def ordered_product_check(kind, n=None, xdeg=4, qorder=10):
-    """Verdict plus the RHS factor list (emitted in reports for auditing)."""
+def ordered_product_check(kind, n=None, xdeg=4, qorder=10, budget=None):
+    """Verdict plus the RHS factor list (emitted in reports for auditing).
+
+    budget caps the monomial pairs of each side's expansion."""
     if kind == "a":
         algebra = NCAlgebra.type_a(n - 1)
         lhs_f, rhs_f = ordered_product_factors("a", n)
@@ -514,8 +595,8 @@ def ordered_product_check(kind, n=None, xdeg=4, qorder=10):
         lhs_f, rhs_f = ordered_product_factors("d4")
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    lhs = expand_dilog_product(algebra, lhs_f, xdeg, qorder)
-    rhs = expand_dilog_product(algebra, rhs_f, xdeg, qorder)
+    lhs = expand_dilog_product(algebra, lhs_f, xdeg, qorder, budget)
+    rhs = expand_dilog_product(algebra, rhs_f, xdeg, qorder, budget)
     return nc_eq(lhs, rhs, qorder), rhs_f
 
 

@@ -3,8 +3,10 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from qident import nahm
+from qident import nahm, quiver, qweyl
 from qident.cli import main
+
+from dilog_reference import generous_expansion
 
 
 @pytest.fixture()
@@ -267,3 +269,54 @@ def test_timings_flag_adds_wall_time(runner):
                  "--n", "2", "--order", "8")
     assert result.exit_code == 0
     assert "wall time:" in result.output
+
+
+@pytest.mark.parametrize("kind", ["a1", "a0"])
+def test_ordered_product_rank_too_small_is_exit_2(runner, kind):
+    result = run(runner, "verify", "ordered-product", "--type", kind,
+                 "--xdeg", "3", "--qorder", "5")
+    assert_usage_exit(result)
+    assert "n >= 2" in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ("pentagon", "--xdeg", "0", "--qorder", "8"),
+    ("ordered-product", "--type", "a3", "--xdeg", "0", "--qorder", "8"),
+    ("quiver", "--rank", "2", "--orientation", "R", "--kmax", "-1", "--order", "8"),
+    ("quiver", "--rank", "2", "--orientation", "R", "--kmax", "1", "--order", "0"),
+])
+def test_vacuous_comparison_is_usage_error(runner, args):
+    """Inputs that would compare nothing are refused, not reported equal."""
+    result = run(runner, "verify", *args)
+    assert result.exit_code == 2
+    assert "Invalid value" in result.output
+
+
+def _budget_exit_codes(runner, budget, *args):
+    passed = run(runner, "--budget", str(budget), "verify", *args)
+    refused = run(runner, "--budget", str(budget - 1), "verify", *args)
+    assert passed.exit_code == 0
+    assert_usage_exit(refused)
+    assert "budget" in refused.output
+
+
+def test_budget_caps_pentagon_monomial_pairs(runner):
+    alg = qweyl.NCAlgebra([[0, 1], [-1, 0]])
+    pairs = max(generous_expansion(alg, f, 6, 10)[1] for f in qweyl.pentagon_factors())
+    _budget_exit_codes(runner, pairs, "pentagon", "--xdeg", "6", "--qorder", "10")
+
+
+def test_budget_caps_ordered_product_monomial_pairs(runner):
+    alg = qweyl.NCAlgebra.type_a(3)
+    pairs = max(generous_expansion(alg, f, 4, 6)[1]
+                for f in qweyl.ordered_product_factors("a", 4))
+    _budget_exit_codes(runner, pairs, "ordered-product", "--type", "a4",
+                       "--xdeg", "4", "--qorder", "6")
+
+
+def test_budget_caps_quiver_representations(runner):
+    qv = quiver.QuiverA(3, ("R", "L"))
+    reps = sum(len(quiver.enumerate_reps(qv, (a, b, c)))
+               for a in range(3) for b in range(3) for c in range(3))
+    _budget_exit_codes(runner, reps, "quiver", "--rank", "3", "--orientation", "RL",
+                       "--kmax", "2", "--order", "8")

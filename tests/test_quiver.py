@@ -4,6 +4,7 @@ import random
 import pytest
 
 from qident import quiver
+from qident.nahm import BudgetExceeded
 from qident.quiver import QuiverA
 from qident.series import inv_pochhammer, series_eq
 
@@ -144,3 +145,90 @@ def test_orientation_validation():
         QuiverA(3, ("R",))
     with pytest.raises(ValueError):
         QuiverA.from_string(3, "RX")
+
+
+def _recording_series_eq(monkeypatch):
+    """Wrap quiver.series_eq; returns the list of its argument pairs' terms."""
+    seen = []
+    original = quiver.series_eq
+
+    def record(a, b):
+        seen.append(tuple((s.order2, sorted(s.terms.items())) for s in (a, b)))
+        return original(a, b)
+
+    monkeypatch.setattr(quiver, "series_eq", record)
+    return seen
+
+
+def _per_k(qv, kmax, order):
+    """verify_theorem51 at each k of the box in itertools.product order,
+    stopping after the first mismatch, as the box walk does."""
+    out = []
+    for k in itertools.product(*(range(b + 1) for b in kmax)):
+        out.append((k, quiver.verify_theorem51(qv, k, order)))
+        if not out[-1][1].equal:
+            break
+    return out
+
+
+def _box(qv, kmax, order, **kwargs):
+    out = []
+    for k, result in quiver.verify_theorem51_box(qv, kmax, order, **kwargs):
+        out.append((k, result))
+        if not result.equal:
+            break
+    return out
+
+
+BOXES = [(2, (3, 3)), (3, (2, 2, 2)), (4, (2, 1, 2, 1)), (4, (1, 1, 1, 1))]
+
+
+class TestBoxWalk:
+    @pytest.mark.parametrize("rank,kmax", BOXES)
+    def test_matches_per_k_path(self, monkeypatch, rank, kmax):
+        seen = _recording_series_eq(monkeypatch)
+        for bits in itertools.product("RL", repeat=rank - 1):
+            qv = QuiverA(rank, bits)
+            for order in (1, 6, 11):
+                seen.clear()
+                want = _per_k(qv, kmax, order)
+                want_args = list(seen)
+                seen.clear()
+                got = _box(qv, kmax, order)
+                assert got == want
+                assert seen == want_args
+
+    @pytest.mark.parametrize("rank,kmax", BOXES)
+    def test_walk_order_matches_enumerate_reps(self, rank, kmax):
+        qv = QuiverA(rank, ("R",) * (rank - 1))
+        walked = {}
+        for k, rep in quiver._reps_in_box(qv, kmax):
+            assert quiver.dimension_vector(rank, rep) == k
+            walked.setdefault(k, []).append(dict(rep))
+        for k in itertools.product(*(range(b + 1) for b in kmax)):
+            assert walked[k] == quiver.enumerate_reps(qv, k)
+
+    @pytest.mark.parametrize("planted", [{(1, 1): 1, (2, 2): 1},
+                                         {(1, 2): 1, (3, 3): 2},
+                                         {(2, 3): 1}])
+    def test_planted_codim_error_first_mismatch(self, monkeypatch, planted):
+        original = quiver.codim
+
+        def bad_codim(qv, rep):
+            return original(qv, rep) + (dict(rep) == planted)
+
+        monkeypatch.setattr(quiver, "codim", bad_codim)
+        qv = QuiverA(3, ("R", "L"))
+        want = _per_k(qv, (2, 2, 2), 10)
+        got = _box(qv, (2, 2, 2), 10)
+        assert not want[-1][1].equal
+        assert got == want
+
+    def test_budget_caps_reps_walked(self):
+        qv = QuiverA(3, ("L", "R"))
+        kmax = (2, 1, 2)
+        reps = sum(len(quiver.enumerate_reps(qv, k))
+                   for k in itertools.product(*(range(b + 1) for b in kmax)))
+        assert all(r.equal for _, r in quiver.verify_theorem51_box(qv, kmax, 8, budget=reps))
+        with pytest.raises(BudgetExceeded):
+            list(quiver.verify_theorem51_box(qv, kmax, 8, budget=reps - 1))

@@ -5,9 +5,12 @@ import pytest
 from fractions import Fraction
 
 from qident import nahm, qweyl
-from qident.halfint import HalfInt
+from qident.halfint import HalfInt, twice_of
+from qident.nahm import BudgetExceeded
 from qident.poly import SparsePoly
 from qident.qweyl import LaurentQ, NCAlgebra, NCElement
+
+from dilog_reference import generous_expansion
 
 
 def a_type(nvars):
@@ -202,6 +205,50 @@ class TestOrderedProduct:
         assert v.equal
         assert len(factors) == 12
         assert (4, 3, 2, 1, 2) in [w for (_s, _h, w) in factors]
+
+
+def _padding_cases():
+    plane = NCAlgebra([[0, 1], [-1, 0]])
+    for variant, drop in (("plain", False), ("shifted", False), ("plain", True)):
+        lhs, rhs = qweyl.pentagon_factors(variant, drop)
+        yield f"pentagon-{variant}{'-control' if drop else ''}", plane, lhs, rhs
+    for n in (3, 4, 5):
+        lhs, rhs = qweyl.ordered_product_factors("a", n)
+        yield f"a{n}", NCAlgebra.type_a(n - 1), lhs, rhs
+    lhs, rhs = qweyl.ordered_product_factors("d4")
+    yield "d4", NCAlgebra.d4(), lhs, rhs
+
+
+PADDING_CASES = list(_padding_cases())
+
+
+class TestPadding:
+    @pytest.mark.parametrize("name,alg,lhs,rhs", PADDING_CASES,
+                             ids=[c[0] for c in PADDING_CASES])
+    def test_exact_padding_against_generous(self, name, alg, lhs, rhs):
+        for xdeg, qorder in ((1, 3), (2, 5), (3, 4), (4, 9), (5, 6)):
+            bound2 = twice_of(qorder)
+            for factors in (lhs, rhs):
+                want, _ = generous_expansion(alg, factors, xdeg, qorder)
+                got = qweyl.expand_dilog_product(alg, factors, xdeg, qorder)
+                orders = [c.order2 for c in got.terms.values()]
+                # valid through qorder, and not one half-power further
+                assert min(orders) == bound2
+                for exps in set(got.terms) | set(want.terms):
+                    g, w = got.coefficient(exps), want.coefficient(exps)
+                    assert g.compare_upto(w, bound2) is None, (name, xdeg, qorder, exps)
+
+    @pytest.mark.parametrize("name,alg,lhs,rhs", PADDING_CASES,
+                             ids=[c[0] for c in PADDING_CASES])
+    def test_budget_counts_monomial_pairs(self, name, alg, lhs, rhs):
+        xdeg, qorder = 4, 6
+        for factors in (lhs, rhs):
+            _, pairs = generous_expansion(alg, factors, xdeg, qorder)
+            qweyl.expand_dilog_product(alg, factors, xdeg, qorder, budget=pairs)
+            if pairs:
+                with pytest.raises(BudgetExceeded):
+                    qweyl.expand_dilog_product(alg, factors, xdeg, qorder,
+                                               budget=pairs - 1)
 
 
 class TestLhsClosedForm:
