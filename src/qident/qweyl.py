@@ -470,7 +470,8 @@ class _Bound:
 
 
 def _pair_count(a, b):
-    """Monomial pairs that NCElement.__mul__ visits for a * b."""
+    """Monomial pairs below the x-degree bound, the ones NCElement.__mul__
+    multiplies for a * b."""
     xdeg = min(a.xdeg, b.xdeg)
     da = Counter(sum(e) for e in a.terms)
     db = Counter(sum(e) for e in b.terms)
