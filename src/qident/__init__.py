@@ -14,7 +14,7 @@ from .series import (
     series_eq,
     series_leq,
 )
-from .poly import SparsePoly, poly_add, poly_coeff, poly_mul, poly_substitute
+from .poly import SparsePoly
 from .nahm import (
     BudgetExceeded,
     CoercivityError,
@@ -66,7 +66,6 @@ from .jets import (
     sln_H,
     verify_classically_free,
 )
-from .kernels import BACKEND as KERNEL_BACKEND
 
 __version__ = "0.1.0"
 

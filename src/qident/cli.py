@@ -86,7 +86,7 @@ def _series_report(report, result):
 @verify.command("thm1")
 @click.option("--variant", type=click.Choice(["a", "b"]), required=True)
 @click.option("--n", type=int, required=True)
-@click.option("--order", type=int, required=True)
+@click.option("--order", type=click.IntRange(min=1), required=True)
 @click.option("--charges", is_flag=True)
 @pass_settings
 def verify_thm1(settings, variant, n, order, charges):
@@ -110,7 +110,7 @@ def verify_thm1(settings, variant, n, order, charges):
 
 @verify.command("pentagon")
 @click.option("--xdeg", type=click.IntRange(min=1), required=True)
-@click.option("--qorder", type=int, required=True)
+@click.option("--qorder", type=click.IntRange(min=1), required=True)
 @click.option("--variant", type=click.Choice(["plain", "shifted"]), default="plain")
 @click.option("--negative-control", is_flag=True,
               help="drop the middle factor; the check must then fail")
@@ -148,7 +148,7 @@ def verify_pentagon(settings, xdeg, qorder, variant, negative_control):
 @click.option("--type", "kind", required=True,
               help="a{N} for the chain case, or d4")
 @click.option("--xdeg", type=click.IntRange(min=1), required=True)
-@click.option("--qorder", type=int, required=True)
+@click.option("--qorder", type=click.IntRange(min=1), required=True)
 @pass_settings
 def verify_ordered_product(settings, kind, xdeg, qorder):
     """Left-to-right dilogarithm factorization in the displayed order."""
@@ -227,7 +227,7 @@ def verify_quiver(settings, rank, orientation, kmax, order):
 
 
 @verify.command("b2")
-@click.option("--order", type=int, required=True)
+@click.option("--order", type=click.IntRange(min=1), required=True)
 @click.option("--charges", is_flag=True)
 @pass_settings
 def verify_b2(settings, order, charges):
@@ -248,7 +248,7 @@ def verify_b2(settings, order, charges):
 
 
 @verify.command("b2-product")
-@click.option("--order", type=int, required=True)
+@click.option("--order", type=click.IntRange(min=1), required=True)
 @pass_settings
 def verify_b2_product(settings, order):
     """Character sum vs the modular product, plus the rank-factorization."""
@@ -282,7 +282,7 @@ def verify_b2_product(settings, order):
 
 
 @verify.command("d4")
-@click.option("--order", type=int, required=True)
+@click.option("--order", type=click.IntRange(min=1), required=True)
 @click.option("--primed", is_flag=True)
 @click.option("--charges", is_flag=True)
 @pass_settings
@@ -311,7 +311,7 @@ def verify_d4(settings, order, primed, charges):
 @verify.command("custom")
 @click.option("--lhs", "lhs_file", type=click.Path(exists=True), required=True)
 @click.option("--rhs", "rhs_file", type=click.Path(exists=True), required=True)
-@click.option("--order", type=int, required=True)
+@click.option("--order", type=click.IntRange(min=1), required=True)
 @click.option("--charges", is_flag=True)
 @pass_settings
 def verify_custom(settings, lhs_file, rhs_file, order, charges):
@@ -345,7 +345,7 @@ def jets_group():
 @click.option("--preset", "preset_name", default=None)
 @click.option("--preset-file", type=click.Path(exists=True), default=None,
               help="plain-text relation file instead of a named preset")
-@click.option("--weight", type=int, required=True)
+@click.option("--weight", type=click.IntRange(min=1), required=True)
 @click.option("--multigraded", is_flag=True)
 @click.option("--d4-reading", type=click.Choice(jets.D4_READINGS), default="printed")
 @pass_settings
@@ -379,7 +379,7 @@ def jets_hilbert(settings, preset_name, preset_file, weight, multigraded,
 
 @jets_group.command("classically-free")
 @click.option("--n", type=int, required=True)
-@click.option("--weight", type=int, required=True)
+@click.option("--weight", type=click.IntRange(min=1), required=True)
 @pass_settings
 def jets_classically_free(settings, n, weight):
     """Jet Hilbert series of the quadratic presentation vs the lattice form."""
@@ -453,7 +453,7 @@ def forms_show(settings, preset_name):
 @forms.command("eval")
 @click.option("--preset", "preset_name", default=None)
 @click.option("--spec-file", type=click.Path(exists=True), default=None)
-@click.option("--order", type=int, required=True)
+@click.option("--order", type=click.IntRange(min=1), required=True)
 @click.option("--charges", is_flag=True)
 @pass_settings
 def forms_eval(settings, preset_name, spec_file, order, charges):

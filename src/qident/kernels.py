@@ -1,63 +1,85 @@
-"""Kernel backend selection.
+"""Dense-series kernels, pure Python over exact ints (no overflow anywhere).
 
-The compiled extension is preferred when importable; set QIDENT_KERNELS=pure
-or QIDENT_KERNELS=compiled to force a backend (the latter raises if the
-extension is missing).  Both backends are bit-for-bit interchangeable; the
-benchmark suite and test_kernels.py compare them directly.
+Series are dense lists indexed by integer q-exponent.  Callers look the
+kernels up through this module at call time, so a profiler can wrap them by
+name.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _kernels_py
-
-_FUNCS = ("conv_trunc", "geom_div", "geom_mul", "binom_mul", "binom_div", "nahm_tail")
+# perfbench/worker.py refuses to run unless this reads "pure".
+BACKEND = "pure"
 
 
-def _load_compiled():
-    from . import _kernels  # noqa: F401  (built from _kernels.pyx)
-
-    return _kernels
-
-
-def available_backends():
-    names = ["pure"]
-    try:
-        _load_compiled()
-        names.append("compiled")
-    except ImportError:
-        pass
-    return names
-
-
-def _select():
-    choice = os.environ.get("QIDENT_KERNELS", "auto")
-    if choice == "pure":
-        return "pure", _kernels_py
-    if choice == "compiled":
-        return "compiled", _load_compiled()
-    try:
-        return "compiled", _load_compiled()
-    except ImportError:
-        return "pure", _kernels_py
+def conv_trunc(a, b, n):
+    """Truncated Cauchy product: c[k] = sum(a[i]*b[k-i]) for k < n."""
+    la, lb = len(a), len(b)
+    out_len = min(n, la + lb - 1) if la and lb else 0
+    c = [0] * out_len
+    for i in range(min(la, out_len)):
+        ai = a[i]
+        if not ai:
+            continue
+        jmax = min(lb, out_len - i)
+        for j in range(jmax):
+            bj = b[j]
+            if bj:
+                c[i + j] += ai * bj
+    return c
 
 
-BACKEND, _impl = _select()
+def geom_div(arr, step):
+    """In-place division by (1 - q^step): arr[k] += arr[k-step], ascending."""
+    for k in range(step, len(arr)):
+        arr[k] += arr[k - step]
 
 
-def use(name):
-    """Switch backend at runtime (tests and benchmarks only)."""
-    global BACKEND, _impl
-    if name == "pure":
-        BACKEND, _impl = "pure", _kernels_py
-    elif name == "compiled":
-        BACKEND, _impl = "compiled", _load_compiled()
-    else:
-        raise ValueError(f"unknown backend {name!r}")
-    for fn in _FUNCS:
-        globals()[fn] = getattr(_impl, fn)
+def geom_mul(arr, step):
+    """In-place multiplication by (1 - q^step): descending pass."""
+    for k in range(len(arr) - 1, step - 1, -1):
+        arr[k] -= arr[k - step]
 
 
-for _fn in _FUNCS:
-    globals()[_fn] = getattr(_impl, _fn)
+def binom_mul(arr, step, c):
+    """In-place multiplication by (1 + c*q^step)."""
+    for k in range(len(arr) - 1, step - 1, -1):
+        arr[k] += c * arr[k - step]
+
+
+def binom_div(arr, step, c):
+    """In-place division by (1 + c*q^step): arr[k] -= c*arr[k-step], ascending."""
+    for k in range(step, len(arr)):
+        arr[k] -= c * arr[k - step]
+
+
+def nahm_tail(res2, scratch, e2_base, diag2, c2, order2):
+    """Innermost Nahm-sum variable loop (diag2 > 0, c2 of any sign).
+
+    scratch holds the partial product over the already-fixed variables; it is
+    consumed in place.  For multiplicity v the term contributes
+    q^(e2_base + diag2*v^2 + c2*v) * scratch / (q)_v; contributions are added
+    into res2 (doubled-exponent indexing).  A v whose exponent reaches order2
+    is skipped before the vertex of that parabola and ends the loop past it.
+    Returns the number of lattice points added.
+    """
+    v = 0
+    skipped = 0
+    lp = len(scratch)
+    while True:
+        e2 = e2_base + diag2 * v * v + c2 * v
+        if e2 < order2:
+            kmax = (order2 - e2 + 1) // 2
+            if kmax > lp:
+                kmax = lp
+            for k in range(kmax):
+                sk = scratch[k]
+                if sk:
+                    res2[e2 + 2 * k] += sk
+        elif 2 * diag2 * v + c2 + diag2 >= 0:
+            break
+        else:
+            skipped += 1
+        v += 1
+        for k in range(v, lp):
+            scratch[k] += scratch[k - v]
+    return v - skipped

@@ -484,7 +484,7 @@ def compute_bound(spec: NahmSumSpec, order) -> EnumerationBound:
               and all(d > 0 for d in diag)
               and all(x >= 0 for x in spec.linear))
     if nonneg:
-        per_var = tuple(math.isqrt(int(order_f / diag[i])) for i in range(l))
+        per_var = tuple(math.isqrt(max(int(order_f / diag[i]), 0)) for i in range(l))
         return EnumerationBound(per_var, "all_nonneg")
     if any(x != 0 for x in spec.linear):
         raise CoercivityError("positive-definite strategy requires a zero linear part")

@@ -204,19 +204,3 @@ class SparsePoly:
 
     def __repr__(self):
         return f"SparsePoly({self.render()})"
-
-
-def poly_add(a: SparsePoly, b: SparsePoly) -> SparsePoly:
-    return a + b
-
-
-def poly_mul(a: SparsePoly, b: SparsePoly) -> SparsePoly:
-    return a * b
-
-
-def poly_substitute(p: SparsePoly, bindings, require_full=False) -> SparsePoly:
-    return p.substitute(bindings, require_full=require_full)
-
-
-def poly_coeff(p: SparsePoly, monomial) -> Fraction:
-    return p.coeff(monomial)

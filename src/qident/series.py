@@ -8,6 +8,7 @@ minimum of the operand orders, so precision can never silently inflate.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -265,45 +266,31 @@ class CompareResult:
         return self.equal
 
 
-def series_eq(a: QSeries, b: QSeries) -> CompareResult:
-    """Compare up to min truncation; report the earliest mismatch in
-    (q-exponent, lexicographic charges) order."""
+def _first_violation(a: QSeries, b: QSeries, violates) -> CompareResult:
+    """Walk both sides up to min truncation in (q-exponent, lexicographic
+    charges) order; report the first key where violates(ca, cb) holds."""
     a._check_rank(b)
     order2 = min(a.order2, b.order2)
-    keys = set()
-    for k in a.terms:
-        if k[0] < order2:
-            keys.add(k)
-    for k in b.terms:
-        if k[0] < order2:
-            keys.add(k)
+    keys = {k for k in a.terms if k[0] < order2}
+    keys.update(k for k in b.terms if k[0] < order2)
     for key in sorted(keys):
         ca = a.terms.get(key, 0)
         cb = b.terms.get(key, 0)
-        if ca != cb:
+        if violates(ca, cb):
             return CompareResult(False, order2,
                                  Mismatch(HalfInt(key[0]), key[1], ca, cb))
     return CompareResult(True, order2)
+
+
+def series_eq(a: QSeries, b: QSeries) -> CompareResult:
+    """Compare up to min truncation; report the earliest mismatch in
+    (q-exponent, lexicographic charges) order."""
+    return _first_violation(a, b, operator.ne)
 
 
 def series_leq(a: QSeries, b: QSeries) -> CompareResult:
     """Coefficientwise a <= b up to min truncation; earliest violation reported."""
-    a._check_rank(b)
-    order2 = min(a.order2, b.order2)
-    keys = set()
-    for k in a.terms:
-        if k[0] < order2:
-            keys.add(k)
-    for k in b.terms:
-        if k[0] < order2:
-            keys.add(k)
-    for key in sorted(keys):
-        ca = a.terms.get(key, 0)
-        cb = b.terms.get(key, 0)
-        if ca > cb:
-            return CompareResult(False, order2,
-                                 Mismatch(HalfInt(key[0]), key[1], ca, cb))
-    return CompareResult(True, order2)
+    return _first_violation(a, b, operator.gt)
 
 
 # -- classical q-objects -----------------------------------------------------------

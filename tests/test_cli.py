@@ -280,14 +280,23 @@ def test_ordered_product_rank_too_small_is_exit_2(runner, kind):
 
 
 @pytest.mark.parametrize("args", [
-    ("pentagon", "--xdeg", "0", "--qorder", "8"),
-    ("ordered-product", "--type", "a3", "--xdeg", "0", "--qorder", "8"),
-    ("quiver", "--rank", "2", "--orientation", "R", "--kmax", "-1", "--order", "8"),
-    ("quiver", "--rank", "2", "--orientation", "R", "--kmax", "1", "--order", "0"),
+    ("verify", "pentagon", "--xdeg", "0", "--qorder", "8"),
+    ("verify", "ordered-product", "--type", "a3", "--xdeg", "0", "--qorder", "8"),
+    ("verify", "quiver", "--rank", "2", "--orientation", "R", "--kmax", "-1", "--order", "8"),
+    ("verify", "quiver", "--rank", "2", "--orientation", "R", "--kmax", "1", "--order", "0"),
+    ("verify", "pentagon", "--xdeg", "3", "--qorder", "0"),
+    ("verify", "ordered-product", "--type", "a3", "--xdeg", "3", "--qorder", "-2"),
+    ("verify", "thm1", "--variant", "a", "--n", "3", "--order", "0"),
+    ("verify", "b2", "--order", "0"),
+    ("verify", "d4", "--order", "0"),
+    ("verify", "b2-product", "--order", "0"),
+    ("jets", "hilbert", "--preset", "b2-a", "--weight", "-1"),
+    ("jets", "classically-free", "--n", "2", "--weight", "-1"),
+    ("forms", "eval", "--preset", "d4", "--order", "-3"),
 ])
 def test_vacuous_comparison_is_usage_error(runner, args):
     """Inputs that would compare nothing are refused, not reported equal."""
-    result = run(runner, "verify", *args)
+    result = run(runner, *args)
     assert result.exit_code == 2
     assert "Invalid value" in result.output
 

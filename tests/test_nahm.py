@@ -210,6 +210,12 @@ class TestEvaluate:
             assert s == nahm.evaluate_bruteforce(spec, 5, (), charges=charges)
             assert s.terms == {(0, (0,) if charges else ()): 1}
 
+    @pytest.mark.parametrize("spec", [nahm.build_d4_form(), nahm.build_cartan_side("A", 3)],
+                             ids=["all_nonneg", "positive_definite"])
+    def test_negative_order_is_empty(self, spec):
+        for charges in (False, True):
+            assert not nahm.evaluate(spec, -3, charges=charges).terms
+
     def test_random_positive_definite_forms_match_bruteforce(self):
         rng = random.Random(29)
         checked = 0

@@ -1,7 +1,7 @@
 import pytest
 from fractions import Fraction
 
-from qident.poly import SparsePoly, UnboundSymbol, poly_coeff
+from qident.poly import SparsePoly, UnboundSymbol
 
 
 VARS = ("m1", "m2", "m3")
@@ -34,8 +34,8 @@ def test_substitute_expands_binding():
 
 def test_poly_coeff():
     p = v("m1") ** 2 + 3 * v("m1") * v("m2")
-    assert poly_coeff(p, {"m1": 1, "m2": 1}) == 3
-    assert poly_coeff(p, {"m3": 1}) == 0
+    assert p.coeff({"m1": 1, "m2": 1}) == 3
+    assert p.coeff({"m3": 1}) == 0
 
 
 def test_unbound_symbol_errors():
