@@ -6,9 +6,11 @@ A NahmSumSpec describes one side of an identity
 
 with Q(m) = m^T quad m + linear.m.  Enumeration refuses to run unless the
 form is certifiably coercive (all-nonnegative with positive diagonal, or
-positive definite), so truncated output can never silently lose terms.  One
-depth-first search enumerates both kinds, pruned by an exact integer bound
-on the completion of each prefix (see _dfs_table).
+positive definite), so truncated output can never silently lose terms.
+Uncharged all-nonnegative sums run as a dynamic program over the distinct
+running cross sums, one variable level at a time (see _sum_levels).
+Charged sums and positive-definite forms run one depth-first search, pruned
+by an exact integer bound on the completion of each prefix (see _dfs_table).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from . import kernels
 from .halfint import twice_of
@@ -399,8 +402,6 @@ def build_d4_form(primed=False) -> NahmSumSpec:
 class EnumerationBound:
     per_variable_max: tuple
     strategy: str                        # "all_nonneg" | "positive_definite"
-    lambda_lower: Fraction = None        # certified lower bound on min eigenvalue
-    norm2_bound: Fraction = None         # ||m||^2 < norm2_bound (PD strategy)
 
 
 def principal_minors(quad):
@@ -441,25 +442,41 @@ def is_positive_definite(quad) -> bool:
     return all(d > 0 for d in principal_minors(quad))
 
 
-def certified_lambda_min_lower(quad, iterations=40) -> Fraction:
-    """A rational lo with quad - lo*I still positive definite (so lo < lambda_min)."""
-    n = len(quad)
-    if not is_positive_definite(quad):
-        raise CoercivityError("matrix is not positive definite")
-    lo = Fraction(0)
-    hi = min(quad[i][i] for i in range(n))
+def _reverse_ldl(quad):
+    """Exact reverse split x^T Q x = sum_k D_k (x_k + sum_{i<k} M_ki x_i)^2.
 
-    def pd_shifted(t):
-        shifted = [[quad[i][j] - (t if i == j else 0) for j in range(n)] for i in range(n)]
-        return is_positive_definite(shifted)
+    Eliminates the last variable first and returns (D, M).  The pivots D_k
+    are all positive exactly when quad is positive definite; the first one
+    that is not raises CoercivityError.
+    """
+    l = len(quad)
+    A = [list(row) for row in quad]
+    D = [None] * l
+    M = [[Fraction(0)] * l for _ in range(l)]
+    for k in range(l - 1, -1, -1):
+        D[k] = A[k][k]
+        if D[k] <= 0:
+            raise CoercivityError("matrix is not positive definite")
+        for i in range(k):
+            M[k][i] = A[k][i] / D[k]
+        for i in range(k):
+            for j in range(k):
+                A[i][j] -= M[k][i] * A[k][j]
+    return D, M
 
-    for _ in range(iterations):
-        mid = (lo + hi) / 2
-        if pd_shifted(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+
+def _inverse_diagonal(D, M):
+    """Diagonal of Q^-1 from the split of _reverse_ldl.
+
+    Q = U^T diag(D) U with U unit lower triangular (U_ki = M_ki below the
+    diagonal), so (Q^-1)_ii = sum_k (U^-1)_ik^2 / D_k.
+    """
+    l = len(D)
+    V = [[Fraction(int(i == k)) for k in range(l)] for i in range(l)]
+    for k in range(l):
+        for i in range(k):
+            V[k][i] = -sum(M[k][j] * V[j][i] for j in range(i, k))
+    return [sum(V[i][k] ** 2 / D[k] for k in range(i + 1)) for i in range(l)]
 
 
 def _max_v_strict(bound: Fraction) -> int:
@@ -476,7 +493,12 @@ def _max_v_strict(bound: Fraction) -> int:
 
 
 def compute_bound(spec: NahmSumSpec, order) -> EnumerationBound:
-    """Certified per-variable enumeration box for exponents below `order`."""
+    """Certified per-variable enumeration box for exponents below `order`.
+
+    For a positive-definite form the largest value of x_i on the ellipsoid
+    x^T Q x < order is sqrt(order * (Q^-1)_ii), so the box is exact per
+    variable; the positive pivots of the same elimination certify the form.
+    """
     order_f = Fraction(twice_of(order), 2)
     l = spec.nvars
     diag = [spec.quad[i][i] for i in range(l)]
@@ -489,17 +511,13 @@ def compute_bound(spec: NahmSumSpec, order) -> EnumerationBound:
     if any(x != 0 for x in spec.linear):
         raise CoercivityError("positive-definite strategy requires a zero linear part")
     try:
-        lam = certified_lambda_min_lower(spec.quad)
+        D, M = _reverse_ldl(spec.quad)
     except CoercivityError:
         raise CoercivityError(
             "quadratic form is neither all-nonnegative with positive diagonal "
-            "nor positive definite; refusing to enumerate")
-    if lam <= 0:
-        raise CoercivityError("could not certify a positive eigenvalue lower bound")
-    norm2 = order_f / lam
-    vmax = _max_v_strict(norm2)
-    return EnumerationBound((vmax,) * l, "positive_definite",
-                            lambda_lower=lam, norm2_bound=norm2)
+            "nor positive definite; refusing to enumerate") from None
+    per_var = tuple(_max_v_strict(order_f * w) for w in _inverse_diagonal(D, M))
+    return EnumerationBound(per_var, "positive_definite")
 
 
 # ---------------------------------------------------------------------------
@@ -531,16 +549,7 @@ def _dfs_table(spec: NahmSumSpec, strategy):
     diag2, lin2, cross2 = spec._tables()
     if strategy == "all_nonneg":
         return 1, [(diag2[d], 1, lin2[d], 0) for d in range(l)], cross2
-    A = [list(row) for row in spec.quad]
-    D = [None] * l
-    M = [[Fraction(0)] * l for _ in range(l)]
-    for k in range(l - 1, -1, -1):
-        D[k] = A[k][k]
-        for i in range(k):
-            M[k][i] = A[k][i] / D[k]
-        for i in range(k):
-            for j in range(k):
-                A[i][j] -= M[k][i] * A[k][j]
+    D, M = _reverse_ldl(spec.quad)
     den = math.lcm(*(x.denominator for row in M for x in row))
     scaled = [2 * Dk / den ** 2 for Dk in D]
     G = math.lcm(*(x.denominator for x in scaled))
@@ -549,17 +558,84 @@ def _dfs_table(spec: NahmSumSpec, strategy):
     return G, [(w * den * den, 2 * w * den, 0, w) for w in W], R
 
 
+def _sum_levels(spec: NahmSumSpec, order2, node_budget):
+    """Uncharged sum of an all-nonnegative form, one variable level at a time.
+
+    The sum over x_d..x_{l-1} depends on x_0..x_{d-1} only through the
+    running cross sums s_j = sum_{i<d} cross2[i][j]*x_i (j >= d), so level d
+    maps each distinct state s[d:] to (offset, S): the sum, over the
+    prefixes that reach it, of q^(prefix exponent) / prod (q)_{x_i}, as a
+    dense series whose slot 0 is q^offset.  Fixing x_d = v sends S/(q)_v,
+    raised by diag2[d]*v^2 + (s_d + lin2[d])*v, to the state
+    s[d+1:] + v*cross2[d][d+1:]; the exponent only grows with v, so v stops
+    at the first one at the order.  Exponents are counted in units of g, the
+    gcd of 2 and every table entry, so integral forms carry no empty odd
+    slots.  Each state is popped as it is consumed and only two levels are
+    alive at once.  node_budget caps the (state, v) steps.
+    """
+    l = spec.nvars
+    diag2, lin2, cross2 = spec._tables()
+    g = math.gcd(2, *diag2, *lin2, *(x for row in cross2 for x in row))
+    limit = -(-order2 // g)
+    unit = 2 // g                       # q^1 in units of g
+    geom_div = kernels.geom_div
+    steps = 0
+    seed = [0] * limit
+    seed[0] = 1
+    level = {(0,) * l: (0, seed)}
+    for d in range(l):
+        a, lin = diag2[d] // g, lin2[d] // g
+        row = tuple(x // g for x in cross2[d][d + 1:])
+        nxt = {}
+        while level:
+            state, (off, S) = level.popitem()
+            b = state[0] + lin
+            child = state[1:]
+            v = 0
+            e = off
+            while True:
+                # S is the state's series over (q)_v, cut to its limit - e slots below the order
+                steps += 1
+                if node_budget is not None and steps > node_budget:
+                    raise BudgetExceeded("level-sum steps", node_budget)
+                old = nxt.get(child)
+                if old is None:
+                    nxt[child] = (e, S[:])
+                elif old[0] <= e:
+                    T = old[1]
+                    p = e - old[0]
+                    T[p:] = map(add, T[p:], S)
+                else:
+                    p = old[0] - e
+                    merged = S[:p]
+                    merged += map(add, S[p:], old[1])
+                    nxt[child] = (e, merged)
+                v += 1
+                e = off + a * v * v + b * v
+                if e >= limit:
+                    break
+                del S[limit - e:]
+                geom_div(S, unit * v)
+                child = tuple(map(add, child, row))
+        level = nxt
+    (off, S), = level.values()
+    return QSeries._raw(order2, 0, {(g * (off + k), ()): c for k, c in enumerate(S) if c})
+
+
 def evaluate(spec: NahmSumSpec, order, charges=True, node_budget=None) -> QSeries:
     """Exact truncated evaluation of the lattice sum.
 
-    One depth-first search over the variables in order.  At each level the
-    bound of _dfs_table is a parabola in the value v being fixed: v is
-    visited while the bound is below the limit, skipped before the vertex,
-    and the loop stops past it (for all-nonnegative forms, at the first v
-    over the limit).  compute_bound only certifies coercivity; its box is
-    what evaluate_bruteforce iterates.  node_budget caps the visited points.
-    With charges=False the charge monomials are projected away up front
-    (much faster at high order).
+    compute_bound certifies coercivity and picks the strategy; its box is
+    what evaluate_bruteforce iterates.  Uncharged sums (charges=False, or no
+    charge rows) of all-nonnegative forms run the dynamic program of
+    _sum_levels, and node_budget caps its (state, v) steps.  Charged sums
+    and positive-definite forms run one depth-first search over the
+    variables in order, and node_budget caps the visited points.  At each
+    level the bound of _dfs_table is a parabola in the value v being fixed:
+    v is visited while the bound is below the limit, skipped before the
+    vertex, and the loop stops past it (for all-nonnegative forms, at the
+    first v over the limit).  With charges=False the charge monomials are
+    projected away up front (much faster at high order).
     """
     bound = compute_bound(spec, order)
     order2 = twice_of(order)
@@ -570,6 +646,8 @@ def evaluate(spec: NahmSumSpec, order, charges=True, node_budget=None) -> QSerie
         return QSeries._raw(max(order2, 0), rank, {})
     if l == 0:
         return QSeries._raw(order2, rank, {(0, (0,) * rank): 1})
+    if not use_charges and bound.strategy == "all_nonneg":
+        return _sum_levels(spec, order2, node_budget)
     G, levels, R = _dfs_table(spec, bound.strategy)
     limit = order2 * G
     G2 = 2 * G

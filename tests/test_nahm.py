@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -118,12 +119,14 @@ class TestBounds:
         assert b.per_variable_max == (5, 5, 5)
 
     def test_positive_definite_box(self):
-        b = nahm.compute_bound(nahm.build_cartan_side("A", 3), 25)
+        # (Q^-1)_ii = 4/3, so the box is x_i^2 < 25 * 4/3: the exact maximum of
+        # x_i on the ellipsoid Q(x) < 25, and attained here by a lattice point
+        spec = nahm.build_cartan_side("A", 3)
+        b = nahm.compute_bound(spec, 25)
         assert b.strategy == "positive_definite"
-        # true lambda_min is 1/2: the certified bound sits just below it
-        assert F(499, 1000) < b.lambda_lower <= F(1, 2)
-        assert F(50) <= b.norm2_bound < F(51)
-        assert b.per_variable_max == (7, 7)
+        assert b.per_variable_max == (5, 5)
+        assert min(spec.exponent((5, y)) for y in range(12)) < 25
+        assert min(spec.exponent((6, y)) for y in range(12)) >= 25
 
     def test_b2_char_accepted_via_pd(self):
         b = nahm.compute_bound(nahm.build_b2_char_form(), 25)
@@ -203,6 +206,59 @@ class TestEvaluate:
         with pytest.raises(nahm.BudgetExceeded):
             nahm.evaluate(spec, 16, charges=False, node_budget=3711)
 
+    def test_budget_counts_level_sum_steps(self):
+        # uncharged d4 runs the level sum, which spends one unit per distinct
+        # (level d, cross sums s[d:], value v) that a DFS point reaches
+        spec = nahm.build_d4_form()
+        assert _level_sum_steps(spec, 10) == 852
+        nahm.evaluate(spec, 10, charges=False, node_budget=852)
+        with pytest.raises(nahm.BudgetExceeded):
+            nahm.evaluate(spec, 10, charges=False, node_budget=851)
+
+    def test_random_all_nonneg_forms_match_bruteforce(self):
+        # odd diag2/lin2/cross2 entries run the level sum in half-integer
+        # units (g = 1), even ones in integer units (g = 2)
+        rng = random.Random(31)
+        units = set()
+        checked = 0
+        while checked < 40:
+            l = rng.randint(1, 4)
+            quad = [[F(0)] * l for _ in range(l)]
+            for i in range(l):
+                quad[i][i] = F(rng.randint(1, 4), 2)
+                for j in range(i + 1, l):
+                    quad[i][j] = quad[j][i] = F(rng.randint(0, 3), 4)
+            spec = nahm.NahmSumSpec(
+                tuple(f"x{i}" for i in range(l)), tuple(map(tuple, quad)),
+                tuple(F(rng.randint(0, 3), 2) for _ in range(l)),
+                tuple(tuple(rng.randint(-1, 2) for _ in range(l))
+                      for _ in range(rng.randint(1, 2))))
+            order = rng.randint(3, 9)
+            bound = nahm.compute_bound(spec, order)
+            box = bound.per_variable_max
+            assert bound.strategy == "all_nonneg"
+            if math.prod(b + 1 for b in box) > 1500:
+                continue
+            diag2, lin2, cross2 = spec._tables()
+            units.add(math.gcd(2, *diag2, *lin2, *(x for row in cross2 for x in row)))
+            plain = nahm.evaluate(spec, order, charges=False)
+            assert plain == nahm.evaluate_bruteforce(spec, order, box, charges=False), \
+                (quad, spec.linear, order)
+            assert plain == nahm.evaluate(spec, order, charges=True).charges_dropped()
+            checked += 1
+        assert units == {1, 2}
+
+    def test_uncharged_enumeration_order_independence(self):
+        rng = random.Random(17)
+        for spec, order in ((nahm.build_d4_form(), 14), (nahm.build_B_form(4), 16),
+                            (nahm.build_b2_quintuple_form(), 30)):
+            assert nahm.compute_bound(spec, order).strategy == "all_nonneg"
+            base = nahm.evaluate(spec, order, charges=False)
+            for _ in range(5):
+                perm = list(range(spec.nvars))
+                rng.shuffle(perm)
+                assert nahm.evaluate(spec.permuted(perm), order, charges=False) == base
+
     def test_no_variables_is_one(self):
         spec = nahm.NahmSumSpec((), (), (), ((),))
         for charges in (False, True):
@@ -235,7 +291,7 @@ class TestEvaluate:
             order = rng.randint(3, 8)
             bound = nahm.compute_bound(spec, order)
             box = bound.per_variable_max
-            if bound.strategy != "positive_definite" or (box[0] + 1) ** l > 1500:
+            if bound.strategy != "positive_definite" or math.prod(b + 1 for b in box) > 1500:
                 continue
             for charges in (False, True):
                 fast = nahm.evaluate(spec, order, charges=charges)
@@ -278,6 +334,12 @@ class TestIdentities:
                                  nahm.build_cartan_side("D", 4), 14,
                                  with_charges=True)
         assert r.equal
+
+    def test_d4_uncharged_identity_q60(self):
+        # the twelve-variable form through the level sum against the
+        # positive-definite DFS of the Cartan side
+        assert nahm.verify_identity(nahm.build_d4_form(), nahm.build_cartan_side("D", 4),
+                                    60, with_charges=False).equal
 
     def test_d4_primed_is_strictly_larger(self):
         # the primed form only upper-bounds the jet series; against the
@@ -370,6 +432,25 @@ class TestFormDifference:
         for n in (3, 4, 5):
             assert all(v == 0 for v in nahm.cross_k_coefficients(n, "Bprime").values())
             assert all(v == 0 for v in nahm.cross_k_coefficients(n, "B").values())
+
+
+def _level_sum_steps(spec, order):
+    """Distinct (d, s[d:], v) over the points of a plain all-nonnegative DFS."""
+    diag2, lin2, cross2 = spec._tables()
+    seen = set()
+
+    def rec(d, e2, s):
+        v = 0
+        while d < spec.nvars:
+            e = e2 + diag2[d] * v * v + (s[d] + lin2[d]) * v
+            if e >= 2 * order:
+                return
+            seen.add((d, tuple(s[d:]), v))
+            rec(d + 1, e, [x + v * c for x, c in zip(s, cross2[d])])
+            v += 1
+
+    rec(0, 0, [0] * spec.nvars)
+    return len(seen)
 
 
 def _ev(poly, values):
