@@ -55,8 +55,8 @@ def _usage_exit(message):
 @click.group()
 @click.option("--json", "as_json", is_flag=True, help="machine-readable report")
 @click.option("--budget", type=int, default=None,
-              help="cap on enumeration nodes / matrix cells / monomial pairs / "
-                   "quiver representations; exceeding it is exit 2")
+              help="cap on enumeration nodes or level-sum steps / matrix cells / "
+                   "monomial pairs / quiver representations; exceeding it is exit 2")
 @click.option("--timings", is_flag=True, help="include wall time (breaks byte-reproducibility)")
 @pass_settings
 def main(settings, as_json, budget, timings):

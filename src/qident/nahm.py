@@ -7,10 +7,10 @@ A NahmSumSpec describes one side of an identity
 with Q(m) = m^T quad m + linear.m.  Enumeration refuses to run unless the
 form is certifiably coercive (all-nonnegative with positive diagonal, or
 positive definite), so truncated output can never silently lose terms.
-Uncharged all-nonnegative sums run as a dynamic program over the distinct
-running cross sums, one variable level at a time (see _sum_levels).
-Charged sums and positive-definite forms run one depth-first search, pruned
-by an exact integer bound on the completion of each prefix (see _dfs_table).
+All-nonnegative forms, charged or not, run as a dynamic program over the
+distinct running cross sums and charges, one variable level at a time (see
+_sum_levels).  Positive-definite forms run a depth-first search, pruned by
+an exact integer bound on the completion of each prefix (see _dfs_table).
 """
 
 from __future__ import annotations
@@ -524,68 +524,64 @@ def compute_bound(spec: NahmSumSpec, order) -> EnumerationBound:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _dfs_table(spec: NahmSumSpec, strategy):
-    """Integer per-level bound table of the enumeration DFS.
+def _dfs_table(spec: NahmSumSpec):
+    """Integer per-level bound table of the positive-definite DFS.
 
     Returns (G, levels, R).  With s_d the running sum at level d (fixing
     x_i = v adds v*R[i][d] to s_d for every d > i), fixing x_d = v adds
 
-        a*v^2 + (beta*s_d + gamma)*v + delta*s_d^2,   (a, beta, gamma, delta) = levels[d]
+        a*v^2 + beta*s_d*v + delta*s_d^2,   (a, beta, delta) = levels[d]
 
-    to the bound of the prefix.  The bound is G times a lower bound on the
-    doubled exponent of every completion of the prefix, and G times the
-    doubled exponent itself once every variable is fixed.
-
-    All-nonnegative forms use the doubled exponent with the free variables
-    at zero (G = 1, R = cross2): those variables can only add to it.
-    Positive-definite forms use the reverse LDL^T split
-    x^T Q x = sum_k D_k (x_k + sum_{i<k} M_ki x_i)^2, whose later squares can
-    all be made zero by real values, so the fixed squares are the exact real
-    minimum of the completion (Fincke-Pohst); s_k = den * sum_{i<k} M_ki x_i
-    with den the lcm of the denominators of M, and G clears the denominators
-    of 2*D_k/den^2.
+    to the bound of the prefix.  The bound is G times the exact real minimum
+    of the doubled exponent over every completion of the prefix, and G times
+    the doubled exponent itself once every variable is fixed.  It comes from
+    the reverse LDL^T split x^T Q x = sum_k D_k (x_k + sum_{i<k} M_ki x_i)^2,
+    whose later squares can all be made zero by real values (Fincke-Pohst);
+    s_k = den * sum_{i<k} M_ki x_i with den the lcm of the denominators of M,
+    and G clears the denominators of 2*D_k/den^2.
     """
     l = spec.nvars
-    diag2, lin2, cross2 = spec._tables()
-    if strategy == "all_nonneg":
-        return 1, [(diag2[d], 1, lin2[d], 0) for d in range(l)], cross2
     D, M = _reverse_ldl(spec.quad)
     den = math.lcm(*(x.denominator for row in M for x in row))
     scaled = [2 * Dk / den ** 2 for Dk in D]
     G = math.lcm(*(x.denominator for x in scaled))
     W = [int(G * x) for x in scaled]
     R = [[int(den * M[j][d]) for j in range(l)] for d in range(l)]
-    return G, [(w * den * den, 2 * w * den, 0, w) for w in W], R
+    return G, [(w * den * den, 2 * w * den, w) for w in W], R
 
 
-def _sum_levels(spec: NahmSumSpec, order2, node_budget):
-    """Uncharged sum of an all-nonnegative form, one variable level at a time.
+def _sum_levels(spec: NahmSumSpec, order2, rank, node_budget):
+    """Sum of an all-nonnegative form, one variable level at a time.
 
     The sum over x_d..x_{l-1} depends on x_0..x_{d-1} only through the
-    running cross sums s_j = sum_{i<d} cross2[i][j]*x_i (j >= d), so level d
-    maps each distinct state s[d:] to (offset, S): the sum, over the
-    prefixes that reach it, of q^(prefix exponent) / prod (q)_{x_i}, as a
-    dense series whose slot 0 is q^offset.  Fixing x_d = v sends S/(q)_v,
-    raised by diag2[d]*v^2 + (s_d + lin2[d])*v, to the state
-    s[d+1:] + v*cross2[d][d+1:]; the exponent only grows with v, so v stops
-    at the first one at the order.  Exponents are counted in units of g, the
+    running cross sums s_j = sum_{i<d} cross2[i][j]*x_i (j >= d) and the
+    running charge u = sum_{i<d} x_i*charges[*][i], so level d maps each
+    distinct state s[d:] + u to (offset, S): the sum, over the prefixes that
+    reach it, of q^(prefix exponent) / prod (q)_{x_i}, as a dense series
+    whose slot 0 is q^offset.  Fixing x_d = v sends S/(q)_v, raised by
+    diag2[d]*v^2 + (s_d + lin2[d])*v, to the state
+    s[d+1:] + v*cross2[d][d+1:], u + v*charges[*][d]; the exponent only
+    grows with v, so v stops at the first one at the order.  The last level
+    holds one state per charge u.  Exponents are counted in units of g, the
     gcd of 2 and every table entry, so integral forms carry no empty odd
-    slots.  Each state is popped as it is consumed and only two levels are
-    alive at once.  node_budget caps the (state, v) steps.
+    slots; charges are not scaled.  Each state is popped as it is consumed
+    and only two levels are alive at once.  node_budget caps the (state, v)
+    steps.
     """
     l = spec.nvars
     diag2, lin2, cross2 = spec._tables()
     g = math.gcd(2, *diag2, *lin2, *(x for row in cross2 for x in row))
     limit = -(-order2 // g)
     unit = 2 // g                       # q^1 in units of g
+    charges = spec.charges[:rank]
     geom_div = kernels.geom_div
     steps = 0
     seed = [0] * limit
     seed[0] = 1
-    level = {(0,) * l: (0, seed)}
+    level = {(0,) * (l + rank): (0, seed)}
     for d in range(l):
         a, lin = diag2[d] // g, lin2[d] // g
-        row = tuple(x // g for x in cross2[d][d + 1:])
+        row = tuple(x // g for x in cross2[d][d + 1:]) + tuple(ch[d] for ch in charges)
         nxt = {}
         while level:
             state, (off, S) = level.popitem()
@@ -618,24 +614,22 @@ def _sum_levels(spec: NahmSumSpec, order2, node_budget):
                 geom_div(S, unit * v)
                 child = tuple(map(add, child, row))
         level = nxt
-    (off, S), = level.values()
-    return QSeries._raw(order2, 0, {(g * (off + k), ()): c for k, c in enumerate(S) if c})
+    return QSeries._raw(order2, rank, {(g * (off + k), u): c for u, (off, S) in level.items()
+                                       for k, c in enumerate(S) if c})
 
 
 def evaluate(spec: NahmSumSpec, order, charges=True, node_budget=None) -> QSeries:
     """Exact truncated evaluation of the lattice sum.
 
     compute_bound certifies coercivity and picks the strategy; its box is
-    what evaluate_bruteforce iterates.  Uncharged sums (charges=False, or no
-    charge rows) of all-nonnegative forms run the dynamic program of
-    _sum_levels, and node_budget caps its (state, v) steps.  Charged sums
-    and positive-definite forms run one depth-first search over the
-    variables in order, and node_budget caps the visited points.  At each
-    level the bound of _dfs_table is a parabola in the value v being fixed:
-    v is visited while the bound is below the limit, skipped before the
-    vertex, and the loop stops past it (for all-nonnegative forms, at the
-    first v over the limit).  With charges=False the charge monomials are
-    projected away up front (much faster at high order).
+    what evaluate_bruteforce iterates.  All-nonnegative forms, charged or
+    not, run the dynamic program of _sum_levels, and node_budget caps its
+    (state, v) steps.  Positive-definite forms run a depth-first search over
+    the variables in order, and node_budget caps the visited points.  At
+    each level the bound of _dfs_table is a parabola in the value v being
+    fixed: v is visited while the bound is below the limit, skipped before
+    the vertex, and the loop stops past it.  With charges=False (or no
+    charge rows) the charge monomials are never formed.
     """
     bound = compute_bound(spec, order)
     order2 = twice_of(order)
@@ -646,9 +640,9 @@ def evaluate(spec: NahmSumSpec, order, charges=True, node_budget=None) -> QSerie
         return QSeries._raw(max(order2, 0), rank, {})
     if l == 0:
         return QSeries._raw(order2, rank, {(0, (0,) * rank): 1})
-    if not use_charges and bound.strategy == "all_nonneg":
-        return _sum_levels(spec, order2, node_budget)
-    G, levels, R = _dfs_table(spec, bound.strategy)
+    if bound.strategy == "all_nonneg":
+        return _sum_levels(spec, order2, rank, node_budget)
+    G, levels, R = _dfs_table(spec)
     limit = order2 * G
     G2 = 2 * G
     geom_div = kernels.geom_div
@@ -687,9 +681,9 @@ def evaluate(spec: NahmSumSpec, order, charges=True, node_budget=None) -> QSerie
 
     def rec(d, P, charge, T):
         # T is the caller's fresh slice: the partial product, consumed in place
-        a, beta, gamma, delta = levels[d]
+        a, beta, delta = levels[d]
         sd = s[d]
-        b = beta * sd + gamma
+        b = beta * sd
         c = P + delta * sd * sd
         if d == l - 1:
             # the bound is G times the exact doubled exponent, G | a, b, c

@@ -285,6 +285,9 @@ def _first_violation(a: QSeries, b: QSeries, violates) -> CompareResult:
 def series_eq(a: QSeries, b: QSeries) -> CompareResult:
     """Compare up to min truncation; report the earliest mismatch in
     (q-exponent, lexicographic charges) order."""
+    a._check_rank(b)
+    if a.terms == b.terms:
+        return CompareResult(True, min(a.order2, b.order2))
     return _first_violation(a, b, operator.ne)
 
 

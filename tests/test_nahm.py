@@ -5,7 +5,7 @@ import random
 import pytest
 from fractions import Fraction
 
-from qident import nahm
+from qident import nahm, presets
 from qident.poly import SparsePoly
 from qident.series import series_eq
 
@@ -215,6 +215,17 @@ class TestEvaluate:
         with pytest.raises(nahm.BudgetExceeded):
             nahm.evaluate(spec, 10, charges=False, node_budget=851)
 
+    @pytest.mark.parametrize("name,order,steps", [
+        ("d4", 10, 2390), ("b2-quintuple", 20, 390), ("B-a3", 20, 74)])
+    def test_budget_counts_charged_level_sum_steps(self, name, order, steps):
+        # a charged all-nonnegative sum also runs the level sum, whose states
+        # carry the running charge: one unit per distinct (d, s[d:], charge, v)
+        spec = presets.nahm_preset(name)
+        assert _level_sum_steps(spec, order, charges=True) == steps
+        nahm.evaluate(spec, order, charges=True, node_budget=steps)
+        with pytest.raises(nahm.BudgetExceeded):
+            nahm.evaluate(spec, order, charges=True, node_budget=steps - 1)
+
     def test_random_all_nonneg_forms_match_bruteforce(self):
         # odd diag2/lin2/cross2 entries run the level sum in half-integer
         # units (g = 1), even ones in integer units (g = 2)
@@ -244,7 +255,10 @@ class TestEvaluate:
             plain = nahm.evaluate(spec, order, charges=False)
             assert plain == nahm.evaluate_bruteforce(spec, order, box, charges=False), \
                 (quad, spec.linear, order)
-            assert plain == nahm.evaluate(spec, order, charges=True).charges_dropped()
+            charged = nahm.evaluate(spec, order, charges=True)
+            assert plain == charged.charges_dropped()
+            assert charged == nahm.evaluate_bruteforce(spec, order, box, charges=True), \
+                (quad, spec.linear, spec.charges, order)
             checked += 1
         assert units == {1, 2}
 
@@ -258,6 +272,16 @@ class TestEvaluate:
                 perm = list(range(spec.nvars))
                 rng.shuffle(perm)
                 assert nahm.evaluate(spec.permuted(perm), order, charges=False) == base
+
+    def test_charged_level_sum_order_independence(self):
+        rng = random.Random(19)
+        for spec, order in ((nahm.build_d4_form(), 10), (nahm.build_B_form(4), 14)):
+            assert nahm.compute_bound(spec, order).strategy == "all_nonneg"
+            base = nahm.evaluate(spec, order, charges=True)
+            for _ in range(5):
+                perm = list(range(spec.nvars))
+                rng.shuffle(perm)
+                assert nahm.evaluate(spec.permuted(perm), order, charges=True) == base
 
     def test_no_variables_is_one(self):
         spec = nahm.NahmSumSpec((), (), (), ((),))
@@ -434,22 +458,25 @@ class TestFormDifference:
             assert all(v == 0 for v in nahm.cross_k_coefficients(n, "B").values())
 
 
-def _level_sum_steps(spec, order):
-    """Distinct (d, s[d:], v) over the points of a plain all-nonnegative DFS."""
+def _level_sum_steps(spec, order, charges=False):
+    """Distinct (d, s[d:], v) over the points of a plain all-nonnegative DFS,
+    keyed on the running charge too when charges is set."""
     diag2, lin2, cross2 = spec._tables()
+    rows = spec.charges if charges else ()
     seen = set()
 
-    def rec(d, e2, s):
+    def rec(d, e2, s, u):
         v = 0
         while d < spec.nvars:
             e = e2 + diag2[d] * v * v + (s[d] + lin2[d]) * v
             if e >= 2 * order:
                 return
-            seen.add((d, tuple(s[d:]), v))
-            rec(d + 1, e, [x + v * c for x, c in zip(s, cross2[d])])
+            seen.add((d, tuple(s[d:]), u, v))
+            rec(d + 1, e, [x + v * c for x, c in zip(s, cross2[d])],
+                tuple(x + v * row[d] for x, row in zip(u, rows)))
             v += 1
 
-    rec(0, 0, [0] * spec.nvars)
+    rec(0, 0, [0] * spec.nvars, (0,) * len(rows))
     return len(seen)
 
 
