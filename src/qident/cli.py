@@ -48,6 +48,8 @@ def _mono_str(exps):
 
 def _usage_exit(message):
     """Input and budget errors: one line on stderr, exit 2, no report."""
+    if isinstance(message, KeyError):
+        message = message.args[0]           # str() of a KeyError is its repr
     click.echo(f"error: {message}", err=True)
     sys.exit(EXIT_USAGE)
 
@@ -55,7 +57,7 @@ def _usage_exit(message):
 @click.group()
 @click.option("--json", "as_json", is_flag=True, help="machine-readable report")
 @click.option("--budget", type=int, default=None,
-              help="cap on enumeration nodes or level-sum steps / matrix cells / "
+              help="cap on level-sum steps / matrix cells / "
                    "monomial pairs / quiver representations; exceeding it is exit 2")
 @click.option("--timings", is_flag=True, help="include wall time (breaks byte-reproducibility)")
 @pass_settings
@@ -417,7 +419,10 @@ def forms_expand_diff(settings, n, kind):
         notes=["touching configurations (second index meets the next start) "
                "are tabulated with type I: the overlap formula does not "
                "extend to them"])
-    rows = nahm.six_type_table(n, kind)
+    try:
+        rows = nahm.six_type_table(n, kind)
+    except ValueError as exc:
+        _usage_exit(exc)
     lines = []
     bad = 0
     for (typ, desc, coeff, expected) in rows:

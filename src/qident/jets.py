@@ -614,7 +614,7 @@ def power_preset(p) -> JetPreset:
 def verify_classically_free(n, weight, budget=None) -> CompareResult:
     """Jet Hilbert series of the symmetrized presentation against the lattice
     form evaluation, through the given weight (inclusive).  The budget caps
-    both the matrix cells of each rank block and the enumeration nodes."""
+    both the matrix cells of each rank block and the level-sum steps."""
     from . import nahm
 
     hs = hilbert_series(sln_A(n), weight, budget=budget)

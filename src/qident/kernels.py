@@ -60,7 +60,9 @@ def nahm_tail(res2, scratch, e2_base, diag2, c2, order2):
     q^(e2_base + diag2*v^2 + c2*v) * scratch / (q)_v; contributions are added
     into res2 (doubled-exponent indexing).  A v whose exponent reaches order2
     is skipped before the vertex of that parabola and ends the loop past it.
-    Returns the number of lattice points added.
+    Returns the number of lattice points added.  No engine calls it any
+    more; it stays until the next benchmark change, whose tracer patches it
+    by name.
     """
     v = 0
     skipped = 0

@@ -7,10 +7,10 @@ A NahmSumSpec describes one side of an identity
 with Q(m) = m^T quad m + linear.m.  Enumeration refuses to run unless the
 form is certifiably coercive (all-nonnegative with positive diagonal, or
 positive definite), so truncated output can never silently lose terms.
-All-nonnegative forms, charged or not, run as a dynamic program over the
-distinct running cross sums and charges, one variable level at a time (see
-_sum_levels).  Positive-definite forms run a depth-first search, pruned by
-an exact integer bound on the completion of each prefix (see _dfs_table).
+Every sum, charged or not, runs as one dynamic program over the distinct
+running sums and charges, one variable level at a time (see _sum_levels),
+pruned by an exact integer bound on the completion of each prefix (see
+_level_table).
 """
 
 from __future__ import annotations
@@ -524,22 +524,29 @@ def compute_bound(spec: NahmSumSpec, order) -> EnumerationBound:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _dfs_table(spec: NahmSumSpec):
-    """Integer per-level bound table of the positive-definite DFS.
+def _level_table(spec: NahmSumSpec, strategy):
+    """Integer per-level bound table (G, levels, R, lin) of _sum_levels.
 
-    Returns (G, levels, R).  With s_d the running sum at level d (fixing
-    x_i = v adds v*R[i][d] to s_d for every d > i), fixing x_d = v adds
+    With s_d the running sum at level d (fixing x_i = v adds v*R[i][d] to
+    s_d for every d > i), fixing x_d = v adds
 
-        a*v^2 + beta*s_d*v + delta*s_d^2,   (a, beta, delta) = levels[d]
+        a*v^2 + (beta*s_d + lin[d])*v + delta*s_d^2,   (a, beta, delta) = levels[d]
 
-    to the bound of the prefix.  The bound is G times the exact real minimum
-    of the doubled exponent over every completion of the prefix, and G times
-    the doubled exponent itself once every variable is fixed.  It comes from
-    the reverse LDL^T split x^T Q x = sum_k D_k (x_k + sum_{i<k} M_ki x_i)^2,
-    whose later squares can all be made zero by real values (Fincke-Pohst);
-    s_k = den * sum_{i<k} M_ki x_i with den the lcm of the denominators of M,
-    and G clears the denominators of 2*D_k/den^2.
+    to the bound of the prefix.  The bound is G times the exact minimum of
+    the doubled exponent over the completions of the prefix, and G times
+    the doubled exponent itself once every variable is fixed, so it never
+    falls as variables are fixed.  An all-nonnegative form has G = 1, the
+    doubled cross sums as running sums and its doubled linear part as lin:
+    its nonnegative completions add nothing at x = 0, so the bound is the
+    doubled exponent of the prefix.  A positive-definite form has a zero lin
+    and the reverse LDL^T split x^T Q x = sum_k D_k (x_k + sum_{i<k}
+    M_ki x_i)^2, whose later squares can all be made zero by real values
+    (Fincke-Pohst); s_k = den * sum_{i<k} M_ki x_i with den the lcm of the
+    denominators of M, and G clears the denominators of 2*D_k/den^2.
     """
+    diag2, lin2, cross2 = spec._tables()
+    if strategy == "all_nonneg":
+        return 1, [(x, 1, 0) for x in diag2], cross2, lin2
     l = spec.nvars
     D, M = _reverse_ldl(spec.quad)
     den = math.lcm(*(x.denominator for row in M for x in row))
@@ -547,187 +554,112 @@ def _dfs_table(spec: NahmSumSpec):
     G = math.lcm(*(x.denominator for x in scaled))
     W = [int(G * x) for x in scaled]
     R = [[int(den * M[j][d]) for j in range(l)] for d in range(l)]
-    return G, [(w * den * den, 2 * w * den, w) for w in W], R
+    return G, [(w * den * den, 2 * w * den, w) for w in W], R, [0] * l
 
 
-def _sum_levels(spec: NahmSumSpec, order2, rank, node_budget):
-    """Sum of an all-nonnegative form, one variable level at a time.
+def _sum_levels(spec: NahmSumSpec, order2, rank, node_budget, table):
+    """Sum of a coercive form, one variable level at a time.
 
-    The sum over x_d..x_{l-1} depends on x_0..x_{d-1} only through the
-    running cross sums s_j = sum_{i<d} cross2[i][j]*x_i (j >= d) and the
-    running charge u = sum_{i<d} x_i*charges[*][i], so level d maps each
-    distinct state s[d:] + u to (offset, S): the sum, over the prefixes that
-    reach it, of q^(prefix exponent) / prod (q)_{x_i}, as a dense series
-    whose slot 0 is q^offset.  Fixing x_d = v sends S/(q)_v, raised by
-    diag2[d]*v^2 + (s_d + lin2[d])*v, to the state
-    s[d+1:] + v*cross2[d][d+1:], u + v*charges[*][d]; the exponent only
-    grows with v, so v stops at the first one at the order.  The last level
-    holds one state per charge u.  Exponents are counted in units of g, the
-    gcd of 2 and every table entry, so integral forms carry no empty odd
-    slots; charges are not scaled.  Each state is popped as it is consumed
-    and only two levels are alive at once.  node_budget caps the (state, v)
-    steps.
+    With (G, levels, R, lin) = table (see _level_table), the sum over
+    x_d..x_{l-1} depends on x_0..x_{d-1} only through the running sums s[d:]
+    and the running charge u = sum_{i<d} x_i*charges[*][i], so level d maps
+    each distinct state s[d:] + u to (offset, S): the sum, over the prefixes
+    that reach it, of q^(prefix exponent) / prod (q)_{x_i}, as a dense
+    series.  Prefixes reaching one state differ in bound by G times their
+    exponent difference, a multiple of G*g with g the gcd of 2 and every
+    doubled table entry of the form, so the offset is the lowest of their
+    bounds and slot k of S stands for bound offset + k*G*g; integral forms
+    carry no empty odd slots, and charges are not scaled.  The bound never
+    falls, so slots at or past the cut G*order2 are dropped.  Fixing x_d = v
+    sends S/(q)_v at the bound e(v) of _level_table to the state
+    s[d+1:] + v*R[d][d+1:], u + v*charges[*][d].  e(v) grows from vr on:
+    before vr a v at or past the cut is skipped and S keeps its slots for
+    the later v; from vr on the first v at the cut ends the loop, and S is
+    cut to the slots of v before its division.  All-nonnegative forms have
+    vr <= 0.  The last level holds one state per charge u, whose offset is G
+    times the exact doubled exponent.  Each state is popped as it is
+    consumed and only two levels are alive at once.  node_budget caps the
+    (state, v) steps.
     """
     l = spec.nvars
+    G, levels, R, lin = table
     diag2, lin2, cross2 = spec._tables()
     g = math.gcd(2, *diag2, *lin2, *(x for row in cross2 for x in row))
-    limit = -(-order2 // g)
-    unit = 2 // g                       # q^1 in units of g
+    step = G * g
+    cut = G * order2
+    unit = 2 // g                       # q^1 in slots
     charges = spec.charges[:rank]
     geom_div = kernels.geom_div
     steps = 0
-    seed = [0] * limit
+    seed = [0] * -(-order2 // g)
     seed[0] = 1
     level = {(0,) * (l + rank): (0, seed)}
     for d in range(l):
-        a, lin = diag2[d] // g, lin2[d] // g
-        row = tuple(x // g for x in cross2[d][d + 1:]) + tuple(ch[d] for ch in charges)
+        a, beta, delta = levels[d]
+        row = tuple(R[d][d + 1:]) + tuple(ch[d] for ch in charges)
         nxt = {}
         while level:
             state, (off, S) = level.popitem()
-            b = state[0] + lin
+            sd = state[0]
+            b = beta * sd + lin[d]
+            base = off + delta * sd * sd
+            vr = -((a + b) // (2 * a))
             child = state[1:]
             v = 0
-            e = off
+            e = base
             while True:
-                # S is the state's series over (q)_v, cut to its limit - e slots below the order
-                steps += 1
-                if node_budget is not None and steps > node_budget:
-                    raise BudgetExceeded("level-sum steps", node_budget)
-                old = nxt.get(child)
-                if old is None:
-                    nxt[child] = (e, S[:])
-                elif old[0] <= e:
-                    T = old[1]
-                    p = e - old[0]
-                    T[p:] = map(add, T[p:], S)
-                else:
-                    p = old[0] - e
-                    merged = S[:p]
-                    merged += map(add, S[p:], old[1])
-                    nxt[child] = (e, merged)
+                # S is the state's series over (q)_v, with at least the slots of e below the cut
+                if e < cut:
+                    steps += 1
+                    if node_budget is not None and steps > node_budget:
+                        raise BudgetExceeded("level-sum steps", node_budget)
+                    old = nxt.get(child)
+                    if old is None:
+                        nxt[child] = (e, S[:(cut - e - 1) // step + 1])
+                    elif old[0] <= e:
+                        T = old[1]
+                        p = (e - old[0]) // step
+                        T[p:] = map(add, T[p:], S)
+                    else:
+                        p = (old[0] - e) // step
+                        merged = S[:p]
+                        merged += map(add, S[p:], old[1])
+                        nxt[child] = (e, merged)
                 v += 1
-                e = off + a * v * v + b * v
-                if e >= limit:
-                    break
-                del S[limit - e:]
+                e = base + a * v * v + b * v
+                if v >= vr:
+                    if e >= cut:
+                        break
+                    del S[(cut - e - 1) // step + 1:]
                 geom_div(S, unit * v)
                 child = tuple(map(add, child, row))
         level = nxt
-    return QSeries._raw(order2, rank, {(g * (off + k), u): c for u, (off, S) in level.items()
+    return QSeries._raw(order2, rank, {(off // G + k * g, u): c for u, (off, S) in level.items()
                                        for k, c in enumerate(S) if c})
 
 
 def evaluate(spec: NahmSumSpec, order, charges=True, node_budget=None) -> QSeries:
     """Exact truncated evaluation of the lattice sum.
 
-    compute_bound certifies coercivity and picks the strategy; its box is
-    what evaluate_bruteforce iterates.  All-nonnegative forms, charged or
-    not, run the dynamic program of _sum_levels, and node_budget caps its
-    (state, v) steps.  Positive-definite forms run a depth-first search over
-    the variables in order, and node_budget caps the visited points.  At
-    each level the bound of _dfs_table is a parabola in the value v being
-    fixed: v is visited while the bound is below the limit, skipped before
-    the vertex, and the loop stops past it.  With charges=False (or no
-    charge rows) the charge monomials are never formed.
+    compute_bound certifies coercivity and picks the strategy, whose
+    _level_table drives the level sum of _sum_levels; node_budget caps its
+    (state, v) steps.  The box of compute_bound is what evaluate_bruteforce
+    iterates.  With charges=False (or no charge rows) the charge monomials
+    are never formed.
     """
-    bound = compute_bound(spec, order)
+    strategy = compute_bound(spec, order).strategy
     order2 = twice_of(order)
-    use_charges = charges and spec.charge_rank > 0
-    rank = spec.charge_rank if use_charges else 0
-    l = spec.nvars
+    rank = spec.charge_rank if charges else 0
     if order2 <= 0:
         return QSeries._raw(max(order2, 0), rank, {})
-    if l == 0:
-        return QSeries._raw(order2, rank, {(0, (0,) * rank): 1})
-    if bound.strategy == "all_nonneg":
-        return _sum_levels(spec, order2, rank, node_budget)
-    G, levels, R = _dfs_table(spec)
-    limit = order2 * G
-    G2 = 2 * G
-    geom_div = kernels.geom_div
-    nahm_tail = kernels.nahm_tail
-    counter = [0]
-
-    def spend(n=1):
-        counter[0] += n
-        if node_budget is not None and counter[0] > node_budget:
-            raise BudgetExceeded("enumeration nodes", node_budget)
-
-    res_dense = [0] * order2          # doubled-exponent indexing, uncharged
-    res_charged = {}
-    s = [0] * l
-    ucols = [tuple(row[d] for row in spec.charges) for d in range(l)] if use_charges else None
-
-    def tail_charged(e2_base, diag2, c2, charge, scratch):
-        # nahm_tail with a charge per v
-        col = ucols[l - 1]
-        lp = len(scratch)
-        v = 0
-        while True:
-            e2 = e2_base + diag2 * v * v + c2 * v
-            if e2 < order2:
-                spend()
-                ch = tuple(x + v * u for x, u in zip(charge, col))
-                for k in range(min((order2 - e2 + 1) // 2, lp)):
-                    sk = scratch[k]
-                    if sk:
-                        key = (e2 + 2 * k, ch)
-                        res_charged[key] = res_charged.get(key, 0) + sk
-            elif 2 * diag2 * v + c2 + diag2 >= 0:
-                break
-            v += 1
-            geom_div(scratch, v)
-
-    def rec(d, P, charge, T):
-        # T is the caller's fresh slice: the partial product, consumed in place
-        a, beta, delta = levels[d]
-        sd = s[d]
-        b = beta * sd
-        c = P + delta * sd * sd
-        if d == l - 1:
-            # the bound is G times the exact doubled exponent, G | a, b, c
-            if use_charges:
-                tail_charged(c // G, a // G, b // G, charge, T)
-            else:
-                spend(nahm_tail(res_dense, T, c // G, a // G, b // G, order2))
-            return
-        row = R[d]
-        col = ucols[d] if use_charges else None
-        v = 0
-        while True:
-            e = c + a * v * v + b * v
-            if e < limit:
-                spend()
-                child_len = min(-((e - limit) // G2), len(T))
-                child_charge = (tuple(x + v * u for x, u in zip(charge, col))
-                                if use_charges else charge)
-                rec(d + 1, e, child_charge, T[:child_len])
-            elif 2 * a * v + a + b >= 0:
-                break
-            v += 1
-            geom_div(T, v)
-            for j in range(d + 1, l):
-                s[j] += row[j]
-        for j in range(d + 1, l):
-            s[j] -= v * row[j]
-
-    seed = [0] * ((order2 + 1) // 2)
-    seed[0] = 1
-    rec(0, 0, (0,) * rank, seed)
-
-    if use_charges:
-        terms = {k: v for k, v in res_charged.items() if v}
-        return QSeries._raw(order2, rank, terms)
-    terms = {(e2, ()): c for e2, c in enumerate(res_dense) if c}
-    return QSeries._raw(order2, 0, terms)
+    return _sum_levels(spec, order2, rank, node_budget, _level_table(spec, strategy))
 
 
 def evaluate_bruteforce(spec: NahmSumSpec, order, box, charges=True) -> QSeries:
     """Unpruned oracle: iterate the whole box, multiply everything out naively.
 
-    Independent of the DFS path (no monotone pruning, no shared prefixes); used
-    to cross-check evaluate() at small sizes.
+    Independent of the level sum (no pruning, no shared states); used to
+    cross-check evaluate() at small sizes.
     """
     import itertools
 

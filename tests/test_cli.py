@@ -129,6 +129,25 @@ def test_forms_expand_diff(runner):
     assert "k_i*k_j (j>i+1) coefficients all zero: True" in result.output
 
 
+@pytest.mark.parametrize("n", ["1", "0"])
+def test_forms_expand_diff_small_n_is_exit_2(runner, n):
+    result = run(runner, "forms", "expand-diff", "--n", n, "--kind", "Bprime")
+    assert_usage_exit(result)
+    assert "n >= 2" in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ("forms", "show", "--preset", "nope"),
+    ("forms", "eval", "--preset", "nope", "--order", "5"),
+    ("jets", "hilbert", "--preset", "nope", "--weight", "3"),
+])
+def test_unknown_preset_error_is_plain(runner, args):
+    result = run(runner, *args)
+    assert_usage_exit(result)
+    assert result.output.startswith("error: unknown ")
+    assert '"' not in result.output
+
+
 def test_forms_show_and_custom_verify(runner, tmp_path):
     shown = run(runner, "forms", "show", "--preset", "B-a2")
     assert shown.exit_code == 0

@@ -198,13 +198,16 @@ class TestEvaluate:
         with pytest.raises(nahm.BudgetExceeded):
             nahm.evaluate(nahm.build_B_form(3), 20, node_budget=5)
 
-    def test_budget_counts_exact_bound_nodes(self):
-        # the Fincke-Pohst DFS visits 3712 points of cartan-a6 below q^16;
-        # the eigenvalue-bound enumeration it replaced needed 12201
+    def test_budget_counts_positive_definite_level_sum_steps(self):
+        # a positive-definite form runs the level sum on the Fincke-Pohst
+        # table: one unit per distinct (d, s[d:], charge, v) of a DFS point
+        # below the cut
         spec = nahm.build_cartan_side("A", 6)
-        nahm.evaluate(spec, 16, charges=False, node_budget=3712)
-        with pytest.raises(nahm.BudgetExceeded):
-            nahm.evaluate(spec, 16, charges=False, node_budget=3711)
+        for order, charges, steps in ((16, False, 157), (14, True, 2870)):
+            assert _level_sum_steps(spec, order, charges=charges) == steps
+            nahm.evaluate(spec, order, charges=charges, node_budget=steps)
+            with pytest.raises(nahm.BudgetExceeded):
+                nahm.evaluate(spec, order, charges=charges, node_budget=steps - 1)
 
     def test_budget_counts_level_sum_steps(self):
         # uncharged d4 runs the level sum, which spends one unit per distinct
@@ -265,8 +268,10 @@ class TestEvaluate:
     def test_uncharged_enumeration_order_independence(self):
         rng = random.Random(17)
         for spec, order in ((nahm.build_d4_form(), 14), (nahm.build_B_form(4), 16),
-                            (nahm.build_b2_quintuple_form(), 30)):
-            assert nahm.compute_bound(spec, order).strategy == "all_nonneg"
+                            (nahm.build_b2_quintuple_form(), 30),
+                            (nahm.build_cartan_side("D", 4), 18),
+                            (nahm.build_cartan_side("A", 5), 16),
+                            (nahm.build_b2_char_form(), 30)):
             base = nahm.evaluate(spec, order, charges=False)
             for _ in range(5):
                 perm = list(range(spec.nvars))
@@ -275,8 +280,10 @@ class TestEvaluate:
 
     def test_charged_level_sum_order_independence(self):
         rng = random.Random(19)
-        for spec, order in ((nahm.build_d4_form(), 10), (nahm.build_B_form(4), 14)):
-            assert nahm.compute_bound(spec, order).strategy == "all_nonneg"
+        for spec, order in ((nahm.build_d4_form(), 10), (nahm.build_B_form(4), 14),
+                            (nahm.build_cartan_side("D", 4), 18),
+                            (nahm.build_cartan_side("A", 5), 16),
+                            (nahm.build_b2_char_form(), 30)):
             base = nahm.evaluate(spec, order, charges=True)
             for _ in range(5):
                 perm = list(range(spec.nvars))
@@ -360,8 +367,8 @@ class TestIdentities:
         assert r.equal
 
     def test_d4_uncharged_identity_q60(self):
-        # the twelve-variable form through the level sum against the
-        # positive-definite DFS of the Cartan side
+        # the twelve-variable form against the Cartan side, both through the
+        # level sum: on the exact cross sums and on the Fincke-Pohst table
         assert nahm.verify_identity(nahm.build_d4_form(), nahm.build_cartan_side("D", 4),
                                     60, with_charges=False).equal
 
@@ -459,22 +466,25 @@ class TestFormDifference:
 
 
 def _level_sum_steps(spec, order, charges=False):
-    """Distinct (d, s[d:], v) over the points of a plain all-nonnegative DFS,
-    keyed on the running charge too when charges is set."""
-    diag2, lin2, cross2 = spec._tables()
+    """Distinct (d, s[d:], u, v) over the points of a plain DFS over the box
+    of compute_bound, pruned by the bound of nahm._level_table: the exact
+    exponent for an all-nonnegative form, the Fincke-Pohst bound for a
+    positive-definite one; u is the running charge when charges is set."""
+    bound = nahm.compute_bound(spec, order)
+    G, levels, R, lin = nahm._level_table(spec, bound.strategy)
     rows = spec.charges if charges else ()
     seen = set()
 
-    def rec(d, e2, s, u):
-        v = 0
-        while d < spec.nvars:
-            e = e2 + diag2[d] * v * v + (s[d] + lin2[d]) * v
-            if e >= 2 * order:
-                return
-            seen.add((d, tuple(s[d:]), u, v))
-            rec(d + 1, e, [x + v * c for x, c in zip(s, cross2[d])],
-                tuple(x + v * row[d] for x, row in zip(u, rows)))
-            v += 1
+    def rec(d, P, s, u):
+        if d == spec.nvars:
+            return
+        a, beta, delta = levels[d]
+        for v in range(bound.per_variable_max[d] + 1):
+            e = P + a * v * v + (beta * s[d] + lin[d]) * v + delta * s[d] ** 2
+            if e < 2 * G * order:
+                seen.add((d, tuple(s[d:]), u, v))
+                rec(d + 1, e, [x + v * c for x, c in zip(s, R[d])],
+                    tuple(x + v * row[d] for x, row in zip(u, rows)))
 
     rec(0, 0, [0] * spec.nvars, (0,) * len(rows))
     return len(seen)
