@@ -4,10 +4,11 @@ Generators get depth-indexed variables (g, d) of weight d >= 1 (depth d
 standing for the mode x_{g,(-d)}); a presented relation f contributes
 T^s f for every s, where T is the derivation T(x_{g,(-d)}) = -d x_{g,(-d-1)}.
 The Hilbert series of the quotient is computed weight by weight.  A
-single-term T^s f only removes the monomials it divides, so those are
-dropped by a divisibility pass and build no rows; the multi-term ones give
-the rows of an exact sparse rank over Q on the monomials that are left, with
-the multigrading by charge splitting each weight block into many small ones.
+single-term T^s f only removes the monomials it divides, so those are never
+enumerated and build no rows; the multi-term ones give the rows of a sparse
+rank on the monomials that are left, by fraction-free integer elimination on
+rows scaled to primitive integers (exact over Q), with the multigrading by
+charge splitting each weight block into many small ones.
 This is the leading-term view of arc-space ideals (Bruschek-Mourtada-Schepers,
 "Arc spaces and Rogers-Ramanujan identities").
 """
@@ -41,7 +42,11 @@ class WeightedRing:
         return len(self.charges[0]) if self.charges else 0
 
     def gen_index(self, name):
-        return self.generators.index(name)
+        try:
+            return self.generators.index(name)
+        except ValueError:
+            raise ValueError(f"unknown generator {name!r} (generators: "
+                             f"{' '.join(self.generators)})") from None
 
 
 def mono_weight(mono):
@@ -196,32 +201,43 @@ def generate_ideal(preset: JetPreset, max_weight):
     return out
 
 
-def monomials_of_weight(ngens, w, cache=None):
-    """Sorted monomials (multisets of (g, d)) of total weight w.
+def surviving_monomials(ngens, weight, singles=()):
+    """levels[w] for w <= weight: the sorted monomials (multisets of (g, d))
+    of weight w that no monomial in `singles` divides.
 
-    With a cache dict, each (ngens, w) is enumerated once per cache; callers
-    own the cache and must not mutate the lists it hands back."""
-    key = (ngens, w)
-    if cache is not None and key in cache:
-        return cache[key]
-    out = []
+    A monomial survives only if its prefix (all but its largest variable v)
+    does, so each level extends the surviving prefixes by one variable
+    v >= the prefix's last.  A divisor of `prefix + (v,)` that does not
+    divide the prefix must end in v and divide the prefix with that v
+    removed, so singles are indexed by their last variable and tested
+    against the prefix alone by a sorted merge."""
+    by_last = {}
+    for s in set(singles):
+        by_last.setdefault(s[-1], []).append(s[:-1])
+    levels = [[()]]
+    for w in range(1, weight + 1):
+        level = []
+        for d in range(1, w + 1):
+            for p in levels[w - d]:
+                g0, d0 = p[-1] if p else (0, d)
+                for g in range(g0 if d >= d0 else g0 + 1, ngens):
+                    v = (g, d)
+                    if not any(_divides(rest, p) for rest in by_last.get(v, ())):
+                        level.append(p + (v,))
+        level.sort()
+        levels.append(level)
+    return levels
 
-    def rec(remaining, g0, d0, acc):
-        # variables are appended in non-decreasing order, starting at
-        # (g0, d0), so the monomials come out sorted
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for g in range(g0, ngens):
-            for d in range(d0 if g == g0 else 1, remaining + 1):
-                acc.append((g, d))
-                rec(remaining - d, g, d, acc)
-                acc.pop()
 
-    rec(w, 0, 1, [])
-    if cache is not None:
-        cache[key] = out
-    return out
+def _divides(a, b):
+    """Whether the sorted tuple a is a sub-multiset of the sorted tuple b."""
+    it = iter(b)
+    return all(x in it for x in a)
+
+
+def monomials_of_weight(ngens, w):
+    """Sorted monomials (multisets of (g, d)) of total weight w."""
+    return surviving_monomials(ngens, w)[w]
 
 
 def hilbert_series(preset: JetPreset, weight, multigraded=False,
@@ -232,12 +248,13 @@ def hilbert_series(preset: JetPreset, weight, multigraded=False,
     the span of monomial multiples of the T-derivatives of the relations.
     The multiples of a single-term derivative m span exactly the coordinates
     of the monomials m divides, so those monomials are "killed": they are
-    not columns and m builds no rows.  dim is then #surviving monomials
-    minus the rank of the multi-term multiples restricted to the survivors,
-    by exact elimination over Q block by block.  A killed multiplier kills
-    every term of its row, so only surviving monomials are multipliers.  The
-    budget caps the cells (rows x columns) of each of these reduced blocks
-    before its rank is taken.
+    never enumerated (`surviving_monomials`), they are not columns and m
+    builds no rows.  dim is then #surviving monomials minus the rank of the
+    multi-term multiples restricted to the survivors, by fraction-free
+    integer elimination (exact over Q) block by block.  A killed multiplier
+    kills every term of its row, so only surviving monomials are
+    multipliers.  The budget caps the cells (rows x columns) of each of
+    these reduced blocks before its rank is taken.
     """
     ring = preset.ring
     ngens = len(ring.generators)
@@ -245,28 +262,20 @@ def hilbert_series(preset: JetPreset, weight, multigraded=False,
     rank_out = ring.charge_rank if (multigraded and graded) else 0
     if multigraded and not graded:
         raise ValueError("preset has no charge data for a multigraded series")
-    singles_by_weight = {}
+    singles = []
     multis_by_weight = {}
     for h in generate_ideal(preset, weight):
         if len(h.terms) == 1:
-            (mono,) = h.terms
-            singles_by_weight.setdefault(mono_weight(mono), []).append(mono)
+            singles.extend(h.terms)
         else:
             multis_by_weight.setdefault(h.weight(), []).append(h.terms)
-    monomials = {}
-    survivors = [[()]]      # surviving monomials, by weight
+    survivors = surviving_monomials(ngens, weight, singles)
     # charge of every surviving monomial, built from its prefix, which
     # survives too (a relation dividing the prefix divides the monomial)
     charge = {(): (0,) * ring.charge_rank}
     terms = {(0, (0,) * rank_out): 1}
     for w in range(1, weight + 1):
-        killed = {tuple(sorted(m + mult))
-                  for u, singles in singles_by_weight.items() if u <= w
-                  for mult in monomials_of_weight(ngens, w - u, monomials)
-                  for m in singles}
-        cols = [m for m in monomials_of_weight(ngens, w, monomials)
-                if m not in killed]
-        survivors.append(cols)
+        cols = survivors[w]
         blocks = {}
         col_pos = {}
         for mono in cols:
@@ -325,6 +334,8 @@ def parse_relation_line(ring: WeightedRing, line):
         out.append(a - b)
     if len(polys) == 1:
         out.append(polys[0])
+    if any(p.is_zero() for p in out):
+        raise ValueError(f"relation {line!r} is zero")
     return out
 
 

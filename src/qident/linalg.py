@@ -1,17 +1,19 @@
 """Sparse exact rank computation over Q.
 
-Rows are dicts column->coefficient.  A row with a single nonzero entry pivots
-its column outright; the other rows, with those columns deleted, go through
-exact `Fraction` elimination.  This is the only rank path; there is no
-modular or floating-point shortcut.  The jet Hilbert series never builds the
-monomial multiples of single-term relations (it drops the columns they kill
+Rows are dicts column->coefficient, with int or `Fraction` values.  A row
+with a single nonzero entry pivots its column outright; the other rows, with
+those columns deleted, are scaled to primitive integer rows and go through
+fraction-free integer elimination (the Bareiss step on sparse rows), which
+is exact over Q.  This is the only rank path; there is no modular or
+floating-point shortcut.  The jet Hilbert series never builds the monomial
+multiples of single-term relations (it drops the columns they kill
 instead), so the single-term rows that reach this function are multi-term
 rows that lost their other terms to those columns.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
 
 
 def rank_of_rows(rows):
@@ -21,7 +23,10 @@ def rank_of_rows(rows):
     is the number of distinct such columns plus the rank of the other rows
     with those columns removed.  Removing columns can leave new single-term
     rows, so peeling repeats until none is left.  Zero-valued entries are not
-    terms.
+    terms.  The rows left are scaled by nonzero rationals to primitive
+    integer rows whose lowest column is positive, which keeps the rank and
+    makes rows that are scalar multiples of each other equal, so each is
+    eliminated once.
     """
     work = [{c: v for c, v in row.items() if v} for row in rows]
     rank = 0
@@ -32,15 +37,35 @@ def rank_of_rows(rows):
         rank += len(peeled)
         work = [{c: v for c, v in row.items() if c not in peeled}
                 for row in work if len(row) > 1]
-    return rank + _eliminate([{c: Fraction(v) for c, v in row.items()}
-                              for row in work if row])
+    distinct = {}
+    for row in work:
+        if row:
+            row = _primitive(row)
+            distinct[tuple(sorted(row.items()))] = row
+    return rank + _eliminate(list(distinct.values()))
+
+
+def _primitive(row):
+    """The integer multiple of a nonempty row with coprime entries and a
+    positive entry in its lowest column."""
+    den = lcm(*(v.denominator for v in row.values()))
+    row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+    g = gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
+    return {c: v // g for c, v in row.items()}
 
 
 def _eliminate(work):
-    """Rank by exact elimination, consuming rows shortest-first.
+    """Rank of integer rows by fraction-free elimination, consuming rows
+    shortest-first.
 
-    Pivot columns are chosen by (column support size, column index), support
-    counted once up front.  Deterministic.  Rows are reduced in place.
+    Reducing a row against the pivot row of a column it hits replaces it by
+    `p*row - f*pivot`, where `p` and `f` are the two rows' entries in that
+    column divided by their gcd, and then divides it by the gcd of its
+    entries; pivot rows are kept as they are.  Pivot columns are chosen by
+    (column support size, column index), support counted once up front.
+    Deterministic.  Rows are reduced in place.
     """
     support = {}
     for row in work:
@@ -54,15 +79,23 @@ def _eliminate(work):
             hit = next((c for c in row if c in pivots), None)
             if hit is None:
                 break
-            factor = row[hit]
-            for c, v in pivots[hit].items():
-                nv = row.get(c, 0) - factor * v
+            pivot = pivots[hit]
+            p, f = pivot[hit], row[hit]
+            g = gcd(p, f)
+            p, f = p // g, f // g
+            if p != 1:
+                for c in row:
+                    row[c] *= p
+            for c, v in pivot.items():
+                nv = row.get(c, 0) - f * v
                 if nv:
                     row[c] = nv
                 elif c in row:
                     del row[c]
+            g = gcd(*row.values())
+            if g > 1:
+                for c in row:
+                    row[c] //= g
         if row:
-            pc = min(row, key=lambda c: (support[c], c))
-            inv = 1 / row[pc]
-            pivots[pc] = {c: v * inv for c, v in row.items()}
+            pivots[min(row, key=lambda c: (support[c], c))] = row
     return len(pivots)

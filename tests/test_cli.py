@@ -271,6 +271,20 @@ def test_jets_preset_file(runner, tmp_path):
     assert "series: 1 + q + 2*q^2 + 2*q^3 + 3*q^4 + 4*q^5 + 6*q^6" in result.output
 
 
+@pytest.mark.parametrize("relation,message", [
+    ("a*c", "error: unknown generator 'c' (generators: a b)"),
+    ("a*b - a*b", "error: relation 'a*b - a*b' is zero"),
+])
+def test_jets_preset_file_bad_relation_is_exit_2(runner, tmp_path, relation,
+                                                 message):
+    path = tmp_path / "ring.txt"
+    path.write_text(f"generators: a b\n{relation}\n", encoding="utf-8")
+    result = run(runner, "jets", "hilbert", "--preset-file", str(path),
+                 "--weight", "3")
+    assert_usage_exit(result)
+    assert result.output.strip() == message
+
+
 def test_suite_runner(runner, tmp_path):
     cfg = tmp_path / "suite.txt"
     cfg.write_text(
