@@ -24,9 +24,7 @@ def rank_of_rows(rows):
     with those columns removed.  Removing columns can leave new single-term
     rows, so peeling repeats until none is left.  Zero-valued entries are not
     terms.  The rows left are scaled by nonzero rationals to primitive
-    integer rows whose lowest column is positive, which keeps the rank and
-    makes rows that are scalar multiples of each other equal, so each is
-    eliminated once.
+    integer rows, which keeps the rank.
     """
     work = [{c: v for c, v in row.items() if v} for row in rows]
     rank = 0
@@ -37,22 +35,14 @@ def rank_of_rows(rows):
         rank += len(peeled)
         work = [{c: v for c, v in row.items() if c not in peeled}
                 for row in work if len(row) > 1]
-    distinct = {}
-    for row in work:
-        if row:
-            row = _primitive(row)
-            distinct[tuple(sorted(row.items()))] = row
-    return rank + _eliminate(list(distinct.values()))
+    return rank + _eliminate([_primitive(row) for row in work if row])
 
 
 def _primitive(row):
-    """The integer multiple of a nonempty row with coprime entries and a
-    positive entry in its lowest column."""
+    """The integer multiple of a nonempty row with coprime entries."""
     den = lcm(*(v.denominator for v in row.values()))
     row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
     g = gcd(*row.values())
-    if row[min(row)] < 0:
-        g = -g
     return {c: v // g for c, v in row.items()}
 
 
