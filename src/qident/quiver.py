@@ -2,13 +2,16 @@
 
 A representation is exactly a multiplicity function on segments [a,b]
 (Gabriel), so enumeration is integer combinatorics; codimension is the
-strand-pair sum, sensitive to the arrow orientation.
+strand-pair sum, sensitive to the arrow orientation.  It is a quadratic form
+in the multiplicities, so the box walk carries it from a table of pair
+weights instead of rescanning the pairs of every representation.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add
 
 from . import kernels
 from .halfint import twice_of
@@ -100,7 +103,11 @@ def _still_coverable(segs, start, v):
 def codim(quiver: QuiverA, rep) -> int:
     """Orbit codimension: sum m_I*m_J over ordered strand pairs that touch
     end-to-start (1), overlap with equioriented break arrows (2), or nest with
-    opposed break arrows (3)."""
+    opposed break arrows (3).
+
+    This pair scan is the oracle: the per-k check calls it for every rep, and
+    the box walk reads it only to build its table of pair weights
+    (_pair_weights), from which it carries the codimension instead."""
     orient = quiver.orientation
     items = [(seg, m) for seg, m in rep.items() if m]
     total = 0
@@ -124,7 +131,7 @@ def _inv_denominator(mults, length, memo):
     """Dense 1/prod (q)_m over the multiplicities m, through exponent
     length-1 (shorter when every m is 0), memoized in memo by (sorted nonzero
     multiplicities, length)."""
-    mults = tuple(sorted(m for m in mults if m))
+    mults = tuple(sorted(filter(None, mults)))
     hit = memo.get((mults, length))
     if hit is None:
         hit = [1]
@@ -134,13 +141,25 @@ def _inv_denominator(mults, length, memo):
     return hit
 
 
-def _add_rep(row, quiver, rep, memo):
-    """row += q^codim(rep) / prod (q)_{m_seg}, truncated to len(row)."""
-    c = codim(quiver, rep)
+def _pair_weights(quiver: QuiverA, segs):
+    """W with codim(rep) = sum_s (W[s][s] m_s^2 + sum_{t<s} W[s][t] m_s m_t)
+    over the multiplicities m_s of segs[s]: codim is a quadratic form in the
+    multiplicities, so W is read off codim on one- and two-segment reps.
+    W[s][t] counts the rules that fire for segs[s] and segs[t], either way
+    round; row s holds t = 0..s."""
+    diag = [codim(quiver, {seg: 1}) for seg in segs]
+    return [[codim(quiver, {segs[s]: 1, segs[t]: 1}) - diag[s] - diag[t]
+             for t in range(s)] + [diag[s]]
+            for s in range(len(segs))]
+
+
+def _add_rep(row, c, mults, memo):
+    """row += q^c / prod (q)_m over the multiplicities m, truncated to
+    len(row)."""
     if c < len(row):
-        den = _inv_denominator(rep.values(), len(row), memo)
-        for e in range(min(len(den), len(row) - c)):
-            row[c + e] += den[e]
+        den = _inv_denominator(mults, len(row), memo)
+        end = c + len(den)
+        row[c:end] = map(add, row[c:end], den)
 
 
 def verify_theorem51(quiver: QuiverA, k, order) -> CompareResult:
@@ -149,74 +168,106 @@ def verify_theorem51(quiver: QuiverA, k, order) -> CompareResult:
     row = [0] * length
     memo = {}
     for rep in enumerate_reps(quiver, k):
-        _add_rep(row, quiver, rep, memo)
+        _add_rep(row, codim(quiver, rep), rep.values(), memo)
     return series_eq(QSeries.from_dense(_inv_denominator(k, length, memo), order),
                      QSeries.from_dense(row, order))
 
 
-def _reps_in_box(quiver: QuiverA, kmax, budget=None):
-    """Yield (dimension vector, rep) for every multiplicity function whose
-    dimension vector fits under kmax, in lexicographic segment order (so the
+def _reps_in_box(quiver: QuiverA, kmax, budget=None, total=None):
+    """Yield (dimension vector, rep, codim(quiver, rep)) for every
+    multiplicity function whose dimension vector fits under kmax, and sums to
+    at most total when total is given, in lexicographic segment order (so the
     reps of one dimension vector come in enumerate_reps order).  The rep dict
-    is reused between yields; copy it to keep it.  budget caps the reps."""
-    segs = segments(quiver.rank)
-    rep = {}
-    used = [0] * quiver.rank
-    count = 0
+    is reused between yields; copy it to keep it.  budget caps the reps.
 
-    def rec(idx):
-        nonlocal count
-        if idx == len(segs):
-            count += 1
-            if budget is not None and count > budget:
-                raise BudgetExceeded("quiver representations", budget)
-            yield tuple(used), rep
-            return
-        a, b = segs[idx]
-        cap = min(kmax[v - 1] - used[v - 1] for v in range(a, b + 1))
-        for m in range(cap + 1):
+    The walk is an odometer over the segment multiplicities, last segment
+    fastest, and carries the codimension from the _pair_weights table:
+    setting segment idx to multiplicity m adds
+    m * sum_{t<idx} W[idx][t] m_t + W[idx][idx] m^2 to that of the segments
+    before it."""
+    segs = segments(quiver.rank)
+    weights = _pair_weights(quiver, segs)
+    n = len(segs)
+    rep = {}
+    mults = [0] * n
+    caps = [0] * n
+    lins = [0] * n             # lins[i] = sum_{t<i} W[i][t] m_t
+    codims = [0] * (n + 1)     # codims[i]: codimension of the segments before i
+    used = [0] * quiver.rank
+    size = 0
+    count = 0
+    idx = 0
+    while True:
+        # open segments idx.. at multiplicity 0
+        for i in range(idx, n):
+            a, b = segs[i]
+            cap = min(kmax[v - 1] - used[v - 1] for v in range(a, b + 1))
+            if total is not None:
+                cap = min(cap, (total - size) // (b - a + 1))
+            caps[i] = cap
+            lins[i] = sum(w * m for w, m in zip(weights[i], mults[:i]))
+            codims[i + 1] = codims[i]
+        count += 1
+        if budget is not None and count > budget:
+            raise BudgetExceeded("quiver representations", budget)
+        yield tuple(used), rep, codims[n]
+        # close the segments already at their cap, then raise the last open one
+        idx = n - 1
+        while idx >= 0 and mults[idx] >= caps[idx]:
+            m = mults[idx]
             if m:
-                rep[(a, b)] = m
-                for v in range(a, b + 1):
-                    used[v - 1] += m
-            yield from rec(idx + 1)
-            if m:
+                a, b = segs[idx]
                 del rep[(a, b)]
+                mults[idx] = 0
                 for v in range(a, b + 1):
                     used[v - 1] -= m
+                size -= m * (b - a + 1)
+            idx -= 1
+        if idx < 0:
+            return
+        a, b = segs[idx]
+        m = mults[idx] = rep[(a, b)] = mults[idx] + 1
+        for v in range(a, b + 1):
+            used[v - 1] += 1
+        size += b - a + 1
+        codims[idx + 1] = codims[idx] + m * lins[idx] + weights[idx][idx] * m * m
+        idx += 1
 
-    return rec(0)
 
-
-def _box_rows(quiver, kmax, length, memo, budget=None, on_rep=None):
+def _box_rows(quiver, kmax, length, memo, budget=None, on_rep=None, total=None):
     """{k: dense sum of q^codim / prod (q)_{m_seg} over the reps of dimension
-    vector k} for every k <= kmax, from one walk over the box; on_rep(k, rep)
-    sees each rep as it is walked."""
+    vector k} for every k <= kmax (with sum(k) <= total when total is given),
+    from one walk over the box; on_rep(k, rep) sees each rep as it is walked.
+    The codimension is the one the walk carries; codim is not called per
+    rep."""
     rows = {}
-    for k, rep in _reps_in_box(quiver, kmax, budget):
+    for k, rep, c in _reps_in_box(quiver, kmax, budget, total):
         if on_rep is not None:
             on_rep(k, rep)
         row = rows.get(k)
         if row is None:
             row = rows[k] = [0] * length
-        _add_rep(row, quiver, rep, memo)
+        _add_rep(row, c, rep.values(), memo)
     return rows
 
 
-def verify_theorem51_box(quiver: QuiverA, kmax, order, budget=None, on_rep=None):
+def verify_theorem51_box(quiver: QuiverA, kmax, order, budget=None, on_rep=None,
+                         total=None):
     """verify_theorem51 for every k <= kmax, from one walk over the box.
 
     Yields (k, CompareResult) for each k in itertools.product order, from the
-    same two series verify_theorem51(quiver, k, order) compares.  The walk
-    runs before the first result; on_rep(k, rep) sees each rep during it and
-    budget caps the reps walked (BudgetExceeded).
+    same two series verify_theorem51(quiver, k, order) compares.  When total
+    is given, only the k with sum(k) <= total are walked and compared.  The
+    walk runs before the first result; on_rep(k, rep) sees each rep during it
+    and budget caps the reps walked (BudgetExceeded).
     """
     length = (twice_of(order) + 1) // 2
     memo = {}
-    rows = _box_rows(quiver, kmax, length, memo, budget, on_rep)
+    rows = _box_rows(quiver, kmax, length, memo, budget, on_rep, total)
     for k in itertools.product(*(range(b + 1) for b in kmax)):
-        yield k, series_eq(QSeries.from_dense(_inv_denominator(k, length, memo), order),
-                           QSeries.from_dense(rows[k], order))
+        if total is None or sum(k) <= total:
+            yield k, series_eq(QSeries.from_dense(_inv_denominator(k, length, memo), order),
+                               QSeries.from_dense(rows[k], order))
 
 
 def quiver_generating_series(quiver: QuiverA, kmax, order):

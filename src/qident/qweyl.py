@@ -4,7 +4,12 @@ Generators obey x_i x_j = q^(eps_ij) x_j x_i with an antisymmetric integer
 matrix eps.  Elements are truncated in two directions at once: total x-degree
 (exclusive bound xdeg) and q-order; coefficients are Laurent polynomials in
 q^(1/2) whose validity order is tracked through every multiplication, so a
-comparison can certify exactly how far it is meaningful.
+comparison can certify exactly how far it is meaningful.  A product of
+elements fixes each output coefficient's validity order first, as the least
+that any monomial pair merging into it gets under the LaurentQ rules
+(_product_order2), and then multiplies only the terms below that order; the
+result is the one summing the shifted pairwise LaurentQ products would give,
+term for term and in validity order.
 
 Dilogarithm products are expanded to the q-order their comparison reads and
 no further.  Normal ordering and negative exponents cost validity, so the
@@ -22,6 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Optional
 
 from .halfint import HalfInt, twice_of
@@ -74,14 +80,15 @@ class LaurentQ:
     Exponents are doubled ints of either sign; order2 is the exclusive bound
     below which the coefficients are exact.  Multiplication shrinks the
     validity order when negative exponents are present, which is what keeps
-    truncated normal-ordering computations honest.
+    truncated normal-ordering computations honest.  terms holds the nonzero
+    coefficients in ascending exponent order.
     """
 
     __slots__ = ("terms", "order2")
 
     def __init__(self, terms, order2):
         self.order2 = order2
-        self.terms = {e: c for e, c in terms.items() if c and e < order2}
+        self.terms = {e: c for e, c in sorted(terms.items()) if c and e < order2}
 
     @classmethod
     def zero(cls, order2):
@@ -91,8 +98,10 @@ class LaurentQ:
     def one(cls, order2):
         return cls({0: 1}, order2)
 
-    def min_exp2(self) -> Optional[int]:
-        return min(self.terms) if self.terms else None
+    @property
+    def low2(self) -> Optional[int]:
+        """The lowest exponent, None for zero."""
+        return next(iter(self.terms), None)
 
     def is_zero(self):
         return not self.terms
@@ -115,7 +124,7 @@ class LaurentQ:
     def __mul__(self, other):
         if isinstance(other, int):
             return LaurentQ({e: other * c for e, c in self.terms.items()}, self.order2)
-        a_min, b_min = self.min_exp2(), other.min_exp2()
+        a_min, b_min = self.low2, other.low2
         bounds = []
         if b_min is not None:
             bounds.append(self.order2 + min(b_min, 0))
@@ -137,6 +146,27 @@ class LaurentQ:
         return LaurentQ(out, order2)
 
     __rmul__ = __mul__
+
+    @classmethod
+    def sum_of_products(cls, pairs):
+        """Sum of q^(p2/2) * a * b over the (a, b, p2) in pairs, every a and b
+        nonzero: term for term and in order2 the sum of the
+        (a * b).shifted(p2), built without them.  order2 comes first, from
+        _product_order2, and each product stops below it."""
+        order2 = _product_order2(pairs)
+        acc = {}
+        for a, b, p2 in pairs:
+            b_low, b_items = b.low2, b.terms.items()
+            for e1, c1 in a.terms.items():
+                s = e1 + p2
+                if s + b_low >= order2:
+                    break
+                for e2, c2 in b_items:
+                    e = s + e2
+                    if e >= order2:
+                        break
+                    acc[e] = acc.get(e, 0) + c1 * c2
+        return cls(acc, order2)
 
     def shifted(self, d2):
         """Multiply by q^(d2/2)."""
@@ -238,6 +268,16 @@ def monomial_merge_power2(algebra, a_exps, b_exps):
 # elements
 # ---------------------------------------------------------------------------
 
+def _product_order2(pairs):
+    """order2 of the sum of q^(p2/2) * a * b over the (a, b, p2) in pairs, by
+    the rule LaurentQ.__mul__ and shifted apply to nonzero a and b: the
+    unknown tail of each factor, from its order2 on, meets the other's lowest
+    exponent; a sum is valid as far as its least valid piece.  a and b are
+    LaurentQ or _Bound coefficients."""
+    return min(min(a.order2 + min(b.low2, 0), b.order2 + min(a.low2, 0)) + p2
+               for a, b, p2 in pairs)
+
+
 class NCElement:
     """Map from normal-ordered exponent vectors to LaurentQ coefficients."""
 
@@ -279,23 +319,29 @@ class NCElement:
         return self + (-other)
 
     def __mul__(self, other):
+        """Product below the smaller x-degree bound.  Each output monomial's
+        coefficient is the sum, over the monomial pairs that merge into it,
+        of the pair's coefficient product shifted by its merge power; the
+        pairs are grouped by monomial first, so that the coefficient class
+        builds each sum in one step (LaurentQ.sum_of_products: order2 first,
+        then only the terms below it)."""
         if not isinstance(other, NCElement):
             return NotImplemented
         if self.algebra is not other.algebra:
             raise ValueError("algebra mismatch")
         alg = self.algebra
         xdeg = min(self.xdeg, other.xdeg)
-        out = {}
+        right = [(eb, sum(eb), cb) for eb, cb in other.terms.items()]
+        groups = {}
         for ea, ca in self.terms.items():
-            da = sum(ea)
-            for eb, cb in other.terms.items():
-                if da + sum(eb) >= xdeg:
-                    continue
-                key = tuple(x + y for x, y in zip(ea, eb))
-                p2 = monomial_merge_power2(alg, ea, eb)
-                piece = (ca * cb).shifted(p2)
-                out[key] = out[key] + piece if key in out else piece
-        return NCElement(alg, xdeg, out)
+            room = xdeg - sum(ea)
+            for eb, db, cb in right:
+                if db < room:
+                    key = tuple(map(add, ea, eb))
+                    p2 = monomial_merge_power2(alg, ea, eb)
+                    groups.setdefault(key, []).append((ca, cb, p2))
+        return NCElement(alg, xdeg, {key: type(pairs[0][0]).sum_of_products(pairs)
+                                     for key, pairs in groups.items()})
 
     def coefficient(self, exps) -> LaurentQ:
         exps = tuple(exps)
@@ -443,9 +489,9 @@ class _Bound:
 
     low2 is a lower bound on the lowest exponent and order2 the validity
     order that LaurentQ's rules give, counted from the order the factors
-    start at.  The operations are the ones NCElement.__mul__ applies, with
-    LaurentQ's order2 rules; a zero coefficient would only raise the real
-    order, so every bound is treated as nonzero.
+    start at.  NCElement.__mul__ sums products of them with the order rule of
+    LaurentQ.sum_of_products (_product_order2); a zero coefficient would only
+    raise the real order, so every bound is treated as nonzero.
     """
 
     __slots__ = ("low2", "order2")
@@ -457,16 +503,11 @@ class _Bound:
     def is_zero(self):
         return False
 
-    def __add__(self, other):
-        return _Bound(min(self.low2, other.low2), min(self.order2, other.order2))
-
-    def __mul__(self, other):
-        return _Bound(self.low2 + other.low2,
-                      min(self.order2 + min(other.low2, 0),
-                          other.order2 + min(self.low2, 0)))
-
-    def shifted(self, d2):
-        return _Bound(self.low2 + d2, self.order2 + d2)
+    @classmethod
+    def sum_of_products(cls, pairs):
+        """The bound on the sum of q^(p2/2) * a * b over the (a, b, p2)."""
+        return cls(min(a.low2 + b.low2 + p2 for a, b, p2 in pairs),
+                   _product_order2(pairs))
 
 
 def _pair_count(a, b):

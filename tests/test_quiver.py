@@ -202,26 +202,54 @@ class TestBoxWalk:
     def test_walk_order_matches_enumerate_reps(self, rank, kmax):
         qv = QuiverA(rank, ("R",) * (rank - 1))
         walked = {}
-        for k, rep in quiver._reps_in_box(qv, kmax):
+        for k, rep, _c in quiver._reps_in_box(qv, kmax):
             assert quiver.dimension_vector(rank, rep) == k
             walked.setdefault(k, []).append(dict(rep))
         for k in itertools.product(*(range(b + 1) for b in kmax)):
             assert walked[k] == quiver.enumerate_reps(qv, k)
 
+    @pytest.mark.parametrize("rank,kmax", BOXES + [(5, (2,) * 5)])
+    def test_carried_codim_matches_codim(self, rank, kmax):
+        for bits in itertools.product("RL", repeat=rank - 1):
+            qv = QuiverA(rank, bits)
+            for _k, rep, c in quiver._reps_in_box(qv, kmax):
+                assert c == quiver.codim(qv, rep), (bits, dict(rep))
+
     @pytest.mark.parametrize("planted", [{(1, 1): 1, (2, 2): 1},
                                          {(1, 2): 1, (3, 3): 2},
                                          {(2, 3): 1}])
     def test_planted_codim_error_first_mismatch(self, monkeypatch, planted):
-        original = quiver.codim
+        # the per-k path reads codim for each rep, the walk carries its own
+        # codimension: plant the same error in each
+        original_codim, original_walk = quiver.codim, quiver._reps_in_box
 
         def bad_codim(qv, rep):
-            return original(qv, rep) + (dict(rep) == planted)
+            return original_codim(qv, rep) + (dict(rep) == planted)
 
-        monkeypatch.setattr(quiver, "codim", bad_codim)
+        def bad_walk(*args, **kwargs):
+            for k, rep, c in original_walk(*args, **kwargs):
+                yield k, rep, c + (dict(rep) == planted)
+
         qv = QuiverA(3, ("R", "L"))
-        want = _per_k(qv, (2, 2, 2), 10)
+        with monkeypatch.context() as patched:
+            patched.setattr(quiver, "codim", bad_codim)
+            want = _per_k(qv, (2, 2, 2), 10)
+        monkeypatch.setattr(quiver, "_reps_in_box", bad_walk)
         got = _box(qv, (2, 2, 2), 10)
         assert not want[-1][1].equal
+        assert got == want
+
+    @pytest.mark.parametrize("rank,kmax,total", [(3, (3, 2, 3), 4), (4, (2, 2, 2, 2), 3),
+                                                 (2, (4, 4), 0)])
+    def test_total_cap_walks_the_capped_box(self, rank, kmax, total):
+        qv = QuiverA(rank, ("L",) * (rank - 1))
+        capped = [(k, dict(rep), c) for k, rep, c in quiver._reps_in_box(qv, kmax, total=total)]
+        full = [(k, dict(rep), c) for k, rep, c in quiver._reps_in_box(qv, kmax)]
+        assert capped == [x for x in full if sum(x[0]) <= total]
+        got = list(quiver.verify_theorem51_box(qv, kmax, 9, total=total))
+        want = [(k, quiver.verify_theorem51(qv, k, 9))
+                for k in itertools.product(*(range(b + 1) for b in kmax))
+                if sum(k) <= total]
         assert got == want
 
     def test_budget_caps_reps_walked(self):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import example, given, settings, strategies as st
 
 from qident import nahm, qweyl
 from qident.halfint import HalfInt, twice_of
@@ -10,7 +11,7 @@ from qident.nahm import BudgetExceeded
 from qident.poly import SparsePoly
 from qident.qweyl import LaurentQ, NCAlgebra, NCElement
 
-from dilog_reference import generous_expansion
+from dilog_reference import generous_expansion, reference_product
 
 
 def a_type(nvars):
@@ -207,19 +208,19 @@ class TestOrderedProduct:
         assert (4, 3, 2, 1, 2) in [w for (_s, _h, w) in factors]
 
 
-def _padding_cases():
+def _factor_cases(type_a_ranks):
     plane = NCAlgebra([[0, 1], [-1, 0]])
     for variant, drop in (("plain", False), ("shifted", False), ("plain", True)):
         lhs, rhs = qweyl.pentagon_factors(variant, drop)
         yield f"pentagon-{variant}{'-control' if drop else ''}", plane, lhs, rhs
-    for n in (3, 4, 5):
+    for n in type_a_ranks:
         lhs, rhs = qweyl.ordered_product_factors("a", n)
         yield f"a{n}", NCAlgebra.type_a(n - 1), lhs, rhs
     lhs, rhs = qweyl.ordered_product_factors("d4")
     yield "d4", NCAlgebra.d4(), lhs, rhs
 
 
-PADDING_CASES = list(_padding_cases())
+PADDING_CASES = list(_factor_cases((3, 4, 5)))
 
 
 class TestPadding:
@@ -249,6 +250,76 @@ class TestPadding:
                 with pytest.raises(BudgetExceeded):
                     qweyl.expand_dilog_product(alg, factors, xdeg, qorder,
                                                budget=pairs - 1)
+
+
+PRODUCT_CASES = list(_factor_cases((2, 3, 4, 5, 6)))
+
+
+def _coefficients(elem):
+    return {exps: (c.terms, c.order2) for exps, c in elem.terms.items()}
+
+
+def _assert_matches_reference(a, b):
+    """a * b has the reference's monomials, terms and order2; returns it."""
+    got, want = a * b, reference_product(a, b)
+    assert got.xdeg == want.xdeg
+    assert _coefficients(got) == _coefficients(want)
+    return got
+
+
+_PLANE = NCAlgebra([[0, 1], [-1, 0]])
+_COMMUTING = NCAlgebra([[0, 0], [0, 0]])
+_ALGEBRAS = (_PLANE, _COMMUTING, NCAlgebra([[0, -2], [2, 0]]))
+_COEFFS = st.builds(LaurentQ,
+                    st.dictionaries(st.integers(-6, 9), st.integers(-2, 2), max_size=4),
+                    st.integers(-4, 12))
+_ELEMS = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), _COEFFS,
+                         max_size=5)
+
+
+class TestProductAgainstReference:
+    """NCElement.__mul__ against the pairwise reference product, coefficient by
+    coefficient, in terms and in order2."""
+
+    @pytest.mark.parametrize("name,alg,lhs,rhs", PRODUCT_CASES,
+                             ids=[c[0] for c in PRODUCT_CASES])
+    def test_factor_lists(self, name, alg, lhs, rhs):
+        factors = lhs + rhs
+        for xdeg, qorder in ((2, 5), (4, 9), (5, 6)):
+            padded = qweyl._padded_order2(alg, factors, xdeg, qorder)
+            for order2 in (padded, twice_of(qorder) + 2 * xdeg * xdeg + 8):
+                elems = [qweyl.dilog(alg, s, sh, w, xdeg, order2) for (s, sh, w) in factors]
+                acc = elems[0]
+                for elem in elems[1:]:
+                    acc = _assert_matches_reference(acc, elem)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(_ALGEBRAS), _ELEMS, _ELEMS, st.integers(1, 5))
+    # (1,1) cancels to zero: x1*x2 - x2*x1 in commuting variables
+    @example(_COMMUTING, {(1, 0): LaurentQ({0: 1}, 10), (0, 1): LaurentQ({0: 1}, 10)},
+             {(0, 1): LaurentQ({0: 1}, 10), (1, 0): LaurentQ({0: -1}, 10)}, 3)
+    # at (1,0) the piece q^3 * q^3 lies past the order q^4 that q^-1 * 1 sets
+    @example(_COMMUTING, {(0, 0): LaurentQ({-2: 1}, 8), (1, 0): LaurentQ({6: 1}, 10)},
+             {(1, 0): LaurentQ({0: 1}, 10), (0, 0): LaurentQ({6: 1}, 10)}, 3)
+    # x1*x2 has one piece, q^(1/2) * q, and it is not below its order q^(3/2)
+    @example(_PLANE, {(1, 0): LaurentQ({1: 1}, 3)}, {(0, 1): LaurentQ({2: 1}, 10)}, 3)
+    def test_random_elements(self, alg, a_terms, b_terms, xdeg):
+        a = NCElement(alg, xdeg, a_terms)
+        b = NCElement(alg, xdeg, b_terms)
+        _assert_matches_reference(a, b)
+
+    def test_cancelling_and_past_order_pieces(self):
+        a = NCElement(_COMMUTING, 3, {(1, 0): LaurentQ({0: 1}, 10), (0, 1): LaurentQ({0: 1}, 10)})
+        b = NCElement(_COMMUTING, 3, {(0, 1): LaurentQ({0: 1}, 10), (1, 0): LaurentQ({0: -1}, 10)})
+        got = _assert_matches_reference(a, b)
+        assert (1, 1) not in got.terms and got.terms[(2, 0)].terms == {0: -1}
+        a = NCElement(_COMMUTING, 3, {(0, 0): LaurentQ({-2: 1}, 8), (1, 0): LaurentQ({6: 1}, 10)})
+        b = NCElement(_COMMUTING, 3, {(1, 0): LaurentQ({0: 1}, 10), (0, 0): LaurentQ({6: 1}, 10)})
+        got = _assert_matches_reference(a, b)
+        assert _coefficients(got)[(1, 0)] == ({-2: 1}, 8)
+        a = NCElement(_PLANE, 3, {(1, 0): LaurentQ({1: 1}, 3)})
+        b = NCElement(_PLANE, 3, {(0, 1): LaurentQ({2: 1}, 10)})
+        assert _assert_matches_reference(a, b).terms == {}
 
 
 class TestLhsClosedForm:
