@@ -115,9 +115,6 @@ class NahmSumSpec:
         charges = tuple(tuple(row[p] for p in perm) for row in self.charges)
         return NahmSumSpec(labels, quad, linear, charges, self.name, self.notes)
 
-    def dropped_charges(self):
-        return NahmSumSpec(self.labels, self.quad, self.linear, (), self.name, self.notes)
-
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self):
@@ -153,11 +150,21 @@ class NahmSumSpec:
                 shape = "a list of lists" if matrix else "a list"
                 raise ValueError(f"form spec {key!r} must be {shape} of valid entries") from None
 
+        def number(x):
+            if isinstance(x, bool):
+                raise TypeError(x)
+            return Fraction(x)
+
+        def integer(x):
+            if type(x) is not int:          # not a bool, float or string
+                raise TypeError(x)
+            return x
+
         return cls(
             labels=field("labels", lambda x: x),
-            quad=field("quadratic", Fraction, matrix=True),
-            linear=field("linear", Fraction),
-            charges=field("charges", int, matrix=True),
+            quad=field("quadratic", number, matrix=True),
+            linear=field("linear", number),
+            charges=field("charges", integer, matrix=True),
             name=data.get("name", ""),
             notes=field("notes", lambda x: x),
         )
@@ -402,44 +409,6 @@ def build_d4_form(primed=False) -> NahmSumSpec:
 class EnumerationBound:
     per_variable_max: tuple
     strategy: str                        # "all_nonneg" | "positive_definite"
-
-
-def principal_minors(quad):
-    """Leading principal minors, exact (fraction-free would also do; sizes are tiny)."""
-    n = len(quad)
-    minors = []
-    for k in range(1, n + 1):
-        minors.append(_det([row[:k] for row in quad[:k]]))
-    return minors
-
-
-def _det(mat):
-    n = len(mat)
-    m = [list(map(Fraction, row)) for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
-
-
-def is_positive_definite(quad) -> bool:
-    return all(d > 0 for d in principal_minors(quad))
 
 
 def _reverse_ldl(quad):

@@ -14,13 +14,16 @@ ENGINE_VERSION = "qident 0.1.0"
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+EXIT_ERROR = 3
 
 
 @dataclass
 class VerificationReport:
     command: str
     parameters: dict
-    verdict: str = "equal"          # equal | mismatch | holds | violation | info
+    # equal | holds | info pass (exit 0); mismatch | violation fail (exit 1);
+    # error: the program itself failed, detail names the exception (exit 3)
+    verdict: str = "equal"
     detail: dict = field(default_factory=dict)
     lines: list = field(default_factory=list)   # extra report body lines
     notes: list = field(default_factory=list)
@@ -32,6 +35,8 @@ class VerificationReport:
 
     @property
     def exit_code(self):
+        if self.verdict == "error":
+            return EXIT_ERROR
         return EXIT_OK if self.passed else EXIT_MISMATCH
 
     def add_mismatch(self, mism, kind="mismatch"):

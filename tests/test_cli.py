@@ -2,6 +2,8 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qident import nahm, quiver, qweyl
 from qident.cli import main
@@ -362,3 +364,197 @@ def test_budget_caps_quiver_representations(runner):
                for a in range(3) for b in range(3) for c in range(3))
     _budget_exit_codes(runner, reps, "quiver", "--rank", "3", "--orientation", "RL",
                        "--kmax", "2", "--order", "8")
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "custom", "--lhs", "DIR", "--rhs", "DIR", "--order", "3"),
+    ("jets", "hilbert", "--preset-file", "DIR", "--weight", "3"),
+    ("forms", "eval", "--spec-file", "DIR", "--order", "3"),
+    ("suite", "DIR"),
+])
+def test_directory_as_input_file_is_exit_2(runner, tmp_path, args):
+    result = run(runner, *(str(tmp_path) if a == "DIR" else a for a in args))
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "is a directory" in result.output
+
+
+@pytest.mark.parametrize("key,value", [
+    ("charges", [[1.7, 0], [0, 1]]),
+    ("quadratic", [[True, "-1/2"], ["-1/2", 1]]),
+])
+def test_form_spec_values_are_not_coerced(runner, tmp_path, key, value):
+    data = json.loads(nahm.build_cartan_side("A", 3).to_json())
+    data[key] = value
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(data), encoding="utf-8")
+    result = run(runner, "forms", "eval", "--spec-file", str(spec), "--order", "4")
+    assert_usage_exit(result)
+    assert repr(key) in result.output
+
+
+@pytest.mark.parametrize("bad_line,message", [
+    (b'verify thm1 --variant "a', "error: No closing quotation"),
+    (b"verify \xff", "No such command"),
+], ids=["unclosed-quote", "not-utf8"])
+def test_suite_bad_line_is_exit_2(runner, tmp_path, bad_line, message):
+    cfg = tmp_path / "suite.txt"
+    cfg.write_bytes(bad_line + b"\nverify pentagon --xdeg 3 --qorder 8\n")
+    result = run(runner, "suite", str(cfg))
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert message in result.output
+    assert "verdict: equal" in result.output     # the next line still ran
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("boom"), KeyError("boom")],
+                         ids=["RuntimeError", "KeyError"])
+def test_internal_error_is_a_report_with_exit_3(runner, tmp_path, monkeypatch, exc):
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(nahm, "verify_identity", broken)
+    args = ("verify", "thm1", "--variant", "a", "--n", "2", "--order", "5")
+    result = run(runner, *args)
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert "command: verify thm1\n" in result.output
+    assert "verdict: error\n" in result.output
+    assert f"exception={type(exc).__name__}: {exc}" in result.output
+    payload = json.loads(run(runner, "--json", *args).output)
+    assert payload["verdict"] == "error" and payload["exit_code"] == 3
+    assert payload["detail"] == {"exception": f"{type(exc).__name__}: {exc}"}
+
+    cfg = tmp_path / "suite.txt"
+    cfg.write_text(" ".join(args) + "\nverify pentagon --xdeg 3 --qorder 8\n",
+                   encoding="utf-8")
+    result = run(runner, "suite", str(cfg))
+    assert result.exit_code == 3
+    assert "command: verify pentagon" in result.output
+    assert result.output.endswith("suite done; worst exit code 3\n")
+
+
+# -- the exit-code contract under random input --------------------------------
+
+_ENTRY = st.one_of(st.integers(-2, 3), st.sampled_from(
+    ["1/2", "-1/4", "1/0", "x", True, 1.7, float("nan"), None]))
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.text("ab1/", max_size=3),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text("ab", max_size=2),
+                                                               inner, max_size=2),
+    max_leaves=4)
+
+
+@st.composite
+def _spec_text(draw):
+    """Form-spec JSON: valid, wrong shapes, non-numbers, booleans, truncated."""
+    l = draw(st.integers(0, 3))
+    valid = draw(st.booleans())
+    entry = st.integers(0, 2) if valid else _ENTRY
+    charge = st.integers(-1, 2) if valid else st.integers(-1, 2) | _ENTRY
+
+    def field(good):
+        return draw(_JUNK) if draw(st.integers(0, 3)) == 3 else draw(good)
+
+    def vec(n, elem):
+        return st.lists(elem, min_size=n, max_size=n)
+
+    quad = draw(vec(l, vec(l, entry)))
+    if draw(st.booleans()):
+        for i in range(l):
+            for j in range(i):
+                quad[i][j] = quad[j][i]
+    data = {
+        "labels": field(vec(l, st.text("ab", min_size=1, max_size=2))),
+        "quadratic": field(st.just(quad)),
+        "linear": field(vec(l, entry)),
+        "charges": field(st.lists(vec(l, charge), max_size=2)),
+        "name": field(st.text("ab", max_size=2)),
+        "notes": field(st.lists(st.text("ab", max_size=2), max_size=1)),
+    }
+    if draw(st.integers(0, 3)) == 3:
+        del data[draw(st.sampled_from(sorted(data)))]
+    text = json.dumps(draw(_JUNK) if draw(st.integers(0, 7)) == 7 else data)
+    return text[:draw(st.integers(0, len(text)))] if draw(st.integers(0, 3)) == 3 else text
+
+
+@st.composite
+def _relation_text(draw):
+    header = draw(st.sampled_from([
+        "", "generators: a b\n", "generators: a\n", "generators:\n",
+        "generators: a b\ncharges: (1,0) (0,1)\n", "charges: (1)\n",
+        "generators: a b\ncharges: (1,0)\n"]))
+    token = st.sampled_from(["a", "b", "c", "*", " + ", " - ", " = ", "2", "0", "x1",
+                             "(", "#", "a*b", "a*a", "b*b*b"])
+    lines = draw(st.lists(st.lists(token, max_size=5).map("".join), max_size=3))
+    return header + "".join(line + "\n" for line in lines)
+
+
+_SMALL = st.integers(-1, 6).map(str)
+_FLAG = st.sampled_from([(), ("--charges",)])
+
+
+def _fuzz_args():
+    thm1 = st.tuples(st.just(("verify", "thm1", "--variant")), st.sampled_from(["a", "b"]),
+                     st.just("--n"), st.integers(-1, 5).map(str), st.just("--order"),
+                     _SMALL, _FLAG)
+    quiver_ = st.tuples(st.just(("verify", "quiver", "--rank")), st.integers(-1, 4).map(str),
+                        st.just("--orientation"), st.text("RLX", max_size=4),
+                        st.just("--kmax"), st.integers(-1, 3).map(str),
+                        st.just("--order"), _SMALL)
+    ordered = st.tuples(st.just(("verify", "ordered-product", "--type")),
+                        st.sampled_from(["a0", "a1", "a2", "a3", "a4", "d4", "a", "b3",
+                                         "a-1", ""]),
+                        st.just("--xdeg"), _SMALL, st.just("--qorder"), _SMALL)
+    form_preset = st.tuples(st.just("--preset"), st.sampled_from(
+        ["cartan-a2", "cartan-a1", "B-a1", "B-a3", "Bprime-a2", "b2-char", "d4", "nope"]))
+    spec_file = st.tuples(st.just("--spec-file"), _spec_text().map(lambda t: ("FILE", t)))
+    jet_preset = st.tuples(st.just("--preset"), st.sampled_from(
+        ["power-0", "power-2", "sln-a1", "sln-a2", "sln-b2", "sln-h2", "b2-a", "nope"]))
+    relation_file = st.tuples(st.just("--preset-file"),
+                              _relation_text().map(lambda t: ("FILE", t)))
+
+    def forms_eval(source):
+        return st.tuples(st.just(("forms", "eval")), source, st.just("--order"), _SMALL,
+                         _FLAG)
+
+    def jets_hilbert(source):
+        return st.tuples(st.just(("jets", "hilbert")), source, st.just("--weight"), _SMALL,
+                         st.sampled_from([(), ("--multigraded",)]))
+
+    return st.one_of(thm1, quiver_, ordered,
+                     forms_eval(form_preset | st.just(())), forms_eval(spec_file),
+                     jets_hilbert(jet_preset | st.just(())), jets_hilbert(relation_file))
+
+
+def _flatten(parts):
+    for part in parts:
+        if isinstance(part, tuple) and part[:1] != ("FILE",):
+            yield from _flatten(part)
+        else:
+            yield part
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts=_fuzz_args())
+def test_exit_code_contract_holds_under_random_input(tmp_path_factory, parts):
+    """0 passed, 1 mismatch, 2 refused: never a traceback, never an internal error."""
+    path = tmp_path_factory.getbasetemp() / "fuzz-input"
+    args = []
+    for part in _flatten(parts):
+        if isinstance(part, tuple):
+            path.write_text(part[1], encoding="utf-8")
+            part = str(path)
+        args.append(part)
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 1, 2), (args, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), args
+    assert "verdict: error" not in result.output, args
+
+
+@pytest.mark.parametrize("name", ["B-a1", "cartan-a0"])
+def test_forms_show_refused_preset_is_exit_2(runner, name):
+    result = run(runner, "forms", "show", "--preset", name)
+    assert_usage_exit(result)
+    assert "n >= 2" in result.output

@@ -9,6 +9,8 @@ from qident import nahm, presets
 from qident.poly import SparsePoly
 from qident.series import series_eq
 
+from sylvester import is_positive_definite
+
 
 def F(*args):
     return Fraction(*args)
@@ -68,7 +70,6 @@ class TestBuilders:
         spec = nahm.build_b2_char_form()
         assert spec.exponent((1, 0, 0)) == 1
         assert spec.charge_of((1, 0, 0)) == (1, 0)
-        assert nahm.principal_minors(spec.quad) == [F(1), F(3, 4), F(1, 2)]
 
     def test_b2_quintuple_form(self):
         spec = nahm.build_b2_quintuple_form()
@@ -313,7 +314,7 @@ class TestEvaluate:
                 quad[i][i] = F(rng.randint(1, 4), 2)
                 for j in range(i + 1, l):
                     quad[i][j] = quad[j][i] = F(rng.randint(-3, 2), 4)
-            if not nahm.is_positive_definite(quad):
+            if not is_positive_definite(quad):
                 continue
             rank = rng.randint(0, 2)
             spec = nahm.NahmSumSpec(
@@ -410,6 +411,13 @@ class TestSerialization:
         ("linear", ["x"]),
         ("charges", [1]),
         ("notes", 3),
+        ("quadratic", [["1/0"]]),
+        ("quadratic", [[True]]),
+        ("linear", [False]),
+        ("charges", [[True]]),
+        ("charges", [[1.0]]),
+        ("charges", [[1.7]]),
+        ("charges", [["1"]]),
     ])
     def test_malformed_shape_names_key(self, key, value):
         data = {"labels": ["a"], "quadratic": [[1]], "linear": [0]}
