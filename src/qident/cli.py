@@ -11,6 +11,7 @@ returns its report; `reporting` alone maps errors to these exit codes.
 from __future__ import annotations
 
 import functools
+import re
 import shlex
 import sys
 import time
@@ -197,10 +198,11 @@ def verify_pentagon(settings, xdeg, qorder, variant, negative_control):
 @reporting
 def verify_ordered_product(settings, kind, xdeg, qorder):
     """Left-to-right dilogarithm factorization in the displayed order."""
+    chain = re.fullmatch(r"a([0-9]+)", kind)
     if kind == "d4":
         args = ("d4",)
-    elif kind.startswith("a") and kind[1:].isdigit():
-        args = ("a", int(kind[1:]))
+    elif chain:
+        args = ("a", int(chain.group(1)))
     else:
         raise ValueError(f"bad --type {kind!r}")
     result, factors = qweyl.ordered_product_check(*args, xdeg=xdeg, qorder=qorder,

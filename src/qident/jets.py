@@ -418,6 +418,8 @@ def _e_name(i, j):
 
 
 def _sln_ring(n):
+    if n < 2:
+        raise ValueError("sl_n jet presets need n >= 2")
     gens = []
     charges = []
     for i in range(1, n + 1):

@@ -9,8 +9,10 @@ form is certifiably coercive (all-nonnegative with positive diagonal, or
 positive definite), so truncated output can never silently lose terms.
 Every sum, charged or not, runs as one dynamic program over the distinct
 running sums and charges, one variable level at a time (see _sum_levels),
-pruned by an exact integer bound on the completion of each prefix (see
-_level_table).
+pruned by an exact integer bound on the completion of each prefix; one
+certification of the form (see compute_bound) gives that bound's table.
+The symbolic side reads the same spec: form_poly and charge_polys give Q(m)
+and the charge rows as polynomials.
 """
 
 from __future__ import annotations
@@ -155,18 +157,23 @@ class NahmSumSpec:
                 raise TypeError(x)
             return Fraction(x)
 
-        def integer(x):
-            if type(x) is not int:          # not a bool, float or string
-                raise TypeError(x)
-            return x
+        def exact(kind):                    # an int is not a bool, float or string
+            def check(x):
+                if type(x) is not kind:
+                    raise TypeError(x)
+                return x
+            return check
 
+        name = data.get("name", "")
+        if type(name) is not str:
+            raise ValueError("form spec 'name' must be a string")
         return cls(
-            labels=field("labels", lambda x: x),
+            labels=field("labels", exact(str)),
             quad=field("quadratic", number, matrix=True),
             linear=field("linear", number),
-            charges=field("charges", integer, matrix=True),
-            name=data.get("name", ""),
-            notes=field("notes", lambda x: x),
+            charges=field("charges", exact(int), matrix=True),
+            name=name,
+            notes=field("notes", exact(str)),
         )
 
     @classmethod
@@ -196,75 +203,48 @@ TYPO_NOTE_THM1 = ("source display writes denominators (q)_{n_ij} while summing "
                   "over m; read as (q)_{m_ij}")
 
 
-def _pair_index(n):
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    return pairs, {p: k for k, p in enumerate(pairs)}
+def _pairs(n):
+    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
-def b_form_products(n):
-    """The four coefficient families of the rank-n lattice form B, additively."""
-    pairs, idx = _pair_index(n)
-    out = []
-    for (i1, j1) in pairs:
-        for (i2, j2) in pairs:
-            # strictly crossing with a gap: i1 < i2, j1 < j2, j1 > i2 + 1
-            if i1 < i2 and j1 < j2 and j1 > i2 + 1:
-                out.append((idx[(i1, j1)], idx[(i2, j2)], 1))
-    for (i1, j1) in pairs:
-        for (i2, j2) in pairs:
-            if i1 == i2 and j1 <= j2:        # same left endpoint, squares included
-                out.append((idx[(i1, j1)], idx[(i2, j2)], 1))
-    for (i1, j1) in pairs:
-        for (i2, j2) in pairs:
-            if j1 == j2 and i1 < i2:         # same right endpoint
-                out.append((idx[(i1, j1)], idx[(i2, j2)], 1))
-    for (i, ip1) in pairs:
-        if ip1 != i + 1:
-            continue
-        for (j, jp) in pairs:                # nearest pair nested in a longer one
-            if j < i and i + 1 < jp:
-                out.append((idx[(i, ip1)], idx[(j, jp)], 1))
-    return out
+def _b_coeff(i1, j1, i2, j2):
+    """Coefficient on m[i1,j1]*m[i2,j2] of the lattice form B: the number of
+    its four families that hold."""
+    return ((i1 < i2 and j1 < j2 and j1 > i2 + 1)       # strictly crossing with a gap
+            + (i1 == i2 and j1 <= j2)                   # same left endpoint, squares included
+            + (j1 == j2 and i1 < i2)                    # same right endpoint
+            + (j1 == i1 + 1 and i2 < i1 < j2 - 1))      # nearest pair nested in a longer one
 
 
-def bprime_form_products(n):
+def _bprime_coeff(i1, j1, i2, j2):
     """Single family of the primed form: i1 <= i2, j1 <= j2, j1 > i2."""
-    pairs, idx = _pair_index(n)
-    out = []
-    for (i1, j1) in pairs:
-        for (i2, j2) in pairs:
-            if i1 <= i2 and j1 <= j2 and j1 > i2:
-                out.append((idx[(i1, j1)], idx[(i2, j2)], 1))
-    return out
+    return int(i1 <= i2 and j1 <= j2 and j1 > i2)
 
 
-def _lambda_rows(n):
-    """Charge row i collects every m_{s,l} with s <= i < l."""
-    pairs, _ = _pair_index(n)
-    return tuple(tuple(1 if (s <= i < l) else 0 for (s, l) in pairs)
-                 for i in range(1, n))
+def _mvar(i, j):
+    return f"m[{i},{j}]"
+
+
+def _pair_form(n, coeff, title, name):
+    """Rank-n form over the m[i,j]; charge row i collects every m[s,l] with
+    s <= i < l."""
+    if n < 2:
+        raise ValueError(f"{title} form needs n >= 2")
+    pairs = _pairs(n)
+    quad, lin = _symmetric_from_products(len(pairs), [
+        (a, b, coeff(*p, *r)) for a, p in enumerate(pairs) for b, r in enumerate(pairs)])
+    return NahmSumSpec(
+        labels=tuple(_mvar(i, j) for (i, j) in pairs), quad=quad, linear=lin,
+        charges=tuple(tuple(int(s <= i < l) for (s, l) in pairs) for i in range(1, n)),
+        name=f"{name}-a{n}", notes=(TYPO_NOTE_THM1,))
 
 
 def build_B_form(n) -> NahmSumSpec:
-    if n < 2:
-        raise ValueError("B form needs n >= 2")
-    pairs, _ = _pair_index(n)
-    quad, lin = _symmetric_from_products(len(pairs), b_form_products(n))
-    return NahmSumSpec(
-        labels=tuple(f"m[{i},{j}]" for (i, j) in pairs),
-        quad=quad, linear=lin, charges=_lambda_rows(n),
-        name=f"B-a{n}", notes=(TYPO_NOTE_THM1,))
+    return _pair_form(n, _b_coeff, "B", "B")
 
 
 def build_Bprime_form(n) -> NahmSumSpec:
-    if n < 2:
-        raise ValueError("B' form needs n >= 2")
-    pairs, _ = _pair_index(n)
-    quad, lin = _symmetric_from_products(len(pairs), bprime_form_products(n))
-    return NahmSumSpec(
-        labels=tuple(f"m[{i},{j}]" for (i, j) in pairs),
-        quad=quad, linear=lin, charges=_lambda_rows(n),
-        name=f"Bprime-a{n}", notes=(TYPO_NOTE_THM1,))
+    return _pair_form(n, _bprime_coeff, "B'", "Bprime")
 
 
 def cartan_matrix(kind, rank):
@@ -370,15 +350,18 @@ def d4_labels():
     return tuple(f"m{i}{j}" for (i, j) in _D4_PAIRS) + tuple(f"n{i}{j}" for (i, j) in _D4_PAIRS)
 
 
+def _coeff_tokens(text):
+    """(coefficient, token) of each 'c:token' or bare 'token' (coefficient 1)."""
+    for token in text.split():
+        c, _, token = token.rpartition(":")
+        yield int(c or 1), token
+
+
 def build_d4_form(primed=False) -> NahmSumSpec:
     labels = d4_labels()
     idx = {lab: k for k, lab in enumerate(labels)}
     prods = []
-    for token in _D4_TERMS.split():
-        coeff = 1
-        if ":" in token:
-            c, token = token.split(":")
-            coeff = int(c)
+    for coeff, token in _coeff_tokens(_D4_TERMS):
         a, b = token.split("*")
         prods.append((idx[a], idx[b], coeff))
     if primed:
@@ -389,11 +372,7 @@ def build_d4_form(primed=False) -> NahmSumSpec:
     charges = []
     for i in (1, 2, 3, 4):
         row = [0] * 12
-        for token in _D4_LAMBDAS[i].split():
-            coeff = 1
-            if ":" in token:
-                c, token = token.split(":")
-                coeff = int(c)
+        for coeff, token in _coeff_tokens(_D4_LAMBDAS[i]):
             row[idx[token]] = coeff
         charges.append(tuple(row))
     return NahmSumSpec(
@@ -409,6 +388,7 @@ def build_d4_form(primed=False) -> NahmSumSpec:
 class EnumerationBound:
     per_variable_max: tuple
     strategy: str                        # "all_nonneg" | "positive_definite"
+    table: tuple                         # (G, g, levels, R, lin) of _sum_levels
 
 
 def _reverse_ldl(quad):
@@ -462,39 +442,8 @@ def _max_v_strict(bound: Fraction) -> int:
 
 
 def compute_bound(spec: NahmSumSpec, order) -> EnumerationBound:
-    """Certified per-variable enumeration box for exponents below `order`.
-
-    For a positive-definite form the largest value of x_i on the ellipsoid
-    x^T Q x < order is sqrt(order * (Q^-1)_ii), so the box is exact per
-    variable; the positive pivots of the same elimination certify the form.
-    """
-    order_f = Fraction(twice_of(order), 2)
-    l = spec.nvars
-    diag = [spec.quad[i][i] for i in range(l)]
-    nonneg = (all(spec.quad[i][j] >= 0 for i in range(l) for j in range(l))
-              and all(d > 0 for d in diag)
-              and all(x >= 0 for x in spec.linear))
-    if nonneg:
-        per_var = tuple(math.isqrt(max(int(order_f / diag[i]), 0)) for i in range(l))
-        return EnumerationBound(per_var, "all_nonneg")
-    if any(x != 0 for x in spec.linear):
-        raise CoercivityError("positive-definite strategy requires a zero linear part")
-    try:
-        D, M = _reverse_ldl(spec.quad)
-    except CoercivityError:
-        raise CoercivityError(
-            "quadratic form is neither all-nonnegative with positive diagonal "
-            "nor positive definite; refusing to enumerate") from None
-    per_var = tuple(_max_v_strict(order_f * w) for w in _inverse_diagonal(D, M))
-    return EnumerationBound(per_var, "positive_definite")
-
-
-# ---------------------------------------------------------------------------
-# evaluation
-# ---------------------------------------------------------------------------
-
-def _level_table(spec: NahmSumSpec, strategy):
-    """Integer per-level bound table (G, levels, R, lin) of _sum_levels.
+    """Certify the form once: its per-variable box below `order` and the
+    integer per-level table (G, g, levels, R, lin) of _sum_levels.
 
     With s_d the running sum at level d (fixing x_i = v adds v*R[i][d] to
     s_d for every d > i), fixing x_d = v adds
@@ -504,43 +453,67 @@ def _level_table(spec: NahmSumSpec, strategy):
     to the bound of the prefix.  The bound is G times the exact minimum of
     the doubled exponent over the completions of the prefix, and G times
     the doubled exponent itself once every variable is fixed, so it never
-    falls as variables are fixed.  An all-nonnegative form has G = 1, the
-    doubled cross sums as running sums and its doubled linear part as lin:
-    its nonnegative completions add nothing at x = 0, so the bound is the
-    doubled exponent of the prefix.  A positive-definite form has a zero lin
-    and the reverse LDL^T split x^T Q x = sum_k D_k (x_k + sum_{i<k}
-    M_ki x_i)^2, whose later squares can all be made zero by real values
-    (Fincke-Pohst); s_k = den * sum_{i<k} M_ki x_i with den the lcm of the
-    denominators of M, and G clears the denominators of 2*D_k/den^2.
+    falls as variables are fixed; g is the gcd of 2 and every doubled table
+    entry of the form.
+
+    An all-nonnegative form with positive diagonal, read off the doubled
+    tables of spec._tables(), has G = 1, the doubled cross sums as running
+    sums and its doubled linear part as lin: its nonnegative completions
+    add nothing at x = 0, so the bound is the doubled exponent of the
+    prefix, and x_i^2 * quad_ii <= order boxes each variable.  Any other form
+    must have a zero linear part and positive pivots in one reverse LDL^T
+    split x^T Q x = sum_k D_k (x_k + sum_{i<k} M_ki x_i)^2, whose later
+    squares can all be made zero by real values (Fincke-Pohst); then lin is
+    zero, s_k = den * sum_{i<k} M_ki x_i with den the lcm of the
+    denominators of M, and G clears the denominators of 2*D_k/den^2.  The
+    largest value of x_i on the ellipsoid x^T Q x < order is
+    sqrt(order * (Q^-1)_ii), so that box is exact per variable.
     """
+    order2 = twice_of(order)
     diag2, lin2, cross2 = spec._tables()
-    if strategy == "all_nonneg":
-        return 1, [(x, 1, 0) for x in diag2], cross2, lin2
+    g = math.gcd(2, *diag2, *lin2, *(x for row in cross2 for x in row))
+    if (all(x > 0 for x in diag2) and all(x >= 0 for x in lin2)
+            and all(x >= 0 for row in cross2 for x in row)):
+        per_var = tuple(math.isqrt(max(order2 // x, 0)) for x in diag2)
+        return EnumerationBound(per_var, "all_nonneg",
+                                (1, g, [(x, 1, 0) for x in diag2], cross2, lin2))
+    if any(lin2):
+        raise CoercivityError("positive-definite strategy requires a zero linear part")
+    try:
+        D, M = _reverse_ldl(spec.quad)
+    except CoercivityError:
+        raise CoercivityError(
+            "quadratic form is neither all-nonnegative with positive diagonal "
+            "nor positive definite; refusing to enumerate") from None
+    per_var = tuple(_max_v_strict(Fraction(order2, 2) * w) for w in _inverse_diagonal(D, M))
     l = spec.nvars
-    D, M = _reverse_ldl(spec.quad)
     den = math.lcm(*(x.denominator for row in M for x in row))
     scaled = [2 * Dk / den ** 2 for Dk in D]
     G = math.lcm(*(x.denominator for x in scaled))
     W = [int(G * x) for x in scaled]
     R = [[int(den * M[j][d]) for j in range(l)] for d in range(l)]
-    return G, [(w * den * den, 2 * w * den, w) for w in W], R, [0] * l
+    return EnumerationBound(per_var, "positive_definite",
+                            (G, g, [(w * den * den, 2 * w * den, w) for w in W], R, [0] * l))
 
+
+# ---------------------------------------------------------------------------
+# evaluation
+# ---------------------------------------------------------------------------
 
 def _sum_levels(spec: NahmSumSpec, order2, rank, node_budget, table):
     """Sum of a coercive form, one variable level at a time.
 
-    With (G, levels, R, lin) = table (see _level_table), the sum over
+    With (G, g, levels, R, lin) = table (see compute_bound), the sum over
     x_d..x_{l-1} depends on x_0..x_{d-1} only through the running sums s[d:]
     and the running charge u = sum_{i<d} x_i*charges[*][i], so level d maps
     each distinct state s[d:] + u to (offset, S): the sum, over the prefixes
     that reach it, of q^(prefix exponent) / prod (q)_{x_i}, as a dense
     series.  Prefixes reaching one state differ in bound by G times their
-    exponent difference, a multiple of G*g with g the gcd of 2 and every
-    doubled table entry of the form, so the offset is the lowest of their
-    bounds and slot k of S stands for bound offset + k*G*g; integral forms
-    carry no empty odd slots, and charges are not scaled.  The bound never
-    falls, so slots at or past the cut G*order2 are dropped.  Fixing x_d = v
-    sends S/(q)_v at the bound e(v) of _level_table to the state
+    exponent difference, a multiple of G*g, so the offset is the lowest of
+    their bounds and slot k of S stands for bound offset + k*G*g; integral
+    forms carry no empty odd slots, and charges are not scaled.  The bound
+    never falls, so slots at or past the cut G*order2 are dropped.  Fixing
+    x_d = v sends S/(q)_v at the bound e(v) of the table to the state
     s[d+1:] + v*R[d][d+1:], u + v*charges[*][d].  e(v) grows from vr on:
     before vr a v at or past the cut is skipped and S keeps its slots for
     the later v; from vr on the first v at the cut ends the loop, and S is
@@ -551,9 +524,7 @@ def _sum_levels(spec: NahmSumSpec, order2, rank, node_budget, table):
     (state, v) steps.
     """
     l = spec.nvars
-    G, levels, R, lin = table
-    diag2, lin2, cross2 = spec._tables()
-    g = math.gcd(2, *diag2, *lin2, *(x for row in cross2 for x in row))
+    G, g, levels, R, lin = table
     step = G * g
     cut = G * order2
     unit = 2 // g                       # q^1 in slots
@@ -610,18 +581,17 @@ def _sum_levels(spec: NahmSumSpec, order2, rank, node_budget, table):
 def evaluate(spec: NahmSumSpec, order, charges=True, node_budget=None) -> QSeries:
     """Exact truncated evaluation of the lattice sum.
 
-    compute_bound certifies coercivity and picks the strategy, whose
-    _level_table drives the level sum of _sum_levels; node_budget caps its
-    (state, v) steps.  The box of compute_bound is what evaluate_bruteforce
-    iterates.  With charges=False (or no charge rows) the charge monomials
-    are never formed.
+    compute_bound certifies coercivity once and gives the table that drives
+    the level sum of _sum_levels; node_budget caps its (state, v) steps.
+    The box of compute_bound is what evaluate_bruteforce iterates.  With
+    charges=False (or no charge rows) the charge monomials are never formed.
     """
-    strategy = compute_bound(spec, order).strategy
+    bound = compute_bound(spec, order)
     order2 = twice_of(order)
     rank = spec.charge_rank if charges else 0
     if order2 <= 0:
         return QSeries._raw(max(order2, 0), rank, {})
-    return _sum_levels(spec, order2, rank, node_budget, _level_table(spec, strategy))
+    return _sum_levels(spec, order2, rank, node_budget, bound.table)
 
 
 def evaluate_bruteforce(spec: NahmSumSpec, order, box, charges=True) -> QSeries:
@@ -665,43 +635,33 @@ def verify_identity(lhs: NahmSumSpec, rhs: NahmSumSpec, order, with_charges=True
 # symbolic form differences (quadratic-form bookkeeping)
 # ---------------------------------------------------------------------------
 
-def _mvar(i, j):
-    return f"m[{i},{j}]"
-
-
-def form_poly(n, kind) -> SparsePoly:
-    """B or B' of rank n as a polynomial in the m[i,j]."""
-    pairs, _ = _pair_index(n)
-    names = tuple(_mvar(i, j) for (i, j) in pairs)
-    prods = b_form_products(n) if kind == "B" else bprime_form_products(n)
+def form_poly(spec: NahmSumSpec, variables=None) -> SparsePoly:
+    """Q(m) = m^T quad m + linear.m of a form as a polynomial in its labels,
+    over `variables` (a universe containing the labels; default the labels)."""
+    variables, units = _label_units(spec, variables)
     terms = {}
-    for a, b, coeff in prods:
-        ea = [0] * len(pairs)
-        ea[a] += 1
-        ea[b] += 1
-        key = tuple(ea)
-        terms[key] = terms.get(key, 0) + coeff
-    return SparsePoly(names, terms)
+    for i, ei in enumerate(units):
+        terms[ei] = terms.get(ei, 0) + spec.linear[i]
+        for j, ej in enumerate(units):
+            key = tuple(map(add, ei, ej))
+            terms[key] = terms.get(key, 0) + spec.quad[i][j]
+    return SparsePoly(variables, terms)
 
 
-def lambda_poly(n, i, variables) -> SparsePoly:
-    pairs, _ = _pair_index(n)
-    out = SparsePoly.zero(variables)
-    for (s, l) in pairs:
-        if s <= i < l:
-            out = out + SparsePoly.variable(variables, _mvar(s, l))
-    return out
+def charge_polys(spec: NahmSumSpec, variables=None):
+    """The charge rows of a form as linear polynomials (universe as form_poly)."""
+    variables, units = _label_units(spec, variables)
+    return tuple(SparsePoly(variables, dict(zip(units, row))) for row in spec.charges)
 
 
-def cartan_half_poly(rank, variables) -> SparsePoly:
-    """(1/2) k^T A k for type A path of given rank, over k1..krank."""
-    out = SparsePoly.zero(variables)
-    for i in range(1, rank + 1):
-        out = out + SparsePoly.variable(variables, f"k{i}") ** 2
-    for i in range(1, rank):
-        out = out - (SparsePoly.variable(variables, f"k{i}")
-                     * SparsePoly.variable(variables, f"k{i+1}"))
-    return out
+def _label_units(spec, variables):
+    """The universe of form_poly and the exponent vector of each label."""
+    variables = tuple(spec.labels if variables is None else variables)
+    places = [variables.index(lab) for lab in spec.labels]
+    return variables, [tuple(int(k == p) for k in range(len(variables))) for p in places]
+
+
+_A_FORMS = {"B": build_B_form, "Bprime": build_Bprime_form}
 
 
 def form_difference_pure(n, kind) -> SparsePoly:
@@ -710,16 +670,10 @@ def form_difference_pure(n, kind) -> SparsePoly:
     Built over the rank-(n+1) variable set so its monomials line up with the
     six-type bookkeeping of expand_form_difference(n, ...).
     """
-    N = n + 1
-    pairs, _ = _pair_index(N)
-    names = tuple(_mvar(i, j) for (i, j) in pairs)
-    diff = form_poly(N, kind)
-    lambdas = [lambda_poly(N, i, names) for i in range(1, N)]
-    for i in range(len(lambdas)):
-        diff = diff - lambdas[i] * lambdas[i]
-    for i in range(len(lambdas) - 1):
-        diff = diff + lambdas[i] * lambdas[i + 1]
-    return diff
+    spec = _A_FORMS[kind](n + 1)
+    cartan = build_cartan_side("A", n + 1)
+    half = form_poly(cartan).substitute(dict(zip(cartan.labels, charge_polys(spec))))
+    return form_poly(spec) - half
 
 
 def expand_form_difference(n, kind) -> SparsePoly:
@@ -732,23 +686,18 @@ def expand_form_difference(n, kind) -> SparsePoly:
     """
     if n < 2:
         raise ValueError("expand_form_difference needs n >= 2")
-    N = n + 1
-    pairs, _ = _pair_index(N)
-    all_names = tuple(_mvar(i, j) for (i, j) in pairs)
-    mixed_names = tuple(f"k{i}" for i in range(1, N)) + tuple(
-        _mvar(i, j) for (i, j) in pairs if j > i + 1)
-    bindings = {}
-    for i in range(1, N):
-        expr = SparsePoly.variable(mixed_names, f"k{i}")
-        for (s, l) in pairs:
-            if (s, l) != (i, i + 1) and s <= i < l:
-                expr = expr - SparsePoly.variable(mixed_names, _mvar(s, l))
-        bindings[_mvar(i, i + 1)] = expr
-    for (i, j) in pairs:
-        if j > i + 1:
-            bindings[_mvar(i, j)] = SparsePoly.variable(mixed_names, _mvar(i, j))
-    mixed = form_poly(N, kind).substitute(bindings, require_full=True)
-    return mixed - cartan_half_poly(n, mixed_names)
+    spec = _A_FORMS[kind](n + 1)
+    cartan = build_cartan_side("A", n + 1)
+    nearest = tuple(_mvar(i, i + 1) for i in range(1, n + 1))
+    far = tuple(lab for lab in spec.labels if lab not in nearest)
+    mixed_names = cartan.labels + far
+    bindings = {lab: SparsePoly.variable(mixed_names, lab) for lab in far}
+    for near, k, row in zip(nearest, cartan.labels, spec.charges):
+        # the charge row lambda_i(m) = k_i, solved for its nearest m[i,i+1]
+        bindings[near] = SparsePoly.variable(mixed_names, k) - sum(
+            c * bindings[lab] for lab, c in zip(spec.labels, row) if c and lab in far)
+    mixed = form_poly(spec).substitute(bindings, require_full=True)
+    return mixed - form_poly(cartan, mixed_names)
 
 
 def six_type_table(n, kind="Bprime"):

@@ -139,9 +139,9 @@ def test_criterion_07_charge_word_identity():
             v = SparsePoly.variable(names, f"m[{i},{j}]")
             total = total + v * v * Fraction(2 - (j - i), 2)
         for i in range(1, n):
-            li = nahm.lambda_poly(n, i, names)
+            li = nahm.charge_polys(nahm.build_Bprime_form(n), names)[i - 1]
             total = total + li * li * Fraction(1, 2)
-        ok = ok and (total == nahm.form_poly(n, "Bprime"))
+        ok = ok and (total == nahm.form_poly(nahm.build_Bprime_form(n)))
     rng = random.Random(23)
     pairs5 = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
     form5 = nahm.build_Bprime_form(5)

@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -312,6 +315,43 @@ def test_ordered_product_rank_too_small_is_exit_2(runner, kind):
                  "--xdeg", "3", "--qorder", "5")
     assert_usage_exit(result)
     assert "n >= 2" in result.output
+
+
+def test_ordered_product_type_takes_ascii_digits_only(runner):
+    result = run(runner, "verify", "ordered-product", "--type", "a\u0663",
+                 "--xdeg", "3", "--qorder", "5")
+    assert_usage_exit(result)
+    assert "bad --type" in result.output
+
+
+@pytest.mark.parametrize("name", ["sln-a0", "sln-a1", "sln-b0", "sln-b1", "sln-h0", "sln-h1"])
+def test_jets_sln_rank_too_small_is_exit_2(runner, name):
+    result = run(runner, "jets", "hilbert", "--preset", name, "--weight", "3")
+    assert_usage_exit(result)
+    assert "n >= 2" in result.output
+
+
+def test_readme_commands_run(runner, tmp_path, monkeypatch):
+    # the CLI block of the README, run in process: `> file` redirects the
+    # report, `--rhs other.json` is cartan-a3 and the suite file has two lines
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```sh\n(qident .*?)```", readme, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "other.json").write_text(nahm.build_cartan_side("A", 3).to_json(),
+                                         encoding="utf-8")
+    (tmp_path / "my-checks.txt").write_text(
+        "verify thm1 --variant a --n 2 --order 10\nforms eval --preset b2-char --order 10\n",
+        encoding="utf-8")
+    lines = block.splitlines()
+    assert len(lines) > 10
+    for line in lines:
+        command, _, target = line.partition(" > ")
+        args = shlex.split(command)
+        assert args[0] == "qident", line
+        result = run(runner, *args[1:])
+        assert result.exit_code == 0, (line, result.output)
+        if target:
+            (tmp_path / target).write_text(result.output, encoding="utf-8")
 
 
 @pytest.mark.parametrize("args", [

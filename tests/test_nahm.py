@@ -147,6 +147,52 @@ class TestBounds:
 RR_COUNTS = [1, 1, 1, 1, 2, 2, 3, 3]  # partitions with parts differing by >= 2
 
 
+class TestOneCertification:
+    @pytest.mark.parametrize("name,strategy", [
+        ("cartan-a6", "positive_definite"), ("cartan-d4", "positive_definite"),
+        ("b2-char", "positive_definite"), ("d4", "all_nonneg"), ("B-a3", "all_nonneg")])
+    def test_one_elimination_and_one_table_build_per_evaluate(self, monkeypatch, name,
+                                                              strategy):
+        spec = presets.nahm_preset(name)
+        calls = {"ldl": 0, "tables": 0}
+        ldl, tables = nahm._reverse_ldl, nahm.NahmSumSpec._tables
+
+        def counted_ldl(quad):
+            calls["ldl"] += 1
+            return ldl(quad)
+
+        def counted_tables(self):
+            calls["tables"] += 1
+            return tables(self)
+
+        monkeypatch.setattr(nahm, "_reverse_ldl", counted_ldl)
+        monkeypatch.setattr(nahm.NahmSumSpec, "_tables", counted_tables)
+        assert nahm.compute_bound(spec, 8).strategy == strategy
+        for charges in (False, True):
+            calls.update(ldl=0, tables=0)
+            nahm.evaluate(spec, 8, charges=charges)
+            assert calls == {"ldl": int(strategy == "positive_definite"), "tables": 1}
+
+
+FORM_PRESETS = ([f"cartan-a{n}" for n in range(2, 7)] + [f"B-a{n}" for n in range(2, 6)]
+                + [f"Bprime-a{n}" for n in range(2, 6)]
+                + ["b2-char", "b2-quintuple", "d4", "d4-prime", "cartan-d4"])
+
+
+@pytest.mark.parametrize("name", FORM_PRESETS)
+def test_polynomials_read_off_the_spec(name):
+    spec = presets.nahm_preset(name)
+    form = nahm.form_poly(spec)
+    charges = nahm.charge_polys(spec)
+    assert form.variables == spec.labels
+    rng = random.Random(37)
+    for _ in range(30):
+        m = tuple(rng.randint(0, 6) for _ in range(spec.nvars))
+        values = dict(zip(spec.labels, m))
+        assert _ev(form, values) == spec.exponent(m)
+        assert tuple(_ev(p, values) for p in charges) == spec.charge_of(m)
+
+
 class TestEvaluate:
     def test_sl2_cartan_side(self):
         s = nahm.evaluate(nahm.build_cartan_side("A", 2), 8, charges=False)
@@ -418,6 +464,9 @@ class TestSerialization:
         ("charges", [[1.0]]),
         ("charges", [[1.7]]),
         ("charges", [["1"]]),
+        ("labels", [{}]),
+        ("name", [1]),
+        ("notes", [None]),
     ])
     def test_malformed_shape_names_key(self, key, value):
         data = {"labels": ["a"], "quadratic": [[1]], "linear": [0]}
@@ -475,11 +524,11 @@ class TestFormDifference:
 
 def _level_sum_steps(spec, order, charges=False):
     """Distinct (d, s[d:], u, v) over the points of a plain DFS over the box
-    of compute_bound, pruned by the bound of nahm._level_table: the exact
+    of compute_bound, pruned by the bound of its level table: the exact
     exponent for an all-nonnegative form, the Fincke-Pohst bound for a
     positive-definite one; u is the running charge when charges is set."""
     bound = nahm.compute_bound(spec, order)
-    G, levels, R, lin = nahm._level_table(spec, bound.strategy)
+    G, _g, levels, R, lin = bound.table
     rows = spec.charges if charges else ()
     seen = set()
 

@@ -387,9 +387,9 @@ class TestChargeWord:
             v = SparsePoly.variable(names, f"m[{i},{j}]")
             total = total + v * v * Fraction(2 - (j - i), 2)
         for i in range(1, n):
-            li = nahm.lambda_poly(n, i, names)
+            li = nahm.charge_polys(nahm.build_Bprime_form(n), names)[i - 1]
             total = total + li * li * Fraction(1, 2)
-        assert total == nahm.form_poly(n, "Bprime")
+        assert total == nahm.form_poly(nahm.build_Bprime_form(n))
 
 
 class TestD4Transcription:
