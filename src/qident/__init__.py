@@ -5,7 +5,6 @@ q-commuting variables, A-type quiver codimension identities, and jet-algebra
 Hilbert series, all over exact integer/rational arithmetic.
 """
 
-from .halfint import HalfInt
 from .series import (
     QSeries,
     euler_product,

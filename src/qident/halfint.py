@@ -1,7 +1,9 @@
-"""Exact half-integer arithmetic for q-exponents.
+"""Doubled-integer q-exponents.
 
-Exponents like q^(3/2) are stored as the doubled integer 3, so all exponent
-arithmetic stays in plain ints.
+The engines keep every exponent in (1/2)Z, such as q^(3/2), as the doubled
+int 3, so exponent arithmetic stays in plain ints.  Values a caller passes in
+or reads back are ints and Fractions; twice_of converts the former to the
+doubled form, and Fraction(e2, 2) converts back.
 """
 
 from __future__ import annotations
@@ -9,92 +11,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-class HalfInt:
-    """An element of (1/2)Z, stored as twice its value."""
-
-    __slots__ = ("twice",)
-
-    def __init__(self, twice):
-        if not isinstance(twice, int):
-            raise TypeError(f"twice must be an int, got {type(twice).__name__}")
-        self.twice = twice
-
-    @classmethod
-    def coerce(cls, value) -> "HalfInt":
-        """Accept HalfInt, int, or a Fraction with denominator 1 or 2."""
-        if isinstance(value, HalfInt):
-            return value
-        if isinstance(value, int):
-            return cls(2 * value)
-        if isinstance(value, Fraction):
-            doubled = 2 * value
-            if doubled.denominator != 1:
-                raise ValueError(f"{value} is not a half-integer")
-            return cls(doubled.numerator)
-        raise TypeError(f"cannot interpret {value!r} as a half-integer")
-
-    def __add__(self, other):
-        return HalfInt(self.twice + HalfInt.coerce(other).twice)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return HalfInt(self.twice - HalfInt.coerce(other).twice)
-
-    def __rsub__(self, other):
-        return HalfInt(HalfInt.coerce(other).twice - self.twice)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return HalfInt(self.twice * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return HalfInt(-self.twice)
-
-    def _cmp_key(self, other):
-        return HalfInt.coerce(other).twice
-
-    def __eq__(self, other):
-        try:
-            return self.twice == self._cmp_key(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-
-    def __lt__(self, other):
-        return self.twice < self._cmp_key(other)
-
-    def __le__(self, other):
-        return self.twice <= self._cmp_key(other)
-
-    def __gt__(self, other):
-        return self.twice > self._cmp_key(other)
-
-    def __ge__(self, other):
-        return self.twice >= self._cmp_key(other)
-
-    def __hash__(self):
-        if self.twice % 2 == 0:
-            return hash(self.twice // 2)
-        return hash(Fraction(self.twice, 2))
-
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.twice, 2)
-
-    def __str__(self):
-        if self.twice % 2 == 0:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
-
-    def __repr__(self):
-        return f"HalfInt({self.twice})"
-
-
 def twice_of(value) -> int:
-    """Doubled-integer form of an exponent given as HalfInt, int, or Fraction."""
-    return HalfInt.coerce(value).twice
+    """Doubled-integer form of an exponent given as an int or as a Fraction
+    with denominator 1 or 2."""
+    if isinstance(value, int):
+        return 2 * value
+    if isinstance(value, Fraction):
+        doubled = 2 * value
+        if doubled.denominator != 1:
+            raise ValueError(f"{value} is not a half-integer")
+        return doubled.numerator
+    raise TypeError(f"cannot interpret {value!r} as a half-integer")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import rank_of_rows
 from .nahm import BudgetExceeded
@@ -55,7 +54,8 @@ def mono_weight(mono):
 
 class JetPoly:
     """Polynomial in the depth variables; terms map sorted ((g,d),...) tuples
-    with repetition to Fraction coefficients."""
+    with repetition to int coefficients.  A coefficient that is not an
+    integer is a ValueError."""
 
     __slots__ = ("terms",)
 
@@ -63,11 +63,12 @@ class JetPoly:
         self.terms = {}
         if terms:
             for mono, c in terms.items():
-                c = Fraction(c)
+                if int(c) != c:
+                    raise ValueError(f"jet coefficient {c} is not an integer")
                 if not c:
                     continue
                 mono = tuple(sorted(mono))
-                self.terms[mono] = self.terms.get(mono, Fraction(0)) + c
+                self.terms[mono] = self.terms.get(mono, 0) + int(c)
             self.terms = {m: c for m, c in self.terms.items() if c}
 
     @classmethod
@@ -82,7 +83,7 @@ class JetPoly:
     def __add__(self, other):
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, Fraction(0)) + c
+            s = terms.get(m, 0) + c
             if s:
                 terms[m] = s
             elif m in terms:
@@ -161,7 +162,7 @@ def apply_T(p: JetPoly) -> JetPoly:
             new[pos] = (g, d + 1)
             key = tuple(sorted(new))
             coeff = c * (-d) * mult
-            s = terms.get(key, Fraction(0)) + coeff
+            s = terms.get(key, 0) + coeff
             if s:
                 terms[key] = s
             elif key in terms:

@@ -700,15 +700,15 @@ def expand_form_difference(n, kind) -> SparsePoly:
     return mixed - form_poly(cartan, mixed_names)
 
 
-def six_type_table(n, kind="Bprime"):
-    """Classify every mixed-coordinate monomial touching an m[i,n+1] variable.
+def six_type_table(poly, n, kind):
+    """Classify every monomial of poly = expand_form_difference(n, kind) that
+    touches an m[i,n+1] variable.
 
     Returns a list of rows (type, description, coefficient, expected) covering
     all applicable index configurations; expected is None for kind='B' (the
     table is only pinned for the primed form).
     """
     N = n + 1
-    poly = expand_form_difference(n, kind)
     names = poly.variables
     idx = {name: t for t, name in enumerate(names)}
     kvars = [f"k{i}" for i in range(1, N)]
@@ -776,9 +776,9 @@ def six_type_table(n, kind="Bprime"):
     return rows
 
 
-def cross_k_coefficients(n, kind="Bprime"):
-    """Coefficients of k_i*k_j (j > i+1) in the mixed polynomial; all must vanish."""
-    poly = expand_form_difference(n, kind)
+def cross_k_coefficients(poly, n):
+    """Coefficients of k_i*k_j (j > i+1) in poly = expand_form_difference(n,
+    kind); all must vanish."""
     out = {}
     for i in range(1, n + 1):
         for j in range(i + 2, n + 1):

@@ -48,12 +48,3 @@ def jet_preset(name: str, d4_reading="printed") -> jets.JetPreset:
     if m:
         return jets.power_preset(int(m.group(1)))
     raise KeyError(f"unknown jet preset {name!r}")
-
-
-def nahm_preset_names():
-    return ["cartan-a{n}", "cartan-d4", "B-a{n}", "Bprime-a{n}",
-            "b2-char", "b2-quintuple", "d4", "d4-prime"]
-
-
-def jet_preset_names():
-    return ["sln-a{n}", "sln-b{n}", "sln-h{n}", "b2-a", "b2-b", "d4-d", "power-{p}"]

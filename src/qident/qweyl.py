@@ -11,6 +11,10 @@ that any monomial pair merging into it gets under the LaurentQ rules
 result is the one summing the shifted pairwise LaurentQ products would give,
 term for term and in validity order.
 
+Inside, every q-exponent is a doubled int (order2, base2, e2).  Factor
+shifts come in as ints or Fractions, normal-ordering powers are ints, and
+mismatches and renders give exponents back as Fractions.
+
 Dilogarithm products are expanded to the q-order their comparison reads and
 no further.  Normal ordering and negative exponents cost validity, so the
 factors start at a padded order, sized by one pass that runs the same
@@ -30,7 +34,7 @@ from fractions import Fraction
 from operator import add
 from typing import Optional
 
-from .halfint import HalfInt, twice_of
+from .halfint import twice_of
 from .nahm import BudgetExceeded
 from .poly import SparsePoly
 from .series import inv_pochhammer_dense
@@ -193,8 +197,7 @@ class LaurentQ:
             if e == 0:
                 body = str(abs(c))
             else:
-                pw = HalfInt(e)
-                qs = "q" if e == 2 else f"q^{{{pw}}}"
+                qs = "q" if e == 2 else f"q^{{{Fraction(e, 2)}}}"
                 body = qs if abs(c) == 1 else f"{abs(c)}*{qs}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
@@ -203,7 +206,7 @@ class LaurentQ:
         return " ".join(parts)
 
     def __repr__(self):
-        return f"LaurentQ({self.render()} ; order {HalfInt(self.order2)})"
+        return f"LaurentQ({self.render()} ; order {Fraction(self.order2, 2)})"
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +235,10 @@ def word_cross(algebra, left, right):
 
 
 def normal_order(algebra, word, power=1):
-    """Normal-order word^power: returns (q-power as HalfInt, exponent vector).
+    """Normal-order word^power: returns (q-power, exponent vector).
 
-    word^power = q^power_out * x1^e1 ... xg^eg with ascending generator index.
+    word^power = q^p * x1^e1 ... xg^eg with ascending generator index; the
+    q-power p is an int, since eps is an integer matrix.
     """
     word = tuple(word)
     if not word:
@@ -246,7 +250,7 @@ def normal_order(algebra, word, power=1):
     exps = [0] * algebra.generator_count
     for g in word:
         exps[g - 1] += m
-    return HalfInt(2 * p), tuple(exps)
+    return p, tuple(exps)
 
 
 def monomial_merge_power2(algebra, a_exps, b_exps):
@@ -380,7 +384,7 @@ class NCElement:
 @dataclass(frozen=True)
 class NCMismatch:
     exps: tuple
-    qexp: HalfInt
+    qexp: Fraction
     coeff_a: int
     coeff_b: int
 
@@ -415,7 +419,7 @@ def nc_eq(a: NCElement, b: NCElement, qorder) -> NCCompareResult:
         e = ca.compare_upto(cb, qorder2)
         if e is not None:
             return NCCompareResult(False, xdeg, qorder2,
-                                   NCMismatch(exps, HalfInt(e),
+                                   NCMismatch(exps, Fraction(e, 2),
                                               ca.terms.get(e, 0), cb.terms.get(e, 0)))
     return NCCompareResult(True, xdeg, qorder2)
 
@@ -443,8 +447,8 @@ def _dilog_terms(algebra, prefactor_sign, qshift, word, xdeg):
     shift2 = twice_of(qshift)
     n = 0
     while n * len(word) < xdeg:
-        p2, exps = normal_order(algebra, word, n) if n else (HalfInt(0), (0,) * algebra.generator_count)
-        yield exps, n, n * (n - 1) + n * shift2 + p2.twice, (-1) ** n * prefactor_sign ** n
+        p, exps = normal_order(algebra, word, n) if n else (0, (0,) * algebra.generator_count)
+        yield exps, n, n * (n - 1) + n * shift2 + 2 * p, (-1) ** n * prefactor_sign ** n
         n += 1
 
 
@@ -466,8 +470,8 @@ def dilog_inv(algebra, prefactor_sign, qshift, word, xdeg, qorder2) -> NCElement
     terms = {}
     n = 0
     while n * len(word) < xdeg:
-        p2, exps = normal_order(algebra, word, n) if n else (HalfInt(0), (0,) * algebra.generator_count)
-        base2 = n * shift2 + p2.twice
+        p, exps = normal_order(algebra, word, n) if n else (0, (0,) * algebra.generator_count)
+        base2 = n * shift2 + 2 * p
         coeff = _inv_poch_laurent(n, base2, qorder2)
         if prefactor_sign ** n < 0:
             coeff = -coeff
@@ -560,9 +564,9 @@ def pentagon_factors(variant="plain", drop_middle=False):
         lhs = [(1, 0, (2,)), (1, 0, (1,))]
         rhs = [(1, 0, (1,)), (-1, 0, (2, 1)), (1, 0, (2,))]
     elif variant == "shifted":
-        h = HalfInt(1)
+        h = Fraction(1, 2)
         lhs = [(-1, h, (2,)), (-1, h, (1,))]
-        rhs = [(-1, h, (1,)), (-1, HalfInt(2), (2, 1)), (-1, h, (2,))]
+        rhs = [(-1, h, (1,)), (-1, 1, (2, 1)), (-1, h, (2,))]
     else:
         raise ValueError(f"unknown pentagon variant {variant!r}")
     if drop_middle:
@@ -596,31 +600,31 @@ def ordered_product_factors(kind, n=None):
     if kind == "a":
         if n is None or n < 2:
             raise ValueError("type A needs n >= 2")
-        half = HalfInt(1)
+        half = Fraction(1, 2)
         lhs = [(-1, half, (g,)) for g in range(n - 1, 0, -1)]
         rhs = []
         for g in range(1, n):
             for i in range(1, g + 1):
                 word = tuple(range(g, i - 1, -1))
-                rhs.append((-1, HalfInt(g - i + 1), word))
+                rhs.append((-1, Fraction(g - i + 1, 2), word))
         return lhs, rhs
     if kind == "d4":
-        half = HalfInt(1)
+        half = Fraction(1, 2)
         lhs = [(-1, half, (g,)) for g in (4, 3, 2, 1)]
-        rhs = [
-            (-1, HalfInt(1), (1,)),
-            (-1, HalfInt(2), (2, 1)),
-            (-1, HalfInt(3), (4, 2, 1)),
-            (-1, HalfInt(3), (3, 2, 1)),
-            (-1, HalfInt(1), (2,)),
-            (-1, HalfInt(5), (4, 3, 2, 1, 2)),
-            (-1, HalfInt(4), (4, 3, 2, 1)),
-            (-1, HalfInt(2), (4, 2)),
-            (-1, HalfInt(2), (3, 2)),
-            (-1, HalfInt(3), (4, 3, 2)),
-            (-1, HalfInt(1), (3,)),
-            (-1, HalfInt(1), (4,)),
-        ]
+        rhs = [(-1, Fraction(k, 2), word) for k, word in (
+            (1, (1,)),
+            (2, (2, 1)),
+            (3, (4, 2, 1)),
+            (3, (3, 2, 1)),
+            (1, (2,)),
+            (5, (4, 3, 2, 1, 2)),
+            (4, (4, 3, 2, 1)),
+            (2, (4, 2)),
+            (2, (3, 2)),
+            (3, (4, 3, 2)),
+            (1, (3,)),
+            (1, (4,)),
+        )]
         return lhs, rhs
     raise ValueError(f"unknown ordered-product kind {kind!r}")
 
@@ -661,9 +665,9 @@ def charge_word_runs(n, m):
     return runs
 
 
-def _runs_power2(algebra, runs, mul):
-    """Doubled normal-ordering power of a run word; `mul` multiplies exponents
-    (int*int or SparsePoly*SparsePoly)."""
+def _runs_power(algebra, runs, mul):
+    """Normal-ordering q-power of a run word, None when no pair contributes;
+    `mul` multiplies exponents (int*int or SparsePoly*SparsePoly)."""
     total = None
     for a in range(len(runs)):
         ga, ea = runs[a]
@@ -678,18 +682,18 @@ def _runs_power2(algebra, runs, mul):
 
 
 def extract_E(n, m):
-    """Normal-order the charge word F: returns (E as HalfInt, exponent vector).
+    """Normal-order the charge word F: returns (E, exponent vector), E an int.
 
     The exponent vector always equals the charge vector lambda(m).
     """
     algebra = NCAlgebra.type_a(n - 1)
     runs = charge_word_runs(n, m)
-    p = _runs_power2(algebra, runs, lambda a, b: a * b)
+    p = _runs_power(algebra, runs, lambda a, b: a * b)
     p = 0 if p is None else p
     exps = [0] * (n - 1)
     for g, e in runs:
         exps[g - 1] += e
-    return HalfInt(2 * p), tuple(exps)
+    return p, tuple(exps)
 
 
 def c_form_value(n, m) -> Fraction:
@@ -724,7 +728,7 @@ def charge_word_identity_holds(n, m, form=None) -> bool:
     lam = form.charge_of(vec)
     if exps != lam:
         return False
-    lhs = c_form_value(n, m) + E.as_fraction() + Fraction(sum(k * k for k in lam), 2)
+    lhs = c_form_value(n, m) + E + Fraction(sum(k * k for k in lam), 2)
     return lhs == form.exponent(vec)
 
 
@@ -735,7 +739,7 @@ def extract_E_poly(n) -> SparsePoly:
     names = tuple(f"m[{i},{j}]" for (i, j) in pairs)
     sym = {p: SparsePoly.variable(names, f"m[{p[0]},{p[1]}]") for p in pairs}
     runs = charge_word_runs(n, sym)
-    p = _runs_power2(algebra, runs, lambda a, b: a * b)
+    p = _runs_power(algebra, runs, lambda a, b: a * b)
     return SparsePoly.zero(names) if p is None else p
 
 
@@ -754,8 +758,7 @@ def dilog_product_exponent_poly(algebra, factors, names):
         mv = var[v]
         inv = word_inversions(algebra, word)
         crs = word_cross(algebra, word, word)
-        sh = HalfInt.coerce(shift).as_fraction()
-        P = P + mv * mv * half + mv * (sh - half) + mv * inv + (mv * mv - mv) * Fraction(crs, 2)
+        P = P + mv * mv * half + mv * (shift - half) + mv * inv + (mv * mv - mv) * Fraction(crs, 2)
     for a in range(len(factors)):
         _, wa, va = factors[a]
         for b in range(a + 1, len(factors)):

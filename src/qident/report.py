@@ -39,13 +39,12 @@ class VerificationReport:
             return EXIT_ERROR
         return EXIT_OK if self.passed else EXIT_MISMATCH
 
-    def add_mismatch(self, mism, kind="mismatch"):
-        """Record a series/NC mismatch with its exact location."""
-        self.verdict = kind
+    def add_mismatch(self, mism):
+        """Record a series mismatch with its exact location."""
+        self.verdict = "mismatch"
         self.detail = {
             "q_exponent": str(mism.qexp),
-            "charges": list(getattr(mism, "charges", ()) or
-                            getattr(mism, "exps", ())),
+            "charges": list(mism.charges),
             "lhs_coefficient": mism.coeff_a,
             "rhs_coefficient": mism.coeff_b,
         }

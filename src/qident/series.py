@@ -1,19 +1,21 @@
 """Exact truncated q-series with optional integer charge exponents.
 
 A QSeries stores finitely many terms c * q^e * y1^a1 ... yr^ar with exact
-integer coefficients, exponents e in (1/2)Z (kept as doubled ints), and an
-exclusive truncation order.  Every arithmetic operation truncates to the
-minimum of the operand orders, so precision can never silently inflate.
+integer coefficients, exponents e in (1/2)Z (kept as doubled ints, read back
+as Fractions), and an exclusive truncation order.  Every arithmetic operation
+truncates to the minimum of the operand orders, so precision can never
+silently inflate.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from . import kernels
-from .halfint import HalfInt, twice_of
+from .halfint import twice_of
 
 
 class ChargeRankMismatch(ValueError):
@@ -80,14 +82,15 @@ class QSeries:
     # -- inspection ------------------------------------------------------------
 
     @property
-    def truncation_order(self) -> HalfInt:
-        return HalfInt(self.order2)
+    def truncation_order(self) -> Fraction:
+        return Fraction(self.order2, 2)
 
     def coeff(self, qexp, charges=()):
         exp2 = twice_of(qexp)
         if exp2 >= self.order2:
             raise TruncationError(
-                f"exponent {HalfInt(exp2)} is at or beyond truncation order {HalfInt(self.order2)}")
+                f"exponent {Fraction(exp2, 2)} is at or beyond truncation order "
+                f"{Fraction(self.order2, 2)}")
         return self.terms.get((exp2, tuple(charges)), 0)
 
     def charges_dropped(self):
@@ -192,22 +195,6 @@ class QSeries:
 
     __rmul__ = __mul__
 
-    def shift(self, qexp, charges=None):
-        """Multiply by q^qexp * y^charges."""
-        d2 = twice_of(qexp)
-        ch = tuple(charges) if charges is not None else (0,) * self.charge_rank
-        out = {}
-        for (e2, c), v in self.terms.items():
-            e2n = e2 + d2
-            if e2n < self.order2:
-                out[(e2n, tuple(x + y for x, y in zip(c, ch)))] = v
-        return QSeries._raw(self.order2, self.charge_rank, out)
-
-    def truncated(self, order):
-        order2 = min(self.order2, twice_of(order))
-        return QSeries._raw(order2, self.charge_rank,
-                            {k: v for k, v in self.terms.items() if k[0] < order2})
-
     # -- rendering ---------------------------------------------------------------
 
     def sorted_terms(self):
@@ -223,7 +210,7 @@ class QSeries:
             if e2 == 2:
                 factors.append("q")
             elif e2 != 0:
-                factors.append(f"q^{HalfInt(e2)}" if e2 % 2 == 0 else f"q^({HalfInt(e2)})")
+                factors.append(f"q^{e2 // 2}" if e2 % 2 == 0 else f"q^({e2}/2)")
             for i, a in enumerate(charges):
                 if a == 1:
                     factors.append(f"y{i + 1}")
@@ -242,7 +229,7 @@ class QSeries:
         return " ".join(parts)
 
     def __repr__(self):
-        return f"QSeries(order={HalfInt(self.order2)}, rank={self.charge_rank}, {self.render()})"
+        return f"QSeries(order={Fraction(self.order2, 2)}, rank={self.charge_rank}, {self.render()})"
 
 
 # -- comparison verdicts ----------------------------------------------------------
@@ -250,7 +237,7 @@ class QSeries:
 
 @dataclass(frozen=True)
 class Mismatch:
-    qexp: HalfInt
+    qexp: Fraction
     charges: tuple
     coeff_a: int
     coeff_b: int
@@ -278,7 +265,7 @@ def _first_violation(a: QSeries, b: QSeries, violates) -> CompareResult:
         cb = b.terms.get(key, 0)
         if violates(ca, cb):
             return CompareResult(False, order2,
-                                 Mismatch(HalfInt(key[0]), key[1], ca, cb))
+                                 Mismatch(Fraction(key[0], 2), key[1], ca, cb))
     return CompareResult(True, order2)
 
 
@@ -297,9 +284,6 @@ def series_leq(a: QSeries, b: QSeries) -> CompareResult:
 
 
 # -- classical q-objects -----------------------------------------------------------
-
-_INV_POCH_CACHE = {}
-
 
 def _int_order(order) -> int:
     order2 = twice_of(order)
@@ -320,18 +304,14 @@ def pochhammer(n: int, order) -> QSeries:
 
 
 def inv_pochhammer_dense(n: int, length: int):
-    """Dense coefficients of 1/(q)_n through exponent length-1 (cached)."""
-    key = (n, length)
-    hit = _INV_POCH_CACHE.get(key)
-    if hit is None:
-        arr = [0] * max(length, 1)
-        arr[0] = 1
-        for i in range(1, n + 1):
-            if i < len(arr):
-                kernels.geom_div(arr, i)
-        _INV_POCH_CACHE[key] = arr
-        hit = arr
-    return hit
+    """Dense coefficients of 1/(q)_n through exponent length-1: a new list
+    on every call."""
+    arr = [0] * max(length, 1)
+    arr[0] = 1
+    for i in range(1, n + 1):
+        if i < len(arr):
+            kernels.geom_div(arr, i)
+    return arr
 
 
 def inv_pochhammer(n: int, order) -> QSeries:

@@ -157,9 +157,10 @@ def test_criterion_08_six_type_table():
     started = time.time()
     ok = True
     for n in range(3, 7):
-        for (typ, desc, coeff, expected) in nahm.six_type_table(n, "Bprime"):
+        poly = nahm.expand_form_difference(n, "Bprime")
+        for (typ, desc, coeff, expected) in nahm.six_type_table(poly, n, "Bprime"):
             ok = ok and expected is not None and coeff == expected
-        ok = ok and all(v == 0 for v in nahm.cross_k_coefficients(n, "Bprime").values())
+        ok = ok and all(v == 0 for v in nahm.cross_k_coefficients(poly, n).values())
     _report(8, ok, "six-type coefficient table reproduced for n <= 6; "
             "k_i k_j (j>i+1) terms vanish", started)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import shlex
@@ -132,6 +133,20 @@ def test_forms_expand_diff(runner):
     result = run(runner, "forms", "expand-diff", "--n", "3", "--kind", "Bprime")
     assert result.exit_code == 0
     assert "k_i*k_j (j>i+1) coefficients all zero: True" in result.output
+
+
+def test_forms_expand_diff_builds_the_polynomial_once(runner, monkeypatch):
+    calls = []
+    build = nahm.expand_form_difference
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(nahm, "expand_form_difference", counted)
+    result = run(runner, "forms", "expand-diff", "--n", "4", "--kind", "Bprime")
+    assert result.exit_code == 0
+    assert calls == [(4, "Bprime")]
 
 
 @pytest.mark.parametrize("n", ["1", "0"])
@@ -598,3 +613,29 @@ def test_forms_show_refused_preset_is_exit_2(runner, name):
     result = run(runner, "forms", "show", "--preset", name)
     assert_usage_exit(result)
     assert "n >= 2" in result.output
+
+
+# -- golden reports: every half-integer render path ---------------------------
+
+REPORT_GOLDENS = json.loads((Path(__file__).parent / "report_goldens.json")
+                            .read_text(encoding="utf-8"))
+
+# one-variable forms; quadratic 1/2 sums q^(n^2/2)/(q)_n, half-integer exponents
+GOLDEN_SPECS = {
+    "half.json": {"name": "half", "labels": ["m"], "quadratic": [["1/2"]], "linear": [0]},
+    "one.json": {"name": "one", "labels": ["m"], "quadratic": [[1]], "linear": [0]},
+}
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("case", sorted(REPORT_GOLDENS))
+def test_report_goldens(runner, tmp_path, monkeypatch, case, as_json):
+    """Reports pinned byte for byte, with their exit codes, in text and --json."""
+    monkeypatch.chdir(tmp_path)
+    for name, spec in GOLDEN_SPECS.items():
+        (tmp_path / name).write_text(json.dumps(spec), encoding="utf-8")
+    golden = REPORT_GOLDENS[case]
+    result = run(runner, *(["--json"] if as_json else []), *shlex.split(golden["command"]))
+    want = golden["json" if as_json else "text"]
+    assert hashlib.sha256(result.stdout.encode("utf-8")).hexdigest() == want["sha256"]
+    assert result.exit_code == want["exit_code"]

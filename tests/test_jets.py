@@ -23,10 +23,16 @@ class TestDerivation:
     def test_depth_one_rule(self):
         p = JetPoly({(x(0, 1),): 1})
         assert apply_T(p).terms == {(x(0, 2),): Fraction(-1)}
+        assert all(type(c) is int for c in apply_T(p).terms.values())
 
     def test_leibniz_on_square(self):
         p = JetPoly({(x(0, 1), x(0, 1)): 1})
         assert apply_T(p).terms == {(x(0, 1), x(0, 2)): Fraction(-2)}
+
+    def test_non_integer_coefficient_is_refused(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            JetPoly({(x(0, 1),): Fraction(1, 2)})
+        assert JetPoly({(x(0, 1),): Fraction(4, 2)}).terms == {(x(0, 1),): 2}
 
     def test_constants_die(self):
         assert apply_T(JetPoly({(): 3})).is_zero()

@@ -510,7 +510,7 @@ class TestFormDifference:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_six_type_table(self, n):
-        rows = nahm.six_type_table(n, "Bprime")
+        rows = nahm.six_type_table(nahm.expand_form_difference(n, "Bprime"), n, "Bprime")
         assert rows, "table must not be empty"
         for (typ, desc, coeff, expected) in rows:
             assert expected is not None
@@ -518,8 +518,9 @@ class TestFormDifference:
 
     def test_cross_k_terms_vanish(self):
         for n in (3, 4, 5):
-            assert all(v == 0 for v in nahm.cross_k_coefficients(n, "Bprime").values())
-            assert all(v == 0 for v in nahm.cross_k_coefficients(n, "B").values())
+            for kind in ("Bprime", "B"):
+                poly = nahm.expand_form_difference(n, kind)
+                assert all(v == 0 for v in nahm.cross_k_coefficients(poly, n).values())
 
 
 def _level_sum_steps(spec, order, charges=False):

@@ -3,13 +3,14 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from qident.halfint import HalfInt
+from qident.halfint import twice_of
 from qident.series import (
     ChargeRankMismatch,
     QSeries,
     TruncationError,
     euler_product,
     inv_pochhammer,
+    inv_pochhammer_dense,
     pochhammer,
     series_eq,
     series_leq,
@@ -25,24 +26,11 @@ def u(order, **coeffs):
     return QSeries(order, 0, {(int(k[1:]), ()): v for k, v in coeffs.items()})
 
 
-class TestHalfInt:
-    def test_arithmetic_is_exact_on_doubled_ints(self):
-        a = HalfInt(3)   # 3/2
-        b = HalfInt(1)   # 1/2
-        assert (a + b).twice == 4
-        assert (a - b) == 1
-        assert (a * 3).twice == 9
-        assert a > b and b < 1 and a == Fraction(3, 2)
-
-    def test_coerce(self):
-        assert HalfInt.coerce(2).twice == 4
-        assert HalfInt.coerce(Fraction(5, 2)).twice == 5
-        with pytest.raises(ValueError):
-            HalfInt.coerce(Fraction(1, 3))
-
-    def test_str(self):
-        assert str(HalfInt(4)) == "2"
-        assert str(HalfInt(5)) == "5/2"
+def test_twice_of():
+    assert twice_of(2) == 4
+    assert twice_of(Fraction(5, 2)) == 5
+    with pytest.raises(ValueError):
+        twice_of(Fraction(1, 3))
 
 
 class TestAddMul:
@@ -52,9 +40,9 @@ class TestAddMul:
         assert (a + b).terms == {(0, ()): 2}
 
     def test_add_half_exponents(self):
-        h = QSeries(5, 0, {(HalfInt(1), ()): 1})
+        h = QSeries(5, 0, {(Fraction(1, 2), ()): 1})
         s = h + h
-        assert s.coeff(HalfInt(1)) == 2
+        assert s.coeff(Fraction(1, 2)) == 2
 
     def test_add_truncates_to_min_order(self):
         a = u(5, e0=1)
@@ -148,6 +136,12 @@ class TestPochhammer:
         for n in range(8):
             assert all(c >= 0 for c in inv_pochhammer(n, 25).terms.values())
 
+    def test_inv_pochhammer_dense_returns_a_fresh_list(self):
+        first = inv_pochhammer_dense(3, 10)
+        want = list(first)
+        first[2] = 999
+        assert inv_pochhammer_dense(3, 10) == want
+
 
 class TestEulerProduct:
     def test_q_pochhammer_infinite(self):
@@ -175,7 +169,7 @@ class TestRender:
         assert s.render() == "1 + 2*q + 3*q^2*y1"
 
     def test_half_integer_and_signs(self):
-        s = QSeries(6, 0, {(HalfInt(3), ()): -1, (0, ()): 1})
+        s = QSeries(6, 0, {(Fraction(3, 2), ()): -1, (0, ()): 1})
         assert s.render() == "1 - q^(3/2)"
 
     def test_sorted_by_exponent_then_charges(self):
