@@ -20,6 +20,7 @@ import click
 
 from . import jets, nahm, presets, quiver, qweyl
 from .nahm import BudgetExceeded
+from .poly import powers
 from .report import EXIT_USAGE, VerificationReport
 from .series import euler_product, series_eq
 
@@ -48,7 +49,8 @@ def _usage_exit(message):
 
 
 def reporting(body):
-    """Run a command body that returns a VerificationReport, then emit it.
+    """Run a command body that returns a VerificationReport, then emit it; a
+    body that returns text (`forms show`) has it printed as it is.
 
     BudgetExceeded and ValueError are usage errors (exit 2). Any other
     exception is a fault of the program, reported with verdict "error"
@@ -67,7 +69,10 @@ def reporting(body):
                 command=ctx.command_path[len(ctx.find_root().info_name) + 1:],
                 parameters=params, verdict="error",
                 detail={"exception": f"{type(exc).__name__}: {exc}"})
-        _emit(settings, report, started)
+        if isinstance(report, str):
+            click.echo(report)
+        else:
+            _emit(settings, report, started)
     return pass_settings(command)
 
 
@@ -145,9 +150,9 @@ def _nc_report(report, result):
         report.verdict = "equal"
     else:
         report.verdict = "mismatch"
+        exps = result.mismatch.exps
         report.detail = {
-            "monomial": "*".join(f"x{i+1}" if p == 1 else f"x{i+1}^{p}"
-                                 for i, p in enumerate(result.mismatch.exps) if p),
+            "monomial": "*".join(powers([f"x{i}" for i in range(1, len(exps) + 1)], exps)),
             "q_exponent": str(result.mismatch.qexp),
             "lhs_coefficient": result.mismatch.coeff_a,
             "rhs_coefficient": result.mismatch.coeff_b,
@@ -401,9 +406,10 @@ def forms_expand_diff(settings, n, kind):
 
 @forms.command("show")
 @click.option("--preset", "preset_name", required=True)
-def forms_show(preset_name):
+@reporting
+def forms_show(settings, preset_name):
     """Serialize a named lattice form to JSON (editable for verify custom)."""
-    click.echo(_preset(presets.nahm_preset, preset_name).to_json())
+    return _preset(presets.nahm_preset, preset_name).to_json()
 
 
 @forms.command("eval")

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .linalg import rank_of_rows
 from .nahm import BudgetExceeded
+from .poly import add_terms
 from .series import QSeries, CompareResult, series_eq
 
 
@@ -60,16 +61,17 @@ class JetPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for mono, c in terms.items():
-                if int(c) != c:
-                    raise ValueError(f"jet coefficient {c} is not an integer")
-                if not c:
-                    continue
-                mono = tuple(sorted(mono))
-                self.terms[mono] = self.terms.get(mono, 0) + int(c)
-            self.terms = {m: c for m, c in self.terms.items() if c}
+        terms = terms or {}
+        for c in terms.values():
+            if int(c) != c:
+                raise ValueError(f"jet coefficient {c} is not an integer")
+        self.terms = add_terms({}, ((tuple(sorted(m)), int(c)) for m, c in terms.items()))
+
+    @classmethod
+    def _raw(cls, terms):
+        p = cls.__new__(cls)
+        p.terms = terms
+        return p
 
     @classmethod
     def from_gen_lists(cls, ring, parts):
@@ -81,21 +83,10 @@ class JetPoly:
         return cls(terms)
 
     def __add__(self, other):
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, 0) + c
-            if s:
-                terms[m] = s
-            elif m in terms:
-                del terms[m]
-        out = JetPoly.__new__(JetPoly)
-        out.terms = terms
-        return out
+        return JetPoly._raw(add_terms(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
-        out = JetPoly.__new__(JetPoly)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return JetPoly._raw({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -120,23 +111,6 @@ class JetPoly:
             raise ValueError("polynomial is not charge-homogeneous")
         return chs.pop()
 
-    def render(self, ring=None):
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms):
-            c = self.terms[mono]
-            facs = []
-            for (g, d) in mono:
-                nm = ring.generators[g] if ring else f"g{g}"
-                facs.append(f"{nm}({-d})")
-            body = "*".join(facs)
-            if abs(c) != 1:
-                body = f"{c if c > 0 else -c}*{body}"
-            parts.append(("+ " if c > 0 else "- ") + body if parts else
-                         (body if c > 0 else f"-{body}"))
-        return " ".join(parts)
-
 
 def _mono_charge(ring, mono):
     rank = ring.charge_rank
@@ -150,26 +124,16 @@ def _mono_charge(ring, mono):
 def apply_T(p: JetPoly) -> JetPoly:
     """Derivation with T(x_{g,(-d)}) = -d x_{g,(-d-1)}, extended by Leibniz;
     raises weight by exactly 1."""
-    terms = {}
+    images = []
     for mono, c in p.terms.items():
-        seen = set()
-        for pos, (g, d) in enumerate(mono):
-            if (g, d) in seen:
-                continue
-            seen.add((g, d))
-            mult = sum(1 for v in mono if v == (g, d))
+        for pos, v in enumerate(mono):
+            if pos and mono[pos - 1] == v:
+                continue        # mono is sorted: a repeated variable is counted once
+            g, d = v
             new = list(mono)
             new[pos] = (g, d + 1)
-            key = tuple(sorted(new))
-            coeff = c * (-d) * mult
-            s = terms.get(key, 0) + coeff
-            if s:
-                terms[key] = s
-            elif key in terms:
-                del terms[key]
-    out = JetPoly.__new__(JetPoly)
-    out.terms = terms
-    return out
+            images.append((tuple(sorted(new)), c * (-d) * mono.count(v)))
+    return JetPoly._raw(add_terms({}, images))
 
 
 @dataclass(frozen=True)
@@ -311,8 +275,7 @@ def hilbert_series(preset: JetPreset, weight, multigraded=False,
             if dim:
                 key = (2 * w, ch if rank_out else ())
                 terms[key] = terms.get(key, 0) + dim
-    return QSeries._raw(2 * (weight + 1), rank_out,
-                        {k: v for k, v in terms.items() if v})
+    return QSeries._raw(2 * (weight + 1), rank_out, terms)   # every dim added is > 0
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from operator import add
 
 from . import kernels
 from .halfint import twice_of
-from .poly import SparsePoly
+from .poly import SparsePoly, add_terms
 from .series import QSeries, CompareResult, inv_pochhammer_dense, series_eq
 
 
@@ -614,11 +614,9 @@ def evaluate_bruteforce(spec: NahmSumSpec, order, box, charges=True) -> QSeries:
         for mi in m:
             prod = kernels.conv_trunc(prod, inv_pochhammer_dense(mi, int_len), int_len)
         ch = spec.charge_of(m) if rank else ()
-        for k, c in enumerate(prod):
-            if c and e2 + 2 * k < order2:
-                key = (e2 + 2 * k, ch)
-                acc[key] = acc.get(key, 0) + c
-    return QSeries._raw(order2, rank, {k: v for k, v in acc.items() if v})
+        add_terms(acc, (((e2 + 2 * k, ch), c) for k, c in enumerate(prod)
+                        if e2 + 2 * k < order2))
+    return QSeries._raw(order2, rank, acc)
 
 
 def verify_identity(lhs: NahmSumSpec, rhs: NahmSumSpec, order, with_charges=True,

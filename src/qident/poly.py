@@ -1,14 +1,50 @@
-"""Exact sparse multivariate polynomials over the rationals.
+"""Exact sparse multivariate polynomials over the rationals, and the term
+helpers every coefficient class shares.
 
 Used for symbolic quadratic-form bookkeeping: form differences, table checks
 and normal-ordering exponents.  Terms map exponent vectors (tuples aligned
 with the variable list) to Fraction coefficients; zero coefficients are never
-stored.
+stored.  `add_terms` is the one term-dict sum of QSeries, LaurentQ,
+SparsePoly and JetPoly; `powers` writes the monomials of QSeries, SparsePoly
+and NCElement, and `render_terms` the signed terms of QSeries, LaurentQ and
+SparsePoly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+def add_terms(acc, items):
+    """Add the (key, value) pairs into the dict acc, dropping every key whose
+    sum is zero; returns acc."""
+    for k, v in items:
+        s = acc.get(k, 0) + v
+        if s:
+            acc[k] = s
+        else:
+            acc.pop(k, None)
+    return acc
+
+
+def powers(names, exps):
+    """The factors `name` or `name^e` of a monomial, zero exponents left out."""
+    return [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
+
+
+def render_terms(items):
+    """Text of the (coefficient, factor list) pairs in order: the first term
+    signed, later ones as `+ body` or `- body`; a unit coefficient is left out
+    unless the term has no factors.  "0" for no terms."""
+    parts = []
+    for coeff, factors in items:
+        mag = abs(coeff)
+        body = "*".join(factors if factors and mag == 1 else [str(mag), *factors])
+        if parts:
+            parts.append(("+ " if coeff > 0 else "- ") + body)
+        else:
+            parts.append(body if coeff > 0 else "-" + body)
+    return " ".join(parts) or "0"
 
 
 class UnboundSymbol(ValueError):
@@ -20,17 +56,10 @@ class SparsePoly:
 
     def __init__(self, variables, terms=None):
         self.variables = tuple(variables)
-        self.terms = {}
-        if terms:
-            for exps, coeff in terms.items():
-                c = Fraction(coeff)
-                if not c:
-                    continue
-                exps = tuple(exps)
-                if len(exps) != len(self.variables):
-                    raise ValueError("exponent vector length does not match variables")
-                self.terms[exps] = self.terms.get(exps, Fraction(0)) + c
-            self.terms = {k: v for k, v in self.terms.items() if v}
+        items = [(tuple(exps), Fraction(c)) for exps, c in (terms or {}).items()]
+        if any(c and len(exps) != len(self.variables) for exps, c in items):
+            raise ValueError("exponent vector length does not match variables")
+        self.terms = add_terms({}, items)
 
     @classmethod
     def _raw(cls, variables, terms):
@@ -66,14 +95,7 @@ class SparsePoly:
         if isinstance(other, (int, Fraction)):
             other = SparsePoly.constant(self.variables, other)
         self._check_universe(other)
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            s = terms.get(k, Fraction(0)) + v
-            if s:
-                terms[k] = s
-            elif k in terms:
-                del terms[k]
-        return SparsePoly._raw(self.variables, terms)
+        return SparsePoly._raw(self.variables, add_terms(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -174,33 +196,10 @@ class SparsePoly:
             result = result + term
         return result
 
-    def monomial_degree(self, exps) -> int:
-        return sum(exps)
-
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps, coeff in sorted(self.terms.items(),
-                                  key=lambda kv: (self.monomial_degree(kv[0]), kv[0])):
-            factors = []
-            for name, e in zip(self.variables, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e:
-                    factors.append(f"{name}^{e}")
-            mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(parts)
+        """Terms by (total degree, exponent vector)."""
+        return render_terms((c, powers(self.variables, exps)) for exps, c in
+                            sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0])))
 
     def __repr__(self):
         return f"SparsePoly({self.render()})"

@@ -311,13 +311,12 @@ def bridge_theorem54(n, kmax, order) -> CompareResult:
     _, rhs = quiver_generating_series(qv, kmax, order)
     ev = nahm.evaluate(nahm.build_Bprime_form(n), order, charges=True).restrict_charges(kmax)
     A = nahm.cartan_matrix("A", rank)
-    shifted = {}
+    shifted = {}                    # the shift depends on ch alone: keys stay distinct
     for (e2, ch), c in rhs.terms.items():
-        kak2 = sum(A[i][j] * ch[i] * ch[j] for i in range(rank) for j in range(rank))
-        e2n = e2 + kak2
+        e2n = e2 + sum(A[i][j] * ch[i] * ch[j] for i in range(rank) for j in range(rank))
         if e2n < rhs.order2:
-            shifted[(e2n, ch)] = shifted.get((e2n, ch), 0) + c
-    qs = QSeries._raw(rhs.order2, rank, {k: v for k, v in shifted.items() if v})
+            shifted[(e2n, ch)] = c
+    qs = QSeries._raw(rhs.order2, rank, shifted)
     return series_eq(qs, ev)
 
 

@@ -36,7 +36,7 @@ from typing import Optional
 
 from .halfint import twice_of
 from .nahm import BudgetExceeded
-from .poly import SparsePoly
+from .poly import SparsePoly, add_terms, powers, render_terms
 from .series import inv_pochhammer_dense
 
 
@@ -111,16 +111,8 @@ class LaurentQ:
         return not self.terms
 
     def __add__(self, other):
-        order2 = min(self.order2, other.order2)
-        terms = {e: c for e, c in self.terms.items() if e < order2}
-        for e, c in other.terms.items():
-            if e < order2:
-                s = terms.get(e, 0) + c
-                if s:
-                    terms[e] = s
-                elif e in terms:
-                    del terms[e]
-        return LaurentQ(terms, order2)
+        return LaurentQ(add_terms(dict(self.terms), other.terms.items()),
+                        min(self.order2, other.order2))
 
     def __neg__(self):
         return LaurentQ({e: -c for e, c in self.terms.items()}, self.order2)
@@ -189,21 +181,8 @@ class LaurentQ:
         return None
 
     def render(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
-            if e == 0:
-                body = str(abs(c))
-            else:
-                qs = "q" if e == 2 else f"q^{{{Fraction(e, 2)}}}"
-                body = qs if abs(c) == 1 else f"{abs(c)}*{qs}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return render_terms((c, [] if not e else ["q" if e == 2 else f"q^{{{Fraction(e, 2)}}}"])
+                            for e, c in sorted(self.terms.items()))
 
     def __repr__(self):
         return f"LaurentQ({self.render()} ; order {Fraction(self.order2, 2)})"
@@ -361,12 +340,10 @@ class NCElement:
         if not self.terms:
             return "0"
         parts = []
+        names = [f"x{i}" for i in range(1, self.algebra.generator_count + 1)]
         for exps in sorted(self.terms, key=lambda e: (sum(e), e)):
-            coeff = self.terms[exps]
-            mono = "*".join(
-                f"x{i+1}" if p == 1 else f"x{i+1}^{p}"
-                for i, p in enumerate(exps) if p)
-            cs = coeff.render()
+            mono = "*".join(powers(names, exps))
+            cs = self.terms[exps].render()
             if not mono:
                 parts.append(f"({cs})" if ("+" in cs or "- " in cs) else cs)
             elif cs == "1":
@@ -464,20 +441,11 @@ def dilog(algebra, prefactor_sign, qshift, word, xdeg, qorder2) -> NCElement:
 
 
 def dilog_inv(algebra, prefactor_sign, qshift, word, xdeg, qorder2) -> NCElement:
-    """1/phi(z) = sum_n z^n / (q)_n, z = prefactor_sign * q^qshift * word."""
-    word = tuple(word)
-    shift2 = twice_of(qshift)
-    terms = {}
-    n = 0
-    while n * len(word) < xdeg:
-        p, exps = normal_order(algebra, word, n) if n else (0, (0,) * algebra.generator_count)
-        base2 = n * shift2 + 2 * p
-        coeff = _inv_poch_laurent(n, base2, qorder2)
-        if prefactor_sign ** n < 0:
-            coeff = -coeff
-        terms[exps] = terms[exps] + coeff if exps in terms else coeff
-        n += 1
-    return NCElement(algebra, xdeg, terms)
+    """1/phi(z) = sum_n z^n / (q)_n, z = prefactor_sign * q^qshift * word: the
+    n-th term is that of phi(z) without its (-1)^n q^(n(n-1)/2)."""
+    return NCElement(algebra, xdeg, {
+        exps: _inv_poch_laurent(n, base2 - n * (n - 1), qorder2) * ((-1) ** n * sign)
+        for exps, n, base2, sign in _dilog_terms(algebra, prefactor_sign, qshift, word, xdeg)})
 
 
 def product(factors):

@@ -16,6 +16,7 @@ from typing import Optional
 
 from . import kernels
 from .halfint import twice_of
+from .poly import add_terms, powers, render_terms
 
 
 class ChargeRankMismatch(ValueError):
@@ -34,23 +35,22 @@ class QSeries:
     def __init__(self, order, charge_rank=0, terms=None):
         self.order2 = twice_of(order)
         self.charge_rank = charge_rank
-        self.terms = {}
-        if terms:
-            for key, coeff in terms.items():
-                if not coeff:
-                    continue
-                exp, charges = key
-                exp2 = twice_of(exp)
-                charges = tuple(charges)
-                if len(charges) != charge_rank:
-                    raise ChargeRankMismatch(
-                        f"term has {len(charges)} charges, series has rank {charge_rank}")
-                if exp2 < 0:
-                    raise ValueError("negative q-exponent in a QSeries")
-                if exp2 >= self.order2:
-                    continue
-                self.terms[(exp2, charges)] = self.terms.get((exp2, charges), 0) + coeff
-            self.terms = {k: v for k, v in self.terms.items() if v}
+        self.terms = add_terms({}, self._checked(terms or {}))
+
+    def _checked(self, terms):
+        """The nonzero terms below the order, keyed (doubled exponent, charges)."""
+        for (exp, charges), coeff in terms.items():
+            if not coeff:
+                continue
+            exp2 = twice_of(exp)
+            charges = tuple(charges)
+            if len(charges) != self.charge_rank:
+                raise ChargeRankMismatch(
+                    f"term has {len(charges)} charges, series has rank {self.charge_rank}")
+            if exp2 < 0:
+                raise ValueError("negative q-exponent in a QSeries")
+            if exp2 < self.order2:
+                yield (exp2, charges), coeff
 
     # -- construction helpers -------------------------------------------------
 
@@ -63,21 +63,11 @@ class QSeries:
         return s
 
     @classmethod
-    def one(cls, order, charge_rank=0):
-        zero = (0,) * charge_rank
-        return cls(order, charge_rank, {(0, zero): 1})
-
-    @classmethod
-    def from_dense(cls, coeffs, order, exp2_offset=0, stride2=2):
-        """Uncharged series from a dense int list (index i sits at exponent
-        (exp2_offset + stride2*i)/2)."""
+    def from_dense(cls, coeffs, order):
+        """Uncharged series from a dense int list (index i sits at exponent i)."""
         order2 = twice_of(order)
-        terms = {}
-        for i, c in enumerate(coeffs):
-            e2 = exp2_offset + stride2 * i
-            if c and e2 < order2:
-                terms[(e2, ())] = c
-        return cls._raw(order2, 0, terms)
+        return cls._raw(order2, 0, {(2 * i, ()): c for i, c in enumerate(coeffs)
+                                    if c and 2 * i < order2})
 
     # -- inspection ------------------------------------------------------------
 
@@ -97,11 +87,8 @@ class QSeries:
         """Project all charge variables to 1."""
         if self.charge_rank == 0:
             return self
-        out = {}
-        for (e2, _charges), c in self.terms.items():
-            key = (e2, ())
-            out[key] = out.get(key, 0) + c
-        return QSeries._raw(self.order2, 0, {k: v for k, v in out.items() if v})
+        return QSeries._raw(self.order2, 0, add_terms(
+            {}, (((e2, ()), c) for (e2, _charges), c in self.terms.items())))
 
     def charge_slice(self, position, value=0):
         """Terms whose charge at `position` equals `value`, with that charge
@@ -146,14 +133,8 @@ class QSeries:
         self._check_rank(other)
         order2 = min(self.order2, other.order2)
         terms = {k: v for k, v in self.terms.items() if k[0] < order2}
-        for k, v in other.terms.items():
-            if k[0] < order2:
-                s = terms.get(k, 0) + v
-                if s:
-                    terms[k] = s
-                elif k in terms:
-                    del terms[k]
-        return QSeries._raw(order2, self.charge_rank, terms)
+        return QSeries._raw(order2, self.charge_rank, add_terms(
+            terms, (kv for kv in other.terms.items() if kv[0][0] < order2)))
 
     def __neg__(self):
         return QSeries._raw(self.order2, self.charge_rank,
@@ -197,39 +178,21 @@ class QSeries:
 
     # -- rendering ---------------------------------------------------------------
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (kv[0][0], kv[0][1]))
-
     def render(self) -> str:
         """Canonical text form: terms sorted by (q-exponent, charges)."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for (e2, charges), coeff in self.sorted_terms():
-            factors = []
-            if e2 == 2:
-                factors.append("q")
-            elif e2 != 0:
-                factors.append(f"q^{e2 // 2}" if e2 % 2 == 0 else f"q^({e2}/2)")
-            for i, a in enumerate(charges):
-                if a == 1:
-                    factors.append(f"y{i + 1}")
-                elif a != 0:
-                    factors.append(f"y{i + 1}^{a}")
-            if not factors:
-                body = str(abs(coeff))
-            elif abs(coeff) == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(abs(coeff))] + factors)
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(parts)
+        names = [f"y{i}" for i in range(1, self.charge_rank + 1)]
+        return render_terms((c, _q_power(e2) + powers(names, charges))
+                            for (e2, charges), c in sorted(self.terms.items()))
 
     def __repr__(self):
         return f"QSeries(order={Fraction(self.order2, 2)}, rank={self.charge_rank}, {self.render()})"
+
+
+def _q_power(e2):
+    """The factor q^(e2/2) of a rendered term; none for e2 = 0."""
+    if not e2:
+        return []
+    return ["q" if e2 == 2 else f"q^{e2 // 2}" if e2 % 2 == 0 else f"q^({e2}/2)"]
 
 
 # -- comparison verdicts ----------------------------------------------------------

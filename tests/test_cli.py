@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qident import nahm, quiver, qweyl
+from qident import nahm, presets, quiver, qweyl
 from qident.cli import main
 
 from dilog_reference import generous_expansion
@@ -606,6 +606,23 @@ def test_exit_code_contract_holds_under_random_input(tmp_path_factory, parts):
     assert result.exit_code in (0, 1, 2), (args, result.output)
     assert result.exception is None or isinstance(result.exception, SystemExit), args
     assert "verdict: error" not in result.output, args
+
+
+def test_forms_show_internal_error_is_a_report_with_exit_3(runner, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(presets, "nahm_preset", broken)
+    args = ("forms", "show", "--preset", "B-a2")
+    result = run(runner, *args)
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert "command: forms show\n" in result.output
+    assert "verdict: error\n" in result.output
+    assert "exception=RuntimeError: boom" in result.output
+    payload = json.loads(run(runner, "--json", *args).output)
+    assert payload["verdict"] == "error" and payload["exit_code"] == 3
 
 
 @pytest.mark.parametrize("name", ["B-a1", "cartan-a0"])

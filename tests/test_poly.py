@@ -64,3 +64,9 @@ def test_rational_coefficients_exact():
 def test_render_sorted_by_degree():
     p = v("m1") * v("m2") + 1 - v("m3")
     assert p.render() == "1 - m3 + m1*m2"
+    p = SparsePoly(("a", "b"), {(0, 0): Fraction(-1, 2), (1, 0): Fraction(3, 4),
+                                (1, 1): -1, (0, 2): Fraction(-5, 3)})
+    assert p.render() == "-1/2 + 3/4*a - 5/3*b^2 - a*b"
+    assert SparsePoly(("a", "b"), {(0, 0): -1, (2, 1): 2}).render() == "-1 + 2*a^2*b"
+    assert SparsePoly(("a",)).render() == "0"
+    assert SparsePoly.zero(VARS).render() == "0"

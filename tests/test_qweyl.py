@@ -124,6 +124,16 @@ class TestNCElement:
         alg = a_type(2)
         e = NCElement(alg, 5, {(2, 1): LaurentQ({-1: 1}, 10)})
         assert e.render() == "q^{-1/2}*x1^2*x2"
+        e = NCElement(alg, 5, {(0, 0): LaurentQ({0: -1}, 10),
+                               (1, 0): LaurentQ({-1: -1, 2: 1}, 10),
+                               (0, 2): LaurentQ({2: -2}, 10),
+                               (1, 1): LaurentQ({0: 1}, 10)})
+        assert e.render() == "-1 + (-q^{-1/2} + q)*x1 + -2*q*x2^2 + x1*x2"
+        assert NCElement(alg, 4).render() == "0"
+        f = LaurentQ({-3: -1, -1: 2, 0: -1, 2: 1, 5: 3}, 10)
+        assert f.render() == "-q^{-3/2} + 2*q^{-1/2} - 1 + q + 3*q^{5/2}"
+        assert LaurentQ({-3: 1}, 10).render() == "q^{-3/2}"
+        assert LaurentQ({}, 4).render() == "0"
 
 
 class TestDilog:
@@ -163,9 +173,9 @@ class TestDilog:
     def test_dilog_times_inverse_is_one(self):
         alg = a_type(2)
         order2 = 30
-        for word in ((1,), (2,)):
-            f = qweyl.dilog(alg, -1, Fraction(1, 2), word, 6, order2)
-            g = qweyl.dilog_inv(alg, -1, Fraction(1, 2), word, 6, order2)
+        for sign, word in itertools.product((-1, 1), ((1,), (2,), (2, 1))):
+            f = qweyl.dilog(alg, sign, Fraction(1, 2), word, 6, order2)
+            g = qweyl.dilog_inv(alg, sign, Fraction(1, 2), word, 6, order2)
             prod = f * g
             one = NCElement.unit(alg, 6, order2)
             assert qweyl.nc_eq(prod, one, 14).equal

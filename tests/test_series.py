@@ -171,6 +171,12 @@ class TestRender:
     def test_half_integer_and_signs(self):
         s = QSeries(6, 0, {(Fraction(3, 2), ()): -1, (0, ()): 1})
         assert s.render() == "1 - q^(3/2)"
+        assert QSeries(6, 1, {(1, (0,)): -3, (2, (1,)): 1}).render() == "-3*q + q^2*y1"
+        assert QSeries(6, 1, {(0, (0,)): -1, (1, (1,)): 2}).render() == "-1 + 2*q*y1"
+        s = QSeries(6, 2, {(Fraction(1, 2), (-2, 1)): 1, (1, (0, -1)): -2})
+        assert s.render() == "q^(1/2)*y1^-2*y2 - 2*q*y2^-1"
+        assert QSeries(6, 0).render() == "0"
+        assert QSeries(6, 2).render() == "0"
 
     def test_sorted_by_exponent_then_charges(self):
         s = QSeries(6, 1, {(1, (2,)): 1, (1, (1,)): 4})
