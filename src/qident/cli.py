@@ -5,7 +5,8 @@ structured form) and exits 0 when all checks pass, 1 on any mismatch or
 violation (the report still prints), 2 on usage, input or budget errors (one
 `error:` line on stderr, no report), and 3 when the program itself fails
 (a report with verdict `error` naming the exception). Each command body
-returns its report; `reporting` alone maps errors to these exit codes.
+returns its report (`suite` exits with the worst code of its lines);
+`reporting` alone maps errors to these exit codes.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from .series import euler_product, series_eq
 
 
 class Settings:
-    def __init__(self):
+    def __init__(self, in_suite=False):
         self.json = False
         self.budget = None
         self.timings = False
+        self.in_suite = in_suite            # a line of a suite file is running
 
 
 pass_settings = click.make_pass_decorator(Settings, ensure=True)
@@ -50,7 +52,8 @@ def _usage_exit(message):
 
 def reporting(body):
     """Run a command body that returns a VerificationReport, then emit it; a
-    body that returns text (`forms show`) has it printed as it is.
+    body that returns text (`forms show`) has it printed as it is, and `suite`
+    exits with the worst code of its lines by itself.
 
     BudgetExceeded and ValueError are usage errors (exit 2). Any other
     exception is a fault of the program, reported with verdict "error"
@@ -437,9 +440,17 @@ def forms_eval(settings, preset_name, spec_file, order, charges):
 
 @main.command("suite")
 @click.argument("config", type=click.Path(exists=True, dir_okay=False))
-@pass_settings
+@reporting
 def run_suite(settings, config):
-    """Run a file of commands (one CLI line each); exit with the worst code."""
+    """Run a file of commands (one CLI line each); exit with the worst code.
+
+    The global --json, --budget and --timings reach every line; a line's own
+    global options come after them and win.  A `suite` line is refused."""
+    if settings.in_suite:
+        raise ValueError("a suite file cannot run suite")
+    flags = [f for f, on in (("--json", settings.json), ("--timings", settings.timings)) if on]
+    if settings.budget is not None:
+        flags += ["--budget", str(settings.budget)]
     worst = 0
     with open(config, "r", encoding="utf-8", errors="replace") as fh:
         lines = [ln.split("#", 1)[0].strip() for ln in fh]
@@ -448,10 +459,8 @@ def run_suite(settings, config):
             continue
         click.echo(f"$ qident {line}")
         try:
-            args = shlex.split(line)
-            if settings.json and "--json" not in args:
-                args = ["--json"] + args
-            main.main(args=args, standalone_mode=False)
+            main.main(args=flags + shlex.split(line), standalone_mode=False,
+                      obj=Settings(in_suite=True))
         except SystemExit as exc:
             code = exc.code if isinstance(exc.code, int) else 0
             worst = max(worst, code)

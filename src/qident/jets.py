@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 
 from .linalg import rank_of_rows
-from .nahm import BudgetExceeded
+from .nahm import D4_ROOTS, BudgetExceeded, _bprime_coeff, a_pairs, a_root
 from .poly import add_terms
 from .series import QSeries, CompareResult, series_eq
 
@@ -381,64 +381,40 @@ def _e_name(i, j):
     return f"E[{i},{j}]"
 
 
-def _sln_ring(n):
+def _sln_preset(n, letter, term):
+    """sl_n preset over the E[i,j], charged by their roots: one relation
+    term(i1, j1, i2, j2) -> [(coeff, [names])] per pair of overlapping roots
+    (the single family of the primed lattice form)."""
     if n < 2:
         raise ValueError("sl_n jet presets need n >= 2")
-    gens = []
-    charges = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            gens.append(_e_name(i, j))
-            charges.append(tuple(1 if i <= v < j else 0 for v in range(1, n)))
-    return WeightedRing(tuple(gens), tuple(charges))
-
-
-def _sln_quads(n):
-    """Index quadruples (i1,j1,i2,j2): i1<=i2, j1<=j2, j1>i2, all pairs valid."""
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    out = []
-    for (i1, j1) in pairs:
-        for (i2, j2) in pairs:
-            if i1 <= i2 and j1 <= j2 and j1 > i2:
-                out.append((i1, j1, i2, j2))
-    return out
+    pairs = a_pairs(n)
+    ring = WeightedRing(tuple(_e_name(*p) for p in pairs),
+                        tuple(a_root(*p, n) for p in pairs))
+    rels = tuple(JetPoly.from_gen_lists(ring, term(*p, *r))
+                 for p in pairs for r in pairs if _bprime_coeff(*p, *r))
+    return JetPreset(ring, rels, name=f"sln-{letter}{n}")
 
 
 def sln_A(n) -> JetPreset:
     """Symmetrized quadratic presentation E_{i1,j1}E_{i2,j2}+E_{i1,j2}E_{i2,j1}."""
-    ring = _sln_ring(n)
-    rels = []
-    for (i1, j1, i2, j2) in _sln_quads(n):
-        rels.append(JetPoly.from_gen_lists(ring, [
-            (1, [_e_name(i1, j1), _e_name(i2, j2)]),
-            (1, [_e_name(i1, j2), _e_name(i2, j1)]),
-        ]))
-    return JetPreset(ring, tuple(rels), name=f"sln-a{n}")
+    return _sln_preset(n, "a", lambda i1, j1, i2, j2: [
+        (1, [_e_name(i1, j1), _e_name(i2, j2)]), (1, [_e_name(i1, j2), _e_name(i2, j1)])])
 
 
 def sln_B(n) -> JetPreset:
     """Monomial presentation: overlapping-family monomials with the nested
     monomial taken at the j1 = i2+1 boundary."""
-    ring = _sln_ring(n)
-    rels = []
-    for (i1, j1, i2, j2) in _sln_quads(n):
+    def term(i1, j1, i2, j2):
         if j1 == i2 + 1 and i1 < i2 and j1 < j2:
-            rels.append(JetPoly.from_gen_lists(
-                ring, [(1, [_e_name(i1, j2), _e_name(i2, j1)])]))
-        else:
-            rels.append(JetPoly.from_gen_lists(
-                ring, [(1, [_e_name(i1, j1), _e_name(i2, j2)])]))
-    return JetPreset(ring, tuple(rels), name=f"sln-b{n}")
+            return [(1, [_e_name(i1, j2), _e_name(i2, j1)])]
+        return [(1, [_e_name(i1, j1), _e_name(i2, j2)])]
+    return _sln_preset(n, "b", term)
 
 
 def sln_H(n) -> JetPreset:
     """Monomial presentation keeping every overlapping monomial as written."""
-    ring = _sln_ring(n)
-    rels = []
-    for (i1, j1, i2, j2) in _sln_quads(n):
-        rels.append(JetPoly.from_gen_lists(
-            ring, [(1, [_e_name(i1, j1), _e_name(i2, j2)])]))
-    return JetPreset(ring, tuple(rels), name=f"sln-h{n}")
+    return _sln_preset(n, "h", lambda i1, j1, i2, j2: [
+        (1, [_e_name(i1, j1), _e_name(i2, j2)])])
 
 
 # W12 = x_{e1+e2}, V12 = x_{e1-e2}, X2 = x_{e2}, X1 = x_{e1};
@@ -460,36 +436,18 @@ X2*X2*X1
 _B2_B_RELATIONS = _B2_A_RELATIONS.replace("X1*X1 - W12*V12", "X1*X1")
 
 
-def b2_A() -> JetPreset:
+def _b2_preset(text, name):
     ring = WeightedRing(_B2_GENS, _B2_CHARGES)
-    return JetPreset(ring, parse_relations(ring, _B2_A_RELATIONS.splitlines()),
-                     name="b2-a")
+    return JetPreset(ring, parse_relations(ring, text.splitlines()), name=name)
+
+
+def b2_A() -> JetPreset:
+    return _b2_preset(_B2_A_RELATIONS, "b2-a")
 
 
 def b2_B() -> JetPreset:
-    ring = WeightedRing(_B2_GENS, _B2_CHARGES)
-    return JetPreset(ring, parse_relations(ring, _B2_B_RELATIONS.splitlines()),
-                     name="b2-b")
+    return _b2_preset(_B2_B_RELATIONS, "b2-b")
 
-
-# D4: W_ij = x_{eps_i+eps_j}, V_ij = x_{eps_i-eps_j}; charges in the simple
-# roots a1=e1-e2, a2=e2-e3, a3=e3-e4, a4=e3+e4
-_D4_GENS = ("W12", "W13", "W14", "W23", "W24", "W34",
-            "V12", "V13", "V14", "V23", "V24", "V34")
-_D4_CHARGES = (
-    (1, 2, 1, 1),  # W12 = e1+e2
-    (1, 1, 1, 1),  # W13
-    (1, 1, 0, 1),  # W14
-    (0, 1, 1, 1),  # W23
-    (0, 1, 0, 1),  # W24
-    (0, 0, 0, 1),  # W34
-    (1, 0, 0, 0),  # V12 = e1-e2
-    (1, 1, 0, 0),  # V13
-    (1, 1, 1, 0),  # V14
-    (0, 1, 0, 0),  # V23
-    (0, 1, 1, 0),  # V24
-    (0, 0, 1, 0),  # V34
-)
 
 _D4_RELATIONS = """
 W12*W23
@@ -564,7 +522,7 @@ def d4_D(reading="printed") -> JetPreset:
     """
     if reading not in D4_READINGS:
         raise ValueError(f"unknown d4 reading {reading!r}")
-    ring = WeightedRing(_D4_GENS, _D4_CHARGES)
+    ring = WeightedRing(tuple(D4_ROOTS), tuple(D4_ROOTS.values()))
     if reading == "repaired":
         text = _D4_RELATIONS.format(WV_CHAIN="W23*V23 = W24*V24") + _D4_OMITTED
         note = ("six omitted quadratics restored; chain read as W23*V23 = W24*V24 "

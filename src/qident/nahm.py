@@ -196,56 +196,9 @@ def _symmetric_from_products(nvars, product_terms, linear=None):
 
 
 # ---------------------------------------------------------------------------
-# form builders
+# root data: the Cartan matrices and positive roots of the shipped types,
+# read by the lattice forms here, the jet presets and the q-commutation forms
 # ---------------------------------------------------------------------------
-
-TYPO_NOTE_THM1 = ("source display writes denominators (q)_{n_ij} while summing "
-                  "over m; read as (q)_{m_ij}")
-
-
-def _pairs(n):
-    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-
-
-def _b_coeff(i1, j1, i2, j2):
-    """Coefficient on m[i1,j1]*m[i2,j2] of the lattice form B: the number of
-    its four families that hold."""
-    return ((i1 < i2 and j1 < j2 and j1 > i2 + 1)       # strictly crossing with a gap
-            + (i1 == i2 and j1 <= j2)                   # same left endpoint, squares included
-            + (j1 == j2 and i1 < i2)                    # same right endpoint
-            + (j1 == i1 + 1 and i2 < i1 < j2 - 1))      # nearest pair nested in a longer one
-
-
-def _bprime_coeff(i1, j1, i2, j2):
-    """Single family of the primed form: i1 <= i2, j1 <= j2, j1 > i2."""
-    return int(i1 <= i2 and j1 <= j2 and j1 > i2)
-
-
-def _mvar(i, j):
-    return f"m[{i},{j}]"
-
-
-def _pair_form(n, coeff, title, name):
-    """Rank-n form over the m[i,j]; charge row i collects every m[s,l] with
-    s <= i < l."""
-    if n < 2:
-        raise ValueError(f"{title} form needs n >= 2")
-    pairs = _pairs(n)
-    quad, lin = _symmetric_from_products(len(pairs), [
-        (a, b, coeff(*p, *r)) for a, p in enumerate(pairs) for b, r in enumerate(pairs)])
-    return NahmSumSpec(
-        labels=tuple(_mvar(i, j) for (i, j) in pairs), quad=quad, linear=lin,
-        charges=tuple(tuple(int(s <= i < l) for (s, l) in pairs) for i in range(1, n)),
-        name=f"{name}-a{n}", notes=(TYPO_NOTE_THM1,))
-
-
-def build_B_form(n) -> NahmSumSpec:
-    return _pair_form(n, _b_coeff, "B", "B")
-
-
-def build_Bprime_form(n) -> NahmSumSpec:
-    return _pair_form(n, _bprime_coeff, "B'", "Bprime")
-
 
 def cartan_matrix(kind, rank):
     """Integer Cartan matrix; kind 'A' is the path, kind 'D' (rank 4) the star
@@ -267,6 +220,77 @@ def cartan_matrix(kind, rank):
         mat[a - 1][b - 1] = -1
         mat[b - 1][a - 1] = -1
     return mat
+
+
+def a_pairs(n):
+    """The pairs (i, j), 1 <= i < j <= n, of the positive roots of sl_n."""
+    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+
+def a_root(i, j, n):
+    """The positive root e_i - e_j = a_i + ... + a_{j-1} of sl_n (i < j), in
+    simple-root coordinates."""
+    return tuple(int(i <= v < j) for v in range(1, n))
+
+
+# The twelve positive roots of so(8) in the simple roots a1 = e1-e2,
+# a2 = e2-e3, a3 = e3-e4, a4 = e3+e4 (the star of cartan_matrix("D", 4)):
+# W_ij = e_i+e_j and V_ij = e_i-e_j.  The jet generators of d4-d carry these
+# names; the lattice variables n_ij and m_ij of build_d4_form stand for W_ij
+# and V_ij.
+D4_ROOTS = {
+    "W12": (1, 2, 1, 1), "W13": (1, 1, 1, 1), "W14": (1, 1, 0, 1),
+    "W23": (0, 1, 1, 1), "W24": (0, 1, 0, 1), "W34": (0, 0, 0, 1),
+    "V12": (1, 0, 0, 0), "V13": (1, 1, 0, 0), "V14": (1, 1, 1, 0),
+    "V23": (0, 1, 0, 0), "V24": (0, 1, 1, 0), "V34": (0, 0, 1, 0),
+}
+
+
+# ---------------------------------------------------------------------------
+# form builders
+# ---------------------------------------------------------------------------
+
+TYPO_NOTE_THM1 = ("source display writes denominators (q)_{n_ij} while summing "
+                  "over m; read as (q)_{m_ij}")
+
+
+def _b_coeff(i1, j1, i2, j2):
+    """Coefficient on m[i1,j1]*m[i2,j2] of the lattice form B: the number of
+    its four families that hold."""
+    return ((i1 < i2 and j1 < j2 and j1 > i2 + 1)       # strictly crossing with a gap
+            + (i1 == i2 and j1 <= j2)                   # same left endpoint, squares included
+            + (j1 == j2 and i1 < i2)                    # same right endpoint
+            + (j1 == i1 + 1 and i2 < i1 < j2 - 1))      # nearest pair nested in a longer one
+
+
+def _bprime_coeff(i1, j1, i2, j2):
+    """Single family of the primed form: i1 <= i2, j1 <= j2, j1 > i2."""
+    return int(i1 <= i2 and j1 <= j2 and j1 > i2)
+
+
+def _mvar(i, j):
+    return f"m[{i},{j}]"
+
+
+def _pair_form(n, coeff, title, name):
+    """Rank-n form over the m[i,j]; m[i,j] is charged by a_root(i, j, n)."""
+    if n < 2:
+        raise ValueError(f"{title} form needs n >= 2")
+    pairs = a_pairs(n)
+    quad, lin = _symmetric_from_products(len(pairs), [
+        (a, b, coeff(*p, *r)) for a, p in enumerate(pairs) for b, r in enumerate(pairs)])
+    return NahmSumSpec(
+        labels=tuple(_mvar(i, j) for (i, j) in pairs), quad=quad, linear=lin,
+        charges=tuple(zip(*(a_root(i, j, n) for (i, j) in pairs))),
+        name=f"{name}-a{n}", notes=(TYPO_NOTE_THM1,))
+
+
+def build_B_form(n) -> NahmSumSpec:
+    return _pair_form(n, _b_coeff, "B", "B")
+
+
+def build_Bprime_form(n) -> NahmSumSpec:
+    return _pair_form(n, _bprime_coeff, "B'", "Bprime")
 
 
 def build_cartan_side(kind, n) -> NahmSumSpec:
@@ -317,8 +341,6 @@ def build_b2_quintuple_form() -> NahmSumSpec:
         charges=((1, 1, 0, 1, 0), (2, 0, 2, 1, 1)), name="b2-quintuple")
 
 
-_D4_PAIRS = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
-
 # every product term of the twelve-variable D4 exponent, as displayed
 _D4_TERMS = """
 m12*m12 m12*m13 m12*m14 m12*n12 m12*n13 m12*n14
@@ -335,48 +357,26 @@ n24*n24 n24*n34
 n34*n34
 """
 
-_D4_LAMBDAS = {
-    1: "m12 m13 m14 n14 n13 n12",
-    2: "m23 m14 m13 m24 n24 n23 n13 2:n12 n14",
-    3: "m34 m14 m24 n23 n13 n12",
-    4: "n34 n14 n24 n23 n13 n12",
-}
-
-D4_WV_NOTE = ("relation list gives both the monomial W23*W23 and the chain "
-              "W23*W23=W24*W24; the V-variant reading is available as an override")
-
-
 def d4_labels():
-    return tuple(f"m{i}{j}" for (i, j) in _D4_PAIRS) + tuple(f"n{i}{j}" for (i, j) in _D4_PAIRS)
-
-
-def _coeff_tokens(text):
-    """(coefficient, token) of each 'c:token' or bare 'token' (coefficient 1)."""
-    for token in text.split():
-        c, _, token = token.rpartition(":")
-        yield int(c or 1), token
+    return tuple(f"{c}{i}{j}" for c in "mn" for (i, j) in a_pairs(4))
 
 
 def build_d4_form(primed=False) -> NahmSumSpec:
     labels = d4_labels()
     idx = {lab: k for k, lab in enumerate(labels)}
     prods = []
-    for coeff, token in _coeff_tokens(_D4_TERMS):
+    for token in _D4_TERMS.split():         # 'c:a*b', or 'a*b' with coefficient 1
+        c, _, token = token.rpartition(":")
         a, b = token.split("*")
-        prods.append((idx[a], idx[b], coeff))
+        prods.append((idx[a], idx[b], int(c or 1)))
     if primed:
         # B - B' = n12*n23 + n12*m13
         prods.append((idx["n12"], idx["n23"], -1))
         prods.append((idx["n12"], idx["m13"], -1))
     quad, lin = _symmetric_from_products(12, prods)
-    charges = []
-    for i in (1, 2, 3, 4):
-        row = [0] * 12
-        for coeff, token in _coeff_tokens(_D4_LAMBDAS[i]):
-            row[idx[token]] = coeff
-        charges.append(tuple(row))
+    roots = [D4_ROOTS[{"m": "V", "n": "W"}[lab[0]] + lab[1:]] for lab in labels]
     return NahmSumSpec(
-        labels=labels, quad=quad, linear=lin, charges=tuple(charges),
+        labels=labels, quad=quad, linear=lin, charges=tuple(zip(*roots)),
         name="d4-prime" if primed else "d4")
 
 

@@ -35,7 +35,7 @@ from operator import add
 from typing import Optional
 
 from .halfint import twice_of
-from .nahm import BudgetExceeded
+from .nahm import BudgetExceeded, a_pairs, cartan_matrix
 from .poly import SparsePoly, add_terms, powers, render_terms
 from .series import inv_pochhammer_dense
 
@@ -53,22 +53,22 @@ class NCAlgebra:
         self.generator_count = g
 
     @classmethod
+    def from_cartan(cls, kind, rank):
+        """x_a x_b = q^(-C_ab) x_b x_a for a < b, C = cartan_matrix(kind, rank):
+        each edge of the Dynkin diagram is one q-commuting pair."""
+        C = cartan_matrix(kind, rank)
+        return cls([[C[a][b] * ((a > b) - (a < b)) for b in range(rank)]
+                    for a in range(rank)])
+
+    @classmethod
     def type_a(cls, nvars):
         """Chain: x_i x_{i+1} = q x_{i+1} x_i, all other pairs commute."""
-        eps = [[0] * nvars for _ in range(nvars)]
-        for i in range(nvars - 1):
-            eps[i][i + 1] = 1
-            eps[i + 1][i] = -1
-        return cls(eps)
+        return cls.from_cartan("A", nvars)
 
     @classmethod
     def d4(cls):
         """Star with center 2: x1x2=qx2x1, x2x3=qx3x2, x2x4=qx4x2."""
-        eps = [[0] * 4 for _ in range(4)]
-        for a, b in ((1, 2), (2, 3), (2, 4)):
-            eps[a - 1][b - 1] = 1
-            eps[b - 1][a - 1] = -1
-        return cls(eps)
+        return cls.from_cartan("D", 4)
 
     def eps_of(self, a, b):
         return self.eps[a - 1][b - 1]
@@ -691,7 +691,7 @@ def charge_word_identity_holds(n, m, form=None) -> bool:
 
     if form is None:
         form = nahm.build_Bprime_form(n)
-    vec = tuple(m[(i, j)] for i in range(1, n + 1) for j in range(i + 1, n + 1))
+    vec = tuple(m[p] for p in a_pairs(n))
     E, exps = extract_E(n, m)
     lam = form.charge_of(vec)
     if exps != lam:
@@ -703,7 +703,7 @@ def charge_word_identity_holds(n, m, form=None) -> bool:
 def extract_E_poly(n) -> SparsePoly:
     """E(m) as an exact quadratic form (symbolic normal ordering of F)."""
     algebra = NCAlgebra.type_a(n - 1)
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    pairs = a_pairs(n)
     names = tuple(f"m[{i},{j}]" for (i, j) in pairs)
     sym = {p: SparsePoly.variable(names, f"m[{p[0]},{p[1]}]") for p in pairs}
     runs = charge_word_runs(n, sym)

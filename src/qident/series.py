@@ -38,10 +38,9 @@ class QSeries:
         self.terms = add_terms({}, self._checked(terms or {}))
 
     def _checked(self, terms):
-        """The nonzero terms below the order, keyed (doubled exponent, charges)."""
+        """The terms below the order, keyed (doubled exponent, charges); every
+        key is checked, a zero coefficient's too (add_terms drops zeros)."""
         for (exp, charges), coeff in terms.items():
-            if not coeff:
-                continue
             exp2 = twice_of(exp)
             charges = tuple(charges)
             if len(charges) != self.charge_rank:

@@ -3,13 +3,14 @@ import json
 import re
 import shlex
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qident import nahm, presets, quiver, qweyl
+from qident import cli, nahm, presets, quiver, qweyl
 from qident.cli import main
 
 from dilog_reference import generous_expansion
@@ -315,6 +316,57 @@ def test_suite_runner(runner, tmp_path):
     result = run(runner, "suite", str(cfg))
     assert result.exit_code == 0
     assert "suite done; worst exit code 0" in result.output
+
+
+def test_suite_forwards_the_global_flags(runner, tmp_path):
+    line = "verify thm1 --variant a --n 3 --order 12"
+    cfg = tmp_path / "suite.txt"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    direct = run(runner, *shlex.split(line))
+    result = run(runner, "suite", str(cfg))
+    assert result.output == f"$ qident {line}\n{direct.output}\nsuite done; worst exit code 0\n"
+
+    assert run(runner, "--budget", "5", *shlex.split(line)).exit_code == 2
+    result = run(runner, "--budget", "5", "suite", str(cfg))
+    assert result.exit_code == 2
+    assert "error: budget exceeded: level-sum steps limit 5" in result.output
+    result = run(runner, "--budget", "100000", "suite", str(cfg))
+    assert result.exit_code == 0
+    result = run(runner, "--timings", "--json", "suite", str(cfg))
+    assert result.exit_code == 0
+    assert '"wall_time_seconds"' in result.output
+
+    cfg.write_text("--budget 100000 " + line + "\n", encoding="utf-8")
+    assert run(runner, "--budget", "5", "suite", str(cfg)).exit_code == 0   # the line wins
+
+
+def test_suite_line_running_suite_is_exit_2(runner, tmp_path):
+    cfg = tmp_path / "suite.txt"
+    cfg.write_text(f"suite {shlex.quote(str(cfg))}\n"
+                   "verify pentagon --xdeg 3 --qorder 8\n", encoding="utf-8")
+    result = run(runner, "suite", str(cfg))
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.count("error:") == 1
+    assert "error: a suite file cannot run suite\n" in result.output
+    assert "verdict: equal" in result.output     # the next line still ran
+    assert result.output.endswith("suite done; worst exit code 2\n")
+
+
+def test_suite_internal_error_is_a_report_with_exit_3(runner, tmp_path, monkeypatch):
+    def broken(line):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "shlex", SimpleNamespace(split=broken))
+    cfg = tmp_path / "suite.txt"
+    cfg.write_text("verify pentagon --xdeg 3 --qorder 8\n", encoding="utf-8")
+    result = run(runner, "suite", str(cfg))
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert "command: suite\n" in result.output
+    assert "verdict: error\n" in result.output
+    assert "exception=RuntimeError: boom" in result.output
 
 
 def test_timings_flag_adds_wall_time(runner):

@@ -72,6 +72,16 @@ class TestAddMul:
         with pytest.raises(ChargeRankMismatch):
             qs(5, {(0, (1,)): 1}, rank=1) * u(5, e0=1)
 
+    @pytest.mark.parametrize("coeff", [1, 0])
+    def test_every_key_is_checked_whatever_its_coefficient(self, coeff):
+        with pytest.raises(ChargeRankMismatch):
+            qs(5, {(-1, (0, 0)): coeff}, rank=1)
+        with pytest.raises(ValueError, match="negative q-exponent"):
+            qs(5, {(-1, (0,)): coeff}, rank=1)
+        with pytest.raises(ValueError):
+            qs(5, {(Fraction(1, 3), ()): coeff})
+        assert qs(5, {(1, ()): 0, (2, ()): 3}).terms == {(4, ()): 3}
+
 
 class TestCoeff:
     def test_basic(self):
