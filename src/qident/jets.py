@@ -3,12 +3,12 @@
 Generators get depth-indexed variables (g, d) of weight d >= 1 (depth d
 standing for the mode x_{g,(-d)}); a presented relation f contributes
 T^s f for every s, where T is the derivation T(x_{g,(-d)}) = -d x_{g,(-d-1)}.
-The Hilbert series of the quotient is computed weight by weight.  A
-single-term T^s f only removes the monomials it divides, so those are never
-enumerated and build no rows; the multi-term ones give the rows of a sparse
-rank on the monomials that are left, by fraction-free integer elimination on
-rows scaled to primitive integers (exact over Q), with the multigrading by
-charge splitting each weight block into many small ones.
+The Hilbert series of the quotient is computed weight by weight, on
+monomials packed into one int each (`_Packing`).  A single-term T^s f only
+removes the monomials it divides, so those are never enumerated and build no
+rows; the multi-term ones give the integer rows of a sparse rank on the
+monomials that are left, by fraction-free elimination (exact over Q), with
+the multigrading by charge splitting each weight block into many small ones.
 This is the leading-term view of arc-space ideals (Bruschek-Mourtada-Schepers,
 "Arc spaces and Rogers-Ramanujan identities").
 """
@@ -30,11 +30,12 @@ class WeightedRing:
     charges: tuple = None     # optional tuple of integer tuples, one per generator
 
     def __post_init__(self):
+        if len(set(self.generators)) != len(self.generators):
+            raise ValueError(f"duplicate generator (generators: {' '.join(self.generators)})")
         if self.charges is not None:
             if len(self.charges) != len(self.generators):
                 raise ValueError("need one charge vector per generator")
-            ranks = {len(c) for c in self.charges}
-            if len(ranks) > 1:
+            if len({len(c) for c in self.charges}) > 1:
                 raise ValueError("charge vectors must share a rank")
 
     @property
@@ -96,29 +97,22 @@ class JetPoly:
 
     def weight(self):
         """Weight of a homogeneous polynomial (None for 0)."""
-        ws = {mono_weight(m) for m in self.terms}
-        if not ws:
-            return None
-        if len(ws) != 1:
-            raise ValueError("polynomial is not weight-homogeneous")
-        return ws.pop()
+        return _homogeneous({mono_weight(m) for m in self.terms}, "weight")
 
     def charge(self, ring):
-        chs = {_mono_charge(ring, m) for m in self.terms}
-        if not chs:
-            return None
-        if len(chs) != 1:
-            raise ValueError("polynomial is not charge-homogeneous")
-        return chs.pop()
+        return _homogeneous({_mono_charge(ring, m) for m in self.terms}, "charge")
+
+
+def _homogeneous(values, grading):
+    """The one grade of a polynomial's terms (None for 0)."""
+    if len(values) > 1:
+        raise ValueError(f"polynomial is not {grading}-homogeneous")
+    return values.pop() if values else None
 
 
 def _mono_charge(ring, mono):
-    rank = ring.charge_rank
-    out = [0] * rank
-    for (g, d) in mono:
-        for i, x in enumerate(ring.charges[g]):
-            out[i] += x
-    return tuple(out)
+    return tuple(sum(ring.charges[g][i] for g, _d in mono)
+                 for i in range(ring.charge_rank))
 
 
 def apply_T(p: JetPoly) -> JetPoly:
@@ -129,10 +123,8 @@ def apply_T(p: JetPoly) -> JetPoly:
         for pos, v in enumerate(mono):
             if pos and mono[pos - 1] == v:
                 continue        # mono is sorted: a repeated variable is counted once
-            g, d = v
-            new = list(mono)
-            new[pos] = (g, d + 1)
-            images.append((tuple(sorted(new)), c * (-d) * mono.count(v)))
+            new = mono[:pos] + ((v[0], v[1] + 1),) + mono[pos + 1:]
+            images.append((tuple(sorted(new)), c * -v[1] * mono.count(v)))
     return JetPoly._raw(add_terms({}, images))
 
 
@@ -156,53 +148,75 @@ def generate_ideal(preset: JetPreset, max_weight):
     """All T^s f with weight(f)+s <= max_weight, each homogeneous."""
     out = []
     for f in preset.relations:
-        w = f.weight()
-        cur = f
-        s = 0
-        while w + s <= max_weight:
-            out.append(cur)
-            cur = apply_T(cur)
-            s += 1
+        for _s in range(max_weight - f.weight() + 1):
+            out.append(f)
+            f = apply_T(f)
     return out
 
 
-def surviving_monomials(ngens, weight, singles=()):
-    """levels[w] for w <= weight: the sorted monomials (multisets of (g, d))
-    of weight w that no monomial in `singles` divides.
+class _Packing:
+    """Monomials of weight <= `weight` in `ngens` generators as one int each:
+    an exponent vector with a field of `weight.bit_length() + 1` bits for
+    each variable (g, d), at slot (d-1)*ngens + g.  No exponent exceeds the
+    weight, so the top bit of every field, its guard bit, stays clear; the
+    key of a product is the sum of the keys, and s divides m exactly when
+    no field of `(m | guards) - s` borrows from its guard bit."""
 
-    A monomial survives only if its prefix (all but its largest variable v)
-    does, so each level extends the surviving prefixes by one variable
-    v >= the prefix's last.  A divisor of `prefix + (v,)` that does not
-    divide the prefix must end in v and divide the prefix with that v
-    removed, so singles are indexed by their last variable and tested
-    against the prefix alone by a sorted merge."""
+    def __init__(self, ngens, weight):
+        self.ngens, self.width = ngens, weight.bit_length() + 1
+        self.unit = [1 << self.width * slot for slot in range(ngens * weight)]
+        self.guards = sum(self.unit) << self.width - 1
+
+    def slot(self, v):
+        return (v[1] - 1) * self.ngens + v[0]
+
+    def pack(self, mono):
+        return sum(self.unit[self.slot(v)] for v in mono)
+
+    def unpack(self, key):
+        """The sorted ((g, d), ...) tuple of a key."""
+        mask = (1 << self.width) - 1
+        return tuple(sorted((slot % self.ngens, slot // self.ngens + 1)
+                            for slot in range(len(self.unit))
+                            for _ in range(key >> self.width * slot & mask)))
+
+    def divides(self, s, m):
+        return ((m | self.guards) - s) & self.guards == self.guards
+
+
+def surviving_monomials(ngens, weight, singles=()):
+    """levels[w] for w <= weight: the (packed key, last slot) pairs of the
+    monomials of weight w that no monomial in `singles` divides.
+
+    A monomial survives only if its prefix (all but its variable v of largest
+    slot) does, so each level extends the surviving prefixes by one variable
+    in a slot >= the prefix's last.  A divisor of `prefix + v` that does not
+    divide the prefix ends in v and divides the prefix with v removed, so
+    singles are indexed by their last slot and stored as packed rests."""
+    pk = _Packing(ngens, weight)
     by_last = {}
     for s in set(singles):
-        by_last.setdefault(s[-1], []).append(s[:-1])
-    levels = [[()]]
+        if mono_weight(s) <= weight:    # a heavier single divides nothing here
+            last = max(map(pk.slot, s))
+            by_last.setdefault(last, []).append(pk.pack(s) - pk.unit[last])
+    levels = [[(0, 0)]]
     for w in range(1, weight + 1):
         level = []
         for d in range(1, w + 1):
-            for p in levels[w - d]:
-                g0, d0 = p[-1] if p else (0, d)
-                for g in range(g0 if d >= d0 else g0 + 1, ngens):
-                    v = (g, d)
-                    if not any(_divides(rest, p) for rest in by_last.get(v, ())):
-                        level.append(p + (v,))
-        level.sort()
+            top = d * ngens
+            for key, last in levels[w - d]:
+                for slot in range(max(last, top - ngens), top):
+                    rests = by_last.get(slot)
+                    if not rests or not any(pk.divides(r, key) for r in rests):
+                        level.append((key + pk.unit[slot], slot))
         levels.append(level)
     return levels
 
 
-def _divides(a, b):
-    """Whether the sorted tuple a is a sub-multiset of the sorted tuple b."""
-    it = iter(b)
-    return all(x in it for x in a)
-
-
 def monomials_of_weight(ngens, w):
     """Sorted monomials (multisets of (g, d)) of total weight w."""
-    return surviving_monomials(ngens, w)[w]
+    pk = _Packing(ngens, w)
+    return sorted(pk.unpack(key) for key, _ in surviving_monomials(ngens, w)[w])
 
 
 def hilbert_series(preset: JetPreset, weight, multigraded=False,
@@ -218,8 +232,9 @@ def hilbert_series(preset: JetPreset, weight, multigraded=False,
     multi-term multiples restricted to the survivors, by fraction-free
     integer elimination (exact over Q) block by block.  A killed multiplier
     kills every term of its row, so only surviving monomials are
-    multipliers.  The budget caps the cells (rows x columns) of each of
-    these reduced blocks before its rank is taken.
+    multipliers.  Monomials are `_Packing` keys, so the column of a term m of
+    `mult * h` is looked up at `m + mult`.  The budget caps the cells
+    (rows x columns) of each of these reduced blocks before its rank is taken.
     """
     ring = preset.ring
     ngens = len(ring.generators)
@@ -227,41 +242,40 @@ def hilbert_series(preset: JetPreset, weight, multigraded=False,
     rank_out = ring.charge_rank if (multigraded and graded) else 0
     if multigraded and not graded:
         raise ValueError("preset has no charge data for a multigraded series")
+    pk = _Packing(ngens, weight)
     singles = []
     multis_by_weight = {}
     for h in generate_ideal(preset, weight):
         if len(h.terms) == 1:
             singles.extend(h.terms)
         else:
-            multis_by_weight.setdefault(h.weight(), []).append(h.terms)
+            multis_by_weight.setdefault(h.weight(), []).append(
+                [(pk.pack(m), c) for m, c in h.terms.items()])
     survivors = surviving_monomials(ngens, weight, singles)
     # charge of every surviving monomial, built from its prefix, which
     # survives too (a relation dividing the prefix divides the monomial)
-    charge = {(): (0,) * ring.charge_rank}
+    charge = {0: (0,) * ring.charge_rank}
     terms = {(0, (0,) * rank_out): 1}
     for w in range(1, weight + 1):
-        cols = survivors[w]
         blocks = {}
         col_pos = {}
-        for mono in cols:
+        for key, last in survivors[w]:
+            ch = ()
             if graded:
-                ch = tuple(a + b for a, b in
-                           zip(charge[mono[:-1]], ring.charges[mono[-1][0]]))
-                charge[mono] = ch
-            else:
-                ch = ()
+                ch = charge[key] = tuple(map(sum, zip(charge[key - pk.unit[last]],
+                                                      ring.charges[last % ngens])))
             block = blocks.setdefault(ch, [])
-            col_pos[mono] = (ch, len(block))
-            block.append(mono)
+            col_pos[key] = (ch, len(block))
+            block.append(key)
         rows_by_block = {}
         for u, polys in multis_by_weight.items():
             if u > w:
                 continue
-            for mult in survivors[w - u]:
+            for mult, _last in survivors[w - u]:
                 for poly in polys:
                     row = {}
-                    for m, c in poly.items():
-                        pos = col_pos.get(tuple(sorted(m + mult)))
+                    for m, c in poly:
+                        pos = col_pos.get(m + mult)
                         if pos is not None:
                             ch, i = pos
                             row[i] = c
@@ -291,13 +305,8 @@ def parse_relation_line(ring: WeightedRing, line):
     Terms look like `2*E[1,2]*E[2,3]` or `-W13*V24`; monomial factors are
     generator names, coefficients are integers.
     """
-    sides = [s.strip() for s in line.split("=")]
-    polys = [_parse_side(ring, s) for s in sides if s]
-    out = []
-    for a, b in zip(polys, polys[1:]):
-        out.append(a - b)
-    if len(polys) == 1:
-        out.append(polys[0])
+    polys = [_parse_side(ring, s) for s in map(str.strip, line.split("=")) if s]
+    out = [a - b for a, b in zip(polys, polys[1:])] or polys
     if any(p.is_zero() for p in out):
         raise ValueError(f"relation {line!r} is zero")
     return out
@@ -308,11 +317,8 @@ def _parse_side(ring, text):
     parts = [p.strip() for p in text.split("+") if p.strip()]
     gen_parts = []
     for part in parts:
-        sign = 1
-        if part.startswith("-"):
-            sign = -1
-            part = part[1:].strip()
-        coeff = sign
+        coeff = -1 if part.startswith("-") else 1
+        part = part.removeprefix("-").strip()
         names = []
         for factor in part.split("*"):
             factor = factor.strip()
@@ -334,9 +340,8 @@ def parse_relations(ring, lines):
     rels = []
     for line in lines:
         line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        rels.extend(parse_relation_line(ring, line))
+        if line:
+            rels.extend(parse_relation_line(ring, line))
     return tuple(rels)
 
 
@@ -346,8 +351,7 @@ def load_preset_file(path) -> JetPreset:
 
     Without a generators header the ring is inferred from the relation
     tokens, sorted by name (charges then stay unavailable)."""
-    gens = None
-    charges = None
+    gens = charges = None
     rel_lines = []
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
@@ -362,11 +366,7 @@ def load_preset_file(path) -> JetPreset:
             else:
                 rel_lines.append(line)
     if gens is None:
-        seen = set()
-        for line in rel_lines:
-            for tok in _TOKEN.findall(line):
-                seen.add(tok)
-        gens = tuple(sorted(seen))
+        gens = tuple(sorted({tok for line in rel_lines for tok in _TOKEN.findall(line)}))
         if not gens:
             raise ValueError("preset file has no relations to infer generators from")
     ring = WeightedRing(gens, charges)

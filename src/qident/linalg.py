@@ -4,11 +4,13 @@ Rows are dicts column->coefficient, with int or `Fraction` values.  A row
 with a single nonzero entry pivots its column outright; the other rows, with
 those columns deleted, are scaled to primitive integer rows and go through
 fraction-free integer elimination (the Bareiss step on sparse rows), which
-is exact over Q.  This is the only rank path; there is no modular or
-floating-point shortcut.  The jet Hilbert series never builds the monomial
-multiples of single-term relations (it drops the columns they kill
-instead), so the single-term rows that reach this function are multi-term
-rows that lost their other terms to those columns.
+is exact over Q.  Jet rows are all-int, so scaling them takes no lcm of
+denominators, only the division by a gcd that is not 1.  This is the only
+rank path; there is no modular or floating-point shortcut.  The jet Hilbert
+series never builds the monomial multiples of single-term relations (it
+drops the columns they kill instead), so the single-term rows that reach
+this function are multi-term rows that lost their other terms to those
+columns.
 """
 
 from __future__ import annotations
@@ -39,11 +41,13 @@ def rank_of_rows(rows):
 
 
 def _primitive(row):
-    """The integer multiple of a nonempty row with coprime entries."""
-    den = lcm(*(v.denominator for v in row.values()))
-    row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+    """The integer multiple of a nonempty row with coprime entries; an
+    all-int row with coprime entries comes back as it is."""
+    if not all(type(v) is int for v in row.values()):
+        den = lcm(*(v.denominator for v in row.values()))
+        row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
     g = gcd(*row.values())
-    return {c: v // g for c, v in row.items()}
+    return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
 def _eliminate(work):

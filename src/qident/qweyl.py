@@ -352,7 +352,9 @@ class NCElement:
                 parts.append(f"({cs})*{mono}")
             else:
                 parts.append(f"{cs}*{mono}")
-        return " + ".join(parts)
+        # later terms are signed like render_terms: a negative one as `- body`
+        return " ".join([parts[0], *(f"- {t[1:]}" if t.startswith("-") else f"+ {t}"
+                                     for t in parts[1:])])
 
     def __repr__(self):
         return f"NCElement(xdeg={self.xdeg}, {self.render()})"

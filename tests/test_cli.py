@@ -306,6 +306,16 @@ def test_jets_preset_file_bad_relation_is_exit_2(runner, tmp_path, relation,
     assert result.output.strip() == message
 
 
+def test_jets_preset_file_duplicate_generator_is_exit_2(runner, tmp_path):
+    # a repeated name would count a second, phantom generator
+    path = tmp_path / "ring.txt"
+    path.write_text("generators: a a\na*a\n", encoding="utf-8")
+    result = run(runner, "jets", "hilbert", "--preset-file", str(path),
+                 "--weight", "3")
+    assert_usage_exit(result)
+    assert result.output.strip() == "error: duplicate generator (generators: a a)"
+
+
 def test_suite_runner(runner, tmp_path):
     cfg = tmp_path / "suite.txt"
     cfg.write_text(

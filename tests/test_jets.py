@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 from fractions import Fraction
+from hypothesis import example, given, settings, strategies as st
 
 from dense_rank import dense_rank
 from jet_reference import reference_blocks, reference_terms
-from qident import jets, nahm, presets
+from qident import jets, linalg, nahm, presets
 from qident.jets import JetPoly, JetPreset, WeightedRing, apply_T
 from qident.linalg import rank_of_rows
 from qident.nahm import BudgetExceeded
@@ -264,6 +265,12 @@ class TestRankBackend:
                 {0: Fraction(5, 4), 1: Fraction(5, 3), 2: 5, 3: Fraction(-1, 6)}]
         assert rank_of_rows(rows) == dense_rank(rows) == 3
 
+    def test_primitive_int_rows_skip_the_denominators(self):
+        coprime = {0: 3, 4: -2}
+        assert linalg._primitive(coprime) is coprime
+        assert linalg._primitive({0: 6, 4: -4}) == coprime
+        assert linalg._primitive({0: Fraction(3, 2), 4: -1}) == coprime
+
     def test_large_integer_entries_match_dense(self):
         # fraction-free updates multiply rows: entries up to 10^6 check that
         # growth is divided out exactly
@@ -314,6 +321,46 @@ def _multiset_divides(a, b):
     return all(a.count(v) <= b.count(v) for v in a)
 
 
+@st.composite
+def _packing_cases(draw):
+    """(ngens, weight, a, b, m): monomials of weight <= weight, with a*b too."""
+    ngens, weight = draw(st.integers(1, 3)), draw(st.integers(1, 9))
+    var = st.tuples(st.integers(0, ngens - 1), st.integers(1, weight))
+
+    def mono(budget):
+        out = []
+        for g, d in draw(st.lists(var, max_size=weight)):
+            if d <= budget:
+                out.append((g, d))
+                budget -= d
+        return tuple(sorted(out))
+
+    a = mono(weight)
+    return ngens, weight, a, mono(weight - jets.mono_weight(a)), mono(weight)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_packing_cases())
+@example((1, 1, ((0, 1),), (), ((0, 1),)))
+@example((1, 1, (), ((0, 1),), ()))
+@example((2, 7, ((1, 1),) * 7, (), ((1, 1),) * 6))
+@example((2, 8, ((0, 1),) * 4, ((0, 1),) * 4, ((0, 1),) * 8))
+@example((3, 8, ((2, 8),), (), ((2, 1),) * 8))
+def test_packing_matches_tuple_multisets(case):
+    """Unpack inverts pack, the key of a product is the sum of the keys, and
+    the guard-bit test is multiset divisibility; the examples fill a field
+    (an exponent equal to the weight) and cover weight 1."""
+    ngens, weight, a, b, m = case
+    pk = jets._Packing(ngens, weight)
+    ab = tuple(sorted(a + b))
+    for mono in (a, b, m, ab):
+        assert pk.unpack(pk.pack(mono)) == mono
+    assert pk.pack(a) + pk.pack(b) == pk.pack(ab)
+    for s in (a, b, m, ab):
+        for t in (a, b, m, ab):
+            assert pk.divides(pk.pack(s), pk.pack(t)) == _multiset_divides(s, t)
+
+
 class TestBuilder:
     """`hilbert_series` kills the columns of single-term derivatives instead
     of building their rows; the reference builds every row."""
@@ -335,10 +382,13 @@ class TestBuilder:
                                     for _ in range(rng.randint(1, 3))))
                        for _ in range(rng.randint(0, 5))]
             levels = jets.surviving_monomials(ngens, weight, singles)
+            pk = jets._Packing(ngens, weight)
             for w in range(weight + 1):
                 want = [m for m in jets.monomials_of_weight(ngens, w)
                         if not any(_multiset_divides(s, m) for s in singles)]
-                assert levels[w] == want
+                assert sorted(pk.unpack(key) for key, _ in levels[w]) == want
+                assert all(last == max(map(pk.slot, pk.unpack(key)), default=0)
+                           for key, last in levels[w])
 
     @pytest.mark.parametrize("name,reading,weight", [
         ("sln-a2", "printed", 6), ("sln-b2", "printed", 6),
@@ -399,6 +449,7 @@ def test_multigraded_golden(case):
 
 @pytest.mark.parametrize("name,reading,form,weight", [
     ("d4-d", "repaired", "d4", 6),
+    ("d4-d", "repaired", "d4", 8),
     ("b2-a", "printed", "b2-char", 8),
     ("b2-b", "printed", "b2-quintuple", 8),
     ("sln-b3", "printed", "B-a3", 9),

@@ -128,7 +128,7 @@ class TestNCElement:
                                (1, 0): LaurentQ({-1: -1, 2: 1}, 10),
                                (0, 2): LaurentQ({2: -2}, 10),
                                (1, 1): LaurentQ({0: 1}, 10)})
-        assert e.render() == "-1 + (-q^{-1/2} + q)*x1 + -2*q*x2^2 + x1*x2"
+        assert e.render() == "-1 + (-q^{-1/2} + q)*x1 - 2*q*x2^2 + x1*x2"
         assert NCElement(alg, 4).render() == "0"
         f = LaurentQ({-3: -1, -1: 2, 0: -1, 2: 1, 5: 3}, 10)
         assert f.render() == "-q^{-3/2} + 2*q^{-1/2} - 1 + q + 3*q^{5/2}"
