@@ -257,16 +257,16 @@ def hilbert_series(preset: JetPreset, weight, multigraded=False,
     charge = {0: (0,) * ring.charge_rank}
     terms = {(0, (0,) * rank_out): 1}
     for w in range(1, weight + 1):
-        blocks = {}
+        blocks = {}   # charge -> its column count
         col_pos = {}
         for key, last in survivors[w]:
             ch = ()
             if graded:
                 ch = charge[key] = tuple(map(sum, zip(charge[key - pk.unit[last]],
                                                       ring.charges[last % ngens])))
-            block = blocks.setdefault(ch, [])
-            col_pos[key] = (ch, len(block))
-            block.append(key)
+            n = blocks.get(ch, 0)
+            col_pos[key] = (ch, n)
+            blocks[ch] = n + 1
         rows_by_block = {}
         for u, polys in multis_by_weight.items():
             if u > w:
@@ -281,11 +281,11 @@ def hilbert_series(preset: JetPreset, weight, multigraded=False,
                             row[i] = c
                     if row:
                         rows_by_block.setdefault(ch, []).append(row)
-        for ch, block_cols in sorted(blocks.items()):
+        for ch, ncols in sorted(blocks.items()):
             rows = rows_by_block.get(ch, [])
-            if budget is not None and len(rows) * len(block_cols) > budget:
+            if budget is not None and len(rows) * ncols > budget:
                 raise BudgetExceeded(f"matrix cells at weight {w}", budget)
-            dim = len(block_cols) - rank_of_rows(rows)
+            dim = ncols - rank_of_rows(rows)
             if dim:
                 key = (2 * w, ch if rank_out else ())
                 terms[key] = terms.get(key, 0) + dim

@@ -34,12 +34,6 @@ def geom_div(arr, step):
         arr[k] += arr[k - step]
 
 
-def geom_mul(arr, step):
-    """In-place multiplication by (1 - q^step): descending pass."""
-    for k in range(len(arr) - 1, step - 1, -1):
-        arr[k] -= arr[k - step]
-
-
 def binom_mul(arr, step, c):
     """In-place multiplication by (1 + c*q^step)."""
     for k in range(len(arr) - 1, step - 1, -1):

@@ -261,7 +261,7 @@ def pochhammer(n: int, order) -> QSeries:
     arr[0] = 1
     for i in range(1, n + 1):
         if i < len(arr):
-            kernels.geom_mul(arr, i)
+            kernels.binom_mul(arr, i, -1)
     return QSeries.from_dense(arr, order)
 
 

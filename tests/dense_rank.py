@@ -1,7 +1,9 @@
 """Reference rank for the sparse rank tests: plain dense Gauss-Jordan
-elimination over Fraction, no peeling, no pivot heuristics."""
+elimination over Fraction, no peeling, no pivot heuristics.  The sparse rank
+takes integer rows only; `integer_rows` scales rational rows to those."""
 
 from fractions import Fraction
+from math import lcm
 
 
 def dense_rank(rows):
@@ -19,3 +21,12 @@ def dense_rank(rows):
                 m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+def integer_rows(rows):
+    """Each row times the lcm of its denominators: the same rank, int entries."""
+    out = []
+    for row in rows:
+        den = lcm(*(Fraction(v).denominator for v in row.values()))
+        out.append({c: int(v * den) for c, v in row.items()})
+    return out

@@ -339,9 +339,9 @@ def test_criterion_14_property_suites():
         rng.shuffle(perm)
         ok = ok and nahm.evaluate(spec.permuted(perm), 10, charges=True) == bases[spec.name]
 
-    # sparse peel-then-eliminate rank vs dense elimination, 200 random
-    # sparse matrices
-    from dense_rank import dense_rank
+    # sparse peel-then-eliminate rank of the integer-scaled rows vs dense
+    # elimination of the rational ones, 200 random sparse matrices
+    from dense_rank import dense_rank, integer_rows
     from qident.linalg import rank_of_rows
     for _ in range(200):
         nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
@@ -350,7 +350,7 @@ def test_criterion_14_property_suites():
             row = {c: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                    for c in rng.sample(range(ncols), rng.randint(0, ncols))}
             rows.append({c: v for c, v in row.items() if v})
-        ok = ok and rank_of_rows(rows) == dense_rank(rows)
+        ok = ok and rank_of_rows(integer_rows(rows)) == dense_rank(rows)
 
     _report(14, ok, "property suites: ring laws, truncation closure, "
             "pochhammer inverse, enumeration-order independence, "

@@ -7,9 +7,9 @@ import pytest
 from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
-from dense_rank import dense_rank
+from dense_rank import dense_rank, integer_rows
 from jet_reference import reference_blocks, reference_terms
-from qident import jets, linalg, nahm, presets
+from qident import jets, nahm, presets
 from qident.jets import JetPoly, JetPreset, WeightedRing, apply_T
 from qident.linalg import rank_of_rows
 from qident.nahm import BudgetExceeded
@@ -198,22 +198,13 @@ class TestHilbert:
 
 class TestRankBackend:
     def test_rank_small_example(self):
-        rows = [{0: Fraction(1), 1: Fraction(2)},
-                {0: Fraction(2), 1: Fraction(4)},
-                {1: Fraction(1)}]
+        rows = [{0: 1, 1: 2}, {0: 2, 1: 4}, {1: 1}]
         assert rank_of_rows(rows) == 2
         assert dense_rank(rows) == 2
 
     def test_duplicate_single_term_rows_count_once(self):
-        rows = [{3: Fraction(2)}, {3: Fraction(-5)}, {3: 1}]
+        rows = [{3: 2}, {3: -5}, {3: 1}]
         assert rank_of_rows(rows) == 1
-
-    def test_zero_entries_are_not_terms(self):
-        # {0: 0, 1: 3} is single-term: it peels column 1, and the second
-        # row then reduces to {0: 1}
-        rows = [{0: Fraction(0), 1: 3}, {0: 1, 1: 1}]
-        assert rank_of_rows(rows) == 2
-        assert rank_of_rows([{0: Fraction(0), 1: Fraction(0)}]) == 0
 
     def test_row_emptied_by_peeling_adds_nothing(self):
         rows = [{0: 1}, {1: 1}, {0: 2, 1: -7}]
@@ -230,7 +221,7 @@ class TestRankBackend:
             ncols = rng.randint(1, 8)
             rows = []
             for _ in range(nrows):
-                row = {c: Fraction(rng.randint(-4, 4))
+                row = {c: rng.randint(-4, 4)
                        for c in rng.sample(range(ncols), rng.randint(0, ncols))}
                 rows.append({c: v for c, v in row.items() if v})
             base = rank_of_rows(rows)
@@ -251,25 +242,33 @@ class TestRankBackend:
                              for c in rng.sample(range(ncols),
                                                  rng.randint(0, ncols))})
             rows = [{c: v for c, v in row.items() if v} for row in rows]
-            assert rank_of_rows(rows) == dense_rank(rows)
+            assert rank_of_rows(integer_rows(rows)) == dense_rank(rows)
 
     def test_scalar_multiples_count_once(self):
+        # the third row is 3 * (1/3, -2/3, 1)
         rows = [{0: 2, 1: -4, 2: 6}, {0: -1, 1: 2, 2: -3},
-                {0: Fraction(1, 3), 1: Fraction(-2, 3), 2: 1}, {1: 1, 2: 1}]
+                {0: 1, 1: -2, 2: 3}, {1: 1, 2: 1}]
         assert rank_of_rows(rows) == 2 == dense_rank(rows)
 
     def test_mixed_denominators_match_dense(self):
-        rows = [{0: Fraction(1, 2), 1: Fraction(2, 3), 2: 5},
-                {0: Fraction(3, 4), 1: 1, 3: Fraction(-1, 6)},
-                {1: Fraction(7, 5), 2: Fraction(1, 10), 3: 2},
-                {0: Fraction(5, 4), 1: Fraction(5, 3), 2: 5, 3: Fraction(-1, 6)}]
-        assert rank_of_rows(rows) == dense_rank(rows) == 3
+        fractions = [{0: Fraction(1, 2), 1: Fraction(2, 3), 2: 5},
+                     {0: Fraction(3, 4), 1: 1, 3: Fraction(-1, 6)},
+                     {1: Fraction(7, 5), 2: Fraction(1, 10), 3: 2},
+                     {0: Fraction(5, 4), 1: Fraction(5, 3), 2: 5, 3: Fraction(-1, 6)}]
+        # each row times the lcm of its denominators: 6, 12, 10, 12
+        rows = [{0: 3, 1: 4, 2: 30}, {0: 9, 1: 12, 3: -2},
+                {1: 14, 2: 1, 3: 20}, {0: 15, 1: 20, 2: 60, 3: -2}]
+        assert integer_rows(fractions) == rows
+        assert rank_of_rows(rows) == dense_rank(fractions) == 3
 
-    def test_primitive_int_rows_skip_the_denominators(self):
-        coprime = {0: 3, 4: -2}
-        assert linalg._primitive(coprime) is coprime
-        assert linalg._primitive({0: 6, 4: -4}) == coprime
-        assert linalg._primitive({0: Fraction(3, 2), 4: -1}) == coprime
+    def test_rows_are_left_unchanged(self):
+        # column 0 peels, the second row loses it and the last two rows reach
+        # elimination untouched by the peel; every row is non-primitive or
+        # gets reduced, so elimination in place would change them
+        rows = [{0: 5}, {0: 4, 1: 6, 2: 2}, {1: 2, 2: 6}, {1: 4, 2: 10, 3: 8}]
+        before = [dict(row) for row in rows]
+        assert rank_of_rows(rows) == 4 == dense_rank(rows)
+        assert rows == before
 
     def test_large_integer_entries_match_dense(self):
         # fraction-free updates multiply rows: entries up to 10^6 check that
@@ -430,6 +429,33 @@ class TestBuilder:
         assert jets.hilbert_series(pre, 6, budget=reduced) == want
         with pytest.raises(BudgetExceeded):
             jets.hilbert_series(pre, 6, budget=reduced - 1)
+
+    @pytest.mark.parametrize("name,reading", [
+        ("sln-a3", "printed"), ("sln-b3", "printed"), ("sln-h3", "printed"),
+        ("b2-a", "printed"), ("b2-b", "printed"), ("power-3", "printed"),
+        ("d4-d", "printed"), ("d4-d", "printed-v"), ("d4-d", "repaired"),
+    ])
+    def test_rank_gets_nonzero_int_rows_and_keeps_them(self, monkeypatch,
+                                                        name, reading):
+        # rank_of_rows accepts only nonempty rows of nonzero ints and must
+        # leave them as they were: pin both on every shipped jet preset
+        calls = []
+
+        def checked(rows):
+            for row in rows:
+                assert type(row) is dict and row
+                assert all(type(v) is int and v for v in row.values())
+            before = [dict(row) for row in rows]
+            rank = rank_of_rows(rows)
+            assert rows == before
+            calls.append(len(rows))
+            return rank
+
+        monkeypatch.setattr(jets, "rank_of_rows", checked)
+        pre = presets.jet_preset(name, reading)
+        for multigraded in (False, True):
+            jets.hilbert_series(pre, 5, multigraded=multigraded)
+        assert sum(calls) > 0
 
 
 GOLDENS = json.loads((Path(__file__).parent / "hilbert_goldens.json")
