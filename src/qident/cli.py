@@ -12,7 +12,6 @@ returns its report (`suite` exits with the worst code of its lines);
 from __future__ import annotations
 
 import functools
-import re
 import shlex
 import sys
 import time
@@ -172,7 +171,7 @@ def _nc_report(report, result):
 def verify_thm1(settings, variant, n, order, charges):
     """Lattice form (B or B') against the Cartan character side."""
     lhs = (nahm.build_B_form if variant == "a" else nahm.build_Bprime_form)(n)
-    return _identity_report(settings, "verify thm1", lhs, nahm.build_cartan_side("A", n),
+    return _identity_report(settings, "verify thm1", lhs, nahm.build_cartan_side(f"a{n}"),
                             order, charges)
 
 
@@ -206,15 +205,7 @@ def verify_pentagon(settings, xdeg, qorder, variant, negative_control):
 @reporting
 def verify_ordered_product(settings, kind, xdeg, qorder):
     """Left-to-right dilogarithm factorization in the displayed order."""
-    chain = re.fullmatch(r"a([0-9]+)", kind)
-    if kind == "d4":
-        args = ("d4",)
-    elif chain:
-        args = ("a", int(chain.group(1)))
-    else:
-        raise ValueError(f"bad --type {kind!r}")
-    result, factors = qweyl.ordered_product_check(*args, xdeg=xdeg, qorder=qorder,
-                                                  budget=settings.budget)
+    result, factors = qweyl.ordered_product_check(kind, xdeg, qorder, budget=settings.budget)
     return _nc_report(VerificationReport(
         command="verify ordered-product",
         parameters={"type": kind, "xdeg": xdeg, "qorder": qorder},
@@ -279,8 +270,8 @@ def verify_b2_product(settings, order):
     prod = euler_product([(1, 1, 1, 1), (1, 1, 2, 2),
                           (-1, 1, 5, -1), (-1, 4, 5, -1)], order)
     r1 = series_eq(ch, prod)
-    a2 = character(nahm.build_cartan_side("A", 3))
-    a1 = character(nahm.build_cartan_side("A", 2))
+    a2 = character(nahm.build_cartan_side("a3"))
+    a1 = character(nahm.build_cartan_side("a2"))
     r2 = series_eq(ch, a2 * a1)
     report = VerificationReport(
         command="verify b2-product",
@@ -302,7 +293,7 @@ def verify_d4(settings, order, primed, charges):
     notes = ["primed form: B minus the two cross terms n12*n23 + n12*m13; "
              "only an upper-bound claim is attached to it"] if primed else []
     return _identity_report(settings, "verify d4", nahm.build_d4_form(primed=primed),
-                            nahm.build_cartan_side("D", 4), order, charges, notes)
+                            nahm.build_cartan_side("d4"), order, charges, notes)
 
 
 @verify.command("custom")
@@ -336,13 +327,15 @@ def jets_group():
               help="plain-text relation file instead of a named preset")
 @click.option("--weight", type=click.IntRange(min=1), required=True)
 @click.option("--multigraded", is_flag=True)
-@click.option("--d4-reading", type=click.Choice(jets.D4_READINGS), default="printed")
+@click.option("--d4-reading", type=click.Choice(jets.D4_READINGS), default=None)
 @reporting
 def jets_hilbert(settings, preset_name, preset_file, weight, multigraded,
                  d4_reading):
     """Hilbert series of a jet algebra, weight by weight."""
+    if d4_reading is not None and preset_name != "d4-d":
+        raise ValueError("--d4-reading applies to --preset d4-d only")
     preset = _preset_or_file(preset_name, preset_file, "--preset-file",
-                             lambda name: presets.jet_preset(name, d4_reading),
+                             lambda name: presets.jet_preset(name, d4_reading or "printed"),
                              jets.load_preset_file)
     hs = jets.hilbert_series(preset, weight, multigraded=multigraded,
                              budget=settings.budget)

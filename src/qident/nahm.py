@@ -59,6 +59,9 @@ class NahmSumSpec:
 
     def __post_init__(self):
         l = self.nvars
+        repeated = [lab for i, lab in enumerate(self.labels) if lab in self.labels[:i]]
+        if repeated:
+            raise ValueError(f"repeated label {repeated[0]!r}")
         if len(self.quad) != l or any(len(row) != l for row in self.quad):
             raise ValueError("quadratic matrix shape does not match variable count")
         if len(self.linear) != l:
@@ -200,19 +203,20 @@ def _symmetric_from_products(nvars, product_terms, linear=None):
 # read by the lattice forms here, the jet presets and the q-commutation forms
 # ---------------------------------------------------------------------------
 
-def cartan_matrix(kind, rank):
-    """Integer Cartan matrix; kind 'A' is the path, kind 'D' (rank 4) the star
-    with center node 2."""
-    if kind == "A":
-        size = rank
+def cartan_matrix(name):
+    """Integer Cartan matrix of a Dynkin type string, the one parser of a type:
+    a{N} (N >= 2) is sl_N, the path on N-1 nodes; d4 is the star with center
+    node 2.  Any other name is a ValueError."""
+    digits = name[1:]
+    if name == "d4":
+        size, edges = 4, [(1, 2), (2, 3), (2, 4)]
+    elif name[:1] == "a" and digits.isascii() and digits.isdigit() and str(int(digits)) == digits:
+        if int(digits) < 2:
+            raise ValueError("type A needs n >= 2")
+        size = int(digits) - 1
         edges = [(i, i + 1) for i in range(1, size)]
-    elif kind == "D":
-        if rank != 4:
-            raise ValueError("only D4 is supported")
-        size = 4
-        edges = [(1, 2), (2, 3), (2, 4)]
     else:
-        raise ValueError(f"unsupported Cartan type {kind!r}")
+        raise ValueError(f"unknown Dynkin type {name!r}: need a{{N}} (N >= 2) or d4")
     mat = [[0] * size for _ in range(size)]
     for i in range(size):
         mat[i][i] = 2
@@ -234,7 +238,7 @@ def a_root(i, j, n):
 
 
 # The twelve positive roots of so(8) in the simple roots a1 = e1-e2,
-# a2 = e2-e3, a3 = e3-e4, a4 = e3+e4 (the star of cartan_matrix("D", 4)):
+# a2 = e2-e3, a3 = e3-e4, a4 = e3+e4 (the star of cartan_matrix("d4")):
 # W_ij = e_i+e_j and V_ij = e_i-e_j.  The jet generators of d4-d carry these
 # names; the lattice variables n_ij and m_ij of build_d4_form stand for W_ij
 # and V_ij.
@@ -293,28 +297,16 @@ def build_Bprime_form(n) -> NahmSumSpec:
     return _pair_form(n, _bprime_coeff, "B'", "Bprime")
 
 
-def build_cartan_side(kind, n) -> NahmSumSpec:
-    """Character side: exponent (1/2) k^T A k over (q)_{k_1}...(q)_{k_r}.
-
-    For kind 'A' the argument n is the rank of sl_n, so the sum has n-1
-    variables; for kind 'D' it is the Cartan rank itself.
-    """
-    if kind == "A":
-        if n < 2:
-            raise ValueError("type A needs n >= 2")
-        size = n - 1
-        name = f"cartan-a{n}"
-    elif kind == "D":
-        size = n
-        name = f"cartan-d{n}"
-    else:
-        raise ValueError(f"unsupported type {kind!r}")
-    A = cartan_matrix(kind, n if kind == "D" else size)
+def build_cartan_side(name) -> NahmSumSpec:
+    """Character side of the type `name` (see cartan_matrix): exponent
+    (1/2) k^T A k over (q)_{k_1}...(q)_{k_r}."""
+    A = cartan_matrix(name)
+    size = len(A)
     quad = tuple(tuple(Fraction(A[i][j], 2) for j in range(size)) for i in range(size))
     charges = tuple(tuple(1 if i == j else 0 for j in range(size)) for i in range(size))
     return NahmSumSpec(
         labels=tuple(f"k{i+1}" for i in range(size)),
-        quad=quad, linear=(Fraction(0),) * size, charges=charges, name=name)
+        quad=quad, linear=(Fraction(0),) * size, charges=charges, name=f"cartan-{name}")
 
 
 def build_b2_char_form() -> NahmSumSpec:
@@ -669,7 +661,7 @@ def form_difference_pure(n, kind) -> SparsePoly:
     six-type bookkeeping of expand_form_difference(n, ...).
     """
     spec = _A_FORMS[kind](n + 1)
-    cartan = build_cartan_side("A", n + 1)
+    cartan = build_cartan_side(f"a{n + 1}")
     half = form_poly(cartan).substitute(dict(zip(cartan.labels, charge_polys(spec))))
     return form_poly(spec) - half
 
@@ -685,7 +677,7 @@ def expand_form_difference(n, kind) -> SparsePoly:
     if n < 2:
         raise ValueError("expand_form_difference needs n >= 2")
     spec = _A_FORMS[kind](n + 1)
-    cartan = build_cartan_side("A", n + 1)
+    cartan = build_cartan_side(f"a{n + 1}")
     nearest = tuple(_mvar(i, i + 1) for i in range(1, n + 1))
     far = tuple(lab for lab in spec.labels if lab not in nearest)
     mixed_names = cartan.labels + far

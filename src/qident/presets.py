@@ -11,18 +11,16 @@ _NAHM_FIXED = {
     "b2-quintuple": nahm.build_b2_quintuple_form,
     "d4": nahm.build_d4_form,
     "d4-prime": lambda: nahm.build_d4_form(primed=True),
-    "cartan-d4": lambda: nahm.build_cartan_side("D", 4),
 }
 
 
 def nahm_preset(name: str) -> nahm.NahmSumSpec:
-    """Resolve cartan-a{n}, B-a{n}, Bprime-a{n}, b2-char, b2-quintuple,
-    d4, d4-prime, cartan-d4."""
+    """Resolve cartan-{type} (a Dynkin type string, see nahm.cartan_matrix),
+    B-a{n}, Bprime-a{n}, b2-char, b2-quintuple, d4, d4-prime."""
     if name in _NAHM_FIXED:
         return _NAHM_FIXED[name]()
-    m = re.fullmatch(r"cartan-a(\d+)", name)
-    if m:
-        return nahm.build_cartan_side("A", int(m.group(1)))
+    if name.startswith("cartan-"):
+        return nahm.build_cartan_side(name[len("cartan-"):])
     m = re.fullmatch(r"B-a(\d+)", name)
     if m:
         return nahm.build_B_form(int(m.group(1)))

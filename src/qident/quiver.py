@@ -310,10 +310,10 @@ def bridge_theorem54(n, kmax, order) -> CompareResult:
     qv = QuiverA.equioriented(rank)
     _, rhs = quiver_generating_series(qv, kmax, order)
     ev = nahm.evaluate(nahm.build_Bprime_form(n), order, charges=True).restrict_charges(kmax)
-    A = nahm.cartan_matrix("A", rank)
+    cartan = nahm.build_cartan_side(f"a{n}")
     shifted = {}                    # the shift depends on ch alone: keys stay distinct
     for (e2, ch), c in rhs.terms.items():
-        e2n = e2 + sum(A[i][j] * ch[i] * ch[j] for i in range(rank) for j in range(rank))
+        e2n = e2 + cartan.exponent2(ch)
         if e2n < rhs.order2:
             shifted[(e2n, ch)] = c
     qs = QSeries._raw(rhs.order2, rank, shifted)

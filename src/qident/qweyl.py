@@ -53,22 +53,13 @@ class NCAlgebra:
         self.generator_count = g
 
     @classmethod
-    def from_cartan(cls, kind, rank):
-        """x_a x_b = q^(-C_ab) x_b x_a for a < b, C = cartan_matrix(kind, rank):
+    def from_cartan(cls, name):
+        """x_a x_b = q^(-C_ab) x_b x_a for a < b, C = cartan_matrix(name):
         each edge of the Dynkin diagram is one q-commuting pair."""
-        C = cartan_matrix(kind, rank)
+        C = cartan_matrix(name)
+        rank = len(C)
         return cls([[C[a][b] * ((a > b) - (a < b)) for b in range(rank)]
                     for a in range(rank)])
-
-    @classmethod
-    def type_a(cls, nvars):
-        """Chain: x_i x_{i+1} = q x_{i+1} x_i, all other pairs commute."""
-        return cls.from_cartan("A", nvars)
-
-    @classmethod
-    def d4(cls):
-        """Star with center 2: x1x2=qx2x1, x2x3=qx3x2, x2x4=qx4x2."""
-        return cls.from_cartan("D", 4)
 
     def eps_of(self, a, b):
         return self.eps[a - 1][b - 1]
@@ -558,29 +549,20 @@ def pentagon_check(xdeg, qorder, variant="plain", drop_middle=False,
 
 # -- ordered products --------------------------------------------------------
 
-def ordered_product_factors(kind, n=None):
-    """(LHS, RHS) dilog factor lists, RHS in the displayed order.
+def ordered_product_factors(name):
+    """(LHS, RHS) dilog factor lists of the type `name` (see cartan_matrix),
+    RHS in the displayed order.
 
-    Type A rank n: LHS is phi(-q^(1/2) x_{n-1}) ... phi(-q^(1/2) x_1); RHS
-    blocks run g = 1..n-1, block g listing segment words x_g x_{g-1} ... x_i
-    for i = 1..g with shift (g-i+1)/2.  Kind 'd4' is the twelve-factor star
-    product; the factor phi(-q^(5/2) x4x3x2x1x2) is deliberately not a segment
-    word.
+    LHS is phi(-q^(1/2) x_r) ... phi(-q^(1/2) x_1) over the r nodes.  Type
+    a{n}: RHS blocks run g = 1..n-1, block g listing segment words
+    x_g x_{g-1} ... x_i for i = 1..g with shift (g-i+1)/2.  Type d4 is the
+    twelve-factor star product; the factor phi(-q^(5/2) x4x3x2x1x2) is
+    deliberately not a segment word.
     """
-    if kind == "a":
-        if n is None or n < 2:
-            raise ValueError("type A needs n >= 2")
-        half = Fraction(1, 2)
-        lhs = [(-1, half, (g,)) for g in range(n - 1, 0, -1)]
-        rhs = []
-        for g in range(1, n):
-            for i in range(1, g + 1):
-                word = tuple(range(g, i - 1, -1))
-                rhs.append((-1, Fraction(g - i + 1, 2), word))
-        return lhs, rhs
-    if kind == "d4":
-        half = Fraction(1, 2)
-        lhs = [(-1, half, (g,)) for g in (4, 3, 2, 1)]
+    rank = len(cartan_matrix(name))
+    half = Fraction(1, 2)
+    lhs = [(-1, half, (g,)) for g in range(rank, 0, -1)]
+    if name == "d4":
         rhs = [(-1, Fraction(k, 2), word) for k, word in (
             (1, (1,)),
             (2, (2, 1)),
@@ -595,22 +577,18 @@ def ordered_product_factors(kind, n=None):
             (1, (3,)),
             (1, (4,)),
         )]
-        return lhs, rhs
-    raise ValueError(f"unknown ordered-product kind {kind!r}")
+    else:
+        rhs = [(-1, Fraction(g - i + 1, 2), tuple(range(g, i - 1, -1)))
+               for g in range(1, rank + 1) for i in range(1, g + 1)]
+    return lhs, rhs
 
 
-def ordered_product_check(kind, n=None, xdeg=4, qorder=10, budget=None):
+def ordered_product_check(name, xdeg, qorder, budget=None):
     """Verdict plus the RHS factor list (emitted in reports for auditing).
 
     budget caps the monomial pairs of each side's expansion."""
-    if kind == "a":
-        algebra = NCAlgebra.type_a(n - 1)
-        lhs_f, rhs_f = ordered_product_factors("a", n)
-    elif kind == "d4":
-        algebra = NCAlgebra.d4()
-        lhs_f, rhs_f = ordered_product_factors("d4")
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    lhs_f, rhs_f = ordered_product_factors(name)
+    algebra = NCAlgebra.from_cartan(name)
     lhs = expand_dilog_product(algebra, lhs_f, xdeg, qorder, budget)
     rhs = expand_dilog_product(algebra, rhs_f, xdeg, qorder, budget)
     return nc_eq(lhs, rhs, qorder), rhs_f
@@ -656,7 +634,7 @@ def extract_E(n, m):
 
     The exponent vector always equals the charge vector lambda(m).
     """
-    algebra = NCAlgebra.type_a(n - 1)
+    algebra = NCAlgebra.from_cartan(f"a{n}")
     runs = charge_word_runs(n, m)
     p = _runs_power(algebra, runs, lambda a, b: a * b)
     p = 0 if p is None else p
@@ -704,7 +682,7 @@ def charge_word_identity_holds(n, m, form=None) -> bool:
 
 def extract_E_poly(n) -> SparsePoly:
     """E(m) as an exact quadratic form (symbolic normal ordering of F)."""
-    algebra = NCAlgebra.type_a(n - 1)
+    algebra = NCAlgebra.from_cartan(f"a{n}")
     pairs = a_pairs(n)
     names = tuple(f"m[{i},{j}]" for (i, j) in pairs)
     sym = {p: SparsePoly.variable(names, f"m[{p[0]},{p[1]}]") for p in pairs}

@@ -37,7 +37,7 @@ def test_criterion_01_thm1a_charged_equality():
     for n, order in ((2, 25), (3, 25), (4, 25), (5, 18)):
         t0 = time.time()
         r = nahm.verify_identity(nahm.build_B_form(n),
-                                 nahm.build_cartan_side("A", n),
+                                 nahm.build_cartan_side(f"a{n}"),
                                  order, with_charges=True)
         ok = ok and r.equal and (time.time() - t0) < 120
     _report(1, ok, "Theorem 1.1(a) charged equality n=2,3,4 @ q^25; n=5 @ q^18",
@@ -50,7 +50,7 @@ def test_criterion_02_thm1b_charged_equality():
     for n, order in ((2, 25), (3, 25), (4, 25), (5, 18)):
         t0 = time.time()
         r = nahm.verify_identity(nahm.build_Bprime_form(n),
-                                 nahm.build_cartan_side("A", n),
+                                 nahm.build_cartan_side(f"a{n}"),
                                  order, with_charges=True)
         ok = ok and r.equal and (time.time() - t0) < 120
     _report(2, ok, "Theorem 1.1(b) charged equality, same ranks and orders",
@@ -59,7 +59,7 @@ def test_criterion_02_thm1b_charged_equality():
 
 def test_criterion_03_sl3_identity_q40():
     started = time.time()
-    r = nahm.verify_identity(nahm.build_B_form(3), nahm.build_cartan_side("A", 3),
+    r = nahm.verify_identity(nahm.build_B_form(3), nahm.build_cartan_side("a3"),
                              40, with_charges=True)
     _report(3, r.equal, "rank-two identity (three-variable form) charged to q^40",
             started)
@@ -107,7 +107,7 @@ def test_criterion_06_ordered_products():
     started = time.time()
     ok = True
     for n in (3, 4, 5):
-        verdict, _ = qweyl.ordered_product_check("a", n, xdeg=5, qorder=15)
+        verdict, _ = qweyl.ordered_product_check(f"a{n}", xdeg=5, qorder=15)
         ok = ok and verdict.equal
     _report(6, ok, "ordered dilogarithm factorization n=3,4,5 at xdeg 5, qorder 15",
             started)
@@ -217,8 +217,8 @@ def test_criterion_11_b2_character():
     prod = euler_product([(1, 1, 1, 1), (1, 1, 2, 2),
                           (-1, 1, 5, -1), (-1, 4, 5, -1)], 70)
     rprod = series_eq(ch70, prod)
-    a2 = nahm.evaluate(nahm.build_cartan_side("A", 3), 70, charges=False)
-    a1 = nahm.evaluate(nahm.build_cartan_side("A", 2), 70, charges=False)
+    a2 = nahm.evaluate(nahm.build_cartan_side("a3"), 70, charges=False)
+    a1 = nahm.evaluate(nahm.build_cartan_side("a2"), 70, charges=False)
     rfact = series_eq(ch70, a2 * a1)
     ok = r70.equal and r40.equal and within_budget and rprod.equal and rfact.equal
     for r in (r70, r40, rprod, rfact):
@@ -245,7 +245,7 @@ def test_criterion_12_b2_jets():
 def test_criterion_13_d4():
     started = time.time()
     t0 = time.time()
-    r = nahm.verify_identity(nahm.build_d4_form(), nahm.build_cartan_side("D", 4),
+    r = nahm.verify_identity(nahm.build_d4_form(), nahm.build_cartan_side("d4"),
                              30, with_charges=False)
     within_budget = (time.time() - t0) < 1800
     # symbolic difference of the two twelve-variable forms
@@ -330,7 +330,7 @@ def test_criterion_14_property_suites():
 
     # enumeration-order independence, 200 random permutations
     specs = [nahm.build_B_form(3), nahm.build_Bprime_form(4),
-             nahm.build_b2_quintuple_form(), nahm.build_cartan_side("A", 3),
+             nahm.build_b2_quintuple_form(), nahm.build_cartan_side("a3"),
              nahm.build_b2_char_form()]
     bases = {s.name: nahm.evaluate(s, 10, charges=True) for s in specs}
     for _ in range(200):

@@ -130,6 +130,17 @@ def test_jets_d4_readings(runner):
         assert f"{want}*q^2" in result.output
 
 
+@pytest.mark.parametrize("source", ["preset", "file"])
+def test_d4_reading_of_another_preset_is_exit_2(runner, tmp_path, source):
+    path = tmp_path / "ring.txt"
+    path.write_text("generators: x\nx*x\n", encoding="utf-8")
+    chosen = ["--preset", "b2-a"] if source == "preset" else ["--preset-file", str(path)]
+    result = run(runner, "jets", "hilbert", *chosen, "--weight", "3",
+                 "--d4-reading", "repaired")
+    assert_usage_exit(result)
+    assert "--d4-reading applies to --preset d4-d only" in result.output
+
+
 def test_forms_expand_diff(runner):
     result = run(runner, "forms", "expand-diff", "--n", "3", "--kind", "Bprime")
     assert result.exit_code == 0
@@ -175,7 +186,7 @@ def test_forms_show_and_custom_verify(runner, tmp_path):
     lhs = tmp_path / "lhs.json"
     rhs = tmp_path / "rhs.json"
     lhs.write_text(shown.output, encoding="utf-8")
-    rhs.write_text(nahm.build_cartan_side("A", 2).to_json(), encoding="utf-8")
+    rhs.write_text(nahm.build_cartan_side("a2").to_json(), encoding="utf-8")
     result = run(runner, "verify", "custom", "--lhs", str(lhs), "--rhs", str(rhs),
                  "--order", "10", "--charges")
     assert result.exit_code == 0
@@ -184,8 +195,8 @@ def test_forms_show_and_custom_verify(runner, tmp_path):
 def test_custom_mismatch_gives_exit_1(runner, tmp_path):
     lhs = tmp_path / "lhs.json"
     rhs = tmp_path / "rhs.json"
-    lhs.write_text(nahm.build_cartan_side("A", 2).to_json(), encoding="utf-8")
-    rhs.write_text(nahm.build_cartan_side("A", 3).to_json(), encoding="utf-8")
+    lhs.write_text(nahm.build_cartan_side("a2").to_json(), encoding="utf-8")
+    rhs.write_text(nahm.build_cartan_side("a3").to_json(), encoding="utf-8")
     result = run(runner, "verify", "custom", "--lhs", str(lhs), "--rhs", str(rhs),
                  "--order", "10")
     assert result.exit_code == 1
@@ -237,7 +248,7 @@ def test_custom_malformed_json_is_exit_2(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     good = tmp_path / "good.json"
-    good.write_text(nahm.build_cartan_side("A", 2).to_json(), encoding="utf-8")
+    good.write_text(nahm.build_cartan_side("a2").to_json(), encoding="utf-8")
     result = run(runner, "verify", "custom", "--lhs", str(bad), "--rhs", str(good),
                  "--order", "6")
     assert_usage_exit(result)
@@ -259,6 +270,15 @@ def test_custom_spec_wrong_shape_is_exit_2(runner, tmp_path):
                  "--order", "5")
     assert_usage_exit(result)
     assert "'quadratic'" in result.output
+
+
+def test_forms_eval_repeated_label_is_exit_2(runner, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"labels": ["a", "a"], "quadratic": [[1, 0], [0, 1]], '
+                    '"linear": [0, 0]}', encoding="utf-8")
+    result = run(runner, "forms", "eval", "--spec-file", str(spec), "--order", "5")
+    assert_usage_exit(result)
+    assert "repeated label 'a'" in result.output
 
 
 def test_forms_eval_malformed_json_is_exit_2(runner, tmp_path):
@@ -398,7 +418,7 @@ def test_ordered_product_type_takes_ascii_digits_only(runner):
     result = run(runner, "verify", "ordered-product", "--type", "a\u0663",
                  "--xdeg", "3", "--qorder", "5")
     assert_usage_exit(result)
-    assert "bad --type" in result.output
+    assert "unknown Dynkin type" in result.output
 
 
 @pytest.mark.parametrize("name", ["sln-a0", "sln-a1", "sln-b0", "sln-b1", "sln-h0", "sln-h1"])
@@ -414,7 +434,7 @@ def test_readme_commands_run(runner, tmp_path, monkeypatch):
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     block = re.search(r"```sh\n(qident .*?)```", readme, re.S).group(1)
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "other.json").write_text(nahm.build_cartan_side("A", 3).to_json(),
+    (tmp_path / "other.json").write_text(nahm.build_cartan_side("a3").to_json(),
                                          encoding="utf-8")
     (tmp_path / "my-checks.txt").write_text(
         "verify thm1 --variant a --n 2 --order 10\nforms eval --preset b2-char --order 10\n",
@@ -468,9 +488,9 @@ def test_budget_caps_pentagon_monomial_pairs(runner):
 
 
 def test_budget_caps_ordered_product_monomial_pairs(runner):
-    alg = qweyl.NCAlgebra.type_a(3)
+    alg = qweyl.NCAlgebra.from_cartan("a4")
     pairs = max(generous_expansion(alg, f, 4, 6)[1]
-                for f in qweyl.ordered_product_factors("a", 4))
+                for f in qweyl.ordered_product_factors("a4"))
     _budget_exit_codes(runner, pairs, "ordered-product", "--type", "a4",
                        "--xdeg", "4", "--qorder", "6")
 
@@ -501,7 +521,7 @@ def test_directory_as_input_file_is_exit_2(runner, tmp_path, args):
     ("quadratic", [[True, "-1/2"], ["-1/2", 1]]),
 ])
 def test_form_spec_values_are_not_coerced(runner, tmp_path, key, value):
-    data = json.loads(nahm.build_cartan_side("A", 3).to_json())
+    data = json.loads(nahm.build_cartan_side("a3").to_json())
     data[key] = value
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(data), encoding="utf-8")
@@ -622,7 +642,7 @@ def _fuzz_args():
                         st.just("--order"), _SMALL)
     ordered = st.tuples(st.just(("verify", "ordered-product", "--type")),
                         st.sampled_from(["a0", "a1", "a2", "a3", "a4", "d4", "a", "b3",
-                                         "a-1", ""]),
+                                         "a-1", "", "d5", "a03", "e6"]),
                         st.just("--xdeg"), _SMALL, st.just("--qorder"), _SMALL)
     form_preset = st.tuples(st.just("--preset"), st.sampled_from(
         ["cartan-a2", "cartan-a1", "B-a1", "B-a3", "Bprime-a2", "b2-char", "d4", "nope"]))

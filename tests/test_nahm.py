@@ -54,17 +54,17 @@ class TestBuilders:
         assert bp.quad[i14][i23] == 0
 
     def test_cartan_sides(self):
-        a2 = nahm.build_cartan_side("A", 2)
+        a2 = nahm.build_cartan_side("a2")
         assert a2.quad == ((F(1),),)
-        a3 = nahm.build_cartan_side("A", 3)
+        a3 = nahm.build_cartan_side("a3")
         assert a3.exponent((1, 1)) == 1      # k1^2 + k2^2 - k1k2
-        d4 = nahm.build_cartan_side("D", 4)
+        d4 = nahm.build_cartan_side("d4")
         off = {(i, j) for i in range(4) for j in range(4)
                if i != j and d4.quad[i][j] != 0}
         assert off == {(0, 1), (1, 0), (1, 2), (2, 1), (1, 3), (3, 1)}
         assert all(d4.quad[i][j] == F(-1, 2) for (i, j) in off)
         with pytest.raises(ValueError):
-            nahm.build_cartan_side("D", 5)
+            nahm.build_cartan_side("d5")
 
     def test_b2_char_form(self):
         spec = nahm.build_b2_char_form()
@@ -112,6 +112,12 @@ class TestBuilders:
             nahm.NahmSumSpec(labels=("a",), quad=((F(1, 4),),),
                              linear=(F(0),), charges=())
 
+    def test_repeated_label_refused(self):
+        # form_poly and charge_polys would merge the two variables into one
+        with pytest.raises(ValueError, match="repeated label 'a'"):
+            nahm.NahmSumSpec(labels=("a", "b", "a"), quad=((F(1),) * 3,) * 3,
+                             linear=(F(0),) * 3, charges=())
+
 
 class TestBounds:
     def test_all_nonneg_box(self):
@@ -122,7 +128,7 @@ class TestBounds:
     def test_positive_definite_box(self):
         # (Q^-1)_ii = 4/3, so the box is x_i^2 < 25 * 4/3: the exact maximum of
         # x_i on the ellipsoid Q(x) < 25, and attained here by a lattice point
-        spec = nahm.build_cartan_side("A", 3)
+        spec = nahm.build_cartan_side("a3")
         b = nahm.compute_bound(spec, 25)
         assert b.strategy == "positive_definite"
         assert b.per_variable_max == (5, 5)
@@ -195,12 +201,12 @@ def test_polynomials_read_off_the_spec(name):
 
 class TestEvaluate:
     def test_sl2_cartan_side(self):
-        s = nahm.evaluate(nahm.build_cartan_side("A", 2), 8, charges=False)
+        s = nahm.evaluate(nahm.build_cartan_side("a2"), 8, charges=False)
         assert [s.coeff(k) for k in range(8)] == RR_COUNTS
 
     def test_b_form_n2_equals_cartan_n2(self):
         a = nahm.evaluate(nahm.build_B_form(2), 12, charges=False)
-        b = nahm.evaluate(nahm.build_cartan_side("A", 2), 12, charges=False)
+        b = nahm.evaluate(nahm.build_cartan_side("a2"), 12, charges=False)
         assert series_eq(a, b).equal
 
     def test_constant_term_one_and_nonnegative(self):
@@ -215,8 +221,8 @@ class TestEvaluate:
         (lambda: nahm.build_B_form(3), 12),
         (lambda: nahm.build_B_form(4), 10),
         (lambda: nahm.build_Bprime_form(4), 10),
-        (lambda: nahm.build_cartan_side("A", 3), 12),
-        (lambda: nahm.build_cartan_side("A", 4), 12),
+        (lambda: nahm.build_cartan_side("a3"), 12),
+        (lambda: nahm.build_cartan_side("a4"), 12),
         (lambda: nahm.build_b2_char_form(), 10),
         (lambda: nahm.build_b2_quintuple_form(), 8),
     ])
@@ -232,7 +238,7 @@ class TestEvaluate:
         rng = random.Random(11)
         for build in (lambda: nahm.build_B_form(3),
                       lambda: nahm.build_b2_quintuple_form(),
-                      lambda: nahm.build_cartan_side("A", 3)):
+                      lambda: nahm.build_cartan_side("a3")):
             spec = build()
             base = nahm.evaluate(spec, 12, charges=True)
             for _ in range(5):
@@ -249,7 +255,7 @@ class TestEvaluate:
         # a positive-definite form runs the level sum on the Fincke-Pohst
         # table: one unit per distinct (d, s[d:], charge, v) of a DFS point
         # below the cut
-        spec = nahm.build_cartan_side("A", 6)
+        spec = nahm.build_cartan_side("a6")
         for order, charges, steps in ((16, False, 157), (14, True, 2870)):
             assert _level_sum_steps(spec, order, charges=charges) == steps
             nahm.evaluate(spec, order, charges=charges, node_budget=steps)
@@ -316,8 +322,8 @@ class TestEvaluate:
         rng = random.Random(17)
         for spec, order in ((nahm.build_d4_form(), 14), (nahm.build_B_form(4), 16),
                             (nahm.build_b2_quintuple_form(), 30),
-                            (nahm.build_cartan_side("D", 4), 18),
-                            (nahm.build_cartan_side("A", 5), 16),
+                            (nahm.build_cartan_side("d4"), 18),
+                            (nahm.build_cartan_side("a5"), 16),
                             (nahm.build_b2_char_form(), 30)):
             base = nahm.evaluate(spec, order, charges=False)
             for _ in range(5):
@@ -328,8 +334,8 @@ class TestEvaluate:
     def test_charged_level_sum_order_independence(self):
         rng = random.Random(19)
         for spec, order in ((nahm.build_d4_form(), 10), (nahm.build_B_form(4), 14),
-                            (nahm.build_cartan_side("D", 4), 18),
-                            (nahm.build_cartan_side("A", 5), 16),
+                            (nahm.build_cartan_side("d4"), 18),
+                            (nahm.build_cartan_side("a5"), 16),
                             (nahm.build_b2_char_form(), 30)):
             base = nahm.evaluate(spec, order, charges=True)
             for _ in range(5):
@@ -344,7 +350,7 @@ class TestEvaluate:
             assert s == nahm.evaluate_bruteforce(spec, 5, (), charges=charges)
             assert s.terms == {(0, (0,) if charges else ()): 1}
 
-    @pytest.mark.parametrize("spec", [nahm.build_d4_form(), nahm.build_cartan_side("A", 3)],
+    @pytest.mark.parametrize("spec", [nahm.build_d4_form(), nahm.build_cartan_side("a3")],
                              ids=["all_nonneg", "positive_definite"])
     def test_negative_order_is_empty(self, spec):
         for charges in (False, True):
@@ -387,7 +393,7 @@ class TestEvaluate:
 class TestIdentities:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_thm1_both_variants(self, n):
-        rhs = nahm.build_cartan_side("A", n)
+        rhs = nahm.build_cartan_side(f"a{n}")
         assert nahm.verify_identity(nahm.build_B_form(n), rhs, 16,
                                     with_charges=True).equal
         assert nahm.verify_identity(nahm.build_Bprime_form(n), rhs, 16,
@@ -400,7 +406,7 @@ class TestIdentities:
         quad[2][0] += F(1, 2)
         bad = nahm.NahmSumSpec(spec.labels, tuple(tuple(r) for r in quad),
                                spec.linear, spec.charges)
-        r = nahm.verify_identity(bad, nahm.build_cartan_side("A", 3), 12,
+        r = nahm.verify_identity(bad, nahm.build_cartan_side("a3"), 12,
                                  with_charges=True)
         assert not r.equal
         assert r.mismatch.qexp <= 4
@@ -409,21 +415,21 @@ class TestIdentities:
         # pins the four charge rows of the twelve-variable form against the
         # Cartan side, not just the charge-free projection
         r = nahm.verify_identity(nahm.build_d4_form(),
-                                 nahm.build_cartan_side("D", 4), 14,
+                                 nahm.build_cartan_side("d4"), 14,
                                  with_charges=True)
         assert r.equal
 
     def test_d4_uncharged_identity_q60(self):
         # the twelve-variable form against the Cartan side, both through the
         # level sum: on the exact cross sums and on the Fincke-Pohst table
-        assert nahm.verify_identity(nahm.build_d4_form(), nahm.build_cartan_side("D", 4),
+        assert nahm.verify_identity(nahm.build_d4_form(), nahm.build_cartan_side("d4"),
                                     60, with_charges=False).equal
 
     def test_d4_primed_is_strictly_larger(self):
         # the primed form only upper-bounds the jet series; against the
         # character it must overshoot (first excess at q^3 uncharged)
         a = nahm.evaluate(nahm.build_d4_form(primed=True), 10, charges=False)
-        b = nahm.evaluate(nahm.build_cartan_side("D", 4), 10, charges=False)
+        b = nahm.evaluate(nahm.build_cartan_side("d4"), 10, charges=False)
         from qident.series import series_leq
         assert series_leq(b, a).equal
         r = series_eq(a, b)

@@ -30,7 +30,7 @@ def test_every_jet_preset_resolves(name):
 
 
 def test_unknown_names_raise():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         presets.nahm_preset("cartan-e8")
     with pytest.raises(KeyError):
         presets.jet_preset("nonsense")

@@ -15,7 +15,7 @@ from dilog_reference import generous_expansion, reference_product
 
 
 def a_type(nvars):
-    return NCAlgebra.type_a(nvars)
+    return NCAlgebra.from_cartan(f"a{nvars + 1}")
 
 
 class TestNormalOrder:
@@ -198,17 +198,17 @@ class TestPentagon:
 
 class TestOrderedProduct:
     def test_a2_single_factor_each(self):
-        v, factors = qweyl.ordered_product_check("a", 2, xdeg=4, qorder=10)
+        v, factors = qweyl.ordered_product_check("a2", xdeg=4, qorder=10)
         assert v.equal
         assert len(factors) == 1
 
     def test_a3_is_pentagon_in_disguise(self):
-        v, factors = qweyl.ordered_product_check("a", 3, xdeg=5, qorder=12)
+        v, factors = qweyl.ordered_product_check("a3", xdeg=5, qorder=12)
         assert v.equal
         assert [w for (_s, _h, w) in factors] == [(1,), (2, 1), (2,)]
 
     def test_a4(self):
-        v, _ = qweyl.ordered_product_check("a", 4, xdeg=4, qorder=10)
+        v, _ = qweyl.ordered_product_check("a4", xdeg=4, qorder=10)
         assert v.equal
 
     def test_d4_has_twelve_factors_incl_nonsegment_word(self):
@@ -224,10 +224,10 @@ def _factor_cases(type_a_ranks):
         lhs, rhs = qweyl.pentagon_factors(variant, drop)
         yield f"pentagon-{variant}{'-control' if drop else ''}", plane, lhs, rhs
     for n in type_a_ranks:
-        lhs, rhs = qweyl.ordered_product_factors("a", n)
-        yield f"a{n}", NCAlgebra.type_a(n - 1), lhs, rhs
+        lhs, rhs = qweyl.ordered_product_factors(f"a{n}")
+        yield f"a{n}", NCAlgebra.from_cartan(f"a{n}"), lhs, rhs
     lhs, rhs = qweyl.ordered_product_factors("d4")
-    yield "d4", NCAlgebra.d4(), lhs, rhs
+    yield "d4", NCAlgebra.from_cartan("d4"), lhs, rhs
 
 
 PADDING_CASES = list(_factor_cases((3, 4, 5)))
@@ -341,8 +341,8 @@ class TestLhsClosedForm:
         from qident import kernels
         from qident.series import inv_pochhammer_dense
 
-        alg = NCAlgebra.type_a(n - 1)
-        lhs_f, _ = qweyl.ordered_product_factors("a", n)
+        alg = NCAlgebra.from_cartan(f"a{n}")
+        lhs_f, _ = qweyl.ordered_product_factors(f"a{n}")
         xdeg, qorder = 5, 12
         elem = qweyl.expand_dilog_product(alg, lhs_f, xdeg, qorder)
         for exps, coeff in elem.terms.items():
@@ -407,7 +407,7 @@ class TestD4Transcription:
         """The 12-factor product exponent equals B(m,n) - (1/2) sum lambda^2
         under the root dictionary; validates both the factor list and the
         54-term form transcription at once."""
-        alg = NCAlgebra.d4()
+        alg = NCAlgebra.from_cartan("d4")
         _, rhs = qweyl.ordered_product_factors("d4")
         word_to_label = {
             (1,): "m12", (2, 1): "m13", (4, 2, 1): "n14", (3, 2, 1): "m14",
