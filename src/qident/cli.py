@@ -106,7 +106,7 @@ def _on_off(flag):
 @click.option("--json", "as_json", is_flag=True, help="machine-readable report")
 @click.option("--budget", type=int, default=None,
               help="cap on level-sum steps / matrix cells / "
-                   "monomial pairs / quiver representations; exceeding it is exit 2")
+                   "monomial pairs / quiver level steps; exceeding it is exit 2")
 @click.option("--timings", is_flag=True, help="include wall time (breaks byte-reproducibility)")
 @pass_settings
 def main(settings, as_json, budget, timings):
@@ -228,17 +228,11 @@ def verify_quiver(settings, rank, orientation, kmax, order):
         parameters={"rank": rank, "orientation": orientation,
                     "kmax": kmax, "order": f"q^{order}"})
     small = (kmax + 1) ** rank <= 16
-    decomps = {}
-
-    def keep(k, rep):
-        decomps.setdefault(k, []).append(quiver.render_rep(rep))
-
     for k, result in quiver.verify_theorem51_box(qv, (kmax,) * rank, order,
-                                                 settings.budget,
-                                                 keep if small else None):
+                                                 settings.budget):
         if small:
-            report.lines.append(f"k={k}: {len(decomps[k])} representation(s): "
-                                f"{'; '.join(decomps[k])}")
+            reps = [quiver.render_rep(rep) for rep in quiver.enumerate_reps(qv, k)]
+            report.lines.append(f"k={k}: {len(reps)} representation(s): {'; '.join(reps)}")
         if not result.equal:
             report.add_mismatch(result.mismatch)
             report.lines.append(f"k={k}: MISMATCH")

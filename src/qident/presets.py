@@ -6,6 +6,9 @@ import re
 
 from . import jets, nahm
 
+# a count in a preset name: ASCII digits without a leading zero
+_N = "(0|[1-9][0-9]*)"
+
 _NAHM_FIXED = {
     "b2-char": nahm.build_b2_char_form,
     "b2-quintuple": nahm.build_b2_quintuple_form,
@@ -21,10 +24,10 @@ def nahm_preset(name: str) -> nahm.NahmSumSpec:
         return _NAHM_FIXED[name]()
     if name.startswith("cartan-"):
         return nahm.build_cartan_side(name[len("cartan-"):])
-    m = re.fullmatch(r"B-a(\d+)", name)
+    m = re.fullmatch("B-a" + _N, name)
     if m:
         return nahm.build_B_form(int(m.group(1)))
-    m = re.fullmatch(r"Bprime-a(\d+)", name)
+    m = re.fullmatch("Bprime-a" + _N, name)
     if m:
         return nahm.build_Bprime_form(int(m.group(1)))
     raise KeyError(f"unknown form preset {name!r}")
@@ -38,11 +41,11 @@ def jet_preset(name: str, d4_reading="printed") -> jets.JetPreset:
         return jets.b2_B()
     if name == "d4-d":
         return jets.d4_D(d4_reading)
-    m = re.fullmatch(r"sln-([abh])(\d+)", name)
+    m = re.fullmatch("sln-([abh])" + _N, name)
     if m:
         builder = {"a": jets.sln_A, "b": jets.sln_B, "h": jets.sln_H}[m.group(1)]
         return builder(int(m.group(2)))
-    m = re.fullmatch(r"power-(\d+)", name)
+    m = re.fullmatch("power-" + _N, name)
     if m:
         return jets.power_preset(int(m.group(1)))
     raise KeyError(f"unknown jet preset {name!r}")

@@ -3,8 +3,8 @@
 A representation is exactly a multiplicity function on segments [a,b]
 (Gabriel), so enumeration is integer combinatorics; codimension is the
 strand-pair sum, sensitive to the arrow orientation.  It is a quadratic form
-in the multiplicities, so the box walk carries it from a table of pair
-weights instead of rescanning the pairs of every representation.
+in the multiplicities, so the box is summed one segment level at a time from
+a table of pair weights, never one representation at a time.
 """
 
 from __future__ import annotations
@@ -106,8 +106,8 @@ def codim(quiver: QuiverA, rep) -> int:
     opposed break arrows (3).
 
     This pair scan is the oracle: the per-k check calls it for every rep, and
-    the box walk reads it only to build its table of pair weights
-    (_pair_weights), from which it carries the codimension instead."""
+    the level sum reads it only to build its table of pair weights
+    (_pair_weights)."""
     orient = quiver.orientation
     items = [(seg, m) for seg, m in rep.items() if m]
     total = 0
@@ -153,117 +153,101 @@ def _pair_weights(quiver: QuiverA, segs):
             for s in range(len(segs))]
 
 
-def _add_rep(row, c, mults, memo):
-    """row += q^c / prod (q)_m over the multiplicities m, truncated to
-    len(row)."""
-    if c < len(row):
-        den = _inv_denominator(mults, len(row), memo)
-        end = c + len(den)
-        row[c:end] = map(add, row[c:end], den)
-
-
 def verify_theorem51(quiver: QuiverA, k, order) -> CompareResult:
     """1/prod (q)_{k_i} against sum over reps of q^codim / prod (q)_{m_seg}."""
     length = (twice_of(order) + 1) // 2
     row = [0] * length
     memo = {}
     for rep in enumerate_reps(quiver, k):
-        _add_rep(row, codim(quiver, rep), rep.values(), memo)
+        c = codim(quiver, rep)
+        if c < length:
+            den = _inv_denominator(rep.values(), length, memo)
+            row[c:c + len(den)] = map(add, row[c:c + len(den)], den)
     return series_eq(QSeries.from_dense(_inv_denominator(k, length, memo), order),
                      QSeries.from_dense(row, order))
 
 
-def _reps_in_box(quiver: QuiverA, kmax, budget=None, total=None):
-    """Yield (dimension vector, rep, codim(quiver, rep)) for every
-    multiplicity function whose dimension vector fits under kmax, and sums to
-    at most total when total is given, in lexicographic segment order (so the
-    reps of one dimension vector come in enumerate_reps order).  The rep dict
-    is reused between yields; copy it to keep it.  budget caps the reps.
+def _level_rows(quiver: QuiverA, kmax, length, budget=None, total=None):
+    """{k: dense sum of q^codim / prod (q)_{m_seg} over the reps of dimension
+    vector k, through exponent length-1} for every k <= kmax (with sum(k) <=
+    total when total is given), one segment level at a time.
 
-    The walk is an odometer over the segment multiplicities, last segment
-    fastest, and carries the codimension from the _pair_weights table:
-    setting segment idx to multiplicity m adds
-    m * sum_{t<idx} W[idx][t] m_t + W[idx][idx] m^2 to that of the segments
-    before it."""
+    With W the _pair_weights table, the codimension that segments d.. add
+    depends on the multiplicities m_t before d only through the pair sums
+    P_j = sum_{t<d} W[j][t] m_t, j >= d.  So level d maps each distinct
+    state (P_d, ..., P_{n-1}, dimension vector so far) to (offset, S): the
+    sum, over the prefixes that reach it, of q^codim / prod (q)_m, as
+    q^offset * S cut below q^length.  Fixing m_d = m adds
+    m*P_d + W[d][d]*m^2 to the exponent and sends S/(q)_m to the state
+    P_j + m*W[j][d], dimension vector + m on the vertices of segment d.  The
+    weights are >= 0, so the exponent never falls as m grows and the first m
+    at the cut ends the loop; kmax, and total when given, cap m.  The last
+    level holds one state per dimension vector.  budget caps the (state, m)
+    steps (BudgetExceeded).
+    """
     segs = segments(quiver.rank)
     weights = _pair_weights(quiver, segs)
     n = len(segs)
-    rep = {}
-    mults = [0] * n
-    caps = [0] * n
-    lins = [0] * n             # lins[i] = sum_{t<i} W[i][t] m_t
-    codims = [0] * (n + 1)     # codims[i]: codimension of the segments before i
-    used = [0] * quiver.rank
-    size = 0
-    count = 0
-    idx = 0
-    while True:
-        # open segments idx.. at multiplicity 0
-        for i in range(idx, n):
-            a, b = segs[i]
+    geom_div = kernels.geom_div
+    steps = 0
+    seed = [0] * length
+    seed[0] = 1
+    level = {(0,) * (n + quiver.rank): (0, seed)}
+    for d, (a, b) in enumerate(segs):
+        w = weights[d][d]
+        row = tuple(weights[j][d] for j in range(d + 1, n)) + tuple(
+            int(a <= v <= b) for v in range(1, quiver.rank + 1))
+        nxt = {}
+        while level:
+            state, (off, S) = level.popitem()
+            used = state[n - d:]
             cap = min(kmax[v - 1] - used[v - 1] for v in range(a, b + 1))
             if total is not None:
-                cap = min(cap, (total - size) // (b - a + 1))
-            caps[i] = cap
-            lins[i] = sum(w * m for w, m in zip(weights[i], mults[:i]))
-            codims[i + 1] = codims[i]
-        count += 1
-        if budget is not None and count > budget:
-            raise BudgetExceeded("quiver representations", budget)
-        yield tuple(used), rep, codims[n]
-        # close the segments already at their cap, then raise the last open one
-        idx = n - 1
-        while idx >= 0 and mults[idx] >= caps[idx]:
-            m = mults[idx]
-            if m:
-                a, b = segs[idx]
-                del rep[(a, b)]
-                mults[idx] = 0
-                for v in range(a, b + 1):
-                    used[v - 1] -= m
-                size -= m * (b - a + 1)
-            idx -= 1
-        if idx < 0:
-            return
-        a, b = segs[idx]
-        m = mults[idx] = rep[(a, b)] = mults[idx] + 1
-        for v in range(a, b + 1):
-            used[v - 1] += 1
-        size += b - a + 1
-        codims[idx + 1] = codims[idx] + m * lins[idx] + weights[idx][idx] * m * m
-        idx += 1
+                cap = min(cap, (total - sum(used)) // (b - a + 1))
+            lin = state[0]
+            child = state[1:]
+            m = 0
+            e = off
+            while True:
+                # S is the state's series over (q)_m, cut to the slots of e below q^length
+                steps += 1
+                if budget is not None and steps > budget:
+                    raise BudgetExceeded("quiver level steps", budget)
+                old = nxt.get(child)
+                if old is None:
+                    nxt[child] = (e, S[:])
+                elif old[0] <= e:
+                    T = old[1]
+                    p = e - old[0]
+                    T[p:] = map(add, T[p:], S)
+                else:
+                    p = old[0] - e
+                    merged = S[:p]
+                    merged += map(add, S[p:], old[1])
+                    nxt[child] = (e, merged)
+                m += 1
+                e = off + m * lin + w * m * m
+                if m > cap or e >= length:
+                    break
+                del S[length - e:]
+                geom_div(S, m)
+                child = tuple(map(add, child, row))
+        level = nxt
+    return {k: [0] * off + S for k, (off, S) in level.items()}
 
 
-def _box_rows(quiver, kmax, length, memo, budget=None, on_rep=None, total=None):
-    """{k: dense sum of q^codim / prod (q)_{m_seg} over the reps of dimension
-    vector k} for every k <= kmax (with sum(k) <= total when total is given),
-    from one walk over the box; on_rep(k, rep) sees each rep as it is walked.
-    The codimension is the one the walk carries; codim is not called per
-    rep."""
-    rows = {}
-    for k, rep, c in _reps_in_box(quiver, kmax, budget, total):
-        if on_rep is not None:
-            on_rep(k, rep)
-        row = rows.get(k)
-        if row is None:
-            row = rows[k] = [0] * length
-        _add_rep(row, c, rep.values(), memo)
-    return rows
-
-
-def verify_theorem51_box(quiver: QuiverA, kmax, order, budget=None, on_rep=None,
-                         total=None):
-    """verify_theorem51 for every k <= kmax, from one walk over the box.
+def verify_theorem51_box(quiver: QuiverA, kmax, order, budget=None, total=None):
+    """verify_theorem51 for every k <= kmax, from one level sum (_level_rows).
 
     Yields (k, CompareResult) for each k in itertools.product order, from the
     same two series verify_theorem51(quiver, k, order) compares.  When total
-    is given, only the k with sum(k) <= total are walked and compared.  The
-    walk runs before the first result; on_rep(k, rep) sees each rep during it
-    and budget caps the reps walked (BudgetExceeded).
+    is given, only the k with sum(k) <= total are summed and compared.  The
+    level sum runs before the first result; budget caps its steps
+    (BudgetExceeded).
     """
     length = (twice_of(order) + 1) // 2
     memo = {}
-    rows = _box_rows(quiver, kmax, length, memo, budget, on_rep, total)
+    rows = _level_rows(quiver, kmax, length, budget, total)
     for k in itertools.product(*(range(b + 1) for b in kmax)):
         if total is None or sum(k) <= total:
             yield k, series_eq(QSeries.from_dense(_inv_denominator(k, length, memo), order),
@@ -288,7 +272,7 @@ def quiver_generating_series(quiver: QuiverA, kmax, order):
             if c:
                 lhs_terms[(2 * e, k)] = c
     rhs_terms = {(2 * e, dim): c
-                 for dim, row in _box_rows(quiver, kmax, length, memo).items()
+                 for dim, row in _level_rows(quiver, kmax, length).items()
                  for e, c in enumerate(row) if c}
     lhs = QSeries._raw(order2, rank, lhs_terms)
     rhs = QSeries._raw(order2, rank, rhs_terms)

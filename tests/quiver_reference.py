@@ -1,0 +1,55 @@
+"""Per-rep references for the quiver level sum: rows built one representation
+at a time from enumerate_reps and codim, and the level sum's step count
+taken from prefixes of multiplicities with codim alone."""
+
+import itertools
+
+from qident import quiver
+
+
+def per_rep_rows(qv, kmax, length, total=None):
+    """{k: dense sum of q^codim / prod (q)_{m_seg} over enumerate_reps(qv, k),
+    through exponent length-1} for every k <= kmax with sum(k) <= total."""
+    rows = {}
+    memo = {}
+    for k in itertools.product(*(range(b + 1) for b in kmax)):
+        if total is not None and sum(k) > total:
+            continue
+        row = rows[k] = [0] * length
+        for rep in quiver.enumerate_reps(qv, k):
+            c = quiver.codim(qv, rep)
+            for e, x in enumerate(quiver._inv_denominator(rep.values(), length, memo)):
+                if c + e < length:
+                    row[c + e] += x
+    return rows
+
+
+def level_steps(qv, kmax, length, total=None):
+    """The (state, m) steps of the level sum over the box k <= kmax.
+
+    Before segment d a prefix of multiplicities has the state (its dimension
+    vector, and for each segment j >= d the codimension that one copy of j
+    adds to it).  A step is a distinct (d, state, m) with m within the caps
+    for which some prefix of that state reaches codimension below length."""
+    segs = quiver.segments(qv.rank)
+    seen = set()
+
+    def rec(d, rep):
+        if d == len(segs):
+            return
+        base = quiver.codim(qv, rep)
+        k = quiver.dimension_vector(qv.rank, rep)
+        state = (d, k, tuple(quiver.codim(qv, {**rep, s: 1}) - base - quiver.codim(qv, {s: 1})
+                             for s in segs[d:]))
+        a, b = segs[d]
+        m = 0
+        while (all(k[v - 1] + m <= kmax[v - 1] for v in range(a, b + 1))
+               and (total is None or sum(k) + m * (b - a + 1) <= total)):
+            ext = {**rep, segs[d]: m}
+            if quiver.codim(qv, ext) < length:
+                seen.add((state, m))
+                rec(d + 1, ext)
+            m += 1
+
+    rec(0, {})
+    return len(seen)

@@ -14,6 +14,7 @@ from qident import cli, nahm, presets, quiver, qweyl
 from qident.cli import main
 
 from dilog_reference import generous_expansion
+from quiver_reference import level_steps
 
 
 @pytest.fixture()
@@ -178,6 +179,24 @@ def test_unknown_preset_error_is_plain(runner, args):
     assert_usage_exit(result)
     assert result.output.startswith("error: unknown ")
     assert '"' not in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ("forms", "show", "--preset", "B-a03"),
+    ("forms", "show", "--preset", "B-a٣"),
+    ("forms", "show", "--preset", "Bprime-a٣"),
+    ("forms", "eval", "--preset", "Bprime-a03", "--order", "5"),
+    ("jets", "hilbert", "--preset", "sln-a٣", "--weight", "3"),
+    ("jets", "hilbert", "--preset", "sln-b03", "--weight", "3"),
+    ("jets", "hilbert", "--preset", "power-٣", "--weight", "3"),
+    ("jets", "hilbert", "--preset", "power-03", "--weight", "3"),
+])
+def test_non_canonical_preset_count_is_exit_2(runner, args):
+    # only ASCII digits without a leading zero name a count; B-a03 and the
+    # Arabic-Indic digit three must not resolve to the preset of 3
+    result = run(runner, *args)
+    assert_usage_exit(result)
+    assert result.output.startswith("error: unknown ")
 
 
 def test_forms_show_and_custom_verify(runner, tmp_path):
@@ -496,10 +515,9 @@ def test_budget_caps_ordered_product_monomial_pairs(runner):
 
 
 def test_budget_caps_quiver_representations(runner):
-    qv = quiver.QuiverA(3, ("R", "L"))
-    reps = sum(len(quiver.enumerate_reps(qv, (a, b, c)))
-               for a in range(3) for b in range(3) for c in range(3))
-    _budget_exit_codes(runner, reps, "quiver", "--rank", "3", "--orientation", "RL",
+    steps = level_steps(quiver.QuiverA(3, ("R", "L")), (2, 2, 2), 8)
+    assert steps == 114
+    _budget_exit_codes(runner, steps, "quiver", "--rank", "3", "--orientation", "RL",
                        "--kmax", "2", "--order", "8")
 
 

@@ -8,6 +8,8 @@ from qident.nahm import BudgetExceeded
 from qident.quiver import QuiverA
 from qident.series import inv_pochhammer, series_eq
 
+from quiver_reference import level_steps, per_rep_rows
+
 
 class TestDimensionVector:
     def test_examples(self):
@@ -198,43 +200,50 @@ class TestBoxWalk:
                 assert got == want
                 assert seen == want_args
 
-    @pytest.mark.parametrize("rank,kmax", BOXES)
-    def test_walk_order_matches_enumerate_reps(self, rank, kmax):
-        qv = QuiverA(rank, ("R",) * (rank - 1))
-        walked = {}
-        for k, rep, _c in quiver._reps_in_box(qv, kmax):
-            assert quiver.dimension_vector(rank, rep) == k
-            walked.setdefault(k, []).append(dict(rep))
-        for k in itertools.product(*(range(b + 1) for b in kmax)):
-            assert walked[k] == quiver.enumerate_reps(qv, k)
+    @pytest.mark.parametrize("rank,kmaxes", [
+        (1, [(0,), (3,)]),
+        (2, [(3, 0), (2, 3)]),
+        (3, [(2, 2, 2), (1, 0, 2)]),
+        (4, [(1, 1, 1, 1), (2, 1, 0, 1), (1, 2, 1, 2)]),
+    ])
+    def test_level_rows_match_per_rep_oracle(self, rank, kmaxes):
+        for bits in itertools.product("RL", repeat=rank - 1):
+            qv = QuiverA(rank, bits)
+            for kmax in kmaxes:
+                for length, total in itertools.product((1, 5, 11), (None, 0, 3)):
+                    want = per_rep_rows(qv, kmax, length, total)
+                    got = quiver._level_rows(qv, kmax, length, total=total)
+                    assert got == want, (bits, kmax, length, total)
 
     @pytest.mark.parametrize("rank,kmax", BOXES + [(5, (2,) * 5)])
     def test_carried_codim_matches_codim(self, rank, kmax):
+        # the level sum carries codim as the quadratic form of the pair
+        # weights, and cuts at the first m past the series: both need this
+        segs = quiver.segments(rank)
         for bits in itertools.product("RL", repeat=rank - 1):
             qv = QuiverA(rank, bits)
-            for _k, rep, c in quiver._reps_in_box(qv, kmax):
-                assert c == quiver.codim(qv, rep), (bits, dict(rep))
+            weights = quiver._pair_weights(qv, segs)
+            assert all(w >= 0 for row in weights for w in row)
+            for k in itertools.product(*(range(b + 1) for b in kmax)):
+                for rep in quiver.enumerate_reps(qv, k):
+                    m = [(s, rep[seg]) for s, seg in enumerate(segs) if rep.get(seg)]
+                    form = sum(weights[s][t] * ms * mt
+                               for s, ms in m for t, mt in m if t <= s)
+                    assert form == quiver.codim(qv, rep), (bits, rep)
 
-    @pytest.mark.parametrize("planted", [{(1, 1): 1, (2, 2): 1},
-                                         {(1, 2): 1, (3, 3): 2},
-                                         {(2, 3): 1}])
+    @pytest.mark.parametrize("planted", [((1, 1), (2, 2)), ((1, 2), (3, 3)), ((2, 3), (2, 3))])
     def test_planted_codim_error_first_mismatch(self, monkeypatch, planted):
-        # the per-k path reads codim for each rep, the walk carries its own
-        # codimension: plant the same error in each
-        original_codim, original_walk = quiver.codim, quiver._reps_in_box
+        # a quadratic error in codim, which the per-k path reads for each rep
+        # and the level sum reads through its table of pair weights
+        original_codim = quiver.codim
+        seg_i, seg_j = planted
 
         def bad_codim(qv, rep):
-            return original_codim(qv, rep) + (dict(rep) == planted)
+            return original_codim(qv, rep) + rep.get(seg_i, 0) * rep.get(seg_j, 0)
 
-        def bad_walk(*args, **kwargs):
-            for k, rep, c in original_walk(*args, **kwargs):
-                yield k, rep, c + (dict(rep) == planted)
-
+        monkeypatch.setattr(quiver, "codim", bad_codim)
         qv = QuiverA(3, ("R", "L"))
-        with monkeypatch.context() as patched:
-            patched.setattr(quiver, "codim", bad_codim)
-            want = _per_k(qv, (2, 2, 2), 10)
-        monkeypatch.setattr(quiver, "_reps_in_box", bad_walk)
+        want = _per_k(qv, (2, 2, 2), 10)
         got = _box(qv, (2, 2, 2), 10)
         assert not want[-1][1].equal
         assert got == want
@@ -243,9 +252,9 @@ class TestBoxWalk:
                                                  (2, (4, 4), 0)])
     def test_total_cap_walks_the_capped_box(self, rank, kmax, total):
         qv = QuiverA(rank, ("L",) * (rank - 1))
-        capped = [(k, dict(rep), c) for k, rep, c in quiver._reps_in_box(qv, kmax, total=total)]
-        full = [(k, dict(rep), c) for k, rep, c in quiver._reps_in_box(qv, kmax)]
-        assert capped == [x for x in full if sum(x[0]) <= total]
+        full = quiver._level_rows(qv, kmax, 9)
+        capped = quiver._level_rows(qv, kmax, 9, total=total)
+        assert capped == {k: row for k, row in full.items() if sum(k) <= total}
         got = list(quiver.verify_theorem51_box(qv, kmax, 9, total=total))
         want = [(k, quiver.verify_theorem51(qv, k, 9))
                 for k in itertools.product(*(range(b + 1) for b in kmax))
@@ -255,8 +264,20 @@ class TestBoxWalk:
     def test_budget_caps_reps_walked(self):
         qv = QuiverA(3, ("L", "R"))
         kmax = (2, 1, 2)
-        reps = sum(len(quiver.enumerate_reps(qv, k))
-                   for k in itertools.product(*(range(b + 1) for b in kmax)))
-        assert all(r.equal for _, r in quiver.verify_theorem51_box(qv, kmax, 8, budget=reps))
-        with pytest.raises(BudgetExceeded):
-            list(quiver.verify_theorem51_box(qv, kmax, 8, budget=reps - 1))
+        steps = level_steps(qv, kmax, 8)
+        assert steps == 62
+        assert all(r.equal for _, r in quiver.verify_theorem51_box(qv, kmax, 8, budget=steps))
+        with pytest.raises(BudgetExceeded, match="quiver level steps"):
+            list(quiver.verify_theorem51_box(qv, kmax, 8, budget=steps - 1))
+
+    @pytest.mark.parametrize("rank,kmax", [(3, (3, 3, 3)), (4, (2, 2, 2, 2))])
+    def test_no_step_at_or_past_the_cut(self, rank, kmax):
+        # at short orders most multiplicities reach the cut: the level sum
+        # must stop there, taking no step the prefixes below the cut do not
+        for bits in itertools.product("RL", repeat=rank - 1):
+            qv = QuiverA(rank, bits)
+            for order in (1, 2, 4):
+                steps = level_steps(qv, kmax, order)
+                quiver._level_rows(qv, kmax, order, budget=steps)
+                with pytest.raises(BudgetExceeded):
+                    quiver._level_rows(qv, kmax, order, budget=steps - 1)
