@@ -104,9 +104,9 @@ def _on_off(flag):
 
 @click.group()
 @click.option("--json", "as_json", is_flag=True, help="machine-readable report")
-@click.option("--budget", type=int, default=None,
-              help="cap on level-sum steps / matrix cells / "
-                   "monomial pairs / quiver level steps; exceeding it is exit 2")
+@click.option("--budget", type=click.IntRange(min=0), default=None,
+              help="cap on level-sum steps (lattice sums and quiver boxes) / "
+                   "matrix cells / monomial pairs; exceeding it is exit 2")
 @click.option("--timings", is_flag=True, help="include wall time (breaks byte-reproducibility)")
 @pass_settings
 def main(settings, as_json, budget, timings):

@@ -6,11 +6,14 @@ A NahmSumSpec describes one side of an identity
 
 with Q(m) = m^T quad m + linear.m.  Enumeration refuses to run unless the
 form is certifiably coercive (all-nonnegative with positive diagonal, or
-positive definite), so truncated output can never silently lose terms.
-Every sum, charged or not, runs as one dynamic program over the distinct
-running sums and charges, one variable level at a time (see _sum_levels),
-pruned by an exact integer bound on the completion of each prefix; one
-certification of the form (see compute_bound) gives that bound's table.
+positive definite), so truncated output can never silently lose terms.  A
+box on the charges (charge_box) may stand in for a zero diagonal entry of an
+all-nonnegative form: the quiver codimension is such a form under its box of
+dimension vectors.  Every sum, charged or not, runs as one dynamic program
+over the distinct running sums and charges, one variable level at a time
+(see _sum_levels), pruned by an exact integer bound on the completion of
+each prefix and by the box; one certification of the form (see
+compute_bound) gives that bound's table.
 The symbolic side reads the same spec: form_poly and charge_polys give Q(m)
 and the charge rows as polynomials.
 """
@@ -433,7 +436,21 @@ def _max_v_strict(bound: Fraction) -> int:
     return max(v, 0)
 
 
-def compute_bound(spec: NahmSumSpec, order) -> EnumerationBound:
+def _box_caps(spec: NahmSumSpec, charge_box):
+    """Per variable, the largest value the charge box allows it on its own:
+    min(box_i // charges[i][d]) over the rows with a positive entry, or None
+    when no row charges it (every variable when charge_box is None)."""
+    if charge_box is None:
+        return [None] * spec.nvars
+    if len(charge_box) != spec.charge_rank or any(b < 0 for b in charge_box):
+        raise ValueError("a charge box needs one nonnegative cap per charge row")
+    if any(x < 0 for row in spec.charges for x in row):
+        raise CoercivityError("a boxed charge row has a negative entry")
+    return [min((b // row[d] for b, row in zip(charge_box, spec.charges) if row[d] > 0),
+                default=None) for d in range(spec.nvars)]
+
+
+def compute_bound(spec: NahmSumSpec, order, charge_box=None) -> EnumerationBound:
     """Certify the form once: its per-variable box below `order` and the
     integer per-level table (G, g, levels, R, lin) of _sum_levels.
 
@@ -460,63 +477,74 @@ def compute_bound(spec: NahmSumSpec, order) -> EnumerationBound:
     denominators of M, and G clears the denominators of 2*D_k/den^2.  The
     largest value of x_i on the ellipsoid x^T Q x < order is
     sqrt(order * (Q^-1)_ii), so that box is exact per variable.
+
+    charge_box, one cap per charge row, keeps the charges u <= charge_box.
+    Its rows must be nonnegative (CoercivityError), so u never falls, and
+    box_i // charges[i][d] caps x_d in per_variable_max.  An all-nonnegative
+    form may then have a zero diagonal entry where such a cap exists.
     """
     order2 = twice_of(order)
     diag2, lin2, cross2 = spec._tables()
+    caps = _box_caps(spec, charge_box)
     g = math.gcd(2, *diag2, *lin2, *(x for row in cross2 for x in row))
-    if (all(x > 0 for x in diag2) and all(x >= 0 for x in lin2)
-            and all(x >= 0 for row in cross2 for x in row)):
-        per_var = tuple(math.isqrt(max(order2 // x, 0)) for x in diag2)
-        return EnumerationBound(per_var, "all_nonneg",
-                                (1, g, [(x, 1, 0) for x in diag2], cross2, lin2))
-    if any(lin2):
-        raise CoercivityError("positive-definite strategy requires a zero linear part")
-    try:
-        D, M = _reverse_ldl(spec.quad)
-    except CoercivityError:
-        raise CoercivityError(
-            "quadratic form is neither all-nonnegative with positive diagonal "
-            "nor positive definite; refusing to enumerate") from None
-    per_var = tuple(_max_v_strict(Fraction(order2, 2) * w) for w in _inverse_diagonal(D, M))
-    l = spec.nvars
-    den = math.lcm(*(x.denominator for row in M for x in row))
-    scaled = [2 * Dk / den ** 2 for Dk in D]
-    G = math.lcm(*(x.denominator for x in scaled))
-    W = [int(G * x) for x in scaled]
-    R = [[int(den * M[j][d]) for j in range(l)] for d in range(l)]
-    return EnumerationBound(per_var, "positive_definite",
-                            (G, g, [(w * den * den, 2 * w * den, w) for w in W], R, [0] * l))
+    if (all(x > 0 or (x == 0 and c is not None) for x, c in zip(diag2, caps))
+            and all(x >= 0 for x in lin2) and all(x >= 0 for row in cross2 for x in row)):
+        per_var = [math.isqrt(max(order2 // x, 0)) if x else c for x, c in zip(diag2, caps)]
+        strategy, table = "all_nonneg", (1, g, [(x, 1, 0) for x in diag2], cross2, lin2)
+    else:
+        if any(lin2):
+            raise CoercivityError("positive-definite strategy requires a zero linear part")
+        try:
+            D, M = _reverse_ldl(spec.quad)
+        except CoercivityError:
+            raise CoercivityError(
+                "quadratic form is neither all-nonnegative with positive diagonal "
+                "nor positive definite; refusing to enumerate") from None
+        per_var = [_max_v_strict(Fraction(order2, 2) * w) for w in _inverse_diagonal(D, M)]
+        l = spec.nvars
+        den = math.lcm(*(x.denominator for row in M for x in row))
+        scaled = [2 * Dk / den ** 2 for Dk in D]
+        G = math.lcm(*(x.denominator for x in scaled))
+        W = [int(G * x) for x in scaled]
+        R = [[int(den * M[j][d]) for j in range(l)] for d in range(l)]
+        strategy = "positive_definite"
+        table = (G, g, [(w * den * den, 2 * w * den, w) for w in W], R, [0] * l)
+    return EnumerationBound(tuple(v if c is None else min(v, c) for v, c in zip(per_var, caps)),
+                            strategy, table)
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _sum_levels(spec: NahmSumSpec, order2, rank, node_budget, table):
+def _sum_levels(spec: NahmSumSpec, order2, rank, node_budget, bound: EnumerationBound,
+                charge_box=None):
     """Sum of a coercive form, one variable level at a time.
 
-    With (G, g, levels, R, lin) = table (see compute_bound), the sum over
-    x_d..x_{l-1} depends on x_0..x_{d-1} only through the running sums s[d:]
-    and the running charge u = sum_{i<d} x_i*charges[*][i], so level d maps
-    each distinct state s[d:] + u to (offset, S): the sum, over the prefixes
-    that reach it, of q^(prefix exponent) / prod (q)_{x_i}, as a dense
-    series.  Prefixes reaching one state differ in bound by G times their
-    exponent difference, a multiple of G*g, so the offset is the lowest of
-    their bounds and slot k of S stands for bound offset + k*G*g; integral
-    forms carry no empty odd slots, and charges are not scaled.  The bound
-    never falls, so slots at or past the cut G*order2 are dropped.  Fixing
-    x_d = v sends S/(q)_v at the bound e(v) of the table to the state
-    s[d+1:] + v*R[d][d+1:], u + v*charges[*][d].  e(v) grows from vr on:
-    before vr a v at or past the cut is skipped and S keeps its slots for
-    the later v; from vr on the first v at the cut ends the loop, and S is
-    cut to the slots of v before its division.  All-nonnegative forms have
-    vr <= 0.  The last level holds one state per charge u, whose offset is G
-    times the exact doubled exponent.  Each state is popped as it is
+    With (G, g, levels, R, lin) = bound.table (see compute_bound), the sum
+    over x_d..x_{l-1} depends on x_0..x_{d-1} only through the running sums
+    s[d:] and the running charge u = sum_{i<d} x_i*charges[*][i], so level d
+    maps each distinct state s[d:] + u to (offset, S): the sum, over the
+    prefixes that reach it, of q^(prefix exponent) / prod (q)_{x_i}, as a
+    dense series.  Prefixes reaching one state differ in bound by G times
+    their exponent difference, a multiple of G*g, so the offset is the
+    lowest of their bounds and slot k of S stands for bound offset + k*G*g;
+    integral forms carry no empty odd slots, and charges are not scaled.
+    The bound never falls, so slots at or past the cut G*order2 are dropped.
+    Fixing x_d = v sends S/(q)_v at the bound e(v) of the table to the state
+    s[d+1:] + v*R[d][d+1:], u + v*charges[*][d].  v stops at
+    bound.per_variable_max[d] and, under charge_box, at min((box_i - u_i) //
+    charges[i][d]) over the rows with a positive entry.  e(v) grows from vr
+    on (vr = 0 when a = 0): before vr a v at or past the cut is skipped and
+    S keeps its slots for the later v; from vr on the first v at the cut
+    ends the loop, and S is cut to the slots of v before its division.
+    All-nonnegative forms have vr <= 0.  Each state is popped as it is
     consumed and only two levels are alive at once.  node_budget caps the
-    (state, v) steps.
+    (state, v) steps.  Returns the last level, {u: (offset, S)}: one state
+    per charge u, whose offset is G times the exact doubled exponent.
     """
     l = spec.nvars
-    G, g, levels, R, lin = table
+    G, g, levels, R, lin = bound.table
     step = G * g
     cut = G * order2
     unit = 2 // g                       # q^1 in slots
@@ -528,6 +556,11 @@ def _sum_levels(spec: NahmSumSpec, order2, rank, node_budget, table):
     level = {(0,) * (l + rank): (0, seed)}
     for d in range(l):
         a, beta, delta = levels[d]
+        top = bound.per_variable_max[d]
+        # (place of u_i in the state, box_i, charges[i][d]) for the rows that cap x_d
+        boxed = [] if charge_box is None else [
+            (l - d + i, cap, ch[d]) for i, (cap, ch) in enumerate(zip(charge_box, charges))
+            if ch[d] > 0]
         row = tuple(R[d][d + 1:]) + tuple(ch[d] for ch in charges)
         nxt = {}
         while level:
@@ -535,7 +568,8 @@ def _sum_levels(spec: NahmSumSpec, order2, rank, node_budget, table):
             sd = state[0]
             b = beta * sd + lin[d]
             base = off + delta * sd * sd
-            vr = -((a + b) // (2 * a))
+            vr = -((a + b) // (2 * a)) if a else 0
+            vmax = min(top, *[(cap - state[j]) // c for j, cap, c in boxed]) if boxed else top
             child = state[1:]
             v = 0
             e = base
@@ -558,6 +592,8 @@ def _sum_levels(spec: NahmSumSpec, order2, rank, node_budget, table):
                         merged += map(add, S[p:], old[1])
                         nxt[child] = (e, merged)
                 v += 1
+                if v > vmax:
+                    break
                 e = base + a * v * v + b * v
                 if v >= vr:
                     if e >= cut:
@@ -566,24 +602,32 @@ def _sum_levels(spec: NahmSumSpec, order2, rank, node_budget, table):
                 geom_div(S, unit * v)
                 child = tuple(map(add, child, row))
         level = nxt
-    return QSeries._raw(order2, rank, {(off // G + k * g, u): c for u, (off, S) in level.items()
-                                       for k, c in enumerate(S) if c})
+    return level
 
 
-def evaluate(spec: NahmSumSpec, order, charges=True, node_budget=None) -> QSeries:
+def evaluate(spec: NahmSumSpec, order, charges=True, node_budget=None,
+             charge_box=None) -> QSeries:
     """Exact truncated evaluation of the lattice sum.
 
     compute_bound certifies coercivity once and gives the table that drives
     the level sum of _sum_levels; node_budget caps its (state, v) steps.
     The box of compute_bound is what evaluate_bruteforce iterates.  With
     charges=False (or no charge rows) the charge monomials are never formed.
+    charge_box, one cap per charge row, keeps only the terms with charge
+    u <= charge_box, pruned as the sum runs (see compute_bound for the
+    coercivity rule under a box); it needs charges=True (ValueError).
     """
-    bound = compute_bound(spec, order)
+    if charge_box is not None and not charges:
+        raise ValueError("a charge box needs charges=True")
+    bound = compute_bound(spec, order, charge_box)
     order2 = twice_of(order)
     rank = spec.charge_rank if charges else 0
     if order2 <= 0:
         return QSeries._raw(max(order2, 0), rank, {})
-    return _sum_levels(spec, order2, rank, node_budget, bound.table)
+    G, g = bound.table[:2]
+    level = _sum_levels(spec, order2, rank, node_budget, bound, charge_box)
+    return QSeries._raw(order2, rank, {(off // G + k * g, u): c for u, (off, S) in level.items()
+                                       for k, c in enumerate(S) if c})
 
 
 def evaluate_bruteforce(spec: NahmSumSpec, order, box, charges=True) -> QSeries:

@@ -3,19 +3,20 @@
 A representation is exactly a multiplicity function on segments [a,b]
 (Gabriel), so enumeration is integer combinatorics; codimension is the
 strand-pair sum, sensitive to the arrow orientation.  It is a quadratic form
-in the multiplicities, so the box is summed one segment level at a time from
-a table of pair weights, never one representation at a time.
+in the multiplicities with nonnegative coefficients (codim_form), so a box of
+dimension vectors is one lattice sum under a box on its charges, summed one
+segment level at a time by nahm._sum_levels, never one representation at a
+time.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import add
 
-from . import kernels
+from . import kernels, nahm
 from .halfint import twice_of
-from .nahm import BudgetExceeded
 from .series import QSeries, CompareResult, inv_pochhammer_dense, series_eq
 
 
@@ -106,8 +107,7 @@ def codim(quiver: QuiverA, rep) -> int:
     opposed break arrows (3).
 
     This pair scan is the oracle: the per-k check calls it for every rep, and
-    the level sum reads it only to build its table of pair weights
-    (_pair_weights)."""
+    the level sum reads it only to build its lattice form (codim_form)."""
     orient = quiver.orientation
     items = [(seg, m) for seg, m in rep.items() if m]
     total = 0
@@ -130,27 +130,37 @@ def codim(quiver: QuiverA, rep) -> int:
 def _inv_denominator(mults, length, memo):
     """Dense 1/prod (q)_m over the multiplicities m, through exponent
     length-1 (shorter when every m is 0), memoized in memo by (sorted nonzero
-    multiplicities, length)."""
+    multiplicities, length): 1/(q)_M of the largest part M, divided by
+    (1 - q^j) for j = 1..m of every other part m."""
     mults = tuple(sorted(filter(None, mults)))
     hit = memo.get((mults, length))
     if hit is None:
-        hit = [1]
-        for m in mults:
-            hit = kernels.conv_trunc(hit, inv_pochhammer_dense(m, length), length)
+        hit = inv_pochhammer_dense(mults[-1], length) if mults else [1]
+        for m in mults[:-1]:
+            for j in range(1, min(m + 1, length)):
+                kernels.geom_div(hit, j)
         memo[(mults, length)] = hit
     return hit
 
 
-def _pair_weights(quiver: QuiverA, segs):
-    """W with codim(rep) = sum_s (W[s][s] m_s^2 + sum_{t<s} W[s][t] m_s m_t)
-    over the multiplicities m_s of segs[s]: codim is a quadratic form in the
-    multiplicities, so W is read off codim on one- and two-segment reps.
-    W[s][t] counts the rules that fire for segs[s] and segs[t], either way
-    round; row s holds t = 0..s."""
+def codim_form(quiver: QuiverA) -> nahm.NahmSumSpec:
+    """codim as a lattice form over the multiplicities of segments(rank):
+    codim(rep) = spec.exponent(m) with m_s the multiplicity of segment s.
+    codim is a quadratic form in the multiplicities, so its coefficients are
+    read off codim on one- and two-segment reps; they count the strand-pair
+    rules that fire, so they are >= 0, and every diagonal entry is 0.  Charge
+    row v is the segment-vertex incidence of vertex v, so the charge of m is
+    its dimension vector."""
+    segs = segments(quiver.rank)
     diag = [codim(quiver, {seg: 1}) for seg in segs]
-    return [[codim(quiver, {segs[s]: 1, segs[t]: 1}) - diag[s] - diag[t]
-             for t in range(s)] + [diag[s]]
-            for s in range(len(segs))]
+    quad, lin = nahm._symmetric_from_products(len(segs), [
+        (s, t, codim(quiver, {segs[s]: 1, segs[t]: 1}) - diag[s] - diag[t] if s != t else diag[s])
+        for s in range(len(segs)) for t in range(s + 1)])
+    return nahm.NahmSumSpec(
+        labels=tuple(f"m[{a},{b}]" for a, b in segs), quad=quad, linear=lin,
+        charges=tuple(tuple(int(a <= v <= b) for a, b in segs)
+                      for v in range(1, quiver.rank + 1)),
+        name="codim-" + "".join(quiver.orientation))
 
 
 def verify_theorem51(quiver: QuiverA, k, order) -> CompareResult:
@@ -170,70 +180,20 @@ def verify_theorem51(quiver: QuiverA, k, order) -> CompareResult:
 def _level_rows(quiver: QuiverA, kmax, length, budget=None, total=None):
     """{k: dense sum of q^codim / prod (q)_{m_seg} over the reps of dimension
     vector k, through exponent length-1} for every k <= kmax (with sum(k) <=
-    total when total is given), one segment level at a time.
-
-    With W the _pair_weights table, the codimension that segments d.. add
-    depends on the multiplicities m_t before d only through the pair sums
-    P_j = sum_{t<d} W[j][t] m_t, j >= d.  So level d maps each distinct
-    state (P_d, ..., P_{n-1}, dimension vector so far) to (offset, S): the
-    sum, over the prefixes that reach it, of q^codim / prod (q)_m, as
-    q^offset * S cut below q^length.  Fixing m_d = m adds
-    m*P_d + W[d][d]*m^2 to the exponent and sends S/(q)_m to the state
-    P_j + m*W[j][d], dimension vector + m on the vertices of segment d.  The
-    weights are >= 0, so the exponent never falls as m grows and the first m
-    at the cut ends the loop; kmax, and total when given, cap m.  The last
-    level holds one state per dimension vector.  budget caps the (state, m)
-    steps (BudgetExceeded).
+    total when total is given): the level sum of codim_form under the charge
+    box kmax.  total is one more charge row, the segment lengths, boxed at
+    total.  budget caps the level sum's (state, m) steps (BudgetExceeded).
     """
-    segs = segments(quiver.rank)
-    weights = _pair_weights(quiver, segs)
-    n = len(segs)
-    geom_div = kernels.geom_div
-    steps = 0
-    seed = [0] * length
-    seed[0] = 1
-    level = {(0,) * (n + quiver.rank): (0, seed)}
-    for d, (a, b) in enumerate(segs):
-        w = weights[d][d]
-        row = tuple(weights[j][d] for j in range(d + 1, n)) + tuple(
-            int(a <= v <= b) for v in range(1, quiver.rank + 1))
-        nxt = {}
-        while level:
-            state, (off, S) = level.popitem()
-            used = state[n - d:]
-            cap = min(kmax[v - 1] - used[v - 1] for v in range(a, b + 1))
-            if total is not None:
-                cap = min(cap, (total - sum(used)) // (b - a + 1))
-            lin = state[0]
-            child = state[1:]
-            m = 0
-            e = off
-            while True:
-                # S is the state's series over (q)_m, cut to the slots of e below q^length
-                steps += 1
-                if budget is not None and steps > budget:
-                    raise BudgetExceeded("quiver level steps", budget)
-                old = nxt.get(child)
-                if old is None:
-                    nxt[child] = (e, S[:])
-                elif old[0] <= e:
-                    T = old[1]
-                    p = e - old[0]
-                    T[p:] = map(add, T[p:], S)
-                else:
-                    p = old[0] - e
-                    merged = S[:p]
-                    merged += map(add, S[p:], old[1])
-                    nxt[child] = (e, merged)
-                m += 1
-                e = off + m * lin + w * m * m
-                if m > cap or e >= length:
-                    break
-                del S[length - e:]
-                geom_div(S, m)
-                child = tuple(map(add, child, row))
-        level = nxt
-    return {k: [0] * off + S for k, (off, S) in level.items()}
+    spec = codim_form(quiver)
+    box = tuple(kmax)
+    if total is not None:
+        lengths = tuple(b - a + 1 for a, b in segments(quiver.rank))
+        spec = replace(spec, charges=spec.charges + (lengths,))
+        box += (total,)
+    bound = nahm.compute_bound(spec, length, box)
+    level = nahm._sum_levels(spec, 2 * length, len(box), budget, bound, box)
+    # codim is integral, so slot k of a row is q^(offset/2 + k)
+    return {u[:quiver.rank]: [0] * (off // 2) + S for u, (off, S) in level.items()}
 
 
 def verify_theorem51_box(quiver: QuiverA, kmax, order, budget=None, total=None):
@@ -288,12 +248,10 @@ def bridge_theorem54(n, kmax, order) -> CompareResult:
     side matches the primed evaluation after multiplying by q^((1/2) k^T A k);
     that normalized comparison is performed here.
     """
-    from . import nahm
-
     rank = n - 1
     qv = QuiverA.equioriented(rank)
     _, rhs = quiver_generating_series(qv, kmax, order)
-    ev = nahm.evaluate(nahm.build_Bprime_form(n), order, charges=True).restrict_charges(kmax)
+    ev = nahm.evaluate(nahm.build_Bprime_form(n), order, charge_box=kmax)
     cartan = nahm.build_cartan_side(f"a{n}")
     shifted = {}                    # the shift depends on ch alone: keys stay distinct
     for (e2, ch), c in rhs.terms.items():

@@ -99,12 +99,6 @@ class QSeries:
                 out[(e2, rest)] = c
         return QSeries._raw(self.order2, self.charge_rank - 1, out)
 
-    def restrict_charges(self, box):
-        """Keep terms whose charge vector is <= box componentwise."""
-        out = {k: v for k, v in self.terms.items()
-               if all(c <= b for c, b in zip(k[1], box))}
-        return QSeries._raw(self.order2, self.charge_rank, out)
-
     def is_one(self):
         zero = (0,) * self.charge_rank
         return self.terms == {(0, zero): 1}

@@ -229,6 +229,19 @@ def test_budget_exceeded_is_exit_2(runner):
     assert result.exit_code == 2
 
 
+def test_negative_budget_is_usage_error(runner):
+    # no run can meet a negative cap: refused as a usage error, before any work
+    result = run(runner, "--budget", "-1", "verify", "thm1", "--variant", "a",
+                 "--n", "3", "--order", "3")
+    assert result.exit_code == 2
+    assert "Invalid value for '--budget'" in result.output
+    assert "budget exceeded" not in result.output
+    result = run(runner, "--budget", "0", "verify", "thm1", "--variant", "a",
+                 "--n", "3", "--order", "3")
+    assert result.exit_code == 2
+    assert "budget exceeded: level-sum steps limit 0" in result.output
+
+
 def test_usage_error_is_exit_2(runner, tmp_path):
     result = run(runner, "verify", "ordered-product", "--type", "x9",
                  "--xdeg", "3", "--qorder", "6")

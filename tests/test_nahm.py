@@ -5,9 +5,9 @@ import random
 import pytest
 from fractions import Fraction
 
-from qident import nahm, presets
+from qident import nahm, presets, quiver
 from qident.poly import SparsePoly
-from qident.series import series_eq
+from qident.series import QSeries, series_eq
 
 from sylvester import is_positive_definite
 
@@ -388,6 +388,73 @@ class TestEvaluate:
         charged = nahm.evaluate(spec, 14, charges=True)
         plain = nahm.evaluate(spec, 14, charges=False)
         assert series_eq(charged.charges_dropped(), plain).equal
+
+
+def _within(series, box):
+    """The terms of a charged series whose charge is <= box componentwise."""
+    return QSeries._raw(series.order2, series.charge_rank,
+                        {key: c for key, c in series.terms.items()
+                         if all(u <= b for u, b in zip(key[1], box))})
+
+
+class TestChargeBox:
+    @pytest.mark.parametrize("name,order,boxes", [
+        ("cartan-a4", 14, [(2, 1, 3), (0, 4, 1), (5, 5, 5)]),
+        ("B-a4", 10, [(2, 2, 1), (1, 0, 3)]),
+        ("d4", 8, [(2, 3, 1, 2), (1, 1, 1, 1)]),
+        ("b2-char", 12, [(2, 3), (0, 1), (4, 0)]),
+    ])
+    def test_box_prunes_what_the_filter_drops(self, name, order, boxes):
+        spec = presets.nahm_preset(name)
+        full = nahm.evaluate(spec, order)
+        for box in boxes:
+            got = nahm.evaluate(spec, order, charge_box=box)
+            assert got == _within(full, box), box
+            # the box caps every variable a boxed row charges
+            caps = nahm.compute_bound(spec, order, box).per_variable_max
+            assert all(c <= b // row[d] for d, c in enumerate(caps)
+                       for b, row in zip(box, spec.charges) if row[d] > 0)
+
+    @pytest.mark.parametrize("bits", ["RR", "RL", "LR", "LL"])
+    def test_boxed_codim_form_matches_bruteforce(self, bits):
+        # codim has a zero diagonal: only the box of dimension vectors bounds it
+        spec = quiver.codim_form(quiver.QuiverA.from_string(3, bits))
+        for kmax, order in (((2, 2, 2), 6), ((1, 3, 2), 9), ((0, 2, 1), 4)):
+            bound = nahm.compute_bound(spec, order, kmax)
+            assert bound.strategy == "all_nonneg"
+            brute = nahm.evaluate_bruteforce(spec, order, bound.per_variable_max)
+            assert nahm.evaluate(spec, order, charge_box=kmax) == _within(brute, kmax)
+
+    def test_negative_boxed_row_refused(self):
+        spec = nahm.build_cartan_side("a3")
+        bad = nahm.NahmSumSpec(spec.labels, spec.quad, spec.linear, ((1, -1),))
+        nahm.evaluate(bad, 8)                   # unboxed, the form alone is coercive
+        with pytest.raises(nahm.CoercivityError, match="negative entry"):
+            nahm.compute_bound(bad, 8, (3,))
+        with pytest.raises(nahm.CoercivityError):
+            nahm.evaluate(bad, 8, charge_box=(3,))
+
+    def test_zero_diagonal_needs_a_boxed_row(self):
+        quad = ((F(0), F(1, 2)), (F(1, 2), F(1)))
+        uncapped = nahm.NahmSumSpec(("a", "b"), quad, (F(0), F(0)), ((0, 1),))
+        with pytest.raises(nahm.CoercivityError):
+            nahm.compute_bound(uncapped, 8, (3,))
+        with pytest.raises(nahm.CoercivityError):
+            nahm.compute_bound(uncapped, 8)
+        capped = nahm.NahmSumSpec(("a", "b"), quad, (F(0), F(0)), ((1, 1),))
+        bound = nahm.compute_bound(capped, 8, (3,))
+        assert bound.per_variable_max == (3, 2)
+        brute = nahm.evaluate_bruteforce(capped, 8, bound.per_variable_max)
+        assert nahm.evaluate(capped, 8, charge_box=(3,)) == _within(brute, (3,))
+
+    def test_box_needs_charges(self):
+        spec = nahm.build_cartan_side("a3")
+        with pytest.raises(ValueError, match="charges=True"):
+            nahm.evaluate(spec, 8, charges=False, charge_box=(1, 1))
+        with pytest.raises(ValueError, match="one nonnegative cap per charge row"):
+            nahm.evaluate(spec, 8, charge_box=(1,))
+        with pytest.raises(ValueError, match="one nonnegative cap per charge row"):
+            nahm.evaluate(spec, 8, charge_box=(1, -1))
 
 
 class TestIdentities:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from qident import quiver
+from qident import nahm, quiver
 from qident.nahm import BudgetExceeded
 from qident.quiver import QuiverA
 from qident.series import inv_pochhammer, series_eq
@@ -217,19 +217,19 @@ class TestBoxWalk:
 
     @pytest.mark.parametrize("rank,kmax", BOXES + [(5, (2,) * 5)])
     def test_carried_codim_matches_codim(self, rank, kmax):
-        # the level sum carries codim as the quadratic form of the pair
-        # weights, and cuts at the first m past the series: both need this
+        # the level sum carries codim as the lattice form codim_form, and cuts
+        # at the first m past the series: both need this
         segs = quiver.segments(rank)
         for bits in itertools.product("RL", repeat=rank - 1):
             qv = QuiverA(rank, bits)
-            weights = quiver._pair_weights(qv, segs)
-            assert all(w >= 0 for row in weights for w in row)
+            spec = quiver.codim_form(qv)
+            for order in (1, 8):
+                assert nahm.compute_bound(spec, order, kmax).strategy == "all_nonneg"
             for k in itertools.product(*(range(b + 1) for b in kmax)):
                 for rep in quiver.enumerate_reps(qv, k):
-                    m = [(s, rep[seg]) for s, seg in enumerate(segs) if rep.get(seg)]
-                    form = sum(weights[s][t] * ms * mt
-                               for s, ms in m for t, mt in m if t <= s)
-                    assert form == quiver.codim(qv, rep), (bits, rep)
+                    m = tuple(rep.get(seg, 0) for seg in segs)
+                    assert spec.exponent(m) == quiver.codim(qv, rep), (bits, rep)
+                    assert spec.charge_of(m) == k
 
     @pytest.mark.parametrize("planted", [((1, 1), (2, 2)), ((1, 2), (3, 3)), ((2, 3), (2, 3))])
     def test_planted_codim_error_first_mismatch(self, monkeypatch, planted):
@@ -267,7 +267,7 @@ class TestBoxWalk:
         steps = level_steps(qv, kmax, 8)
         assert steps == 62
         assert all(r.equal for _, r in quiver.verify_theorem51_box(qv, kmax, 8, budget=steps))
-        with pytest.raises(BudgetExceeded, match="quiver level steps"):
+        with pytest.raises(BudgetExceeded, match="level-sum steps"):
             list(quiver.verify_theorem51_box(qv, kmax, 8, budget=steps - 1))
 
     @pytest.mark.parametrize("rank,kmax", [(3, (3, 3, 3)), (4, (2, 2, 2, 2))])
