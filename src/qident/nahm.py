@@ -626,8 +626,8 @@ def evaluate(spec: NahmSumSpec, order, charges=True, node_budget=None,
         return QSeries._raw(max(order2, 0), rank, {})
     G, g = bound.table[:2]
     level = _sum_levels(spec, order2, rank, node_budget, bound, charge_box)
-    return QSeries._raw(order2, rank, {(off // G + k * g, u): c for u, (off, S) in level.items()
-                                       for k, c in enumerate(S) if c})
+    # slot k of S sits at the doubled exponent off // G + k * g
+    return QSeries.from_rows(order2, rank, ((u, (off // G, g, S)) for u, (off, S) in level.items()))
 
 
 def evaluate_bruteforce(spec: NahmSumSpec, order, box, charges=True) -> QSeries:

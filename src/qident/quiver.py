@@ -178,11 +178,14 @@ def verify_theorem51(quiver: QuiverA, k, order) -> CompareResult:
 
 
 def _level_rows(quiver: QuiverA, kmax, length, budget=None, total=None):
-    """{k: dense sum of q^codim / prod (q)_{m_seg} over the reps of dimension
-    vector k, through exponent length-1} for every k <= kmax (with sum(k) <=
-    total when total is given): the level sum of codim_form under the charge
-    box kmax.  total is one more charge row, the segment lengths, boxed at
-    total.  budget caps the level sum's (state, m) steps (BudgetExceeded).
+    """{k: row of the sum of q^codim / prod (q)_{m_seg} over the reps of
+    dimension vector k, through exponent length-1} for every k <= kmax (with
+    sum(k) <= total when total is given): the level sum of codim_form under
+    the charge box kmax.  codim is integral, so a row is (first, 2, S) as
+    QSeries.from_rows reads it: slot i of S is the coefficient of
+    q^(first/2 + i); it is not trimmed.  total is one more charge row, the
+    segment lengths, boxed at total.  budget caps the level sum's (state, m)
+    steps (BudgetExceeded).
     """
     spec = codim_form(quiver)
     box = tuple(kmax)
@@ -192,8 +195,7 @@ def _level_rows(quiver: QuiverA, kmax, length, budget=None, total=None):
         box += (total,)
     bound = nahm.compute_bound(spec, length, box)
     level = nahm._sum_levels(spec, 2 * length, len(box), budget, bound, box)
-    # codim is integral, so slot k of a row is q^(offset/2 + k)
-    return {u[:quiver.rank]: [0] * (off // 2) + S for u, (off, S) in level.items()}
+    return {u[:quiver.rank]: (off, 2, S) for u, (off, S) in level.items()}
 
 
 def verify_theorem51_box(quiver: QuiverA, kmax, order, budget=None, total=None):
@@ -205,13 +207,14 @@ def verify_theorem51_box(quiver: QuiverA, kmax, order, budget=None, total=None):
     level sum runs before the first result; budget caps its steps
     (BudgetExceeded).
     """
-    length = (twice_of(order) + 1) // 2
+    order2 = twice_of(order)
+    length = (order2 + 1) // 2
     memo = {}
     rows = _level_rows(quiver, kmax, length, budget, total)
     for k in itertools.product(*(range(b + 1) for b in kmax)):
         if total is None or sum(k) <= total:
-            yield k, series_eq(QSeries.from_dense(_inv_denominator(k, length, memo), order),
-                               QSeries.from_dense(rows[k], order))
+            lhs = QSeries.from_rows(order2, 0, [((), (0, 2, _inv_denominator(k, length, memo)))])
+            yield k, series_eq(lhs, QSeries.from_rows(order2, 0, [((), rows[k])]))
 
 
 def quiver_generating_series(quiver: QuiverA, kmax, order):
@@ -226,16 +229,10 @@ def quiver_generating_series(quiver: QuiverA, kmax, order):
     rank = quiver.rank
 
     memo = {}
-    lhs_terms = {}
-    for k in itertools.product(*(range(b + 1) for b in kmax)):
-        for e, c in enumerate(_inv_denominator(k, length, memo)):
-            if c:
-                lhs_terms[(2 * e, k)] = c
-    rhs_terms = {(2 * e, dim): c
-                 for dim, row in _level_rows(quiver, kmax, length).items()
-                 for e, c in enumerate(row) if c}
-    lhs = QSeries._raw(order2, rank, lhs_terms)
-    rhs = QSeries._raw(order2, rank, rhs_terms)
+    lhs = QSeries.from_rows(order2, rank, (
+        (k, (0, 2, _inv_denominator(k, length, memo)))
+        for k in itertools.product(*(range(b + 1) for b in kmax))))
+    rhs = QSeries.from_rows(order2, rank, _level_rows(quiver, kmax, length).items())
     return lhs, rhs
 
 
@@ -253,12 +250,9 @@ def bridge_theorem54(n, kmax, order) -> CompareResult:
     _, rhs = quiver_generating_series(qv, kmax, order)
     ev = nahm.evaluate(nahm.build_Bprime_form(n), order, charge_box=kmax)
     cartan = nahm.build_cartan_side(f"a{n}")
-    shifted = {}                    # the shift depends on ch alone: keys stay distinct
-    for (e2, ch), c in rhs.terms.items():
-        e2n = e2 + cartan.exponent2(ch)
-        if e2n < rhs.order2:
-            shifted[(e2n, ch)] = c
-    qs = QSeries._raw(rhs.order2, rank, shifted)
+    qs = QSeries.from_rows(rhs.order2, rank, (
+        (ch, (first + cartan.exponent2(ch), step, coeffs))
+        for ch, (first, step, coeffs) in rhs.rows.items()))
     return series_eq(qs, ev)
 
 

@@ -5,13 +5,26 @@ integer coefficients, exponents e in (1/2)Z (kept as doubled ints, read back
 as Fractions), and an exclusive truncation order.  Every arithmetic operation
 truncates to the minimum of the operand orders, so precision can never
 silently inflate.
+
+The terms are kept as one dense row per charge: `rows` maps a charge tuple to
+(first, step, coeffs), where coeffs[i] is the coefficient of
+q^((first + i*step)/2).  A row is canonical: it lies below the truncation
+order, its first and last coefficients are nonzero, and its step is 2 unless a
+nonzero term sits at an odd doubled distance from the first (then it is 1).
+Charges with no terms have no row.  So two series are equal exactly when their
+orders, ranks and row dicts are, and `==`, `hash` and `series_eq` compare rows
+directly.  Engines that sum dense rows (the lattice level sum, quiver boxes,
+the Pochhammer products) hand them over through `from_rows`, trimmed once;
+`terms`, the {(doubled exponent, charges): coefficient} view, is built only
+when a caller reads it.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, gt, ne
+from types import MappingProxyType
 from typing import Optional
 
 from . import kernels
@@ -27,15 +40,121 @@ class TruncationError(ValueError):
     """Raised when a coefficient beyond the truncation order is requested."""
 
 
-class QSeries:
-    """Truncated q-series; immutable by convention (no mutating methods)."""
+# -- rows ---------------------------------------------------------------------------
 
-    __slots__ = ("order2", "charge_rank", "terms")
+def _trim(first, step, coeffs, order2):
+    """The canonical row of coeffs[i] * q^((first + i*step)/2) below order2,
+    or None when no term is left.  coeffs is kept, not copied, when it is
+    already canonical."""
+    n = len(coeffs)
+    if first + (n - 1) * step >= order2:
+        n = max((order2 - first - 1) // step + 1, 0)
+    while n and not coeffs[n - 1]:
+        n -= 1
+    lo = 0
+    while lo < n and not coeffs[lo]:
+        lo += 1
+    if lo == n:
+        return None
+    if lo or n < len(coeffs):
+        coeffs = coeffs[lo:n]
+        first += lo * step
+    if step == 1 and not any(coeffs[1::2]):
+        return first, 2, coeffs[::2]
+    return first, step, coeffs
+
+
+def _row_terms(row):
+    """The (doubled exponent, coefficient) pairs of a row's nonzero terms, in
+    ascending order."""
+    first, step, coeffs = row
+    return [(first + i * step, c) for i, c in enumerate(coeffs) if c]
+
+
+def _on_grid(row, step):
+    """A row's coefficients on a grid of the given step: its own, or 1."""
+    coeffs = row[2]
+    if row[1] == step:
+        return coeffs
+    spread = [0] * (2 * len(coeffs) - 1)
+    spread[::2] = coeffs
+    return spread
+
+
+def _add_row(rows, charges, row, order2):
+    """rows[charges] += row below order2, kept canonical; a sum that cancels
+    drops the charge.  No list already in rows is written into."""
+    old = rows.get(charges)
+    if old is None:
+        rows[charges] = row
+        return
+    x, y = (old, row) if old[0] <= row[0] else (row, old)
+    step = 2 if x[1] == y[1] == 2 and (y[0] - x[0]) % 2 == 0 else 1
+    out = list(_on_grid(x, step))
+    ys = _on_grid(y, step)
+    p = (y[0] - x[0]) // step
+    out += [0] * (p + len(ys) - len(out))
+    out[p:p + len(ys)] = map(add, out[p:p + len(ys)], ys)
+    total = _trim(x[0], step, out, order2)
+    if total is None:
+        del rows[charges]
+    else:
+        rows[charges] = total
+
+
+def _row_product(x, y, order2):
+    """The canonical row of x * y below order2 (None when it is empty),
+    through kernels.conv_trunc."""
+    first = x[0] + y[0]
+    step = 2 if x[1] == y[1] == 2 else 1
+    n = (order2 - first - 1) // step + 1
+    if n <= 0:
+        return None
+    return _trim(first, step, kernels.conv_trunc(_on_grid(x, step), _on_grid(y, step), n),
+                 order2)
+
+
+def _trimmed(rows, order2):
+    """{charges: canonical row below order2} of (charges, (first, step,
+    coeffs)) pairs, one per charge; rows with no term left are dropped."""
+    out = {}
+    for charges, (first, step, coeffs) in rows:
+        row = _trim(first, step, coeffs, order2)
+        if row is not None:
+            out[charges] = row
+    return out
+
+
+def _grouped(terms):
+    """(charges, (first, 1, coeffs)) pairs of a {(doubled exponent, charges):
+    coefficient} dict whose exponents are >= 0."""
+    by_charge = {}
+    for (e2, charges), c in terms.items():
+        by_charge.setdefault(charges, {})[e2] = c
+    for charges, found in by_charge.items():
+        first = min(found)
+        coeffs = [0] * (max(found) - first + 1)
+        for e2, c in found.items():
+            coeffs[e2 - first] = c
+        yield charges, (first, 1, coeffs)
+
+
+def _term_dict(rows):
+    """The {(doubled exponent, charges): coefficient} dict of the rows."""
+    return {(e2, charges): c for charges, row in rows.items() for e2, c in _row_terms(row)}
+
+
+class QSeries:
+    """Truncated q-series; immutable by convention (no mutating methods, and
+    no method writes into a row's coefficient list)."""
+
+    __slots__ = ("order2", "charge_rank", "rows", "_terms")
 
     def __init__(self, order, charge_rank=0, terms=None):
         self.order2 = twice_of(order)
         self.charge_rank = charge_rank
-        self.terms = add_terms({}, self._checked(terms or {}))
+        self.rows = _trimmed(_grouped(add_terms({}, self._checked(terms or {}))), self.order2)
+        self._terms = None
 
     def _checked(self, terms):
         """The terms below the order, keyed (doubled exponent, charges); every
@@ -54,21 +173,46 @@ class QSeries:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def _raw(cls, order2, charge_rank, terms):
+    def _canonical(cls, order2, charge_rank, rows):
+        """From rows that are already canonical (nothing is checked)."""
         s = cls.__new__(cls)
         s.order2 = order2
         s.charge_rank = charge_rank
-        s.terms = terms
+        s.rows = rows
+        s._terms = None
         return s
 
     @classmethod
+    def _raw(cls, order2, charge_rank, terms):
+        """From a term dict with doubled exponents >= 0 and charge tuples of
+        length charge_rank (not checked); zero coefficients and terms at or
+        past order2 are dropped."""
+        return cls.from_rows(order2, charge_rank, _grouped(terms))
+
+    @classmethod
+    def from_rows(cls, order2, charge_rank, rows):
+        """From (charges, (first, step, coeffs)) pairs, one per charge: coeffs[i]
+        is the coefficient of q^((first + i*step)/2), first >= 0 and step 1 or
+        2 (not checked).  Each row is trimmed once to its canonical form, and
+        its list is kept when it already is; the caller must not write into
+        it afterwards."""
+        return cls._canonical(order2, charge_rank, _trimmed(rows, order2))
+
+    @classmethod
     def from_dense(cls, coeffs, order):
-        """Uncharged series from a dense int list (index i sits at exponent i)."""
-        order2 = twice_of(order)
-        return cls._raw(order2, 0, {(2 * i, ()): c for i, c in enumerate(coeffs)
-                                    if c and 2 * i < order2})
+        """Uncharged series from a dense int list (index i sits at exponent
+        i); the list becomes the row as from_rows keeps it."""
+        return cls.from_rows(twice_of(order), 0, [((), (0, 2, coeffs))])
 
     # -- inspection ------------------------------------------------------------
+
+    @property
+    def terms(self):
+        """Read-only {(doubled exponent, charges): coefficient} view of the
+        nonzero terms, built on first read."""
+        if self._terms is None:
+            self._terms = MappingProxyType(_term_dict(self.rows))
+        return self._terms
 
     @property
     def truncation_order(self) -> Fraction:
@@ -76,42 +220,58 @@ class QSeries:
 
     def coeff(self, qexp, charges=()):
         exp2 = twice_of(qexp)
+        charges = tuple(charges)
+        if len(charges) != self.charge_rank:
+            raise ChargeRankMismatch(
+                f"coefficient asked with {len(charges)} charges, series has rank "
+                f"{self.charge_rank}")
         if exp2 >= self.order2:
             raise TruncationError(
                 f"exponent {Fraction(exp2, 2)} is at or beyond truncation order "
                 f"{Fraction(self.order2, 2)}")
-        return self.terms.get((exp2, tuple(charges)), 0)
+        row = self.rows.get(charges)
+        if row is None:
+            return 0
+        first, step, coeffs = row
+        i, off = divmod(exp2 - first, step)
+        return coeffs[i] if not off and 0 <= i < len(coeffs) else 0
 
     def charges_dropped(self):
         """Project all charge variables to 1."""
         if self.charge_rank == 0:
             return self
-        return QSeries._raw(self.order2, 0, add_terms(
-            {}, (((e2, ()), c) for (e2, _charges), c in self.terms.items())))
+        rows = {}
+        for row in self.rows.values():
+            _add_row(rows, (), row, self.order2)
+        return QSeries._canonical(self.order2, 0, rows)
 
     def charge_slice(self, position, value=0):
         """Terms whose charge at `position` equals `value`, with that charge
         coordinate removed."""
-        out = {}
-        for (e2, charges), c in self.terms.items():
-            if charges[position] == value:
-                rest = charges[:position] + charges[position + 1:]
-                out[(e2, rest)] = c
-        return QSeries._raw(self.order2, self.charge_rank - 1, out)
+        return QSeries._canonical(self.order2, self.charge_rank - 1, {
+            charges[:position] + charges[position + 1:]: row
+            for charges, row in self.rows.items() if charges[position] == value})
 
     def is_one(self):
-        zero = (0,) * self.charge_rank
-        return self.terms == {(0, zero): 1}
+        return self.rows == {(0,) * self.charge_rank: (0, 2, [1])}
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
         return (self.order2 == other.order2
                 and self.charge_rank == other.charge_rank
-                and self.terms == other.terms)
+                and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.order2, self.charge_rank, frozenset(self.terms.items())))
+        return hash((self.order2, self.charge_rank,
+                     frozenset((charges, first, step, tuple(coeffs))
+                               for charges, (first, step, coeffs) in self.rows.items())))
+
+    def _rows_below(self, order2):
+        """The rows cut below order2 (<= self.order2)."""
+        if order2 == self.order2:
+            return self.rows
+        return _trimmed(self.rows.items(), order2)
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -125,13 +285,13 @@ class QSeries:
             return NotImplemented
         self._check_rank(other)
         order2 = min(self.order2, other.order2)
-        terms = {k: v for k, v in self.terms.items() if k[0] < order2}
-        return QSeries._raw(order2, self.charge_rank, add_terms(
-            terms, (kv for kv in other.terms.items() if kv[0][0] < order2)))
+        rows = dict(self._rows_below(order2))
+        for charges, row in other._rows_below(order2).items():
+            _add_row(rows, charges, row, order2)
+        return QSeries._canonical(order2, self.charge_rank, rows)
 
     def __neg__(self):
-        return QSeries._raw(self.order2, self.charge_rank,
-                            {k: -v for k, v in self.terms.items()})
+        return self * -1
 
     def __sub__(self, other):
         if not isinstance(other, QSeries):
@@ -141,31 +301,21 @@ class QSeries:
     def __mul__(self, other):
         if isinstance(other, int):
             if other == 0:
-                return QSeries._raw(self.order2, self.charge_rank, {})
-            return QSeries._raw(self.order2, self.charge_rank,
-                                {k: other * v for k, v in self.terms.items()})
+                return QSeries._canonical(self.order2, self.charge_rank, {})
+            return QSeries._canonical(self.order2, self.charge_rank, {
+                charges: (first, step, [other * c for c in coeffs])
+                for charges, (first, step, coeffs) in self.rows.items()})
         if not isinstance(other, QSeries):
             return NotImplemented
         self._check_rank(other)
         order2 = min(self.order2, other.order2)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        for (e2a, cha), ca in a.items():
-            if e2a >= order2:
-                continue
-            rem = order2 - e2a
-            for (e2b, chb), cb in b.items():
-                if e2b >= rem:
-                    continue
-                key = (e2a + e2b, tuple(x + y for x, y in zip(cha, chb)))
-                s = out.get(key, 0) + ca * cb
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        return QSeries._raw(order2, self.charge_rank, out)
+        rows = {}
+        for cha, x in self.rows.items():
+            for chb, y in other.rows.items():
+                prod = _row_product(x, y, order2)
+                if prod is not None:
+                    _add_row(rows, tuple(map(add, cha, chb)), prod, order2)
+        return QSeries._canonical(order2, self.charge_rank, rows)
 
     __rmul__ = __mul__
 
@@ -175,7 +325,9 @@ class QSeries:
         """Canonical text form: terms sorted by (q-exponent, charges)."""
         names = [f"y{i}" for i in range(1, self.charge_rank + 1)]
         return render_terms((c, _q_power(e2) + powers(names, charges))
-                            for (e2, charges), c in sorted(self.terms.items()))
+                            for e2, charges, c in sorted(
+                                (e2, charges, c) for charges, row in self.rows.items()
+                                for e2, c in _row_terms(row)))
 
     def __repr__(self):
         return f"QSeries(order={Fraction(self.order2, 2)}, rank={self.charge_rank}, {self.render()})"
@@ -210,33 +362,43 @@ class CompareResult:
 
 
 def _first_violation(a: QSeries, b: QSeries, violates) -> CompareResult:
-    """Walk both sides up to min truncation in (q-exponent, lexicographic
-    charges) order; report the first key where violates(ca, cb) holds."""
+    """Walk the rows of both sides below the common truncation and report the
+    first (q-exponent, lexicographic charges) key where violates(ca, cb)
+    holds.  Equal rows never violate, so only the differing rows are read."""
     a._check_rank(b)
     order2 = min(a.order2, b.order2)
-    keys = {k for k in a.terms if k[0] < order2}
-    keys.update(k for k in b.terms if k[0] < order2)
-    for key in sorted(keys):
-        ca = a.terms.get(key, 0)
-        cb = b.terms.get(key, 0)
-        if violates(ca, cb):
-            return CompareResult(False, order2,
-                                 Mismatch(Fraction(key[0], 2), key[1], ca, cb))
-    return CompareResult(True, order2)
+    rows_a, rows_b = a._rows_below(order2), b._rows_below(order2)
+    if rows_a == rows_b:
+        return CompareResult(True, order2)
+    first = None
+    for charges in rows_a.keys() | rows_b.keys():
+        x, y = rows_a.get(charges), rows_b.get(charges)
+        if x == y:
+            continue
+        xs = dict(_row_terms(x)) if x else {}
+        ys = dict(_row_terms(y)) if y else {}
+        for e2 in sorted(xs.keys() | ys.keys()):
+            if first is not None and (e2, charges) > first[0]:
+                break
+            ca, cb = xs.get(e2, 0), ys.get(e2, 0)
+            if violates(ca, cb):
+                first = (e2, charges), ca, cb
+                break
+    if first is None:
+        return CompareResult(True, order2)
+    (e2, charges), ca, cb = first
+    return CompareResult(False, order2, Mismatch(Fraction(e2, 2), charges, ca, cb))
 
 
 def series_eq(a: QSeries, b: QSeries) -> CompareResult:
     """Compare up to min truncation; report the earliest mismatch in
     (q-exponent, lexicographic charges) order."""
-    a._check_rank(b)
-    if a.terms == b.terms:
-        return CompareResult(True, min(a.order2, b.order2))
-    return _first_violation(a, b, operator.ne)
+    return _first_violation(a, b, ne)
 
 
 def series_leq(a: QSeries, b: QSeries) -> CompareResult:
     """Coefficientwise a <= b up to min truncation; earliest violation reported."""
-    return _first_violation(a, b, operator.gt)
+    return _first_violation(a, b, gt)
 
 
 # -- classical q-objects -----------------------------------------------------------

@@ -24,6 +24,18 @@ def per_rep_rows(qv, kmax, length, total=None):
     return rows
 
 
+def dense_rows(rows, length):
+    """_level_rows' rows {k: (first, 2, S)} as dense lists through exponent
+    length-1, as per_rep_rows gives them."""
+    dense = {}
+    for k, (first, _step, coeffs) in rows.items():
+        row = dense[k] = [0] * length
+        for i, c in enumerate(coeffs):
+            if first // 2 + i < length:
+                row[first // 2 + i] += c
+    return dense
+
+
 def level_steps(qv, kmax, length, total=None):
     """The (state, m) steps of the level sum over the box k <= kmax.
 

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qident import cli, nahm, presets, quiver, qweyl
+from qident import cli, nahm, presets, quiver, qweyl, series
 from qident.cli import main
 
 from dilog_reference import generous_expansion
@@ -769,3 +769,17 @@ def test_report_goldens(runner, tmp_path, monkeypatch, case, as_json):
     want = golden["json" if as_json else "text"]
     assert hashlib.sha256(result.stdout.encode("utf-8")).hexdigest() == want["sha256"]
     assert result.exit_code == want["exit_code"]
+
+
+def test_charged_verify_and_quiver_box_build_no_term_dict(monkeypatch, runner):
+    # the level sums hand their rows to QSeries and series_eq compares rows;
+    # the {(exponent, charges): coefficient} view is built only when read
+    built = []
+    term_dict = series._term_dict
+    monkeypatch.setattr(series, "_term_dict", lambda rows: built.append(rows) or term_dict(rows))
+    for line in ("verify thm1 --variant a --n 4 --order 10 --charges",
+                 "verify quiver --rank 3 --orientation RL --kmax 2 --order 8"):
+        result = run(runner, *shlex.split(line))
+        assert result.exit_code == 0 and "verdict: equal" in result.output, line
+    assert built == []
+    assert nahm.evaluate(nahm.build_B_form(3), 4).terms and len(built) == 1

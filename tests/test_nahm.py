@@ -383,6 +383,24 @@ class TestEvaluate:
                 assert fast == brute, (quad, spec.charges, order, charges)
             checked += 1
 
+    @pytest.mark.parametrize("quad,linear,strategy,G", [
+        (((F(1), F(-3, 4)), (F(-3, 4), F(1))), (F(0), F(0)), "positive_definite", 128),
+        (((F(1, 2), F(1, 4)), (F(1, 4), F(1))), (F(1, 2), F(0)), "all_nonneg", 1),
+    ], ids=["positive_definite_G128", "half_integer"])
+    def test_handed_over_rows_match_bruteforce(self, quad, linear, strategy, G):
+        # one charge row x + y, so a charge holds terms at odd doubled
+        # distances (step-1 rows) as well as integer ones (step-2 rows)
+        spec = nahm.NahmSumSpec(("x", "y"), quad, linear, ((1, 1),))
+        bound = nahm.compute_bound(spec, 8)
+        # table[:2] = (G, g): slot k of a row sits at doubled exponent off // G + k * g
+        assert (bound.strategy, bound.table[0], bound.table[1]) == (strategy, G, 1)
+        for charges in (True, False):
+            fast = nahm.evaluate(spec, 8, charges=charges)
+            brute = nahm.evaluate_bruteforce(spec, 8, bound.per_variable_max, charges=charges)
+            assert fast == brute and fast.terms == brute.terms
+        assert {step for _first, step, _c in fast.rows.values()} == {1}
+        assert {step for _first, step, _c in nahm.evaluate(spec, 8).rows.values()} == {1, 2}
+
     def test_charges_dropped_matches_projection(self):
         spec = nahm.build_B_form(3)
         charged = nahm.evaluate(spec, 14, charges=True)

@@ -8,7 +8,7 @@ from qident.nahm import BudgetExceeded
 from qident.quiver import QuiverA
 from qident.series import inv_pochhammer, series_eq
 
-from quiver_reference import level_steps, per_rep_rows
+from quiver_reference import dense_rows, level_steps, per_rep_rows
 
 
 class TestDimensionVector:
@@ -212,7 +212,7 @@ class TestBoxWalk:
             for kmax in kmaxes:
                 for length, total in itertools.product((1, 5, 11), (None, 0, 3)):
                     want = per_rep_rows(qv, kmax, length, total)
-                    got = quiver._level_rows(qv, kmax, length, total=total)
+                    got = dense_rows(quiver._level_rows(qv, kmax, length, total=total), length)
                     assert got == want, (bits, kmax, length, total)
 
     @pytest.mark.parametrize("rank,kmax", BOXES + [(5, (2,) * 5)])
@@ -252,8 +252,8 @@ class TestBoxWalk:
                                                  (2, (4, 4), 0)])
     def test_total_cap_walks_the_capped_box(self, rank, kmax, total):
         qv = QuiverA(rank, ("L",) * (rank - 1))
-        full = quiver._level_rows(qv, kmax, 9)
-        capped = quiver._level_rows(qv, kmax, 9, total=total)
+        full = dense_rows(quiver._level_rows(qv, kmax, 9), 9)
+        capped = dense_rows(quiver._level_rows(qv, kmax, 9, total=total), 9)
         assert capped == {k: row for k, row in full.items() if sum(k) <= total}
         got = list(quiver.verify_theorem51_box(qv, kmax, 9, total=total))
         want = [(k, quiver.verify_theorem51(qv, k, 9))

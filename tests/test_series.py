@@ -3,9 +3,12 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from qident import nahm
 from qident.halfint import twice_of
+from qident.poly import add_terms
 from qident.series import (
     ChargeRankMismatch,
+    Mismatch,
     QSeries,
     TruncationError,
     euler_product,
@@ -24,6 +27,15 @@ def qs(order, terms, rank=0):
 def u(order, **coeffs):
     """Uncharged series from integer exponents: u(10, e0=1, e2=-1)."""
     return QSeries(order, 0, {(int(k[1:]), ()): v for k, v in coeffs.items()})
+
+
+from series_reference import (
+    reference_add,
+    reference_eq,
+    reference_leq,
+    reference_mul,
+    reference_render,
+)
 
 
 def test_twice_of():
@@ -95,6 +107,21 @@ class TestCoeff:
             s.coeff(5)
         with pytest.raises(TruncationError):
             s.coeff(7)
+
+    def test_charge_rank_is_checked(self):
+        s = nahm.evaluate(nahm.build_b2_char_form(), 6)
+        assert s.charge_rank == 2 and s.coeff(1, (1, 0)) == 1
+        for charges in ((0, 0, 0), (), (0,)):
+            with pytest.raises(ChargeRankMismatch):
+                s.coeff(1, charges)
+        with pytest.raises(ChargeRankMismatch):
+            u(5, e0=1).coeff(0, (0,))
+
+    def test_half_integer_and_step_one_rows(self):
+        s = QSeries(5, 1, {(Fraction(1, 2), (1,)): 2, (2, (1,)): 3, (Fraction(9, 2), (1,)): 0})
+        assert s.rows == {(1,): (1, 1, [2, 0, 0, 3])}
+        assert [s.coeff(Fraction(e2, 2), (1,)) for e2 in range(10)] == [0, 2, 0, 0, 3] + [0] * 5
+        assert s.coeff(1, (0,)) == 0
 
 
 class TestCompare:
@@ -234,3 +261,121 @@ def test_charged_mul_matches_bruteforce(a, b):
                 key = (e1 + e2, (c1[0] + c2[0],))
                 brute[key] = brute.get(key, 0) + v1 * v2
     assert p.terms == {k: v for k, v in brute.items() if v}
+
+
+# ---------------------------------------------------------------------------
+# rows against the term-dict references (tests/series_reference.py)
+# ---------------------------------------------------------------------------
+
+def _terms(rank, order2):
+    """Term dicts with half-integer exponents (odd doubled ones), zero
+    coefficients, gaps and terms at or past the order."""
+    keys = st.tuples(st.integers(0, order2 + 3), st.tuples(*([st.integers(-1, 2)] * rank)))
+    return st.dictionaries(keys, st.integers(-3, 3), max_size=10)
+
+
+@st.composite
+def _pairs(draw):
+    """(order2, terms) for two series of one rank.  The second is the first
+    edited: a term before a row's first (another offset), at an odd distance
+    from it (another step), a changed or dropped coefficient, or new keys."""
+    rank = draw(st.integers(0, 3))
+    order2_a = draw(st.integers(0, 16))
+    order2_b = draw(st.sampled_from([order2_a, max(order2_a + draw(st.integers(-3, 3)), 0)]))
+    terms_a = draw(_terms(rank, order2_a))
+    terms_b = dict(terms_a)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["before", "odd", "coeff", "drop", "new"]))
+        if not terms_a or kind == "new":
+            terms_b.update(draw(_terms(rank, order2_b)))
+            continue
+        e2, charges = draw(st.sampled_from(sorted(terms_a)))
+        if kind == "drop":
+            terms_b.pop((e2, charges), None)
+            continue
+        if kind == "before":
+            first = min(x for x, ch in terms_a if ch == charges)
+            e2 = max(first - draw(st.integers(1, 2)), 0)
+        elif kind == "odd":
+            e2 += 1
+        terms_b[(e2, charges)] = draw(st.integers(-3, 3))
+    return rank, (order2_a, terms_a), (order2_b, terms_b)
+
+
+def _kept(terms, order2):
+    return {k: v for k, v in terms.items() if v and k[0] < order2}
+
+
+def _assert_canonical(s):
+    for first, step, coeffs in s.rows.values():
+        assert coeffs[0] and coeffs[-1] and first + (len(coeffs) - 1) * step < s.order2
+        assert step == 2 or any(coeffs[1::2])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_pairs())
+def test_rows_match_term_dict_reference(pair):
+    rank, (order2_a, terms_a), (order2_b, terms_b) = pair
+    a = QSeries._raw(order2_a, rank, terms_a)
+    b = QSeries._raw(order2_b, rank, terms_b)
+    for s, terms in ((a, terms_a), (b, terms_b)):
+        _assert_canonical(s)
+        assert s.terms == _kept(terms, s.order2)
+        for (e2, charges), c in terms.items():
+            if e2 < s.order2:
+                assert s.coeff(Fraction(e2, 2), charges) == c
+    # the checked constructor, fed in another order, gives the same rows
+    rebuilt = QSeries(Fraction(order2_a, 2), rank, {
+        (Fraction(e2, 2), ch): c for (e2, ch), c in reversed(list(terms_a.items()))})
+    assert rebuilt == a and hash(rebuilt) == hash(a)
+    same = a.order2 == b.order2 and a.terms == b.terms
+    assert (a == b) == same
+    if same:
+        assert hash(a) == hash(b)
+    assert a.render() == reference_render(a) and b.render() == reference_render(b)
+    for got, want in ((a + b, reference_add(a, b)), (a * b, reference_mul(a, b)),
+                      (b * a, reference_mul(b, a)), (-a, {k: -v for k, v in a.terms.items()}),
+                      (a.charges_dropped(),
+                       add_terms({}, (((e2, ()), c) for (e2, _ch), c in a.terms.items())))):
+        _assert_canonical(got)
+        assert got.terms == want
+    if rank:
+        assert a.charge_slice(0, 1).terms == {
+            (e2, ch[1:]): c for (e2, ch), c in a.terms.items() if ch[0] == 1}
+    assert series_eq(a, b) == reference_eq(a, b)
+    assert series_leq(a, b) == reference_leq(a, b)
+    assert series_leq(b, a) == reference_leq(b, a)
+
+
+class TestPlantedMismatch:
+    def test_charge_sorting_before_the_first_differing_row(self):
+        # both differing rows start at q^2; the first row in dict order is (1, 0)
+        a = QSeries._raw(12, 2, {(4, (1, 0)): 1, (4, (0, 1)): 1, (6, (0, 0)): 5})
+        b = QSeries._raw(12, 2, {(4, (1, 0)): 2, (4, (0, 1)): 3, (6, (0, 0)): 5})
+        assert next(iter(a.rows)) == (1, 0)
+        r = series_eq(a, b)
+        assert r == reference_eq(a, b)
+        assert r.mismatch == Mismatch(Fraction(2), (0, 1), 1, 3)
+
+    def test_lower_exponent_in_a_later_row(self):
+        a = QSeries._raw(12, 1, {(2, (0,)): 1, (6, (1,)): 1, (9, (2,)): 4})
+        b = QSeries._raw(12, 1, {(2, (0,)): 2, (6, (1,)): 1, (3, (2,)): 7, (9, (2,)): 4})
+        r = series_eq(a, b)
+        assert r == reference_eq(a, b)
+        assert r.mismatch == Mismatch(Fraction(1), (0,), 1, 2)
+        r = series_leq(b, a)
+        assert r == reference_leq(b, a)
+        assert r.mismatch == Mismatch(Fraction(1), (0,), 2, 1)
+
+    def test_rows_differing_in_offset_and_step(self):
+        # (0,): b's row starts a slot earlier; (1,): b's row has step 1
+        a = QSeries._raw(16, 1, {(4, (0,)): 1, (8, (0,)): 1, (2, (1,)): 3, (6, (1,)): 3})
+        b = QSeries._raw(16, 1, {(2, (0,)): 1, (4, (0,)): 1, (8, (0,)): 1,
+                                 (2, (1,)): 3, (5, (1,)): 1, (6, (1,)): 3})
+        assert (a.rows[(0,)][0], b.rows[(0,)][0]) == (4, 2)
+        assert (a.rows[(1,)][1], b.rows[(1,)][1]) == (2, 1)
+        r = series_eq(a, b)
+        assert r == reference_eq(a, b)
+        assert r.mismatch == Mismatch(Fraction(1), (0,), 0, 1)
+        assert series_eq(a.charge_slice(0, 1), b.charge_slice(0, 1)).mismatch == Mismatch(
+            Fraction(5, 2), (), 0, 1)
