@@ -16,24 +16,32 @@ shifts come in as ints or Fractions, normal-ordering powers are ints, and
 mismatches and renders give exponents back as Fractions.
 
 Dilogarithm products are expanded to the q-order their comparison reads and
-no further.  Normal ordering and negative exponents cost validity, so the
-factors start at a padded order, sized by one pass that runs the same
-products over bound-only coefficients (`_Bound`): for each monomial it keeps
-a lower bound on the coefficient's lowest exponent and the validity order
-the `LaurentQ` rules give it.  A product's lowest exponent is the sum of its
-factors' lowest exponents and a sum's is at least the smaller one, so the
-bounds can only underestimate validity and every final coefficient is valid
-at least to the requested order.
+no further, one factor at a time.  phi(z) = (1 - z) phi(qz) (Faddeev-Kashaev)
+makes the n-th coefficient of phi the (n-1)-th times -q^(n-1) / (1 - q^n), so
+a coefficient times the 1/(q)_n of a factor's n-th term is the same
+coefficient times 1/(q)_(n-1), divided by (1 - q^n): one dense row, divided in
+place as n grows, serves every term of the factor, and no coefficient product
+is formed.  A plan pass comes first: from each coefficient's lowest exponent and
+validity order alone, it fixes where every monomial pair lands and the
+validity order the LaurentQ rules give each target, so the rows are cut there
+and the result is the one NCElement.__mul__ gives, term for term and in
+validity order.  Normal ordering and negative exponents cost validity, so the
+factors start at a padded order, sized by the same plan pass over bound-only
+(lowest exponent, validity order) pairs: a product's lowest exponent is the
+sum of its factors' lowest exponents and a sum's is at least the smaller one,
+so the bounds can only underestimate validity and every final coefficient is
+valid at least to the requested order.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, mul, sub
 from typing import Optional
 
+from . import kernels
 from .halfint import twice_of
 from .nahm import BudgetExceeded, a_pairs, cartan_matrix
 from .poly import SparsePoly, add_terms, powers, render_terms
@@ -92,6 +100,14 @@ class LaurentQ:
     @classmethod
     def one(cls, order2):
         return cls({0: 1}, order2)
+
+    @classmethod
+    def _from_row(cls, low2, row, order2):
+        """The coefficients row[i] at exponents low2 + i, all below order2."""
+        self = cls.__new__(cls)
+        self.order2 = order2
+        self.terms = {low2 + i: c for i, c in enumerate(row) if c}
+        return self
 
     @property
     def low2(self) -> Optional[int]:
@@ -247,7 +263,8 @@ def _product_order2(pairs):
     the rule LaurentQ.__mul__ and shifted apply to nonzero a and b: the
     unknown tail of each factor, from its order2 on, meets the other's lowest
     exponent; a sum is valid as far as its least valid piece.  a and b are
-    LaurentQ or _Bound coefficients."""
+    anything with low2 and order2, such as LaurentQ coefficients.  _plan
+    applies the same rule to (low2, order2) pairs."""
     return min(min(a.order2 + min(b.low2, 0), b.order2 + min(a.low2, 0)) + p2
                for a, b, p2 in pairs)
 
@@ -441,80 +458,142 @@ def dilog_inv(algebra, prefactor_sign, qshift, word, xdeg, qorder2) -> NCElement
         for exps, n, base2, sign in _dilog_terms(algebra, prefactor_sign, qshift, word, xdeg)})
 
 
-def product(factors):
-    """Left-to-right product of NCElements."""
-    acc = None
-    for f in factors:
-        acc = f if acc is None else acc * f
-    return acc
+def _plan(algebra, acc, beta, terms, order2, xdeg):
+    """Where acc times one dilogarithm factor lands, read from (low2, order2)
+    alone.
 
-
-class _Bound:
-    """Stand-in for a LaurentQ coefficient in the padding pass.
-
-    low2 is a lower bound on the lowest exponent and order2 the validity
-    order that LaurentQ's rules give, counted from the order the factors
-    start at.  NCElement.__mul__ sums products of them with the order rule of
-    LaurentQ.sum_of_products (_product_order2); a zero coefficient would only
-    raise the real order, so every bound is treated as nonzero.
+    acc maps each source monomial a to a list that starts with the low2 and
+    order2 of its coefficient.  terms are the factor's (exps, n, base2,
+    sign), its n-th term sign * q^(base2/2) x^(n*beta) / (q)_n, each known
+    below order2.  The merge power is bilinear, so the pair (a, n) lands at
+    a + n*beta shifted by n*p + base2, where p is the merge power of a and
+    beta, and its lowest exponent is low2 + n*p + base2.  Returns (targets,
+    work): targets maps each monomial to [the least lowest exponent of its
+    pairs, the order2 _product_order2 gives them]; work lists each source
+    with its pairs (n, target, n*p + base2, sign) below x-degree xdeg, by
+    ascending n.
     """
+    eps = algebra.eps
+    # the merge power of a and beta is 2 * (a . pull)
+    pull = [sum(eps[i][j] * beta[j] for j in range(i)) for i in range(len(beta))]
+    dbeta = sum(beta)
+    terms = [(exps, n, base2, sign, min(base2, 0)) for exps, n, base2, sign in terms]
+    targets, work = {}, []
+    for a, coeff in acc.items():
+        low2, a_order2 = coeff[0], coeff[1]
+        p2 = 2 * sum(map(mul, a, pull))
+        b_order2 = order2 + min(low2, 0)
+        nmax = (xdeg - sum(a) - 1) // dbeta
+        pairs = []
+        for exps, n, base2, sign, base2_min0 in terms:
+            if n > nmax:
+                break
+            t = tuple(map(add, a, exps))
+            np2 = n * p2
+            t_low2 = low2 + np2 + base2
+            # _product_order2's rule for the pair
+            t_order2 = a_order2 + base2_min0
+            if b_order2 < t_order2:
+                t_order2 = b_order2
+            t_order2 += np2
+            plan = targets.get(t)
+            if plan is None:
+                targets[t] = [t_low2, t_order2]
+            else:
+                if t_low2 < plan[0]:
+                    plan[0] = t_low2
+                if t_order2 < plan[1]:
+                    plan[1] = t_order2
+            pairs.append((n, t, np2 + base2, sign))
+        work.append((a, pairs))
+    return targets, work
 
-    __slots__ = ("low2", "order2")
 
-    def __init__(self, low2, order2):
-        self.low2 = low2
-        self.order2 = order2
+def _mul_dilog(algebra, acc, factor, xdeg, order2):
+    """acc * phi(prefactor_sign * q^qshift * word) for factor = (prefactor_sign,
+    qshift, word), the factor's terms known below order2.
 
-    def is_zero(self):
-        return False
-
-    @classmethod
-    def sum_of_products(cls, pairs):
-        """The bound on the sum of q^(p2/2) * a * b over the (a, b, p2)."""
-        return cls(min(a.low2 + b.low2 + p2 for a, b, p2 in pairs),
-                   _product_order2(pairs))
-
-
-def _pair_count(a, b):
-    """Monomial pairs below the x-degree bound, the ones NCElement.__mul__
-    multiplies for a * b."""
-    xdeg = min(a.xdeg, b.xdeg)
-    da = Counter(sum(e) for e in a.terms)
-    db = Counter(sum(e) for e in b.terms)
-    return sum(ca * cb for x, ca in da.items() for y, cb in db.items() if x + y < xdeg)
+    acc and the result map each monomial to a dense coefficient [low2,
+    order2, row]: row[i] is the coefficient of q^((low2 + i)/2), row[0] is
+    nonzero, and the row stops at order2.  The coefficients are those
+    NCElement.__mul__ gives with dilog(algebra, *factor, xdeg, order2), in
+    terms and order2.  _plan fixes every target's order2 first.  Then c /
+    (q)_n is c / (q)_(n-1) divided in place by (1 - q^n), since phi(z) =
+    (1 - z) phi(qz): one geom_div per n, where a coefficient product costs
+    one pass per term.  Each source row is added, signed and shifted, into
+    its targets' rows, cut at their order2.  Terms with base2 >= order2 are
+    skipped, as dilog() drops them.
+    """
+    s, sh, w = factor
+    terms = [t for t in _dilog_terms(algebra, s, sh, w, xdeg) if t[2] < order2]
+    targets, work = _plan(algebra, acc, normal_order(algebra, w)[1], terms, order2, xdeg)
+    rows = {t: [0] * (t_order2 - t_low2) for t, (t_low2, t_order2) in targets.items()}
+    for a, pairs in work:
+        low2, _order2, coeffs = acc[a]
+        length = max((targets[t][1] - low2 - shift2 for _n, t, shift2, _s in pairs),
+                     default=0)
+        if length <= 0:
+            continue
+        row = coeffs[:length]
+        row += [0] * (length - len(row))
+        m = 0
+        for n, t, shift2, sign in pairs:
+            while m < n:
+                m += 1
+                kernels.geom_div(row, 2 * m)
+            T = rows[t]
+            p = low2 + shift2 - targets[t][0]
+            # T ends at the target's order2, so row covers T[p:]
+            T[p:] = map(add if sign > 0 else sub, T[p:], row)
+    out = {}
+    for t, T in rows.items():
+        for i, c in enumerate(T):
+            if c:
+                t_low2, t_order2 = targets[t]
+                out[t] = [t_low2 + i, t_order2, T[i:]]
+                break
+    return out
 
 
 def _padded_order2(algebra, factors, xdeg, qorder, budget=None):
     """The order2 the factors must start at for every coefficient of their
     product to be valid through qorder.
 
-    One pass multiplies the factors with _Bound coefficients started at
-    order 0; the lowest final order is the validity the expansion loses.  It
-    also counts the monomial pairs the products visit, and raises
+    One pass walks the plans of _mul_dilog over (low2, order2) pairs alone,
+    started at order 0: each factor's n-th term is (base2, 0), none is
+    dropped, and every target is kept, as if no coefficient were zero (a
+    zero one would only raise the real order).  A target's low2 is a lower
+    bound on its lowest exponent, so the bounds can only underestimate
+    validity.  The lowest final order is the validity the expansion loses.
+    The pass also counts the monomial pairs the products visit, and raises
     BudgetExceeded when they pass budget.
     """
-    acc = None
+    s, sh, w = factors[0]
+    acc = {exps: (base2, 0) for exps, _n, base2, _s in _dilog_terms(algebra, s, sh, w, xdeg)}
     pairs = 0
-    for (s, sh, w) in factors:
-        elem = NCElement(algebra, xdeg, {
-            exps: _Bound(base2, 0)
-            for exps, _n, base2, _sign in _dilog_terms(algebra, s, sh, w, xdeg)})
-        if acc is not None:
-            pairs += _pair_count(acc, elem)
-            if budget is not None and pairs > budget:
-                raise BudgetExceeded("monomial pairs", budget)
-            elem = acc * elem
-        acc = elem
-    return twice_of(qorder) - min((c.order2 for c in acc.terms.values()), default=0)
+    for (s, sh, w) in factors[1:]:
+        terms = list(_dilog_terms(algebra, s, sh, w, xdeg))
+        targets, work = _plan(algebra, acc, normal_order(algebra, w)[1], terms, 0, xdeg)
+        pairs += sum(len(p) for _a, p in work)
+        if budget is not None and pairs > budget:
+            raise BudgetExceeded("monomial pairs", budget)
+        acc = targets
+    return twice_of(qorder) - min((o for _low2, o in acc.values()), default=0)
 
 
 def expand_dilog_product(algebra, factors, xdeg, qorder, budget=None) -> NCElement:
     """Expand a list of (prefactor_sign, qshift, word) dilog factors, every
-    coefficient valid at least through qorder.  budget caps the monomial
-    pairs of the products; it is checked before any coefficient is built."""
+    coefficient valid at least through qorder.  The factors start at the
+    order _padded_order2 gives and multiply into the exact unit (its order
+    is infinite), left to right, one at a time through _mul_dilog.  budget
+    caps the monomial pairs of the products; it is checked before any
+    coefficient is built."""
     order2 = _padded_order2(algebra, factors, xdeg, qorder, budget)
-    elems = [dilog(algebra, s, sh, w, xdeg, order2) for (s, sh, w) in factors]
-    return product(elems)
+    acc = {(0,) * algebra.generator_count: [0, math.inf, [1]]}
+    for factor in factors:
+        acc = _mul_dilog(algebra, acc, factor, xdeg, order2)
+    return NCElement(algebra, xdeg, {a: LaurentQ._from_row(low2, row, t_order2)
+                                     for a, (low2, t_order2, row) in acc.items()})
 
 
 # -- pentagon ----------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from qident.nahm import BudgetExceeded
 from qident.poly import SparsePoly
 from qident.qweyl import LaurentQ, NCAlgebra, NCElement
 
-from dilog_reference import generous_expansion, reference_product
+from dilog_reference import bound_padding, generous_expansion, reference_product
 
 
 def a_type(nvars):
@@ -302,6 +303,10 @@ class TestProductAgainstReference:
                 acc = elems[0]
                 for elem in elems[1:]:
                     acc = _assert_matches_reference(acc, elem)
+                if order2 == padded:
+                    # the factor-wise expansion is this product
+                    got = qweyl.expand_dilog_product(alg, factors, xdeg, qorder)
+                    assert _coefficients(got) == _coefficients(acc)
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(_ALGEBRAS), _ELEMS, _ELEMS, st.integers(1, 5))
@@ -330,6 +335,107 @@ class TestProductAgainstReference:
         a = NCElement(_PLANE, 3, {(1, 0): LaurentQ({1: 1}, 3)})
         b = NCElement(_PLANE, 3, {(0, 1): LaurentQ({2: 1}, 10)})
         assert _assert_matches_reference(a, b).terms == {}
+
+
+class TestPaddingPlan:
+    """_padded_order2 walks the factor-wise plan; the padding pass that
+    multiplies bound-only coefficients with NCElement.__mul__ is its oracle."""
+
+    @pytest.mark.parametrize("name,alg,lhs,rhs", PRODUCT_CASES,
+                             ids=[c[0] for c in PRODUCT_CASES])
+    def test_same_order_and_pairs_as_bound_pass(self, name, alg, lhs, rhs):
+        for xdeg, qorder in ((1, 3), (4, 9), (6, 20)):
+            for factors in (lhs, rhs):
+                want, pairs = bound_padding(alg, factors, xdeg, qorder)
+                assert qweyl._padded_order2(alg, factors, xdeg, qorder, budget=pairs) == want
+                if pairs:
+                    with pytest.raises(BudgetExceeded):
+                        qweyl._padded_order2(alg, factors, xdeg, qorder, budget=pairs - 1)
+
+
+def _dense(elem):
+    """An element's coefficients as _mul_dilog takes them: [low2, order2,
+    row] with row[i] at exponent low2 + i."""
+    return {exps: [c.low2, c.order2, [c.terms.get(e, 0) for e in range(c.low2, c.order2)]]
+            for exps, c in elem.terms.items()}
+
+
+def _from_dense(acc):
+    return {exps: ({low2 + i: c for i, c in enumerate(row) if c}, order2)
+            for exps, (low2, order2, row) in acc.items()}
+
+
+@st.composite
+def _mul_dilog_cases(draw):
+    g = draw(st.integers(2, 4))
+    eps = [[0] * g for _ in range(g)]
+    for i in range(g):
+        for j in range(i + 1, g):
+            eps[i][j] = draw(st.integers(-2, 2))
+            eps[j][i] = -eps[i][j]
+    xdeg = draw(st.integers(1, 6))
+    coeffs = st.builds(LaurentQ,
+                       st.dictionaries(st.integers(-6, 9), st.integers(-3, 3), max_size=5),
+                       st.integers(-4, 14))
+    acc = draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * g), coeffs, max_size=6))
+    word = tuple(draw(st.lists(st.integers(1, g), min_size=1, max_size=5)))
+    factor = (draw(st.sampled_from((1, -1))),
+              draw(st.sampled_from((0, Fraction(1, 2), 1, Fraction(3, 2)))), word)
+    return NCAlgebra(eps), xdeg, acc, factor, draw(st.integers(-8, 16))
+
+
+_D4 = NCAlgebra.from_cartan("d4")
+_NEGATIVE = NCAlgebra([[0, 2], [-2, 0]])
+
+
+class TestMulDilog:
+    """One factor multiplied in through the q-difference recurrence against
+    NCElement.__mul__ with dilog() and the pairwise reference product,
+    coefficient by coefficient, in terms and in order2."""
+
+    @staticmethod
+    def _check(alg, xdeg, acc_terms, factor, order2):
+        acc = NCElement(alg, xdeg, acc_terms)
+        phi = qweyl.dilog(alg, *factor, xdeg, order2)
+        got = _from_dense(qweyl._mul_dilog(alg, _dense(acc), factor, xdeg, order2))
+        assert got == _coefficients(acc * phi)
+        assert got == _coefficients(reference_product(acc, phi))
+        return got
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mul_dilog_cases())
+    # d4's word x4x3x2x1x2 repeats a letter
+    @example((_D4, 6, {(0, 1, 0, 0): LaurentQ({-3: 1, 2: -2}, 9), (1, 0, 0, 1): LaurentQ({0: 1}, 12)},
+              (-1, Fraction(5, 2), (4, 3, 2, 1, 2)), 16))
+    # x2x1 normal-orders to q^-2 x1x2, so base2 < 0 from n = 1 on
+    @example((_NEGATIVE, 5, {(0, 0): LaurentQ({0: 1}, 10), (1, 0): LaurentQ({-1: 2, 4: 1}, 7)},
+              (1, 0, (2, 1)), 6))
+    # base2 is 0, -4, -10 for n = 0, 1, 2: only n = 2 is below the order
+    @example((_NEGATIVE, 5, {(0, 0): LaurentQ({0: 1}, 10), (1, 0): LaurentQ({-1: 2, 4: 1}, 7)},
+              (1, 0, (2, 1)), -5))
+    def test_random_accumulators(self, case):
+        self._check(*case)
+
+    def test_dropped_terms_and_negative_base(self):
+        # at order2 4 the factor keeps n = 0, 1 only: base2 is 0, 1, 4, 9 for shift 1/2
+        plane = NCAlgebra([[0, 1], [-1, 0]])
+        acc = {(0, 0): LaurentQ({0: 1}, 12), (0, 1): LaurentQ({-1: 1, 2: 3}, 12)}
+        got = self._check(plane, 5, acc, (-1, Fraction(1, 2), (1,)), 4)
+        assert max(exps[0] for exps in got) == 1
+        # x1^2 gets 1 * x1 (n = 1) and would get 1 * x1^2 (n = 2, dropped),
+        # whose order q^(1/2) is lower than the kept pair's q^2
+        acc = {(0, 0): LaurentQ({0: 1}, 1), (1, 0): LaurentQ({0: 1}, 20)}
+        got = self._check(plane, 5, acc, (-1, Fraction(1, 2), (1,)), 4)
+        assert got[(2, 0)] == ({1: 1, 3: 1}, 4)
+        # x2x1 = q^-2 x1x2, so base2 = -4: the first term sits below q^0
+        got = self._check(_NEGATIVE, 3, {(0, 0): LaurentQ({0: 1}, 10)}, (1, 0, (2, 1)), 6)
+        assert got[(1, 1)][0] == {-4: -1, -2: -1, 0: -1, 2: -1, 4: -1}
+
+    def test_unit_gives_the_factor(self):
+        """The exact unit (infinite order) times a factor is dilog()."""
+        for factor in ((1, 0, (2, 1)), (-1, Fraction(3, 2), (1, 2, 1))):
+            got = qweyl._mul_dilog(_NEGATIVE, {(0, 0): [0, math.inf, [1]]}, factor, 6, 11)
+            assert _from_dense(got) == _coefficients(qweyl.dilog(_NEGATIVE, *factor, 6, 11))
 
 
 class TestLhsClosedForm:
