@@ -4,19 +4,23 @@ Generators get depth-indexed variables (g, d) of weight d >= 1 (depth d
 standing for the mode x_{g,(-d)}); a presented relation f contributes
 T^s f for every s, where T is the derivation T(x_{g,(-d)}) = -d x_{g,(-d-1)}.
 The Hilbert series of the quotient is computed weight by weight, on
-monomials packed into one int each (`_Packing`).  A single-term T^s f only
-removes the monomials it divides, so those are never enumerated and build no
-rows; the multi-term ones give the integer rows of a sparse rank on the
-monomials that are left, by fraction-free elimination (exact over Q), with
-the multigrading by charge splitting each weight block into many small ones.
-This is the leading-term view of arc-space ideals (Bruschek-Mourtada-Schepers,
-"Arc spaces and Rogers-Ramanujan identities").
+monomials packed into one int each (`_Packing`), exponents below and charge
+above, so a monomial's charge block is a shift of its key.  A single-term
+T^s f only removes the monomials it divides, so those are never enumerated
+and build no rows; the multi-term ones give the integer rows of a sparse rank
+on the monomials that are left, by fraction-free elimination (exact over Q),
+one charge block at a time.  A preset may declare signed generator
+permutations that map its ideal onto itself (the sl_n diagram flip, d4
+triality); they are checked when the preset is built, and only one block per
+orbit is ranked.  This is the leading-term view of arc-space ideals
+(Bruschek-Mourtada-Schepers, "Arc spaces and Rogers-Ramanujan identities").
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import prod
 
 from .linalg import rank_of_rows
 from .nahm import D4_ROOTS, BudgetExceeded, _bprime_coeff, a_pairs, a_root
@@ -41,6 +45,12 @@ class WeightedRing:
     @property
     def charge_rank(self):
         return len(self.charges[0]) if self.charges else 0
+
+    def signed_map(self, images):
+        """A symmetry from the images of the generators, in generator order:
+        whitespace-separated names, each optionally negated (`-V24`)."""
+        return tuple((-1, self.gen_index(nm[1:])) if nm.startswith("-")
+                     else (1, self.gen_index(nm)) for nm in images.split())
 
     def gen_index(self, name):
         try:
@@ -130,10 +140,16 @@ def apply_T(p: JetPoly) -> JetPoly:
 
 @dataclass(frozen=True)
 class JetPreset:
+    """A presented ring with its relations.  `symmetries` are signed
+    generator permutations (`WeightedRing.signed_map`) that map the ideal
+    onto itself; each is checked at construction (`_charge_permutation`,
+    `_check_span`) and `hilbert_series` ranks one block per orbit of the
+    group they generate."""
     ring: WeightedRing
     relations: tuple
     name: str = ""
     notes: tuple = ()
+    symmetries: tuple = ()
 
     def __post_init__(self):
         for f in self.relations:
@@ -142,6 +158,52 @@ class JetPreset:
                 raise ValueError("relations must be homogeneous of weight >= 2")
             if self.ring.charges is not None:
                 f.charge(self.ring)  # raises when not charge-homogeneous
+        for sym in self.symmetries:
+            _charge_permutation(self.ring, sym)
+            _check_span(self.relations, sym)
+
+
+def _charge_permutation(ring, sym):
+    """The permutation p of the charge coordinates that `sym` induces:
+    charge(image of g)[p[i]] == charge(g)[i] for every generator g.
+    ValueError when `sym` is not a signed bijection of the generators or
+    induces no such permutation."""
+    n = len(ring.generators)
+    if (len(sym) != n or sorted(g for _s, g in sym) != list(range(n))
+            or any(s not in (1, -1) for s, _g in sym)):
+        raise ValueError("symmetry is not a signed bijection of the generators")
+    if ring.charges is None:
+        return ()
+    coords = list(zip(*ring.charges))
+    images = list(zip(*(ring.charges[g] for _s, g in sym)))
+    perm = []
+    for coord in coords:
+        j = next((j for j, im in enumerate(images) if im == coord and j not in perm), None)
+        if j is None:
+            raise ValueError("symmetry does not permute the charge coordinates")
+        perm.append(j)
+    return tuple(perm)
+
+
+def _check_span(relations, sym):
+    """ValueError unless `sym` maps the span of the relations of each weight
+    into itself.  It commutes with T, so it then maps the ideal onto itself."""
+    by_weight = {}
+    for f in relations:
+        by_weight.setdefault(f.weight(), []).append(f.terms)
+    for polys in by_weight.values():
+        col = {}
+
+        def row(terms):
+            return {col.setdefault(m, len(col)): c for m, c in terms.items()}
+
+        images = [{tuple(sorted((sym[g][1], d) for g, d in m)):
+                   c * prod(sym[g][0] for g, _d in m) for m, c in p.items()}
+                  for p in polys]
+        rows = [row(p) for p in polys]
+        if rank_of_rows(rows + [row(p) for p in images]) > rank_of_rows(rows):
+            raise ValueError("symmetry does not map the span of the relations "
+                             "into itself")
 
 
 def generate_ideal(preset: JetPreset, max_weight):
@@ -155,17 +217,35 @@ def generate_ideal(preset: JetPreset, max_weight):
 
 
 class _Packing:
-    """Monomials of weight <= `weight` in `ngens` generators as one int each:
-    an exponent vector with a field of `weight.bit_length() + 1` bits for
-    each variable (g, d), at slot (d-1)*ngens + g.  No exponent exceeds the
-    weight, so the top bit of every field, its guard bit, stays clear; the
-    key of a product is the sum of the keys, and s divides m exactly when
-    no field of `(m | guards) - s` borrows from its guard bit."""
+    """Monomials of weight <= `weight` in `ngens` generators as one int each.
 
-    def __init__(self, ngens, weight):
+    The low `shift` bits are an exponent vector with a field of
+    `weight.bit_length() + 1` bits for each variable (g, d), at slot
+    (d-1)*ngens + g.  No exponent exceeds the weight, so the top bit of every
+    field, its guard bit, stays clear; the key of a product is the sum of the
+    keys, and s divides m exactly when no field of `(m | guards) - s` borrows
+    from its guard bit.  Above them sit one field per charge coordinate:
+    variable (g, d) adds `charges[g][i] + bias*d`, where `bias` is minus the
+    most negative charge entry (0 when there is none), so every sum is >= 0
+    and at a fixed weight w the field is the charge plus bias*w.  A monomial's block
+    (its charge) is `key >> shift`.  A divisor's charge fields never exceed
+    the multiple's, and borrows only move upward, so the guard test reads
+    the exponent fields alone."""
+
+    def __init__(self, ngens, weight, charges=None):
         self.ngens, self.width = ngens, weight.bit_length() + 1
-        self.unit = [1 << self.width * slot for slot in range(ngens * weight)]
-        self.guards = sum(self.unit) << self.width - 1
+        self.shift = self.width * ngens * weight
+        self.guards = sum(1 << self.width * slot for slot in range(ngens * weight)) \
+            << self.width - 1
+        charges = charges or ((),) * ngens
+        entries = [c for ch in charges for c in ch]
+        self.rank = len(charges[0]) if charges else 0
+        self.bias = max([0] + [-c for c in entries])
+        self.cwidth = ((max([0] + entries) + self.bias) * weight).bit_length()
+        self.unit = [(1 << self.width * slot) + sum(
+            (c + self.bias * (slot // ngens + 1)) << self.shift + self.cwidth * i
+            for i, c in enumerate(charges[slot % ngens]))
+            for slot in range(ngens * weight)]
 
     def slot(self, v):
         return (v[1] - 1) * self.ngens + v[0]
@@ -183,17 +263,34 @@ class _Packing:
     def divides(self, s, m):
         return ((m | self.guards) - s) & self.guards == self.guards
 
+    def charge(self, block, w):
+        """The charge tuple of a block at weight w."""
+        mask = (1 << self.cwidth) - 1
+        return tuple((block >> self.cwidth * i & mask) - self.bias * w
+                     for i in range(self.rank))
 
-def surviving_monomials(ngens, weight, singles=()):
+    def orbit(self, block, perms):
+        """`block` and the blocks that the charge-coordinate permutations
+        `perms` send it to; p sends coordinate i to coordinate p[i]."""
+        if not perms:
+            return {block}
+        mask = (1 << self.cwidth) - 1
+        fields = [block >> self.cwidth * i & mask for i in range(self.rank)]
+        return {block} | {sum(f << self.cwidth * j for f, j in zip(fields, p))
+                          for p in perms}
+
+
+def surviving_monomials(ngens, weight, singles=(), charges=None):
     """levels[w] for w <= weight: the (packed key, last slot) pairs of the
-    monomials of weight w that no monomial in `singles` divides.
+    monomials of weight w that no monomial in `singles` divides, keyed by
+    `_Packing(ngens, weight, charges)`.
 
     A monomial survives only if its prefix (all but its variable v of largest
     slot) does, so each level extends the surviving prefixes by one variable
     in a slot >= the prefix's last.  A divisor of `prefix + v` that does not
     divide the prefix ends in v and divides the prefix with v removed, so
     singles are indexed by their last slot and stored as packed rests."""
-    pk = _Packing(ngens, weight)
+    pk = _Packing(ngens, weight, charges)
     by_last = {}
     for s in set(singles):
         if mono_weight(s) <= weight:    # a heavier single divides nothing here
@@ -219,6 +316,23 @@ def monomials_of_weight(ngens, w):
     return sorted(pk.unpack(key) for key, _ in surviving_monomials(ngens, w)[w])
 
 
+def _charge_moves(preset):
+    """The charge-coordinate permutations, other than the identity, of the
+    group the preset's symmetries generate."""
+    gens = [_charge_permutation(preset.ring, s) for s in preset.symmetries]
+    identity = tuple(range(preset.ring.charge_rank))
+    group = {identity}
+    todo = [identity]
+    while todo:
+        p = todo.pop()
+        for s in gens:
+            q = tuple(s[i] for i in p)
+            if q not in group:
+                group.add(q)
+                todo.append(q)
+    return group - {identity}
+
+
 def hilbert_series(preset: JetPreset, weight, multigraded=False,
                    budget=None) -> QSeries:
     """Graded dimensions of the jet quotient through the given weight.
@@ -232,63 +346,76 @@ def hilbert_series(preset: JetPreset, weight, multigraded=False,
     multi-term multiples restricted to the survivors, by fraction-free
     integer elimination (exact over Q) block by block.  A killed multiplier
     kills every term of its row, so only surviving monomials are
-    multipliers.  Monomials are `_Packing` keys, so the column of a term m of
-    `mult * h` is looked up at `m + mult`.  The budget caps the cells
-    (rows x columns) of each of these reduced blocks before its rank is taken.
+    multipliers.
+
+    Monomials are `_Packing` keys, which carry the charge above the
+    exponents: a monomial's block is `key >> shift`, and the row `mult * h`
+    lands in block `(mult >> shift) + (key of a term of h >> shift)`, known
+    before the row is built.  The preset's symmetries commute with T and map
+    the ideal onto itself, so they map each block of the quotient onto a
+    block of the same dimension: only the block whose packed charge is least
+    in its orbit is ranked, and its dimension is copied to the rest of the
+    orbit (without symmetries every block is its own orbit).  The
+    `(mult, h)` pairs are grouped by block, and each block's rows are built,
+    ranked and dropped in turn.  The budget caps the cells (rows x columns)
+    of each reduced block that is ranked, before its rank is taken.
     """
     ring = preset.ring
     ngens = len(ring.generators)
-    graded = ring.charges is not None
-    rank_out = ring.charge_rank if (multigraded and graded) else 0
-    if multigraded and not graded:
+    rank_out = ring.charge_rank if multigraded else 0
+    if multigraded and ring.charges is None:
         raise ValueError("preset has no charge data for a multigraded series")
-    pk = _Packing(ngens, weight)
+    pk = _Packing(ngens, weight, ring.charges)
+    moves = _charge_moves(preset)
     singles = []
-    multis_by_weight = {}
+    multis = {}   # weight -> block of h -> the packed multi-term h there
     for h in generate_ideal(preset, weight):
         if len(h.terms) == 1:
             singles.extend(h.terms)
         else:
-            multis_by_weight.setdefault(h.weight(), []).append(
-                [(pk.pack(m), c) for m, c in h.terms.items()])
-    survivors = surviving_monomials(ngens, weight, singles)
-    # charge of every surviving monomial, built from its prefix, which
-    # survives too (a relation dividing the prefix divides the monomial)
-    charge = {0: (0,) * ring.charge_rank}
+            poly = [(pk.pack(m), c) for m, c in h.terms.items()]
+            multis.setdefault(h.weight(), {}).setdefault(
+                poly[0][0] >> pk.shift, []).append(poly)
+    survivors = surviving_monomials(ngens, weight, singles, ring.charges)
     terms = {(0, (0,) * rank_out): 1}
     for w in range(1, weight + 1):
-        blocks = {}   # charge -> its column count
-        col_pos = {}
-        for key, last in survivors[w]:
-            ch = ()
-            if graded:
-                ch = charge[key] = tuple(map(sum, zip(charge[key - pk.unit[last]],
-                                                      ring.charges[last % ngens])))
-            n = blocks.get(ch, 0)
-            col_pos[key] = (ch, n)
-            blocks[ch] = n + 1
-        rows_by_block = {}
-        for u, polys in multis_by_weight.items():
+        cols = {}
+        for key, _last in survivors[w]:
+            cols.setdefault(key >> pk.shift, []).append(key)
+        orbits = {}
+        for block in cols:
+            orbit = pk.orbit(block, moves)
+            if block == min(orbit):
+                orbits[block] = orbit
+        pairs = {block: [] for block in orbits}
+        for u, by_block in multis.items():
             if u > w:
                 continue
             for mult, _last in survivors[w - u]:
+                base = mult >> pk.shift
+                for hb, polys in by_block.items():
+                    dest = pairs.get(base + hb)
+                    if dest is not None:
+                        dest.append((mult, polys))
+        for block, orbit in orbits.items():
+            col = {key: i for i, key in enumerate(cols.pop(block))}
+            rows = []
+            for mult, polys in pairs.pop(block):
                 for poly in polys:
                     row = {}
                     for m, c in poly:
-                        pos = col_pos.get(m + mult)
-                        if pos is not None:
-                            ch, i = pos
+                        i = col.get(m + mult)
+                        if i is not None:
                             row[i] = c
                     if row:
-                        rows_by_block.setdefault(ch, []).append(row)
-        for ch, ncols in sorted(blocks.items()):
-            rows = rows_by_block.get(ch, [])
-            if budget is not None and len(rows) * ncols > budget:
+                        rows.append(row)
+            if budget is not None and len(rows) * len(col) > budget:
                 raise BudgetExceeded(f"matrix cells at weight {w}", budget)
-            dim = ncols - rank_of_rows(rows)
+            dim = len(col) - rank_of_rows(rows)
             if dim:
-                key = (2 * w, ch if rank_out else ())
-                terms[key] = terms.get(key, 0) + dim
+                for image in orbit:
+                    key = (2 * w, pk.charge(image, w) if rank_out else ())
+                    terms[key] = terms.get(key, 0) + dim
     return QSeries._raw(2 * (weight + 1), rank_out, terms)   # every dim added is > 0
 
 
@@ -384,7 +511,8 @@ def _e_name(i, j):
 def _sln_preset(n, letter, term):
     """sl_n preset over the E[i,j], charged by their roots: one relation
     term(i1, j1, i2, j2) -> [(coeff, [names])] per pair of overlapping roots
-    (the single family of the primed lattice form)."""
+    (the single family of the primed lattice form).  The diagram flip
+    E[i,j] -> E[n+1-j, n+1-i] is declared as a symmetry."""
     if n < 2:
         raise ValueError("sl_n jet presets need n >= 2")
     pairs = a_pairs(n)
@@ -392,7 +520,8 @@ def _sln_preset(n, letter, term):
                         tuple(a_root(*p, n) for p in pairs))
     rels = tuple(JetPoly.from_gen_lists(ring, term(*p, *r))
                  for p in pairs for r in pairs if _bprime_coeff(*p, *r))
-    return JetPreset(ring, rels, name=f"sln-{letter}{n}")
+    flip = ring.signed_map(" ".join(_e_name(n + 1 - j, n + 1 - i) for i, j in pairs))
+    return JetPreset(ring, rels, name=f"sln-{letter}{n}", symmetries=(flip,))
 
 
 def sln_A(n) -> JetPreset:
@@ -502,6 +631,13 @@ _D4_OMITTED = "W13*W13\nW14*W14\nW13*W14\nV13*V13\nV14*V14\nV13*V14"
 
 D4_READINGS = ("printed", "printed-v", "repaired")
 
+# Triality on the repaired reading, as images of W12 W13 W14 W23 W24 W34 V12
+# V13 V14 V23 V24 V34: the swaps a3 <-> a4 (e4 -> -e4) and a1 <-> a3, which
+# generate S3.  The second needs its signs; neither maps the printed
+# readings' relation span into itself.
+_D4_TRIALITY = ("W12 W13 V14 W23 V24 V34 V12 V13 W14 V23 W24 W34",
+                "W12 W13 W23 W14 W24 W34 V34 -V24 V14 V23 -V13 V12")
+
 
 def d4_D(reading="printed") -> JetPreset:
     """The so(8) presentation, in one of three readings of the source list.
@@ -518,13 +654,16 @@ def d4_D(reading="printed") -> JetPreset:
     unique charge-homogeneous candidate W23*V23 = W24*V24.  This is the only
     reading whose weight-2 dimension (36) matches the character side, and its
     jet Hilbert series then agrees with the twelve-variable form exactly as
-    far as it has been computed.
+    far as it has been computed.  It alone declares triality
+    (`_D4_TRIALITY`) as its symmetries.
     """
     if reading not in D4_READINGS:
         raise ValueError(f"unknown d4 reading {reading!r}")
     ring = WeightedRing(tuple(D4_ROOTS), tuple(D4_ROOTS.values()))
+    symmetries = ()
     if reading == "repaired":
         text = _D4_RELATIONS.format(WV_CHAIN="W23*V23 = W24*V24") + _D4_OMITTED
+        symmetries = tuple(map(ring.signed_map, _D4_TRIALITY))
         note = ("six omitted quadratics restored; chain read as W23*V23 = W24*V24 "
                 "(the charge-homogeneous completion)")
     else:
@@ -536,7 +675,7 @@ def d4_D(reading="printed") -> JetPreset:
                 "(both squares are listed monomial generators)")
     suffix = {"printed": "", "printed-v": "-valt", "repaired": "-fix"}[reading]
     return JetPreset(ring, parse_relations(ring, text.splitlines()),
-                     name="d4-d" + suffix, notes=(note,))
+                     name="d4-d" + suffix, notes=(note,), symmetries=symmetries)
 
 
 def power_preset(p) -> JetPreset:

@@ -1,6 +1,8 @@
 import json
 import random
+from dataclasses import replace
 from itertools import combinations_with_replacement
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -294,16 +296,12 @@ class TestRankBackend:
         assert a == b
 
 
-def _random_charged_preset(rng):
-    """2-4 generators with small charges; quadratic and cubic relations, each
-    a monomial or, where another monomial shares its charge, a binomial."""
-    ngens = rng.randint(2, 4)
-    rank = rng.randint(1, 2)
-    charges = tuple(tuple(rng.randint(0, 1) for _ in range(rank))
-                    for _ in range(ngens))
-    ring = WeightedRing(tuple(f"a{i}" for i in range(ngens)), charges)
+def _random_relations(rng, ring, count):
+    """Quadratic and cubic relations in the depth-1 variables, each a
+    monomial or, where another monomial shares its charge, a binomial."""
+    ngens = len(ring.generators)
     rels = []
-    for _ in range(rng.randint(1, 4)):
+    for _ in range(count):
         monos = list(combinations_with_replacement(
             [(g, 1) for g in range(ngens)], rng.choice((2, 2, 3))))
         first = rng.choice(monos)
@@ -313,7 +311,68 @@ def _random_charged_preset(rng):
         if mates and rng.random() < 0.6:
             terms[rng.choice(mates)] = rng.choice((-2, -1, 1, 3))
         rels.append(JetPoly(terms))
-    return JetPreset(ring, tuple(rels))
+    return rels
+
+
+def _random_charged_preset(rng, low=0, high=1):
+    """2-4 generators with charge entries in low..high and 1-4 random
+    relations."""
+    ngens = rng.randint(2, 4)
+    rank = rng.randint(1, 2)
+    charges = tuple(tuple(rng.randint(low, high) for _ in range(rank))
+                    for _ in range(ngens))
+    ring = WeightedRing(tuple(f"a{i}" for i in range(ngens)), charges)
+    return JetPreset(ring, tuple(_random_relations(rng, ring, rng.randint(1, 4))))
+
+
+def _image(sym, poly):
+    """A signed generator permutation applied to a JetPoly."""
+    return JetPoly({tuple(sorted((sym[g][1], d) for g, d in mono)):
+                    c * prod(sym[g][0] for g, _d in mono)
+                    for mono, c in poly.terms.items()})
+
+
+def _random_symmetric_preset(rng):
+    """A preset with one symmetry by construction: the generators come in
+    cycles of a random permutation of the charge coordinates (charge entries
+    in -2..2), each generator is sent to the next in its cycle with a random
+    sign, and every random relation comes with all its images."""
+    rank = rng.randint(1, 3)
+    coords = list(range(rank))
+    rng.shuffle(coords)
+    charges, targets = [], []
+    while len(charges) < 2 or (len(charges) < 5 and rng.random() < 0.5):
+        c = tuple(rng.randint(-2, 2) for _ in range(rank))
+        cycle = [c]
+        while True:
+            image = [0] * rank
+            for i, j in enumerate(coords):
+                image[j] = cycle[-1][i]
+            if tuple(image) == c:
+                break
+            cycle.append(tuple(image))
+        start = len(charges)
+        charges.extend(cycle)
+        targets.extend(start + (k + 1) % len(cycle) for k in range(len(cycle)))
+    sym = tuple((rng.choice((1, -1)), t) for t in targets)
+    ring = WeightedRing(tuple(f"a{i}" for i in range(len(charges))), tuple(charges))
+    rels = []
+    for f in _random_relations(rng, ring, rng.randint(1, 3)):
+        orbit = [f]
+        while (g := _image(sym, orbit[-1])).terms != f.terms:
+            orbit.append(g)
+        rels.extend(orbit)
+    return JetPreset(ring, tuple(rels), symmetries=(sym,))
+
+
+def _assert_matches_reference(pre, weight):
+    """Plain and multigraded series against one reference pass."""
+    graded = reference_terms(pre, weight, multigraded=True)
+    plain = {}
+    for (e2, _ch), c in graded.items():
+        plain[(e2, ())] = plain.get((e2, ()), 0) + c
+    assert jets.hilbert_series(pre, weight, multigraded=True).terms == graded
+    assert jets.hilbert_series(pre, weight).terms == plain
 
 
 def _multiset_divides(a, b):
@@ -398,12 +457,15 @@ class TestBuilder:
         ("b2-b", "printed", 5), ("d4-d", "printed", 4),
         ("d4-d", "printed-v", 4), ("d4-d", "repaired", 4),
         ("power-2", "printed", 8), ("power-3", "printed", 8),
+        # the symmetric presets further, where orbits are copied
+        ("d4-d", "repaired", 5), ("sln-a3", "printed", 6),
+        ("sln-b3", "printed", 6), ("sln-h3", "printed", 6),
+        ("sln-a4", "printed", 6), ("sln-b4", "printed", 6),
+        ("sln-h4", "printed", 6), ("sln-a5", "printed", 6),
+        ("sln-b5", "printed", 6), ("sln-h5", "printed", 6),
     ])
     def test_matches_reference_on_shipped_presets(self, name, reading, weight):
-        pre = presets.jet_preset(name, reading)
-        for multigraded in (False, True):
-            hs = jets.hilbert_series(pre, weight, multigraded=multigraded)
-            assert hs.terms == reference_terms(pre, weight, multigraded)
+        _assert_matches_reference(presets.jet_preset(name, reading), weight)
 
     def test_matches_reference_randomized(self):
         rng = random.Random(29)
@@ -416,19 +478,53 @@ class TestBuilder:
     def test_budget_counts_reduced_block(self):
         # the budget caps the block that is ranked: killed columns (those of
         # single-term rows), single-term rows and rows with no surviving term
-        # are not counted
+        # are not counted, and neither are blocks that are not least in
+        # their orbit under the flip, which reverses the charge (the packed
+        # charge is compared from its last coordinate)
         pre = jets.sln_B(3)
         full = reduced = 0
-        for _w, _ch, cols, rows in reference_blocks(pre, 6):
+        for _w, ch, cols, rows in reference_blocks(pre, 6):
             killed = {c for row in rows if len(row) == 1 for c in row}
             kept = [row for row in rows if len(row) > 1 and set(row) - killed]
             full = max(full, len(rows) * len(cols))
-            reduced = max(reduced, len(kept) * (len(cols) - len(killed)))
-        assert reduced < full
+            if ch[::-1] <= ch:
+                reduced = max(reduced, len(kept) * (len(cols) - len(killed)))
+        assert reduced == 77 < full
         want = jets.hilbert_series(pre, 6)
         assert jets.hilbert_series(pre, 6, budget=reduced) == want
         with pytest.raises(BudgetExceeded):
             jets.hilbert_series(pre, 6, budget=reduced - 1)
+
+    def test_symmetric_random_presets_match_reference(self):
+        rng = random.Random(41)
+        moved = 0
+        for _ in range(30):
+            pre = _random_symmetric_preset(rng)
+            moved += bool(jets._charge_moves(pre))
+            _assert_matches_reference(pre, 5)
+        assert moved >= 10
+
+    def test_negative_charges_match_reference(self):
+        rng = random.Random(43)
+        for _ in range(40):
+            _assert_matches_reference(_random_charged_preset(rng, -2, 2), 5)
+
+    def test_ranks_one_block_per_orbit(self, monkeypatch):
+        calls = []
+
+        def counted(rows):
+            calls.append(len(rows))
+            return rank_of_rows(rows)
+
+        monkeypatch.setattr(jets, "rank_of_rows", counted)
+        pre = jets.d4_D("repaired")
+        plain = replace(pre, symmetries=())
+        del calls[:]
+        want = jets.hilbert_series(plain, 5, multigraded=True)
+        without = len(calls)
+        del calls[:]
+        assert jets.hilbert_series(pre, 5, multigraded=True) == want
+        assert 0 < len(calls) < without / 2
 
     @pytest.mark.parametrize("name,reading", [
         ("sln-a3", "printed"), ("sln-b3", "printed"), ("sln-h3", "printed"),
@@ -456,6 +552,72 @@ class TestBuilder:
         for multigraded in (False, True):
             jets.hilbert_series(pre, 5, multigraded=multigraded)
         assert sum(calls) > 0
+
+
+class TestSymmetries:
+    """Each declared symmetry is checked when the preset is built."""
+
+    def test_shipped_symmetries(self):
+        assert len(jets._charge_moves(jets.d4_D("repaired"))) == 5
+        assert not jets.d4_D("printed").symmetries
+        for make in (jets.sln_A, jets.sln_B, jets.sln_H):
+            pre = make(4)
+            (flip,) = pre.symmetries
+            names = pre.ring.generators
+            assert names[flip[names.index("E[1,3]")][1]] == "E[2,4]"
+            assert jets._charge_moves(pre) == {(2, 1, 0)}
+
+    def test_one_flipped_sign_is_refused(self):
+        pre = jets.d4_D("repaired")
+        for sym in pre.symmetries:
+            for g in range(len(sym)):
+                bad = tuple((-s, t) if i == g else (s, t) for i, (s, t) in enumerate(sym))
+                with pytest.raises(ValueError, match="span"):
+                    JetPreset(pre.ring, pre.relations, symmetries=(bad,))
+
+    @pytest.mark.parametrize("reading", ["printed", "printed-v"])
+    def test_triality_refused_on_printed_readings(self, reading):
+        pre = jets.d4_D(reading)
+        for sym in jets.d4_D("repaired").symmetries:
+            with pytest.raises(ValueError, match="span"):
+                JetPreset(pre.ring, pre.relations, symmetries=(sym,))
+
+    def test_charges_must_be_permuted(self):
+        pre = jets.sln_A(3)
+        swap = pre.ring.signed_map("E[1,3] E[1,2] E[2,3]")
+        with pytest.raises(ValueError, match="charge coordinates"):
+            JetPreset(pre.ring, pre.relations, symmetries=(swap,))
+
+    @pytest.mark.parametrize("sym", [
+        ((1, 0), (1, 0), (1, 2)), ((1, 0), (1, 1)), ((1, 0), (2, 1), (1, 2))])
+    def test_generator_map_must_be_a_signed_bijection(self, sym):
+        pre = jets.sln_A(3)
+        with pytest.raises(ValueError, match="bijection"):
+            JetPreset(pre.ring, pre.relations, symmetries=(sym,))
+
+    def test_unknown_generator_in_a_map(self):
+        with pytest.raises(ValueError, match="unknown generator"):
+            jets.sln_A(3).ring.signed_map("E[1,2] E[1,3] E[3,4]")
+
+
+def test_packed_block_is_charge():
+    """The charge fields above the exponents read back the charge of every
+    monomial, negative entries included, and divisibility is unchanged."""
+    rng = random.Random(47)
+    for _ in range(200):
+        ngens, weight, rank = rng.randint(1, 3), rng.randint(1, 8), rng.randint(1, 3)
+        ring = WeightedRing(tuple(f"a{i}" for i in range(ngens)),
+                            tuple(tuple(rng.randint(-2, 2) for _ in range(rank))
+                                  for _ in range(ngens)))
+        pk = jets._Packing(ngens, weight, ring.charges)
+        w = rng.randint(0, weight)
+        monos = jets.monomials_of_weight(ngens, w)
+        mono = rng.choice(monos)
+        key = pk.pack(mono)
+        assert pk.charge(key >> pk.shift, w) == jets._mono_charge(ring, mono)
+        assert pk.unpack(key) == mono
+        other = rng.choice(jets.monomials_of_weight(ngens, rng.randint(0, w)))
+        assert pk.divides(pk.pack(other), key) == _multiset_divides(other, mono)
 
 
 GOLDENS = json.loads((Path(__file__).parent / "hilbert_goldens.json")
