@@ -45,6 +45,17 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class NahmSumSpec:
+    """One lattice form: labels, the symmetric matrix quad and the vector
+    linear (ints or Fractions), and integer charge rows.
+
+    Building it refuses, with ValueError, a repeated label, a shape that does
+    not match the labels, an asymmetric quad, and entries whose exponents are
+    not half-integers on the lattice: 2*quad[i][i], 2*linear[i] and
+    4*quad[i][j] must be ints.  Those doubled integer tables (diag2, lin2,
+    cross2) are computed once here, from each entry's numerator and
+    denominator, and _tables() hands out copies of them.
+    """
+
     labels: tuple
     quad: tuple          # symmetric matrix of Fractions, row tuples
     linear: tuple        # Fractions
@@ -69,30 +80,33 @@ class NahmSumSpec:
             raise ValueError("quadratic matrix shape does not match variable count")
         if len(self.linear) != l:
             raise ValueError("linear vector length does not match variable count")
-        for i in range(l):
-            for j in range(l):
-                if self.quad[i][j] != self.quad[j][i]:
-                    raise ValueError("quadratic matrix must be symmetric")
+        # every entry as its reduced (numerator, denominator) pair of ints
+        quad = [[(x.numerator, x.denominator) for x in row] for row in self.quad]
+        linear = [(x.numerator, x.denominator) for x in self.linear]
+        if any(quad[i][j] != quad[j][i] for i in range(l) for j in range(i)):
+            raise ValueError("quadratic matrix must be symmetric")
         for row in self.charges:
             if len(row) != l:
                 raise ValueError("charge matrix row length does not match variable count")
         # exponents must be half-integers on the lattice: see exponent2()
         for i in range(l):
-            if (2 * self.quad[i][i]).denominator != 1:
+            if 2 % quad[i][i][1]:
                 raise ValueError("2*diagonal entries must be integers")
-            if (2 * self.linear[i]).denominator != 1:
+            if 2 % linear[i][1]:
                 raise ValueError("2*linear entries must be integers")
-            for j in range(i + 1, l):
-                if (4 * self.quad[i][j]).denominator != 1:
-                    raise ValueError("4*off-diagonal entries must be integers")
+            if any(4 % den for _num, den in quad[i][i + 1:]):
+                raise ValueError("4*off-diagonal entries must be integers")
+        object.__setattr__(self, "_ints", (
+            tuple(2 * num // den for num, den in (quad[i][i] for i in range(l))),
+            tuple(2 * num // den for num, den in linear),
+            tuple(tuple(4 * num // den for num, den in row) for row in quad)))
 
-    # doubled-exponent tables used by the enumerator
     def _tables(self):
-        l = self.nvars
-        diag2 = [int(2 * self.quad[i][i]) for i in range(l)]
-        lin2 = [int(2 * self.linear[i]) for i in range(l)]
-        cross2 = [[int(4 * self.quad[i][j]) for j in range(l)] for i in range(l)]
-        return diag2, lin2, cross2
+        """The doubled-exponent tables (diag2, lin2, cross2) of the form:
+        2*quad[i][i], 2*linear[i] and 4*quad[i][j] as ints, computed once by
+        __post_init__; each call returns fresh lists."""
+        diag2, lin2, cross2 = self._ints
+        return list(diag2), list(lin2), [list(row) for row in cross2]
 
     def exponent(self, m) -> Fraction:
         total = Fraction(0)
@@ -188,17 +202,14 @@ class NahmSumSpec:
 
 
 def _symmetric_from_products(nvars, product_terms, linear=None):
-    """Assemble the quadratic matrix from coefficient-on-m_a*m_b terms."""
-    quad = [[Fraction(0)] * nvars for _ in range(nvars)]
+    """Assemble the quadratic matrix from coefficient-on-m_a*m_b terms: twice
+    the matrix is summed in ints, and each entry becomes one Fraction."""
+    twice = [[0] * nvars for _ in range(nvars)]
     for a, b, coeff in product_terms:
-        c = Fraction(coeff)
-        if a == b:
-            quad[a][a] += c
-        else:
-            quad[a][b] += c / 2
-            quad[b][a] += c / 2
-    lin = tuple(Fraction(x) for x in (linear or [0] * nvars))
-    return tuple(tuple(row) for row in quad), lin
+        twice[a][b] += coeff
+        twice[b][a] += coeff
+    quad = tuple(tuple(Fraction(x, 2) for x in row) for row in twice)
+    return quad, tuple(Fraction(x) for x in (linear or [0] * nvars))
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +477,9 @@ def compute_bound(spec: NahmSumSpec, order, charge_box=None) -> EnumerationBound
     entry of the form.
 
     An all-nonnegative form with positive diagonal, read off the doubled
-    tables of spec._tables(), has G = 1, the doubled cross sums as running
-    sums and its doubled linear part as lin: its nonnegative completions
+    integer tables of spec._tables() with no Fraction arithmetic, has G = 1,
+    the doubled cross sums as running sums and its doubled linear part as
+    lin: its nonnegative completions
     add nothing at x = 0, so the bound is the doubled exponent of the
     prefix, and x_i^2 * quad_ii <= order boxes each variable.  Any other form
     must have a zero linear part and positive pivots in one reverse LDL^T
@@ -482,6 +494,10 @@ def compute_bound(spec: NahmSumSpec, order, charge_box=None) -> EnumerationBound
     Its rows must be nonnegative (CoercivityError), so u never falls, and
     box_i // charges[i][d] caps x_d in per_variable_max.  An all-nonnegative
     form may then have a zero diagonal entry where such a cap exists.
+
+    per_variable_max also sizes _sum_levels' packed states: with x_i within
+    it, the lowest and highest values of each running sum and charge give
+    that field's bias and width.
     """
     order2 = twice_of(order)
     diag2, lin2, cross2 = spec._tables()
@@ -535,50 +551,73 @@ def _sum_levels(spec: NahmSumSpec, order2, rank, node_budget, bound: Enumeration
     s[d+1:] + v*R[d][d+1:], u + v*charges[*][d].  v stops at
     bound.per_variable_max[d] and, under charge_box, at min((box_i - u_i) //
     charges[i][d]) over the rows with a positive entry.  e(v) grows from vr
-    on (vr = 0 when a = 0): before vr a v at or past the cut is skipped and
-    S keeps its slots for the later v; from vr on the first v at the cut
-    ends the loop, and S is cut to the slots of v before its division.
-    All-nonnegative forms have vr <= 0.  Each state is popped as it is
-    consumed and only two levels are alive at once.  node_budget caps the
-    (state, v) steps.  Returns the last level, {u: (offset, S)}: one state
-    per charge u, whose offset is G times the exact doubled exponent.
+    on: before vr a v at or past the cut is skipped and S keeps its slots
+    for the later v; from vr on the first v at the cut ends the loop, and S
+    is cut to the slots of v before its division.  vr is computed for
+    positive-definite tables only: an all-nonnegative one has a, b >= 0, so
+    vr <= 0 and every v is past it.
+
+    A state is one packed int: the fields of s_d..s_{l-1} and then of u_0..,
+    each `width` bits, lowest first.  Every x_i stays within
+    bound.per_variable_max[i], so each s_k and u_i lies between the sums of
+    those caps times the negative and the positive entries of its column (of
+    R above the diagonal, or its charge row).  A field holds its value plus
+    its bias, which is minus that lowest value, so it is never negative, and
+    width is the bit length of the largest biased value.  Then s_d is the low field
+    minus its bias, the child state is the state shifted down one field, and
+    each next v adds the packed row of level d to it.  Only the last level's
+    keys are unpacked into charge tuples.  node_budget caps the
+    (state, v) steps; it is checked once per state, and raises exactly when
+    the steps exceed it.  Each state is popped as it is consumed and only
+    two levels are alive at once.  Returns the last level, {u: (offset,
+    S)}: one state per charge u, whose offset is G times the exact doubled
+    exponent.
     """
     l = spec.nvars
     G, g, levels, R, lin = bound.table
+    top = bound.per_variable_max
     step = G * g
     cut = G * order2
     unit = 2 // g                       # q^1 in slots
     charges = spec.charges[:rank]
+    definite = bound.strategy == "positive_definite"
+    budget = math.inf if node_budget is None else node_budget
     geom_div = kernels.geom_div
+    # field k of the first level: s_k for k < l (the x_i with i < k feed it), u_{k-l} after
+    cols = [[R[i][k] * (i < k) for i in range(l)] for k in range(l)] + list(charges)
+    bias = [-sum(t * min(c, 0) for t, c in zip(top, col)) for col in cols]
+    width = max([1] + [(b + sum(t * max(c, 0) for t, c in zip(top, col))).bit_length()
+                       for b, col in zip(bias, cols)])
+    mask = (1 << width) - 1
     steps = 0
     seed = [0] * -(-order2 // g)
     seed[0] = 1
-    level = {(0,) * (l + rank): (0, seed)}
+    level = {sum(b << width * k for k, b in enumerate(bias)): (0, seed)}
     for d in range(l):
         a, beta, delta = levels[d]
-        top = bound.per_variable_max[d]
-        # (place of u_i in the state, box_i, charges[i][d]) for the rows that cap x_d
+        bd, lind = bias[d], lin[d]
+        vtop = top[d]
+        # (shift of u_i in the state, box_i + bias of u_i, charges[i][d]) for the rows that cap x_d
         boxed = [] if charge_box is None else [
-            (l - d + i, cap, ch[d]) for i, (cap, ch) in enumerate(zip(charge_box, charges))
-            if ch[d] > 0]
-        row = tuple(R[d][d + 1:]) + tuple(ch[d] for ch in charges)
+            (width * (l - d + i), cap + bias[l + i], ch[d])
+            for i, (cap, ch) in enumerate(zip(charge_box, charges)) if ch[d] > 0]
+        row = sum(R[d][k] << width * (k - d - 1) for k in range(d + 1, l)) + sum(
+            ch[d] << width * (l - d - 1 + i) for i, ch in enumerate(charges))
         nxt = {}
         while level:
             state, (off, S) = level.popitem()
-            sd = state[0]
-            b = beta * sd + lin[d]
-            base = off + delta * sd * sd
-            vr = -((a + b) // (2 * a)) if a else 0
-            vmax = min(top, *[(cap - state[j]) // c for j, cap, c in boxed]) if boxed else top
-            child = state[1:]
+            sd = (state & mask) - bd
+            b = beta * sd + lind
+            e = off + delta * sd * sd
+            vr = -((a + b) // (2 * a)) if definite else 0
+            vmax = min(vtop, *[(cap - (state >> sh & mask)) // c
+                               for sh, cap, c in boxed]) if boxed else vtop
+            child = state >> width
             v = 0
-            e = base
             while True:
                 # S is the state's series over (q)_v, with at least the slots of e below the cut
                 if e < cut:
                     steps += 1
-                    if node_budget is not None and steps > node_budget:
-                        raise BudgetExceeded("level-sum steps", node_budget)
                     old = nxt.get(child)
                     if old is None:
                         nxt[child] = (e, S[:(cut - e - 1) // step + 1])
@@ -591,18 +630,21 @@ def _sum_levels(spec: NahmSumSpec, order2, rank, node_budget, bound: Enumeration
                         merged = S[:p]
                         merged += map(add, S[p:], old[1])
                         nxt[child] = (e, merged)
-                v += 1
-                if v > vmax:
+                if v >= vmax:
                     break
-                e = base + a * v * v + b * v
+                e += a * (2 * v + 1) + b
+                v += 1
                 if v >= vr:
                     if e >= cut:
                         break
                     del S[(cut - e - 1) // step + 1:]
                 geom_div(S, unit * v)
-                child = tuple(map(add, child, row))
+                child += row
+            if steps > budget:
+                raise BudgetExceeded("level-sum steps", node_budget)
         level = nxt
-    return level
+    return {tuple((key >> width * i & mask) - bias[l + i] for i in range(rank)): value
+            for key, value in level.items()}
 
 
 def evaluate(spec: NahmSumSpec, order, charges=True, node_budget=None,

@@ -118,6 +118,55 @@ class TestBuilders:
             nahm.NahmSumSpec(labels=("a", "b", "a"), quad=((F(1),) * 3,) * 3,
                              linear=(F(0),) * 3, charges=())
 
+    @pytest.mark.parametrize("labels,quad,linear,charges,message", [
+        (("a", "b"), ((F(1), F(0)),), (F(0),) * 2, (),
+         "quadratic matrix shape does not match variable count"),
+        (("a", "b"), ((F(1), F(0)), (F(0),)), (F(0),) * 2, (),
+         "quadratic matrix shape does not match variable count"),
+        (("a", "b"), ((F(1), F(0)), (F(0), F(1))), (F(0),), (),
+         "linear vector length does not match variable count"),
+        (("a", "b"), ((F(1), F(1, 2)), (F(1, 4), F(1))), (F(0),) * 2, (),
+         "quadratic matrix must be symmetric"),
+        # symmetry is checked before the integrality of the entries
+        (("a", "b"), ((F(1), F(1, 3)), (F(1, 5), F(1))), (F(0),) * 2, (),
+         "quadratic matrix must be symmetric"),
+        (("a", "b"), ((F(1), F(0)), (F(0), F(1))), (F(0),) * 2, ((1, 0), (1,)),
+         "charge matrix row length does not match variable count"),
+        (("a", "b"), ((F(1), F(0)), (F(0), F(1, 3))), (F(0),) * 2, (),
+         r"2\*diagonal entries must be integers"),
+        (("a",), ((F(1, 4),),), (F(0),), (), r"2\*diagonal entries must be integers"),
+        (("a", "b"), ((F(1), F(0)), (F(0), F(1))), (F(0), F(3, 4)), (),
+         r"2\*linear entries must be integers"),
+        (("a", "b"), ((F(1), F(1, 8)), (F(1, 8), F(1))), (F(0),) * 2, (),
+         r"4\*off-diagonal entries must be integers"),
+        (("a", "b", "c"), ((F(1), F(0), F(0)), (F(0), F(1), F(1, 6)), (F(0), F(1, 6), F(1))),
+         (F(0),) * 3, (), r"4\*off-diagonal entries must be integers"),
+    ], ids=["rows", "row_length", "linear_length", "asymmetric",
+            "asymmetric_non_quarter", "charge_row", "diagonal", "quarter_diagonal",
+            "linear", "off_diagonal", "last_off_diagonal"])
+    def test_refusal_messages(self, labels, quad, linear, charges, message):
+        # the repeated label is pinned by test_repeated_label_refused
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            nahm.NahmSumSpec(labels, quad, linear, charges)
+
+    def test_integer_tables_are_fresh_lists(self):
+        spec = nahm.build_b2_quintuple_form()
+        diag2, lin2, cross2 = spec._tables()
+        want = ([2, 2, 4, 2, 2], [0] * 5,
+                [[4, 0, 4, 2, 2], [0, 4, 0, 2, 0], [4, 0, 8, 2, 4], [2, 2, 2, 4, 0],
+                 [2, 0, 4, 0, 4]])
+        assert (diag2, lin2, cross2) == want
+        assert all(type(x) is int for x in diag2 + lin2 + [x for r in cross2 for x in r])
+        diag2[0] = lin2[0] = cross2[0][0] = 99
+        cross2.append([])
+        again = spec._tables()
+        assert again == want
+        assert again[2][0] is not cross2[0]
+        # halves and quarters keep their doubled values exactly
+        half = nahm.NahmSumSpec(("x", "y"), ((F(3, 2), F(-3, 4)), (F(-3, 4), F(1, 2))),
+                                (F(5, 2), F(-1)), ())
+        assert half._tables() == ([3, 1], [5, -2], [[6, -3], [-3, 2]])
+
 
 class TestBounds:
     def test_all_nonneg_box(self):
@@ -382,6 +431,69 @@ class TestEvaluate:
                 brute = nahm.evaluate_bruteforce(spec, order, box, charges=charges)
                 assert fast == brute, (quad, spec.charges, order, charges)
             checked += 1
+
+    def test_packed_fields_at_their_edges_match_bruteforce(self):
+        # a level-sum state packs each running sum and charge into one field,
+        # biased by the most negative value it reaches within per_variable_max
+        # and as wide as the largest biased value: charge entries in -3..5,
+        # positive-definite cross terms down to -3/4 (negative running sums),
+        # charge boxes, and lone variables whose large charge entry is taken
+        # at per_variable_max set those biases and widths
+        rng = random.Random(47)
+        seen = set()
+        checked = 0
+        while checked < 60:
+            l = rng.randint(1, 4)
+            definite = rng.random() < 0.5
+            quad = [[F(0)] * l for _ in range(l)]
+            for i in range(l):
+                quad[i][i] = F(rng.randint(1, 4), 2)
+                for j in range(i + 1, l):
+                    quad[i][j] = quad[j][i] = F(rng.randint(-3 if definite else 0, 2), 4)
+            if definite and not is_positive_definite(quad):
+                continue
+            linear = (F(0),) * l if definite else tuple(F(rng.randint(0, 2), 2) for _ in range(l))
+            boxed = rng.random() < 0.3
+            charges = tuple(tuple(rng.randint(0 if boxed else -3, 5) for _ in range(l))
+                            for _ in range(rng.randint(1, 2)))
+            spec = nahm.NahmSumSpec(tuple(f"x{i}" for i in range(l)), tuple(map(tuple, quad)),
+                                    linear, charges)
+            order = rng.randint(3, 9)
+            box = tuple(rng.randint(0, 8) for _ in charges) if boxed else None
+            bound = nahm.compute_bound(spec, order, box)
+            caps = bound.per_variable_max
+            if math.prod(b + 1 for b in caps) > 1500:
+                continue
+            brute = nahm.evaluate_bruteforce(spec, order, caps)
+            if boxed:
+                assert nahm.evaluate(spec, order, charge_box=box) == _within(brute, box), \
+                    (quad, linear, charges, order, box)
+                seen.add("boxed")
+            else:
+                assert nahm.evaluate(spec, order) == brute, (quad, linear, charges, order)
+                assert nahm.evaluate(spec, order, charges=False) == \
+                    nahm.evaluate_bruteforce(spec, order, caps, charges=False)
+            seen.add(bound.strategy)
+            if any(x < 0 for row in bound.table[3] for x in row):
+                seen.add("negative running sums")
+            if any(c < 0 for row in charges for c in row):
+                seen.add("negative charges")
+            checked += 1
+        assert seen == {"boxed", "all_nonneg", "positive_definite", "negative running sums",
+                        "negative charges"}
+        # one variable x with x^2 < order: x reaches top = per_variable_max, and
+        # its charge c*top fills the field to the last bit (2^k - 1) or just
+        # past it (2^k), above or below zero
+        for top, c in ((3, 5), (7, 73), (5, 51), (4, -64), (6, -21), (1, 255), (1, -256)):
+            spec = nahm.NahmSumSpec(("x",), ((F(1),),), (F(0),), ((c,), (1,)))
+            order = top * top + 1
+            assert nahm.compute_bound(spec, order).per_variable_max == (top,)
+            got = nahm.evaluate(spec, order)
+            assert got == nahm.evaluate_bruteforce(spec, order, (top,))
+            assert (top * top * 2, (c * top, top)) in got.terms
+            if c > 0:
+                assert nahm.evaluate(spec, order, charge_box=(c * top, top - 1)) == \
+                    _within(got, (c * top, top - 1))
 
     @pytest.mark.parametrize("quad,linear,strategy,G", [
         (((F(1), F(-3, 4)), (F(-3, 4), F(1))), (F(0), F(0)), "positive_definite", 128),
