@@ -643,8 +643,12 @@ def _sum_levels(spec: NahmSumSpec, order2, rank, node_budget, bound: Enumeration
             if steps > budget:
                 raise BudgetExceeded("level-sum steps", node_budget)
         level = nxt
-    return {tuple((key >> width * i & mask) - bias[l + i] for i in range(rank)): value
-            for key, value in level.items()}
+    # unpack the charge fields a column at a time; rank 0 keeps its one () row
+    keys, columns = list(level), []
+    for b in bias[l:]:
+        columns.append([(key & mask) - b for key in keys])
+        keys = [key >> width for key in keys]
+    return dict(zip(zip(*columns) if columns else [()] * len(keys), level.values()))
 
 
 def evaluate(spec: NahmSumSpec, order, charges=True, node_budget=None,

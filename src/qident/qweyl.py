@@ -21,16 +21,19 @@ makes the n-th coefficient of phi the (n-1)-th times -q^(n-1) / (1 - q^n), so
 a coefficient times the 1/(q)_n of a factor's n-th term is the same
 coefficient times 1/(q)_(n-1), divided by (1 - q^n): one dense row, divided in
 place as n grows, serves every term of the factor, and no coefficient product
-is formed.  A plan pass comes first: from each coefficient's lowest exponent and
-validity order alone, it fixes where every monomial pair lands and the
-validity order the LaurentQ rules give each target, so the rows are cut there
-and the result is the one NCElement.__mul__ gives, term for term and in
-validity order.  Normal ordering and negative exponents cost validity, so the
-factors start at a padded order, sized by the same plan pass over bound-only
-(lowest exponent, validity order) pairs: a product's lowest exponent is the
-sum of its factors' lowest exponents and a sum's is at least the smaller one,
-so the bounds can only underestimate validity and every final coefficient is
-valid at least to the requested order.
+is formed.  One plan pass comes first and plans each factor once: where every
+monomial pair lands, walked over bound-only (lowest exponent, validity order)
+pairs.  Normal ordering and negative exponents cost validity, so the factors
+start at a padded order, and the walk sizes it: a product's lowest exponent
+is the sum of its factors' lowest exponents and a sum's is at least the
+smaller one, so the bounds can only underestimate validity and every final
+coefficient is valid at least to the requested order.  The product reuses
+each plan with the real lowest exponents and validity orders, so the rows are
+cut where the LaurentQ rules put each target's validity order and the result
+is the one NCElement.__mul__ gives, term for term and in validity order.  A
+coefficient whose exponents share one parity is a row on step 2 in doubled
+exponents; the plan pass checks that no target mixes parities, and a product
+where one would goes on step-1 rows.
 """
 
 from __future__ import annotations
@@ -102,11 +105,12 @@ class LaurentQ:
         return cls({0: 1}, order2)
 
     @classmethod
-    def _from_row(cls, low2, row, order2):
-        """The coefficients row[i] at exponents low2 + i, all below order2."""
+    def _from_row(cls, low2, row, order2, step=1):
+        """The coefficients row[i] at exponents low2 + step*i, all below
+        order2."""
         self = cls.__new__(cls)
         self.order2 = order2
-        self.terms = {low2 + i: c for i, c in enumerate(row) if c}
+        self.terms = {low2 + step * i: c for i, c in enumerate(row) if c}
         return self
 
     @property
@@ -458,141 +462,198 @@ def dilog_inv(algebra, prefactor_sign, qshift, word, xdeg, qorder2) -> NCElement
         for exps, n, base2, sign in _dilog_terms(algebra, prefactor_sign, qshift, word, xdeg)})
 
 
-def _plan(algebra, acc, beta, terms, order2, xdeg):
+def _plan(algebra, acc, factor, xdeg, step):
     """Where acc times one dilogarithm factor lands, read from (low2, order2)
-    alone.
+    alone, the factor's terms counted from the order they start at.
 
-    acc maps each source monomial a to a list that starts with the low2 and
-    order2 of its coefficient.  terms are the factor's (exps, n, base2,
-    sign), its n-th term sign * q^(base2/2) x^(n*beta) / (q)_n, each known
-    below order2.  The merge power is bilinear, so the pair (a, n) lands at
-    a + n*beta shifted by n*p + base2, where p is the merge power of a and
-    beta, and its lowest exponent is low2 + n*p + base2.  Returns (targets,
-    work): targets maps each monomial to [the least lowest exponent of its
-    pairs, the order2 _product_order2 gives them]; work lists each source
-    with its pairs (n, target, n*p + base2, sign) below x-degree xdeg, by
-    ascending n.
+    acc maps each source monomial a to a sequence that starts with the low2
+    and order2 of its coefficient, and factor is (prefactor_sign, qshift,
+    word), its n-th term sign * q^(base2/2) x^(n*beta) / (q)_n, known below
+    order 0.  The merge power is bilinear, so the pair (a, n) lands at a +
+    n*beta shifted by n*p2 + base2, where p2 is the merge power of a and
+    beta, and its lowest exponent is low2 + n*p2 + base2.  Returns (targets,
+    plan): targets maps each monomial to [the least lowest exponent of its
+    pairs, the order2 _product_order2 gives them], and plan = (step, terms,
+    work) is what _mul_dilog walks.  terms lists the factor's (n, base2,
+    sign) below x-degree xdeg, by ascending n; work lists each source as (a,
+    p2, ts), ts[n] the target of its pair with term n, for every n that
+    stays below xdeg.  The plan's step is 2 when the step given is 2, which
+    says that every source coefficient holds exponents of the parity of its
+    low2 alone, and no target gets pairs of both parities; it is 1
+    otherwise.
     """
+    s, sh, w = factor
+    terms = [(n, base2, sign) for _e, n, base2, sign in _dilog_terms(algebra, s, sh, w, xdeg)]
+    beta = normal_order(algebra, w)[1]
     eps = algebra.eps
     # the merge power of a and beta is 2 * (a . pull)
     pull = [sum(eps[i][j] * beta[j] for j in range(i)) for i in range(len(beta))]
     dbeta = sum(beta)
-    terms = [(exps, n, base2, sign, min(base2, 0)) for exps, n, base2, sign in terms]
+    steps = [tuple(n * b for b in beta) for n, _b, _s in terms]
+    bases = [(base2, min(base2, 0)) for _n, base2, _s in terms]
     targets, work = {}, []
     for a, coeff in acc.items():
         low2, a_order2 = coeff[0], coeff[1]
         p2 = 2 * sum(map(mul, a, pull))
-        b_order2 = order2 + min(low2, 0)
-        nmax = (xdeg - sum(a) - 1) // dbeta
-        pairs = []
-        for exps, n, base2, sign, base2_min0 in terms:
-            if n > nmax:
-                break
-            t = tuple(map(add, a, exps))
-            np2 = n * p2
+        ts = [tuple(map(add, a, exps)) for exps in steps[:(xdeg - sum(a) - 1) // dbeta + 1]]
+        b_order2 = min(low2, 0)
+        np2 = 0
+        for t, (base2, base2_min0) in zip(ts, bases):
             t_low2 = low2 + np2 + base2
             # _product_order2's rule for the pair
             t_order2 = a_order2 + base2_min0
             if b_order2 < t_order2:
                 t_order2 = b_order2
             t_order2 += np2
-            plan = targets.get(t)
-            if plan is None:
+            hit = targets.get(t)
+            if hit is None:
                 targets[t] = [t_low2, t_order2]
             else:
-                if t_low2 < plan[0]:
-                    plan[0] = t_low2
-                if t_order2 < plan[1]:
-                    plan[1] = t_order2
-            pairs.append((n, t, np2 + base2, sign))
-        work.append((a, pairs))
-    return targets, work
+                if (t_low2 - hit[0]) & 1:
+                    step = 1
+                if t_low2 < hit[0]:
+                    hit[0] = t_low2
+                if t_order2 < hit[1]:
+                    hit[1] = t_order2
+            np2 += p2
+        work.append((a, p2, ts))
+    return targets, (step, terms, work)
 
 
-def _mul_dilog(algebra, acc, factor, xdeg, order2):
-    """acc * phi(prefactor_sign * q^qshift * word) for factor = (prefactor_sign,
-    qshift, word), the factor's terms known below order2.
+def _mul_dilog(acc, plan, order2):
+    """acc times one dilogarithm factor, the factor's terms known below
+    order2, along the factor's plan (step, terms, work) from _plan.
 
     acc and the result map each monomial to a dense coefficient [low2,
-    order2, row]: row[i] is the coefficient of q^((low2 + i)/2), row[0] is
-    nonzero, and the row stops at order2.  The coefficients are those
+    order2, row]: row[i] is the coefficient of q^((low2 + step*i)/2), row[0]
+    is nonzero, and the row stops at order2 at the latest (a missing slot
+    below it is zero).  The coefficients are those
     NCElement.__mul__ gives with dilog(algebra, *factor, xdeg, order2), in
-    terms and order2.  _plan fixes every target's order2 first.  Then c /
-    (q)_n is c / (q)_(n-1) divided in place by (1 - q^n), since phi(z) =
-    (1 - z) phi(qz): one geom_div per n, where a coefficient product costs
-    one pass per term.  Each source row is added, signed and shifted, into
-    its targets' rows, cut at their order2.  Terms with base2 >= order2 are
-    skipped, as dilog() drops them.
+    terms and order2.  A first walk of the plan fixes every target's low2
+    and order2 from the real coefficients, skipping the sources acc lacks
+    (zero coefficients) and the terms with base2 >= order2, as dilog() drops
+    them.  Then c / (q)_n is c / (q)_(n-1) divided in place by (1 - q^n),
+    since phi(z) = (1 - z) phi(qz): one geom_div per n, where a coefficient
+    product costs one pass per term.  Each source row is added, signed and
+    shifted, into its targets' rows, cut at their order2.
     """
-    s, sh, w = factor
-    terms = [t for t in _dilog_terms(algebra, s, sh, w, xdeg) if t[2] < order2]
-    targets, work = _plan(algebra, acc, normal_order(algebra, w)[1], terms, order2, xdeg)
-    rows = {t: [0] * (t_order2 - t_low2) for t, (t_low2, t_order2) in targets.items()}
-    for a, pairs in work:
-        low2, _order2, coeffs = acc[a]
-        length = max((targets[t][1] - low2 - shift2 for _n, t, shift2, _s in pairs),
+    step, terms, work = plan
+    unit = 2 // step                    # q^1 in slots
+    kept = [(n, base2, add if sign > 0 else sub, min(base2, 0))
+            for n, base2, sign in terms if base2 < order2]
+    targets, live = {}, []
+    for a, p2, ts in work:
+        coeff = acc.get(a)
+        if coeff is None:
+            continue
+        low2, a_order2 = coeff[0], coeff[1]
+        b_order2 = order2 + min(low2, 0)
+        nmax = len(ts) - 1
+        pairs = []
+        for n, base2, op, base2_min0 in kept:
+            if n > nmax:
+                break
+            np2 = n * p2
+            s2 = low2 + np2 + base2
+            # _product_order2's rule for the pair
+            t_order2 = a_order2 + base2_min0
+            if b_order2 < t_order2:
+                t_order2 = b_order2
+            t_order2 += np2
+            t = ts[n]
+            hit = targets.get(t)
+            if hit is None:
+                hit = targets[t] = [s2, t_order2]
+            else:
+                if s2 < hit[0]:
+                    hit[0] = s2
+                if t_order2 < hit[1]:
+                    hit[1] = t_order2
+            pairs.append((n, hit, s2, op))
+        live.append((coeff[2], pairs))
+    for hit in targets.values():
+        hit.append([0] * ((hit[1] - hit[0] + step - 1) // step))
+    for coeffs, pairs in live:
+        # pair (n, [target low2, order2, row], source low2 shifted by the pair, op)
+        length = max(((hit[1] - s2 + step - 1) // step for _n, hit, s2, _op in pairs),
                      default=0)
         if length <= 0:
             continue
         row = coeffs[:length]
         row += [0] * (length - len(row))
         m = 0
-        for n, t, shift2, sign in pairs:
+        for n, (t_low2, _t_order2, T), s2, op in pairs:
             while m < n:
                 m += 1
-                kernels.geom_div(row, 2 * m)
-            T = rows[t]
-            p = low2 + shift2 - targets[t][0]
+                kernels.geom_div(row, unit * m)
+            p = (s2 - t_low2) // step
             # T ends at the target's order2, so row covers T[p:]
-            T[p:] = map(add if sign > 0 else sub, T[p:], row)
+            T[p:] = map(op, T[p:], row)
     out = {}
-    for t, T in rows.items():
+    for t, (t_low2, t_order2, T) in targets.items():
         for i, c in enumerate(T):
             if c:
-                t_low2, t_order2 = targets[t]
-                out[t] = [t_low2 + i, t_order2, T[i:]]
+                out[t] = [t_low2 + step * i, t_order2, T[i:]]
                 break
     return out
 
 
-def _padded_order2(algebra, factors, xdeg, qorder, budget=None):
-    """The order2 the factors must start at for every coefficient of their
-    product to be valid through qorder.
+def _plan_product(algebra, factors, xdeg, qorder, budget=None):
+    """(order2, plans): the order2 the factors must start at for every
+    coefficient of their product to be valid through qorder, and the plan
+    (step, terms, work) of each factor for _mul_dilog (see _plan).
 
-    One pass walks the plans of _mul_dilog over (low2, order2) pairs alone,
-    started at order 0: each factor's n-th term is (base2, 0), none is
-    dropped, and every target is kept, as if no coefficient were zero (a
-    zero one would only raise the real order).  A target's low2 is a lower
-    bound on its lowest exponent, so the bounds can only underestimate
-    validity.  The lowest final order is the validity the expansion loses.
-    The pass also counts the monomial pairs the products visit, and raises
-    BudgetExceeded when they pass budget.
+    One pass plans each factor in turn over (low2, order2) pairs alone,
+    from the exact unit and with every factor started at order 0: no term is
+    dropped and every target is kept, as if no coefficient were zero (a zero
+    one would only raise the real order).  A target's low2 is a lower bound
+    on its lowest exponent, so the bounds can only underestimate validity.
+    The lowest final order is the validity the expansion loses.  A
+    coefficient's exponents all share the parity of its bound, so a plan is
+    on step 2 until some target gets pairs of both parities, and on step 1
+    from there on.  The pass also counts the monomial pairs the products of
+    the factors visit (the unit's with the first factor are not counted),
+    and raises BudgetExceeded when they pass budget.
     """
-    s, sh, w = factors[0]
-    acc = {exps: (base2, 0) for exps, _n, base2, _s in _dilog_terms(algebra, s, sh, w, xdeg)}
-    pairs = 0
-    for (s, sh, w) in factors[1:]:
-        terms = list(_dilog_terms(algebra, s, sh, w, xdeg))
-        targets, work = _plan(algebra, acc, normal_order(algebra, w)[1], terms, 0, xdeg)
-        pairs += sum(len(p) for _a, p in work)
-        if budget is not None and pairs > budget:
-            raise BudgetExceeded("monomial pairs", budget)
-        acc = targets
-    return twice_of(qorder) - min((o for _low2, o in acc.values()), default=0)
+    acc = {(0,) * algebra.generator_count: (0, math.inf)}
+    plans, pairs, step = [], 0, 2
+    for k, factor in enumerate(factors):
+        acc, plan = _plan(algebra, acc, factor, xdeg, step)
+        plans.append(plan)
+        step = plan[0]
+        if k:
+            pairs += sum(len(ts) for _a, _p2, ts in plan[2])
+            if budget is not None and pairs > budget:
+                raise BudgetExceeded("monomial pairs", budget)
+    return twice_of(qorder) - min((o for _low2, o in acc.values()), default=0), plans
+
+
+def _spread(acc):
+    """Step-2 rows as step-1 rows, a zero between every two slots."""
+    out = {}
+    for a, (low2, order2, row) in acc.items():
+        wide = [0] * (2 * len(row) - 1)
+        wide[::2] = row
+        out[a] = [low2, order2, wide]
+    return out
 
 
 def expand_dilog_product(algebra, factors, xdeg, qorder, budget=None) -> NCElement:
     """Expand a list of (prefactor_sign, qshift, word) dilog factors, every
-    coefficient valid at least through qorder.  The factors start at the
-    order _padded_order2 gives and multiply into the exact unit (its order
-    is infinite), left to right, one at a time through _mul_dilog.  budget
-    caps the monomial pairs of the products; it is checked before any
-    coefficient is built."""
-    order2 = _padded_order2(algebra, factors, xdeg, qorder, budget)
+    coefficient valid at least through qorder.  _plan_product gives the
+    order the factors start at and their plans; they multiply into the
+    exact unit (its order is infinite), left to right, one at a time
+    through _mul_dilog.  Rows start on step 2 and spread to step 1 where a
+    plan falls back.  budget caps the monomial pairs of the products; it is
+    checked before any coefficient is built."""
+    order2, plans = _plan_product(algebra, factors, xdeg, qorder, budget)
     acc = {(0,) * algebra.generator_count: [0, math.inf, [1]]}
-    for factor in factors:
-        acc = _mul_dilog(algebra, acc, factor, xdeg, order2)
-    return NCElement(algebra, xdeg, {a: LaurentQ._from_row(low2, row, t_order2)
+    step = 2
+    for plan in plans:
+        if plan[0] != step:
+            acc, step = _spread(acc), plan[0]
+        acc = _mul_dilog(acc, plan, order2)
+    return NCElement(algebra, xdeg, {a: LaurentQ._from_row(low2, row, t_order2, step)
                                      for a, (low2, t_order2, row) in acc.items()})
 
 

@@ -3,7 +3,7 @@ tests: every factor starts at the generous order twice_of(qorder) +
 2*xdeg^2 + 8, the products are taken pair by pair (reference_product), and
 their monomial pairs are counted by brute force.  bound_padding is the
 padding pass that NCElement.__mul__ runs over bound-only coefficients, the
-oracle of qweyl._padded_order2."""
+oracle of the order qweyl._plan_product gives."""
 
 from qident import qweyl
 from qident.halfint import twice_of

@@ -432,6 +432,28 @@ class TestEvaluate:
                 assert fast == brute, (quad, spec.charges, order, charges)
             checked += 1
 
+    @pytest.mark.parametrize("quad,linear,charges,order,want", [
+        # positive-definite, a negative charge entry (its field is biased)
+        (((F(1), F(-1, 2)), (F(-1, 2), F(1))), (F(0), F(0)), ((1, -1), (0, 2)), 3,
+         [((1, 0), (16, [1, 1])), ((0, 2), (16, [1, 2])), ((0, 0), (0, [1, 0, 0])),
+          ((-1, 2), (16, [1, 1]))]),
+        (((F(1), F(-1, 2)), (F(-1, 2), F(1))), (F(0), F(0)), (), 3,
+         [((), (0, [1, 3, 4]))]),
+        # all-nonnegative, charges down to -4
+        (((F(1, 2), F(1, 4)), (F(1, 4), F(1))), (F(1, 2), F(0)), ((-2, 1),), 4,
+         [((-4,), (6, [1, 0])), ((-2,), (2, [1, 0, 1, 0, 1, 0])), ((-1,), (5, [1, 0, 2])),
+          ((0,), (0, [1, 0, 0, 0, 0, 0, 0, 0])), ((1,), (2, [1, 0, 1, 0, 1, 0]))]),
+        (((F(1, 2), F(1, 4)), (F(1, 4), F(1))), (F(1, 2), F(0)), (), 4,
+         [((), (0, [1, 0, 2, 0, 2, 1, 3, 2]))]),
+    ])
+    def test_last_level_rows_and_their_order(self, quad, linear, charges, order, want):
+        # the last level's packed keys come back as charge tuples, row for row
+        # and in the order the level sum leaves them; uncharged, one () row
+        spec = nahm.NahmSumSpec(("x", "y"), quad, linear, charges)
+        bound = nahm.compute_bound(spec, order)
+        got = nahm._sum_levels(spec, 2 * order, len(charges), None, bound)
+        assert list(got.items()) == want
+
     def test_packed_fields_at_their_edges_match_bruteforce(self):
         # a level-sum state packs each running sum and charge into one field,
         # biased by the most negative value it reaches within per_variable_max

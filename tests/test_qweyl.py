@@ -297,7 +297,7 @@ class TestProductAgainstReference:
     def test_factor_lists(self, name, alg, lhs, rhs):
         factors = lhs + rhs
         for xdeg, qorder in ((2, 5), (4, 9), (5, 6)):
-            padded = qweyl._padded_order2(alg, factors, xdeg, qorder)
+            padded, _plans = qweyl._plan_product(alg, factors, xdeg, qorder)
             for order2 in (padded, twice_of(qorder) + 2 * xdeg * xdeg + 8):
                 elems = [qweyl.dilog(alg, s, sh, w, xdeg, order2) for (s, sh, w) in factors]
                 acc = elems[0]
@@ -338,7 +338,7 @@ class TestProductAgainstReference:
 
 
 class TestPaddingPlan:
-    """_padded_order2 walks the factor-wise plan; the padding pass that
+    """_plan_product walks the factor-wise plan; the padding pass that
     multiplies bound-only coefficients with NCElement.__mul__ is its oracle."""
 
     @pytest.mark.parametrize("name,alg,lhs,rhs", PRODUCT_CASES,
@@ -347,22 +347,37 @@ class TestPaddingPlan:
         for xdeg, qorder in ((1, 3), (4, 9), (6, 20)):
             for factors in (lhs, rhs):
                 want, pairs = bound_padding(alg, factors, xdeg, qorder)
-                assert qweyl._padded_order2(alg, factors, xdeg, qorder, budget=pairs) == want
+                assert qweyl._plan_product(alg, factors, xdeg, qorder, budget=pairs)[0] == want
                 if pairs:
                     with pytest.raises(BudgetExceeded):
-                        qweyl._padded_order2(alg, factors, xdeg, qorder, budget=pairs - 1)
+                        qweyl._plan_product(alg, factors, xdeg, qorder, budget=pairs - 1)
 
 
-def _dense(elem):
+def _dense(elem, step):
     """An element's coefficients as _mul_dilog takes them: [low2, order2,
-    row] with row[i] at exponent low2 + i."""
-    return {exps: [c.low2, c.order2, [c.terms.get(e, 0) for e in range(c.low2, c.order2)]]
+    row] with row[i] at exponent low2 + step*i."""
+    return {exps: [c.low2, c.order2,
+                   [c.terms.get(e, 0) for e in range(c.low2, c.order2, step)]]
             for exps, c in elem.terms.items()}
 
 
-def _from_dense(acc):
-    return {exps: ({low2 + i: c for i, c in enumerate(row) if c}, order2)
+def _from_dense(acc, step):
+    return {exps: ({low2 + step * i: c for i, c in enumerate(row) if c}, order2)
             for exps, (low2, order2, row) in acc.items()}
+
+
+def _one_parity(elem):
+    """2 when each coefficient's exponents share one parity, else 1."""
+    return 2 if all(len({e & 1 for e in c.terms}) == 1 for c in elem.terms.values()) else 1
+
+
+def _mul_dilog_on_plan(alg, acc, factor, xdeg, order2):
+    """_mul_dilog of the element acc, planned from its own coefficients, on
+    step-2 rows where their parities allow; returns (coefficients, step)."""
+    sources = {exps: (c.low2, c.order2) for exps, c in acc.terms.items()}
+    _targets, plan = qweyl._plan(alg, sources, factor, xdeg, _one_parity(acc))
+    step = plan[0]
+    return _from_dense(qweyl._mul_dilog(_dense(acc, step), plan, order2), step), step
 
 
 @st.composite
@@ -397,7 +412,7 @@ class TestMulDilog:
     def _check(alg, xdeg, acc_terms, factor, order2):
         acc = NCElement(alg, xdeg, acc_terms)
         phi = qweyl.dilog(alg, *factor, xdeg, order2)
-        got = _from_dense(qweyl._mul_dilog(alg, _dense(acc), factor, xdeg, order2))
+        got, _step = _mul_dilog_on_plan(alg, acc, factor, xdeg, order2)
         assert got == _coefficients(acc * phi)
         assert got == _coefficients(reference_product(acc, phi))
         return got
@@ -434,8 +449,59 @@ class TestMulDilog:
     def test_unit_gives_the_factor(self):
         """The exact unit (infinite order) times a factor is dilog()."""
         for factor in ((1, 0, (2, 1)), (-1, Fraction(3, 2), (1, 2, 1))):
-            got = qweyl._mul_dilog(_NEGATIVE, {(0, 0): [0, math.inf, [1]]}, factor, 6, 11)
-            assert _from_dense(got) == _coefficients(qweyl.dilog(_NEGATIVE, *factor, 6, 11))
+            _targets, plan = qweyl._plan(_NEGATIVE, {(0, 0): (0, math.inf)}, factor, 6, 2)
+            assert plan[0] == 2
+            got = qweyl._mul_dilog({(0, 0): [0, math.inf, [1]]}, plan, 11)
+            assert _from_dense(got, 2) == _coefficients(qweyl.dilog(_NEGATIVE, *factor, 6, 11))
+
+
+    def test_rows_on_either_step(self):
+        """Coefficients of one parity each go on step-2 rows; a target that
+        gets pairs of both parities sends the whole product to step 1."""
+        plane = NCAlgebra([[0, 1], [-1, 0]])
+        factor = (-1, Fraction(1, 2), (1,))
+        terms = {(0, 0): LaurentQ({0: 1, 4: -2}, 12), (0, 1): LaurentQ({-1: 1, 3: 3}, 12)}
+        # x1 gets 1 times the n = 1 term (base2 1), at an odd exponent, and
+        # the x1 of acc times the n = 0 term, at that coefficient's parity
+        pure = NCElement(plane, 5, {**terms, (1, 0): LaurentQ({3: 1}, 11)})
+        mixed = NCElement(plane, 5, {**terms, (1, 0): LaurentQ({2: 1}, 11)})
+        for acc, want_step in ((pure, 2), (mixed, 1)):
+            phi = qweyl.dilog(plane, *factor, 5, 9)
+            got, step = _mul_dilog_on_plan(plane, acc, factor, 5, 9)
+            assert step == want_step
+            assert got == _coefficients(acc * phi)
+            assert got == _coefficients(reference_product(acc, phi))
+
+
+_MIXED = [(1, Fraction(1, 2), (1,)), (1, 0, (1,))]
+
+
+class TestParityGrid:
+    """expand_dilog_product keeps rows on step 2 when every coefficient has
+    one parity, and falls back to step 1 when a product would mix them."""
+
+    def test_mixed_parities_fall_back_to_step_one(self):
+        xdeg, qorder = 3, 4
+        order2, plans = qweyl._plan_product(_PLANE, _MIXED, xdeg, qorder)
+        assert [plan[0] for plan in plans] == [2, 1]
+        got = qweyl.expand_dilog_product(_PLANE, _MIXED, xdeg, qorder)
+        assert got.terms[(1, 0)].terms == {e: -1 for e in range(8)}
+        left, right = (qweyl.dilog(_PLANE, *f, xdeg, order2) for f in _MIXED)
+        assert _coefficients(got) == _coefficients(left * right)
+        assert _coefficients(got) == _coefficients(reference_product(left, right))
+        want, _pairs = generous_expansion(_PLANE, _MIXED, xdeg, qorder)
+        assert set(got.terms) == set(want.terms)
+        for exps in want.terms:
+            assert got.coefficient(exps).compare_upto(want.coefficient(exps),
+                                                      twice_of(qorder)) is None
+
+    @pytest.mark.parametrize("name,alg,lhs,rhs", PRODUCT_CASES,
+                             ids=[c[0] for c in PRODUCT_CASES])
+    def test_shipped_factor_lists_stay_on_step_two(self, name, alg, lhs, rhs):
+        for xdeg, qorder in ((2, 5), (5, 12), (7, 20)):
+            for factors in (lhs, rhs):
+                _order2, plans = qweyl._plan_product(alg, factors, xdeg, qorder)
+                assert {plan[0] for plan in plans} == {2}, (name, xdeg, qorder)
 
 
 class TestLhsClosedForm:
