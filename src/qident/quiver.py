@@ -181,11 +181,10 @@ def _level_rows(quiver: QuiverA, kmax, length, budget=None, total=None):
     """{k: row of the sum of q^codim / prod (q)_{m_seg} over the reps of
     dimension vector k, through exponent length-1} for every k <= kmax (with
     sum(k) <= total when total is given): the level sum of codim_form under
-    the charge box kmax.  codim is integral, so a row is (first, 2, S) as
-    QSeries.from_rows reads it: slot i of S is the coefficient of
-    q^(first/2 + i); it is not trimmed.  total is one more charge row, the
-    segment lengths, boxed at total.  budget caps the level sum's (state, m)
-    steps (BudgetExceeded).
+    the charge box kmax, by nahm.evaluate.  A row is (first, step, S) as
+    QSeries.from_rows reads it.  total is one more charge row, the segment
+    lengths, boxed at total and projected away.  budget caps the level sum's
+    (state, m) steps (BudgetExceeded).
     """
     spec = codim_form(quiver)
     box = tuple(kmax)
@@ -193,9 +192,8 @@ def _level_rows(quiver: QuiverA, kmax, length, budget=None, total=None):
         lengths = tuple(b - a + 1 for a, b in segments(quiver.rank))
         spec = replace(spec, charges=spec.charges + (lengths,))
         box += (total,)
-    bound = nahm.compute_bound(spec, length, box)
-    level = nahm._sum_levels(spec, 2 * length, len(box), budget, bound, box)
-    return {u[:quiver.rank]: (off, 2, S) for u, (off, S) in level.items()}
+    series = nahm.evaluate(spec, length, node_budget=budget, charge_box=box)
+    return {u[:quiver.rank]: row for u, row in series.rows.items()}
 
 
 def verify_theorem51_box(quiver: QuiverA, kmax, order, budget=None, total=None):
@@ -232,8 +230,7 @@ def quiver_generating_series(quiver: QuiverA, kmax, order):
     lhs = QSeries.from_rows(order2, rank, (
         (k, (0, 2, _inv_denominator(k, length, memo)))
         for k in itertools.product(*(range(b + 1) for b in kmax))))
-    rhs = QSeries.from_rows(order2, rank, _level_rows(quiver, kmax, length).items())
-    return lhs, rhs
+    return lhs, nahm.evaluate(codim_form(quiver), order, charge_box=tuple(kmax))
 
 
 def bridge_theorem54(n, kmax, order) -> CompareResult:

@@ -21,16 +21,16 @@ makes the n-th coefficient of phi the (n-1)-th times -q^(n-1) / (1 - q^n), so
 a coefficient times the 1/(q)_n of a factor's n-th term is the same
 coefficient times 1/(q)_(n-1), divided by (1 - q^n): one dense row, divided in
 place as n grows, serves every term of the factor, and no coefficient product
-is formed.  One plan pass comes first and plans each factor once: where every
-monomial pair lands, walked over bound-only (lowest exponent, validity order)
-pairs.  Normal ordering and negative exponents cost validity, so the factors
+is formed.  One plan pass comes first and alone decides where each
+coefficient sits and how far it is valid: it plans each factor once, walking
+bound-only (lowest exponent, validity order) pairs through the LaurentQ
+rules.  Normal ordering and negative exponents cost validity, so the factors
 start at a padded order, and the walk sizes it: a product's lowest exponent
 is the sum of its factors' lowest exponents and a sum's is at least the
-smaller one, so the bounds can only underestimate validity and every final
-coefficient is valid at least to the requested order.  The product reuses
-each plan with the real lowest exponents and validity orders, so the rows are
-cut where the LaurentQ rules put each target's validity order and the result
-is the one NCElement.__mul__ gives, term for term and in validity order.  A
+smaller one, so the bounds can only underestimate validity.  Each final
+coefficient is valid through its bound, which is at least the requested
+order and at most the order NCElement.__mul__ would give, and every term
+below it is exact.  The product only fills rows laid out on the bounds.  A
 coefficient whose exponents share one parity is a row on step 2 in doubled
 exponents; the plan pass checks that no target mixes parities, and a product
 where one would goes on step-1 rows.
@@ -79,6 +79,12 @@ class NCAlgebra:
 # ---------------------------------------------------------------------------
 # Laurent coefficients in q^(1/2)
 # ---------------------------------------------------------------------------
+
+class ValidityError(ArithmeticError):
+    """A comparison reads a coefficient past its validity order.  The
+    expansions pad their orders so that no input can cause this: it is a
+    fault of the program, not of the input, so it is no ValueError."""
+
 
 class LaurentQ:
     """Laurent polynomial in q^(1/2), known modulo q^(order2/2).
@@ -182,7 +188,7 @@ class LaurentQ:
     def compare_upto(self, other, bound2):
         """Earliest differing exponent below bound2, or None if equal there."""
         if min(self.order2, other.order2) < bound2:
-            raise ValueError("coefficients not valid far enough for this comparison")
+            raise ValidityError("coefficients not valid far enough for this comparison")
         exps = sorted(set(self.terms) | set(other.terms))
         for e in exps:
             if e >= bound2:
@@ -462,21 +468,24 @@ def dilog_inv(algebra, prefactor_sign, qshift, word, xdeg, qorder2) -> NCElement
         for exps, n, base2, sign in _dilog_terms(algebra, prefactor_sign, qshift, word, xdeg)})
 
 
-def _plan(algebra, acc, factor, xdeg, step):
-    """Where acc times one dilogarithm factor lands, read from (low2, order2)
-    alone, the factor's terms counted from the order they start at.
+def _plan(algebra, sources, factor, xdeg, step):
+    """Where sources times one dilogarithm factor lands and how far each
+    target is valid, read from (low2, order2) bounds alone, counted from the
+    order the factor's terms start at.
 
-    acc maps each source monomial a to a sequence that starts with the low2
-    and order2 of its coefficient, and factor is (prefactor_sign, qshift,
-    word), its n-th term sign * q^(base2/2) x^(n*beta) / (q)_n, known below
-    order 0.  The merge power is bilinear, so the pair (a, n) lands at a +
+    sources maps each source monomial a to the (low2, order2) bound of its
+    coefficient: low2 is at most its lowest exponent and order2 + start at
+    most its validity order.  factor is (prefactor_sign, qshift, word), its
+    n-th term sign * q^(base2/2) x^(n*beta) / (q)_n, known below order 0
+    here.  The merge power is bilinear, so the pair (a, n) lands at a +
     n*beta shifted by n*p2 + base2, where p2 is the merge power of a and
-    beta, and its lowest exponent is low2 + n*p2 + base2.  Returns (targets,
-    plan): targets maps each monomial to [the least lowest exponent of its
-    pairs, the order2 _product_order2 gives them], and plan = (step, terms,
-    work) is what _mul_dilog walks.  terms lists the factor's (n, base2,
-    sign) below x-degree xdeg, by ascending n; work lists each source as (a,
-    p2, ts), ts[n] the target of its pair with term n, for every n that
+    beta: its lowest exponent is at least low2 + n*p2 + base2, and
+    _product_order2's rule gives its order2.  Returns the plan (step, terms,
+    targets, work) that _mul_dilog fills.  terms lists the factor's (n,
+    base2, sign) below x-degree xdeg, by ascending n.  targets maps each
+    monomial to its bound [the least lowest exponent of its pairs, the least
+    order2 of them].  work lists each source as (a, pairs), pairs[n] the
+    (target, lowest exponent) of its pair with term n, for every n that
     stays below xdeg.  The plan's step is 2 when the step given is 2, which
     says that every source coefficient holds exponents of the parity of its
     low2 alone, and no target gets pairs of both parities; it is 1
@@ -492,13 +501,13 @@ def _plan(algebra, acc, factor, xdeg, step):
     steps = [tuple(n * b for b in beta) for n, _b, _s in terms]
     bases = [(base2, min(base2, 0)) for _n, base2, _s in terms]
     targets, work = {}, []
-    for a, coeff in acc.items():
-        low2, a_order2 = coeff[0], coeff[1]
+    for a, (low2, a_order2) in sources.items():
         p2 = 2 * sum(map(mul, a, pull))
-        ts = [tuple(map(add, a, exps)) for exps in steps[:(xdeg - sum(a) - 1) // dbeta + 1]]
         b_order2 = min(low2, 0)
         np2 = 0
-        for t, (base2, base2_min0) in zip(ts, bases):
+        pairs = []
+        for exps, (base2, base2_min0) in zip(steps[:(xdeg - sum(a) - 1) // dbeta + 1], bases):
+            t = tuple(map(add, a, exps))
             t_low2 = low2 + np2 + base2
             # _product_order2's rule for the pair
             t_order2 = a_order2 + base2_min0
@@ -515,126 +524,91 @@ def _plan(algebra, acc, factor, xdeg, step):
                     hit[0] = t_low2
                 if t_order2 < hit[1]:
                     hit[1] = t_order2
+            pairs.append((t, t_low2))
             np2 += p2
-        work.append((a, p2, ts))
-    return targets, (step, terms, work)
+        work.append((a, pairs))
+    return step, terms, targets, work
 
 
-def _mul_dilog(acc, plan, order2):
-    """acc times one dilogarithm factor, the factor's terms known below
-    order2, along the factor's plan (step, terms, work) from _plan.
+def _mul_dilog(rows, plan, start):
+    """rows times one dilogarithm factor, the factor's terms known below
+    start, along its plan (step, terms, targets, work) from _plan.
 
-    acc and the result map each monomial to a dense coefficient [low2,
-    order2, row]: row[i] is the coefficient of q^((low2 + step*i)/2), row[0]
-    is nonzero, and the row stops at order2 at the latest (a missing slot
-    below it is zero).  The coefficients are those
-    NCElement.__mul__ gives with dilog(algebra, *factor, xdeg, order2), in
-    terms and order2.  A first walk of the plan fixes every target's low2
-    and order2 from the real coefficients, skipping the sources acc lacks
-    (zero coefficients) and the terms with base2 >= order2, as dilog() drops
-    them.  Then c / (q)_n is c / (q)_(n-1) divided in place by (1 - q^n),
+    Every row is laid out on its coefficient's bound (low2, order2), a
+    source's from the plan before (the unit's is (0, inf)): row[i] is the
+    coefficient of q^((low2 + step*i)/2), and the row stops at order2 +
+    start at the latest (a missing slot below it is zero).  The result has a
+    row for every target, zero or not, and every slot is exact: a pair's
+    piece is exact below the pair's own order2, which is no lower than its
+    target's.  c / (q)_n is c / (q)_(n-1) divided in place by (1 - q^n),
     since phi(z) = (1 - z) phi(qz): one geom_div per n, where a coefficient
     product costs one pass per term.  Each source row is added, signed and
-    shifted, into its targets' rows, cut at their order2.
+    shifted, into its targets' rows; the terms past a source's last pair
+    that reaches a slot (such as those with base2 >= start) are never
+    divided in.
     """
-    step, terms, work = plan
+    step, terms, targets, work = plan
     unit = 2 // step                    # q^1 in slots
-    kept = [(n, base2, add if sign > 0 else sub, min(base2, 0))
-            for n, base2, sign in terms if base2 < order2]
-    targets, live = {}, []
-    for a, p2, ts in work:
-        coeff = acc.get(a)
-        if coeff is None:
+    out = {t: [0] * ((order2 + start - low2 + step - 1) // step)
+           for t, (low2, order2) in targets.items()}
+    for a, pairs in work:
+        # (target row, offset of the pair's first slot in it, slots it reaches)
+        cuts = []
+        for t, s2 in pairs:
+            low2, order2 = targets[t]
+            cuts.append((out[t], (s2 - low2) // step, (order2 + start - s2 + step - 1) // step))
+        while cuts and cuts[-1][2] <= 0:
+            cuts.pop()
+        if not cuts:
             continue
-        low2, a_order2 = coeff[0], coeff[1]
-        b_order2 = order2 + min(low2, 0)
-        nmax = len(ts) - 1
-        pairs = []
-        for n, base2, op, base2_min0 in kept:
-            if n > nmax:
-                break
-            np2 = n * p2
-            s2 = low2 + np2 + base2
-            # _product_order2's rule for the pair
-            t_order2 = a_order2 + base2_min0
-            if b_order2 < t_order2:
-                t_order2 = b_order2
-            t_order2 += np2
-            t = ts[n]
-            hit = targets.get(t)
-            if hit is None:
-                hit = targets[t] = [s2, t_order2]
-            else:
-                if s2 < hit[0]:
-                    hit[0] = s2
-                if t_order2 < hit[1]:
-                    hit[1] = t_order2
-            pairs.append((n, hit, s2, op))
-        live.append((coeff[2], pairs))
-    for hit in targets.values():
-        hit.append([0] * ((hit[1] - hit[0] + step - 1) // step))
-    for coeffs, pairs in live:
-        # pair (n, [target low2, order2, row], source low2 shifted by the pair, op)
-        length = max(((hit[1] - s2 + step - 1) // step for _n, hit, s2, _op in pairs),
-                     default=0)
-        if length <= 0:
-            continue
-        row = coeffs[:length]
+        length = max(cut[2] for cut in cuts)
+        row = rows[a][:length]
         row += [0] * (length - len(row))
-        m = 0
-        for n, (t_low2, _t_order2, T), s2, op in pairs:
-            while m < n:
-                m += 1
-                kernels.geom_div(row, unit * m)
-            p = (s2 - t_low2) // step
-            # T ends at the target's order2, so row covers T[p:]
-            T[p:] = map(op, T[p:], row)
-    out = {}
-    for t, (t_low2, t_order2, T) in targets.items():
-        for i, c in enumerate(T):
-            if c:
-                out[t] = [t_low2 + step * i, t_order2, T[i:]]
-                break
+        for (n, _base2, sign), (T, p, _length) in zip(terms, cuts):
+            if n:
+                kernels.geom_div(row, unit * n)
+            T[p:] = map(add if sign > 0 else sub, T[p:], row)
     return out
 
 
 def _plan_product(algebra, factors, xdeg, qorder, budget=None):
-    """(order2, plans): the order2 the factors must start at for every
+    """(start, plans): the order2 the factors must start at for every
     coefficient of their product to be valid through qorder, and the plan
-    (step, terms, work) of each factor for _mul_dilog (see _plan).
+    (step, terms, targets, work) of each factor for _mul_dilog (see _plan).
 
-    One pass plans each factor in turn over (low2, order2) pairs alone,
+    One pass plans each factor in turn over (low2, order2) bounds alone,
     from the exact unit and with every factor started at order 0: no term is
     dropped and every target is kept, as if no coefficient were zero (a zero
     one would only raise the real order).  A target's low2 is a lower bound
-    on its lowest exponent, so the bounds can only underestimate validity.
-    The lowest final order is the validity the expansion loses.  A
-    coefficient's exponents all share the parity of its bound, so a plan is
-    on step 2 until some target gets pairs of both parities, and on step 1
-    from there on.  The pass also counts the monomial pairs the products of
-    the factors visit (the unit's with the first factor are not counted),
+    on its lowest exponent, so the bounds can only underestimate validity,
+    and each coefficient of the product is valid through its bound's order2
+    + start.  The lowest final order2 is the validity the expansion loses.
+    A coefficient's exponents all share the parity of its bound, so a plan
+    is on step 2 until some target gets pairs of both parities, and on step
+    1 from there on.  The pass also counts the monomial pairs the products
+    of the factors visit (the unit's with the first factor are not counted),
     and raises BudgetExceeded when they pass budget.
     """
-    acc = {(0,) * algebra.generator_count: (0, math.inf)}
+    bounds = {(0,) * algebra.generator_count: (0, math.inf)}
     plans, pairs, step = [], 0, 2
     for k, factor in enumerate(factors):
-        acc, plan = _plan(algebra, acc, factor, xdeg, step)
+        plan = _plan(algebra, bounds, factor, xdeg, step)
         plans.append(plan)
-        step = plan[0]
+        step, _terms, bounds, work = plan
         if k:
-            pairs += sum(len(ts) for _a, _p2, ts in plan[2])
+            pairs += sum(len(ts) for _a, ts in work)
             if budget is not None and pairs > budget:
                 raise BudgetExceeded("monomial pairs", budget)
-    return twice_of(qorder) - min((o for _low2, o in acc.values()), default=0), plans
+    return twice_of(qorder) - min((o for _low2, o in bounds.values()), default=0), plans
 
 
-def _spread(acc):
+def _spread(rows):
     """Step-2 rows as step-1 rows, a zero between every two slots."""
     out = {}
-    for a, (low2, order2, row) in acc.items():
+    for a, row in rows.items():
         wide = [0] * (2 * len(row) - 1)
         wide[::2] = row
-        out[a] = [low2, order2, wide]
+        out[a] = wide
     return out
 
 
@@ -642,19 +616,20 @@ def expand_dilog_product(algebra, factors, xdeg, qorder, budget=None) -> NCEleme
     """Expand a list of (prefactor_sign, qshift, word) dilog factors, every
     coefficient valid at least through qorder.  _plan_product gives the
     order the factors start at and their plans; they multiply into the
-    exact unit (its order is infinite), left to right, one at a time
-    through _mul_dilog.  Rows start on step 2 and spread to step 1 where a
-    plan falls back.  budget caps the monomial pairs of the products; it is
-    checked before any coefficient is built."""
-    order2, plans = _plan_product(algebra, factors, xdeg, qorder, budget)
-    acc = {(0,) * algebra.generator_count: [0, math.inf, [1]]}
+    exact unit, left to right, one at a time through _mul_dilog.  Rows start
+    on step 2 and spread to step 1 where a plan falls back.  Each
+    coefficient is valid through its bound in the last plan.  budget caps
+    the monomial pairs of the products; it is checked before any coefficient
+    is built."""
+    start, plans = _plan_product(algebra, factors, xdeg, qorder, budget)
+    rows = {(0,) * algebra.generator_count: [1]}
     step = 2
     for plan in plans:
         if plan[0] != step:
-            acc, step = _spread(acc), plan[0]
-        acc = _mul_dilog(acc, plan, order2)
-    return NCElement(algebra, xdeg, {a: LaurentQ._from_row(low2, row, t_order2, step)
-                                     for a, (low2, t_order2, row) in acc.items()})
+            rows, step = _spread(rows), plan[0]
+        rows = _mul_dilog(rows, plan, start)
+    return NCElement(algebra, xdeg, {a: LaurentQ._from_row(low2, rows[a], order2 + start, step)
+                                     for a, (low2, order2) in plans[-1][2].items()})
 
 
 # -- pentagon ----------------------------------------------------------------

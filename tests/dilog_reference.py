@@ -1,9 +1,10 @@
 """Reference expansion of dilogarithm products for the padding and budget
 tests: every factor starts at the generous order twice_of(qorder) +
 2*xdeg^2 + 8, the products are taken pair by pair (reference_product), and
-their monomial pairs are counted by brute force.  bound_padding is the
-padding pass that NCElement.__mul__ runs over bound-only coefficients, the
-oracle of the order qweyl._plan_product gives."""
+their monomial pairs are counted by brute force.  bound_product is the
+padding pass that NCElement.__mul__ runs over bound-only coefficients: with
+bound_padding, the oracle of the order qweyl._plan_product gives and of the
+validity order of every coefficient qweyl.expand_dilog_product builds."""
 
 from qident import qweyl
 from qident.halfint import twice_of
@@ -64,9 +65,9 @@ class Bound:
                    qweyl._product_order2(pairs))
 
 
-def bound_padding(alg, factors, xdeg, qorder):
-    """(padded order2, monomial pairs): the factors multiplied left to right
-    by NCElement.__mul__ with Bound coefficients started at order 0, and the
+def bound_product(alg, factors, xdeg):
+    """(product, monomial pairs): the factors multiplied left to right by
+    NCElement.__mul__ with Bound coefficients started at order 0, and the
     monomial pairs below xdeg that those products visit."""
     acc, pairs = None, 0
     for (s, sh, w) in factors:
@@ -78,4 +79,11 @@ def bound_padding(alg, factors, xdeg, qorder):
                          if sum(ea) + sum(eb) < xdeg)
             elem = acc * elem
         acc = elem
+    return acc, pairs
+
+
+def bound_padding(alg, factors, xdeg, qorder):
+    """(padded order2, monomial pairs) of bound_product: the order the
+    factors must start at for every bound to reach qorder."""
+    acc, pairs = bound_product(alg, factors, xdeg)
     return twice_of(qorder) - min((c.order2 for c in acc.terms.values()), default=0), pairs

@@ -575,6 +575,27 @@ def test_suite_bad_line_is_exit_2(runner, tmp_path, bad_line, message):
     assert "verdict: equal" in result.output     # the next line still ran
 
 
+def test_validity_fault_is_a_report_with_exit_3(runner, monkeypatch):
+    # a start order one power of q short: the comparison reads past the
+    # validity of the coefficients, a fault of the program, not a usage error
+    plan_product = qweyl._plan_product
+
+    def short(*args, **kwargs):
+        start, plans = plan_product(*args, **kwargs)
+        return start - 2, plans
+
+    monkeypatch.setattr(qweyl, "_plan_product", short)
+    args = ("verify", "pentagon", "--xdeg", "4", "--qorder", "6")
+    result = run(runner, *args)
+    assert result.exit_code == 3
+    assert "Traceback" not in result.output
+    assert "verdict: error\n" in result.output
+    assert ("exception=ValidityError: coefficients not valid far enough for this comparison"
+            in result.output)
+    payload = json.loads(run(runner, "--json", *args).output)
+    assert payload["verdict"] == "error" and payload["exit_code"] == 3
+
+
 @pytest.mark.parametrize("exc", [RuntimeError("boom"), KeyError("boom")],
                          ids=["RuntimeError", "KeyError"])
 def test_internal_error_is_a_report_with_exit_3(runner, tmp_path, monkeypatch, exc):

@@ -12,7 +12,8 @@ from qident.nahm import BudgetExceeded
 from qident.poly import SparsePoly
 from qident.qweyl import LaurentQ, NCAlgebra, NCElement
 
-from dilog_reference import bound_padding, generous_expansion, reference_product
+from dilog_reference import (Bound, bound_padding, bound_product, generous_expansion,
+                             reference_product)
 
 
 def a_type(nvars):
@@ -65,7 +66,7 @@ class TestLaurent:
         f = LaurentQ({0: 1}, 4)
         g = LaurentQ({0: 1}, 4)
         assert f.compare_upto(g, 4) is None
-        with pytest.raises(ValueError):
+        with pytest.raises(qweyl.ValidityError):
             f.compare_upto(g, 6)
 
 
@@ -246,6 +247,11 @@ class TestPadding:
                 orders = [c.order2 for c in got.terms.values()]
                 # valid through qorder, and not one half-power further
                 assert min(orders) == bound2
+                # each coefficient valid through its bound, counted from the padded order
+                padded, _ = bound_padding(alg, factors, xdeg, qorder)
+                bounds, _ = bound_product(alg, factors, xdeg)
+                for exps, c in got.terms.items():
+                    assert c.order2 == padded + bounds.terms[exps].order2, (name, exps)
                 for exps in set(got.terms) | set(want.terms):
                     g, w = got.coefficient(exps), want.coefficient(exps)
                     assert g.compare_upto(w, bound2) is None, (name, xdeg, qorder, exps)
@@ -353,31 +359,39 @@ class TestPaddingPlan:
                         qweyl._plan_product(alg, factors, xdeg, qorder, budget=pairs - 1)
 
 
-def _dense(elem, step):
-    """An element's coefficients as _mul_dilog takes them: [low2, order2,
-    row] with row[i] at exponent low2 + step*i."""
-    return {exps: [c.low2, c.order2,
-                   [c.terms.get(e, 0) for e in range(c.low2, c.order2, step)]]
-            for exps, c in elem.terms.items()}
-
-
-def _from_dense(acc, step):
-    return {exps: ({low2 + step * i: c for i, c in enumerate(row) if c}, order2)
-            for exps, (low2, order2, row) in acc.items()}
-
-
 def _one_parity(elem):
     """2 when each coefficient's exponents share one parity, else 1."""
     return 2 if all(len({e & 1 for e in c.terms}) == 1 for c in elem.terms.values()) else 1
 
 
-def _mul_dilog_on_plan(alg, acc, factor, xdeg, order2):
-    """_mul_dilog of the element acc, planned from its own coefficients, on
-    step-2 rows where their parities allow; returns (coefficients, step)."""
-    sources = {exps: (c.low2, c.order2) for exps, c in acc.terms.items()}
-    _targets, plan = qweyl._plan(alg, sources, factor, xdeg, _one_parity(acc))
+def _from_rows(rows, plan, start):
+    """_mul_dilog's rows as {target: (terms, order2)}, each on its bound."""
+    step, _terms, targets, _work = plan
+    return {t: ({low2 + step * i: c for i, c in enumerate(rows[t]) if c}, order2 + start)
+            for t, (low2, order2) in targets.items()}
+
+
+def _mul_dilog_on_plan(alg, acc, factor, xdeg, start):
+    """_mul_dilog of the element acc, each coefficient's bound its own low2
+    and order2, on step-2 rows where their parities allow; returns
+    (coefficients, step)."""
+    bounds = {exps: (c.low2, c.order2 - start) for exps, c in acc.terms.items()}
+    plan = qweyl._plan(alg, bounds, factor, xdeg, _one_parity(acc))
     step = plan[0]
-    return _from_dense(qweyl._mul_dilog(_dense(acc, step), plan, order2), step), step
+    rows = {exps: [c.terms.get(e, 0) for e in range(c.low2, c.order2, step)]
+            for exps, c in acc.terms.items()}
+    return _from_rows(qweyl._mul_dilog(rows, plan, start), plan, start), step
+
+
+def _bound_mul(alg, acc, factor, xdeg, start):
+    """The Bound oracle of acc times a factor started at start: the padding
+    pass's NCElement.__mul__ over Bound coefficients, orders counted from
+    start."""
+    left = NCElement(alg, xdeg, {exps: Bound(c.low2, c.order2 - start)
+                                 for exps, c in acc.terms.items()})
+    right = NCElement(alg, xdeg, {exps: Bound(base2, 0)
+                                  for exps, _n, base2, _s in qweyl._dilog_terms(alg, *factor, xdeg)})
+    return left * right
 
 
 @st.composite
@@ -406,16 +420,30 @@ _NEGATIVE = NCAlgebra([[0, 2], [-2, 0]])
 class TestMulDilog:
     """One factor multiplied in through the q-difference recurrence against
     NCElement.__mul__ with dilog() and the pairwise reference product,
-    coefficient by coefficient, in terms and in order2."""
+    coefficient by coefficient, in terms below each order2, and against the
+    Bound oracle in order2."""
 
     @staticmethod
-    def _check(alg, xdeg, acc_terms, factor, order2):
+    def _check(alg, xdeg, acc_terms, factor, start):
+        """The terms of each coefficient are those of NCElement.__mul__ and
+        of the reference product below its order2, that order2 is the Bound
+        oracle's, and it is no higher than NCElement.__mul__'s."""
         acc = NCElement(alg, xdeg, acc_terms)
-        phi = qweyl.dilog(alg, *factor, xdeg, order2)
-        got, _step = _mul_dilog_on_plan(alg, acc, factor, xdeg, order2)
-        assert got == _coefficients(acc * phi)
-        assert got == _coefficients(reference_product(acc, phi))
-        return got
+        phi = qweyl.dilog(alg, *factor, xdeg, start)
+        got, step = _mul_dilog_on_plan(alg, acc, factor, xdeg, start)
+        exact, ref = acc * phi, reference_product(acc, phi)
+        bounds = _bound_mul(alg, acc, factor, xdeg, start)
+        assert set(got) == set(bounds.terms)
+        assert set(exact.terms) <= set(got) and set(ref.terms) <= set(got)
+        for exps, (terms, order2) in got.items():
+            assert order2 == bounds.terms[exps].order2 + start, exps
+            for want in (exact, ref):
+                w = want.terms.get(exps)
+                if w is not None:
+                    assert order2 <= w.order2, exps
+                w_terms = {} if w is None else w.terms
+                assert terms == {e: c for e, c in w_terms.items() if e < order2}, exps
+        return got, step
 
     @settings(max_examples=300, deadline=None)
     @given(_mul_dilog_cases())
@@ -435,24 +463,29 @@ class TestMulDilog:
         # at order2 4 the factor keeps n = 0, 1 only: base2 is 0, 1, 4, 9 for shift 1/2
         plane = NCAlgebra([[0, 1], [-1, 0]])
         acc = {(0, 0): LaurentQ({0: 1}, 12), (0, 1): LaurentQ({-1: 1, 2: 3}, 12)}
-        got = self._check(plane, 5, acc, (-1, Fraction(1, 2), (1,)), 4)
-        assert max(exps[0] for exps in got) == 1
-        # x1^2 gets 1 * x1 (n = 1) and would get 1 * x1^2 (n = 2, dropped),
-        # whose order q^(1/2) is lower than the kept pair's q^2
+        got, _step = self._check(plane, 5, acc, (-1, Fraction(1, 2), (1,)), 4)
+        assert max(exps[0] for exps, (terms, _order2) in got.items() if terms) == 1
+        # x1^2 gets 1 * x1 (n = 1) and the dropped 1 * x1^2 (n = 2), whose
+        # bound sets the order, q^(1/2), below the kept pair's q^2 and below
+        # the kept pair's lowest exponent
         acc = {(0, 0): LaurentQ({0: 1}, 1), (1, 0): LaurentQ({0: 1}, 20)}
-        got = self._check(plane, 5, acc, (-1, Fraction(1, 2), (1,)), 4)
-        assert got[(2, 0)] == ({1: 1, 3: 1}, 4)
+        got, _step = self._check(plane, 5, acc, (-1, Fraction(1, 2), (1,)), 4)
+        assert got[(2, 0)] == ({}, 1)
         # x2x1 = q^-2 x1x2, so base2 = -4: the first term sits below q^0
-        got = self._check(_NEGATIVE, 3, {(0, 0): LaurentQ({0: 1}, 10)}, (1, 0, (2, 1)), 6)
+        got, _step = self._check(_NEGATIVE, 3, {(0, 0): LaurentQ({0: 1}, 10)}, (1, 0, (2, 1)), 6)
         assert got[(1, 1)][0] == {-4: -1, -2: -1, 0: -1, 2: -1, 4: -1}
 
     def test_unit_gives_the_factor(self):
         """The exact unit (infinite order) times a factor is dilog()."""
         for factor in ((1, 0, (2, 1)), (-1, Fraction(3, 2), (1, 2, 1))):
-            _targets, plan = qweyl._plan(_NEGATIVE, {(0, 0): (0, math.inf)}, factor, 6, 2)
+            plan = qweyl._plan(_NEGATIVE, {(0, 0): (0, math.inf)}, factor, 6, 2)
             assert plan[0] == 2
-            got = qweyl._mul_dilog({(0, 0): [0, math.inf, [1]]}, plan, 11)
-            assert _from_dense(got, 2) == _coefficients(qweyl.dilog(_NEGATIVE, *factor, 6, 11))
+            got = _from_rows(qweyl._mul_dilog({(0, 0): [1]}, plan, 11), plan, 11)
+            # every target is valid through the start order; the terms with
+            # base2 >= 11 reach no slot
+            assert {order2 for _terms, order2 in got.values()} == {11}
+            assert ({t: c for t, c in got.items() if c[0]}
+                    == _coefficients(qweyl.dilog(_NEGATIVE, *factor, 6, 11)))
 
 
     def test_rows_on_either_step(self):
@@ -466,11 +499,8 @@ class TestMulDilog:
         pure = NCElement(plane, 5, {**terms, (1, 0): LaurentQ({3: 1}, 11)})
         mixed = NCElement(plane, 5, {**terms, (1, 0): LaurentQ({2: 1}, 11)})
         for acc, want_step in ((pure, 2), (mixed, 1)):
-            phi = qweyl.dilog(plane, *factor, 5, 9)
-            got, step = _mul_dilog_on_plan(plane, acc, factor, 5, 9)
+            _got, step = self._check(plane, 5, acc.terms, factor, 9)
             assert step == want_step
-            assert got == _coefficients(acc * phi)
-            assert got == _coefficients(reference_product(acc, phi))
 
 
 _MIXED = [(1, Fraction(1, 2), (1,)), (1, 0, (1,))]
