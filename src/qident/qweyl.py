@@ -3,13 +3,13 @@
 Generators obey x_i x_j = q^(eps_ij) x_j x_i with an antisymmetric integer
 matrix eps.  Elements are truncated in two directions at once: total x-degree
 (exclusive bound xdeg) and q-order; coefficients are Laurent polynomials in
-q^(1/2) whose validity order is tracked through every multiplication, so a
-comparison can certify exactly how far it is meaningful.  A product of
-elements fixes each output coefficient's validity order first, as the least
-that any monomial pair merging into it gets under the LaurentQ rules
-(_product_order2), and then multiplies only the terms below that order; the
-result is the one summing the shifted pairwise LaurentQ products would give,
-term for term and in validity order.
+q^(1/2), each kept as one dense row, whose validity order is tracked through
+every multiplication, so a comparison can certify exactly how far it is
+meaningful.  A product of elements fixes each output coefficient's validity
+order first, as the least that any monomial pair merging into it gets under
+the LaurentQ rules (_product_order2), and then multiplies only the terms
+below that order; the result is the one summing the shifted pairwise LaurentQ
+products would give, term for term and in validity order.
 
 Inside, every q-exponent is a doubled int (order2, base2, e2).  Factor
 shifts come in as ints or Fractions, normal-ordering powers are ints, and
@@ -33,7 +33,9 @@ order and at most the order NCElement.__mul__ would give, and every term
 below it is exact.  The product only fills rows laid out on the bounds.  A
 coefficient whose exponents share one parity is a row on step 2 in doubled
 exponents; the plan pass checks that no target mixes parities, and a product
-where one would goes on step-1 rows.
+where one would goes on step-1 rows.  The rows become the product's
+coefficients as they are, and nc_eq compares two elements on their rows; no
+LaurentQ is built between the expansion and the verdict.
 """
 
 from __future__ import annotations
@@ -119,6 +121,16 @@ class LaurentQ:
         self.terms = {low2 + step * i: c for i, c in enumerate(row) if c}
         return self
 
+    def row(self):
+        """(low2, step, row, order2) that _from_row turns back into self: row
+        runs from the lowest exponent to the highest, on step 2 when every
+        exponent has the parity of the lowest."""
+        exps = list(self.terms)
+        low2 = exps[0] if exps else 0
+        step = 1 if any((e - low2) & 1 for e in exps) else 2
+        high2 = exps[-1] + 1 if exps else low2
+        return low2, step, [self.terms.get(e, 0) for e in range(low2, high2, step)], self.order2
+
     @property
     def low2(self) -> Optional[int]:
         """The lowest exponent, None for zero."""
@@ -184,18 +196,6 @@ class LaurentQ:
     def shifted(self, d2):
         """Multiply by q^(d2/2)."""
         return LaurentQ({e + d2: c for e, c in self.terms.items()}, self.order2 + d2)
-
-    def compare_upto(self, other, bound2):
-        """Earliest differing exponent below bound2, or None if equal there."""
-        if min(self.order2, other.order2) < bound2:
-            raise ValidityError("coefficients not valid far enough for this comparison")
-        exps = sorted(set(self.terms) | set(other.terms))
-        for e in exps:
-            if e >= bound2:
-                break
-            if self.terms.get(e, 0) != other.terms.get(e, 0):
-                return e
-        return None
 
     def render(self):
         return render_terms((c, [] if not e else ["q" if e == 2 else f"q^{{{Fraction(e, 2)}}}"])
@@ -280,18 +280,45 @@ def _product_order2(pairs):
 
 
 class NCElement:
-    """Map from normal-ordered exponent vectors to LaurentQ coefficients."""
+    """Map from normal-ordered exponent vectors to coefficients.
 
-    __slots__ = ("algebra", "xdeg", "terms")
+    Each coefficient is a row (low2, step, row, order2): row[i] is the
+    coefficient of q^((low2 + step*i)/2), every slot lies below the validity
+    order order2, and an exponent that no slot covers below it is zero.
+    Every row has a nonzero slot.  terms, the {exps: LaurentQ} view that the
+    reference arithmetic reads, is built when first read."""
+
+    __slots__ = ("algebra", "xdeg", "rows", "_terms")
 
     def __init__(self, algebra, xdeg, terms=None):
+        """From LaurentQ coefficients; those at or past x-degree xdeg and the
+        zero ones are dropped."""
         self.algebra = algebra
         self.xdeg = xdeg
-        self.terms = {}
-        if terms:
-            for exps, coeff in terms.items():
-                if sum(exps) < xdeg and not coeff.is_zero():
-                    self.terms[tuple(exps)] = coeff
+        self.rows = {tuple(exps): coeff.row() for exps, coeff in (terms or {}).items()
+                     if sum(exps) < xdeg and not coeff.is_zero()}
+        self._terms = None
+
+    @classmethod
+    def from_rows(cls, algebra, xdeg, rows):
+        """From {exps: (low2, step, row, order2)} with every exps below
+        x-degree xdeg; rows with no nonzero slot are dropped, and the lists
+        are kept, not copied."""
+        self = cls(algebra, xdeg)
+        self.rows = {exps: r for exps, r in rows.items() if any(r[2])}
+        return self
+
+    @property
+    def terms(self):
+        if self._terms is None:
+            self._terms = {exps: LaurentQ._from_row(low2, row, order2, step)
+                           for exps, (low2, step, row, order2) in self.rows.items()}
+        return self._terms
+
+    def absent_order2(self):
+        """The validity order of a coefficient that has no row: the least
+        order2 of the rows."""
+        return min((r[3] for r in self.rows.values()), default=1 << 60)
 
     @classmethod
     def unit(cls, algebra, xdeg, order2):
@@ -341,7 +368,7 @@ class NCElement:
                     key = tuple(map(add, ea, eb))
                     p2 = monomial_merge_power2(alg, ea, eb)
                     groups.setdefault(key, []).append((ca, cb, p2))
-        return NCElement(alg, xdeg, {key: type(pairs[0][0]).sum_of_products(pairs)
+        return NCElement(alg, xdeg, {key: LaurentQ.sum_of_products(pairs)
                                      for key, pairs in groups.items()})
 
     def coefficient(self, exps) -> LaurentQ:
@@ -351,8 +378,7 @@ class NCElement:
         hit = self.terms.get(exps)
         if hit is not None:
             return hit
-        return LaurentQ.zero(min((c.order2 for c in self.terms.values()),
-                                 default=1 << 60))
+        return LaurentQ.zero(self.absent_order2())
 
     def render(self):
         if not self.terms:
@@ -405,20 +431,42 @@ def nc_eq(a: NCElement, b: NCElement, qorder) -> NCCompareResult:
     """Monomial-by-monomial comparison up to min x-degree and the given q-order.
 
     Mismatches are reported at the smallest (total degree, exponent vector),
-    then lowest q-power, so a failure localizes the first bad factor.
+    then lowest q-power, so a failure localizes the first bad factor.  A
+    monomial with no row on one side has a zero coefficient there, valid
+    through that side's absent_order2; every coefficient compared must be
+    valid through qorder (ValidityError).  Two rows on one grid agree when
+    their slots below qorder do; only a pair that does not is read exponent
+    by exponent.
     """
     qorder2 = twice_of(qorder)
     xdeg = min(a.xdeg, b.xdeg)
-    keys = {e for e in a.terms if sum(e) < xdeg} | {e for e in b.terms if sum(e) < xdeg}
+    rows_a, rows_b = a.rows, b.rows
+    absent_a, absent_b = a.absent_order2(), b.absent_order2()
+    keys = {e for e in rows_a if sum(e) < xdeg} | {e for e in rows_b if sum(e) < xdeg}
     for exps in sorted(keys, key=lambda e: (sum(e), e)):
-        ca = a.coefficient(exps)
-        cb = b.coefficient(exps)
-        e = ca.compare_upto(cb, qorder2)
-        if e is not None:
+        ra, rb = rows_a.get(exps), rows_b.get(exps)
+        if min(ra[3] if ra else absent_a, rb[3] if rb else absent_b) < qorder2:
+            raise ValidityError("coefficients not valid far enough for this comparison")
+        if ra and rb and ra[0] == rb[0] and ra[1] == rb[1]:
+            n = (qorder2 - ra[0] + ra[1] - 1) // ra[1]     # slots below qorder
+            if n <= 0 or ra[2][:n] == rb[2][:n]:
+                continue
+        ta, tb = _slots(ra, qorder2), _slots(rb, qorder2)
+        diff = [e for e in ta.keys() | tb.keys() if ta.get(e, 0) != tb.get(e, 0)]
+        if diff:
+            e = min(diff)
             return NCCompareResult(False, xdeg, qorder2,
-                                   NCMismatch(exps, Fraction(e, 2),
-                                              ca.terms.get(e, 0), cb.terms.get(e, 0)))
+                                   NCMismatch(exps, Fraction(e, 2), ta.get(e, 0), tb.get(e, 0)))
     return NCCompareResult(True, xdeg, qorder2)
+
+
+def _slots(r, bound2):
+    """{exponent: coefficient} of the nonzero slots of row r below bound2;
+    empty for None."""
+    if r is None:
+        return {}
+    low2, step, row, _order2 = r
+    return {low2 + step * i: c for i, c in enumerate(row) if c and low2 + step * i < bound2}
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +676,8 @@ def expand_dilog_product(algebra, factors, xdeg, qorder, budget=None) -> NCEleme
         if plan[0] != step:
             rows, step = _spread(rows), plan[0]
         rows = _mul_dilog(rows, plan, start)
-    return NCElement(algebra, xdeg, {a: LaurentQ._from_row(low2, rows[a], order2 + start, step)
-                                     for a, (low2, order2) in plans[-1][2].items()})
+    return NCElement.from_rows(algebra, xdeg, {a: (low2, step, rows[a], order2 + start)
+                                               for a, (low2, order2) in plans[-1][2].items()})
 
 
 # -- pentagon ----------------------------------------------------------------

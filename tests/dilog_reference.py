@@ -1,10 +1,15 @@
-"""Reference expansion of dilogarithm products for the padding and budget
-tests: every factor starts at the generous order twice_of(qorder) +
-2*xdeg^2 + 8, the products are taken pair by pair (reference_product), and
-their monomial pairs are counted by brute force.  bound_product is the
-padding pass that NCElement.__mul__ runs over bound-only coefficients: with
-bound_padding, the oracle of the order qweyl._plan_product gives and of the
-validity order of every coefficient qweyl.expand_dilog_product builds."""
+"""Reference expansion and comparison of dilogarithm products for the
+padding, budget and comparison tests: every factor starts at the generous
+order twice_of(qorder) + 2*xdeg^2 + 8, the products are taken pair by pair
+(reference_product), and their monomial pairs are counted by brute force.
+bound_product is the padding pass over bound-only coefficients, their pairs
+summed as NCElement.__mul__ sums LaurentQ ones: with bound_padding, the
+oracle of the order qweyl._plan_product gives and of the validity order of
+every coefficient qweyl.expand_dilog_product builds.  reference_nc_eq
+compares two elements through their LaurentQ view, coefficient by
+coefficient with compare_upto: the oracle of qweyl.nc_eq on rows."""
+
+from fractions import Fraction
 
 from qident import qweyl
 from qident.halfint import twice_of
@@ -65,19 +70,31 @@ class Bound:
                    qweyl._product_order2(pairs))
 
 
+def bound_mul(alg, xdeg, left, right):
+    """The {monomial: Bound} product of two {monomial: Bound} maps below
+    x-degree xdeg: the pairs that merge into each monomial, grouped and
+    summed as NCElement.__mul__ does, by Bound.sum_of_products."""
+    groups = {}
+    for ea, ca in left.items():
+        for eb, cb in right.items():
+            if sum(ea) + sum(eb) < xdeg:
+                key = tuple(x + y for x, y in zip(ea, eb))
+                groups.setdefault(key, []).append(
+                    (ca, cb, qweyl.monomial_merge_power2(alg, ea, eb)))
+    return {key: Bound.sum_of_products(pairs) for key, pairs in groups.items()}
+
+
 def bound_product(alg, factors, xdeg):
     """(product, monomial pairs): the factors multiplied left to right by
-    NCElement.__mul__ with Bound coefficients started at order 0, and the
-    monomial pairs below xdeg that those products visit."""
+    bound_mul with Bound coefficients started at order 0, and the monomial
+    pairs below xdeg that those products visit."""
     acc, pairs = None, 0
     for (s, sh, w) in factors:
-        elem = qweyl.NCElement(alg, xdeg, {
-            exps: Bound(base2, 0)
-            for exps, _n, base2, _sign in qweyl._dilog_terms(alg, s, sh, w, xdeg)})
+        elem = {exps: Bound(base2, 0)
+                for exps, _n, base2, _sign in qweyl._dilog_terms(alg, s, sh, w, xdeg)}
         if acc is not None:
-            pairs += sum(1 for ea in acc.terms for eb in elem.terms
-                         if sum(ea) + sum(eb) < xdeg)
-            elem = acc * elem
+            pairs += sum(1 for ea in acc for eb in elem if sum(ea) + sum(eb) < xdeg)
+            elem = bound_mul(alg, xdeg, acc, elem)
         acc = elem
     return acc, pairs
 
@@ -86,4 +103,42 @@ def bound_padding(alg, factors, xdeg, qorder):
     """(padded order2, monomial pairs) of bound_product: the order the
     factors must start at for every bound to reach qorder."""
     acc, pairs = bound_product(alg, factors, xdeg)
-    return twice_of(qorder) - min((c.order2 for c in acc.terms.values()), default=0), pairs
+    return twice_of(qorder) - min((c.order2 for c in acc.values()), default=0), pairs
+
+
+def compare_upto(a, b, bound2):
+    """The earliest exponent below bound2 where the LaurentQ coefficients a
+    and b differ, or None if they agree there; ValidityError when either is
+    not valid through bound2."""
+    if min(a.order2, b.order2) < bound2:
+        raise qweyl.ValidityError("coefficients not valid far enough for this comparison")
+    for e in sorted(set(a.terms) | set(b.terms)):
+        if e >= bound2:
+            break
+        if a.terms.get(e, 0) != b.terms.get(e, 0):
+            return e
+    return None
+
+
+def _coefficient(elem, exps):
+    """elem's LaurentQ at exps; a zero one valid through the least order2 of
+    its coefficients where it has none."""
+    hit = elem.terms.get(exps)
+    if hit is not None:
+        return hit
+    return qweyl.LaurentQ.zero(min((c.order2 for c in elem.terms.values()), default=1 << 60))
+
+
+def reference_nc_eq(a, b, qorder):
+    """qweyl.nc_eq read off the terms views: monomials in (total degree,
+    exponents) order, each pair of coefficients compared by compare_upto."""
+    qorder2 = twice_of(qorder)
+    xdeg = min(a.xdeg, b.xdeg)
+    keys = {e for e in a.terms if sum(e) < xdeg} | {e for e in b.terms if sum(e) < xdeg}
+    for exps in sorted(keys, key=lambda e: (sum(e), e)):
+        ca, cb = _coefficient(a, exps), _coefficient(b, exps)
+        e = compare_upto(ca, cb, qorder2)
+        if e is not None:
+            return qweyl.NCCompareResult(False, xdeg, qorder2, qweyl.NCMismatch(
+                exps, Fraction(e, 2), ca.terms.get(e, 0), cb.terms.get(e, 0)))
+    return qweyl.NCCompareResult(True, xdeg, qorder2)

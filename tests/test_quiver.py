@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -199,6 +200,18 @@ class TestBoxWalk:
                 got = _box(qv, kmax, order)
                 assert got == want
                 assert seen == want_args
+
+    @pytest.mark.parametrize("order", [Fraction(1, 2), Fraction(13, 2)])
+    def test_half_integer_order_matches_per_k_path(self, monkeypatch, order):
+        # the level sum runs at the next integer order, so its rows are
+        # trimmed to the box's order before they are compared
+        seen = _recording_series_eq(monkeypatch)
+        qv = QuiverA(3, ("R", "L"))
+        want = _per_k(qv, (2, 2, 2), order)
+        want_args = list(seen)
+        seen.clear()
+        assert _box(qv, (2, 2, 2), order) == want
+        assert seen == want_args
 
     @pytest.mark.parametrize("rank,kmaxes", [
         (1, [(0,), (3,)]),

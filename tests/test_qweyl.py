@@ -12,8 +12,8 @@ from qident.nahm import BudgetExceeded
 from qident.poly import SparsePoly
 from qident.qweyl import LaurentQ, NCAlgebra, NCElement
 
-from dilog_reference import (Bound, bound_padding, bound_product, generous_expansion,
-                             reference_product)
+from dilog_reference import (Bound, bound_mul, bound_padding, bound_product, compare_upto,
+                             generous_expansion, reference_nc_eq, reference_product)
 
 
 def a_type(nvars):
@@ -65,9 +65,9 @@ class TestLaurent:
     def test_compare_needs_validity(self):
         f = LaurentQ({0: 1}, 4)
         g = LaurentQ({0: 1}, 4)
-        assert f.compare_upto(g, 4) is None
+        assert compare_upto(f, g, 4) is None
         with pytest.raises(qweyl.ValidityError):
-            f.compare_upto(g, 6)
+            compare_upto(f, g, 6)
 
 
 class TestNCElement:
@@ -251,10 +251,10 @@ class TestPadding:
                 padded, _ = bound_padding(alg, factors, xdeg, qorder)
                 bounds, _ = bound_product(alg, factors, xdeg)
                 for exps, c in got.terms.items():
-                    assert c.order2 == padded + bounds.terms[exps].order2, (name, exps)
+                    assert c.order2 == padded + bounds[exps].order2, (name, exps)
                 for exps in set(got.terms) | set(want.terms):
                     g, w = got.coefficient(exps), want.coefficient(exps)
-                    assert g.compare_upto(w, bound2) is None, (name, xdeg, qorder, exps)
+                    assert compare_upto(g, w, bound2) is None, (name, xdeg, qorder, exps)
 
     @pytest.mark.parametrize("name,alg,lhs,rhs", PADDING_CASES,
                              ids=[c[0] for c in PADDING_CASES])
@@ -345,7 +345,8 @@ class TestProductAgainstReference:
 
 class TestPaddingPlan:
     """_plan_product walks the factor-wise plan; the padding pass that
-    multiplies bound-only coefficients with NCElement.__mul__ is its oracle."""
+    multiplies bound-only coefficients the way NCElement.__mul__ multiplies
+    LaurentQ ones is its oracle."""
 
     @pytest.mark.parametrize("name,alg,lhs,rhs", PRODUCT_CASES,
                              ids=[c[0] for c in PRODUCT_CASES])
@@ -385,13 +386,10 @@ def _mul_dilog_on_plan(alg, acc, factor, xdeg, start):
 
 def _bound_mul(alg, acc, factor, xdeg, start):
     """The Bound oracle of acc times a factor started at start: the padding
-    pass's NCElement.__mul__ over Bound coefficients, orders counted from
-    start."""
-    left = NCElement(alg, xdeg, {exps: Bound(c.low2, c.order2 - start)
-                                 for exps, c in acc.terms.items()})
-    right = NCElement(alg, xdeg, {exps: Bound(base2, 0)
-                                  for exps, _n, base2, _s in qweyl._dilog_terms(alg, *factor, xdeg)})
-    return left * right
+    pass's product of Bound coefficients, orders counted from start."""
+    left = {exps: Bound(c.low2, c.order2 - start) for exps, c in acc.terms.items()}
+    right = {exps: Bound(base2, 0) for exps, _n, base2, _s in qweyl._dilog_terms(alg, *factor, xdeg)}
+    return bound_mul(alg, xdeg, left, right)
 
 
 @st.composite
@@ -433,10 +431,10 @@ class TestMulDilog:
         got, step = _mul_dilog_on_plan(alg, acc, factor, xdeg, start)
         exact, ref = acc * phi, reference_product(acc, phi)
         bounds = _bound_mul(alg, acc, factor, xdeg, start)
-        assert set(got) == set(bounds.terms)
+        assert set(got) == set(bounds)
         assert set(exact.terms) <= set(got) and set(ref.terms) <= set(got)
         for exps, (terms, order2) in got.items():
-            assert order2 == bounds.terms[exps].order2 + start, exps
+            assert order2 == bounds[exps].order2 + start, exps
             for want in (exact, ref):
                 w = want.terms.get(exps)
                 if w is not None:
@@ -522,8 +520,8 @@ class TestParityGrid:
         want, _pairs = generous_expansion(_PLANE, _MIXED, xdeg, qorder)
         assert set(got.terms) == set(want.terms)
         for exps in want.terms:
-            assert got.coefficient(exps).compare_upto(want.coefficient(exps),
-                                                      twice_of(qorder)) is None
+            assert compare_upto(got.coefficient(exps), want.coefficient(exps),
+                                twice_of(qorder)) is None
 
     @pytest.mark.parametrize("name,alg,lhs,rhs", PRODUCT_CASES,
                              ids=[c[0] for c in PRODUCT_CASES])
@@ -636,3 +634,196 @@ class TestD4Transcription:
                     lam = lam + SparsePoly.variable(names, lab) * c
             want = want - lam * lam * Fraction(1, 2)
         assert P == want
+
+
+# -- rows: the coefficient representation, its view and its comparison ---------
+
+def _regrid(row, lower, spread, tail):
+    """The same coefficient on another grid: its low2 moved down by lower
+    slots, a step-2 row spread to step 1 when spread, tail zeros appended."""
+    low2, step, coeffs, order2 = row
+    if spread and step == 2:
+        wide = [0] * (2 * len(coeffs))
+        wide[::2] = coeffs
+        coeffs, step = wide, 1
+    coeffs = [0] * lower + coeffs + [0] * tail
+    low2 -= lower * step
+    return low2, step, coeffs, max(order2, low2 + step * len(coeffs))
+
+
+@st.composite
+def _rows(draw):
+    """A row (low2, step, coeffs, order2), every slot below order2; zeros are
+    frequent, so all-zero rows are too."""
+    low2, step = draw(st.integers(-6, 6)), draw(st.sampled_from((1, 2)))
+    coeffs = draw(st.lists(st.sampled_from((0, 0, 1, -1, 2)), min_size=1, max_size=6))
+    return low2, step, coeffs, low2 + step * len(coeffs) + draw(st.integers(1 - step, 6))
+
+
+_MONOMIALS = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+@st.composite
+def _row_pairs(draw):
+    """(rows of a, rows of b, xdeg of a, xdeg of b, qorder): b's row at each
+    monomial of a is a's, a's on another grid, a's list on the other step,
+    a's with one slot changed, an all-zero row, a fresh row or none, and b
+    may hold monomials a lacks."""
+    rows_a = draw(st.dictionaries(_MONOMIALS, _rows(), min_size=1, max_size=5))
+    rows_b = draw(st.dictionaries(_MONOMIALS, _rows(), max_size=2))
+    for exps, row in rows_a.items():
+        how = draw(st.sampled_from(("same", "regrid", "regrid", "restep", "changed", "changed",
+                                    "zero", "fresh", "absent")))
+        low2, step, coeffs, order2 = row
+        if how == "same":
+            rows_b[exps] = row
+        elif how == "regrid":
+            rows_b[exps] = _regrid(row, draw(st.integers(0, 2)), draw(st.booleans()),
+                                   draw(st.integers(0, 2)))
+        elif how == "restep":
+            rows_b[exps] = low2, 3 - step, coeffs, max(order2, low2 + (3 - step) * len(coeffs))
+        elif how == "changed" and coeffs:
+            i = draw(st.integers(0, len(coeffs) - 1))
+            changed = list(coeffs)
+            changed[i] += draw(st.sampled_from((-1, 1, 3)))
+            rows_b[exps] = low2, step, changed, order2
+        elif how == "zero":
+            rows_b[exps] = low2, step, [0] * len(coeffs), order2
+        elif how == "fresh":
+            rows_b[exps] = draw(_rows())
+        else:
+            rows_b.pop(exps, None)
+    return (rows_a, rows_b, draw(st.integers(2, 6)), draw(st.integers(2, 6)),
+            Fraction(draw(st.integers(-6, 20)), 2))
+
+
+def _verdict(compare, a, b, qorder):
+    try:
+        return compare(a, b, qorder)
+    except qweyl.ValidityError:
+        return "ValidityError"
+
+
+class TestRowCompare:
+    """nc_eq on rows against reference_nc_eq on the LaurentQ view: the same
+    verdict, the same first mismatch (monomial, q-exponent and both
+    coefficients), and ValidityError in the same cases."""
+
+    @staticmethod
+    def _check(rows_a, rows_b, xdeg_a, xdeg_b, qorder):
+        """nc_eq of the elements of these rows against reference_nc_eq of
+        the elements of their LaurentQ coefficients; returns the verdict."""
+        def laurent(row):
+            low2, step, coeffs, order2 = row
+            return LaurentQ({low2 + step * i: c for i, c in enumerate(coeffs)}, order2)
+
+        got = _verdict(qweyl.nc_eq, *(
+            NCElement.from_rows(_PLANE, x, {e: r for e, r in rows.items() if sum(e) < x})
+            for rows, x in ((rows_a, xdeg_a), (rows_b, xdeg_b))), qorder)
+        want = _verdict(reference_nc_eq, *(
+            NCElement(_PLANE, x, {e: laurent(r) for e, r in rows.items()})
+            for rows, x in ((rows_a, xdeg_a), (rows_b, xdeg_b))), qorder)
+        assert got == want
+        return got
+
+    @settings(max_examples=300, deadline=None)
+    @given(_row_pairs())
+    # x1 only on one side: its coefficient 1 at q^(-1/2) against none
+    @example(({(1, 0): (-1, 2, [1], 10)}, {(0, 0): (0, 2, [1], 10)}, 3, 3, 4))
+    # an all-zero row counts as no row, on either side
+    @example(({(0, 1): (0, 2, [0, 0], 10)}, {}, 3, 3, 4))
+    # one coefficient on step-2 and step-1 grids from different low2
+    @example(({(1, 1): (0, 2, [1, 0, 3], 10)}, {(1, 1): (-2, 1, [0, 0, 1, 0, 0, 0, 3], 9)},
+              3, 3, 4))
+    # x2 is absent from a, whose least order2 (6, at x1) is its validity
+    @example(({(0, 0): (0, 2, [1], 20), (1, 0): (0, 2, [1], 6)},
+              {(0, 0): (0, 2, [1], 20), (0, 1): (0, 2, [1], 20), (1, 0): (0, 2, [1], 20)},
+              3, 3, 4))
+    # the least order2 of a sits at a monomial past b's x-degree
+    @example(({(0, 0): (0, 2, [1], 20), (2, 0): (0, 2, [1], 6)},
+              {(0, 0): (0, 2, [1], 20), (0, 1): (0, 2, [2], 20)}, 3, 2, 2))
+    def test_agrees_with_reference(self, case):
+        self._check(*case)
+
+    def test_cases(self):
+        one = (0, 2, [1], 20)
+        # only one side has x1x2; the other side's coefficient is 0
+        got = self._check({(0, 0): one, (1, 1): (-2, 2, [1], 20)}, {(0, 0): one}, 4, 4, 5)
+        assert got.mismatch == qweyl.NCMismatch((1, 1), Fraction(-1), 1, 0)
+        # an all-zero row is no row: equal
+        assert self._check({(0, 0): one, (1, 0): (0, 2, [0, 0], 20)}, {(0, 0): one}, 4, 4, 5)
+        # one coefficient on two grids: equal; a changed slot: mismatch there
+        assert self._check({(1, 0): (0, 2, [1, 0, 3], 20)},
+                           {(1, 0): (-2, 1, [0, 0, 1, 0, 0, 0, 3, 0], 20)}, 4, 4, 5)
+        got = self._check({(1, 0): (0, 2, [1, 0, 3], 20)},
+                          {(1, 0): (-2, 1, [0, 0, 1, 0, 0, 0, 2], 20)}, 4, 4, 5)
+        assert got.mismatch == qweyl.NCMismatch((1, 0), Fraction(2), 3, 2)
+        # one list from one low2 on two steps is two coefficients
+        got = self._check({(1, 0): (0, 2, [1, 0, 3], 20)}, {(1, 0): (0, 1, [1, 0, 3], 20)},
+                          4, 4, 5)
+        assert got.mismatch == qweyl.NCMismatch((1, 0), Fraction(1), 0, 3)
+        # past the q-order nothing is read
+        assert self._check({(1, 0): (0, 2, [1, 0, 3], 20)},
+                           {(1, 0): (0, 2, [1, 0, 2], 20)}, 4, 4, 2)
+        # x2, absent from a, is valid only through a's least order2
+        a = {(0, 0): one, (1, 0): (0, 2, [1], 6)}
+        b = {(0, 0): one, (0, 1): (0, 2, [1], 20), (1, 0): (0, 2, [1], 20)}
+        assert self._check(a, b, 4, 4, 4) == "ValidityError"
+        assert self._check(a, b, 4, 4, 3).mismatch.exps == (0, 1)
+
+
+_VIEW_PRODUCTS = [
+    ("pentagon-plain", _PLANE, qweyl.pentagon_factors("plain"), 9, 32),
+    ("pentagon-shifted", _PLANE, qweyl.pentagon_factors("shifted"), 8, 24),
+    ("pentagon-control", _PLANE, qweyl.pentagon_factors("plain", True), 6, 20),
+    *((f"a{n}", NCAlgebra.from_cartan(f"a{n}"), qweyl.ordered_product_factors(f"a{n}"), 6, 20)
+      for n in range(2, 7)),
+    ("d4", _D4, qweyl.ordered_product_factors("d4"), 7, 20),
+]
+
+
+def _row_dicts(alg, factors, xdeg, qorder):
+    """{monomial: (terms, order2)} of the product's rows made LaurentQ by
+    LaurentQ._from_row, zero ones dropped: the coefficients the expansion
+    built before it kept its rows."""
+    start, plans = qweyl._plan_product(alg, factors, xdeg, qorder)
+    rows, step = {(0,) * alg.generator_count: [1]}, 2
+    for plan in plans:
+        if plan[0] != step:
+            rows, step = qweyl._spread(rows), plan[0]
+        rows = qweyl._mul_dilog(rows, plan, start)
+    out = {}
+    for a, (low2, order2) in plans[-1][2].items():
+        c = LaurentQ._from_row(low2, rows[a], order2 + start, step)
+        if c.terms:
+            out[a] = (c.terms, c.order2)
+    return out
+
+
+class TestRowView:
+    @pytest.mark.parametrize("name,alg,sides,xdeg,qorder", _VIEW_PRODUCTS,
+                             ids=[c[0] for c in _VIEW_PRODUCTS])
+    def test_terms_view_of_shipped_products(self, name, alg, sides, xdeg, qorder):
+        for factors in sides:
+            got = qweyl.expand_dilog_product(alg, factors, xdeg, qorder)
+            assert _coefficients(got) == _row_dicts(alg, factors, xdeg, qorder)
+
+    def test_reference_elements_round_trip(self):
+        """Elements of NCElement.__mul__, dilog and dilog_inv hold the rows
+        that their own terms view converts back to."""
+        for alg, (lhs, rhs), xdeg in ((_PLANE, qweyl.pentagon_factors("shifted"), 6),
+                                      (_D4, qweyl.ordered_product_factors("d4"), 4)):
+            elems = [qweyl.dilog(alg, *f, xdeg, 24) for f in lhs]
+            elems += [qweyl.dilog_inv(alg, *f, xdeg, 24) for f in rhs]
+            elems.append(elems[0] * elems[-1])
+            for elem in elems:
+                again = NCElement(alg, xdeg, elem.terms)
+                assert again.rows == elem.rows
+                assert _coefficients(again) == _coefficients(elem)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(_ALGEBRAS), _ELEMS, st.integers(1, 5))
+    def test_laurent_coefficients_convert_exactly(self, alg, terms, xdeg):
+        elem = NCElement(alg, xdeg, terms)
+        assert _coefficients(elem) == {tuple(e): (c.terms, c.order2) for e, c in terms.items()
+                                       if sum(e) < xdeg and c.terms}
