@@ -430,9 +430,13 @@ def parse_relation_line(ring: WeightedRing, line):
     """One relation per line; chains a = b = c expand to a-b and b-c.
 
     Terms look like `2*E[1,2]*E[2,3]` or `-W13*V24`; monomial factors are
-    generator names, coefficients are integers.
+    generator names, coefficients are integers.  An empty side of a chain
+    is refused, not skipped.
     """
-    polys = [_parse_side(ring, s) for s in map(str.strip, line.split("=")) if s]
+    sides = [s.strip() for s in line.split("=")]
+    if not all(sides):
+        raise ValueError(f"relation {line!r} has an empty side")
+    polys = [_parse_side(ring, s) for s in sides]
     out = [a - b for a, b in zip(polys, polys[1:])] or polys
     if any(p.is_zero() for p in out):
         raise ValueError(f"relation {line!r} is zero")
@@ -450,7 +454,7 @@ def _parse_side(ring, text):
         for factor in part.split("*"):
             factor = factor.strip()
             if not factor:
-                continue
+                raise ValueError(f"term {part!r} has an empty factor")
             if re.fullmatch(r"\d+", factor):
                 coeff *= int(factor)
             elif _TOKEN.fullmatch(factor):

@@ -508,14 +508,15 @@ def compute_bound(spec: NahmSumSpec, order, charge_box=None) -> EnumerationBound
         per_var = [math.isqrt(max(order2 // x, 0)) if x else c for x, c in zip(diag2, caps)]
         strategy, table = "all_nonneg", (1, g, [(x, 1, 0) for x in diag2], cross2, lin2)
     else:
+        refusal = CoercivityError(
+            "quadratic form is neither all-nonnegative with positive diagonal "
+            "nor positive definite with a zero linear part; refusing to enumerate")
         if any(lin2):
-            raise CoercivityError("positive-definite strategy requires a zero linear part")
+            raise refusal
         try:
             D, M = _reverse_ldl(spec.quad)
         except CoercivityError:
-            raise CoercivityError(
-                "quadratic form is neither all-nonnegative with positive diagonal "
-                "nor positive definite; refusing to enumerate") from None
+            raise refusal from None
         per_var = [_max_v_strict(Fraction(order2, 2) * w) for w in _inverse_diagonal(D, M)]
         l = spec.nvars
         den = math.lcm(*(x.denominator for row in M for x in row))

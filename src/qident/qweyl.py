@@ -5,11 +5,9 @@ matrix eps.  Elements are truncated in two directions at once: total x-degree
 (exclusive bound xdeg) and q-order; coefficients are Laurent polynomials in
 q^(1/2), each kept as one dense row, whose validity order is tracked through
 every multiplication, so a comparison can certify exactly how far it is
-meaningful.  A product of elements fixes each output coefficient's validity
-order first, as the least that any monomial pair merging into it gets under
-the LaurentQ rules (_product_order2), and then multiplies only the terms
-below that order; the result is the one summing the shifted pairwise LaurentQ
-products would give, term for term and in validity order.
+meaningful.  The product of two elements sums, over the monomial pairs, each
+pair's LaurentQ product shifted by its merge power: LaurentQ.__mul__, shifted
+and __add__ alone set every coefficient's terms and validity order.
 
 Inside, every q-exponent is a doubled int (order2, base2, e2).  Factor
 shifts come in as ints or Fractions, normal-ordering powers are ints, and
@@ -172,27 +170,6 @@ class LaurentQ:
 
     __rmul__ = __mul__
 
-    @classmethod
-    def sum_of_products(cls, pairs):
-        """Sum of q^(p2/2) * a * b over the (a, b, p2) in pairs, every a and b
-        nonzero: term for term and in order2 the sum of the
-        (a * b).shifted(p2), built without them.  order2 comes first, from
-        _product_order2, and each product stops below it."""
-        order2 = _product_order2(pairs)
-        acc = {}
-        for a, b, p2 in pairs:
-            b_low, b_items = b.low2, b.terms.items()
-            for e1, c1 in a.terms.items():
-                s = e1 + p2
-                if s + b_low >= order2:
-                    break
-                for e2, c2 in b_items:
-                    e = s + e2
-                    if e >= order2:
-                        break
-                    acc[e] = acc.get(e, 0) + c1 * c2
-        return cls(acc, order2)
-
     def shifted(self, d2):
         """Multiply by q^(d2/2)."""
         return LaurentQ({e + d2: c for e, c in self.terms.items()}, self.order2 + d2)
@@ -209,16 +186,6 @@ class LaurentQ:
 # words and normal ordering
 # ---------------------------------------------------------------------------
 
-def word_inversions(algebra, word):
-    """Sum of eps over inverted letter pairs (the q-power of one bubble sort)."""
-    total = 0
-    for s in range(len(word)):
-        for t in range(s + 1, len(word)):
-            if word[s] > word[t]:
-                total += algebra.eps_of(word[s], word[t])
-    return total
-
-
 def word_cross(algebra, left, right):
     """Sum of eps over pairs (a in left, b in right) with a > b: the q-power
     created when a copy of `right` is pushed through a copy of `left`."""
@@ -228,6 +195,12 @@ def word_cross(algebra, left, right):
             if a > b:
                 total += algebra.eps_of(a, b)
     return total
+
+
+def word_inversions(algebra, word):
+    """Sum of eps over inverted letter pairs (the q-power of one bubble sort):
+    each letter crossed with the letters after it."""
+    return sum(word_cross(algebra, word[s:s + 1], word[s + 1:]) for s in range(len(word)))
 
 
 def normal_order(algebra, word, power=1):
@@ -250,34 +223,16 @@ def normal_order(algebra, word, power=1):
 
 
 def monomial_merge_power2(algebra, a_exps, b_exps):
-    """Doubled q-power from concatenating normal monomials x^a * x^b."""
-    total = 0
-    g = algebra.generator_count
-    for i in range(g):
-        ai = a_exps[i]
-        if not ai:
-            continue
-        for j in range(i):
-            bj = b_exps[j]
-            if bj:
-                total += algebra.eps[i][j] * ai * bj
-    return 2 * total
+    """Doubled q-power from concatenating normal monomials x^a * x^b: twice
+    the cross power of the two monomials spelled as words."""
+    def spelled(exps):
+        return [g for g, e in enumerate(exps, 1) for _ in range(e)]
+    return 2 * word_cross(algebra, spelled(a_exps), spelled(b_exps))
 
 
 # ---------------------------------------------------------------------------
 # elements
 # ---------------------------------------------------------------------------
-
-def _product_order2(pairs):
-    """order2 of the sum of q^(p2/2) * a * b over the (a, b, p2) in pairs, by
-    the rule LaurentQ.__mul__ and shifted apply to nonzero a and b: the
-    unknown tail of each factor, from its order2 on, meets the other's lowest
-    exponent; a sum is valid as far as its least valid piece.  a and b are
-    anything with low2 and order2, such as LaurentQ coefficients.  _plan
-    applies the same rule to (low2, order2) pairs."""
-    return min(min(a.order2 + min(b.low2, 0), b.order2 + min(a.low2, 0)) + p2
-               for a, b, p2 in pairs)
-
 
 class NCElement:
     """Map from normal-ordered exponent vectors to coefficients.
@@ -349,27 +304,21 @@ class NCElement:
     def __mul__(self, other):
         """Product below the smaller x-degree bound.  Each output monomial's
         coefficient is the sum, over the monomial pairs that merge into it,
-        of the pair's coefficient product shifted by its merge power; the
-        pairs are grouped by monomial first, so that the coefficient class
-        builds each sum in one step (LaurentQ.sum_of_products: order2 first,
-        then only the terms below it)."""
+        of the pair's coefficient product shifted by its merge power."""
         if not isinstance(other, NCElement):
             return NotImplemented
         if self.algebra is not other.algebra:
             raise ValueError("algebra mismatch")
         alg = self.algebra
         xdeg = min(self.xdeg, other.xdeg)
-        right = [(eb, sum(eb), cb) for eb, cb in other.terms.items()]
-        groups = {}
+        out = {}
         for ea, ca in self.terms.items():
-            room = xdeg - sum(ea)
-            for eb, db, cb in right:
-                if db < room:
+            for eb, cb in other.terms.items():
+                if sum(ea) + sum(eb) < xdeg:
                     key = tuple(map(add, ea, eb))
-                    p2 = monomial_merge_power2(alg, ea, eb)
-                    groups.setdefault(key, []).append((ca, cb, p2))
-        return NCElement(alg, xdeg, {key: LaurentQ.sum_of_products(pairs)
-                                     for key, pairs in groups.items()})
+                    piece = (ca * cb).shifted(monomial_merge_power2(alg, ea, eb))
+                    out[key] = out[key] + piece if key in out else piece
+        return NCElement(alg, xdeg, out)
 
     def coefficient(self, exps) -> LaurentQ:
         exps = tuple(exps)
@@ -527,37 +476,39 @@ def _plan(algebra, sources, factor, xdeg, step):
     n-th term sign * q^(base2/2) x^(n*beta) / (q)_n, known below order 0
     here.  The merge power is bilinear, so the pair (a, n) lands at a +
     n*beta shifted by n*p2 + base2, where p2 is the merge power of a and
-    beta: its lowest exponent is at least low2 + n*p2 + base2, and
-    _product_order2's rule gives its order2.  Returns the plan (step, terms,
-    targets, work) that _mul_dilog fills.  terms lists the factor's (n,
-    base2, sign) below x-degree xdeg, by ascending n.  targets maps each
-    monomial to its bound [the least lowest exponent of its pairs, the least
-    order2 of them].  work lists each source as (a, pairs), pairs[n] the
-    (target, lowest exponent) of its pair with term n, for every n that
-    stays below xdeg.  The plan's step is 2 when the step given is 2, which
-    says that every source coefficient holds exponents of the parity of its
-    low2 alone, and no target gets pairs of both parities; it is 1
-    otherwise.
+    beta: its lowest exponent is at least low2 + n*p2 + base2, and the rule
+    of LaurentQ.__mul__ and shifted gives its order2 (the unknown tail of
+    each side, from its order2 on, meets the other's lowest exponent).
+    Returns the plan (step, terms, targets, work) that _mul_dilog fills.
+    terms lists the factor's (n, base2, sign) below x-degree xdeg, by
+    ascending n.  targets maps each monomial to its bound [the least lowest
+    exponent of its pairs, the least order2 of them].  work lists each
+    source as (a, pairs), pairs[n] the (target, lowest exponent) of its pair
+    with term n, for every n that stays below xdeg.  The plan's step is 2
+    when the step given is 2, which says that every source coefficient holds
+    exponents of the parity of its low2 alone, and no target gets pairs of
+    both parities; it is 1 otherwise.
     """
     s, sh, w = factor
-    terms = [(n, base2, sign) for _e, n, base2, sign in _dilog_terms(algebra, s, sh, w, xdeg)]
+    terms, steps = [], []
+    for exps, n, base2, sign in _dilog_terms(algebra, s, sh, w, xdeg):
+        terms.append((n, base2, sign))
+        steps.append((exps, base2, min(base2, 0)))
     beta = normal_order(algebra, w)[1]
     eps = algebra.eps
     # the merge power of a and beta is 2 * (a . pull)
     pull = [sum(eps[i][j] * beta[j] for j in range(i)) for i in range(len(beta))]
     dbeta = sum(beta)
-    steps = [tuple(n * b for b in beta) for n, _b, _s in terms]
-    bases = [(base2, min(base2, 0)) for _n, base2, _s in terms]
     targets, work = {}, []
     for a, (low2, a_order2) in sources.items():
         p2 = 2 * sum(map(mul, a, pull))
         b_order2 = min(low2, 0)
         np2 = 0
         pairs = []
-        for exps, (base2, base2_min0) in zip(steps[:(xdeg - sum(a) - 1) // dbeta + 1], bases):
+        for exps, base2, base2_min0 in steps[:(xdeg - sum(a) - 1) // dbeta + 1]:
             t = tuple(map(add, a, exps))
             t_low2 = low2 + np2 + base2
-            # _product_order2's rule for the pair
+            # LaurentQ.__mul__'s rule for the pair, then its shift
             t_order2 = a_order2 + base2_min0
             if b_order2 < t_order2:
                 t_order2 = b_order2
@@ -761,50 +712,34 @@ def ordered_product_check(name, xdeg, qorder, budget=None):
 # the charge word F and its normal-ordering exponent E(m)
 # ---------------------------------------------------------------------------
 
-def charge_word_runs(n, m):
-    """Runs (generator, multiplicity) of the word F built from segment blocks.
+def _charge_power(n, m, start):
+    """start plus E(m), the normal-ordering q-power of the charge word F; m
+    maps each pair (i, j) to an int or a SparsePoly.
 
-    Block j = 2..n concatenates, for i = 1..j-1, the normal-ordered segment
-    power x_i^(m_ij) x_{i+1}^(m_ij) ... x_{j-1}^(m_ij).
+    F concatenates, for j = 2..n and i = 1..j-1 in turn, the segment powers
+    (x_i ... x_{j-1})^(m_ij), each already normal-ordered as x_i^(m_ij) ...
+    x_{j-1}^(m_ij), so E(m) sums m_A * m_B * word_cross(A, B) over the
+    segments A before B.
     """
-    runs = []
-    for j in range(2, n + 1):
-        for i in range(1, j):
-            mij = m[(i, j)]
-            for s in range(i, j):
-                runs.append((s, mij))
-    return runs
-
-
-def _runs_power(algebra, runs, mul):
-    """Normal-ordering q-power of a run word, None when no pair contributes;
-    `mul` multiplies exponents (int*int or SparsePoly*SparsePoly)."""
-    total = None
-    for a in range(len(runs)):
-        ga, ea = runs[a]
-        for b in range(a + 1, len(runs)):
-            gb, eb = runs[b]
-            if ga > gb:
-                e = algebra.eps_of(ga, gb)
-                if e:
-                    piece = mul(ea, eb) * e
-                    total = piece if total is None else total + piece
+    algebra = NCAlgebra.from_cartan(f"a{n}")
+    segments = [((i, j), range(i, j)) for j in range(2, n + 1) for i in range(1, j)]
+    total = start
+    for k, (pa, wa) in enumerate(segments):
+        for pb, wb in segments[k + 1:]:
+            x = word_cross(algebra, wa, wb)
+            if x:
+                total = total + m[pa] * m[pb] * x
     return total
 
 
 def extract_E(n, m):
     """Normal-order the charge word F: returns (E, exponent vector), E an int.
 
-    The exponent vector always equals the charge vector lambda(m).
+    Segment (i, j) of F adds m_ij to each of x_i .. x_{j-1}, so the exponent
+    vector always equals the charge vector lambda(m).
     """
-    algebra = NCAlgebra.from_cartan(f"a{n}")
-    runs = charge_word_runs(n, m)
-    p = _runs_power(algebra, runs, lambda a, b: a * b)
-    p = 0 if p is None else p
-    exps = [0] * (n - 1)
-    for g, e in runs:
-        exps[g - 1] += e
-    return p, tuple(exps)
+    exps = tuple(sum(m[(i, j)] for i, j in a_pairs(n) if i <= g < j) for g in range(1, n))
+    return _charge_power(n, m, 0), exps
 
 
 def c_form_value(n, m) -> Fraction:
@@ -845,13 +780,10 @@ def charge_word_identity_holds(n, m, form=None) -> bool:
 
 def extract_E_poly(n) -> SparsePoly:
     """E(m) as an exact quadratic form (symbolic normal ordering of F)."""
-    algebra = NCAlgebra.from_cartan(f"a{n}")
     pairs = a_pairs(n)
     names = tuple(f"m[{i},{j}]" for (i, j) in pairs)
     sym = {p: SparsePoly.variable(names, f"m[{p[0]},{p[1]}]") for p in pairs}
-    runs = charge_word_runs(n, sym)
-    p = _runs_power(algebra, runs, lambda a, b: a * b)
-    return SparsePoly.zero(names) if p is None else p
+    return _charge_power(n, sym, SparsePoly.zero(names))
 
 
 def dilog_product_exponent_poly(algebra, factors, names):

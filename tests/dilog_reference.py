@@ -3,9 +3,10 @@ padding, budget and comparison tests: every factor starts at the generous
 order twice_of(qorder) + 2*xdeg^2 + 8, the products are taken pair by pair
 (reference_product), and their monomial pairs are counted by brute force.
 bound_product is the padding pass over bound-only coefficients, their pairs
-summed as NCElement.__mul__ sums LaurentQ ones: with bound_padding, the
-oracle of the order qweyl._plan_product gives and of the validity order of
-every coefficient qweyl.expand_dilog_product builds.  reference_nc_eq
+summed by the validity rule of the shifted pairwise LaurentQ products that
+NCElement.__mul__ adds: with bound_padding, the oracle of the order
+qweyl._plan_product gives and of the validity order of every coefficient
+qweyl.expand_dilog_product builds.  reference_nc_eq
 compares two elements through their LaurentQ view, coefficient by
 coefficient with compare_upto: the oracle of qweyl.nc_eq on rows."""
 
@@ -49,8 +50,9 @@ class Bound:
 
     low2 is a lower bound on the lowest exponent and order2 the validity
     order that LaurentQ's rules give, counted from the order the factors
-    start at.  NCElement.__mul__ sums products of them with the order rule of
-    LaurentQ.sum_of_products (qweyl._product_order2); a zero coefficient
+    start at.  Bound.sum_of_products sums products of them as
+    NCElement.__mul__ adds the shifted pairwise LaurentQ products, by the
+    order rule of LaurentQ.__mul__, shifted and __add__; a zero coefficient
     would only raise the real order, so every bound is treated as nonzero.
     """
 
@@ -65,15 +67,19 @@ class Bound:
 
     @classmethod
     def sum_of_products(cls, pairs):
-        """The bound on the sum of q^(p2/2) * a * b over the (a, b, p2)."""
+        """The bound on the sum of q^(p2/2) * a * b over the (a, b, p2): the
+        unknown tail of each factor, from its order2 on, meets the other's
+        lowest exponent; a sum is valid as far as its least valid piece."""
         return cls(min(a.low2 + b.low2 + p2 for a, b, p2 in pairs),
-                   qweyl._product_order2(pairs))
+                   min(min(a.order2 + min(b.low2, 0), b.order2 + min(a.low2, 0)) + p2
+                       for a, b, p2 in pairs))
 
 
 def bound_mul(alg, xdeg, left, right):
     """The {monomial: Bound} product of two {monomial: Bound} maps below
     x-degree xdeg: the pairs that merge into each monomial, grouped and
-    summed as NCElement.__mul__ does, by Bound.sum_of_products."""
+    summed by Bound.sum_of_products, the bound of NCElement.__mul__'s sum of
+    pairwise products."""
     groups = {}
     for ea, ca in left.items():
         for eb, cb in right.items():

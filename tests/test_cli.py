@@ -347,6 +347,11 @@ def test_jets_preset_file(runner, tmp_path):
 @pytest.mark.parametrize("relation,message", [
     ("a*c", "error: unknown generator 'c' (generators: a b)"),
     ("a*b - a*b", "error: relation 'a*b - a*b' is zero"),
+    # an empty side of a chain or an empty factor is refused, not skipped
+    ("a*b = = b*b", "error: relation 'a*b = = b*b' has an empty side"),
+    ("= a*b", "error: relation '= a*b' has an empty side"),
+    ("a*b =", "error: relation 'a*b =' has an empty side"),
+    ("a*b*", "error: term 'a*b*' has an empty factor"),
 ])
 def test_jets_preset_file_bad_relation_is_exit_2(runner, tmp_path, relation,
                                                  message):

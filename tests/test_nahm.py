@@ -189,14 +189,19 @@ class TestBounds:
         assert b.strategy == "positive_definite"
 
     def test_noncoercive_form_refused(self):
-        bad = nahm.NahmSumSpec(
-            labels=("a", "b"),
-            quad=((F(1), F(-2)), (F(-2), F(1))),   # indefinite
-            linear=(F(0), F(0)), charges=())
-        with pytest.raises(nahm.CoercivityError):
-            nahm.compute_bound(bad, 10)
-        with pytest.raises(nahm.CoercivityError):
-            nahm.evaluate(bad, 10)
+        message = ("quadratic form is neither all-nonnegative with positive diagonal "
+                   "nor positive definite with a zero linear part; refusing to enumerate")
+        for quad, linear in (
+                (((F(1), F(-2)), (F(-2), F(1))), (F(0), F(0))),        # indefinite
+                # nonnegative, but a zero diagonal entry without a charge box
+                (((F(0), F(0)), (F(0), F(1))), (F(1), F(0))),
+                # positive definite, with a nonzero linear part
+                (((F(1), F(-1, 2)), (F(-1, 2), F(1))), (F(1), F(0)))):
+            bad = nahm.NahmSumSpec(labels=("a", "b"), quad=quad, linear=linear, charges=())
+            with pytest.raises(nahm.CoercivityError, match=message):
+                nahm.compute_bound(bad, 10)
+            with pytest.raises(nahm.CoercivityError, match=message):
+                nahm.evaluate(bad, 10)
 
 
 RR_COUNTS = [1, 1, 1, 1, 2, 2, 3, 3]  # partitions with parts differing by >= 2

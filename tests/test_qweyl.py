@@ -573,6 +573,19 @@ class TestChargeWord:
             vec = tuple(m[p] for p in pairs)
             assert exps == nahm.build_B_form(n).charge_of(vec)
 
+    def test_equals_normal_ordering_of_the_spelled_word(self):
+        # F letter by letter: for j = 2..n and i = 1..j-1, x_i^(m_ij) ... x_{j-1}^(m_ij)
+        rng = random.Random(13)
+        for _ in range(200):
+            n = rng.randint(2, 6)
+            m = {p: rng.randint(0, 3) for p in nahm.a_pairs(n)}
+            word = [g for j in range(2, n + 1) for i in range(1, j)
+                    for g in range(i, j) for _ in range(m[(i, j)])]
+            if not word:
+                continue
+            alg = NCAlgebra.from_cartan(f"a{n}")
+            assert qweyl.extract_E(n, m) == qweyl.normal_order(alg, word)
+
     def test_pointwise_identity_exhaustive_n3(self):
         for vals in itertools.product(range(4), repeat=3):
             m = dict(zip([(1, 2), (1, 3), (2, 3)], vals))
