@@ -444,12 +444,18 @@ def parse_relation_line(ring: WeightedRing, line):
 
 
 def _parse_side(ring, text):
-    text = text.replace("-", "+-")
-    parts = [p.strip() for p in text.split("+") if p.strip()]
-    gen_parts = []
-    for part in parts:
-        coeff = -1 if part.startswith("-") else 1
-        part = part.removeprefix("-").strip()
+    """Terms joined by `+` and `-`.  The first term may carry a sign, and a
+    term right after an operator a `-` (`a*b + -b*b`); an operator with no
+    term after it is refused."""
+    pieces = [p.strip() for p in re.split(r"([+-])", text)]
+    # the side's shape, T for each term, must be [sign] T (op [-] T)*
+    if not re.fullmatch(r"[+-]?T([+-]-?T)*", "".join(p if p in "+-" else "T" for p in pieces if p)):
+        raise ValueError(f"relation {text!r} has an operator with no term after it")
+    gen_parts, coeff = [], 1
+    for part in filter(None, pieces):
+        if part in "+-":
+            coeff = -coeff if part == "-" else coeff
+            continue
         names = []
         for factor in part.split("*"):
             factor = factor.strip()
@@ -464,6 +470,7 @@ def _parse_side(ring, text):
         if not names:
             raise ValueError(f"term {part!r} has no generator factors")
         gen_parts.append((coeff, names))
+        coeff = 1
     return JetPoly.from_gen_lists(ring, gen_parts)
 
 

@@ -15,7 +15,8 @@ over the distinct running sums and charges, one variable level at a time
 each prefix and by the box; one certification of the form (see
 compute_bound) gives that bound's table.
 The symbolic side reads the same spec: form_poly and charge_polys give Q(m)
-and the charge rows as polynomials.
+and the charge rows as polynomials, and each form difference is one spec
+whose matrix is a congruence M^T quad M (_congruent).
 """
 
 from __future__ import annotations
@@ -109,21 +110,17 @@ class NahmSumSpec:
         return list(diag2), list(lin2), [list(row) for row in cross2]
 
     def exponent(self, m) -> Fraction:
-        total = Fraction(0)
-        for i, mi in enumerate(m):
-            if not mi:
-                continue
-            total += self.quad[i][i] * mi * mi + self.linear[i] * mi
-            for j in range(i + 1, self.nvars):
-                if m[j]:
-                    total += 2 * self.quad[i][j] * mi * m[j]
-        return total
+        return Fraction(self.exponent2(m), 2)
 
     def exponent2(self, m) -> int:
-        e2 = 2 * self.exponent(m)
-        if e2.denominator != 1:
-            raise ValueError(f"exponent at {m} is not a half-integer")
-        return e2.numerator
+        """2*exponent(m), read off the doubled int tables of __post_init__."""
+        diag2, lin2, cross2 = self._ints
+        total = 0
+        for i, mi in enumerate(m):
+            if mi:
+                total += (diag2[i] * mi + lin2[i] + sum(
+                    c * mj for c, mj in zip(cross2[i][i + 1:], m[i + 1:]))) * mi
+        return total
 
     def charge_of(self, m):
         return tuple(sum(row[i] * m[i] for i in range(self.nvars)) for row in self.charges)
@@ -706,7 +703,8 @@ def verify_identity(lhs: NahmSumSpec, rhs: NahmSumSpec, order, with_charges=True
                     node_budget=None) -> CompareResult:
     """Evaluate both sides and compare coefficientwise."""
     if with_charges and lhs.charge_rank != rhs.charge_rank:
-        raise ValueError("charge ranks differ; compare with with_charges=False instead")
+        raise ValueError(f"charge ranks differ ({lhs.charge_rank} vs {rhs.charge_rank}); "
+                         "compare the uncharged series instead")
     a = evaluate(lhs, order, charges=with_charges, node_budget=node_budget)
     b = evaluate(rhs, order, charges=with_charges, node_budget=node_budget)
     return series_eq(a, b)
@@ -745,16 +743,25 @@ def _label_units(spec, variables):
 _A_FORMS = {"B": build_B_form, "Bprime": build_Bprime_form}
 
 
+def _congruent(quad, M):
+    """M^T quad M, the matrix of x^T quad x under the change x = M y (M has
+    one row per x and one column per y): two products that skip zeros."""
+    cols = list(zip(*M))
+    QM = [[sum(q * x for q, x in zip(row, col) if q) for col in cols] for row in quad]
+    return [[sum(x * y for x, y in zip(a, b) if x) for b in zip(*QM)] for a in cols]
+
+
 def form_difference_pure(n, kind) -> SparsePoly:
     """kind(m) - (1/2) lambda(m)^T A lambda(m), purely in the m variables.
 
     Built over the rank-(n+1) variable set so its monomials line up with the
-    six-type bookkeeping of expand_form_difference(n, ...).
+    six-type bookkeeping of expand_form_difference(n, ...).  With k = C m
+    for the charge matrix C, the subtracted form is C^T (A/2) C.
     """
     spec = _A_FORMS[kind](n + 1)
-    cartan = build_cartan_side(f"a{n + 1}")
-    half = form_poly(cartan).substitute(dict(zip(cartan.labels, charge_polys(spec))))
-    return form_poly(spec) - half
+    half = _congruent(build_cartan_side(f"a{n + 1}").quad, spec.charges)
+    quad = [[a - b for a, b in zip(qa, qb)] for qa, qb in zip(spec.quad, half)]
+    return form_poly(NahmSumSpec(spec.labels, quad, spec.linear, ()))
 
 
 def expand_form_difference(n, kind) -> SparsePoly:
@@ -763,7 +770,8 @@ def expand_form_difference(n, kind) -> SparsePoly:
     Variables are k1..kn together with the non-nearest m[i,j] (j >= i+2,
     j <= n+1); the nearest-neighbour m[i,i+1] are eliminated through
     lambda_i(m) = k_i.  This is the polynomial whose six coefficient families
-    the table check reads off.
+    the table check reads off.  The change of variables m = M y is linear, so
+    the form becomes M^T quad M, and (1/2) k^T A k sits on the k block.
     """
     if n < 2:
         raise ValueError("expand_form_difference needs n >= 2")
@@ -772,13 +780,17 @@ def expand_form_difference(n, kind) -> SparsePoly:
     nearest = tuple(_mvar(i, i + 1) for i in range(1, n + 1))
     far = tuple(lab for lab in spec.labels if lab not in nearest)
     mixed_names = cartan.labels + far
-    bindings = {lab: SparsePoly.variable(mixed_names, lab) for lab in far}
-    for near, k, row in zip(nearest, cartan.labels, spec.charges):
-        # the charge row lambda_i(m) = k_i, solved for its nearest m[i,i+1]
-        bindings[near] = SparsePoly.variable(mixed_names, k) - sum(
-            c * bindings[lab] for lab, c in zip(spec.labels, row) if c and lab in far)
-    mixed = form_poly(spec).substitute(bindings, require_full=True)
-    return mixed - form_poly(cartan, mixed_names)
+    far_at = [spec.labels.index(lab) for lab in far]
+    M = [[int(y == lab) for y in mixed_names] for lab in spec.labels]   # far: itself
+    for i, (near, row) in enumerate(zip(nearest, spec.charges)):
+        # lambda_i(m) = k_i, solved for its nearest m[i,i+1]
+        M[spec.labels.index(near)] = [int(j == i) for j in range(n)] + [-row[a] for a in far_at]
+    quad = _congruent(spec.quad, M)
+    for i, row in enumerate(cartan.quad):
+        for j, a in enumerate(row):
+            quad[i][j] -= a
+    linear = [sum(x * r[c] for x, r in zip(spec.linear, M)) for c in range(len(mixed_names))]
+    return form_poly(NahmSumSpec(mixed_names, quad, linear, ()))
 
 
 def six_type_table(poly, n, kind):

@@ -1,8 +1,9 @@
 """Exact sparse multivariate polynomials over the rationals, and the term
 helpers every coefficient class shares.
 
-Used for symbolic quadratic-form bookkeeping: form differences, table checks
-and normal-ordering exponents.  Terms map exponent vectors (tuples aligned
+SparsePoly does ring arithmetic, equality, coefficients and rendering, which
+is all the symbolic quadratic-form bookkeeping needs: form differences, table
+checks and normal-ordering exponents.  Terms map exponent vectors (tuples aligned
 with the variable list) to Fraction coefficients; zero coefficients are never
 stored.  `add_terms` is the one term-dict sum of QSeries, LaurentQ,
 SparsePoly and JetPoly; `powers` writes the monomials of QSeries, SparsePoly
@@ -45,10 +46,6 @@ def render_terms(items):
         else:
             parts.append(body if coeff > 0 else "-" + body)
     return " ".join(parts) or "0"
-
-
-class UnboundSymbol(ValueError):
-    pass
 
 
 class SparsePoly:
@@ -107,9 +104,6 @@ class SparsePoly:
             other = SparsePoly.constant(self.variables, other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
@@ -131,25 +125,10 @@ class SparsePoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        result = SparsePoly.constant(self.variables, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def __eq__(self, other):
         if not isinstance(other, SparsePoly):
             return NotImplemented
         return self.variables == other.variables and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
 
     def is_zero(self):
         return not self.terms
@@ -161,40 +140,6 @@ class SparsePoly:
         for name, e in monomial.items():
             exps[index[name]] = e
         return self.terms.get(tuple(exps), Fraction(0))
-
-    def substitute(self, bindings, require_full=False):
-        """Simultaneous substitution name -> SparsePoly.
-
-        All binding targets must share one variable universe; variables of
-        self that are not bound are mapped to themselves when they exist in
-        the target universe, otherwise this raises.  With require_full=True
-        any surviving unbound variable is an error.
-        """
-        if not bindings:
-            target_vars = self.variables
-        else:
-            target_vars = next(iter(bindings.values())).variables
-            for p in bindings.values():
-                if p.variables != target_vars:
-                    raise ValueError("binding targets share no common variable universe")
-        images = []
-        for name in self.variables:
-            if name in bindings:
-                images.append(bindings[name])
-            elif name in target_vars:
-                if require_full:
-                    raise UnboundSymbol(f"symbol {name!r} left unbound")
-                images.append(SparsePoly.variable(target_vars, name))
-            else:
-                raise UnboundSymbol(f"symbol {name!r} has no binding and no target variable")
-        result = SparsePoly.zero(target_vars)
-        for exps, coeff in self.terms.items():
-            term = SparsePoly.constant(target_vars, coeff)
-            for img, e in zip(images, exps):
-                if e:
-                    term = term * img ** e
-            result = result + term
-        return result
 
     def render(self) -> str:
         """Terms by (total degree, exponent vector)."""

@@ -58,47 +58,30 @@ def dimension_vector(rank, rep):
 
 def enumerate_reps(quiver: QuiverA, k):
     """All multiplicity functions with dimension vector k, in lexicographic
-    segment order; complete and duplicate-free."""
-    segs = segments(quiver.rank)
+    segment order; complete and duplicate-free.
+
+    The segments are walked by start vertex a.  Those that start before a
+    already cover a, so the last segment from a, [a, rank], takes exactly
+    what a still needs."""
+    rank = quiver.rank
     out = []
     rep = {}
 
-    def rec(idx, remaining):
-        if idx == len(segs):
-            if all(r == 0 for r in remaining):
-                out.append(dict(rep))
+    def rec(a, b, remaining):
+        if a > rank:
+            out.append(dict(rep))
             return
-        a, b = segs[idx]
-        cap = min(remaining[v - 1] for v in range(a, b + 1))
-        # pruning: a vertex whose remaining demand can no longer be covered
-        # by the segments still ahead kills the branch
-        for m in range(cap + 1):
-            nxt = list(remaining)
-            feasible = True
-            for v in range(a, b + 1):
-                nxt[v - 1] -= m
-            for v in range(1, quiver.rank + 1):
-                if nxt[v - 1] and not _still_coverable(segs, idx + 1, v):
-                    feasible = False
-                    break
-            if feasible:
-                if m:
-                    rep[(a, b)] = m
-                rec(idx + 1, nxt)
-                if m:
-                    del rep[(a, b)]
-        return
+        cap = min(remaining[a - 1:b])
+        lo = remaining[a - 1] if b == rank else 0      # lo > cap: no rep
+        for m in range(lo, cap + 1):
+            if m:
+                rep[(a, b)] = m
+            rec(*((a, b + 1) if b < rank else (a + 1, a + 1)),
+                remaining[:a - 1] + [r - m for r in remaining[a - 1:b]] + remaining[b:])
+            rep.pop((a, b), None)
 
-    rec(0, list(k))
+    rec(1, 1, list(k))
     return out
-
-
-def _still_coverable(segs, start, v):
-    for i in range(start, len(segs)):
-        a, b = segs[i]
-        if a <= v <= b:
-            return True
-    return False
 
 
 def codim(quiver: QuiverA, rep) -> int:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import shlex
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -76,6 +77,24 @@ def test_quiver_report_lists_decomposition(runner):
                  "--kmax", "1", "--order", "10")
     assert result.exit_code == 0
     assert "k=(1, 1): 2 representation(s): [1,2]^1; [1,1]^1 [2,2]^1" in result.output
+
+
+def test_quiver_report_stops_at_first_mismatch(monkeypatch, runner):
+    bad = series.Mismatch(Fraction(3), (), 2, 1)
+
+    def box(*args):
+        yield (0, 0), series.CompareResult(True, 20)
+        yield (0, 1), series.CompareResult(False, 20, bad)
+        yield (1, 0), series.CompareResult(True, 20)
+
+    monkeypatch.setattr(quiver, "verify_theorem51_box", box)
+    result = run(runner, "verify", "quiver", "--rank", "2", "--orientation", "R",
+                 "--kmax", "1", "--order", "10")
+    assert result.exit_code == 1
+    lines = result.output.splitlines()
+    assert "location: charges=[], lhs_coefficient=2, q_exponent=3, rhs_coefficient=1" in lines
+    assert lines[-2:] == ["k=(0, 1): 1 representation(s): [2,2]^1", "k=(0, 1): MISMATCH"]
+    assert "k=(1, 0)" not in result.output
 
 
 def test_pentagon_and_negative_control(runner):
@@ -223,6 +242,18 @@ def test_custom_mismatch_gives_exit_1(runner, tmp_path):
     assert "q_exponent=1" in result.output
 
 
+def test_custom_charge_rank_mismatch_is_exit_2(runner, tmp_path):
+    lhs = tmp_path / "lhs.json"
+    rhs = tmp_path / "rhs.json"
+    lhs.write_text(nahm.build_cartan_side("a2").to_json(), encoding="utf-8")
+    rhs.write_text(nahm.build_cartan_side("a3").to_json(), encoding="utf-8")
+    result = run(runner, "verify", "custom", "--lhs", str(lhs), "--rhs", str(rhs),
+                 "--order", "10", "--charges")
+    assert_usage_exit(result)
+    assert result.output.strip() == (
+        "error: charge ranks differ (1 vs 2); compare the uncharged series instead")
+
+
 def test_budget_exceeded_is_exit_2(runner):
     result = run(runner, "--budget", "3", "verify", "thm1", "--variant", "a",
                  "--n", "3", "--order", "20")
@@ -352,6 +383,10 @@ def test_jets_preset_file(runner, tmp_path):
     ("= a*b", "error: relation '= a*b' has an empty side"),
     ("a*b =", "error: relation 'a*b =' has an empty side"),
     ("a*b*", "error: term 'a*b*' has an empty factor"),
+    # an operator needs a term after it; a message quotes the side as written
+    ("a*b +", "error: relation 'a*b +' has an operator with no term after it"),
+    ("a*b + + b*b", "error: relation 'a*b + + b*b' has an operator with no term after it"),
+    ("a*b - $b", "error: bad factor '$b' in relation 'a*b - $b'"),
 ])
 def test_jets_preset_file_bad_relation_is_exit_2(runner, tmp_path, relation,
                                                  message):

@@ -123,6 +123,16 @@ class TestParsing:
         (rel,) = jets.parse_relation_line(ring, "2*E[1,2]*E[2,3] - E[2,3]*E[2,3]")
         assert rel.terms == {(x(0, 1), x(1, 1)): 2, (x(1, 1), x(1, 1)): -1}
 
+    @pytest.mark.parametrize("side,signs", [
+        ("-a*b", (-1,)), ("+ a*b", (1,)), ("a*b + -b*b", (1, -1)),
+        ("a*b - -b*b", (1, 1)), ("- a*b - b*b", (-1, -1)),
+    ])
+    def test_leading_sign_and_sign_after_operator(self, side, signs):
+        ring = WeightedRing(("a", "b"))
+        (rel,) = jets.parse_relation_line(ring, side)
+        terms = [(x(0, 1), x(1, 1)), (x(1, 1), x(1, 1))]
+        assert rel.terms == dict(zip(terms, signs))
+
     def test_preset_file_round_trip(self, tmp_path):
         path = tmp_path / "preset.txt"
         path.write_text(

@@ -752,6 +752,30 @@ class TestFormDifference:
                 poly = nahm.expand_form_difference(n, kind)
                 assert all(v == 0 for v in nahm.cross_k_coefficients(poly, n).values())
 
+    def test_congruent_table_matches_evaluation(self):
+        # x^T Q x + l.x at x = M y equals y^T (M^T Q M) y + (M^T l).y
+        rng = random.Random(11)
+
+        def form(quad, linear, x):
+            return (sum(quad[i][j] * x[i] * x[j] for i in range(len(x)) for j in range(len(x)))
+                    + sum(a * b for a, b in zip(linear, x)))
+
+        for _ in range(60):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            M = [[rng.choice([0, 0, 1, -1, 2, -3]) for _ in range(cols)] for _ in range(rows)]
+            Q = [[Fraction(0)] * rows for _ in range(rows)]
+            for i in range(rows):
+                for j in range(i, rows):
+                    Q[i][j] = Q[j][i] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            lin = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rows)]
+            quad = nahm._congruent(Q, M)
+            lin_y = [sum(a * M[i][c] for i, a in enumerate(lin)) for c in range(cols)]
+            assert all(quad[a][b] == quad[b][a] for a in range(cols) for b in range(cols))
+            for _ in range(5):
+                y = [rng.randint(-4, 4) for _ in range(cols)]
+                x = [sum(a * b for a, b in zip(row, y)) for row in M]
+                assert form(quad, lin_y, y) == form(Q, lin, x)
+
 
 def _level_sum_steps(spec, order, charges=False):
     """Distinct (d, s[d:], u, v) over the points of a plain DFS over the box

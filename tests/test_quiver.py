@@ -47,6 +47,21 @@ class TestEnumerate:
                 assert key not in seen
                 seen.add(key)
 
+    @pytest.mark.parametrize("rank,top", [(1, 3), (2, 3), (3, 3), (4, 1)])
+    def test_full_list_matches_brute_force(self, rank, top):
+        # itertools.product runs the segment multiplicities in lexicographic
+        # order, so the brute force lists each k's reps in the promised order
+        segs = quiver.segments(rank)
+        want = {k: [] for k in itertools.product(range(top + 1), repeat=rank)}
+        for mults in itertools.product(range(top + 1), repeat=len(segs)):
+            rep = {s: m for s, m in zip(segs, mults) if m}
+            k = quiver.dimension_vector(rank, rep)
+            if k in want:
+                want[k].append(rep)
+        qv = QuiverA.equioriented(rank)
+        for k, reps in want.items():
+            assert quiver.enumerate_reps(qv, k) == reps, k
+
 
 class TestCodim:
     def test_example_53(self):
