@@ -5,14 +5,16 @@ standing for the mode x_{g,(-d)}); a presented relation f contributes
 T^s f for every s, where T is the derivation T(x_{g,(-d)}) = -d x_{g,(-d-1)}.
 The Hilbert series of the quotient is computed weight by weight, on
 monomials packed into one int each (`_Packing`), exponents below and charge
-above, so a monomial's charge block is a shift of its key.  A single-term
-T^s f only removes the monomials it divides, so those are never enumerated
-and build no rows; the multi-term ones give the integer rows of a sparse rank
-on the monomials that are left, by fraction-free elimination (exact over Q),
-one charge block at a time.  A preset may declare signed generator
-permutations that map its ideal onto itself (the sl_n diagram flip, d4
-triality); they are checked when the preset is built, and only one block per
-orbit is ranked.  This is the leading-term view of arc-space ideals
+above, so a monomial's charge block is a shift of its key.  Each relation is
+packed once and T acts on the keys.  A single-term T^s f only removes the
+monomials it divides, so those are never enumerated (the survivors are
+walked one level per weight, grouped by last slot) and build no rows; the
+multi-term ones give the integer rows of a sparse rank on the monomials that
+are left, by fraction-free elimination (exact over Q), one charge block at a
+time.  A preset may declare signed generator permutations that map its ideal
+onto itself (the sl_n diagram flip, d4 triality); they are checked when the
+preset is built, and each orbit of blocks is found once and ranked once.
+This is the leading-term view of arc-space ideals
 (Bruschek-Mourtada-Schepers, "Arc spaces and Rogers-Ramanujan identities").
 """
 
@@ -125,19 +127,6 @@ def _mono_charge(ring, mono):
                  for i in range(ring.charge_rank))
 
 
-def apply_T(p: JetPoly) -> JetPoly:
-    """Derivation with T(x_{g,(-d)}) = -d x_{g,(-d-1)}, extended by Leibniz;
-    raises weight by exactly 1."""
-    images = []
-    for mono, c in p.terms.items():
-        for pos, v in enumerate(mono):
-            if pos and mono[pos - 1] == v:
-                continue        # mono is sorted: a repeated variable is counted once
-            new = mono[:pos] + ((v[0], v[1] + 1),) + mono[pos + 1:]
-            images.append((tuple(sorted(new)), c * -v[1] * mono.count(v)))
-    return JetPoly._raw(add_terms({}, images))
-
-
 @dataclass(frozen=True)
 class JetPreset:
     """A presented ring with its relations.  `symmetries` are signed
@@ -206,13 +195,30 @@ def _check_span(relations, sym):
                              "into itself")
 
 
-def generate_ideal(preset: JetPreset, max_weight):
-    """All T^s f with weight(f)+s <= max_weight, each homogeneous."""
+def generate_ideal(preset: JetPreset, pk):
+    """All T^s f with weight(f)+s <= pk.weight, each as (its weight,
+    [(key, coeff), ...] on the keys of `pk`).  T moves one variable from slot
+    s (depth d, exponent e) to slot s + ngens: by Leibniz the key gains
+    `unit[s+ngens] - unit[s]` and the coefficient a factor -d*e.  Each term
+    carries its set of slots, so every relation is packed once."""
+    n, mask = pk.ngens, (1 << pk.width) - 1
+    step = [pk.unit[s + n] - pk.unit[s] for s in range(len(pk.unit) - n)]
     out = []
     for f in preset.relations:
-        for _s in range(max_weight - f.weight() + 1):
-            out.append(f)
-            f = apply_T(f)
+        u = f.weight()
+        terms = [(pk.pack(m), c, {pk.slot(v) for v in m})
+                 for m, c in f.terms.items()] if u <= pk.weight else ()
+        while terms:
+            out.append((u, [(key, c) for key, c, _slots in terms]))
+            u += 1
+            images = {}
+            for key, c, slots in terms if u <= pk.weight else ():
+                for s in slots:
+                    e = key >> pk.width * s & mask
+                    moved = (slots - {s} if e == 1 else slots) | {s + n}
+                    image = images.setdefault(key + step[s], [0, moved])
+                    image[0] -= (s // n + 1) * e * c
+            terms = [(key, c, slots) for key, (c, slots) in images.items() if c]
     return out
 
 
@@ -233,7 +239,7 @@ class _Packing:
     the exponent fields alone."""
 
     def __init__(self, ngens, weight, charges=None):
-        self.ngens, self.width = ngens, weight.bit_length() + 1
+        self.ngens, self.weight, self.width = ngens, weight, weight.bit_length() + 1
         self.shift = self.width * ngens * weight
         self.guards = sum(1 << self.width * slot for slot in range(ngens * weight)) \
             << self.width - 1
@@ -260,9 +266,6 @@ class _Packing:
                             for slot in range(len(self.unit))
                             for _ in range(key >> self.width * slot & mask)))
 
-    def divides(self, s, m):
-        return ((m | self.guards) - s) & self.guards == self.guards
-
     def charge(self, block, w):
         """The charge tuple of a block at weight w."""
         mask = (1 << self.cwidth) - 1
@@ -281,39 +284,48 @@ class _Packing:
 
 
 def surviving_monomials(ngens, weight, singles=(), charges=None):
-    """levels[w] for w <= weight: the (packed key, last slot) pairs of the
-    monomials of weight w that no monomial in `singles` divides, keyed by
-    `_Packing(ngens, weight, charges)`.
+    """levels[w] for w <= weight: the keys (`_Packing(ngens, weight,
+    charges)`) of the monomials of weight w that no key in `singles` divides.
 
     A monomial survives only if its prefix (all but its variable v of largest
-    slot) does, so each level extends the surviving prefixes by one variable
-    in a slot >= the prefix's last.  A divisor of `prefix + v` that does not
-    divide the prefix ends in v and divides the prefix with v removed, so
-    singles are indexed by their last slot and stored as packed rests."""
+    slot) does, so each level extends the surviving prefixes, grouped by
+    their last slot, by one variable in a slot >= it.  A divisor of
+    `prefix + v` that does not divide the prefix ends in v and divides the
+    prefix with v removed, so singles are indexed by their last slot (the top
+    set bit of their exponent fields) and stored as packed rests."""
     pk = _Packing(ngens, weight, charges)
+    low, guards = (1 << pk.shift) - 1, pk.guards
     by_last = {}
     for s in set(singles):
-        if mono_weight(s) <= weight:    # a heavier single divides nothing here
-            last = max(map(pk.slot, s))
-            by_last.setdefault(last, []).append(pk.pack(s) - pk.unit[last])
-    levels = [[(0, 0)]]
+        last = ((s & low).bit_length() - 1) // pk.width
+        by_last.setdefault(last, []).append(s - pk.unit[last])
+    grouped = [{0: [0]}]
     for w in range(1, weight + 1):
-        level = []
+        level = {}
         for d in range(1, w + 1):
             top = d * ngens
-            for key, last in levels[w - d]:
+            for last, keys in grouped[w - d].items():
                 for slot in range(max(last, top - ngens), top):
-                    rests = by_last.get(slot)
-                    if not rests or not any(pk.divides(r, key) for r in rests):
-                        level.append((key + pk.unit[slot], slot))
-        levels.append(level)
-    return levels
+                    unit, rests = pk.unit[slot], by_last.get(slot)
+                    out = level.setdefault(slot, [])
+                    if not rests:
+                        out.extend([key + unit for key in keys])
+                        continue
+                    for key in keys:
+                        key_g = key | guards
+                        for r in rests:
+                            if (key_g - r) & guards == guards:
+                                break       # r divides key: no borrow
+                        else:
+                            out.append(key + unit)
+        grouped.append(level)
+    return [[key for keys in level.values() for key in keys] for level in grouped]
 
 
 def monomials_of_weight(ngens, w):
     """Sorted monomials (multisets of (g, d)) of total weight w."""
     pk = _Packing(ngens, w)
-    return sorted(pk.unpack(key) for key, _ in surviving_monomials(ngens, w)[w])
+    return sorted(map(pk.unpack, surviving_monomials(ngens, w)[w]))
 
 
 def _charge_moves(preset):
@@ -353,12 +365,13 @@ def hilbert_series(preset: JetPreset, weight, multigraded=False,
     lands in block `(mult >> shift) + (key of a term of h >> shift)`, known
     before the row is built.  The preset's symmetries commute with T and map
     the ideal onto itself, so they map each block of the quotient onto a
-    block of the same dimension: only the block whose packed charge is least
-    in its orbit is ranked, and its dimension is copied to the rest of the
-    orbit (without symmetries every block is its own orbit).  The
-    `(mult, h)` pairs are grouped by block, and each block's rows are built,
-    ranked and dropped in turn.  The budget caps the cells (rows x columns)
-    of each reduced block that is ranked, before its rank is taken.
+    block of the same dimension: each orbit is found once, from its least
+    block with columns, and only its least block is ranked (if it has
+    columns), its dimension copied to the rest of the orbit (without
+    symmetries every block is its own orbit).  The `(mult, h)` pairs are
+    grouped by block, and each block's rows are built, ranked and dropped in
+    turn.  The budget caps the cells (rows x columns) of each reduced block
+    that is ranked, before its rank is taken.
     """
     ring = preset.ring
     ngens = len(ring.generators)
@@ -369,29 +382,29 @@ def hilbert_series(preset: JetPreset, weight, multigraded=False,
     moves = _charge_moves(preset)
     singles = []
     multis = {}   # weight -> block of h -> the packed multi-term h there
-    for h in generate_ideal(preset, weight):
-        if len(h.terms) == 1:
-            singles.extend(h.terms)
+    for u, poly in generate_ideal(preset, pk):
+        if len(poly) == 1:
+            singles.append(poly[0][0])
         else:
-            poly = [(pk.pack(m), c) for m, c in h.terms.items()]
-            multis.setdefault(h.weight(), {}).setdefault(
-                poly[0][0] >> pk.shift, []).append(poly)
+            multis.setdefault(u, {}).setdefault(poly[0][0] >> pk.shift, []).append(poly)
     survivors = surviving_monomials(ngens, weight, singles, ring.charges)
     terms = {(0, (0,) * rank_out): 1}
     for w in range(1, weight + 1):
         cols = {}
-        for key, _last in survivors[w]:
+        for key in survivors[w]:
             cols.setdefault(key >> pk.shift, []).append(key)
-        orbits = {}
-        for block in cols:
-            orbit = pk.orbit(block, moves)
-            if block == min(orbit):
-                orbits[block] = orbit
+        orbits, seen = {}, set()
+        for block in sorted(cols):
+            if block not in seen:
+                orbit = pk.orbit(block, moves)
+                seen |= orbit
+                if block == min(orbit):
+                    orbits[block] = orbit
         pairs = {block: [] for block in orbits}
         for u, by_block in multis.items():
             if u > w:
                 continue
-            for mult, _last in survivors[w - u]:
+            for mult in survivors[w - u]:
                 base = mult >> pk.shift
                 for hb, polys in by_block.items():
                     dest = pairs.get(base + hb)
@@ -446,8 +459,10 @@ def parse_relation_line(ring: WeightedRing, line):
 def _parse_side(ring, text):
     """Terms joined by `+` and `-`.  The first term may carry a sign, and a
     term right after an operator a `-` (`a*b + -b*b`); an operator with no
-    term after it is refused."""
-    pieces = [p.strip() for p in re.split(r"([+-])", text)]
+    term after it is refused.  A factor is an optional `-` and an integer or
+    a generator name, so a `-` right after `*` is a sign (`a*-2`)."""
+    # an operator is a + or - whose last non-space character before it is not *
+    pieces = [p.strip() for p in re.split(r"(?<![*\s])(\s*[+-])", text)]
     # the side's shape, T for each term, must be [sign] T (op [-] T)*
     if not re.fullmatch(r"[+-]?T([+-]-?T)*", "".join(p if p in "+-" else "T" for p in pieces if p)):
         raise ValueError(f"relation {text!r} has an operator with no term after it")
@@ -459,12 +474,14 @@ def _parse_side(ring, text):
         names = []
         for factor in part.split("*"):
             factor = factor.strip()
-            if not factor:
+            sign, body = (-1, factor[1:].lstrip()) if factor.startswith("-") else (1, factor)
+            if not body:
                 raise ValueError(f"term {part!r} has an empty factor")
-            if re.fullmatch(r"\d+", factor):
-                coeff *= int(factor)
-            elif _TOKEN.fullmatch(factor):
-                names.append(factor)
+            coeff *= sign
+            if re.fullmatch(r"\d+", body):
+                coeff *= int(body)
+            elif _TOKEN.fullmatch(body):
+                names.append(body)
             else:
                 raise ValueError(f"bad factor {factor!r} in relation {text!r}")
         if not names:

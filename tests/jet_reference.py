@@ -1,13 +1,38 @@
 """Reference jet Hilbert series for the builder tests.
 
+The T-derivatives are taken on sorted ((g, d), ...) tuples (`apply_T`).
 Every monomial multiple of every T-derivative becomes a row, single-term ones
 included, and each charge block is ranked whole: the definition of the
-series, without the killed columns `hilbert_series` drops.  Monomials come from a set-based enumeration and
-charges are summed directly, so this shares no code with `qident.jets`
-beyond the ideal and the rank."""
+series, without the killed columns `hilbert_series` drops.  Monomials come
+from a set-based enumeration and charges are summed directly, so this shares
+no code with `qident.jets` beyond `JetPoly` and the rank."""
 
-from qident.jets import generate_ideal
+from qident.jets import JetPoly
 from qident.linalg import rank_of_rows
+from qident.poly import add_terms
+
+
+def apply_T(p: JetPoly) -> JetPoly:
+    """Derivation with T(x_{g,(-d)}) = -d x_{g,(-d-1)}, extended by Leibniz;
+    raises weight by exactly 1."""
+    images = []
+    for mono, c in p.terms.items():
+        for pos, v in enumerate(mono):
+            if pos and mono[pos - 1] == v:
+                continue        # mono is sorted: a repeated variable is counted once
+            new = mono[:pos] + ((v[0], v[1] + 1),) + mono[pos + 1:]
+            images.append((tuple(sorted(new)), c * -v[1] * mono.count(v)))
+    return JetPoly._raw(add_terms({}, images))
+
+
+def reference_ideal(preset, max_weight):
+    """All T^s f with weight(f)+s <= max_weight, as JetPolys."""
+    out = []
+    for f in preset.relations:
+        for _s in range(max_weight - f.weight() + 1):
+            out.append(f)
+            f = apply_T(f)
+    return out
 
 
 def monomial_levels(ngens, weight):
@@ -33,7 +58,7 @@ def reference_blocks(preset, weight):
     """(w, charge, columns, rows) for every block with columns, w >= 1."""
     ring = preset.ring
     ngens = len(ring.generators)
-    ideal = generate_ideal(preset, weight)
+    ideal = reference_ideal(preset, weight)
     levels = monomial_levels(ngens, weight)
     for w in range(1, weight + 1):
         blocks = {}

@@ -375,6 +375,25 @@ def test_jets_preset_file(runner, tmp_path):
     assert "series: 1 + q + 2*q^2 + 2*q^3 + 3*q^4 + 4*q^5 + 6*q^6" in result.output
 
 
+@pytest.mark.parametrize("relation,same_as", [
+    ("a*a*-2", "-2*a*a"),
+    ("a*b*-1 + b*b", "b*b - a*b"),
+    ("b * -1*a + -b*-b", "-a*b - b*b"),
+])
+def test_jets_preset_file_factor_sign(runner, tmp_path, relation, same_as):
+    """A `-` right after `*` signs the factor; it is not an operator."""
+    lines = []
+    for text in (relation, same_as):
+        path = tmp_path / "ring.txt"
+        path.write_text(f"generators: a b\n{text}\n", encoding="utf-8")
+        result = run(runner, "jets", "hilbert", "--preset-file", str(path),
+                     "--weight", "4")
+        assert result.exit_code == 0
+        lines.append([ln for ln in result.output.splitlines()
+                      if ln.startswith("series: ")])
+    assert lines[0] == lines[1] and len(lines[0]) == 1
+
+
 @pytest.mark.parametrize("relation,message", [
     ("a*c", "error: unknown generator 'c' (generators: a b)"),
     ("a*b - a*b", "error: relation 'a*b - a*b' is zero"),
@@ -383,6 +402,8 @@ def test_jets_preset_file(runner, tmp_path):
     ("= a*b", "error: relation '= a*b' has an empty side"),
     ("a*b =", "error: relation 'a*b =' has an empty side"),
     ("a*b*", "error: term 'a*b*' has an empty factor"),
+    # a - right after * is a factor's sign, and a sign alone is no factor
+    ("a*-", "error: term 'a*-' has an empty factor"),
     # an operator needs a term after it; a message quotes the side as written
     ("a*b +", "error: relation 'a*b +' has an operator with no term after it"),
     ("a*b + + b*b", "error: relation 'a*b + + b*b' has an operator with no term after it"),

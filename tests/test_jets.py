@@ -10,9 +10,9 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from dense_rank import dense_rank, integer_rows
-from jet_reference import reference_blocks, reference_terms
+from jet_reference import apply_T, reference_blocks, reference_ideal, reference_terms
 from qident import jets, nahm, presets
-from qident.jets import JetPoly, JetPreset, WeightedRing, apply_T
+from qident.jets import JetPoly, JetPreset, WeightedRing
 from qident.linalg import rank_of_rows
 from qident.nahm import BudgetExceeded
 from qident.series import series_eq, series_leq
@@ -56,18 +56,57 @@ class TestDerivation:
         assert apply_T(p).terms == {(x(0, 3),): Fraction(-2)}
 
 
+def _packed_ideal(pre, weight):
+    """`generate_ideal` on the preset's own packing, each entry unpacked to
+    (its weight, its JetPoly)."""
+    pk = jets._Packing(len(pre.ring.generators), weight, pre.ring.charges)
+    return [(u, JetPoly({pk.unpack(key): c for key, c in poly}))
+            for u, poly in jets.generate_ideal(pre, pk)]
+
+
 class TestIdeal:
     def test_x2_ideal_weights(self):
-        gens = jets.generate_ideal(jets.power_preset(2), 4)
-        assert [g.weight() for g in gens] == [2, 3, 4]
+        gens = _packed_ideal(jets.power_preset(2), 4)
+        assert [u for u, _g in gens] == [2, 3, 4]
 
     def test_all_outputs_homogeneous(self):
-        for g in jets.generate_ideal(jets.sln_A(3), 6):
-            g.weight()  # raises if inhomogeneous
+        for u, g in _packed_ideal(jets.sln_A(3), 6):
+            assert g.weight() == u  # raises if inhomogeneous
 
     def test_cubic_relations_shift_range(self):
-        gens = jets.generate_ideal(jets.power_preset(3), 5)
-        assert [g.weight() for g in gens] == [3, 4, 5]
+        gens = _packed_ideal(jets.power_preset(3), 5)
+        assert [u for u, _g in gens] == [3, 4, 5]
+
+    @pytest.mark.parametrize("name,reading", [
+        ("sln-a3", "printed"), ("sln-b3", "printed"), ("sln-h3", "printed"),
+        ("sln-a4", "printed"), ("sln-b4", "printed"), ("sln-h4", "printed"),
+        ("b2-a", "printed"), ("b2-b", "printed"), ("d4-d", "printed"),
+        ("d4-d", "printed-v"), ("d4-d", "repaired"), ("power-2", "printed"),
+        ("power-3", "printed"), ("power-4", "printed"),
+    ])
+    def test_packed_closure_matches_reference(self, name, reading):
+        """T on packed keys, unpacked, is the tuple T-closure term by term,
+        in the same count and order."""
+        pre = presets.jet_preset(name, reading)
+        got = _packed_ideal(pre, 7)
+        want = reference_ideal(pre, 7)
+        assert len(got) == len(want)
+        for (u, g), f in zip(got, want):
+            assert (u, g.terms) == (f.weight(), f.terms)
+
+    def test_hilbert_series_calls_generate_ideal_once(self, monkeypatch):
+        # perfbench wraps jets.generate_ideal and counts the entries it
+        # returns (its span and jets.ideal_gens): one call per series, one
+        # entry per T^s f
+        real, calls = jets.generate_ideal, []
+
+        def counted(*args):
+            calls.append(real(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(jets, "generate_ideal", counted)
+        jets.hilbert_series(jets.d4_D("repaired"), 5)
+        assert [len(ideal) for ideal in calls] == [216]
 
 
 class TestPresets:
@@ -122,10 +161,15 @@ class TestParsing:
         ring = WeightedRing(("E[1,2]", "E[2,3]"))
         (rel,) = jets.parse_relation_line(ring, "2*E[1,2]*E[2,3] - E[2,3]*E[2,3]")
         assert rel.terms == {(x(0, 1), x(1, 1)): 2, (x(1, 1), x(1, 1)): -1}
+        # a - right after * is the sign of a factor, not an operator
+        (rel,) = jets.parse_relation_line(WeightedRing(("a",)), "a*-2")
+        assert rel.terms == {(x(0, 1),): -2}
 
     @pytest.mark.parametrize("side,signs", [
         ("-a*b", (-1,)), ("+ a*b", (1,)), ("a*b + -b*b", (1, -1)),
         ("a*b - -b*b", (1, 1)), ("- a*b - b*b", (-1, -1)),
+        # a - right after * signs the factor
+        ("a*b*-1 + b*b", (-1, 1)), ("a*-b - b*-b", (-1, 1)), ("a * - b", (-1,)),
     ])
     def test_leading_sign_and_sign_after_operator(self, side, signs):
         ring = WeightedRing(("a", "b"))
@@ -389,6 +433,12 @@ def _multiset_divides(a, b):
     return all(a.count(v) <= b.count(v) for v in a)
 
 
+def _guard_divides(pk, s, m):
+    """The guard-bit test on keys: s divides m exactly when no exponent
+    field of `(m | guards) - s` borrows from its guard bit."""
+    return ((m | pk.guards) - s) & pk.guards == pk.guards
+
+
 @st.composite
 def _packing_cases(draw):
     """(ngens, weight, a, b, m): monomials of weight <= weight, with a*b too."""
@@ -426,7 +476,7 @@ def test_packing_matches_tuple_multisets(case):
     assert pk.pack(a) + pk.pack(b) == pk.pack(ab)
     for s in (a, b, m, ab):
         for t in (a, b, m, ab):
-            assert pk.divides(pk.pack(s), pk.pack(t)) == _multiset_divides(s, t)
+            assert _guard_divides(pk, pk.pack(s), pk.pack(t)) == _multiset_divides(s, t)
 
 
 class TestBuilder:
@@ -449,14 +499,16 @@ class TestBuilder:
             singles = [tuple(sorted(rng.choice(variables)
                                     for _ in range(rng.randint(1, 3))))
                        for _ in range(rng.randint(0, 5))]
-            levels = jets.surviving_monomials(ngens, weight, singles)
             pk = jets._Packing(ngens, weight)
+            # a single heavier than the weight divides nothing here, and is
+            # not a key of this packing
+            packed = [pk.pack(s) for s in singles if jets.mono_weight(s) <= weight]
+            levels = jets.surviving_monomials(ngens, weight, packed)
             for w in range(weight + 1):
                 want = [m for m in jets.monomials_of_weight(ngens, w)
                         if not any(_multiset_divides(s, m) for s in singles)]
-                assert sorted(pk.unpack(key) for key, _ in levels[w]) == want
-                assert all(last == max(map(pk.slot, pk.unpack(key)), default=0)
-                           for key, last in levels[w])
+                assert sorted(map(pk.unpack, levels[w])) == want
+                assert all(type(key) is int for key in levels[w])
 
     @pytest.mark.parametrize("name,reading,weight", [
         ("sln-a2", "printed", 6), ("sln-b2", "printed", 6),
@@ -627,7 +679,7 @@ def test_packed_block_is_charge():
         assert pk.charge(key >> pk.shift, w) == jets._mono_charge(ring, mono)
         assert pk.unpack(key) == mono
         other = rng.choice(jets.monomials_of_weight(ngens, rng.randint(0, w)))
-        assert pk.divides(pk.pack(other), key) == _multiset_divides(other, mono)
+        assert _guard_divides(pk, pk.pack(other), key) == _multiset_divides(other, mono)
 
 
 GOLDENS = json.loads((Path(__file__).parent / "hilbert_goldens.json")
