@@ -5,10 +5,9 @@ SparsePoly does ring arithmetic, equality, coefficients and rendering, which
 is all the symbolic quadratic-form bookkeeping needs: form differences, table
 checks and normal-ordering exponents.  Terms map exponent vectors (tuples aligned
 with the variable list) to Fraction coefficients; zero coefficients are never
-stored.  `add_terms` is the one term-dict sum of QSeries, LaurentQ,
-SparsePoly and JetPoly; `powers` writes the monomials of QSeries, SparsePoly
-and NCElement, and `render_terms` the signed terms of QSeries, LaurentQ and
-SparsePoly.
+stored.  `add_terms` is the one term-dict sum of QSeries, SparsePoly and
+JetPoly; `powers` writes the monomials of QSeries, SparsePoly and NCElement,
+and `render_terms` the signed terms of QSeries, LaurentQ and SparsePoly.
 """
 
 from __future__ import annotations

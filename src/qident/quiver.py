@@ -226,8 +226,7 @@ def bridge_theorem54(n, kmax, order) -> CompareResult:
     that normalized comparison is performed here.
     """
     rank = n - 1
-    qv = QuiverA.equioriented(rank)
-    _, rhs = quiver_generating_series(qv, kmax, order)
+    rhs = nahm.evaluate(codim_form(QuiverA.equioriented(rank)), order, charge_box=tuple(kmax))
     ev = nahm.evaluate(nahm.build_Bprime_form(n), order, charge_box=kmax)
     cartan = nahm.build_cartan_side(f"a{n}")
     qs = QSeries.from_rows(rhs.order2, rank, (

@@ -3,8 +3,9 @@
 Generators obey x_i x_j = q^(eps_ij) x_j x_i with an antisymmetric integer
 matrix eps.  Elements are truncated in two directions at once: total x-degree
 (exclusive bound xdeg) and q-order; coefficients are Laurent polynomials in
-q^(1/2), each kept as one dense row, whose validity order is tracked through
-every multiplication, so a comparison can certify exactly how far it is
+q^(1/2), each a LaurentQ: one canonical series row, the row format and row
+kernels of qident.series, and a validity order tracked through every
+multiplication, so a comparison can certify exactly how far it is
 meaningful.  The product of two elements sums, over the monomial pairs, each
 pair's LaurentQ product shifted by its merge power: LaurentQ.__mul__, shifted
 and __add__ alone set every coefficient's terms and validity order.
@@ -31,9 +32,10 @@ order and at most the order NCElement.__mul__ would give, and every term
 below it is exact.  The product only fills rows laid out on the bounds.  A
 coefficient whose exponents share one parity is a row on step 2 in doubled
 exponents; the plan pass checks that no target mixes parities, and a product
-where one would goes on step-1 rows.  The rows become the product's
-coefficients as they are, and nc_eq compares two elements on their rows; no
-LaurentQ is built between the expansion and the verdict.
+where one would goes on step-1 rows.  Each row is cut once to its canonical
+form and becomes the product's LaurentQ coefficient; nc_eq compares two
+elements on their coefficients' rows, as list slices where two rows share a
+grid, and otherwise through the first-difference scan of series_eq.
 """
 
 from __future__ import annotations
@@ -41,14 +43,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, mul, ne, sub
+from types import MappingProxyType
 from typing import Optional
 
 from . import kernels
 from .halfint import twice_of
 from .nahm import BudgetExceeded, a_pairs, cartan_matrix
-from .poly import SparsePoly, add_terms, powers, render_terms
-from .series import inv_pochhammer_dense
+from .poly import SparsePoly, powers, render_terms
+from .series import (_first_difference, _on_grid, _row_product, _row_sum, _row_terms, _trim,
+                     inv_pochhammer_dense)
 
 
 class NCAlgebra:
@@ -90,93 +94,81 @@ class LaurentQ:
     """Laurent polynomial in q^(1/2), known modulo q^(order2/2).
 
     Exponents are doubled ints of either sign; order2 is the exclusive bound
-    below which the coefficients are exact.  Multiplication shrinks the
-    validity order when negative exponents are present, which is what keeps
-    truncated normal-ordering computations honest.  terms holds the nonzero
-    coefficients in ascending exponent order.
+    below which the coefficients are exact.  row is one canonical series row
+    below order2 (see series._trim), None for zero.  Multiplication shrinks
+    the validity order when negative exponents are present, which is what
+    keeps truncated normal-ordering computations honest.  terms is the
+    read-only {exponent: coefficient} view of the row's nonzero terms.
     """
 
-    __slots__ = ("terms", "order2")
+    __slots__ = ("row", "order2", "_terms")
 
     def __init__(self, terms, order2):
+        kept = {e: c for e, c in terms.items() if c and e < order2}
+        low2, high2 = min(kept, default=0), max(kept, default=-1)
+        self.row = _trim(low2, 1, [kept.get(e, 0) for e in range(low2, high2 + 1)], order2)
         self.order2 = order2
-        self.terms = {e: c for e, c in sorted(terms.items()) if c and e < order2}
+        self._terms = None
+
+    @classmethod
+    def _canonical(cls, row, order2):
+        """From a canonical row below order2, or None (nothing is checked)."""
+        self = cls.__new__(cls)
+        self.row = row
+        self.order2 = order2
+        self._terms = None
+        return self
 
     @classmethod
     def zero(cls, order2):
-        return cls({}, order2)
-
-    @classmethod
-    def one(cls, order2):
-        return cls({0: 1}, order2)
+        return cls._canonical(None, order2)
 
     @classmethod
     def _from_row(cls, low2, row, order2, step=1):
-        """The coefficients row[i] at exponents low2 + step*i, all below
-        order2."""
-        self = cls.__new__(cls)
-        self.order2 = order2
-        self.terms = {low2 + step * i: c for i, c in enumerate(row) if c}
-        return self
+        """The coefficients row[i] at exponents low2 + step*i, cut below
+        order2; the list is kept, not copied, when it is already canonical."""
+        return cls._canonical(_trim(low2, step, row, order2), order2)
 
-    def row(self):
-        """(low2, step, row, order2) that _from_row turns back into self: row
-        runs from the lowest exponent to the highest, on step 2 when every
-        exponent has the parity of the lowest."""
-        exps = list(self.terms)
-        low2 = exps[0] if exps else 0
-        step = 1 if any((e - low2) & 1 for e in exps) else 2
-        high2 = exps[-1] + 1 if exps else low2
-        return low2, step, [self.terms.get(e, 0) for e in range(low2, high2, step)], self.order2
+    @property
+    def terms(self):
+        if self._terms is None:
+            self._terms = MappingProxyType(dict(_row_terms(self.row)) if self.row else {})
+        return self._terms
 
     @property
     def low2(self) -> Optional[int]:
         """The lowest exponent, None for zero."""
-        return next(iter(self.terms), None)
-
-    def is_zero(self):
-        return not self.terms
+        return self.row and self.row[0]
 
     def __add__(self, other):
-        return LaurentQ(add_terms(dict(self.terms), other.terms.items()),
-                        min(self.order2, other.order2))
+        order2 = min(self.order2, other.order2)
+        return LaurentQ._canonical(_row_sum(self.row, other.row, order2), order2)
 
     def __neg__(self):
-        return LaurentQ({e: -c for e, c in self.terms.items()}, self.order2)
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentQ({e: other * c for e, c in self.terms.items()}, self.order2)
-        a_min, b_min = self.low2, other.low2
-        bounds = []
-        if b_min is not None:
-            bounds.append(self.order2 + min(b_min, 0))
-        if a_min is not None:
-            bounds.append(other.order2 + min(a_min, 0))
-        if not bounds:
-            bounds = [min(self.order2, other.order2)]
-        order2 = min(bounds)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                if e < order2:
-                    s = out.get(e, 0) + c1 * c2
-                    if s:
-                        out[e] = s
-                    elif e in out:
-                        del out[e]
-        return LaurentQ(out, order2)
+            if not other or self.row is None:
+                return LaurentQ.zero(self.order2)
+            first, step, coeffs = self.row
+            return LaurentQ._canonical((first, step, [other * c for c in coeffs]), self.order2)
+        x, y = self.row, other.row
+        # each side's unknown tail meets the other's lowest exponent (0 if positive)
+        bounds = [o + min(r[0], 0) for o, r in ((self.order2, y), (other.order2, x)) if r]
+        order2 = min(bounds or (self.order2, other.order2))
+        return LaurentQ._canonical(x and y and _row_product(x, y, order2), order2)
 
     __rmul__ = __mul__
 
     def shifted(self, d2):
         """Multiply by q^(d2/2)."""
-        return LaurentQ({e + d2: c for e, c in self.terms.items()}, self.order2 + d2)
+        row = self.row and (self.row[0] + d2, self.row[1], self.row[2])
+        return LaurentQ._canonical(row, self.order2 + d2)
 
     def render(self):
         return render_terms((c, [] if not e else ["q" if e == 2 else f"q^{{{Fraction(e, 2)}}}"])
-                            for e, c in sorted(self.terms.items()))
+                            for e, c in self.terms.items())
 
     def __repr__(self):
         return f"LaurentQ({self.render()} ; order {Fraction(self.order2, 2)})"
@@ -237,60 +229,49 @@ def monomial_merge_power2(algebra, a_exps, b_exps):
 class NCElement:
     """Map from normal-ordered exponent vectors to coefficients.
 
-    Each coefficient is a row (low2, step, row, order2): row[i] is the
-    coefficient of q^((low2 + step*i)/2), every slot lies below the validity
-    order order2, and an exponent that no slot covers below it is zero.
-    Every row has a nonzero slot.  terms, the {exps: LaurentQ} view that the
-    reference arithmetic reads, is built when first read."""
+    terms maps each exponent vector below x-degree xdeg to its nonzero
+    LaurentQ coefficient, one canonical series row and its validity order;
+    a monomial with no entry has a zero coefficient, valid through
+    absent_order2."""
 
-    __slots__ = ("algebra", "xdeg", "rows", "_terms")
+    __slots__ = ("algebra", "xdeg", "terms")
 
     def __init__(self, algebra, xdeg, terms=None):
         """From LaurentQ coefficients; those at or past x-degree xdeg and the
         zero ones are dropped."""
         self.algebra = algebra
         self.xdeg = xdeg
-        self.rows = {tuple(exps): coeff.row() for exps, coeff in (terms or {}).items()
-                     if sum(exps) < xdeg and not coeff.is_zero()}
-        self._terms = None
+        self.terms = {tuple(exps): coeff for exps, coeff in (terms or {}).items()
+                      if sum(exps) < xdeg and coeff.row}
 
     @classmethod
     def from_rows(cls, algebra, xdeg, rows):
         """From {exps: (low2, step, row, order2)} with every exps below
-        x-degree xdeg; rows with no nonzero slot are dropped, and the lists
-        are kept, not copied."""
+        x-degree xdeg, as LaurentQ._from_row cuts them; zero ones are
+        dropped."""
         self = cls(algebra, xdeg)
-        self.rows = {exps: r for exps, r in rows.items() if any(r[2])}
+        for exps, (low2, step, row, order2) in rows.items():
+            coeff = LaurentQ._from_row(low2, row, order2, step)
+            if coeff.row:
+                self.terms[exps] = coeff
         return self
 
-    @property
-    def terms(self):
-        if self._terms is None:
-            self._terms = {exps: LaurentQ._from_row(low2, row, order2, step)
-                           for exps, (low2, step, row, order2) in self.rows.items()}
-        return self._terms
-
     def absent_order2(self):
-        """The validity order of a coefficient that has no row: the least
-        order2 of the rows."""
-        return min((r[3] for r in self.rows.values()), default=1 << 60)
+        """The validity order of a coefficient that has no entry: the least
+        order2 of the coefficients."""
+        return min((c.order2 for c in self.terms.values()), default=1 << 60)
 
     @classmethod
     def unit(cls, algebra, xdeg, order2):
         zero = (0,) * algebra.generator_count
-        return cls(algebra, xdeg, {zero: LaurentQ.one(order2)})
+        return cls(algebra, xdeg, {zero: LaurentQ({0: 1}, order2)})
 
     def __add__(self, other):
         if self.algebra is not other.algebra:
             raise ValueError("algebra mismatch")
         xdeg = min(self.xdeg, other.xdeg)
-        out = {}
-        for exps, c in self.terms.items():
-            if sum(exps) < xdeg:
-                out[exps] = c
+        out = dict(self.terms)
         for exps, c in other.terms.items():
-            if sum(exps) >= xdeg:
-                continue
             out[exps] = out[exps] + c if exps in out else c
         return NCElement(self.algebra, xdeg, out)
 
@@ -325,9 +306,7 @@ class NCElement:
         if sum(exps) >= self.xdeg:
             raise ValueError("monomial beyond x-degree truncation")
         hit = self.terms.get(exps)
-        if hit is not None:
-            return hit
-        return LaurentQ.zero(self.absent_order2())
+        return hit if hit is not None else LaurentQ.zero(self.absent_order2())
 
     def render(self):
         if not self.terms:
@@ -381,41 +360,31 @@ def nc_eq(a: NCElement, b: NCElement, qorder) -> NCCompareResult:
 
     Mismatches are reported at the smallest (total degree, exponent vector),
     then lowest q-power, so a failure localizes the first bad factor.  A
-    monomial with no row on one side has a zero coefficient there, valid
+    monomial with no coefficient on one side has a zero one there, valid
     through that side's absent_order2; every coefficient compared must be
-    valid through qorder (ValidityError).  Two rows on one grid agree when
-    their slots below qorder do; only a pair that does not is read exponent
-    by exponent.
+    valid through qorder (ValidityError).  Two coefficient rows on one grid
+    agree when their slots below qorder do; only a pair that does not is cut
+    below qorder and scanned by series._first_difference.
     """
     qorder2 = twice_of(qorder)
     xdeg = min(a.xdeg, b.xdeg)
-    rows_a, rows_b = a.rows, b.rows
+    terms_a, terms_b = a.terms, b.terms
     absent_a, absent_b = a.absent_order2(), b.absent_order2()
-    keys = {e for e in rows_a if sum(e) < xdeg} | {e for e in rows_b if sum(e) < xdeg}
+    keys = {e for e in terms_a if sum(e) < xdeg} | {e for e in terms_b if sum(e) < xdeg}
     for exps in sorted(keys, key=lambda e: (sum(e), e)):
-        ra, rb = rows_a.get(exps), rows_b.get(exps)
-        if min(ra[3] if ra else absent_a, rb[3] if rb else absent_b) < qorder2:
+        ca, cb = terms_a.get(exps), terms_b.get(exps)
+        if min(ca.order2 if ca else absent_a, cb.order2 if cb else absent_b) < qorder2:
             raise ValidityError("coefficients not valid far enough for this comparison")
-        if ra and rb and ra[0] == rb[0] and ra[1] == rb[1]:
-            n = (qorder2 - ra[0] + ra[1] - 1) // ra[1]     # slots below qorder
-            if n <= 0 or ra[2][:n] == rb[2][:n]:
+        x, y = ca and ca.row, cb and cb.row
+        if x and y and x[0] == y[0] and x[1] == y[1]:
+            n = (qorder2 - x[0] + x[1] - 1) // x[1]     # slots below qorder
+            if n <= 0 or x[2][:n] == y[2][:n]:
                 continue
-        ta, tb = _slots(ra, qorder2), _slots(rb, qorder2)
-        diff = [e for e in ta.keys() | tb.keys() if ta.get(e, 0) != tb.get(e, 0)]
-        if diff:
-            e = min(diff)
-            return NCCompareResult(False, xdeg, qorder2,
-                                   NCMismatch(exps, Fraction(e, 2), ta.get(e, 0), tb.get(e, 0)))
+        hit = _first_difference(x and _trim(*x, qorder2), y and _trim(*y, qorder2), ne)
+        if hit:
+            e, cx, cy = hit
+            return NCCompareResult(False, xdeg, qorder2, NCMismatch(exps, Fraction(e, 2), cx, cy))
     return NCCompareResult(True, xdeg, qorder2)
-
-
-def _slots(r, bound2):
-    """{exponent: coefficient} of the nonzero slots of row r below bound2;
-    empty for None."""
-    if r is None:
-        return {}
-    low2, step, row, _order2 = r
-    return {low2 + step * i: c for i, c in enumerate(row) if c and low2 + step * i < bound2}
 
 
 # ---------------------------------------------------------------------------
@@ -424,11 +393,7 @@ def _slots(r, bound2):
 
 def _inv_poch_laurent(n, base2, order2):
     """q^(base2/2) / (q)_n as a LaurentQ valid below order2."""
-    if base2 >= order2:
-        return LaurentQ.zero(order2)
-    length = (order2 - base2 + 1) // 2
-    dense = inv_pochhammer_dense(n, length)
-    return LaurentQ({base2 + 2 * k: c for k, c in enumerate(dense) if c}, order2)
+    return LaurentQ._from_row(base2, inv_pochhammer_dense(n, (order2 - base2 + 1) // 2), order2, 2)
 
 
 def _dilog_terms(algebra, prefactor_sign, qshift, word, xdeg):
@@ -448,13 +413,9 @@ def _dilog_terms(algebra, prefactor_sign, qshift, word, xdeg):
 
 def dilog(algebra, prefactor_sign, qshift, word, xdeg, qorder2) -> NCElement:
     """phi(prefactor_sign * q^qshift * word) as a truncated NCElement."""
-    terms = {}
-    for exps, n, base2, sign in _dilog_terms(algebra, prefactor_sign, qshift, word, xdeg):
-        coeff = _inv_poch_laurent(n, base2, qorder2)
-        if sign < 0:
-            coeff = -coeff
-        terms[exps] = terms[exps] + coeff if exps in terms else coeff
-    return NCElement(algebra, xdeg, terms)
+    return NCElement(algebra, xdeg, {
+        exps: _inv_poch_laurent(n, base2, qorder2) * sign
+        for exps, n, base2, sign in _dilog_terms(algebra, prefactor_sign, qshift, word, xdeg)})
 
 
 def dilog_inv(algebra, prefactor_sign, qshift, word, xdeg, qorder2) -> NCElement:
@@ -601,16 +562,6 @@ def _plan_product(algebra, factors, xdeg, qorder, budget=None):
     return twice_of(qorder) - min((o for _low2, o in bounds.values()), default=0), plans
 
 
-def _spread(rows):
-    """Step-2 rows as step-1 rows, a zero between every two slots."""
-    out = {}
-    for a, row in rows.items():
-        wide = [0] * (2 * len(row) - 1)
-        wide[::2] = row
-        out[a] = wide
-    return out
-
-
 def expand_dilog_product(algebra, factors, xdeg, qorder, budget=None) -> NCElement:
     """Expand a list of (prefactor_sign, qshift, word) dilog factors, every
     coefficient valid at least through qorder.  _plan_product gives the
@@ -625,7 +576,7 @@ def expand_dilog_product(algebra, factors, xdeg, qorder, budget=None) -> NCEleme
     step = 2
     for plan in plans:
         if plan[0] != step:
-            rows, step = _spread(rows), plan[0]
+            rows, step = {a: _on_grid((0, 2, row), 1) for a, row in rows.items()}, plan[0]
         rows = _mul_dilog(rows, plan, start)
     return NCElement.from_rows(algebra, xdeg, {a: (low2, step, rows[a], order2 + start)
                                                for a, (low2, order2) in plans[-1][2].items()})

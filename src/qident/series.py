@@ -17,12 +17,15 @@ directly.  Engines that sum dense rows (the lattice level sum, quiver boxes,
 the Pochhammer products) hand them over through `from_rows`, trimmed once;
 `terms`, the {(doubled exponent, charges): coefficient} view, is built only
 when a caller reads it.
+The same rows and row helpers also hold the dilogarithm coefficients of
+qident.qweyl, whose first exponents may be negative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from operator import add, gt, ne
 from types import MappingProxyType
 from typing import Optional
@@ -81,21 +84,28 @@ def _on_grid(row, step):
     return spread
 
 
-def _add_row(rows, charges, row, order2):
-    """rows[charges] += row below order2, kept canonical; a sum that cancels
-    drops the charge.  No list already in rows is written into."""
-    old = rows.get(charges)
-    if old is None:
-        rows[charges] = row
-        return
-    x, y = (old, row) if old[0] <= row[0] else (row, old)
+def _row_sum(x, y, order2):
+    """The canonical row of x + y below order2 (None when it is empty); either
+    row may be None, for zero.  No list of x or y is written into."""
+    if x is None or y is None:
+        z = x or y
+        return z and _trim(*z, order2)
+    if x[0] > y[0]:
+        x, y = y, x
     step = 2 if x[1] == y[1] == 2 and (y[0] - x[0]) % 2 == 0 else 1
     out = list(_on_grid(x, step))
     ys = _on_grid(y, step)
     p = (y[0] - x[0]) // step
     out += [0] * (p + len(ys) - len(out))
     out[p:p + len(ys)] = map(add, out[p:p + len(ys)], ys)
-    total = _trim(x[0], step, out, order2)
+    return _trim(x[0], step, out, order2)
+
+
+def _add_row(rows, charges, row, order2):
+    """rows[charges] += row below order2, kept canonical; a sum that cancels
+    drops the charge.  No list already in rows is written into."""
+    old = rows.get(charges)
+    total = row if old is None else _row_sum(old, row, order2)
     if total is None:
         del rows[charges]
     else:
@@ -361,6 +371,22 @@ class CompareResult:
         return self.equal
 
 
+def _first_difference(x, y, violates):
+    """The least (doubled exponent, coefficient in x, coefficient in y) where
+    violates(cx, cy) holds, or None; x and y are rows or None (zero), read on
+    one grid from the lower first exponent."""
+    rows = [r for r in (x, y) if r is not None]
+    if not rows:
+        return None
+    first = min(r[0] for r in rows)
+    step = 2 if all(r[1] == 2 and (r[0] - first) % 2 == 0 for r in rows) else 1
+    xs, ys = ([0] * ((r[0] - first) // step) + _on_grid(r, step) if r else [] for r in (x, y))
+    for i, (cx, cy) in enumerate(zip_longest(xs, ys, fillvalue=0)):
+        if violates(cx, cy):
+            return first + i * step, cx, cy
+    return None
+
+
 def _first_violation(a: QSeries, b: QSeries, violates) -> CompareResult:
     """Walk the rows of both sides below the common truncation and report the
     first (q-exponent, lexicographic charges) key where violates(ca, cb)
@@ -370,23 +396,15 @@ def _first_violation(a: QSeries, b: QSeries, violates) -> CompareResult:
     rows_a, rows_b = a._rows_below(order2), b._rows_below(order2)
     if rows_a == rows_b:
         return CompareResult(True, order2)
-    first = None
+    found = []
     for charges in rows_a.keys() | rows_b.keys():
         x, y = rows_a.get(charges), rows_b.get(charges)
-        if x == y:
-            continue
-        xs = dict(_row_terms(x)) if x else {}
-        ys = dict(_row_terms(y)) if y else {}
-        for e2 in sorted(xs.keys() | ys.keys()):
-            if first is not None and (e2, charges) > first[0]:
-                break
-            ca, cb = xs.get(e2, 0), ys.get(e2, 0)
-            if violates(ca, cb):
-                first = (e2, charges), ca, cb
-                break
-    if first is None:
+        hit = x != y and _first_difference(x, y, violates)
+        if hit:
+            found.append((hit[0], charges, *hit[1:]))
+    if not found:
         return CompareResult(True, order2)
-    (e2, charges), ca, cb = first
+    e2, charges, ca, cb = min(found)
     return CompareResult(False, order2, Mismatch(Fraction(e2, 2), charges, ca, cb))
 
 

@@ -8,12 +8,57 @@ NCElement.__mul__ adds: with bound_padding, the oracle of the order
 qweyl._plan_product gives and of the validity order of every coefficient
 qweyl.expand_dilog_product builds.  reference_nc_eq
 compares two elements through their LaurentQ view, coefficient by
-coefficient with compare_upto: the oracle of qweyl.nc_eq on rows."""
+coefficient with compare_upto: the oracle of qweyl.nc_eq on rows.
+laurent_terms, laurent_add, laurent_mul and laurent_shifted are the dict
+rules of LaurentQ's arithmetic, on (terms, order2) pairs: the oracle of
+LaurentQ on series rows."""
 
 from fractions import Fraction
 
 from qident import qweyl
 from qident.halfint import twice_of
+from qident.poly import add_terms
+
+
+def laurent_terms(terms, order2):
+    """(terms, order2) of the Laurent polynomial known below order2: the
+    nonzero coefficients below it, in ascending exponent order."""
+    return {e: c for e, c in sorted(terms.items()) if c and e < order2}, order2
+
+
+def laurent_add(a, b):
+    """a + b, valid as far as the less valid side."""
+    (ta, oa), (tb, ob) = a, b
+    return laurent_terms(add_terms(dict(ta), tb.items()), min(oa, ob))
+
+
+def laurent_mul(a, b):
+    """a * b, b a Laurent polynomial or an int scalar.  The unknown tail of
+    each side, from its order2 on, meets the other side's lowest exponent,
+    taken at 0 when it is positive; with both sides zero the product is
+    valid as far as the less valid side."""
+    ta, oa = a
+    if isinstance(b, int):
+        return laurent_terms({e: b * c for e, c in ta.items()}, oa)
+    tb, ob = b
+    bounds = []
+    if tb:
+        bounds.append(oa + min(min(tb), 0))
+    if ta:
+        bounds.append(ob + min(min(ta), 0))
+    order2 = min(bounds) if bounds else min(oa, ob)
+    out = {}
+    for e1, c1 in ta.items():
+        for e2, c2 in tb.items():
+            if e1 + e2 < order2:
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return laurent_terms(out, order2)
+
+
+def laurent_shifted(a, d2):
+    """a times q^(d2/2): every exponent and the order move by d2."""
+    ta, oa = a
+    return laurent_terms({e + d2: c for e, c in ta.items()}, oa + d2)
 
 
 def reference_product(a, b):

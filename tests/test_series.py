@@ -1,9 +1,11 @@
+import operator
+
 import pytest
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from qident import nahm
+from qident import nahm, series
 from qident.halfint import twice_of
 from qident.poly import add_terms
 from qident.series import (
@@ -379,3 +381,77 @@ class TestPlantedMismatch:
         assert r.mismatch == Mismatch(Fraction(1), (0,), 0, 1)
         assert series_eq(a.charge_slice(0, 1), b.charge_slice(0, 1)).mismatch == Mismatch(
             Fraction(5, 2), (), 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# the first-difference scan on rows, against a brute-force dict walk
+# ---------------------------------------------------------------------------
+
+_ROW_COEFFS = st.lists(st.sampled_from((0, 0, 1, -1, 2)), min_size=1, max_size=6)
+
+
+def _row_dict(row):
+    """{doubled exponent: coefficient} of every slot of a row, zeros too."""
+    if row is None:
+        return {}
+    first, step, coeffs = row
+    return {first + i * step: c for i, c in enumerate(coeffs)}
+
+
+def _brute_first_difference(x, y, violates):
+    xs, ys = _row_dict(x), _row_dict(y)
+    for e2 in sorted(xs.keys() | ys.keys()):
+        if violates(xs.get(e2, 0), ys.get(e2, 0)):
+            return e2, xs.get(e2, 0), ys.get(e2, 0)
+    return None
+
+
+@st.composite
+def _row_pair(draw):
+    """(x, y): x a row (first, step, coeffs) or None; y is x on another
+    grid (a lower first, step 1 for step 2, zeros appended), x with one slot
+    changed, x's list on the other step, a fresh row, or None."""
+    def fresh():
+        return draw(st.integers(-6, 6)), draw(st.sampled_from((1, 2))), draw(_ROW_COEFFS)
+
+    x = fresh() if draw(st.integers(0, 4)) else None
+    how = draw(st.sampled_from(("regrid", "changed", "restep", "fresh", "none")))
+    if x is None or how == "fresh":
+        y = fresh()
+    elif how == "none":
+        y = None
+    else:
+        first, step, coeffs = x
+        if how == "regrid":
+            lower = draw(st.integers(0, 2))
+            if step == 2 and draw(st.booleans()):
+                coeffs, step = series._on_grid(x, 1), 1
+            y = first - lower * step, step, [0] * lower + coeffs + [0] * draw(st.integers(0, 2))
+        elif how == "changed":
+            i = draw(st.integers(0, len(coeffs) - 1))
+            changed = list(coeffs)
+            changed[i] += draw(st.sampled_from((-1, 1)))
+            y = first, step, changed
+        else:
+            y = first, 3 - step, coeffs
+    return (x, y) if draw(st.booleans()) else (y, x)
+
+
+class TestFirstDifference:
+    @settings(max_examples=400, deadline=None)
+    @given(_row_pair(), st.sampled_from((operator.ne, operator.gt)))
+    def test_agrees_with_brute_force(self, pair, violates):
+        x, y = pair
+        assert series._first_difference(x, y, violates) == _brute_first_difference(x, y, violates)
+
+    def test_cases(self):
+        # the same coefficients on step 2 from 0 and on step 1 from -2: no difference
+        assert series._first_difference((0, 2, [1, 0, 3]), (-2, 1, [0, 0, 1, 0, 0, 0, 3]),
+                                        operator.ne) is None
+        # one list on two steps: q^(1/2) holds 3 on the right, 0 on the left
+        assert series._first_difference((0, 2, [1, 3]), (0, 1, [1, 3]), operator.ne) == (1, 0, 3)
+        # against zero, the first nonzero slot; gt only where the left is larger
+        assert series._first_difference(None, (-3, 2, [0, 2]), operator.ne) == (-1, 0, 2)
+        assert series._first_difference(None, (-3, 2, [0, 2]), operator.gt) is None
+        assert series._first_difference((-3, 2, [0, 2]), None, operator.gt) == (-1, 2, 0)
+        assert series._first_difference(None, None, operator.ne) is None
