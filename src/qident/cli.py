@@ -378,15 +378,15 @@ def forms_expand_diff(settings, n, kind):
         notes=["touching configurations (second index meets the next start) "
                "are tabulated with type I: the overlap formula does not "
                "extend to them"])
-    poly = nahm.expand_form_difference(n, kind)
+    form = nahm.expand_form_difference(n, kind)
     bad = 0
-    for (typ, desc, coeff, expected) in nahm.six_type_table(poly, n, kind):
+    for (typ, desc, coeff, expected) in nahm.six_type_table(form, n, kind):
         line = f"type {typ:3} {desc}: {coeff}"
         if expected is not None:
             bad += coeff != expected
             line += " [ok]" if coeff == expected else f" [EXPECTED {expected}]"
         report.lines.append(line)
-    nonzero = {k: v for k, v in nahm.cross_k_coefficients(poly, n).items() if v}
+    nonzero = {k: v for k, v in nahm.cross_k_coefficients(form, n).items() if v}
     report.lines.append(f"k_i*k_j (j>i+1) coefficients all zero: {not nonzero}")
     report.verdict = "equal" if (bad == 0 and not nonzero) else "mismatch"
     if kind == "B":

@@ -14,9 +14,9 @@ over the distinct running sums and charges, one variable level at a time
 (see _sum_levels), pruned by an exact integer bound on the completion of
 each prefix and by the box; one certification of the form (see
 compute_bound) gives that bound's table.
-The symbolic side reads the same spec: form_poly and charge_polys give Q(m)
-and the charge rows as polynomials, and each form difference is one spec
-whose matrix is a congruence M^T quad M (_congruent).
+The symbolic side is the same spec: each form difference is one
+(labels, quad, linear) table whose matrix is a congruence M^T quad M
+(_congruent), and a monomial's coefficient is read straight off quad.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from operator import add
 
 from . import kernels
 from .halfint import twice_of
-from .poly import SparsePoly, add_terms
+from .poly import add_terms
 from .series import QSeries, CompareResult, inv_pochhammer_dense, series_eq
 
 
@@ -200,7 +200,7 @@ class NahmSumSpec:
 
 def _symmetric_from_products(nvars, product_terms, linear=None):
     """Assemble the quadratic matrix from coefficient-on-m_a*m_b terms: twice
-    the matrix is summed in ints, and each entry becomes one Fraction."""
+    the matrix is summed exactly, and each entry becomes one Fraction."""
     twice = [[0] * nvars for _ in range(nvars)]
     for a, b, coeff in product_terms:
         twice[a][b] += coeff
@@ -714,44 +714,19 @@ def verify_identity(lhs: NahmSumSpec, rhs: NahmSumSpec, order, with_charges=True
 # symbolic form differences (quadratic-form bookkeeping)
 # ---------------------------------------------------------------------------
 
-def form_poly(spec: NahmSumSpec, variables=None) -> SparsePoly:
-    """Q(m) = m^T quad m + linear.m of a form as a polynomial in its labels,
-    over `variables` (a universe containing the labels; default the labels)."""
-    variables, units = _label_units(spec, variables)
-    terms = {}
-    for i, ei in enumerate(units):
-        terms[ei] = terms.get(ei, 0) + spec.linear[i]
-        for j, ej in enumerate(units):
-            key = tuple(map(add, ei, ej))
-            terms[key] = terms.get(key, 0) + spec.quad[i][j]
-    return SparsePoly(variables, terms)
-
-
-def charge_polys(spec: NahmSumSpec, variables=None):
-    """The charge rows of a form as linear polynomials (universe as form_poly)."""
-    variables, units = _label_units(spec, variables)
-    return tuple(SparsePoly(variables, dict(zip(units, row))) for row in spec.charges)
-
-
-def _label_units(spec, variables):
-    """The universe of form_poly and the exponent vector of each label."""
-    variables = tuple(spec.labels if variables is None else variables)
-    places = [variables.index(lab) for lab in spec.labels]
-    return variables, [tuple(int(k == p) for k in range(len(variables))) for p in places]
-
-
 _A_FORMS = {"B": build_B_form, "Bprime": build_Bprime_form}
 
 
 def _congruent(quad, M):
     """M^T quad M, the matrix of x^T quad x under the change x = M y (M has
-    one row per x and one column per y): two products that skip zeros."""
+    one row per x and one column per y), as Fractions: two products that
+    skip zeros."""
     cols = list(zip(*M))
     QM = [[sum(q * x for q, x in zip(row, col) if q) for col in cols] for row in quad]
-    return [[sum(x * y for x, y in zip(a, b) if x) for b in zip(*QM)] for a in cols]
+    return [[Fraction(sum(x * y for x, y in zip(a, b) if x)) for b in zip(*QM)] for a in cols]
 
 
-def form_difference_pure(n, kind) -> SparsePoly:
+def form_difference_pure(n, kind) -> NahmSumSpec:
     """kind(m) - (1/2) lambda(m)^T A lambda(m), purely in the m variables.
 
     Built over the rank-(n+1) variable set so its monomials line up with the
@@ -760,16 +735,16 @@ def form_difference_pure(n, kind) -> SparsePoly:
     """
     spec = _A_FORMS[kind](n + 1)
     half = _congruent(build_cartan_side(f"a{n + 1}").quad, spec.charges)
-    quad = [[a - b for a, b in zip(qa, qb)] for qa, qb in zip(spec.quad, half)]
-    return form_poly(NahmSumSpec(spec.labels, quad, spec.linear, ()))
+    quad = tuple(tuple(a - b for a, b in zip(qa, qb)) for qa, qb in zip(spec.quad, half))
+    return NahmSumSpec(spec.labels, quad, spec.linear, ())
 
 
-def expand_form_difference(n, kind) -> SparsePoly:
+def expand_form_difference(n, kind) -> NahmSumSpec:
     """kind(m) - (1/2) k^T A k in mixed coordinates.
 
     Variables are k1..kn together with the non-nearest m[i,j] (j >= i+2,
     j <= n+1); the nearest-neighbour m[i,i+1] are eliminated through
-    lambda_i(m) = k_i.  This is the polynomial whose six coefficient families
+    lambda_i(m) = k_i.  This is the table whose six coefficient families
     the table check reads off.  The change of variables m = M y is linear, so
     the form becomes M^T quad M, and (1/2) k^T A k sits on the k block.
     """
@@ -789,21 +764,27 @@ def expand_form_difference(n, kind) -> SparsePoly:
     for i, row in enumerate(cartan.quad):
         for j, a in enumerate(row):
             quad[i][j] -= a
-    linear = [sum(x * r[c] for x, r in zip(spec.linear, M)) for c in range(len(mixed_names))]
-    return form_poly(NahmSumSpec(mixed_names, quad, linear, ()))
+    linear = tuple(sum(x * y for x, y in zip(spec.linear, col)) for col in zip(*M))
+    return NahmSumSpec(mixed_names, tuple(map(tuple, quad)), linear, ())
 
 
-def six_type_table(poly, n, kind):
-    """Classify every monomial of poly = expand_form_difference(n, kind) that
-    touches an m[i,n+1] variable.
+def _monomial_coeff(form, u, w):
+    """Coefficient of u*w in the form's quadratic part: quad[u][u] for a
+    square, 2*quad[u][w] for two distinct labels."""
+    a, b = form.labels.index(u), form.labels.index(w)
+    return form.quad[a][b] * (1 + (a != b))
+
+
+def six_type_table(form, n, kind):
+    """Classify every monomial of form = expand_form_difference(n, kind)
+    that touches an m[i,n+1] variable.
 
     Returns a list of rows (type, description, coefficient, expected) covering
     all applicable index configurations; expected is None for kind='B' (the
     table is only pinned for the primed form).
     """
     N = n + 1
-    names = poly.variables
-    idx = {name: t for t, name in enumerate(names)}
+    names = form.labels
     kvars = [f"k{i}" for i in range(1, N)]
     end_vars = [_mvar(c, N) for c in range(1, N - 1)]  # variables ending at n+1
 
@@ -838,10 +819,10 @@ def six_type_table(poly, n, kind):
         for w in end_vars:
             c, _ = parse(w)
             if u == w:
-                coeff = poly.coeff({u: 2})
+                coeff = _monomial_coeff(form, u, u)
                 rows.append(("VI", f"{u}^2", coeff, expect("VI", (c,))))
                 continue
-            coeff = poly.coeff({u: 1, w: 1})
+            coeff = _monomial_coeff(form, u, w)
             if b == N and u != w:
                 # both factors end at n+1: reads as Type III with i1 < i2
                 lo, hi = min(a, c), max(a, c)
@@ -861,7 +842,7 @@ def six_type_table(poly, n, kind):
         i = int(kv[1:])
         for w in end_vars:
             c, _ = parse(w)
-            coeff = poly.coeff({kv: 1, w: 1})
+            coeff = _monomial_coeff(form, kv, w)
             if c >= i + 1:
                 rows.append(("IV", f"{kv}*{w}", coeff, expect("IV", ())))
             else:
@@ -869,11 +850,11 @@ def six_type_table(poly, n, kind):
     return rows
 
 
-def cross_k_coefficients(poly, n):
-    """Coefficients of k_i*k_j (j > i+1) in poly = expand_form_difference(n,
+def cross_k_coefficients(form, n):
+    """Coefficients of k_i*k_j (j > i+1) in form = expand_form_difference(n,
     kind); all must vanish."""
     out = {}
     for i in range(1, n + 1):
         for j in range(i + 2, n + 1):
-            out[(i, j)] = poly.coeff({f"k{i}": 1, f"k{j}": 1})
+            out[(i, j)] = _monomial_coeff(form, f"k{i}", f"k{j}")
     return out

@@ -49,8 +49,9 @@ from typing import Optional
 
 from . import kernels
 from .halfint import twice_of
-from .nahm import BudgetExceeded, a_pairs, cartan_matrix
-from .poly import SparsePoly, powers, render_terms
+from .nahm import (BudgetExceeded, NahmSumSpec, _symmetric_from_products, a_pairs,
+                   build_Bprime_form, cartan_matrix)
+from .poly import powers, render_terms
 from .series import (_first_difference, _on_grid, _row_product, _row_sum, _row_terms, _trim,
                      inv_pochhammer_dense)
 
@@ -663,24 +664,19 @@ def ordered_product_check(name, xdeg, qorder, budget=None):
 # the charge word F and its normal-ordering exponent E(m)
 # ---------------------------------------------------------------------------
 
-def _charge_power(n, m, start):
-    """start plus E(m), the normal-ordering q-power of the charge word F; m
-    maps each pair (i, j) to an int or a SparsePoly.
+def _charge_crossings(n):
+    """The crossings (A, B, word_cross(A, B)) of the charge word F, for each
+    segment A before a segment B, so that E(m) sums m_A * m_B * word_cross.
 
     F concatenates, for j = 2..n and i = 1..j-1 in turn, the segment powers
     (x_i ... x_{j-1})^(m_ij), each already normal-ordered as x_i^(m_ij) ...
-    x_{j-1}^(m_ij), so E(m) sums m_A * m_B * word_cross(A, B) over the
-    segments A before B.
+    x_{j-1}^(m_ij).
     """
     algebra = NCAlgebra.from_cartan(f"a{n}")
     segments = [((i, j), range(i, j)) for j in range(2, n + 1) for i in range(1, j)]
-    total = start
     for k, (pa, wa) in enumerate(segments):
         for pb, wb in segments[k + 1:]:
-            x = word_cross(algebra, wa, wb)
-            if x:
-                total = total + m[pa] * m[pb] * x
-    return total
+            yield pa, pb, word_cross(algebra, wa, wb)
 
 
 def extract_E(n, m):
@@ -690,7 +686,17 @@ def extract_E(n, m):
     vector always equals the charge vector lambda(m).
     """
     exps = tuple(sum(m[(i, j)] for i, j in a_pairs(n) if i <= g < j) for g in range(1, n))
-    return _charge_power(n, m, 0), exps
+    return sum(m[a] * m[b] * x for a, b, x in _charge_crossings(n)), exps
+
+
+def extract_E_form(n) -> NahmSumSpec:
+    """E(m) as an exact quadratic form over the labels m[i,j] of the primed
+    form, in its variable order."""
+    pairs = a_pairs(n)
+    at = {p: t for t, p in enumerate(pairs)}
+    quad, lin = _symmetric_from_products(
+        len(pairs), [(at[a], at[b], x) for a, b, x in _charge_crossings(n) if x])
+    return NahmSumSpec(tuple(f"m[{i},{j}]" for i, j in pairs), quad, lin, ())
 
 
 def c_form_value(n, m) -> Fraction:
@@ -716,10 +722,8 @@ def charge_word_identity_holds(n, m, form=None) -> bool:
     exactly; it agrees with the unprimed form through n = 3, and at series
     level both forms sum to the same character for every n.
     """
-    from . import nahm
-
     if form is None:
-        form = nahm.build_Bprime_form(n)
+        form = build_Bprime_form(n)
     vec = tuple(m[p] for p in a_pairs(n))
     E, exps = extract_E(n, m)
     lam = form.charge_of(vec)
@@ -729,16 +733,8 @@ def charge_word_identity_holds(n, m, form=None) -> bool:
     return lhs == form.exponent(vec)
 
 
-def extract_E_poly(n) -> SparsePoly:
-    """E(m) as an exact quadratic form (symbolic normal ordering of F)."""
-    pairs = a_pairs(n)
-    names = tuple(f"m[{i},{j}]" for (i, j) in pairs)
-    sym = {p: SparsePoly.variable(names, f"m[{p[0]},{p[1]}]") for p in pairs}
-    return _charge_power(n, sym, SparsePoly.zero(names))
-
-
-def dilog_product_exponent_poly(algebra, factors, names):
-    """Total q-exponent of an ordered dilog product, symbolically.
+def dilog_product_form(algebra, factors, names) -> NahmSumSpec:
+    """Total q-exponent of an ordered dilog product, as a form over names.
 
     factors is a list of (qshift, word, varname): expanding every
     phi(-q^shift w) with summation variable m and normal-ordering the product
@@ -746,18 +742,15 @@ def dilog_product_exponent_poly(algebra, factors, names):
     transcriptions against the displayed ordered products.
     """
     half = Fraction(1, 2)
-    P = SparsePoly.zero(names)
-    var = {v: SparsePoly.variable(names, v) for _, _, v in factors}
-    for (shift, word, v) in factors:
-        mv = var[v]
+    at = [names.index(v) for _, _, v in factors]
+    prods, lin = [], [0] * len(names)
+    for t, (shift, word, _v) in enumerate(factors):
+        # m^2/2 + m(shift - 1/2), and word^m normal-ordered: m inv + (m^2 - m) crs/2
         inv = word_inversions(algebra, word)
         crs = word_cross(algebra, word, word)
-        P = P + mv * mv * half + mv * (shift - half) + mv * inv + (mv * mv - mv) * Fraction(crs, 2)
-    for a in range(len(factors)):
-        _, wa, va = factors[a]
-        for b in range(a + 1, len(factors)):
-            _, wb, vb = factors[b]
-            x = word_cross(algebra, wa, wb)
-            if x:
-                P = P + var[va] * var[vb] * x
-    return P
+        prods.append((at[t], at[t], half + Fraction(crs, 2)))
+        lin[at[t]] += shift - half + inv - Fraction(crs, 2)
+        prods += [(at[t], at[u], word_cross(algebra, word, factors[u][1]))
+                  for u in range(t + 1, len(factors))]
+    quad, lin = _symmetric_from_products(len(names), prods, lin)
+    return NahmSumSpec(tuple(names), quad, lin, ())

@@ -12,7 +12,6 @@ import pytest
 from fractions import Fraction
 
 from qident import jets, nahm, quiver, qweyl
-from qident.poly import SparsePoly
 from qident.series import (
     QSeries,
     euler_product,
@@ -132,16 +131,14 @@ def test_criterion_07_charge_word_identity():
             cases += 1
     # n = 5: polynomial identity covers the whole box at once
     for n in (5,):
-        Ep = qweyl.extract_E_poly(n)
-        names = Ep.variables
-        total = Ep
-        for (i, j) in [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]:
-            v = SparsePoly.variable(names, f"m[{i},{j}]")
-            total = total + v * v * Fraction(2 - (j - i), 2)
-        for i in range(1, n):
-            li = nahm.charge_polys(nahm.build_Bprime_form(n), names)[i - 1]
-            total = total + li * li * Fraction(1, 2)
-        ok = ok and (total == nahm.form_poly(nahm.build_Bprime_form(n)))
+        E, form = qweyl.extract_E_form(n), nahm.build_Bprime_form(n)
+        half = nahm._congruent([[Fraction(i == j, 2) for j in range(n - 1)] for i in range(n - 1)],
+                               form.charges)
+        C = [Fraction(2 - (j - i), 2) for i, j in nahm.a_pairs(n)]
+        total = [[e + h + (C[a] if a == b else 0) for b, (e, h) in enumerate(zip(re, rh))]
+                 for a, (re, rh) in enumerate(zip(E.quad, half))]
+        ok = ok and E.labels == form.labels and E.linear == form.linear
+        ok = ok and total == [list(row) for row in form.quad]
     rng = random.Random(23)
     pairs5 = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
     form5 = nahm.build_Bprime_form(5)
@@ -251,17 +248,13 @@ def test_criterion_13_d4():
     # symbolic difference of the two twelve-variable forms
     b = nahm.build_d4_form()
     bp = nahm.build_d4_form(primed=True)
-    names = b.labels
-    diff = SparsePoly.zero(names)
-    for i in range(12):
-        for j in range(12):
-            c = b.quad[i][j] - bp.quad[i][j]
-            if c:
-                diff = diff + (SparsePoly.variable(names, names[i])
-                               * SparsePoly.variable(names, names[j]) * c)
-    want = (SparsePoly.variable(names, "n12") * SparsePoly.variable(names, "n23")
-            + SparsePoly.variable(names, "n12") * SparsePoly.variable(names, "m13"))
-    sym_ok = diff == want
+    # the table of n12*n23 + n12*m13: 1/2 at both places of each product
+    at = {lab: t for t, lab in enumerate(b.labels)}
+    want = [[Fraction(0)] * 12 for _ in range(12)]
+    for u, w in (("n12", "n23"), ("n12", "m13")):
+        want[at[u]][at[w]] = want[at[w]][at[u]] = Fraction(1, 2)
+    diff = [[x - y for x, y in zip(rb, rp)] for rb, rp in zip(b.quad, bp.quad)]
+    sym_ok = diff == want and b.linear == bp.linear
 
     evB = nahm.evaluate(nahm.build_d4_form(), 7, charges=False)
     evBp = nahm.evaluate(nahm.build_d4_form(primed=True), 7, charges=False)

@@ -6,7 +6,6 @@ import pytest
 from fractions import Fraction
 
 from qident import nahm, presets, quiver
-from qident.poly import SparsePoly
 from qident.series import QSeries, series_eq
 
 from sylvester import is_positive_definite
@@ -95,17 +94,9 @@ class TestBuilders:
     def test_d4_difference_is_symbolic_exact(self):
         b = nahm.build_d4_form()
         bp = nahm.build_d4_form(primed=True)
-        names = b.labels
-        poly = SparsePoly.zero(names)
-        for i in range(12):
-            for j in range(12):
-                c = b.quad[i][j] - bp.quad[i][j]
-                if c:
-                    poly = poly + (SparsePoly.variable(names, names[i])
-                                   * SparsePoly.variable(names, names[j]) * c)
-        want = (SparsePoly.variable(names, "n12") * SparsePoly.variable(names, "n23")
-                + SparsePoly.variable(names, "n12") * SparsePoly.variable(names, "m13"))
-        assert poly == want
+        diff = [[x - y for x, y in zip(rb, rp)] for rb, rp in zip(b.quad, bp.quad)]
+        assert diff == _product_table(b.labels, [("n12", "n23"), ("n12", "m13")])
+        assert b.linear == bp.linear
 
     def test_integrality_validation(self):
         with pytest.raises(ValueError):
@@ -113,7 +104,7 @@ class TestBuilders:
                              linear=(F(0),), charges=())
 
     def test_repeated_label_refused(self):
-        # form_poly and charge_polys would merge the two variables into one
+        # a coefficient read by label would see only the first of the two
         with pytest.raises(ValueError, match="repeated label 'a'"):
             nahm.NahmSumSpec(labels=("a", "b", "a"), quad=((F(1),) * 3,) * 3,
                              linear=(F(0),) * 3, charges=())
@@ -232,25 +223,6 @@ class TestOneCertification:
             calls.update(ldl=0, tables=0)
             nahm.evaluate(spec, 8, charges=charges)
             assert calls == {"ldl": int(strategy == "positive_definite"), "tables": 1}
-
-
-FORM_PRESETS = ([f"cartan-a{n}" for n in range(2, 7)] + [f"B-a{n}" for n in range(2, 6)]
-                + [f"Bprime-a{n}" for n in range(2, 6)]
-                + ["b2-char", "b2-quintuple", "d4", "d4-prime", "cartan-d4"])
-
-
-@pytest.mark.parametrize("name", FORM_PRESETS)
-def test_polynomials_read_off_the_spec(name):
-    spec = presets.nahm_preset(name)
-    form = nahm.form_poly(spec)
-    charges = nahm.charge_polys(spec)
-    assert form.variables == spec.labels
-    rng = random.Random(37)
-    for _ in range(30):
-        m = tuple(rng.randint(0, 6) for _ in range(spec.nvars))
-        values = dict(zip(spec.labels, m))
-        assert _ev(form, values) == spec.exponent(m)
-        assert tuple(_ev(p, values) for p in charges) == spec.charge_of(m)
 
 
 class TestEvaluate:
@@ -710,17 +682,15 @@ class TestFormDifference:
         for n in (2, 3, 4):
             N = n + 1
             diff = nahm.form_difference_pure(n, "Bprime")
-            names = diff.variables
-            want = SparsePoly.zero(names)
+            products = []
             for a in range(1, N + 1):
                 for b in range(a + 1, N + 1):
                     for c in range(b + 1, N + 1):
-                        want = want + (SparsePoly.variable(names, f"m[{a},{b}]")
-                                       * SparsePoly.variable(names, f"m[{b},{c}]"))
+                        products.append((f"m[{a},{b}]", f"m[{b},{c}]"))
                         for d in range(c + 1, N + 1):
-                            want = want + (SparsePoly.variable(names, f"m[{a},{c}]")
-                                           * SparsePoly.variable(names, f"m[{b},{d}]"))
-            assert diff == want
+                            products.append((f"m[{a},{c}]", f"m[{b},{d}]"))
+            assert [list(row) for row in diff.quad] == _product_table(diff.labels, products)
+            assert not any(diff.linear)
 
     def test_mixed_matches_pure_on_lattice_points(self):
         rng = random.Random(5)
@@ -736,7 +706,30 @@ class TestFormDifference:
                 vals_p = {f"m[{i},{j}]": m[(i, j)] for (i, j) in pairs}
                 vals_m = {f"m[{i},{j}]": m[(i, j)] for (i, j) in pairs if j > i + 1}
                 vals_m.update({f"k{i}": lam[i - 1] for i in range(1, N)})
-                assert _ev(pure, vals_p) == _ev(mixed, vals_m)
+                assert (pure.exponent([vals_p[lab] for lab in pure.labels])
+                        == mixed.exponent([vals_m[lab] for lab in mixed.labels]))
+
+    @pytest.mark.parametrize("kind", ["B", "Bprime"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_tables_match_the_form_minus_the_cartan_form(self, n, kind):
+        # kind(m) - (1/2) lambda^T A lambda at random points, read off the
+        # kind's own form and the integer Cartan matrix; in the mixed
+        # coordinates k = lambda(m) and each far m is itself
+        form = {"B": nahm.build_B_form, "Bprime": nahm.build_Bprime_form}[kind](n + 1)
+        A = nahm.cartan_matrix(f"a{n + 1}")
+        pure = nahm.form_difference_pure(n, kind)
+        mixed = nahm.expand_form_difference(n, kind)
+        assert pure.labels == form.labels
+        rng = random.Random(n)
+        for _ in range(40):
+            m = [rng.randint(0, 3) for _ in form.labels]
+            lam = form.charge_of(m)
+            want = form.exponent(m) - Fraction(
+                sum(a * x * y for row, x in zip(A, lam) for a, y in zip(row, lam)), 2)
+            values = dict(zip(form.labels, m))
+            values.update((f"k{i}", x) for i, x in enumerate(lam, 1))
+            assert pure.exponent(m) == want
+            assert mixed.exponent([values[lab] for lab in mixed.labels]) == want
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_six_type_table(self, n):
@@ -802,12 +795,12 @@ def _level_sum_steps(spec, order, charges=False):
     return len(seen)
 
 
-def _ev(poly, values):
-    total = Fraction(0)
-    for exps, c in poly.terms.items():
-        t = c
-        for name, e in zip(poly.variables, exps):
-            if e:
-                t *= Fraction(values[name]) ** e
-        total += t
-    return total
+def _product_table(labels, products):
+    """The symmetric matrix of the sum of the products u*w of distinct
+    labels: 1/2 at (u, w) and at (w, u) for each."""
+    at = {lab: t for t, lab in enumerate(labels)}
+    table = [[Fraction(0)] * len(labels) for _ in labels]
+    for u, w in products:
+        table[at[u]][at[w]] += Fraction(1, 2)
+        table[at[w]][at[u]] += Fraction(1, 2)
+    return table

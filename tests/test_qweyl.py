@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from qident import nahm, qweyl, series
 from qident.halfint import twice_of
 from qident.nahm import BudgetExceeded
-from qident.poly import SparsePoly
 from qident.qweyl import LaurentQ, NCAlgebra, NCElement
 
 from dilog_reference import (Bound, bound_mul, bound_padding, bound_product, compare_upto,
@@ -672,18 +671,29 @@ class TestChargeWord:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_symbolic_identity(self, n):
-        # C + E + (1/2) sum lambda_i^2 == B'  as polynomials
-        Ep = qweyl.extract_E_poly(n)
-        names = Ep.variables
-        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        total = Ep
-        for (i, j) in pairs:
-            v = SparsePoly.variable(names, f"m[{i},{j}]")
-            total = total + v * v * Fraction(2 - (j - i), 2)
-        for i in range(1, n):
-            li = nahm.charge_polys(nahm.build_Bprime_form(n), names)[i - 1]
-            total = total + li * li * Fraction(1, 2)
-        assert total == nahm.form_poly(nahm.build_Bprime_form(n))
+        # C + E + (1/2) sum lambda_i^2 == B'  as tables
+        E, form = qweyl.extract_E_form(n), nahm.build_Bprime_form(n)
+        half = nahm._congruent([[Fraction(i == j, 2) for j in range(n - 1)] for i in range(n - 1)],
+                               form.charges)
+        C = [Fraction(2 - (j - i), 2) for i, j in nahm.a_pairs(n)]
+        total = [[e + h + (C[a] if a == b else 0) for b, (e, h) in enumerate(zip(re, rh))]
+                 for a, (re, rh) in enumerate(zip(E.quad, half))]
+        assert E.labels == form.labels
+        assert total == [list(row) for row in form.quad]
+        assert E.linear == form.linear
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_E_form_is_the_normal_ordering_of_the_spelled_word(self, n):
+        # F letter by letter: for j = 2..n and i = 1..j-1, x_i^(m_ij) ... x_{j-1}^(m_ij)
+        E = qweyl.extract_E_form(n)
+        alg = NCAlgebra.from_cartan(f"a{n}")
+        rng = random.Random(n)
+        for _ in range(40):
+            m = {p: rng.randint(0, 3) for p in nahm.a_pairs(n)}
+            word = [g for j in range(2, n + 1) for i in range(1, j)
+                    for g in range(i, j) for _ in range(m[(i, j)])]
+            want = qweyl.normal_order(alg, word)[0] if word else 0
+            assert E.exponent([m[p] for p in nahm.a_pairs(n)]) == want
 
 
 class TestD4Transcription:
@@ -701,23 +711,31 @@ class TestD4Transcription:
         }
         names = nahm.d4_labels()
         factors = [(sh, w, word_to_label[w]) for (_s, sh, w) in rhs]
-        P = qweyl.dilog_product_exponent_poly(alg, factors, names)
+        P = qweyl.dilog_product_form(alg, factors, names)
         spec = nahm.build_d4_form()
-        want = SparsePoly.zero(names)
-        for i in range(12):
-            vi = SparsePoly.variable(names, names[i])
-            want = want + vi * vi * spec.quad[i][i]
-            for j in range(i + 1, 12):
-                c = 2 * spec.quad[i][j]
-                if c:
-                    want = want + vi * SparsePoly.variable(names, names[j]) * c
-        for row in spec.charges:
-            lam = SparsePoly.zero(names)
-            for lab, c in zip(names, row):
-                if c:
-                    lam = lam + SparsePoly.variable(names, lab) * c
-            want = want - lam * lam * Fraction(1, 2)
-        assert P == want
+        half = nahm._congruent([[Fraction(i == j, 2) for j in range(4)] for i in range(4)],
+                               spec.charges)
+        assert P.labels == spec.labels
+        assert [list(row) for row in P.quad] == [[a - b for a, b in zip(ra, rb)]
+                                                 for ra, rb in zip(spec.quad, half)]
+        assert P.linear == spec.linear
+
+    @pytest.mark.parametrize("name", ["a3", "a4", "a5", "d4"])
+    def test_product_forms_match_the_spelled_product(self, name):
+        # the exponent of prod phi(-q^(s_t) w_t) at m: sum m_t^2/2 + m_t (s_t - 1/2),
+        # plus the normal-ordering power of the word w_1^(m_1) w_2^(m_2) ...
+        alg = NCAlgebra.from_cartan(name)
+        rng = random.Random(name)
+        for side in qweyl.ordered_product_factors(name):
+            names = [f"t{t}" for t in range(len(side))]
+            P = qweyl.dilog_product_form(alg, [(s, w, v) for (_c, s, w), v in zip(side, names)],
+                                         names)
+            for _ in range(40):
+                m = [rng.randint(0, 3) for _ in side]
+                word = [g for (_c, _s, w), mt in zip(side, m) for _ in range(mt) for g in w]
+                want = sum(Fraction(mt * mt, 2) + mt * (s - Fraction(1, 2))
+                           for (_c, s, _w), mt in zip(side, m))
+                assert P.exponent(m) == want + (qweyl.normal_order(alg, word)[0] if word else 0)
 
 
 # -- rows: the coefficient representation, its view and its comparison ---------
@@ -894,15 +912,18 @@ class TestRowView:
 
     def test_reference_elements_round_trip(self):
         """Elements of NCElement.__mul__, dilog and dilog_inv hold the rows
-        that their own terms view converts back to."""
+        that the dict constructor builds again from their terms view."""
         for alg, (lhs, rhs), xdeg in ((_PLANE, qweyl.pentagon_factors("shifted"), 6),
                                       (_D4, qweyl.ordered_product_factors("d4"), 4)):
             elems = [qweyl.dilog(alg, *f, xdeg, 24) for f in lhs]
             elems += [qweyl.dilog_inv(alg, *f, xdeg, 24) for f in rhs]
             elems.append(elems[0] * elems[-1])
             for elem in elems:
-                again = NCElement(alg, xdeg, elem.terms)
+                again = NCElement(alg, xdeg, {e: LaurentQ(dict(c.terms), c.order2)
+                                              for e, c in elem.terms.items()})
                 assert _coefficients(again) == _coefficients(elem)
+                assert [c.row for c in again.terms.values()] == [
+                    c.row for c in elem.terms.values()]
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(_ALGEBRAS), _ELEMS, st.integers(1, 5))
