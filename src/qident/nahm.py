@@ -13,7 +13,10 @@ dimension vectors.  Every sum, charged or not, runs as one dynamic program
 over the distinct running sums and charges, one variable level at a time
 (see _sum_levels), pruned by an exact integer bound on the completion of
 each prefix and by the box; one certification of the form (see
-compute_bound) gives that bound's table.
+compute_bound) gives that bound's table.  Each state's series is one packed
+int row, a fixed number of bits per coefficient (see _slot_bits), so the
+program merges, cuts and divides by (1 - q^j) with a few big-int operations
+and unpacks only the last level into lists.
 The symbolic side is the same spec: each form difference is one
 (labels, quad, linear) table whose matrix is a congruence M^T quad M
 (_congruent), and a monomial's coefficient is read straight off quad.
@@ -25,7 +28,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 
 from . import kernels
 from .halfint import twice_of
@@ -494,7 +496,9 @@ def compute_bound(spec: NahmSumSpec, order, charge_box=None) -> EnumerationBound
 
     per_variable_max also sizes _sum_levels' packed states: with x_i within
     it, the lowest and highest values of each running sum and charge give
-    that field's bias and width.
+    that field's bias and width.  It and the diagonal also bound every
+    coefficient of the packed int rows, which sets their slot width (see
+    _slot_bits).
     """
     order2 = twice_of(order)
     diag2, lin2, cross2 = spec._tables()
@@ -531,6 +535,39 @@ def compute_bound(spec: NahmSumSpec, order, charge_box=None) -> EnumerationBound
 # evaluation
 # ---------------------------------------------------------------------------
 
+def _slot_bits(spec: NahmSumSpec, bound: EnumerationBound, order2):
+    """Bits per slot of the packed int rows of _sum_levels: every slot below
+    the cut that they hold is below 2**bits (the rest are never read).
+
+    Every term is +q^e / prod (q)_{x_i}, so a slot is a sum of nonnegative
+    coefficients, one per prefix x in the box that reaches it: [q^j] of
+    1/prod (q)_{x_i}, where a slot below the cut has 2*j + D(x) < order2.
+    For an all-nonnegative table D(x) = sum diag2_i*x_i^2, since the bound
+    of a prefix is at least that; for a positive-definite one D(x) = 0.
+    Such a coefficient grows with j once some x_i > 0, so a slot is at most
+    1 (the zero prefix) plus the coefficients of z^(order2 - 1) and
+    z^(order2 - 2) in
+        F(z) = prod_i sum_{v <= per_variable_max[i]} z^(c_i*v^2) / (z^2; z^2)_v,
+    c_i = diag2_i or 0, and for every 0 < z < 1 those two are below
+    z^(1 - order2) * F(z).  z = exp(-s) is taken near the saddle point (any
+    z gives a bound; this one is 15 to 30 bits above the largest
+    coefficient of the shipped forms), log F is summed in logs so that no
+    float overflows, and the two guard bits cover the 1 and the rounding.
+    """
+    top = bound.per_variable_max
+    shifts = spec._ints[0] if bound.strategy == "all_nonneg" else [0] * len(top)
+    s = 0.35 * math.pi * math.sqrt(len(top) / (6 * ((order2 + 1) // 2)))
+    log_bound = (order2 - 1) * s + math.log(2)
+    for t, c in zip(top, shifts):
+        logs, p = [0.0], 0.0           # log of z^(c*v^2) / (z^2; z^2)_v for v = 0..t
+        for v in range(1, t + 1):
+            p -= math.log(-math.expm1(-2 * s * v))
+            logs.append(p - c * v * v * s)
+        m = max(logs)
+        log_bound += m + math.log(math.fsum(math.exp(x - m) for x in logs))
+    return math.ceil(log_bound / math.log(2)) + 2
+
+
 def _sum_levels(spec: NahmSumSpec, order2, rank, node_budget, bound: EnumerationBound,
                 charge_box=None):
     """Sum of a coercive form, one variable level at a time.
@@ -540,20 +577,33 @@ def _sum_levels(spec: NahmSumSpec, order2, rank, node_budget, bound: Enumeration
     s[d:] and the running charge u = sum_{i<d} x_i*charges[*][i], so level d
     maps each distinct state s[d:] + u to (offset, S): the sum, over the
     prefixes that reach it, of q^(prefix exponent) / prod (q)_{x_i}, as a
-    dense series.  Prefixes reaching one state differ in bound by G times
+    packed int row.  Prefixes reaching one state differ in bound by G times
     their exponent difference, a multiple of G*g, so the offset is the
     lowest of their bounds and slot k of S stands for bound offset + k*G*g;
     integral forms carry no empty odd slots, and charges are not scaled.
-    The bound never falls, so slots at or past the cut G*order2 are dropped.
+    The bound never falls, so slots at or past the cut G*order2 are dropped:
+    a state at offset e keeps n(e) = (G*order2 - e - 1) // (G*g) + 1 slots.
     Fixing x_d = v sends S/(q)_v at the bound e(v) of the table to the state
     s[d+1:] + v*R[d][d+1:], u + v*charges[*][d].  v stops at
     bound.per_variable_max[d] and, under charge_box, at min((box_i - u_i) //
     charges[i][d]) over the rows with a positive entry.  e(v) grows from vr
     on: before vr a v at or past the cut is skipped and S keeps its slots
-    for the later v; from vr on the first v at the cut ends the loop, and S
-    is cut to the slots of v before its division.  vr is computed for
+    for the later v; from vr on the first v at the cut ends the loop, and
+    S's division keeps only the slots of v.  vr is computed for
     positive-definite tables only: an all-nonnegative one has a, b >= 0, so
     vr <= 0 and every v is past it.
+
+    A packed int row holds slot k in bits k*W .. k*W + W - 1, and only its
+    low n(offset) slots mean anything: every operation moves bits up only
+    (left shifts, additions whose carries run upward, a division whose
+    slot k reads slots k and below), so what lies above them never reaches
+    them, and the last level unpacks n(offset) slots.  W from _slot_bits
+    bounds every slot below the cut, so none of them carries into the
+    next.  A new child takes S itself, and a merge at another offset is
+    one shift and one add.  Dividing by (1 - q^j) multiplies by
+    (1 + q^j)(1 + q^2j)(1 + q^4j)...: S += S << j*W with j doubling while
+    it is below the slot count, then one AND with the mask of those slots,
+    the only cut.  A partial product never exceeds the quotient.
 
     A state is one packed int: the fields of s_d..s_{l-1} and then of u_0..,
     each `width` bits, lowest first.  Every x_i stays within
@@ -564,12 +614,13 @@ def _sum_levels(spec: NahmSumSpec, order2, rank, node_budget, bound: Enumeration
     width is the bit length of the largest biased value.  Then s_d is the low field
     minus its bias, the child state is the state shifted down one field, and
     each next v adds the packed row of level d to it.  Only the last level's
-    keys are unpacked into charge tuples.  node_budget caps the
+    keys are unpacked into charge tuples, and only its rows into lists of
+    n(offset) slots.  node_budget caps the
     (state, v) steps; it is checked once per state, and raises exactly when
     the steps exceed it.  Each state is popped as it is consumed and only
     two levels are alive at once.  Returns the last level, {u: (offset,
     S)}: one state per charge u, whose offset is G times the exact doubled
-    exponent.
+    exponent, and S the list of its slots.
     """
     l = spec.nvars
     G, g, levels, R, lin = bound.table
@@ -580,7 +631,9 @@ def _sum_levels(spec: NahmSumSpec, order2, rank, node_budget, bound: Enumeration
     charges = spec.charges[:rank]
     definite = bound.strategy == "positive_definite"
     budget = math.inf if node_budget is None else node_budget
-    geom_div = kernels.geom_div
+    W = _slot_bits(spec, bound, order2)
+    # masks[n]: the low n slots of a row
+    masks = [(1 << n * W) - 1 for n in range((cut - 1) // step + 2)]
     # field k of the first level: s_k for k < l (the x_i with i < k feed it), u_{k-l} after
     cols = [[R[i][k] * (i < k) for i in range(l)] for k in range(l)] + list(charges)
     bias = [-sum(t * min(c, 0) for t, c in zip(top, col)) for col in cols]
@@ -588,9 +641,7 @@ def _sum_levels(spec: NahmSumSpec, order2, rank, node_budget, bound: Enumeration
                        for b, col in zip(bias, cols)])
     mask = (1 << width) - 1
     steps = 0
-    seed = [0] * -(-order2 // g)
-    seed[0] = 1
-    level = {sum(b << width * k for k, b in enumerate(bias)): (0, seed)}
+    level = {sum(b << width * k for k, b in enumerate(bias)): (0, 1)}
     for d in range(l):
         a, beta, delta = levels[d]
         bd, lind = bias[d], lin[d]
@@ -611,23 +662,19 @@ def _sum_levels(spec: NahmSumSpec, order2, rank, node_budget, bound: Enumeration
             vmax = min(vtop, *[(cap - (state >> sh & mask)) // c
                                for sh, cap, c in boxed]) if boxed else vtop
             child = state >> width
+            n = (cut - off - 1) // step + 1         # the slots a division of S keeps
             v = 0
             while True:
-                # S is the state's series over (q)_v, with at least the slots of e below the cut
+                # S is the state's series over (q)_v, exact in at least the slots of e below the cut
                 if e < cut:
                     steps += 1
                     old = nxt.get(child)
                     if old is None:
-                        nxt[child] = (e, S[:(cut - e - 1) // step + 1])
+                        nxt[child] = (e, S)
                     elif old[0] <= e:
-                        T = old[1]
-                        p = (e - old[0]) // step
-                        T[p:] = map(add, T[p:], S)
+                        nxt[child] = (old[0], old[1] + (S << (e - old[0]) // step * W))
                     else:
-                        p = (old[0] - e) // step
-                        merged = S[:p]
-                        merged += map(add, S[p:], old[1])
-                        nxt[child] = (e, merged)
+                        nxt[child] = (e, S + (old[1] << (old[0] - e) // step * W))
                 if v >= vmax:
                     break
                 e += a * (2 * v + 1) + b
@@ -635,12 +682,24 @@ def _sum_levels(spec: NahmSumSpec, order2, rank, node_budget, bound: Enumeration
                 if v >= vr:
                     if e >= cut:
                         break
-                    del S[(cut - e - 1) // step + 1:]
-                geom_div(S, unit * v)
+                    n = (cut - e - 1) // step + 1
+                shift, end = unit * v * W, n * W
+                while shift < end:
+                    S += S << shift
+                    shift += shift
+                S &= masks[n]
                 child += row
             if steps > budget:
                 raise BudgetExceeded("level-sum steps", node_budget)
         level = nxt
+    # unpack each row in place, low slot first, so that each int is freed as its list is made
+    slot = masks[1]
+    for key, (off, S) in level.items():
+        row = [0] * ((cut - off - 1) // step + 1)
+        for k in range(len(row)):
+            row[k] = S & slot
+            S >>= W
+        level[key] = (off, row)
     # unpack the charge fields a column at a time; rank 0 keeps its one () row
     keys, columns = list(level), []
     for b in bias[l:]:

@@ -46,16 +46,6 @@ def segments(rank):
     return [(a, b) for a in range(1, rank + 1) for b in range(a, rank + 1)]
 
 
-def dimension_vector(rank, rep):
-    """k_v = sum of multiplicities of segments containing v."""
-    k = [0] * rank
-    for (a, b), m in rep.items():
-        if m:
-            for v in range(a, b + 1):
-                k[v - 1] += m
-    return tuple(k)
-
-
 def enumerate_reps(quiver: QuiverA, k):
     """All multiplicity functions with dimension vector k, in lexicographic
     segment order; complete and duplicate-free.

@@ -224,10 +224,6 @@ class QSeries:
             self._terms = MappingProxyType(_term_dict(self.rows))
         return self._terms
 
-    @property
-    def truncation_order(self) -> Fraction:
-        return Fraction(self.order2, 2)
-
     def coeff(self, qexp, charges=()):
         exp2 = twice_of(qexp)
         charges = tuple(charges)
@@ -245,22 +241,6 @@ class QSeries:
         first, step, coeffs = row
         i, off = divmod(exp2 - first, step)
         return coeffs[i] if not off and 0 <= i < len(coeffs) else 0
-
-    def charges_dropped(self):
-        """Project all charge variables to 1."""
-        if self.charge_rank == 0:
-            return self
-        rows = {}
-        for row in self.rows.values():
-            _add_row(rows, (), row, self.order2)
-        return QSeries._canonical(self.order2, 0, rows)
-
-    def charge_slice(self, position, value=0):
-        """Terms whose charge at `position` equals `value`, with that charge
-        coordinate removed."""
-        return QSeries._canonical(self.order2, self.charge_rank - 1, {
-            charges[:position] + charges[position + 1:]: row
-            for charges, row in self.rows.items() if charges[position] == value})
 
     def is_one(self):
         return self.rows == {(0,) * self.charge_rank: (0, 2, [1])}

@@ -7,6 +7,16 @@ import itertools
 from qident import quiver
 
 
+def dimension_vector(rank, rep):
+    """k_v = sum of multiplicities of segments containing v."""
+    k = [0] * rank
+    for (a, b), m in rep.items():
+        if m:
+            for v in range(a, b + 1):
+                k[v - 1] += m
+    return tuple(k)
+
+
 def per_rep_rows(qv, kmax, length, total=None):
     """{k: dense sum of q^codim / prod (q)_{m_seg} over enumerate_reps(qv, k),
     through exponent length-1} for every k <= kmax with sum(k) <= total."""
@@ -50,7 +60,7 @@ def level_steps(qv, kmax, length, total=None):
         if d == len(segs):
             return
         base = quiver.codim(qv, rep)
-        k = quiver.dimension_vector(qv.rank, rep)
+        k = dimension_vector(qv.rank, rep)
         state = (d, k, tuple(quiver.codim(qv, {**rep, s: 1}) - base - quiver.codim(qv, {s: 1})
                              for s in segs[d:]))
         a, b = segs[d]

@@ -3,13 +3,15 @@
 Each function reads the `.terms` views, {(doubled exponent, charges):
 coefficient}, and works on them one term at a time: the product, the sum,
 the text form and the first-violation walk of series_eq and series_leq.
+The tests read a series through the same views: its truncation order, its
+projection to charge 1 and its slice at one charge value.
 """
 
 import operator
 from fractions import Fraction
 
 from qident.poly import add_terms, powers, render_terms
-from qident.series import CompareResult, Mismatch, _q_power
+from qident.series import CompareResult, Mismatch, QSeries, _q_power
 
 
 def reference_mul(a, b):
@@ -67,3 +69,23 @@ def reference_eq(a, b):
 
 def reference_leq(a, b):
     return reference_first_violation(a, b, operator.gt)
+
+
+def truncation_order(s) -> Fraction:
+    """The exclusive truncation order of s, read back as a Fraction."""
+    return Fraction(s.order2, 2)
+
+
+def charges_dropped(s):
+    """s with every charge variable set to 1: the terms of each exponent
+    summed over their charges."""
+    return QSeries._raw(s.order2, 0, add_terms({}, (((e2, ()), c) for (e2, _ch), c
+                                                   in s.terms.items())))
+
+
+def charge_slice(s, position, value=0):
+    """The terms of s whose charge at `position` equals `value`, with that
+    charge coordinate removed."""
+    return QSeries._raw(s.order2, s.charge_rank - 1, {
+        (e2, ch[:position] + ch[position + 1:]): c
+        for (e2, ch), c in s.terms.items() if ch[position] == value})

@@ -8,6 +8,8 @@ from fractions import Fraction
 from qident import nahm, presets, quiver
 from qident.series import QSeries, series_eq
 
+from lattice_reference import list_sum_levels
+from series_reference import charge_slice, charges_dropped
 from sylvester import is_positive_definite
 
 
@@ -338,7 +340,7 @@ class TestEvaluate:
             assert plain == nahm.evaluate_bruteforce(spec, order, box, charges=False), \
                 (quad, spec.linear, order)
             charged = nahm.evaluate(spec, order, charges=True)
-            assert plain == charged.charges_dropped()
+            assert plain == charges_dropped(charged)
             assert charged == nahm.evaluate_bruteforce(spec, order, box, charges=True), \
                 (quad, spec.linear, spec.charges, order)
             checked += 1
@@ -437,7 +439,9 @@ class TestEvaluate:
         # and as wide as the largest biased value: charge entries in -3..5,
         # positive-definite cross terms down to -3/4 (negative running sums),
         # charge boxes, and lone variables whose large charge entry is taken
-        # at per_variable_max set those biases and widths
+        # at per_variable_max set those biases and widths.  Each sum, charged
+        # and uncharged, also matches the list reference row for row: offsets,
+        # lengths, trailing zeros and the order of the last level
         rng = random.Random(47)
         seen = set()
         checked = 0
@@ -464,6 +468,13 @@ class TestEvaluate:
             if math.prod(b + 1 for b in caps) > 1500:
                 continue
             brute = nahm.evaluate_bruteforce(spec, order, caps)
+            for rank in (len(charges), 0):
+                cap = box if rank else None
+                got = nahm._sum_levels(spec, 2 * order, rank, None, bound, cap)
+                want = list_sum_levels(spec, 2 * order, rank, None, bound, cap)
+                assert list(got.items()) == list(want.items()), (quad, linear, charges, order, box)
+            if bound.table[1] == 1:
+                seen.add("half-integral")
             if boxed:
                 assert nahm.evaluate(spec, order, charge_box=box) == _within(brute, box), \
                     (quad, linear, charges, order, box)
@@ -479,7 +490,7 @@ class TestEvaluate:
                 seen.add("negative charges")
             checked += 1
         assert seen == {"boxed", "all_nonneg", "positive_definite", "negative running sums",
-                        "negative charges"}
+                        "negative charges", "half-integral"}
         # one variable x with x^2 < order: x reaches top = per_variable_max, and
         # its charge c*top fills the field to the last bit (2^k - 1) or just
         # past it (2^k), above or below zero
@@ -516,7 +527,43 @@ class TestEvaluate:
         spec = nahm.build_B_form(3)
         charged = nahm.evaluate(spec, 14, charges=True)
         plain = nahm.evaluate(spec, 14, charges=False)
-        assert series_eq(charged.charges_dropped(), plain).equal
+        assert series_eq(charges_dropped(charged), plain).equal
+
+
+class TestPackedRows:
+    # the level sum keeps each state's series as one packed int row, every
+    # slot in nahm._slot_bits bits; these check that width against the
+    # coefficients the shipped forms reach and against the list reference
+
+    @pytest.mark.parametrize("name,order,charges", [
+        ("b2-quintuple", 300, False), ("d4", 60, False), ("B-a6", 30, False), ("d4", 30, True)])
+    def test_largest_coefficient_is_below_the_slot_width(self, name, order, charges):
+        spec = presets.nahm_preset(name)
+        bound = nahm.compute_bound(spec, order)
+        got = nahm._sum_levels(spec, 2 * order, spec.charge_rank if charges else 0, None, bound)
+        largest = max(c for _off, row in got.values() for c in row)
+        assert largest.bit_length() < nahm._slot_bits(spec, bound, 2 * order)
+
+    @pytest.mark.parametrize("name", [
+        "cartan-a5", "cartan-d4", "B-a5", "Bprime-a5", "b2-char", "b2-quintuple", "d4", "d4-prime"])
+    def test_shipped_forms_match_the_list_reference(self, name):
+        spec = presets.nahm_preset(name)
+        bound = nahm.compute_bound(spec, 12)
+        for rank in (spec.charge_rank, 0):
+            got = nahm._sum_levels(spec, 24, rank, None, bound)
+            assert list(got.items()) == list(list_sum_levels(spec, 24, rank, None, bound).items())
+
+    def test_a_width_short_of_the_largest_coefficient_is_seen(self, monkeypatch):
+        # an overflowing slot carries into the next one: the rows then differ
+        # from the list reference, so the comparisons above can see a width
+        # that is too small
+        spec = presets.nahm_preset("b2-quintuple")
+        bound = nahm.compute_bound(spec, 60)
+        want = list(list_sum_levels(spec, 120, 0, None, bound).items())
+        assert list(nahm._sum_levels(spec, 120, 0, None, bound).items()) == want
+        needed = max(want[0][1][1]).bit_length()
+        monkeypatch.setattr(nahm, "_slot_bits", lambda *_args: needed - 3)
+        assert list(nahm._sum_levels(spec, 120, 0, None, bound).items()) != want
 
 
 def _within(series, box):
@@ -635,7 +682,7 @@ class TestIdentities:
         # killing the last column of variables reduces rank n to rank n-1
         for n in (3, 4):
             big = nahm.evaluate(nahm.build_B_form(n), 10, charges=True)
-            sliced = big.charge_slice(n - 2, 0)
+            sliced = charge_slice(big, n - 2, 0)
             small = nahm.evaluate(nahm.build_B_form(n - 1), 10, charges=True)
             assert series_eq(sliced, small).equal
 

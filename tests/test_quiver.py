@@ -9,14 +9,14 @@ from qident.nahm import BudgetExceeded
 from qident.quiver import QuiverA
 from qident.series import inv_pochhammer, series_eq
 
-from quiver_reference import dense_rows, level_steps, per_rep_rows
+from quiver_reference import dense_rows, dimension_vector, level_steps, per_rep_rows
 
 
 class TestDimensionVector:
     def test_examples(self):
-        assert quiver.dimension_vector(2, {(1, 2): 1}) == (1, 1)
-        assert quiver.dimension_vector(2, {(1, 1): 1, (2, 2): 1}) == (1, 1)
-        assert quiver.dimension_vector(2, {(1, 1): 2, (1, 2): 1}) == (3, 1)
+        assert dimension_vector(2, {(1, 2): 1}) == (1, 1)
+        assert dimension_vector(2, {(1, 1): 1, (2, 2): 1}) == (1, 1)
+        assert dimension_vector(2, {(1, 1): 2, (1, 2): 1}) == (3, 1)
 
 
 class TestEnumerate:
@@ -42,7 +42,7 @@ class TestEnumerate:
             reps = quiver.enumerate_reps(qv, k)
             seen = set()
             for rep in reps:
-                assert quiver.dimension_vector(rank, rep) == k
+                assert dimension_vector(rank, rep) == k
                 key = tuple(sorted(rep.items()))
                 assert key not in seen
                 seen.add(key)
@@ -55,7 +55,7 @@ class TestEnumerate:
         want = {k: [] for k in itertools.product(range(top + 1), repeat=rank)}
         for mults in itertools.product(range(top + 1), repeat=len(segs)):
             rep = {s: m for s, m in zip(segs, mults) if m}
-            k = quiver.dimension_vector(rank, rep)
+            k = dimension_vector(rank, rep)
             if k in want:
                 want[k].append(rep)
         qv = QuiverA.equioriented(rank)
