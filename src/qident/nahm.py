@@ -6,17 +6,19 @@ A NahmSumSpec describes one side of an identity
 
 with Q(m) = m^T quad m + linear.m.  Enumeration refuses to run unless the
 form is certifiably coercive (all-nonnegative with positive diagonal, or
-positive definite), so truncated output can never silently lose terms.  A
-box on the charges (charge_box) may stand in for a zero diagonal entry of an
-all-nonnegative form: the quiver codimension is such a form under its box of
-dimension vectors.  Every sum, charged or not, runs as one dynamic program
-over the distinct running sums and charges, one variable level at a time
-(see _sum_levels), pruned by an exact integer bound on the completion of
-each prefix and by the box; one certification of the form (see
-compute_bound) gives that bound's table.  Each state's series is one packed
-int row, a fixed number of bits per coefficient (see _slot_bits), so the
-program merges, cuts and divides by (1 - q^j) with a few big-int operations
-and unpacks only the last level into lists.
+positive definite by a fraction-free elimination of the doubled integer
+table, whose integer cofactors give the ellipsoid's box), so truncated
+output can never silently lose terms.  A box on the charges (charge_box) may
+stand in for a zero diagonal entry of an all-nonnegative form: the quiver
+codimension is such a form under its box of dimension vectors.  Every sum,
+charged or not, runs as one dynamic program over the distinct running sums
+and charges, one variable level at a time (see _sum_levels), pruned by an
+exact integer bound on the completion of each prefix and by the box; one
+certification of the form (see compute_bound) gives that bound's table.
+Each state's series is one packed int row, a fixed number of bits per
+coefficient (see _slot_bits), so the program merges, cuts and divides by
+(1 - q^j) with a few big-int operations and unpacks only the last level
+into lists.
 The symbolic side is the same spec: each form difference is one
 (labels, quad, linear) table whose matrix is a congruence M^T quad M
 (_congruent), and a monomial's coefficient is read straight off quad.
@@ -28,6 +30,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from . import kernels
 from .halfint import twice_of
@@ -83,26 +86,33 @@ class NahmSumSpec:
             raise ValueError("quadratic matrix shape does not match variable count")
         if len(self.linear) != l:
             raise ValueError("linear vector length does not match variable count")
-        # every entry as its reduced (numerator, denominator) pair of ints
-        quad = [[(x.numerator, x.denominator) for x in row] for row in self.quad]
-        linear = [(x.numerator, x.denominator) for x in self.linear]
-        if any(quad[i][j] != quad[j][i] for i in range(l) for j in range(i)):
+        # each distinct entry object (the builders share one per value) is read
+        # once, as its reduced (numerator, denominator) pair of ints
+        ids = [list(map(id, row)) for row in self.quad]
+        lin_ids = list(map(id, self.linear))
+        entries = dict(zip(chain(*ids, lin_ids), chain(*self.quad, self.linear)))
+        pair = {k: (x.numerator, x.denominator) for k, x in entries.items()}
+        quad = [list(map(pair.__getitem__, row)) for row in ids]
+        if list(map(list, zip(*quad))) != quad:
             raise ValueError("quadratic matrix must be symmetric")
         for row in self.charges:
             if len(row) != l:
                 raise ValueError("charge matrix row length does not match variable count")
         # exponents must be half-integers on the lattice: see exponent2()
+        quarter = {k for k, (_num, den) in pair.items() if 4 % den}
         for i in range(l):
             if 2 % quad[i][i][1]:
                 raise ValueError("2*diagonal entries must be integers")
-            if 2 % linear[i][1]:
+            if 2 % pair[lin_ids[i]][1]:
                 raise ValueError("2*linear entries must be integers")
-            if any(4 % den for _num, den in quad[i][i + 1:]):
+            if not quarter.isdisjoint(ids[i][i + 1:]):
                 raise ValueError("4*off-diagonal entries must be integers")
+        four = {k: 4 * num // den for k, (num, den) in pair.items()}
+        cross2 = tuple(tuple(map(four.__getitem__, row)) for row in ids)
         object.__setattr__(self, "_ints", (
-            tuple(2 * num // den for num, den in (quad[i][i] for i in range(l))),
-            tuple(2 * num // den for num, den in linear),
-            tuple(tuple(4 * num // den for num, den in row) for row in quad)))
+            tuple(cross2[i][i] // 2 for i in range(l)),
+            tuple(2 * num // den for num, den in map(pair.__getitem__, lin_ids)),
+            cross2))
 
     def _tables(self):
         """The doubled-exponent tables (diag2, lin2, cross2) of the form:
@@ -200,15 +210,22 @@ class NahmSumSpec:
         return cls.from_json_dict(json.loads(text))
 
 
+def _halves(twice):
+    """The matrix twice/2 as row tuples, with one Fraction per distinct value."""
+    half = {x: Fraction(x, 2) for x in {x for row in twice for x in row}}
+    return tuple(tuple(map(half.__getitem__, row)) for row in twice)
+
+
 def _symmetric_from_products(nvars, product_terms, linear=None):
     """Assemble the quadratic matrix from coefficient-on-m_a*m_b terms: twice
-    the matrix is summed exactly, and each entry becomes one Fraction."""
+    the matrix is summed exactly, and each distinct entry becomes one
+    Fraction."""
     twice = [[0] * nvars for _ in range(nvars)]
     for a, b, coeff in product_terms:
         twice[a][b] += coeff
         twice[b][a] += coeff
-    quad = tuple(tuple(Fraction(x, 2) for x in row) for row in twice)
-    return quad, tuple(Fraction(x) for x in (linear or [0] * nvars))
+    linear = [2 * x for x in linear or [0] * nvars]
+    return _halves(twice), _halves([linear])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +332,7 @@ def build_cartan_side(name) -> NahmSumSpec:
     (1/2) k^T A k over (q)_{k_1}...(q)_{k_r}."""
     A = cartan_matrix(name)
     size = len(A)
-    quad = tuple(tuple(Fraction(A[i][j], 2) for j in range(size)) for i in range(size))
+    quad = _halves(A)
     charges = tuple(tuple(1 if i == j else 0 for j in range(size)) for i in range(size))
     return NahmSumSpec(
         labels=tuple(f"k{i+1}" for i in range(size)),
@@ -396,54 +413,32 @@ class EnumerationBound:
     table: tuple                         # (G, g, levels, R, lin) of _sum_levels
 
 
-def _reverse_ldl(quad):
-    """Exact reverse split x^T Q x = sum_k D_k (x_k + sum_{i<k} M_ki x_i)^2.
-
-    Eliminates the last variable first and returns (D, M).  The pivots D_k
-    are all positive exactly when quad is positive definite; the first one
-    that is not raises CoercivityError.
+def _reverse_ldl(B):
+    """Fraction-free (Bareiss) elimination of B = 4Q, last variable first,
+    run Gauss-Jordan style on [B | I]: pivot k is the trailing principal
+    minor delta[k] = det B[k:, k:] (delta[l] = 1), and each update T_ij <-
+    (T_ij*delta[k] - T_ik*T_kj) / delta[k+1] divides exactly.  Returns
+    (delta, T, adj), with T[k] row k left of its pivot, so that x^T Q x =
+    sum_k D_k (x_k + sum_{i<k} M_ki x_i)^2 for M_ki = T[k][i] / delta[k] and
+    D_k = delta[k] / (4*delta[k+1]), and adj[i] = cof_ii(B) off the right
+    block, which ends as the adjugate.  The first pivot that is not positive
+    (Q is not positive definite) raises CoercivityError.
     """
-    l = len(quad)
-    A = [list(row) for row in quad]
-    D = [None] * l
-    M = [[Fraction(0)] * l for _ in range(l)]
+    l = len(B)
+    A = [list(row) + [int(i == j) for j in range(l)] for i, row in enumerate(B)]
+    delta = [1] * (l + 1)
+    T = [None] * l
     for k in range(l - 1, -1, -1):
-        D[k] = A[k][k]
-        if D[k] <= 0:
+        pivot, prev = A[k], delta[k + 1]
+        p = delta[k] = pivot[k]
+        if p <= 0:
             raise CoercivityError("matrix is not positive definite")
-        for i in range(k):
-            M[k][i] = A[k][i] / D[k]
-        for i in range(k):
-            for j in range(k):
-                A[i][j] -= M[k][i] * A[k][j]
-    return D, M
-
-
-def _inverse_diagonal(D, M):
-    """Diagonal of Q^-1 from the split of _reverse_ldl.
-
-    Q = U^T diag(D) U with U unit lower triangular (U_ki = M_ki below the
-    diagonal), so (Q^-1)_ii = sum_k (U^-1)_ik^2 / D_k.
-    """
-    l = len(D)
-    V = [[Fraction(int(i == k)) for k in range(l)] for i in range(l)]
-    for k in range(l):
-        for i in range(k):
-            V[k][i] = -sum(M[k][j] * V[j][i] for j in range(i, k))
-    return [sum(V[i][k] ** 2 / D[k] for k in range(i + 1)) for i in range(l)]
-
-
-def _max_v_strict(bound: Fraction) -> int:
-    """Largest integer v with v^2 < bound (0 if none)."""
-    if bound <= 0:
-        return 0
-    fl = bound.numerator // bound.denominator
-    v = math.isqrt(fl)
-    while Fraction(v * v) >= bound:
-        v -= 1
-    while Fraction((v + 1) * (v + 1)) < bound:
-        v += 1
-    return max(v, 0)
+        T[k] = pivot[:k]
+        for i, row in enumerate(A):
+            if i != k:
+                f = row[k]
+                A[i] = [(x * p - f * y) // prev for x, y in zip(row, pivot)]
+    return delta, T, [row[l + i] for i, row in enumerate(A)]
 
 
 def _box_caps(spec: NahmSumSpec, charge_box):
@@ -475,19 +470,19 @@ def compute_bound(spec: NahmSumSpec, order, charge_box=None) -> EnumerationBound
     falls as variables are fixed; g is the gcd of 2 and every doubled table
     entry of the form.
 
-    An all-nonnegative form with positive diagonal, read off the doubled
-    integer tables of spec._tables() with no Fraction arithmetic, has G = 1,
-    the doubled cross sums as running sums and its doubled linear part as
-    lin: its nonnegative completions
-    add nothing at x = 0, so the bound is the doubled exponent of the
-    prefix, and x_i^2 * quad_ii <= order boxes each variable.  Any other form
-    must have a zero linear part and positive pivots in one reverse LDL^T
-    split x^T Q x = sum_k D_k (x_k + sum_{i<k} M_ki x_i)^2, whose later
-    squares can all be made zero by real values (Fincke-Pohst); then lin is
-    zero, s_k = den * sum_{i<k} M_ki x_i with den the lcm of the
-    denominators of M, and G clears the denominators of 2*D_k/den^2.  The
-    largest value of x_i on the ellipsoid x^T Q x < order is
-    sqrt(order * (Q^-1)_ii), so that box is exact per variable.
+    Both patterns are read off the doubled integer tables of spec._tables()
+    with no Fraction arithmetic.  An all-nonnegative form with positive
+    diagonal has G = 1, the doubled cross sums as running sums and its
+    doubled linear part as lin: its nonnegative completions add nothing at
+    x = 0, so the bound is the doubled exponent of the prefix, and x_i^2 *
+    quad_ii <= order boxes each variable.  Any other form must have a zero
+    linear part and positive pivots in the fraction-free reverse elimination
+    of B = 4Q (_reverse_ldl), whose split x^T Q x = sum_k D_k (x_k +
+    sum_{i<k} M_ki x_i)^2 has later squares that real values can all make
+    zero (Fincke-Pohst); then lin is zero, s_k = den * sum_{i<k} M_ki x_i
+    with den the lcm of the denominators of M, and G clears the denominators
+    of 2*D_k/den^2.  x_i^2 < order * (Q^-1)_ii = 2*order2*cof_ii(B)/det B
+    is the exact box of x_i on the ellipsoid x^T Q x < order.
 
     charge_box, one cap per charge row, keeps the charges u <= charge_box.
     Its rows must be nonnegative (CoercivityError), so u never falls, and
@@ -515,16 +510,17 @@ def compute_bound(spec: NahmSumSpec, order, charge_box=None) -> EnumerationBound
         if any(lin2):
             raise refusal
         try:
-            D, M = _reverse_ldl(spec.quad)
+            delta, T, adj = _reverse_ldl(cross2)
         except CoercivityError:
             raise refusal from None
-        per_var = [_max_v_strict(Fraction(order2, 2) * w) for w in _inverse_diagonal(D, M)]
+        per_var = [math.isqrt(max((2 * order2 * c - 1) // delta[0], 0)) for c in adj]
         l = spec.nvars
-        den = math.lcm(*(x.denominator for row in M for x in row))
-        scaled = [2 * Dk / den ** 2 for Dk in D]
-        G = math.lcm(*(x.denominator for x in scaled))
-        W = [int(G * x) for x in scaled]
-        R = [[int(den * M[j][d]) for j in range(l)] for d in range(l)]
+        den = math.lcm(*(delta[k] // math.gcd(x, delta[k]) for k in range(l) for x in T[k]))
+        # 2*D_k/den^2 = delta[k] / over[k]; G clears their reduced denominators
+        over = [2 * delta[k + 1] * den * den for k in range(l)]
+        G = math.lcm(*(h // math.gcd(dk, h) for dk, h in zip(delta, over)))
+        W = [G * dk // h for dk, h in zip(delta, over)]
+        R = [[den * T[j][d] // delta[j] if d < j else 0 for j in range(l)] for d in range(l)]
         strategy = "positive_definite"
         table = (G, g, [(w * den * den, 2 * w * den, w) for w in W], R, [0] * l)
     return EnumerationBound(tuple(v if c is None else min(v, c) for v, c in zip(per_var, caps)),
@@ -659,8 +655,12 @@ def _sum_levels(spec: NahmSumSpec, order2, rank, node_budget, bound: Enumeration
             b = beta * sd + lind
             e = off + delta * sd * sd
             vr = -((a + b) // (2 * a)) if definite else 0
-            vmax = min(vtop, *[(cap - (state >> sh & mask)) // c
-                               for sh, cap, c in boxed]) if boxed else vtop
+            vmax = vtop
+            if boxed:
+                for sh, cap, c in boxed:
+                    x = (cap - (state >> sh & mask)) // c
+                    if x < vmax:
+                        vmax = x
             child = state >> width
             n = (cut - off - 1) // step + 1         # the slots a division of S keeps
             v = 0

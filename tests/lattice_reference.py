@@ -1,15 +1,95 @@
-"""List reference for the lattice level sum: nahm._sum_levels as it was
-before its series became packed-int rows, one Python list per state, merged
-slot by slot with map(add) and divided by (1 - q^j) with kernels.geom_div.
-Its last level is the oracle of the packed sum, row for row: the same
-offsets, the same row lengths (trailing zeros included) and the same dict
-order."""
+"""References for the lattice level sum and its certification.
+
+list_sum_levels is nahm._sum_levels as it was before its series became
+packed-int rows, one Python list per state, merged slot by slot with
+map(add) and divided by (1 - q^j) with kernels.geom_div.  Its last level is
+the oracle of the packed sum, row for row: the same offsets, the same row
+lengths (trailing zeros included) and the same dict order.
+
+fraction_bound is the positive-definite branch of nahm.compute_bound as it
+was before the elimination became fraction-free: a reverse LDL^T split of
+spec.quad in Fractions, the diagonal of Q^-1 from it, and the table built
+from those Fractions.  It is the oracle of the integer elimination, cap for
+cap and table entry for table entry.
+"""
 
 import math
+from fractions import Fraction
 from operator import add
 
 from qident import kernels
-from qident.nahm import BudgetExceeded
+from qident.halfint import twice_of
+from qident.nahm import BudgetExceeded, CoercivityError, EnumerationBound, _box_caps
+
+
+def _reverse_ldl(quad):
+    """Exact reverse split x^T Q x = sum_k D_k (x_k + sum_{i<k} M_ki x_i)^2.
+
+    Eliminates the last variable first and returns (D, M).  The pivots D_k
+    are all positive exactly when quad is positive definite; the first one
+    that is not raises CoercivityError.
+    """
+    l = len(quad)
+    A = [list(row) for row in quad]
+    D = [None] * l
+    M = [[Fraction(0)] * l for _ in range(l)]
+    for k in range(l - 1, -1, -1):
+        D[k] = A[k][k]
+        if D[k] <= 0:
+            raise CoercivityError("matrix is not positive definite")
+        for i in range(k):
+            M[k][i] = A[k][i] / D[k]
+        for i in range(k):
+            for j in range(k):
+                A[i][j] -= M[k][i] * A[k][j]
+    return D, M
+
+
+def _inverse_diagonal(D, M):
+    """Diagonal of Q^-1 from the split of _reverse_ldl.
+
+    Q = U^T diag(D) U with U unit lower triangular (U_ki = M_ki below the
+    diagonal), so (Q^-1)_ii = sum_k (U^-1)_ik^2 / D_k.
+    """
+    l = len(D)
+    V = [[Fraction(int(i == k)) for k in range(l)] for i in range(l)]
+    for k in range(l):
+        for i in range(k):
+            V[k][i] = -sum(M[k][j] * V[j][i] for j in range(i, k))
+    return [sum(V[i][k] ** 2 / D[k] for k in range(i + 1)) for i in range(l)]
+
+
+def _max_v_strict(bound):
+    """Largest integer v with v^2 < bound (0 if none)."""
+    if bound <= 0:
+        return 0
+    fl = bound.numerator // bound.denominator
+    v = math.isqrt(fl)
+    while Fraction(v * v) >= bound:
+        v -= 1
+    while Fraction((v + 1) * (v + 1)) < bound:
+        v += 1
+    return max(v, 0)
+
+
+def fraction_bound(spec, order, charge_box=None):
+    """The positive-definite EnumerationBound of nahm.compute_bound, built in
+    Fractions; CoercivityError when a pivot is not positive."""
+    order2 = twice_of(order)
+    caps = _box_caps(spec, charge_box)
+    diag2, lin2, cross2 = spec._tables()
+    g = math.gcd(2, *diag2, *lin2, *(x for row in cross2 for x in row))
+    D, M = _reverse_ldl(spec.quad)
+    per_var = [_max_v_strict(Fraction(order2, 2) * w) for w in _inverse_diagonal(D, M)]
+    l = spec.nvars
+    den = math.lcm(*(x.denominator for row in M for x in row))
+    scaled = [2 * Dk / den ** 2 for Dk in D]
+    G = math.lcm(*(x.denominator for x in scaled))
+    W = [int(G * x) for x in scaled]
+    R = [[int(den * M[j][d]) for j in range(l)] for d in range(l)]
+    table = (G, g, [(w * den * den, 2 * w * den, w) for w in W], R, [0] * l)
+    return EnumerationBound(tuple(v if c is None else min(v, c) for v, c in zip(per_var, caps)),
+                            "positive_definite", table)
 
 
 def list_sum_levels(spec, order2, rank, node_budget, bound, charge_box=None):

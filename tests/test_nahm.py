@@ -8,7 +8,7 @@ from fractions import Fraction
 from qident import nahm, presets, quiver
 from qident.series import QSeries, series_eq
 
-from lattice_reference import list_sum_levels
+from lattice_reference import _inverse_diagonal, _reverse_ldl, fraction_bound, list_sum_levels
 from series_reference import charge_slice, charges_dropped
 from sylvester import is_positive_definite
 
@@ -225,6 +225,96 @@ class TestOneCertification:
             calls.update(ldl=0, tables=0)
             nahm.evaluate(spec, 8, charges=charges)
             assert calls == {"ldl": int(strategy == "positive_definite"), "tables": 1}
+
+
+REFUSAL = ("quadratic form is neither all-nonnegative with positive diagonal "
+           "nor positive definite with a zero linear part; refusing to enumerate")
+CERTIFIED = [f"cartan-a{n}" for n in range(2, 9)] + ["cartan-d4", "b2-char"]
+
+
+class TestIntegerCertification:
+    """The fraction-free elimination of compute_bound against the Fraction
+    split and table build of lattice_reference, which it replaced."""
+
+    @pytest.mark.parametrize("name", CERTIFIED)
+    def test_elimination_matches_the_fraction_split(self, name):
+        spec = presets.nahm_preset(name)
+        delta, T, adj = nahm._reverse_ldl(spec._ints[2])
+        D, M = _reverse_ldl(spec.quad)
+        l = spec.nvars
+        assert D == [F(delta[k], 4 * delta[k + 1]) for k in range(l)]
+        assert M == [[F(T[k][i], delta[k]) if i < k else 0 for i in range(l)] for k in range(l)]
+        assert _inverse_diagonal(D, M) == [F(4 * c, delta[0]) for c in adj]
+
+    @pytest.mark.parametrize("name", CERTIFIED)
+    def test_shipped_bounds_match_the_fraction_build(self, name):
+        spec = presets.nahm_preset(name)
+        for order in [*range(1, 121), F(1, 2), F(39, 2)]:
+            bound = nahm.compute_bound(spec, order)
+            if name == "cartan-a2":             # one variable, k^2: all-nonnegative
+                assert bound.strategy == "all_nonneg"
+            else:
+                assert bound == fraction_bound(spec, order), order
+
+    def test_random_forms_match_the_fraction_build(self):
+        # half-integer diagonals and quarter-integer off-diagonals, odd quarters
+        # included, under charge boxes or none; a form that is not positive
+        # definite and has a negative entry is refused with the same message
+        rng = random.Random(35)
+        matched = refused = odd = boxed = 0
+        while matched < 300 or refused < 100:
+            l = rng.randint(1, 6)
+            quad = [[F(0)] * l for _ in range(l)]
+            for i in range(l):
+                quad[i][i] = F(rng.randint(0, 8), 2)
+                for j in range(i):
+                    quad[i][j] = quad[j][i] = F(rng.randint(-5, 3), 4)
+            charges = tuple(tuple(rng.randint(0, 2) for _ in range(l))
+                            for _ in range(rng.randint(0, 2)))
+            box = tuple(rng.randint(0, 5) for _ in charges) if rng.random() < 0.5 else None
+            spec = nahm.NahmSumSpec(tuple(f"x{i}" for i in range(l)), tuple(map(tuple, quad)),
+                                    (F(0),) * l, charges)
+            order = F(rng.randint(-1, 80), 2)
+            if is_positive_definite(quad):
+                bound = nahm.compute_bound(spec, order, box)
+                if bound.strategy == "positive_definite":
+                    assert bound == fraction_bound(spec, order, box), (quad, charges, order, box)
+                    matched += 1
+                    odd += any(x.denominator == 4 for row in quad for x in row)
+                    boxed += box is not None and bool(charges)
+            elif any(x < 0 for row in quad for x in row):
+                with pytest.raises(nahm.CoercivityError, match=REFUSAL):
+                    nahm.compute_bound(spec, order, box)
+                with pytest.raises(nahm.CoercivityError):
+                    fraction_bound(spec, order, box)
+                refused += 1
+        assert odd > 150 and boxed > 50
+
+    @pytest.mark.parametrize("quad", [
+        ((F(1), F(-1)), (F(-1), F(1))),                     # semidefinite, det 0
+        ((F(1), F(-1, 2), F(-1, 2)), (F(-1, 2), F(1), F(-1, 2)),
+         (F(-1, 2), F(-1, 2), F(1))),                       # semidefinite, 3 x 3
+        ((F(2), F(0), F(0)), (F(0), F(1), F(-1)),
+         (F(0), F(-1), F(1))),                              # a zero pivot before the last
+        ((F(-1), F(0)), (F(0), F(1))),                      # indefinite, last pivot negative
+        ((F(1, 2), F(-3, 4)), (F(-3, 4), F(1, 2))),         # indefinite, odd quarters
+    ])
+    def test_forms_that_are_not_definite_refused(self, quad):
+        spec = nahm.NahmSumSpec(tuple(f"x{i}" for i in range(len(quad))), quad,
+                                (F(0),) * len(quad), ())
+        with pytest.raises(nahm.CoercivityError, match=REFUSAL):
+            nahm.compute_bound(spec, 10)
+        with pytest.raises(nahm.CoercivityError):
+            _reverse_ldl(quad)
+
+    def test_b2_char_budget_boundary(self):
+        # an uncharged positive-definite table with G = 4, pinned in CI too
+        spec = presets.nahm_preset("b2-char")
+        assert nahm.compute_bound(spec, 100).table[0] == 4
+        assert _level_sum_steps(spec, 100) == 347
+        nahm.evaluate(spec, 100, charges=False, node_budget=347)
+        with pytest.raises(nahm.BudgetExceeded):
+            nahm.evaluate(spec, 100, charges=False, node_budget=346)
 
 
 class TestEvaluate:
