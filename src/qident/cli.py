@@ -105,8 +105,8 @@ def _on_off(flag):
 @click.group()
 @click.option("--json", "as_json", is_flag=True, help="machine-readable report")
 @click.option("--budget", type=click.IntRange(min=0), default=None,
-              help="cap on level-sum steps (lattice sums and quiver boxes) / "
-                   "matrix cells / monomial pairs; exceeding it is exit 2")
+              help="cap on level-sum steps (lattice sums, quiver boxes and each side "
+                   "of a dilogarithm product) / jet matrix cells; exceeding it is exit 2")
 @click.option("--timings", is_flag=True, help="include wall time (breaks byte-reproducibility)")
 @pass_settings
 def main(settings, as_json, budget, timings):

@@ -6,54 +6,38 @@ matrix eps.  Elements are truncated in two directions at once: total x-degree
 q^(1/2), each a LaurentQ: one canonical series row, the row format and row
 kernels of qident.series, and a validity order tracked through every
 multiplication, so a comparison can certify exactly how far it is
-meaningful.  The product of two elements sums, over the monomial pairs, each
-pair's LaurentQ product shifted by its merge power: LaurentQ.__mul__, shifted
-and __add__ alone set every coefficient's terms and validity order.
+meaningful.  The product of two elements sums, over the pairs of monomials,
+each pair's LaurentQ product shifted by its merge power: LaurentQ.__mul__,
+shifted and __add__ alone set every coefficient's terms and validity order.
 
 Inside, every q-exponent is a doubled int (order2, base2, e2).  Factor
 shifts come in as ints or Fractions, normal-ordering powers are ints, and
 mismatches and renders give exponents back as Fractions.
 
-Dilogarithm products are expanded to the q-order their comparison reads and
-no further, one factor at a time.  phi(z) = (1 - z) phi(qz) (Faddeev-Kashaev)
-makes the n-th coefficient of phi the (n-1)-th times -q^(n-1) / (1 - q^n), so
-a coefficient times the 1/(q)_n of a factor's n-th term is the same
-coefficient times 1/(q)_(n-1), divided by (1 - q^n): one dense row, divided in
-place as n grows, serves every term of the factor, and no coefficient product
-is formed.  One plan pass comes first and alone decides where each
-coefficient sits and how far it is valid: it plans each factor once, walking
-bound-only (lowest exponent, validity order) pairs through the LaurentQ
-rules.  Normal ordering and negative exponents cost validity, so the factors
-start at a padded order, and the walk sizes it: a product's lowest exponent
-is the sum of its factors' lowest exponents and a sum's is at least the
-smaller one, so the bounds can only underestimate validity.  Each final
-coefficient is valid through its bound, which is at least the requested
-order and at most the order NCElement.__mul__ would give, and every term
-below it is exact.  The product only fills rows laid out on the bounds.  A
-coefficient whose exponents share one parity is a row on step 2 in doubled
-exponents; the plan pass checks that no target mixes parities, and a product
-where one would goes on step-1 rows.  Each row is cut once to its canonical
-form and becomes the product's LaurentQ coefficient; nc_eq compares two
-elements on their coefficients' rows, as list slices where two rows share a
-grid, and otherwise through the first-difference scan of series_eq.
+The x^lam coefficient of an ordered product of dilogarithms phi(-q^h X^beta)
+is the fermionic sum of q^(P(m)) / prod (q)_(m_t) over the m of charge lam
+(Faddeev-Kashaev), P its dilog_product_form, so each side of a product
+identity is one charged level sum (product_side).  Both sides get the same
+G(lam) added, which makes the left side the Cartan form and the shipped right
+sides all-nonnegative; the rows are moved back down by G(lam) and compared by
+nc_eq, as list slices where two rows share a grid and otherwise through the
+first-difference scan of series_eq.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, ne, sub
+from operator import add, mul, ne
 from types import MappingProxyType
 from typing import Optional
 
-from . import kernels
+from . import nahm
 from .halfint import twice_of
-from .nahm import (BudgetExceeded, NahmSumSpec, _symmetric_from_products, a_pairs,
-                   build_Bprime_form, cartan_matrix)
+from .nahm import NahmSumSpec, _symmetric_from_products, a_pairs, build_Bprime_form, cartan_matrix
 from .poly import powers, render_terms
-from .series import (_first_difference, _on_grid, _row_product, _row_sum, _row_terms, _trim,
-                     inv_pochhammer_dense)
+from .series import _first_difference, _row_product, _row_sum, _row_terms, _trim, inv_pochhammer_dense
 
 
 class NCAlgebra:
@@ -285,7 +269,7 @@ class NCElement:
 
     def __mul__(self, other):
         """Product below the smaller x-degree bound.  Each output monomial's
-        coefficient is the sum, over the monomial pairs that merge into it,
+        coefficient is the sum, over the pairs of monomials that merge into it,
         of the pair's coefficient product shifted by its merge power."""
         if not isinstance(other, NCElement):
             return NotImplemented
@@ -427,160 +411,96 @@ def dilog_inv(algebra, prefactor_sign, qshift, word, xdeg, qorder2) -> NCElement
         for exps, n, base2, sign in _dilog_terms(algebra, prefactor_sign, qshift, word, xdeg)})
 
 
-def _plan(algebra, sources, factor, xdeg, step):
-    """Where sources times one dilogarithm factor lands and how far each
-    target is valid, read from (low2, order2) bounds alone, counted from the
-    order the factor's terms start at.
+# -- products as lattice sums -------------------------------------------------
 
-    sources maps each source monomial a to the (low2, order2) bound of its
-    coefficient: low2 is at most its lowest exponent and order2 + start at
-    most its validity order.  factor is (prefactor_sign, qshift, word), its
-    n-th term sign * q^(base2/2) x^(n*beta) / (q)_n, known below order 0
-    here.  The merge power is bilinear, so the pair (a, n) lands at a +
-    n*beta shifted by n*p2 + base2, where p2 is the merge power of a and
-    beta: its lowest exponent is at least low2 + n*p2 + base2, and the rule
-    of LaurentQ.__mul__ and shifted gives its order2 (the unknown tail of
-    each side, from its order2 on, meets the other's lowest exponent).
-    Returns the plan (step, terms, targets, work) that _mul_dilog fills.
-    terms lists the factor's (n, base2, sign) below x-degree xdeg, by
-    ascending n.  targets maps each monomial to its bound [the least lowest
-    exponent of its pairs, the least order2 of them].  work lists each
-    source as (a, pairs), pairs[n] the (target, lowest exponent) of its pair
-    with term n, for every n that stays below xdeg.  The plan's step is 2
-    when the step given is 2, which says that every source coefficient holds
-    exponents of the parity of its low2 alone, and no target gets pairs of
-    both parities; it is 1 otherwise.
+def _lhs_shift(algebra, lhs, xdeg):
+    """The shift G(lam) = (1/2) lam^T C lam - P_L(lam) of a comparison of
+    products below x-degree xdeg, C = 2I - |eps| the Cartan matrix of the
+    algebra and P_L the exponent form of lhs over the lam coordinates: lhs
+    must hold one single-generator factor per generator (ValueError).
+
+    Returns (quad4, lin4, twice): 4G(lam) = lam^T quad4 lam + lin4 . lam,
+    and twice maps each lam >= 0 with sum(lam) < xdeg to 2G(lam), built one
+    coordinate at a time: fixing lam_i = v adds v*(quad4[i][i]*v + pull_i),
+    pull_i the linear term the coordinates fixed before leave on lam_i."""
+    g = algebra.generator_count
+    if sorted(w for _s, _sh, w in lhs) != [(i,) for i in range(1, g + 1)]:
+        raise ValueError("the left side needs one single-generator factor per generator")
+    names = [f"x{i}" for i in range(1, g + 1)]
+    P = dilog_product_form(algebra, [(sh, w, names[w[0] - 1]) for _s, sh, w in lhs], names)
+    _diag2, lin2, cross2 = P._ints
+    quad4 = [[4 * (i == j) - 2 * abs(e) - x for j, (e, x) in enumerate(zip(erow, row))]
+             for i, (erow, row) in enumerate(zip(algebra.eps, cross2))]
+    lin4 = [-2 * x for x in lin2]
+    level = {(): (0, lin4)}
+    for i, row in enumerate(quad4):
+        level = {lam + (v,): (four + v * (row[i] * v + pull[i]),
+                              [p + 2 * v * x for p, x in zip(pull, row)])
+                 for lam, (four, pull) in level.items() for v in range(xdeg - sum(lam))}
+    return quad4, lin4, {lam: four // 2 for lam, (four, _pull) in level.items()}
+
+
+def _side_order2(shift, qorder):
+    """The doubled order a side is summed at: 2*qorder plus the largest
+    2G(lam) of the box, so every row, moved down by its G, is valid through
+    qorder."""
+    return twice_of(qorder) + max(shift[2].values(), default=0)
+
+
+def product_side(algebra, factors, shift, xdeg, qorder, budget=None) -> NCElement:
+    """An ordered product of (prefactor_sign, qshift, word) dilogarithm
+    factors below x-degree xdeg, valid through qorder, as one charged level
+    sum (nahm.evaluate; budget caps its steps).
+
+    Its x^lam coefficient sums sign(m) q^(P(m)) / prod (q)_(m_t) over the m
+    with lam = sum m_t beta_t, P the dilog_product_form and beta_t the
+    exponent vector of word t.  The level sum runs on P + G(lam), G the
+    shift of _lhs_shift, added as the integer tables B^T (4G) B, B the
+    matrix of the beta_t; it is charged by the beta_t and the total
+    x-degree, each boxed at xdeg - 1, and refuses a form that is not
+    coercive (CoercivityError).  Each row then moves down by G(lam).  A
+    factor phi(+X) signs its n-th term (-1)^n, so sign(m) = (-1)^(c . lam)
+    for a c with c . beta_t odd exactly for those factors; without one the
+    sign is no function of lam (ValueError).
     """
-    s, sh, w = factor
-    terms, steps = [], []
-    for exps, n, base2, sign in _dilog_terms(algebra, s, sh, w, xdeg):
-        terms.append((n, base2, sign))
-        steps.append((exps, base2, min(base2, 0)))
-    beta = normal_order(algebra, w)[1]
-    eps = algebra.eps
-    # the merge power of a and beta is 2 * (a . pull)
-    pull = [sum(eps[i][j] * beta[j] for j in range(i)) for i in range(len(beta))]
-    dbeta = sum(beta)
-    targets, work = {}, []
-    for a, (low2, a_order2) in sources.items():
-        p2 = 2 * sum(map(mul, a, pull))
-        b_order2 = min(low2, 0)
-        np2 = 0
-        pairs = []
-        for exps, base2, base2_min0 in steps[:(xdeg - sum(a) - 1) // dbeta + 1]:
-            t = tuple(map(add, a, exps))
-            t_low2 = low2 + np2 + base2
-            # LaurentQ.__mul__'s rule for the pair, then its shift
-            t_order2 = a_order2 + base2_min0
-            if b_order2 < t_order2:
-                t_order2 = b_order2
-            t_order2 += np2
-            hit = targets.get(t)
-            if hit is None:
-                targets[t] = [t_low2, t_order2]
-            else:
-                if (t_low2 - hit[0]) & 1:
-                    step = 1
-                if t_low2 < hit[0]:
-                    hit[0] = t_low2
-                if t_order2 < hit[1]:
-                    hit[1] = t_order2
-            pairs.append((t, t_low2))
-            np2 += p2
-        work.append((a, pairs))
-    return step, terms, targets, work
+    g = algebra.generator_count
+    names = [f"m{t}" for t in range(len(factors))]
+    P = dilog_product_form(algebra, [(sh, w, v) for (_s, sh, w), v in zip(factors, names)],
+                           names)
+    betas = [normal_order(algebra, w)[1] for _s, _sh, w in factors]
+    odd = [int(s > 0) for s, _sh, _w in factors]
+    parity = next((c for c in itertools.product((0, 1), repeat=g)
+                   if all(sum(map(mul, c, b)) % 2 == o for b, o in zip(betas, odd))), None)
+    if parity is None:
+        raise ValueError("the factors' signs are not a function of the x-degree vector")
+    quad4, lin4, twice = shift
+    pulled = [[sum(map(mul, row, b)) for row in quad4] for b in betas]     # quad4 beta_t
+    _diag2, lin2, cross2 = P._ints
+    cross2 = [[x + sum(map(mul, a, p)) for x, p in zip(row, pulled)]
+              for row, a in zip(cross2, betas)]
+    lin2 = [x + sum(map(mul, lin4, b)) // 2 for x, b in zip(lin2, betas)]
+    quarter = {x: Fraction(x, 4) for row in cross2 for x in row}
+    spec = NahmSumSpec(tuple(names), tuple(tuple(map(quarter.__getitem__, row)) for row in cross2),
+                       tuple(Fraction(x, 2) for x in lin2),
+                       (*zip(*betas), tuple(map(sum, betas))))
+    order2 = _side_order2(shift, qorder)
+    series = nahm.evaluate(spec, Fraction(order2, 2), node_budget=budget,
+                           charge_box=(xdeg - 1,) * (g + 1))
+    rows = {}
+    for u, (first, step, coeffs) in series.rows.items():
+        lam = u[:g]
+        e2 = twice[lam]
+        if sum(map(mul, parity, lam)) % 2:
+            coeffs = [-x for x in coeffs]
+        rows[lam] = (first - e2, step, coeffs, order2 - e2)
+    return NCElement.from_rows(algebra, xdeg, rows)
 
 
-def _mul_dilog(rows, plan, start):
-    """rows times one dilogarithm factor, the factor's terms known below
-    start, along its plan (step, terms, targets, work) from _plan.
-
-    Every row is laid out on its coefficient's bound (low2, order2), a
-    source's from the plan before (the unit's is (0, inf)): row[i] is the
-    coefficient of q^((low2 + step*i)/2), and the row stops at order2 +
-    start at the latest (a missing slot below it is zero).  The result has a
-    row for every target, zero or not, and every slot is exact: a pair's
-    piece is exact below the pair's own order2, which is no lower than its
-    target's.  c / (q)_n is c / (q)_(n-1) divided in place by (1 - q^n),
-    since phi(z) = (1 - z) phi(qz): one geom_div per n, where a coefficient
-    product costs one pass per term.  Each source row is added, signed and
-    shifted, into its targets' rows; the terms past a source's last pair
-    that reaches a slot (such as those with base2 >= start) are never
-    divided in.
-    """
-    step, terms, targets, work = plan
-    unit = 2 // step                    # q^1 in slots
-    out = {t: [0] * ((order2 + start - low2 + step - 1) // step)
-           for t, (low2, order2) in targets.items()}
-    for a, pairs in work:
-        # (target row, offset of the pair's first slot in it, slots it reaches)
-        cuts = []
-        for t, s2 in pairs:
-            low2, order2 = targets[t]
-            cuts.append((out[t], (s2 - low2) // step, (order2 + start - s2 + step - 1) // step))
-        while cuts and cuts[-1][2] <= 0:
-            cuts.pop()
-        if not cuts:
-            continue
-        length = max(cut[2] for cut in cuts)
-        row = rows[a][:length]
-        row += [0] * (length - len(row))
-        for (n, _base2, sign), (T, p, _length) in zip(terms, cuts):
-            if n:
-                kernels.geom_div(row, unit * n)
-            T[p:] = map(add if sign > 0 else sub, T[p:], row)
-    return out
-
-
-def _plan_product(algebra, factors, xdeg, qorder, budget=None):
-    """(start, plans): the order2 the factors must start at for every
-    coefficient of their product to be valid through qorder, and the plan
-    (step, terms, targets, work) of each factor for _mul_dilog (see _plan).
-
-    One pass plans each factor in turn over (low2, order2) bounds alone,
-    from the exact unit and with every factor started at order 0: no term is
-    dropped and every target is kept, as if no coefficient were zero (a zero
-    one would only raise the real order).  A target's low2 is a lower bound
-    on its lowest exponent, so the bounds can only underestimate validity,
-    and each coefficient of the product is valid through its bound's order2
-    + start.  The lowest final order2 is the validity the expansion loses.
-    A coefficient's exponents all share the parity of its bound, so a plan
-    is on step 2 until some target gets pairs of both parities, and on step
-    1 from there on.  The pass also counts the monomial pairs the products
-    of the factors visit (the unit's with the first factor are not counted),
-    and raises BudgetExceeded when they pass budget.
-    """
-    bounds = {(0,) * algebra.generator_count: (0, math.inf)}
-    plans, pairs, step = [], 0, 2
-    for k, factor in enumerate(factors):
-        plan = _plan(algebra, bounds, factor, xdeg, step)
-        plans.append(plan)
-        step, _terms, bounds, work = plan
-        if k:
-            pairs += sum(len(ts) for _a, ts in work)
-            if budget is not None and pairs > budget:
-                raise BudgetExceeded("monomial pairs", budget)
-    return twice_of(qorder) - min((o for _low2, o in bounds.values()), default=0), plans
-
-
-def expand_dilog_product(algebra, factors, xdeg, qorder, budget=None) -> NCElement:
-    """Expand a list of (prefactor_sign, qshift, word) dilog factors, every
-    coefficient valid at least through qorder.  _plan_product gives the
-    order the factors start at and their plans; they multiply into the
-    exact unit, left to right, one at a time through _mul_dilog.  Rows start
-    on step 2 and spread to step 1 where a plan falls back.  Each
-    coefficient is valid through its bound in the last plan.  budget caps
-    the monomial pairs of the products; it is checked before any coefficient
-    is built."""
-    start, plans = _plan_product(algebra, factors, xdeg, qorder, budget)
-    rows = {(0,) * algebra.generator_count: [1]}
-    step = 2
-    for plan in plans:
-        if plan[0] != step:
-            rows, step = {a: _on_grid((0, 2, row), 1) for a, row in rows.items()}, plan[0]
-        rows = _mul_dilog(rows, plan, start)
-    return NCElement.from_rows(algebra, xdeg, {a: (low2, step, rows[a], order2 + start)
-                                               for a, (low2, order2) in plans[-1][2].items()})
+def _compare_products(algebra, lhs, rhs, xdeg, qorder, budget):
+    """nc_eq of the two sides' product_side, under the shift of lhs."""
+    shift = _lhs_shift(algebra, lhs, xdeg)
+    return nc_eq(product_side(algebra, lhs, shift, xdeg, qorder, budget),
+                 product_side(algebra, rhs, shift, xdeg, qorder, budget), qorder)
 
 
 # -- pentagon ----------------------------------------------------------------
@@ -605,12 +525,9 @@ def pentagon_check(xdeg, qorder, variant="plain", drop_middle=False,
                    budget=None) -> NCCompareResult:
     """phi(y) phi(x) = phi(x) phi(-yx) phi(y) for xy = q yx.
 
-    budget caps the monomial pairs of each side's expansion."""
-    algebra = NCAlgebra([[0, 1], [-1, 0]])
-    lhs_f, rhs_f = pentagon_factors(variant, drop_middle)
-    lhs = expand_dilog_product(algebra, lhs_f, xdeg, qorder, budget)
-    rhs = expand_dilog_product(algebra, rhs_f, xdeg, qorder, budget)
-    return nc_eq(lhs, rhs, qorder)
+    budget caps the level-sum steps of each side (see product_side)."""
+    return _compare_products(NCAlgebra([[0, 1], [-1, 0]]), *pentagon_factors(variant, drop_middle),
+                             xdeg, qorder, budget)
 
 
 # -- ordered products --------------------------------------------------------
@@ -652,12 +569,10 @@ def ordered_product_factors(name):
 def ordered_product_check(name, xdeg, qorder, budget=None):
     """Verdict plus the RHS factor list (emitted in reports for auditing).
 
-    budget caps the monomial pairs of each side's expansion."""
+    budget caps the level-sum steps of each side (see product_side)."""
     lhs_f, rhs_f = ordered_product_factors(name)
-    algebra = NCAlgebra.from_cartan(name)
-    lhs = expand_dilog_product(algebra, lhs_f, xdeg, qorder, budget)
-    rhs = expand_dilog_product(algebra, rhs_f, xdeg, qorder, budget)
-    return nc_eq(lhs, rhs, qorder), rhs_f
+    return _compare_products(NCAlgebra.from_cartan(name), lhs_f, rhs_f, xdeg, qorder,
+                             budget), rhs_f
 
 
 # ---------------------------------------------------------------------------

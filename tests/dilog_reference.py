@@ -1,12 +1,8 @@
 """Reference expansion and comparison of dilogarithm products for the
-padding, budget and comparison tests: every factor starts at the generous
-order twice_of(qorder) + 2*xdeg^2 + 8, the products are taken pair by pair
-(reference_product), and their monomial pairs are counted by brute force.
-bound_product is the padding pass over bound-only coefficients, their pairs
-summed by the validity rule of the shifted pairwise LaurentQ products that
-NCElement.__mul__ adds: with bound_padding, the oracle of the order
-qweyl._plan_product gives and of the validity order of every coefficient
-qweyl.expand_dilog_product builds.  reference_nc_eq
+product and comparison tests: every factor starts at the generous order
+twice_of(qorder) + 2*xdeg^2 + 8, and the products are taken pair by pair
+(reference_product), the oracle of each side of qweyl.pentagon_check and
+qweyl.ordered_product_check, which are level sums.  reference_nc_eq
 compares two elements through their LaurentQ view, coefficient by
 coefficient with compare_upto: the oracle of qweyl.nc_eq on rows.
 laurent_terms, laurent_add, laurent_mul and laurent_shifted are the dict
@@ -79,82 +75,14 @@ def reference_product(a, b):
 
 
 def generous_expansion(alg, factors, xdeg, qorder):
-    """(product of the factors, monomial pairs its products visit)."""
+    """The product of the factors, each started at the generous order,
+    multiplied left to right by reference_product."""
     order2 = twice_of(qorder) + 2 * xdeg * xdeg + 8
     elems = [qweyl.dilog(alg, s, sh, w, xdeg, order2) for (s, sh, w) in factors]
-    acc, pairs = elems[0], 0
+    acc = elems[0]
     for elem in elems[1:]:
-        pairs += sum(1 for ea in acc.terms for eb in elem.terms
-                     if sum(ea) + sum(eb) < xdeg)
         acc = reference_product(acc, elem)
-    return acc, pairs
-
-
-class Bound:
-    """Stand-in for a LaurentQ coefficient in bound_padding.
-
-    low2 is a lower bound on the lowest exponent and order2 the validity
-    order that LaurentQ's rules give, counted from the order the factors
-    start at.  Bound.sum_of_products sums products of them as
-    NCElement.__mul__ adds the shifted pairwise LaurentQ products, by the
-    order rule of LaurentQ.__mul__, shifted and __add__; a zero coefficient
-    would only raise the real order, so every bound is treated as nonzero.
-    """
-
-    __slots__ = ("low2", "order2")
-
-    def __init__(self, low2, order2):
-        self.low2 = low2
-        self.order2 = order2
-
-    def is_zero(self):
-        return False
-
-    @classmethod
-    def sum_of_products(cls, pairs):
-        """The bound on the sum of q^(p2/2) * a * b over the (a, b, p2): the
-        unknown tail of each factor, from its order2 on, meets the other's
-        lowest exponent; a sum is valid as far as its least valid piece."""
-        return cls(min(a.low2 + b.low2 + p2 for a, b, p2 in pairs),
-                   min(min(a.order2 + min(b.low2, 0), b.order2 + min(a.low2, 0)) + p2
-                       for a, b, p2 in pairs))
-
-
-def bound_mul(alg, xdeg, left, right):
-    """The {monomial: Bound} product of two {monomial: Bound} maps below
-    x-degree xdeg: the pairs that merge into each monomial, grouped and
-    summed by Bound.sum_of_products, the bound of NCElement.__mul__'s sum of
-    pairwise products."""
-    groups = {}
-    for ea, ca in left.items():
-        for eb, cb in right.items():
-            if sum(ea) + sum(eb) < xdeg:
-                key = tuple(x + y for x, y in zip(ea, eb))
-                groups.setdefault(key, []).append(
-                    (ca, cb, qweyl.monomial_merge_power2(alg, ea, eb)))
-    return {key: Bound.sum_of_products(pairs) for key, pairs in groups.items()}
-
-
-def bound_product(alg, factors, xdeg):
-    """(product, monomial pairs): the factors multiplied left to right by
-    bound_mul with Bound coefficients started at order 0, and the monomial
-    pairs below xdeg that those products visit."""
-    acc, pairs = None, 0
-    for (s, sh, w) in factors:
-        elem = {exps: Bound(base2, 0)
-                for exps, _n, base2, _sign in qweyl._dilog_terms(alg, s, sh, w, xdeg)}
-        if acc is not None:
-            pairs += sum(1 for ea in acc for eb in elem if sum(ea) + sum(eb) < xdeg)
-            elem = bound_mul(alg, xdeg, acc, elem)
-        acc = elem
-    return acc, pairs
-
-
-def bound_padding(alg, factors, xdeg, qorder):
-    """(padded order2, monomial pairs) of bound_product: the order the
-    factors must start at for every bound to reach qorder."""
-    acc, pairs = bound_product(alg, factors, xdeg)
-    return twice_of(qorder) - min((c.order2 for c in acc.values()), default=0), pairs
+    return acc
 
 
 def compare_upto(a, b, bound2):

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from qident import cli, nahm, presets, quiver, qweyl, series
 from qident.cli import main
 
-from dilog_reference import generous_expansion
 from quiver_reference import level_steps
 
 
@@ -572,20 +571,19 @@ def _budget_exit_codes(runner, budget, *args):
     assert passed.exit_code == 0
     assert_usage_exit(refused)
     assert "budget" in refused.output
+    return refused
 
 
-def test_budget_caps_pentagon_monomial_pairs(runner):
-    alg = qweyl.NCAlgebra([[0, 1], [-1, 0]])
-    pairs = max(generous_expansion(alg, f, 6, 10)[1] for f in qweyl.pentagon_factors())
-    _budget_exit_codes(runner, pairs, "pentagon", "--xdeg", "6", "--qorder", "10")
+def test_budget_caps_pentagon_level_sum_steps(runner):
+    # each side is one level sum; the larger side takes 48 steps
+    refused = _budget_exit_codes(runner, 48, "pentagon", "--xdeg", "6", "--qorder", "10")
+    assert "level-sum steps" in refused.output
 
 
-def test_budget_caps_ordered_product_monomial_pairs(runner):
-    alg = qweyl.NCAlgebra.from_cartan("a4")
-    pairs = max(generous_expansion(alg, f, 4, 6)[1]
-                for f in qweyl.ordered_product_factors("a4"))
-    _budget_exit_codes(runner, pairs, "ordered-product", "--type", "a4",
-                       "--xdeg", "4", "--qorder", "6")
+def test_budget_caps_ordered_product_level_sum_steps(runner):
+    refused = _budget_exit_codes(runner, 72, "ordered-product", "--type", "a4",
+                                 "--xdeg", "4", "--qorder", "6")
+    assert "level-sum steps" in refused.output
 
 
 def test_budget_caps_quiver_representations(runner):
@@ -637,15 +635,10 @@ def test_suite_bad_line_is_exit_2(runner, tmp_path, bad_line, message):
 
 
 def test_validity_fault_is_a_report_with_exit_3(runner, monkeypatch):
-    # a start order one power of q short: the comparison reads past the
+    # an evaluation order one power of q short: the comparison reads past the
     # validity of the coefficients, a fault of the program, not a usage error
-    plan_product = qweyl._plan_product
-
-    def short(*args, **kwargs):
-        start, plans = plan_product(*args, **kwargs)
-        return start - 2, plans
-
-    monkeypatch.setattr(qweyl, "_plan_product", short)
+    side_order2 = qweyl._side_order2
+    monkeypatch.setattr(qweyl, "_side_order2", lambda *args: side_order2(*args) - 2)
     args = ("verify", "pentagon", "--xdeg", "4", "--qorder", "6")
     result = run(runner, *args)
     assert result.exit_code == 3

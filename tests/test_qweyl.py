@@ -8,12 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from qident import nahm, qweyl, series
 from qident.halfint import twice_of
-from qident.nahm import BudgetExceeded
+from qident.nahm import BudgetExceeded, CoercivityError
 from qident.qweyl import LaurentQ, NCAlgebra, NCElement
 
-from dilog_reference import (Bound, bound_mul, bound_padding, bound_product, compare_upto,
-                             generous_expansion, laurent_add, laurent_mul, laurent_shifted,
-                             laurent_terms, reference_nc_eq, reference_product)
+from dilog_reference import (compare_upto, generous_expansion, laurent_add, laurent_mul,
+                             laurent_shifted, laurent_terms, reference_nc_eq, reference_product)
 
 
 def a_type(nvars):
@@ -267,6 +266,16 @@ class TestPentagon:
         assert r.mismatch.total_degree == 2
         assert r.mismatch.exps == (1, 1)
 
+    def test_degree_one_reads_the_constant_term_alone(self):
+        # below x-degree 1 each side is its constant term 1, a level sum over
+        # the single box point lam = 0
+        for variant, drop in (("plain", False), ("shifted", False), ("plain", True)):
+            assert qweyl.pentagon_check(1, 5, variant=variant, drop_middle=drop).equal
+            lhs, rhs = qweyl.pentagon_factors(variant, drop)
+            for factors in (lhs, rhs):
+                side = _side(_PLANE, lhs, factors, 1, 5)
+                assert _coefficients(side) == {(0, 0): ({0: 1}, 10)}
+
 
 class TestOrderedProduct:
     def test_a2_single_factor_each(self):
@@ -290,60 +299,120 @@ class TestOrderedProduct:
         assert (4, 3, 2, 1, 2) in [w for (_s, _h, w) in factors]
 
 
+_PLANE = NCAlgebra([[0, 1], [-1, 0]])
+_D4 = NCAlgebra.from_cartan("d4")
+
+
+def _side(alg, lhs, factors, xdeg, qorder, budget=None):
+    """product_side of factors under the shift of lhs."""
+    return qweyl.product_side(alg, factors, qweyl._lhs_shift(alg, lhs, xdeg), xdeg, qorder,
+                              budget)
+
+
+class TestRefusals:
+    """A product the level sum cannot decide is refused before any verdict."""
+
+    @pytest.mark.parametrize("name", ["a4", "d4"])
+    def test_reversed_rhs_is_not_coercive(self, name):
+        alg = NCAlgebra.from_cartan(name)
+        lhs, rhs = qweyl.ordered_product_factors(name)
+        with pytest.raises(CoercivityError):
+            qweyl._compare_products(alg, lhs, rhs[::-1], 5, 10, None)
+
+    def test_sign_not_a_function_of_the_degree_vector(self):
+        # phi(x1) signs its n-th term (-1)^n and phi(-x1) does not: both land
+        # on x1^n, so no parity vector c gives the sign of a term
+        lhs, _ = qweyl.pentagon_factors()
+        with pytest.raises(ValueError, match="signs"):
+            _side(_PLANE, lhs, [(1, 0, (1,)), (-1, 0, (1,))], 4, 6)
+
+    @pytest.mark.parametrize("lhs", [
+        [(1, 0, (1,))],                                     # x2 has no factor
+        [(1, 0, (1,)), (1, 0, (1,))],                       # x1 twice
+        [(1, 0, (1, 2)), (1, 0, (2,))],                     # a word of two letters
+        [(1, 0, (1,)), (-1, 0, (2, 1)), (1, 0, (2,))],      # the pentagon's right side
+    ])
+    def test_lhs_needs_one_single_generator_factor_per_generator(self, lhs):
+        _, rhs = qweyl.pentagon_factors()
+        with pytest.raises(ValueError, match="single-generator"):
+            qweyl._compare_products(_PLANE, lhs, rhs, 4, 6, None)
+
+
 def _factor_cases(type_a_ranks):
-    plane = NCAlgebra([[0, 1], [-1, 0]])
     for variant, drop in (("plain", False), ("shifted", False), ("plain", True)):
         lhs, rhs = qweyl.pentagon_factors(variant, drop)
-        yield f"pentagon-{variant}{'-control' if drop else ''}", plane, lhs, rhs
+        yield f"pentagon-{variant}{'-control' if drop else ''}", _PLANE, lhs, rhs
     for n in type_a_ranks:
         lhs, rhs = qweyl.ordered_product_factors(f"a{n}")
         yield f"a{n}", NCAlgebra.from_cartan(f"a{n}"), lhs, rhs
     lhs, rhs = qweyl.ordered_product_factors("d4")
-    yield "d4", NCAlgebra.from_cartan("d4"), lhs, rhs
+    yield "d4", _D4, lhs, rhs
 
 
 PADDING_CASES = list(_factor_cases((3, 4, 5)))
 
+# the level-sum steps of each side (lhs, rhs) at x-degree 4 and q^6
+_SIDE_STEPS = {"pentagon-plain": (14, 23), "pentagon-shifted": (14, 23),
+               "pentagon-plain-control": (14, 14), "a3": (14, 23), "a4": (34, 72),
+               "a5": (69, 178), "d4": (69, 182)}
+
+
+def _coefficients(elem):
+    return {exps: (c.terms, c.order2) for exps, c in elem.terms.items()}
+
 
 class TestPadding:
+    """Each side is summed at qorder plus the largest G of the box, so that
+    every coefficient, moved down by its own G, is valid through qorder."""
+
     @pytest.mark.parametrize("name,alg,lhs,rhs", PADDING_CASES,
                              ids=[c[0] for c in PADDING_CASES])
     def test_exact_padding_against_generous(self, name, alg, lhs, rhs):
+        form = _lhs_form(alg, lhs)
         for xdeg, qorder in ((1, 3), (2, 5), (3, 4), (4, 9), (5, 6)):
             bound2 = twice_of(qorder)
+            shift = qweyl._lhs_shift(alg, lhs, xdeg)
+            twice = shift[2]
+            # 2G(lam) at every point lam >= 0, sum(lam) < xdeg of the box
+            assert len(twice) == math.comb(xdeg - 1 + alg.generator_count, xdeg - 1)
+            for lam, e2 in twice.items():
+                assert e2 == 2 * (_cartan_half(alg, lam) - form.exponent(lam)), (name, lam)
+            padded = qweyl._side_order2(shift, qorder)
+            assert padded == bound2 + max(twice.values())
             for factors in (lhs, rhs):
-                want, _ = generous_expansion(alg, factors, xdeg, qorder)
-                got = qweyl.expand_dilog_product(alg, factors, xdeg, qorder)
-                orders = [c.order2 for c in got.terms.values()]
-                # valid through qorder, and not one half-power further
-                assert min(orders) == bound2
-                # each coefficient valid through its bound, counted from the padded order
-                padded, _ = bound_padding(alg, factors, xdeg, qorder)
-                bounds, _ = bound_product(alg, factors, xdeg)
+                want = generous_expansion(alg, factors, xdeg, qorder)
+                got = qweyl.product_side(alg, factors, shift, xdeg, qorder)
+                # each coefficient valid through the padded order less its G,
+                # which is never below qorder
                 for exps, c in got.terms.items():
-                    assert c.order2 == padded + bounds[exps].order2, (name, exps)
+                    assert c.order2 == padded - twice[exps] >= bound2, (name, exps)
                 for exps in set(got.terms) | set(want.terms):
                     g, w = got.coefficient(exps), want.coefficient(exps)
                     assert compare_upto(g, w, bound2) is None, (name, xdeg, qorder, exps)
 
     @pytest.mark.parametrize("name,alg,lhs,rhs", PADDING_CASES,
                              ids=[c[0] for c in PADDING_CASES])
-    def test_budget_counts_monomial_pairs(self, name, alg, lhs, rhs):
+    def test_budget_counts_level_sum_steps(self, name, alg, lhs, rhs):
         xdeg, qorder = 4, 6
-        for factors in (lhs, rhs):
-            _, pairs = generous_expansion(alg, factors, xdeg, qorder)
-            qweyl.expand_dilog_product(alg, factors, xdeg, qorder, budget=pairs)
-            if pairs:
-                with pytest.raises(BudgetExceeded):
-                    qweyl.expand_dilog_product(alg, factors, xdeg, qorder,
-                                               budget=pairs - 1)
+        for factors, steps in zip((lhs, rhs), _SIDE_STEPS[name]):
+            _side(alg, lhs, factors, xdeg, qorder, budget=steps)
+            with pytest.raises(BudgetExceeded, match="level-sum steps"):
+                _side(alg, lhs, factors, xdeg, qorder, budget=steps - 1)
+
+
+def _cartan_half(alg, lam):
+    """(1/2) lam^T C lam, C = 2I - |eps|."""
+    return Fraction(sum(x * y * (2 * (i == j) - abs(alg.eps[i][j]))
+                        for i, x in enumerate(lam) for j, y in enumerate(lam)), 2)
+
+
+def _lhs_form(alg, lhs):
+    """The exponent form of the left side over the lam coordinates."""
+    names = [f"l{i}" for i in range(alg.generator_count)]
+    return qweyl.dilog_product_form(alg, [(sh, w, names[w[0] - 1]) for _s, sh, w in lhs], names)
 
 
 PRODUCT_CASES = list(_factor_cases((2, 3, 4, 5, 6)))
-
-
-def _coefficients(elem):
-    return {exps: (c.terms, c.order2) for exps, c in elem.terms.items()}
 
 
 def _assert_matches_reference(a, b):
@@ -354,7 +423,6 @@ def _assert_matches_reference(a, b):
     return got
 
 
-_PLANE = NCAlgebra([[0, 1], [-1, 0]])
 _COMMUTING = NCAlgebra([[0, 0], [0, 0]])
 _ALGEBRAS = (_PLANE, _COMMUTING, NCAlgebra([[0, -2], [2, 0]]))
 _COEFFS = st.builds(LaurentQ,
@@ -365,24 +433,29 @@ _ELEMS = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), _COEFF
 
 
 class TestProductAgainstReference:
-    """NCElement.__mul__ against the pairwise reference product, coefficient by
+    """Each level-sum side against the dilog() factors multiplied by the
+    pairwise reference product, term for term below qorder; and
+    NCElement.__mul__ against that reference product, coefficient by
     coefficient, in terms and in order2."""
 
     @pytest.mark.parametrize("name,alg,lhs,rhs", PRODUCT_CASES,
                              ids=[c[0] for c in PRODUCT_CASES])
     def test_factor_lists(self, name, alg, lhs, rhs):
-        factors = lhs + rhs
-        for xdeg, qorder in ((2, 5), (4, 9), (5, 6)):
-            padded, _plans = qweyl._plan_product(alg, factors, xdeg, qorder)
-            for order2 in (padded, twice_of(qorder) + 2 * xdeg * xdeg + 8):
+        for xdeg, qorder in ((1, 4), (2, 5), (4, 9), (5, 6), (8, 4)):
+            bound2 = twice_of(qorder)
+            shift = qweyl._lhs_shift(alg, lhs, xdeg)
+            for factors in (lhs, rhs):
+                order2 = bound2 + 2 * xdeg * xdeg + 8
                 elems = [qweyl.dilog(alg, s, sh, w, xdeg, order2) for (s, sh, w) in factors]
-                acc = elems[0]
+                want = elems[0]
                 for elem in elems[1:]:
-                    acc = _assert_matches_reference(acc, elem)
-                if order2 == padded:
-                    # the factor-wise expansion is this product
-                    got = qweyl.expand_dilog_product(alg, factors, xdeg, qorder)
-                    assert _coefficients(got) == _coefficients(acc)
+                    want = (_assert_matches_reference(want, elem) if xdeg < 8
+                            else reference_product(want, elem))
+                got = qweyl.product_side(alg, factors, shift, xdeg, qorder)
+                assert got.xdeg == xdeg
+                for exps in set(got.terms) | set(want.terms):
+                    assert compare_upto(got.coefficient(exps), want.coefficient(exps),
+                                        bound2) is None, (name, xdeg, qorder, exps)
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(_ALGEBRAS), _ELEMS, _ELEMS, st.integers(1, 5))
@@ -413,181 +486,23 @@ class TestProductAgainstReference:
         assert _assert_matches_reference(a, b).terms == {}
 
 
-class TestPaddingPlan:
-    """_plan_product walks the factor-wise plan; the padding pass that
-    multiplies bound-only coefficients the way NCElement.__mul__ multiplies
-    LaurentQ ones is its oracle."""
-
-    @pytest.mark.parametrize("name,alg,lhs,rhs", PRODUCT_CASES,
-                             ids=[c[0] for c in PRODUCT_CASES])
-    def test_same_order_and_pairs_as_bound_pass(self, name, alg, lhs, rhs):
-        for xdeg, qorder in ((1, 3), (4, 9), (6, 20)):
-            for factors in (lhs, rhs):
-                want, pairs = bound_padding(alg, factors, xdeg, qorder)
-                assert qweyl._plan_product(alg, factors, xdeg, qorder, budget=pairs)[0] == want
-                if pairs:
-                    with pytest.raises(BudgetExceeded):
-                        qweyl._plan_product(alg, factors, xdeg, qorder, budget=pairs - 1)
-
-
-def _one_parity(elem):
-    """2 when each coefficient's exponents share one parity, else 1."""
-    return 2 if all(len({e & 1 for e in c.terms}) == 1 for c in elem.terms.values()) else 1
-
-
-def _from_rows(rows, plan, start):
-    """_mul_dilog's rows as {target: (terms, order2)}, each on its bound."""
-    step, _terms, targets, _work = plan
-    return {t: ({low2 + step * i: c for i, c in enumerate(rows[t]) if c}, order2 + start)
-            for t, (low2, order2) in targets.items()}
-
-
-def _mul_dilog_on_plan(alg, acc, factor, xdeg, start):
-    """_mul_dilog of the element acc, each coefficient's bound its own low2
-    and order2, on step-2 rows where their parities allow; returns
-    (coefficients, step)."""
-    bounds = {exps: (c.low2, c.order2 - start) for exps, c in acc.terms.items()}
-    plan = qweyl._plan(alg, bounds, factor, xdeg, _one_parity(acc))
-    step = plan[0]
-    rows = {exps: [c.terms.get(e, 0) for e in range(c.low2, c.order2, step)]
-            for exps, c in acc.terms.items()}
-    return _from_rows(qweyl._mul_dilog(rows, plan, start), plan, start), step
-
-
-def _bound_mul(alg, acc, factor, xdeg, start):
-    """The Bound oracle of acc times a factor started at start: the padding
-    pass's product of Bound coefficients, orders counted from start."""
-    left = {exps: Bound(c.low2, c.order2 - start) for exps, c in acc.terms.items()}
-    right = {exps: Bound(base2, 0) for exps, _n, base2, _s in qweyl._dilog_terms(alg, *factor, xdeg)}
-    return bound_mul(alg, xdeg, left, right)
-
-
-@st.composite
-def _mul_dilog_cases(draw):
-    g = draw(st.integers(2, 4))
-    eps = [[0] * g for _ in range(g)]
-    for i in range(g):
-        for j in range(i + 1, g):
-            eps[i][j] = draw(st.integers(-2, 2))
-            eps[j][i] = -eps[i][j]
-    xdeg = draw(st.integers(1, 6))
-    coeffs = st.builds(LaurentQ,
-                       st.dictionaries(st.integers(-6, 9), st.integers(-3, 3), max_size=5),
-                       st.integers(-4, 14))
-    acc = draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * g), coeffs, max_size=6))
-    word = tuple(draw(st.lists(st.integers(1, g), min_size=1, max_size=5)))
-    factor = (draw(st.sampled_from((1, -1))),
-              draw(st.sampled_from((0, Fraction(1, 2), 1, Fraction(3, 2)))), word)
-    return NCAlgebra(eps), xdeg, acc, factor, draw(st.integers(-8, 16))
-
-
-_D4 = NCAlgebra.from_cartan("d4")
-_NEGATIVE = NCAlgebra([[0, 2], [-2, 0]])
-
-
-class TestMulDilog:
-    """One factor multiplied in through the q-difference recurrence against
-    NCElement.__mul__ with dilog() and the pairwise reference product,
-    coefficient by coefficient, in terms below each order2, and against the
-    Bound oracle in order2."""
-
-    @staticmethod
-    def _check(alg, xdeg, acc_terms, factor, start):
-        """The terms of each coefficient are those of NCElement.__mul__ and
-        of the reference product below its order2, that order2 is the Bound
-        oracle's, and it is no higher than NCElement.__mul__'s."""
-        acc = NCElement(alg, xdeg, acc_terms)
-        phi = qweyl.dilog(alg, *factor, xdeg, start)
-        got, step = _mul_dilog_on_plan(alg, acc, factor, xdeg, start)
-        exact, ref = acc * phi, reference_product(acc, phi)
-        bounds = _bound_mul(alg, acc, factor, xdeg, start)
-        assert set(got) == set(bounds)
-        assert set(exact.terms) <= set(got) and set(ref.terms) <= set(got)
-        for exps, (terms, order2) in got.items():
-            assert order2 == bounds[exps].order2 + start, exps
-            for want in (exact, ref):
-                w = want.terms.get(exps)
-                if w is not None:
-                    assert order2 <= w.order2, exps
-                w_terms = {} if w is None else w.terms
-                assert terms == {e: c for e, c in w_terms.items() if e < order2}, exps
-        return got, step
-
-    @settings(max_examples=300, deadline=None)
-    @given(_mul_dilog_cases())
-    # d4's word x4x3x2x1x2 repeats a letter
-    @example((_D4, 6, {(0, 1, 0, 0): LaurentQ({-3: 1, 2: -2}, 9), (1, 0, 0, 1): LaurentQ({0: 1}, 12)},
-              (-1, Fraction(5, 2), (4, 3, 2, 1, 2)), 16))
-    # x2x1 normal-orders to q^-2 x1x2, so base2 < 0 from n = 1 on
-    @example((_NEGATIVE, 5, {(0, 0): LaurentQ({0: 1}, 10), (1, 0): LaurentQ({-1: 2, 4: 1}, 7)},
-              (1, 0, (2, 1)), 6))
-    # base2 is 0, -4, -10 for n = 0, 1, 2: only n = 2 is below the order
-    @example((_NEGATIVE, 5, {(0, 0): LaurentQ({0: 1}, 10), (1, 0): LaurentQ({-1: 2, 4: 1}, 7)},
-              (1, 0, (2, 1)), -5))
-    def test_random_accumulators(self, case):
-        self._check(*case)
-
-    def test_dropped_terms_and_negative_base(self):
-        # at order2 4 the factor keeps n = 0, 1 only: base2 is 0, 1, 4, 9 for shift 1/2
-        plane = NCAlgebra([[0, 1], [-1, 0]])
-        acc = {(0, 0): LaurentQ({0: 1}, 12), (0, 1): LaurentQ({-1: 1, 2: 3}, 12)}
-        got, _step = self._check(plane, 5, acc, (-1, Fraction(1, 2), (1,)), 4)
-        assert max(exps[0] for exps, (terms, _order2) in got.items() if terms) == 1
-        # x1^2 gets 1 * x1 (n = 1) and the dropped 1 * x1^2 (n = 2), whose
-        # bound sets the order, q^(1/2), below the kept pair's q^2 and below
-        # the kept pair's lowest exponent
-        acc = {(0, 0): LaurentQ({0: 1}, 1), (1, 0): LaurentQ({0: 1}, 20)}
-        got, _step = self._check(plane, 5, acc, (-1, Fraction(1, 2), (1,)), 4)
-        assert got[(2, 0)] == ({}, 1)
-        # x2x1 = q^-2 x1x2, so base2 = -4: the first term sits below q^0
-        got, _step = self._check(_NEGATIVE, 3, {(0, 0): LaurentQ({0: 1}, 10)}, (1, 0, (2, 1)), 6)
-        assert got[(1, 1)][0] == {-4: -1, -2: -1, 0: -1, 2: -1, 4: -1}
-
-    def test_unit_gives_the_factor(self):
-        """The exact unit (infinite order) times a factor is dilog()."""
-        for factor in ((1, 0, (2, 1)), (-1, Fraction(3, 2), (1, 2, 1))):
-            plan = qweyl._plan(_NEGATIVE, {(0, 0): (0, math.inf)}, factor, 6, 2)
-            assert plan[0] == 2
-            got = _from_rows(qweyl._mul_dilog({(0, 0): [1]}, plan, 11), plan, 11)
-            # every target is valid through the start order; the terms with
-            # base2 >= 11 reach no slot
-            assert {order2 for _terms, order2 in got.values()} == {11}
-            assert ({t: c for t, c in got.items() if c[0]}
-                    == _coefficients(qweyl.dilog(_NEGATIVE, *factor, 6, 11)))
-
-
-    def test_rows_on_either_step(self):
-        """Coefficients of one parity each go on step-2 rows; a target that
-        gets pairs of both parities sends the whole product to step 1."""
-        plane = NCAlgebra([[0, 1], [-1, 0]])
-        factor = (-1, Fraction(1, 2), (1,))
-        terms = {(0, 0): LaurentQ({0: 1, 4: -2}, 12), (0, 1): LaurentQ({-1: 1, 3: 3}, 12)}
-        # x1 gets 1 times the n = 1 term (base2 1), at an odd exponent, and
-        # the x1 of acc times the n = 0 term, at that coefficient's parity
-        pure = NCElement(plane, 5, {**terms, (1, 0): LaurentQ({3: 1}, 11)})
-        mixed = NCElement(plane, 5, {**terms, (1, 0): LaurentQ({2: 1}, 11)})
-        for acc, want_step in ((pure, 2), (mixed, 1)):
-            _got, step = self._check(plane, 5, acc.terms, factor, 9)
-            assert step == want_step
-
-
+# phi(q^(1/2) x1) phi(x1) = prod_j (1 - q^(j/2) x1): its x1 coefficient mixes parities
 _MIXED = [(1, Fraction(1, 2), (1,)), (1, 0, (1,))]
 
 
 class TestParityGrid:
-    """expand_dilog_product keeps rows on step 2 when every coefficient has
-    one parity, and falls back to step 1 when a product would mix them."""
+    """A side's rows are on step 2 where every coefficient holds exponents
+    of one parity, so that nc_eq compares two sides as list slices, and on
+    step 1 where a coefficient mixes them."""
 
     def test_mixed_parities_fall_back_to_step_one(self):
         xdeg, qorder = 3, 4
-        order2, plans = qweyl._plan_product(_PLANE, _MIXED, xdeg, qorder)
-        assert [plan[0] for plan in plans] == [2, 1]
-        got = qweyl.expand_dilog_product(_PLANE, _MIXED, xdeg, qorder)
-        assert got.terms[(1, 0)].terms == {e: -1 for e in range(8)}
-        left, right = (qweyl.dilog(_PLANE, *f, xdeg, order2) for f in _MIXED)
-        assert _coefficients(got) == _coefficients(left * right)
-        assert _coefficients(got) == _coefficients(reference_product(left, right))
-        want, _pairs = generous_expansion(_PLANE, _MIXED, xdeg, qorder)
+        lhs, _ = qweyl.pentagon_factors()
+        got = _side(_PLANE, lhs, _MIXED, xdeg, qorder)
+        x1 = got.terms[(1, 0)]
+        assert x1.row[1] == 1
+        assert {e: c for e, c in x1.terms.items() if e < 8} == {e: -1 for e in range(8)}
+        want = generous_expansion(_PLANE, _MIXED, xdeg, qorder)
         assert set(got.terms) == set(want.terms)
         for exps in want.terms:
             assert compare_upto(got.coefficient(exps), want.coefficient(exps),
@@ -598,8 +513,8 @@ class TestParityGrid:
     def test_shipped_factor_lists_stay_on_step_two(self, name, alg, lhs, rhs):
         for xdeg, qorder in ((2, 5), (5, 12), (7, 20)):
             for factors in (lhs, rhs):
-                _order2, plans = qweyl._plan_product(alg, factors, xdeg, qorder)
-                assert {plan[0] for plan in plans} == {2}, (name, xdeg, qorder)
+                got = _side(alg, lhs, factors, xdeg, qorder)
+                assert {c.row[1] for c in got.terms.values()} == {2}, (name, xdeg, qorder)
 
 
 class TestLhsClosedForm:
@@ -614,7 +529,8 @@ class TestLhsClosedForm:
         alg = NCAlgebra.from_cartan(f"a{n}")
         lhs_f, _ = qweyl.ordered_product_factors(f"a{n}")
         xdeg, qorder = 5, 12
-        elem = qweyl.expand_dilog_product(alg, lhs_f, xdeg, qorder)
+        elem = _side(alg, lhs_f, lhs_f, xdeg, qorder)
+        assert len(elem.terms) == math.comb(xdeg - 1 + n - 1, n - 1)
         for exps, coeff in elem.terms.items():
             base2 = sum(k * k for k in exps) \
                 - 2 * sum(exps[i] * exps[i + 1] for i in range(len(exps) - 1))
@@ -884,21 +800,13 @@ _VIEW_PRODUCTS = [
 ]
 
 
-def _row_dicts(alg, factors, xdeg, qorder):
-    """{monomial: (terms, order2)} of the product's rows made LaurentQ by
-    LaurentQ._from_row, zero ones dropped: the coefficients the expansion
-    built before it kept its rows."""
-    start, plans = qweyl._plan_product(alg, factors, xdeg, qorder)
-    rows, step = {(0,) * alg.generator_count: [1]}, 2
-    for plan in plans:
-        if plan[0] != step:
-            rows, step = {a: series._on_grid((0, 2, row), 1) for a, row in rows.items()}, plan[0]
-        rows = qweyl._mul_dilog(rows, plan, start)
+def _row_dicts(elem):
+    """{monomial: (terms, order2)} read off each coefficient's row (first,
+    step, coeffs) slot by slot."""
     out = {}
-    for a, (low2, order2) in plans[-1][2].items():
-        c = LaurentQ._from_row(low2, rows[a], order2 + start, step)
-        if c.terms:
-            out[a] = (c.terms, c.order2)
+    for exps, c in elem.terms.items():
+        first, step, coeffs = c.row
+        out[exps] = ({first + step * i: x for i, x in enumerate(coeffs) if x}, c.order2)
     return out
 
 
@@ -906,9 +814,10 @@ class TestRowView:
     @pytest.mark.parametrize("name,alg,sides,xdeg,qorder", _VIEW_PRODUCTS,
                              ids=[c[0] for c in _VIEW_PRODUCTS])
     def test_terms_view_of_shipped_products(self, name, alg, sides, xdeg, qorder):
+        lhs = sides[0]
         for factors in sides:
-            got = qweyl.expand_dilog_product(alg, factors, xdeg, qorder)
-            assert _coefficients(got) == _row_dicts(alg, factors, xdeg, qorder)
+            got = _side(alg, lhs, factors, xdeg, qorder)
+            assert _coefficients(got) == _row_dicts(got)
 
     def test_reference_elements_round_trip(self):
         """Elements of NCElement.__mul__, dilog and dilog_inv hold the rows
