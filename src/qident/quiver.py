@@ -17,7 +17,7 @@ from operator import add
 
 from . import kernels, nahm
 from .halfint import twice_of
-from .series import QSeries, CompareResult, inv_pochhammer_dense, series_eq
+from .series import QSeries, CompareResult, _trimmed, inv_pochhammer_dense, series_eq
 
 
 @dataclass(frozen=True)
@@ -176,16 +176,20 @@ def verify_theorem51_box(quiver: QuiverA, kmax, order, budget=None, total=None):
     same two series verify_theorem51(quiver, k, order) compares.  When total
     is given, only the k with sum(k) <= total are summed and compared.  The
     level sum runs before the first result; budget caps its steps
-    (BudgetExceeded).
+    (BudgetExceeded).  Each left side is built once per multiset of k.
     """
     order2 = twice_of(order)
     length = (order2 + 1) // 2
-    memo = {}
-    rows = _level_rows(quiver, kmax, length, budget, total)
+    rows, lhs = _level_rows(quiver, kmax, length, budget, total), {}
+    if order2 % 2:  # summed to the next integer order
+        rows = _trimmed(rows.items(), order2)
     for k in itertools.product(*(range(b + 1) for b in kmax)):
         if total is None or sum(k) <= total:
-            lhs = QSeries.from_rows(order2, 0, [((), (0, 2, _inv_denominator(k, length, memo)))])
-            yield k, series_eq(lhs, QSeries.from_rows(order2, 0, [((), rows[k])]))
+            key = tuple(sorted(k))
+            if key not in lhs:
+                lhs[key] = QSeries.from_dense(_inv_denominator(k, length, {}), order)
+            rhs = QSeries._canonical(order2, 0, {(): rows[k]} if k in rows else {})
+            yield k, series_eq(lhs[key], rhs)
 
 
 def quiver_generating_series(quiver: QuiverA, kmax, order):

@@ -16,11 +16,12 @@ mismatches and renders give exponents back as Fractions.
 
 The x^lam coefficient of an ordered product of dilogarithms phi(-q^h X^beta)
 is the fermionic sum of q^(P(m)) / prod (q)_(m_t) over the m of charge lam
-(Faddeev-Kashaev), P its dilog_product_form, so each side of a product
-identity is one charged level sum (product_side).  Both sides get the same
-G(lam) added, which makes the left side the Cartan form and the shipped right
-sides all-nonnegative; the rows are moved back down by G(lam) and compared by
-nc_eq, as list slices where two rows share a grid and otherwise through the
+(Faddeev-Kashaev), P read in ints off the words' exponent vectors
+(_product_tables), so each side of a product identity is one charged level
+sum (product_side).  Both sides get the same G(lam) added, which makes the
+left side the Cartan form and the shipped right sides all-nonnegative; the
+rows, moved back down by G(lam), stay canonical and are compared by nc_eq,
+as list slices where two rows share a grid and otherwise through the
 first-difference scan of series_eq.
 """
 
@@ -120,11 +121,6 @@ class LaurentQ:
             self._terms = MappingProxyType(dict(_row_terms(self.row)) if self.row else {})
         return self._terms
 
-    @property
-    def low2(self) -> Optional[int]:
-        """The lowest exponent, None for zero."""
-        return self.row and self.row[0]
-
     def __add__(self, other):
         order2 = min(self.order2, other.order2)
         return LaurentQ._canonical(_row_sum(self.row, other.row, order2), order2)
@@ -166,12 +162,7 @@ class LaurentQ:
 def word_cross(algebra, left, right):
     """Sum of eps over pairs (a in left, b in right) with a > b: the q-power
     created when a copy of `right` is pushed through a copy of `left`."""
-    total = 0
-    for a in left:
-        for b in right:
-            if a > b:
-                total += algebra.eps_of(a, b)
-    return total
+    return sum(algebra.eps_of(a, b) for a in left for b in right if a > b)
 
 
 def word_inversions(algebra, word):
@@ -228,18 +219,6 @@ class NCElement:
         self.xdeg = xdeg
         self.terms = {tuple(exps): coeff for exps, coeff in (terms or {}).items()
                       if sum(exps) < xdeg and coeff.row}
-
-    @classmethod
-    def from_rows(cls, algebra, xdeg, rows):
-        """From {exps: (low2, step, row, order2)} with every exps below
-        x-degree xdeg, as LaurentQ._from_row cuts them; zero ones are
-        dropped."""
-        self = cls(algebra, xdeg)
-        for exps, (low2, step, row, order2) in rows.items():
-            coeff = LaurentQ._from_row(low2, row, order2, step)
-            if coeff.row:
-                self.terms[exps] = coeff
-        return self
 
     def absent_order2(self):
         """The validity order of a coefficient that has no entry: the least
@@ -413,6 +392,48 @@ def dilog_inv(algebra, prefactor_sign, qshift, word, xdeg, qorder2) -> NCElement
 
 # -- products as lattice sums -------------------------------------------------
 
+def _product_tables(algebra, factors):
+    """(betas, four, lin2) of ordered (sign, qshift, w_t) factors: beta_t the
+    exponent vector of w_t, 4P(m) = m^T four m + 2 lin2 . m, P as in
+    dilog_product_form.  word_cross(w_t, w_u) = beta_t^T L beta_u, L the
+    lower triangle of eps."""
+    g = algebra.generator_count
+    betas = [tuple(map(w.count, range(1, g + 1))) for _s, _sh, w in factors]
+    # L beta_u, then beta_t^T L beta_u; row[:a] is row a of L
+    lowered = [[sum(map(mul, row[:a], b)) for a, row in enumerate(algebra.eps)] for b in betas]
+    cross = [[sum(map(mul, a, lb)) for lb in lowered] for a in betas]
+    n = len(factors)
+    four = [[2 * cross[min(t, u)][max(t, u)] + 2 * (t == u) for u in range(n)] for t in range(n)]
+    lin2 = [twice_of(sh) - 1 + 2 * word_inversions(algebra, w) - cross[t][t]
+            for t, (_s, sh, w) in enumerate(factors)]
+    return betas, four, lin2
+
+
+def _form(labels, four, lin2, charges=()):
+    """The NahmSumSpec of (four, lin2) tables, one Fraction per quad value."""
+    quarter = {x: Fraction(x, 4) for row in four for x in row}
+    return NahmSumSpec(tuple(labels), tuple(tuple(map(quarter.__getitem__, row)) for row in four),
+                       tuple(Fraction(x, 2) for x in lin2), charges)
+
+
+def dilog_product_form(algebra, factors, names) -> NahmSumSpec:
+    """Total q-exponent of an ordered dilog product, as a form over names.
+
+    factors is a list of (qshift, word, varname): expanding every
+    phi(-q^shift w) with summation variable m and normal-ordering the product
+    gives q^(P(m)) x^(lambda(m)) / prod (q)_m; this returns P, the
+    _product_tables summed onto the names.
+    """
+    _betas, four, lin2 = _product_tables(algebra, [(-1, sh, w) for sh, w, _v in factors])
+    at = [names.index(v) for _sh, _w, v in factors]
+    quad4, lin = [[0] * len(names) for _ in names], [0] * len(names)
+    for t, a in enumerate(at):
+        lin[a] += lin2[t]
+        for u, b in enumerate(at):
+            quad4[a][b] += four[t][u]
+    return _form(names, quad4, lin)
+
+
 def _lhs_shift(algebra, lhs, xdeg):
     """The shift G(lam) = (1/2) lam^T C lam - P_L(lam) of a comparison of
     products below x-degree xdeg, C = 2I - |eps| the Cartan matrix of the
@@ -421,23 +442,23 @@ def _lhs_shift(algebra, lhs, xdeg):
 
     Returns (quad4, lin4, twice): 4G(lam) = lam^T quad4 lam + lin4 . lam,
     and twice maps each lam >= 0 with sum(lam) < xdeg to 2G(lam), built one
-    coordinate at a time: fixing lam_i = v adds v*(quad4[i][i]*v + pull_i),
-    pull_i the linear term the coordinates fixed before leave on lam_i."""
+    coordinate at a time: fixing lam_i = v adds v*(quad4[i][i]*v + pull),
+    pull = lin4[i] + 2 sum_(j<i) quad4[i][j] lam_j."""
     g = algebra.generator_count
     if sorted(w for _s, _sh, w in lhs) != [(i,) for i in range(1, g + 1)]:
         raise ValueError("the left side needs one single-generator factor per generator")
-    names = [f"x{i}" for i in range(1, g + 1)]
-    P = dilog_product_form(algebra, [(sh, w, names[w[0] - 1]) for _s, sh, w in lhs], names)
-    _diag2, lin2, cross2 = P._ints
-    quad4 = [[4 * (i == j) - 2 * abs(e) - x for j, (e, x) in enumerate(zip(erow, row))]
-             for i, (erow, row) in enumerate(zip(algebra.eps, cross2))]
-    lin4 = [-2 * x for x in lin2]
-    level = {(): (0, lin4)}
+    _betas, four, lin2 = _product_tables(algebra, lhs)
+    at = sorted(range(g), key=lambda t: lhs[t][2])  # the factor of lam_i
+    quad4 = [[4 * (i == j) - 2 * abs(algebra.eps[i][j]) - four[t][u] for j, u in enumerate(at)]
+             for i, t in enumerate(at)]
+    lin4 = [-2 * lin2[t] for t in at]
+    level = {(): 0}
     for i, row in enumerate(quad4):
-        level = {lam + (v,): (four + v * (row[i] * v + pull[i]),
-                              [p + 2 * v * x for p, x in zip(pull, row)])
-                 for lam, (four, pull) in level.items() for v in range(xdeg - sum(lam))}
-    return quad4, lin4, {lam: four // 2 for lam, (four, _pull) in level.items()}
+        level = {lam + (v,): four + v * (row[i] * v + pull)
+                 for lam, four, pull in ((lam, four, lin4[i] + 2 * sum(map(mul, row, lam)))
+                                         for lam, four in level.items())
+                 for v in range(xdeg - sum(lam))}
+    return quad4, lin4, {lam: four // 2 for lam, four in level.items()}
 
 
 def _side_order2(shift, qorder):
@@ -453,21 +474,18 @@ def product_side(algebra, factors, shift, xdeg, qorder, budget=None) -> NCElemen
     sum (nahm.evaluate; budget caps its steps).
 
     Its x^lam coefficient sums sign(m) q^(P(m)) / prod (q)_(m_t) over the m
-    with lam = sum m_t beta_t, P the dilog_product_form and beta_t the
+    with lam = sum m_t beta_t, P the form of _product_tables and beta_t the
     exponent vector of word t.  The level sum runs on P + G(lam), G the
     shift of _lhs_shift, added as the integer tables B^T (4G) B, B the
     matrix of the beta_t; it is charged by the beta_t and the total
     x-degree, each boxed at xdeg - 1, and refuses a form that is not
-    coercive (CoercivityError).  Each row then moves down by G(lam).  A
-    factor phi(+X) signs its n-th term (-1)^n, so sign(m) = (-1)^(c . lam)
-    for a c with c . beta_t odd exactly for those factors; without one the
-    sign is no function of lam (ValueError).
+    coercive (CoercivityError).  Each row then moves down by G(lam), still
+    canonical.  A factor phi(+X) signs its n-th term (-1)^n, so sign(m) =
+    (-1)^(c . lam) for a c with c . beta_t odd exactly for those factors;
+    without one the sign is no function of lam (ValueError).
     """
     g = algebra.generator_count
-    names = [f"m{t}" for t in range(len(factors))]
-    P = dilog_product_form(algebra, [(sh, w, v) for (_s, sh, w), v in zip(factors, names)],
-                           names)
-    betas = [normal_order(algebra, w)[1] for _s, _sh, w in factors]
+    betas, four, lin2 = _product_tables(algebra, factors)
     odd = [int(s > 0) for s, _sh, _w in factors]
     parity = next((c for c in itertools.product((0, 1), repeat=g)
                    if all(sum(map(mul, c, b)) % 2 == o for b, o in zip(betas, odd))), None)
@@ -475,25 +493,21 @@ def product_side(algebra, factors, shift, xdeg, qorder, budget=None) -> NCElemen
         raise ValueError("the factors' signs are not a function of the x-degree vector")
     quad4, lin4, twice = shift
     pulled = [[sum(map(mul, row, b)) for row in quad4] for b in betas]     # quad4 beta_t
-    _diag2, lin2, cross2 = P._ints
-    cross2 = [[x + sum(map(mul, a, p)) for x, p in zip(row, pulled)]
-              for row, a in zip(cross2, betas)]
+    four = [[x + sum(map(mul, a, p)) for x, p in zip(row, pulled)] for row, a in zip(four, betas)]
     lin2 = [x + sum(map(mul, lin4, b)) // 2 for x, b in zip(lin2, betas)]
-    quarter = {x: Fraction(x, 4) for row in cross2 for x in row}
-    spec = NahmSumSpec(tuple(names), tuple(tuple(map(quarter.__getitem__, row)) for row in cross2),
-                       tuple(Fraction(x, 2) for x in lin2),
-                       (*zip(*betas), tuple(map(sum, betas))))
+    spec = _form([f"m{t}" for t in range(len(factors))], four, lin2,
+                 (*zip(*betas), tuple(map(sum, betas))))
     order2 = _side_order2(shift, qorder)
     series = nahm.evaluate(spec, Fraction(order2, 2), node_budget=budget,
                            charge_box=(xdeg - 1,) * (g + 1))
-    rows = {}
+    terms = {}
     for u, (first, step, coeffs) in series.rows.items():
         lam = u[:g]
         e2 = twice[lam]
         if sum(map(mul, parity, lam)) % 2:
             coeffs = [-x for x in coeffs]
-        rows[lam] = (first - e2, step, coeffs, order2 - e2)
-    return NCElement.from_rows(algebra, xdeg, rows)
+        terms[lam] = LaurentQ._canonical((first - e2, step, coeffs), order2 - e2)
+    return NCElement(algebra, xdeg, terms)
 
 
 def _compare_products(algebra, lhs, rhs, xdeg, qorder, budget):
@@ -614,14 +628,6 @@ def extract_E_form(n) -> NahmSumSpec:
     return NahmSumSpec(tuple(f"m[{i},{j}]" for i, j in pairs), quad, lin, ())
 
 
-def c_form_value(n, m) -> Fraction:
-    """C(m) = sum (2-(j-i)) m_ij^2 / 2."""
-    total = Fraction(0)
-    for (i, j), v in m.items():
-        total += Fraction((2 - (j - i)) * v * v, 2)
-    return total
-
-
 def charge_word_identity_holds(n, m, form=None) -> bool:
     """The normal-ordering identity tying the dilog product to the lattice form.
 
@@ -644,28 +650,7 @@ def charge_word_identity_holds(n, m, form=None) -> bool:
     lam = form.charge_of(vec)
     if exps != lam:
         return False
-    lhs = c_form_value(n, m) + E + Fraction(sum(k * k for k in lam), 2)
+    # C(m) = sum (2-(j-i)) m_ij^2 / 2
+    C2 = sum((2 - (j - i)) * v * v for (i, j), v in m.items())
+    lhs = Fraction(C2 + sum(k * k for k in lam), 2) + E
     return lhs == form.exponent(vec)
-
-
-def dilog_product_form(algebra, factors, names) -> NahmSumSpec:
-    """Total q-exponent of an ordered dilog product, as a form over names.
-
-    factors is a list of (qshift, word, varname): expanding every
-    phi(-q^shift w) with summation variable m and normal-ordering the product
-    gives q^(P(m)) x^(lambda(m)) / prod (q)_m; this returns P.  Verifies form
-    transcriptions against the displayed ordered products.
-    """
-    half = Fraction(1, 2)
-    at = [names.index(v) for _, _, v in factors]
-    prods, lin = [], [0] * len(names)
-    for t, (shift, word, _v) in enumerate(factors):
-        # m^2/2 + m(shift - 1/2), and word^m normal-ordered: m inv + (m^2 - m) crs/2
-        inv = word_inversions(algebra, word)
-        crs = word_cross(algebra, word, word)
-        prods.append((at[t], at[t], half + Fraction(crs, 2)))
-        lin[at[t]] += shift - half + inv - Fraction(crs, 2)
-        prods += [(at[t], at[u], word_cross(algebra, word, factors[u][1]))
-                  for u in range(t + 1, len(factors))]
-    quad, lin = _symmetric_from_products(len(names), prods, lin)
-    return NahmSumSpec(tuple(names), quad, lin, ())

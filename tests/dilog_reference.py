@@ -5,6 +5,9 @@ twice_of(qorder) + 2*xdeg^2 + 8, and the products are taken pair by pair
 qweyl.ordered_product_check, which are level sums.  reference_nc_eq
 compares two elements through their LaurentQ view, coefficient by
 coefficient with compare_upto: the oracle of qweyl.nc_eq on rows.
+reference_product_form sums the exponent form of an ordered product in
+Fractions, word pair by word pair: the oracle of qweyl.dilog_product_form
+and the integer tables under it.
 laurent_terms, laurent_add, laurent_mul and laurent_shifted are the dict
 rules of LaurentQ's arithmetic, on (terms, order2) pairs: the oracle of
 LaurentQ on series rows."""
@@ -13,6 +16,7 @@ from fractions import Fraction
 
 from qident import qweyl
 from qident.halfint import twice_of
+from qident.nahm import NahmSumSpec, _symmetric_from_products
 from qident.poly import add_terms
 
 
@@ -121,3 +125,22 @@ def reference_nc_eq(a, b, qorder):
             return qweyl.NCCompareResult(False, xdeg, qorder2, qweyl.NCMismatch(
                 exps, Fraction(e, 2), ca.terms.get(e, 0), cb.terms.get(e, 0)))
     return qweyl.NCCompareResult(True, xdeg, qorder2)
+
+
+def reference_product_form(algebra, factors, names):
+    """qweyl.dilog_product_form summed in Fractions: for each factor
+    (qshift, word, varname), m^2/2 + m (qshift - 1/2) plus word^m
+    normal-ordered, m inv + (m^2 - m) crs/2, and word_cross with every
+    later factor's word on m * m'."""
+    half = Fraction(1, 2)
+    at = [names.index(v) for _, _, v in factors]
+    prods, lin = [], [0] * len(names)
+    for t, (shift, word, _v) in enumerate(factors):
+        inv = qweyl.word_inversions(algebra, word)
+        crs = qweyl.word_cross(algebra, word, word)
+        prods.append((at[t], at[t], half + Fraction(crs, 2)))
+        lin[at[t]] += shift - half + inv - Fraction(crs, 2)
+        prods += [(at[t], at[u], qweyl.word_cross(algebra, word, factors[u][1]))
+                  for u in range(t + 1, len(factors))]
+    quad, lin = _symmetric_from_products(len(names), prods, lin)
+    return NahmSumSpec(tuple(names), quad, lin, ())

@@ -216,7 +216,7 @@ class TestBoxWalk:
                 assert got == want
                 assert seen == want_args
 
-    @pytest.mark.parametrize("order", [Fraction(1, 2), Fraction(13, 2)])
+    @pytest.mark.parametrize("order", [Fraction(1, 2), Fraction(11, 2), Fraction(13, 2)])
     def test_half_integer_order_matches_per_k_path(self, monkeypatch, order):
         # the level sum runs at the next integer order, so its rows are
         # trimmed to the box's order before they are compared
@@ -226,6 +226,27 @@ class TestBoxWalk:
         want_args = list(seen)
         seen.clear()
         assert _box(qv, (2, 2, 2), order) == want
+        assert seen == want_args
+
+    def test_order_zero_matches_per_k_path(self):
+        # below q^0 the level sum has no rows at all: every k compares empty series
+        qv = QuiverA(3, ("R", "L"))
+        assert _box(qv, (1, 2, 1), 0) == _per_k(qv, (1, 2, 1), 0)
+
+    @pytest.mark.parametrize("order", [7, Fraction(11, 2)])
+    def test_shared_multisets_match_per_k_path(self, monkeypatch, order):
+        # the k of one multiset share one left side; each k still makes its own
+        # series_eq call, on the same two series as the per-k path
+        seen = _recording_series_eq(monkeypatch)
+        qv = QuiverA(4, ("L", "R", "L"))
+        kmax = (2, 1, 2, 1)
+        ks = list(itertools.product(*(range(b + 1) for b in kmax)))
+        assert len({tuple(sorted(k)) for k in ks}) < len(ks)
+        want = _per_k(qv, kmax, order)
+        want_args = list(seen)
+        seen.clear()
+        assert _box(qv, kmax, order) == want
+        assert len(want) == len(ks)
         assert seen == want_args
 
     @pytest.mark.parametrize("rank,kmaxes", [

@@ -12,7 +12,8 @@ from qident.nahm import BudgetExceeded, CoercivityError
 from qident.qweyl import LaurentQ, NCAlgebra, NCElement
 
 from dilog_reference import (compare_upto, generous_expansion, laurent_add, laurent_mul,
-                             laurent_shifted, laurent_terms, reference_nc_eq, reference_product)
+                             laurent_shifted, laurent_terms, reference_nc_eq, reference_product,
+                             reference_product_form)
 
 
 def a_type(nvars):
@@ -409,7 +410,7 @@ def _cartan_half(alg, lam):
 def _lhs_form(alg, lhs):
     """The exponent form of the left side over the lam coordinates."""
     names = [f"l{i}" for i in range(alg.generator_count)]
-    return qweyl.dilog_product_form(alg, [(sh, w, names[w[0] - 1]) for _s, sh, w in lhs], names)
+    return reference_product_form(alg, [(sh, w, names[w[0] - 1]) for _s, sh, w in lhs], names)
 
 
 PRODUCT_CASES = list(_factor_cases((2, 3, 4, 5, 6)))
@@ -654,6 +655,105 @@ class TestD4Transcription:
                 assert P.exponent(m) == want + (qweyl.normal_order(alg, word)[0] if word else 0)
 
 
+def _spelled_exponent2(alg, factors, m):
+    """Twice the exponent of prod phi(-q^(s_t) w_t) at m: sum m_t^2 +
+    m_t (2 s_t - 1), plus twice the normal-ordering power of the spelled
+    word w_1^(m_1) w_2^(m_2) ..."""
+    word = [g for (_c, _s, w), mt in zip(factors, m) for _ in range(mt) for g in w]
+    return (sum(mt * mt + mt * (twice_of(s) - 1) for (_c, s, _w), mt in zip(factors, m))
+            + 2 * (qweyl.normal_order(alg, word)[0] if word else 0))
+
+
+def _spelled_ints(alg, factors):
+    """The (diag2, lin2, cross2) tables of the product's exponent form, read
+    off the spelled product at m = e_t, 2 e_t and e_t + e_u."""
+    n = len(factors)
+
+    def at(*ts):
+        return _spelled_exponent2(alg, factors, [ts.count(t) for t in range(n)])
+
+    one = [at(t) for t in range(n)]
+    diag2 = [(at(t, t) - 2 * one[t]) // 2 for t in range(n)]
+    cross2 = [[2 * diag2[t] if t == u else at(t, u) - one[t] - one[u] for u in range(n)]
+              for t in range(n)]
+    return (tuple(diag2), tuple(o - d for o, d in zip(one, diag2)),
+            tuple(map(tuple, cross2)))
+
+
+def _random_product(seed):
+    """An antisymmetric eps over 2-4 generators and 1-6 factors with random
+    signs, half-integer shifts and words of 1-5 letters, repeats allowed."""
+    rng = random.Random(seed)
+    g = rng.randint(2, 4)
+    eps = [[0] * g for _ in range(g)]
+    for a, b in itertools.combinations(range(g), 2):
+        eps[a][b] = rng.randint(-2, 2)
+        eps[b][a] = -eps[a][b]
+    return NCAlgebra(eps), [(rng.choice((1, -1)), Fraction(rng.randint(-3, 5), 2),
+                             tuple(rng.randint(1, g) for _ in range(rng.randint(1, 5))))
+                            for _ in range(rng.randint(1, 6))]
+
+
+TABLE_CASES = list(_factor_cases(range(2, 10)))
+
+
+class TestProductTables:
+    """The integer tables of every product form (qweyl._product_tables, and
+    the _ints of dilog_product_form over them) against the Fraction builder
+    reference_product_form and against the spelled product, entry for
+    entry."""
+
+    @staticmethod
+    def _check(alg, factors):
+        names = [f"t{t}" for t in range(len(factors))]
+        named = [(s, w, v) for (_c, s, w), v in zip(factors, names)]
+        got = qweyl.dilog_product_form(alg, named, names)._ints
+        assert got == reference_product_form(alg, named, names)._ints
+        assert got == _spelled_ints(alg, factors)
+        betas, four, lin2 = qweyl._product_tables(alg, factors)
+        assert (tuple(map(tuple, four)), tuple(lin2)) == (got[2], got[1])
+        assert betas == [qweyl.normal_order(alg, w)[1] for _c, _s, w in factors]
+        # the same tables summed onto reversed names, and onto two shared names
+        shared = [(s, w, f"v{t % 2}") for t, (_c, s, w) in enumerate(factors)]
+        for named, names in ((named, names[::-1]), (shared, ["v0", "v1"])):
+            assert (qweyl.dilog_product_form(alg, named, names)._ints
+                    == reference_product_form(alg, named, names)._ints)
+
+    @pytest.mark.parametrize("name,alg,lhs,rhs", TABLE_CASES, ids=[c[0] for c in TABLE_CASES])
+    def test_shipped_factor_lists(self, name, alg, lhs, rhs):
+        for factors in (lhs, rhs):
+            self._check(alg, factors)
+
+    def test_d4_repeated_letter_word(self):
+        # x2 twice in one word: its own cross power and its crossings with x2
+        _, rhs = qweyl.ordered_product_factors("d4")
+        word = [f for f in rhs if f[2] == (4, 3, 2, 1, 2)]
+        assert len(word) == 1
+        for factors in (word, word + [(-1, Fraction(1, 2), (2,))], [(-1, 0, (2,))] + word * 2):
+            self._check(_D4, factors)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_words(self, seed):
+        self._check(*_random_product(seed))
+
+
+class TestCanonicalRows:
+    """product_side hands each level-sum row over untrimmed: every
+    coefficient is a canonical row below its order2, and that order reaches
+    qorder."""
+
+    @pytest.mark.parametrize("name,alg,lhs,rhs", PRODUCT_CASES,
+                             ids=[c[0] for c in PRODUCT_CASES])
+    def test_rows_are_canonical(self, name, alg, lhs, rhs):
+        for xdeg, qorder in ((2, 5), (5, Fraction(23, 2)), (6, 16)):
+            for factors in (lhs, rhs):
+                got = _side(alg, lhs, factors, xdeg, qorder)
+                assert got.terms
+                for exps, c in got.terms.items():
+                    assert series._trim(*c.row, c.order2) == c.row, (name, xdeg, exps)
+                    assert c.order2 >= twice_of(qorder), (name, xdeg, exps)
+
+
 # -- rows: the coefficient representation, its view and its comparison ---------
 
 def _regrid(row, lower, spread, tail):
@@ -736,7 +836,8 @@ class TestRowCompare:
             return LaurentQ({low2 + step * i: c for i, c in enumerate(coeffs)}, order2)
 
         got = _verdict(qweyl.nc_eq, *(
-            NCElement.from_rows(_PLANE, x, {e: r for e, r in rows.items() if sum(e) < x})
+            NCElement(_PLANE, x, {e: LaurentQ._from_row(low2, coeffs, order2, step)
+                                  for e, (low2, step, coeffs, order2) in rows.items()})
             for rows, x in ((rows_a, xdeg_a), (rows_b, xdeg_b))), qorder)
         want = _verdict(reference_nc_eq, *(
             NCElement(_PLANE, x, {e: laurent(r) for e, r in rows.items()})
