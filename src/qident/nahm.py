@@ -19,9 +19,11 @@ Each state's series is one packed int row, a fixed number of bits per
 coefficient (see _slot_bits), so the program merges, cuts and divides by
 (1 - q^j) with a few big-int operations and unpacks only the last level
 into lists.
-The symbolic side is the same spec: each form difference is one
-(labels, quad, linear) table whose matrix is a congruence M^T quad M
-(_congruent), and a monomial's coefficient is read straight off quad.
+A form is stored only as its doubled integer tables, 4*quad and 2*linear;
+quad and linear are Fraction views of them for the reports and JSON.
+The symbolic side is the same spec: each form difference is one pair of
+int tables whose matrix is a congruence M^T (4 quad) M (_congruent), and a
+monomial's coefficient is read straight off them.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from . import kernels
 from .halfint import twice_of
@@ -49,25 +50,65 @@ class BudgetExceeded(RuntimeError):
         self.limit = limit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NahmSumSpec:
-    """One lattice form: labels, the symmetric matrix quad and the vector
-    linear (ints or Fractions), and integer charge rows.
+    """One lattice form, stored as its doubled integer tables: four = 4*quad
+    (symmetric int rows with an even diagonal) and lin2 = 2*linear, with
+    labels and integer charge rows.  quad and linear are Fraction views of
+    those tables; the level sum and every check read the tables.
 
-    Building it refuses, with ValueError, a repeated label, a shape that does
-    not match the labels, an asymmetric quad, and entries whose exponents are
-    not half-integers on the lattice: 2*quad[i][i], 2*linear[i] and
-    4*quad[i][j] must be ints.  Those doubled integer tables (diag2, lin2,
-    cross2) are computed once here, from each entry's numerator and
-    denominator, and _tables() hands out copies of them.
+    NahmSumSpec(labels, quad, linear, charges, name, notes) takes exact
+    numbers (ints or Fractions) and converts each entry once.  It refuses,
+    with ValueError, a repeated label, a shape that does not match the
+    labels, an asymmetric quad, and entries whose exponents are not
+    half-integers on the lattice: 2*quad[i][i], 2*linear[i] and
+    4*quad[i][j] must be ints.  The builders hand their int tables over
+    through _of_ints, which runs the same label, shape and symmetry checks.
     """
 
     labels: tuple
-    quad: tuple          # symmetric matrix of Fractions, row tuples
-    linear: tuple        # Fractions
+    four: tuple          # 4*quad: symmetric int rows with an even diagonal
+    lin2: tuple          # 2*linear, ints
     charges: tuple       # integer matrix, one row per charge variable
     name: str = ""
     notes: tuple = ()
+
+    def __init__(self, labels, quad, linear, charges, name="", notes=()):
+        _check_shape(labels, quad, linear, charges)
+        l = len(labels)
+        four, lin2 = [[0] * l for _ in range(l)], [0] * l
+        for i, row in enumerate(quad):
+            four[i][i] = 2 * _times(row[i], 2, "2*diagonal entries must be integers")
+            lin2[i] = _times(linear[i], 2, "2*linear entries must be integers")
+            for j in range(i + 1, l):
+                four[i][j] = four[j][i] = _times(row[j], 4,
+                                                 "4*off-diagonal entries must be integers")
+        self._set(labels, four, lin2, charges, name, notes)
+
+    @classmethod
+    def _of_ints(cls, labels, four, lin2, charges=(), name="", notes=()):
+        """The form of the int tables four (4*quad, even diagonal) and lin2
+        (2*linear), taken as they are: the builders' entry."""
+        _check_shape(labels, four, lin2, charges)
+        spec = object.__new__(cls)
+        spec._set(labels, four, lin2, charges, name, notes)
+        return spec
+
+    def _set(self, labels, four, lin2, charges, name, notes):
+        for key, value in (("labels", tuple(labels)), ("four", tuple(map(tuple, four))),
+                           ("lin2", tuple(lin2)), ("charges", tuple(charges)),
+                           ("name", name), ("notes", tuple(notes))):
+            object.__setattr__(self, key, value)
+
+    @property
+    def quad(self):
+        """The symmetric matrix four/4, as row tuples of Fractions."""
+        return tuple(tuple(Fraction(x, 4) for x in row) for row in self.four)
+
+    @property
+    def linear(self):
+        """The vector lin2/2, as a tuple of Fractions."""
+        return tuple(Fraction(x, 2) for x in self.lin2)
 
     @property
     def nvars(self):
@@ -77,61 +118,16 @@ class NahmSumSpec:
     def charge_rank(self):
         return len(self.charges)
 
-    def __post_init__(self):
-        l = self.nvars
-        repeated = [lab for i, lab in enumerate(self.labels) if lab in self.labels[:i]]
-        if repeated:
-            raise ValueError(f"repeated label {repeated[0]!r}")
-        if len(self.quad) != l or any(len(row) != l for row in self.quad):
-            raise ValueError("quadratic matrix shape does not match variable count")
-        if len(self.linear) != l:
-            raise ValueError("linear vector length does not match variable count")
-        # each distinct entry object (the builders share one per value) is read
-        # once, as its reduced (numerator, denominator) pair of ints
-        ids = [list(map(id, row)) for row in self.quad]
-        lin_ids = list(map(id, self.linear))
-        entries = dict(zip(chain(*ids, lin_ids), chain(*self.quad, self.linear)))
-        pair = {k: (x.numerator, x.denominator) for k, x in entries.items()}
-        quad = [list(map(pair.__getitem__, row)) for row in ids]
-        if list(map(list, zip(*quad))) != quad:
-            raise ValueError("quadratic matrix must be symmetric")
-        for row in self.charges:
-            if len(row) != l:
-                raise ValueError("charge matrix row length does not match variable count")
-        # exponents must be half-integers on the lattice: see exponent2()
-        quarter = {k for k, (_num, den) in pair.items() if 4 % den}
-        for i in range(l):
-            if 2 % quad[i][i][1]:
-                raise ValueError("2*diagonal entries must be integers")
-            if 2 % pair[lin_ids[i]][1]:
-                raise ValueError("2*linear entries must be integers")
-            if not quarter.isdisjoint(ids[i][i + 1:]):
-                raise ValueError("4*off-diagonal entries must be integers")
-        four = {k: 4 * num // den for k, (num, den) in pair.items()}
-        cross2 = tuple(tuple(map(four.__getitem__, row)) for row in ids)
-        object.__setattr__(self, "_ints", (
-            tuple(cross2[i][i] // 2 for i in range(l)),
-            tuple(2 * num // den for num, den in map(pair.__getitem__, lin_ids)),
-            cross2))
-
-    def _tables(self):
-        """The doubled-exponent tables (diag2, lin2, cross2) of the form:
-        2*quad[i][i], 2*linear[i] and 4*quad[i][j] as ints, computed once by
-        __post_init__; each call returns fresh lists."""
-        diag2, lin2, cross2 = self._ints
-        return list(diag2), list(lin2), [list(row) for row in cross2]
-
     def exponent(self, m) -> Fraction:
         return Fraction(self.exponent2(m), 2)
 
     def exponent2(self, m) -> int:
-        """2*exponent(m), read off the doubled int tables of __post_init__."""
-        diag2, lin2, cross2 = self._ints
+        """2*exponent(m), read off the int tables four and lin2."""
         total = 0
-        for i, mi in enumerate(m):
+        for i, (mi, row) in enumerate(zip(m, self.four)):
             if mi:
-                total += (diag2[i] * mi + lin2[i] + sum(
-                    c * mj for c, mj in zip(cross2[i][i + 1:], m[i + 1:]))) * mi
+                total += (row[i] // 2 * mi + self.lin2[i] + sum(
+                    c * mj for c, mj in zip(row[i + 1:], m[i + 1:]))) * mi
         return total
 
     def charge_of(self, m):
@@ -139,12 +135,10 @@ class NahmSumSpec:
 
     def permuted(self, perm):
         """Same form with variables reordered; evaluate() must be invariant."""
-        l = self.nvars
-        labels = tuple(self.labels[p] for p in perm)
-        quad = tuple(tuple(self.quad[perm[i]][perm[j]] for j in range(l)) for i in range(l))
-        linear = tuple(self.linear[p] for p in perm)
-        charges = tuple(tuple(row[p] for p in perm) for row in self.charges)
-        return NahmSumSpec(labels, quad, linear, charges, self.name, self.notes)
+        return NahmSumSpec._of_ints(
+            [self.labels[p] for p in perm], [[self.four[p][r] for r in perm] for p in perm],
+            [self.lin2[p] for p in perm], [tuple(row[p] for p in perm) for row in self.charges],
+            self.name, self.notes)
 
     # -- serialization -----------------------------------------------------
 
@@ -210,22 +204,39 @@ class NahmSumSpec:
         return cls.from_json_dict(json.loads(text))
 
 
-def _halves(twice):
-    """The matrix twice/2 as row tuples, with one Fraction per distinct value."""
-    half = {x: Fraction(x, 2) for x in {x for row in twice for x in row}}
-    return tuple(tuple(map(half.__getitem__, row)) for row in twice)
+def _check_shape(labels, quad, linear, charges):
+    """The checks both entries of NahmSumSpec share, on exact or int tables:
+    no repeated label, shapes that match the labels, a symmetric quad."""
+    l = len(labels)
+    repeated = [lab for i, lab in enumerate(labels) if lab in labels[:i]]
+    if repeated:
+        raise ValueError(f"repeated label {repeated[0]!r}")
+    if len(quad) != l or any(len(row) != l for row in quad):
+        raise ValueError("quadratic matrix shape does not match variable count")
+    if len(linear) != l:
+        raise ValueError("linear vector length does not match variable count")
+    if list(map(list, zip(*quad))) != list(map(list, quad)):
+        raise ValueError("quadratic matrix must be symmetric")
+    if any(len(row) != l for row in charges):
+        raise ValueError("charge matrix row length does not match variable count")
 
 
-def _symmetric_from_products(nvars, product_terms, linear=None):
-    """Assemble the quadratic matrix from coefficient-on-m_a*m_b terms: twice
-    the matrix is summed exactly, and each distinct entry becomes one
-    Fraction."""
-    twice = [[0] * nvars for _ in range(nvars)]
+def _times(x, k, message):
+    """k*x for an int or Fraction x, when it is an int; ValueError(message)
+    when it is not."""
+    if k % x.denominator:
+        raise ValueError(message)
+    return k // x.denominator * x.numerator
+
+
+def _symmetric_from_products(nvars, product_terms):
+    """The tables (four, lin2) of the form summing coeff*m_a*m_b over the
+    (a, b, coeff) product terms, with a zero linear part."""
+    four = [[0] * nvars for _ in range(nvars)]
     for a, b, coeff in product_terms:
-        twice[a][b] += coeff
-        twice[b][a] += coeff
-    linear = [2 * x for x in linear or [0] * nvars]
-    return _halves(twice), _halves([linear])[0]
+        four[a][b] += 2 * coeff
+        four[b][a] += 2 * coeff
+    return four, [0] * nvars
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +322,11 @@ def _pair_form(n, coeff, title, name):
     if n < 2:
         raise ValueError(f"{title} form needs n >= 2")
     pairs = a_pairs(n)
-    quad, lin = _symmetric_from_products(len(pairs), [
+    four, lin2 = _symmetric_from_products(len(pairs), [
         (a, b, coeff(*p, *r)) for a, p in enumerate(pairs) for b, r in enumerate(pairs)])
-    return NahmSumSpec(
-        labels=tuple(_mvar(i, j) for (i, j) in pairs), quad=quad, linear=lin,
-        charges=tuple(zip(*(a_root(i, j, n) for (i, j) in pairs))),
-        name=f"{name}-a{n}", notes=(TYPO_NOTE_THM1,))
+    return NahmSumSpec._of_ints(
+        [_mvar(i, j) for (i, j) in pairs], four, lin2,
+        tuple(zip(*(a_root(i, j, n) for (i, j) in pairs))), f"{name}-a{n}", (TYPO_NOTE_THM1,))
 
 
 def build_B_form(n) -> NahmSumSpec:
@@ -332,20 +342,17 @@ def build_cartan_side(name) -> NahmSumSpec:
     (1/2) k^T A k over (q)_{k_1}...(q)_{k_r}."""
     A = cartan_matrix(name)
     size = len(A)
-    quad = _halves(A)
     charges = tuple(tuple(1 if i == j else 0 for j in range(size)) for i in range(size))
-    return NahmSumSpec(
-        labels=tuple(f"k{i+1}" for i in range(size)),
-        quad=quad, linear=(Fraction(0),) * size, charges=charges, name=f"cartan-{name}")
+    return NahmSumSpec._of_ints([f"k{i+1}" for i in range(size)],
+                                [[2 * x for x in row] for row in A], [0] * size, charges,
+                                f"cartan-{name}")
 
 
 def build_b2_char_form() -> NahmSumSpec:
     """Three-variable character form r1^2+(r2+r3)^2+r3^2-r1*(r2+2 r3)."""
     prods = [(0, 0, 1), (1, 1, 1), (2, 2, 2), (1, 2, 2), (0, 1, -1), (0, 2, -2)]
-    quad, lin = _symmetric_from_products(3, prods)
-    return NahmSumSpec(
-        labels=("r1", "r2", "r3"), quad=quad, linear=lin,
-        charges=((1, 0, 0), (0, 1, 2)), name="b2-char")
+    return NahmSumSpec._of_ints(("r1", "r2", "r3"), *_symmetric_from_products(3, prods),
+                                ((1, 0, 0), (0, 1, 2)), "b2-char")
 
 
 def build_b2_quintuple_form() -> NahmSumSpec:
@@ -357,10 +364,9 @@ def build_b2_quintuple_form() -> NahmSumSpec:
         (0, 3, 1), (1, 3, 1),  # n4*(n1+n2)
         (2, 3, 1),             # n3*n4
     ]
-    quad, lin = _symmetric_from_products(5, prods)
-    return NahmSumSpec(
-        labels=("n1", "n2", "n3", "n4", "n5"), quad=quad, linear=lin,
-        charges=((1, 1, 0, 1, 0), (2, 0, 2, 1, 1)), name="b2-quintuple")
+    return NahmSumSpec._of_ints(("n1", "n2", "n3", "n4", "n5"),
+                                *_symmetric_from_products(5, prods),
+                                ((1, 1, 0, 1, 0), (2, 0, 2, 1, 1)), "b2-quintuple")
 
 
 # every product term of the twelve-variable D4 exponent, as displayed
@@ -395,11 +401,9 @@ def build_d4_form(primed=False) -> NahmSumSpec:
         # B - B' = n12*n23 + n12*m13
         prods.append((idx["n12"], idx["n23"], -1))
         prods.append((idx["n12"], idx["m13"], -1))
-    quad, lin = _symmetric_from_products(12, prods)
     roots = [D4_ROOTS[{"m": "V", "n": "W"}[lab[0]] + lab[1:]] for lab in labels]
-    return NahmSumSpec(
-        labels=labels, quad=quad, linear=lin, charges=tuple(zip(*roots)),
-        name="d4-prime" if primed else "d4")
+    return NahmSumSpec._of_ints(labels, *_symmetric_from_products(12, prods),
+                                tuple(zip(*roots)), "d4-prime" if primed else "d4")
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +474,8 @@ def compute_bound(spec: NahmSumSpec, order, charge_box=None) -> EnumerationBound
     falls as variables are fixed; g is the gcd of 2 and every doubled table
     entry of the form.
 
-    Both patterns are read off the doubled integer tables of spec._tables()
-    with no Fraction arithmetic.  An all-nonnegative form with positive
+    Both patterns are read off the int tables spec.four and spec.lin2 with
+    no Fraction arithmetic.  An all-nonnegative form with positive
     diagonal has G = 1, the doubled cross sums as running sums and its
     doubled linear part as lin: its nonnegative completions add nothing at
     x = 0, so the bound is the doubled exponent of the prefix, and x_i^2 *
@@ -496,7 +500,8 @@ def compute_bound(spec: NahmSumSpec, order, charge_box=None) -> EnumerationBound
     _slot_bits).
     """
     order2 = twice_of(order)
-    diag2, lin2, cross2 = spec._tables()
+    cross2, lin2 = spec.four, spec.lin2
+    diag2 = [row[i] // 2 for i, row in enumerate(cross2)]
     caps = _box_caps(spec, charge_box)
     g = math.gcd(2, *diag2, *lin2, *(x for row in cross2 for x in row))
     if (all(x > 0 or (x == 0 and c is not None) for x, c in zip(diag2, caps))
@@ -551,7 +556,8 @@ def _slot_bits(spec: NahmSumSpec, bound: EnumerationBound, order2):
     float overflows, and the two guard bits cover the 1 and the rounding.
     """
     top = bound.per_variable_max
-    shifts = spec._ints[0] if bound.strategy == "all_nonneg" else [0] * len(top)
+    shifts = ([row[i] // 2 for i, row in enumerate(spec.four)]
+              if bound.strategy == "all_nonneg" else [0] * len(top))
     s = 0.35 * math.pi * math.sqrt(len(top) / (6 * ((order2 + 1) // 2)))
     log_bound = (order2 - 1) * s + math.log(2)
     for t, c in zip(top, shifts):
@@ -778,24 +784,10 @@ _A_FORMS = {"B": build_B_form, "Bprime": build_Bprime_form}
 
 def _congruent(quad, M):
     """M^T quad M, the matrix of x^T quad x under the change x = M y (M has
-    one row per x and one column per y), as Fractions: two products that
-    skip zeros."""
+    one row per x and one column per y): two products that skip zeros."""
     cols = list(zip(*M))
     QM = [[sum(q * x for q, x in zip(row, col) if q) for col in cols] for row in quad]
-    return [[Fraction(sum(x * y for x, y in zip(a, b) if x)) for b in zip(*QM)] for a in cols]
-
-
-def form_difference_pure(n, kind) -> NahmSumSpec:
-    """kind(m) - (1/2) lambda(m)^T A lambda(m), purely in the m variables.
-
-    Built over the rank-(n+1) variable set so its monomials line up with the
-    six-type bookkeeping of expand_form_difference(n, ...).  With k = C m
-    for the charge matrix C, the subtracted form is C^T (A/2) C.
-    """
-    spec = _A_FORMS[kind](n + 1)
-    half = _congruent(build_cartan_side(f"a{n + 1}").quad, spec.charges)
-    quad = tuple(tuple(a - b for a, b in zip(qa, qb)) for qa, qb in zip(spec.quad, half))
-    return NahmSumSpec(spec.labels, quad, spec.linear, ())
+    return [[sum(x * y for x, y in zip(a, b) if x) for b in zip(*QM)] for a in cols]
 
 
 def expand_form_difference(n, kind) -> NahmSumSpec:
@@ -819,19 +811,19 @@ def expand_form_difference(n, kind) -> NahmSumSpec:
     for i, (near, row) in enumerate(zip(nearest, spec.charges)):
         # lambda_i(m) = k_i, solved for its nearest m[i,i+1]
         M[spec.labels.index(near)] = [int(j == i) for j in range(n)] + [-row[a] for a in far_at]
-    quad = _congruent(spec.quad, M)
-    for i, row in enumerate(cartan.quad):
+    four = _congruent(spec.four, M)
+    for i, row in enumerate(cartan.four):
         for j, a in enumerate(row):
-            quad[i][j] -= a
-    linear = tuple(sum(x * y for x, y in zip(spec.linear, col)) for col in zip(*M))
-    return NahmSumSpec(mixed_names, tuple(map(tuple, quad)), linear, ())
+            four[i][j] -= a
+    return NahmSumSpec._of_ints(mixed_names, four,
+                                [sum(x * y for x, y in zip(spec.lin2, col)) for col in zip(*M)])
 
 
 def _monomial_coeff(form, u, w):
-    """Coefficient of u*w in the form's quadratic part: quad[u][u] for a
-    square, 2*quad[u][w] for two distinct labels."""
+    """Coefficient of u*w in the form's quadratic part, a Fraction:
+    quad[u][u] for a square, 2*quad[u][w] for two distinct labels."""
     a, b = form.labels.index(u), form.labels.index(w)
-    return form.quad[a][b] * (1 + (a != b))
+    return Fraction(form.four[a][b] * (1 + (a != b)), 4)
 
 
 def six_type_table(form, n, kind):

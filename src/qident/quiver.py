@@ -12,7 +12,7 @@ time.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import add
 
 from . import kernels, nahm
@@ -126,14 +126,13 @@ def codim_form(quiver: QuiverA) -> nahm.NahmSumSpec:
     its dimension vector."""
     segs = segments(quiver.rank)
     diag = [codim(quiver, {seg: 1}) for seg in segs]
-    quad, lin = nahm._symmetric_from_products(len(segs), [
+    four, lin2 = nahm._symmetric_from_products(len(segs), [
         (s, t, codim(quiver, {segs[s]: 1, segs[t]: 1}) - diag[s] - diag[t] if s != t else diag[s])
         for s in range(len(segs)) for t in range(s + 1)])
-    return nahm.NahmSumSpec(
-        labels=tuple(f"m[{a},{b}]" for a, b in segs), quad=quad, linear=lin,
-        charges=tuple(tuple(int(a <= v <= b) for a, b in segs)
-                      for v in range(1, quiver.rank + 1)),
-        name="codim-" + "".join(quiver.orientation))
+    return nahm.NahmSumSpec._of_ints(
+        [f"m[{a},{b}]" for a, b in segs], four, lin2,
+        [tuple(int(a <= v <= b) for a, b in segs) for v in range(1, quiver.rank + 1)],
+        "codim-" + "".join(quiver.orientation))
 
 
 def verify_theorem51(quiver: QuiverA, k, order) -> CompareResult:
@@ -163,7 +162,8 @@ def _level_rows(quiver: QuiverA, kmax, length, budget=None, total=None):
     box = tuple(kmax)
     if total is not None:
         lengths = tuple(b - a + 1 for a, b in segments(quiver.rank))
-        spec = replace(spec, charges=spec.charges + (lengths,))
+        spec = nahm.NahmSumSpec._of_ints(spec.labels, spec.four, spec.lin2,
+                                         spec.charges + (lengths,), spec.name)
         box += (total,)
     series = nahm.evaluate(spec, length, node_budget=budget, charge_box=box)
     return {u[:quiver.rank]: row for u, row in series.rows.items()}
@@ -190,24 +190,6 @@ def verify_theorem51_box(quiver: QuiverA, kmax, order, budget=None, total=None):
                 lhs[key] = QSeries.from_dense(_inv_denominator(k, length, {}), order)
             rhs = QSeries._canonical(order2, 0, {(): rows[k]} if k in rows else {})
             yield k, series_eq(lhs[key], rhs)
-
-
-def quiver_generating_series(quiver: QuiverA, kmax, order):
-    """Both sides of the charged generating identity over the box k <= kmax.
-
-    lhs: sum over k in the box of x^k / prod (q)_{k_i};
-    rhs: sum over reps with dimension vector in the box of
-         q^codim(rep) x^dim(rep) / prod (q)_{m_seg}.
-    """
-    order2 = twice_of(order)
-    length = (order2 + 1) // 2
-    rank = quiver.rank
-
-    memo = {}
-    lhs = QSeries.from_rows(order2, rank, (
-        (k, (0, 2, _inv_denominator(k, length, memo)))
-        for k in itertools.product(*(range(b + 1) for b in kmax))))
-    return lhs, nahm.evaluate(codim_form(quiver), order, charge_box=tuple(kmax))
 
 
 def bridge_theorem54(n, kmax, order) -> CompareResult:

@@ -382,14 +382,6 @@ def dilog(algebra, prefactor_sign, qshift, word, xdeg, qorder2) -> NCElement:
         for exps, n, base2, sign in _dilog_terms(algebra, prefactor_sign, qshift, word, xdeg)})
 
 
-def dilog_inv(algebra, prefactor_sign, qshift, word, xdeg, qorder2) -> NCElement:
-    """1/phi(z) = sum_n z^n / (q)_n, z = prefactor_sign * q^qshift * word: the
-    n-th term is that of phi(z) without its (-1)^n q^(n(n-1)/2)."""
-    return NCElement(algebra, xdeg, {
-        exps: _inv_poch_laurent(n, base2 - n * (n - 1), qorder2) * ((-1) ** n * sign)
-        for exps, n, base2, sign in _dilog_terms(algebra, prefactor_sign, qshift, word, xdeg)})
-
-
 # -- products as lattice sums -------------------------------------------------
 
 def _product_tables(algebra, factors):
@@ -409,13 +401,6 @@ def _product_tables(algebra, factors):
     return betas, four, lin2
 
 
-def _form(labels, four, lin2, charges=()):
-    """The NahmSumSpec of (four, lin2) tables, one Fraction per quad value."""
-    quarter = {x: Fraction(x, 4) for row in four for x in row}
-    return NahmSumSpec(tuple(labels), tuple(tuple(map(quarter.__getitem__, row)) for row in four),
-                       tuple(Fraction(x, 2) for x in lin2), charges)
-
-
 def dilog_product_form(algebra, factors, names) -> NahmSumSpec:
     """Total q-exponent of an ordered dilog product, as a form over names.
 
@@ -431,7 +416,7 @@ def dilog_product_form(algebra, factors, names) -> NahmSumSpec:
         lin[a] += lin2[t]
         for u, b in enumerate(at):
             quad4[a][b] += four[t][u]
-    return _form(names, quad4, lin)
+    return NahmSumSpec._of_ints(names, quad4, lin)
 
 
 def _lhs_shift(algebra, lhs, xdeg):
@@ -495,8 +480,8 @@ def product_side(algebra, factors, shift, xdeg, qorder, budget=None) -> NCElemen
     pulled = [[sum(map(mul, row, b)) for row in quad4] for b in betas]     # quad4 beta_t
     four = [[x + sum(map(mul, a, p)) for x, p in zip(row, pulled)] for row, a in zip(four, betas)]
     lin2 = [x + sum(map(mul, lin4, b)) // 2 for x, b in zip(lin2, betas)]
-    spec = _form([f"m{t}" for t in range(len(factors))], four, lin2,
-                 (*zip(*betas), tuple(map(sum, betas))))
+    spec = NahmSumSpec._of_ints([f"m{t}" for t in range(len(factors))], four, lin2,
+                                (*zip(*betas), tuple(map(sum, betas))))
     order2 = _side_order2(shift, qorder)
     series = nahm.evaluate(spec, Fraction(order2, 2), node_budget=budget,
                            charge_box=(xdeg - 1,) * (g + 1))
@@ -623,9 +608,8 @@ def extract_E_form(n) -> NahmSumSpec:
     form, in its variable order."""
     pairs = a_pairs(n)
     at = {p: t for t, p in enumerate(pairs)}
-    quad, lin = _symmetric_from_products(
-        len(pairs), [(at[a], at[b], x) for a, b, x in _charge_crossings(n) if x])
-    return NahmSumSpec(tuple(f"m[{i},{j}]" for i, j in pairs), quad, lin, ())
+    return NahmSumSpec._of_ints([f"m[{i},{j}]" for i, j in pairs], *_symmetric_from_products(
+        len(pairs), [(at[a], at[b], x) for a, b, x in _charge_crossings(n) if x]))
 
 
 def charge_word_identity_holds(n, m, form=None) -> bool:

@@ -6,8 +6,9 @@ qweyl.ordered_product_check, which are level sums.  reference_nc_eq
 compares two elements through their LaurentQ view, coefficient by
 coefficient with compare_upto: the oracle of qweyl.nc_eq on rows.
 reference_product_form sums the exponent form of an ordered product in
-Fractions, word pair by word pair: the oracle of qweyl.dilog_product_form
-and the integer tables under it.
+its own Fraction matrix, word pair by word pair: the oracle of
+qweyl.dilog_product_form and the integer tables under it.  dilog_inv is
+1/phi, the inverse of qweyl.dilog.
 laurent_terms, laurent_add, laurent_mul and laurent_shifted are the dict
 rules of LaurentQ's arithmetic, on (terms, order2) pairs: the oracle of
 LaurentQ on series rows."""
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 from qident import qweyl
 from qident.halfint import twice_of
-from qident.nahm import NahmSumSpec, _symmetric_from_products
+from qident.nahm import NahmSumSpec
 from qident.poly import add_terms
 
 
@@ -134,13 +135,25 @@ def reference_product_form(algebra, factors, names):
     later factor's word on m * m'."""
     half = Fraction(1, 2)
     at = [names.index(v) for _, _, v in factors]
-    prods, lin = [], [0] * len(names)
+    quad = [[Fraction(0)] * len(names) for _ in names]
+    lin = [Fraction(0)] * len(names)
     for t, (shift, word, _v) in enumerate(factors):
         inv = qweyl.word_inversions(algebra, word)
         crs = qweyl.word_cross(algebra, word, word)
-        prods.append((at[t], at[t], half + Fraction(crs, 2)))
+        quad[at[t]][at[t]] += half + Fraction(crs, 2)
         lin[at[t]] += shift - half + inv - Fraction(crs, 2)
-        prods += [(at[t], at[u], qweyl.word_cross(algebra, word, factors[u][1]))
-                  for u in range(t + 1, len(factors))]
-    quad, lin = _symmetric_from_products(len(names), prods, lin)
-    return NahmSumSpec(tuple(names), quad, lin, ())
+        for u in range(t + 1, len(factors)):
+            # the product m_t * m_u is split over the two symmetric entries
+            c = Fraction(qweyl.word_cross(algebra, word, factors[u][1]), 2)
+            quad[at[t]][at[u]] += c
+            quad[at[u]][at[t]] += c
+    return NahmSumSpec(tuple(names), tuple(map(tuple, quad)), tuple(lin), ())
+
+
+def dilog_inv(algebra, prefactor_sign, qshift, word, xdeg, qorder2):
+    """1/phi(z) = sum_n z^n / (q)_n, z = prefactor_sign * q^qshift * word: the
+    n-th term is that of phi(z) without its (-1)^n q^(n(n-1)/2)."""
+    return qweyl.NCElement(algebra, xdeg, {
+        exps: qweyl._inv_poch_laurent(n, base2 - n * (n - 1), qorder2) * ((-1) ** n * sign)
+        for exps, n, base2, sign
+        in qweyl._dilog_terms(algebra, prefactor_sign, qshift, word, xdeg)})

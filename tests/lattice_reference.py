@@ -11,6 +11,10 @@ was before the elimination became fraction-free: a reverse LDL^T split of
 spec.quad in Fractions, the diagonal of Q^-1 from it, and the table built
 from those Fractions.  It is the oracle of the integer elimination, cap for
 cap and table entry for table entry.
+
+form_difference_pure is kind(m) - (1/2) lambda(m)^T A lambda(m) in the m
+variables alone, summed in Fractions off the public quad view: the oracle of
+nahm.expand_form_difference on lattice points.
 """
 
 import math
@@ -19,6 +23,7 @@ from operator import add
 
 from qident import kernels
 from qident.halfint import twice_of
+from qident import nahm
 from qident.nahm import BudgetExceeded, CoercivityError, EnumerationBound, _box_caps
 
 
@@ -77,8 +82,8 @@ def fraction_bound(spec, order, charge_box=None):
     Fractions; CoercivityError when a pivot is not positive."""
     order2 = twice_of(order)
     caps = _box_caps(spec, charge_box)
-    diag2, lin2, cross2 = spec._tables()
-    g = math.gcd(2, *diag2, *lin2, *(x for row in cross2 for x in row))
+    g = math.gcd(2, *spec.lin2, *(x // (1 + (i == j)) for i, row in enumerate(spec.four)
+                                  for j, x in enumerate(row)))
     D, M = _reverse_ldl(spec.quad)
     per_var = [_max_v_strict(Fraction(order2, 2) * w) for w in _inverse_diagonal(D, M)]
     l = spec.nvars
@@ -165,3 +170,20 @@ def list_sum_levels(spec, order2, rank, node_budget, bound, charge_box=None):
         columns.append([(key & mask) - b for key in keys])
         keys = [key >> width for key in keys]
     return dict(zip(zip(*columns) if columns else [()] * len(keys), level.values()))
+
+
+def form_difference_pure(n, kind):
+    """kind(m) - (1/2) lambda(m)^T A lambda(m), purely in the m variables.
+
+    Built over the rank-(n+1) variable set so its monomials line up with the
+    six-type bookkeeping of expand_form_difference(n, ...).  With k = C m
+    for the charge matrix C, the subtracted form is C^T (A/2) C.
+    """
+    spec = {"B": nahm.build_B_form, "Bprime": nahm.build_Bprime_form}[kind](n + 1)
+    A = nahm.cartan_matrix(f"a{n + 1}")
+    C = spec.charges
+    l = spec.nvars
+    quad = tuple(tuple(spec.quad[a][b] - Fraction(sum(C[i][a] * A[i][j] * C[j][b]
+                                                      for i in range(n) for j in range(n)), 2)
+                       for b in range(l)) for a in range(l))
+    return nahm.NahmSumSpec(spec.labels, quad, spec.linear, ())

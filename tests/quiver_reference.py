@@ -1,10 +1,14 @@
 """Per-rep references for the quiver level sum: rows built one representation
 at a time from enumerate_reps and codim, and the level sum's step count
-taken from prefixes of multiplicities with codim alone."""
+taken from prefixes of multiplicities with codim alone, and both sides of
+the charged generating identity (quiver_generating_series)."""
 
 import itertools
 
 from qident import quiver
+from qident.halfint import twice_of
+from qident.nahm import evaluate
+from qident.series import QSeries
 
 
 def dimension_vector(rank, rep):
@@ -75,3 +79,19 @@ def level_steps(qv, kmax, length, total=None):
 
     rec(0, {})
     return len(seen)
+
+
+def quiver_generating_series(qv, kmax, order):
+    """Both sides of the charged generating identity over the box k <= kmax.
+
+    lhs: sum over k in the box of x^k / prod (q)_{k_i};
+    rhs: sum over reps with dimension vector in the box of
+         q^codim(rep) x^dim(rep) / prod (q)_{m_seg}.
+    """
+    order2 = twice_of(order)
+    length = (order2 + 1) // 2
+    memo = {}
+    lhs = QSeries.from_rows(order2, qv.rank, (
+        (k, (0, 2, quiver._inv_denominator(k, length, memo)))
+        for k in itertools.product(*(range(b + 1) for b in kmax))))
+    return lhs, evaluate(quiver.codim_form(qv), order, charge_box=tuple(kmax))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -5,10 +6,11 @@ import random
 import pytest
 from fractions import Fraction
 
-from qident import nahm, presets, quiver
+from qident import nahm, presets, quiver, qweyl
 from qident.series import QSeries, series_eq
 
-from lattice_reference import _inverse_diagonal, _reverse_ldl, fraction_bound, list_sum_levels
+from lattice_reference import (_inverse_diagonal, _reverse_ldl, form_difference_pure, fraction_bound,
+                               list_sum_levels)
 from series_reference import charge_slice, charges_dropped
 from sylvester import is_positive_definite
 
@@ -142,23 +144,22 @@ class TestBuilders:
         with pytest.raises(ValueError, match=f"^{message}$"):
             nahm.NahmSumSpec(labels, quad, linear, charges)
 
-    def test_integer_tables_are_fresh_lists(self):
+    def test_integer_tables_are_the_stored_form(self):
         spec = nahm.build_b2_quintuple_form()
-        diag2, lin2, cross2 = spec._tables()
-        want = ([2, 2, 4, 2, 2], [0] * 5,
-                [[4, 0, 4, 2, 2], [0, 4, 0, 2, 0], [4, 0, 8, 2, 4], [2, 2, 2, 4, 0],
-                 [2, 0, 4, 0, 4]])
-        assert (diag2, lin2, cross2) == want
-        assert all(type(x) is int for x in diag2 + lin2 + [x for r in cross2 for x in r])
-        diag2[0] = lin2[0] = cross2[0][0] = 99
-        cross2.append([])
-        again = spec._tables()
-        assert again == want
-        assert again[2][0] is not cross2[0]
+        assert (spec.four, spec.lin2) == (
+            ((4, 0, 4, 2, 2), (0, 4, 0, 2, 0), (4, 0, 8, 2, 4), (2, 2, 2, 4, 0), (2, 0, 4, 0, 4)),
+            (0,) * 5)
+        assert all(type(x) is int for x in spec.lin2 + sum(spec.four, ()))
+        assert spec.quad[2] == (F(1), F(0), F(2), F(1, 2), F(1))
         # halves and quarters keep their doubled values exactly
         half = nahm.NahmSumSpec(("x", "y"), ((F(3, 2), F(-3, 4)), (F(-3, 4), F(1, 2))),
                                 (F(5, 2), F(-1)), ())
-        assert half._tables() == ([3, 1], [5, -2], [[6, -3], [-3, 2]])
+        assert (half.four, half.lin2) == (((6, -3), (-3, 2)), (5, -2))
+        assert (half.quad, half.linear) == (((F(3, 2), F(-3, 4)), (F(-3, 4), F(1, 2))),
+                                            (F(5, 2), F(-1)))
+        # a frozen form: its tables are tuples and its fields cannot be rebound
+        with pytest.raises(AttributeError):
+            half.four = ((0, 0), (0, 0))
 
 
 class TestBounds:
@@ -206,20 +207,21 @@ class TestOneCertification:
         ("b2-char", "positive_definite"), ("d4", "all_nonneg"), ("B-a3", "all_nonneg")])
     def test_one_elimination_and_one_table_build_per_evaluate(self, monkeypatch, name,
                                                               strategy):
+        # the level table is built by compute_bound, once per evaluate
         spec = presets.nahm_preset(name)
         calls = {"ldl": 0, "tables": 0}
-        ldl, tables = nahm._reverse_ldl, nahm.NahmSumSpec._tables
+        ldl, tables = nahm._reverse_ldl, nahm.compute_bound
 
         def counted_ldl(quad):
             calls["ldl"] += 1
             return ldl(quad)
 
-        def counted_tables(self):
+        def counted_tables(*args):
             calls["tables"] += 1
-            return tables(self)
+            return tables(*args)
 
         monkeypatch.setattr(nahm, "_reverse_ldl", counted_ldl)
-        monkeypatch.setattr(nahm.NahmSumSpec, "_tables", counted_tables)
+        monkeypatch.setattr(nahm, "compute_bound", counted_tables)
         assert nahm.compute_bound(spec, 8).strategy == strategy
         for charges in (False, True):
             calls.update(ldl=0, tables=0)
@@ -239,7 +241,7 @@ class TestIntegerCertification:
     @pytest.mark.parametrize("name", CERTIFIED)
     def test_elimination_matches_the_fraction_split(self, name):
         spec = presets.nahm_preset(name)
-        delta, T, adj = nahm._reverse_ldl(spec._ints[2])
+        delta, T, adj = nahm._reverse_ldl(spec.four)
         D, M = _reverse_ldl(spec.quad)
         l = spec.nvars
         assert D == [F(delta[k], 4 * delta[k + 1]) for k in range(l)]
@@ -424,8 +426,9 @@ class TestEvaluate:
             assert bound.strategy == "all_nonneg"
             if math.prod(b + 1 for b in box) > 1500:
                 continue
-            diag2, lin2, cross2 = spec._tables()
-            units.add(math.gcd(2, *diag2, *lin2, *(x for row in cross2 for x in row)))
+            units.add(math.gcd(2, *spec.lin2, *(x // (1 + (i == j))
+                                                for i, row in enumerate(spec.four)
+                                                for j, x in enumerate(row))))
             plain = nahm.evaluate(spec, order, charges=False)
             assert plain == nahm.evaluate_bruteforce(spec, order, box, charges=False), \
                 (quad, spec.linear, order)
@@ -814,11 +817,101 @@ class TestSerialization:
             nahm.NahmSumSpec.from_json_dict(data)
 
 
+def _shipped_forms():
+    """Every form the package builds: the cartan, B, B', b2 and d4 presets,
+    codim_form of every orientation of ranks 1-5, the charge-word and
+    form-difference tables, and both product sides of the pentagons and of
+    the ordered products a2-a6 and d4, as product_side hands them to
+    nahm.evaluate."""
+    forms = [nahm.build_cartan_side(t) for t in [f"a{n}" for n in range(2, 9)] + ["d4"]]
+    forms += [build(n) for n in range(2, 8) for build in (nahm.build_B_form,
+                                                         nahm.build_Bprime_form)]
+    forms += [nahm.build_b2_char_form(), nahm.build_b2_quintuple_form(),
+              nahm.build_d4_form(), nahm.build_d4_form(primed=True)]
+    forms += [quiver.codim_form(quiver.QuiverA(rank, letters)) for rank in range(1, 6)
+              for letters in itertools.product("RL", repeat=rank - 1)]
+    forms += [qweyl.extract_E_form(n) for n in range(2, 6)]
+    forms += [nahm.expand_form_difference(n, kind) for n in range(2, 6) for kind in ("B", "Bprime")]
+    sides, evaluate = [], nahm.evaluate
+
+    def captured(spec, *args, **kwargs):
+        sides.append(spec)
+        return evaluate(spec, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nahm, "evaluate", captured)
+        for variant in ("plain", "shifted"):
+            assert qweyl.pentagon_check(3, 4, variant).equal
+        for name in [f"a{n}" for n in range(2, 7)] + ["d4"]:
+            assert qweyl.ordered_product_check(name, 3, 4)[0].equal
+    assert len(sides) == 16
+    return forms + sides
+
+
+class TestEntries:
+    """The exact-number entry NahmSumSpec(labels, quad, linear, ...) and the
+    builders' int entry make the same form, and JSON carries it unchanged."""
+
+    def test_shipped_forms_round_trip(self):
+        forms = _shipped_forms()
+        for spec in forms:
+            again = nahm.NahmSumSpec(spec.labels, spec.quad, spec.linear, spec.charges,
+                                     spec.name, spec.notes)
+            assert again == spec, spec.name
+            assert nahm.NahmSumSpec.from_json(spec.to_json()) == spec, spec.name
+        assert len(forms) == 8 + 12 + 4 + 31 + 4 + 8 + 16
+
+    def test_builder_tables_are_ints(self):
+        for spec in _shipped_forms():
+            entries = spec.lin2 + sum(spec.four, ())
+            assert all(type(x) is int for x in entries), spec.name
+            assert spec.four == tuple(zip(*spec.four)), spec.name
+            assert all(row[i] % 2 == 0 for i, row in enumerate(spec.four)), spec.name
+
+    def test_random_forms_round_trip(self):
+        # half-integer diagonals and linear parts, quarter off-diagonals
+        rng = random.Random(38)
+        quarters = 0
+        for _ in range(200):
+            l = rng.randint(0, 6)
+            quad = [[F(0)] * l for _ in range(l)]
+            for i in range(l):
+                quad[i][i] = F(rng.randint(-8, 8), 2)
+                for j in range(i):
+                    quad[i][j] = quad[j][i] = F(rng.randint(-9, 9), 4)
+            linear = tuple(F(rng.randint(-6, 6), 2) for _ in range(l))
+            charges = tuple(tuple(rng.randint(-2, 2) for _ in range(l))
+                            for _ in range(rng.randint(0, 2)))
+            spec = nahm.NahmSumSpec(tuple(f"x{i}" for i in range(l)), tuple(map(tuple, quad)),
+                                    linear, charges, f"random-{l}", ("a note",))
+            assert spec.quad == tuple(map(tuple, quad)) and spec.linear == linear
+            assert (spec.four, spec.lin2) == (tuple(tuple(4 * x for x in row) for row in quad),
+                                              tuple(2 * x for x in linear))
+            again = nahm.NahmSumSpec(spec.labels, spec.quad, spec.linear, spec.charges,
+                                     spec.name, spec.notes)
+            assert again == spec
+            assert nahm.NahmSumSpec.from_json(spec.to_json()) == spec
+            assert nahm.NahmSumSpec._of_ints(spec.labels, spec.four, spec.lin2, spec.charges,
+                                             spec.name, spec.notes) == spec
+            quarters += any(x.denominator == 4 for row in quad for x in row)
+        assert quarters > 100
+
+    @pytest.mark.parametrize("labels,four,lin2,message", [
+        (("a", "a"), ((2, 0), (0, 2)), (0, 0), "repeated label 'a'"),
+        (("a", "b"), ((2, 0),), (0, 0), "quadratic matrix shape does not match variable count"),
+        (("a", "b"), ((2, 0), (0, 2)), (0,), "linear vector length does not match variable count"),
+        (("a", "b"), ((2, 1), (0, 2)), (0, 0), "quadratic matrix must be symmetric"),
+    ], ids=["repeated", "rows", "linear_length", "asymmetric"])
+    def test_int_entry_refusals(self, labels, four, lin2, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            nahm.NahmSumSpec._of_ints(labels, four, lin2)
+
+
 class TestFormDifference:
     def test_pure_difference_equals_codim_polynomial(self):
         for n in (2, 3, 4):
             N = n + 1
-            diff = nahm.form_difference_pure(n, "Bprime")
+            diff = form_difference_pure(n, "Bprime")
             products = []
             for a in range(1, N + 1):
                 for b in range(a + 1, N + 1):
@@ -833,7 +926,7 @@ class TestFormDifference:
         rng = random.Random(5)
         for n in (3, 4):
             N = n + 1
-            pure = nahm.form_difference_pure(n, "Bprime")
+            pure = form_difference_pure(n, "Bprime")
             mixed = nahm.expand_form_difference(n, "Bprime")
             pairs = [(i, j) for i in range(1, N + 1) for j in range(i + 1, N + 1)]
             for _ in range(50):
@@ -854,7 +947,7 @@ class TestFormDifference:
         # coordinates k = lambda(m) and each far m is itself
         form = {"B": nahm.build_B_form, "Bprime": nahm.build_Bprime_form}[kind](n + 1)
         A = nahm.cartan_matrix(f"a{n + 1}")
-        pure = nahm.form_difference_pure(n, kind)
+        pure = form_difference_pure(n, kind)
         mixed = nahm.expand_form_difference(n, kind)
         assert pure.labels == form.labels
         rng = random.Random(n)

@@ -9,7 +9,8 @@ from qident.nahm import BudgetExceeded
 from qident.quiver import QuiverA
 from qident.series import inv_pochhammer, series_eq
 
-from quiver_reference import dense_rows, dimension_vector, level_steps, per_rep_rows
+from quiver_reference import (dense_rows, dimension_vector, level_steps, per_rep_rows,
+                              quiver_generating_series)
 
 
 class TestDimensionVector:
@@ -139,16 +140,16 @@ class TestTheorem51:
 
 class TestGeneratingSeries:
     def test_constant_terms(self):
-        lhs, rhs = quiver.quiver_generating_series(QuiverA.equioriented(2), (1, 1), 8)
+        lhs, rhs = quiver_generating_series(QuiverA.equioriented(2), (1, 1), 8)
         zero = (0, (0, 0))
         assert lhs.terms[zero] == 1 and rhs.terms[zero] == 1
 
     def test_sides_agree_on_box(self):
-        lhs, rhs = quiver.quiver_generating_series(QuiverA.equioriented(2), (1, 1), 10)
+        lhs, rhs = quiver_generating_series(QuiverA.equioriented(2), (1, 1), 10)
         assert series_eq(lhs, rhs).equal
 
     def test_lhs_charge_component_is_poch_product(self):
-        lhs, _ = quiver.quiver_generating_series(QuiverA.equioriented(2), (2, 1), 10)
+        lhs, _ = quiver_generating_series(QuiverA.equioriented(2), (2, 1), 10)
         want = inv_pochhammer(2, 10) * inv_pochhammer(1, 10)
         got = {e2: c for (e2, ch), c in lhs.terms.items() if ch == (2, 1)}
         assert got == {e2: c for (e2, _), c in want.terms.items()}

@@ -11,9 +11,9 @@ from qident.halfint import twice_of
 from qident.nahm import BudgetExceeded, CoercivityError
 from qident.qweyl import LaurentQ, NCAlgebra, NCElement
 
-from dilog_reference import (compare_upto, generous_expansion, laurent_add, laurent_mul,
-                             laurent_shifted, laurent_terms, reference_nc_eq, reference_product,
-                             reference_product_form)
+from dilog_reference import (compare_upto, dilog_inv, generous_expansion, laurent_add,
+                             laurent_mul, laurent_shifted, laurent_terms, reference_nc_eq,
+                             reference_product, reference_product_form)
 
 
 def a_type(nvars):
@@ -247,7 +247,7 @@ class TestDilog:
         order2 = 30
         for sign, word in itertools.product((-1, 1), ((1,), (2,), (2, 1))):
             f = qweyl.dilog(alg, sign, Fraction(1, 2), word, 6, order2)
-            g = qweyl.dilog_inv(alg, sign, Fraction(1, 2), word, 6, order2)
+            g = dilog_inv(alg, sign, Fraction(1, 2), word, 6, order2)
             prod = f * g
             one = NCElement.unit(alg, 6, order2)
             assert qweyl.nc_eq(prod, one, 14).equal
@@ -665,8 +665,8 @@ def _spelled_exponent2(alg, factors, m):
 
 
 def _spelled_ints(alg, factors):
-    """The (diag2, lin2, cross2) tables of the product's exponent form, read
-    off the spelled product at m = e_t, 2 e_t and e_t + e_u."""
+    """The (four, lin2) tables of the product's exponent form, read off the
+    spelled product at m = e_t, 2 e_t and e_t + e_u."""
     n = len(factors)
 
     def at(*ts):
@@ -676,8 +676,7 @@ def _spelled_ints(alg, factors):
     diag2 = [(at(t, t) - 2 * one[t]) // 2 for t in range(n)]
     cross2 = [[2 * diag2[t] if t == u else at(t, u) - one[t] - one[u] for u in range(n)]
               for t in range(n)]
-    return (tuple(diag2), tuple(o - d for o, d in zip(one, diag2)),
-            tuple(map(tuple, cross2)))
+    return tuple(map(tuple, cross2)), tuple(o - d for o, d in zip(one, diag2))
 
 
 def _random_product(seed):
@@ -699,25 +698,25 @@ TABLE_CASES = list(_factor_cases(range(2, 10)))
 
 class TestProductTables:
     """The integer tables of every product form (qweyl._product_tables, and
-    the _ints of dilog_product_form over them) against the Fraction builder
-    reference_product_form and against the spelled product, entry for
-    entry."""
+    the four and lin2 of dilog_product_form over them) against the Fraction
+    builder reference_product_form and against the spelled product, entry
+    for entry."""
 
     @staticmethod
     def _check(alg, factors):
         names = [f"t{t}" for t in range(len(factors))]
         named = [(s, w, v) for (_c, s, w), v in zip(factors, names)]
-        got = qweyl.dilog_product_form(alg, named, names)._ints
-        assert got == reference_product_form(alg, named, names)._ints
-        assert got == _spelled_ints(alg, factors)
+        got = qweyl.dilog_product_form(alg, named, names)
+        assert got == reference_product_form(alg, named, names)
+        assert (got.four, got.lin2) == _spelled_ints(alg, factors)
         betas, four, lin2 = qweyl._product_tables(alg, factors)
-        assert (tuple(map(tuple, four)), tuple(lin2)) == (got[2], got[1])
+        assert (tuple(map(tuple, four)), tuple(lin2)) == (got.four, got.lin2)
         assert betas == [qweyl.normal_order(alg, w)[1] for _c, _s, w in factors]
         # the same tables summed onto reversed names, and onto two shared names
         shared = [(s, w, f"v{t % 2}") for t, (_c, s, w) in enumerate(factors)]
         for named, names in ((named, names[::-1]), (shared, ["v0", "v1"])):
-            assert (qweyl.dilog_product_form(alg, named, names)._ints
-                    == reference_product_form(alg, named, names)._ints)
+            assert (qweyl.dilog_product_form(alg, named, names)
+                    == reference_product_form(alg, named, names))
 
     @pytest.mark.parametrize("name,alg,lhs,rhs", TABLE_CASES, ids=[c[0] for c in TABLE_CASES])
     def test_shipped_factor_lists(self, name, alg, lhs, rhs):
@@ -926,7 +925,7 @@ class TestRowView:
         for alg, (lhs, rhs), xdeg in ((_PLANE, qweyl.pentagon_factors("shifted"), 6),
                                       (_D4, qweyl.ordered_product_factors("d4"), 4)):
             elems = [qweyl.dilog(alg, *f, xdeg, 24) for f in lhs]
-            elems += [qweyl.dilog_inv(alg, *f, xdeg, 24) for f in rhs]
+            elems += [dilog_inv(alg, *f, xdeg, 24) for f in rhs]
             elems.append(elems[0] * elems[-1])
             for elem in elems:
                 again = NCElement(alg, xdeg, {e: LaurentQ(dict(c.terms), c.order2)
