@@ -34,6 +34,8 @@ class Settings:
 
 
 pass_settings = click.make_pass_decorator(Settings, ensure=True)
+# an existing file; every file option shares one type
+FILE = click.Path(exists=True, dir_okay=False)
 
 
 def _emit(settings, report, started):
@@ -94,8 +96,10 @@ def _preset_or_file(name, path, file_option, lookup, load):
 
 
 def _read_spec(path):
+    from . import forms
+
     with open(path, "r", encoding="utf-8") as fh:
-        return nahm.NahmSumSpec.from_json(fh.read())
+        return forms.from_json(fh.read())
 
 
 def _on_off(flag):
@@ -291,10 +295,8 @@ def verify_d4(settings, order, primed, charges):
 
 
 @verify.command("custom")
-@click.option("--lhs", "lhs_file", type=click.Path(exists=True, dir_okay=False),
-              required=True)
-@click.option("--rhs", "rhs_file", type=click.Path(exists=True, dir_okay=False),
-              required=True)
+@click.option("--lhs", "lhs_file", type=FILE, required=True)
+@click.option("--rhs", "rhs_file", type=FILE, required=True)
 @click.option("--order", type=click.IntRange(min=1), required=True)
 @click.option("--charges", is_flag=True)
 @reporting
@@ -317,7 +319,7 @@ def jets_group():
 
 @jets_group.command("hilbert")
 @click.option("--preset", "preset_name", default=None)
-@click.option("--preset-file", type=click.Path(exists=True, dir_okay=False), default=None,
+@click.option("--preset-file", type=FILE, default=None,
               help="plain-text relation file instead of a named preset")
 @click.option("--weight", type=click.IntRange(min=1), required=True)
 @click.option("--multigraded", is_flag=True)
@@ -361,32 +363,34 @@ def jets_classically_free(settings, n, weight):
 # forms
 # ---------------------------------------------------------------------------
 
-@main.group()
-def forms():
+@main.group("forms")
+def forms_group():
     """Symbolic quadratic-form tooling and preset plumbing."""
 
 
-@forms.command("expand-diff")
+@forms_group.command("expand-diff")
 @click.option("--n", type=int, required=True)
 @click.option("--kind", type=click.Choice(["B", "Bprime"]), required=True)
 @reporting
 def forms_expand_diff(settings, n, kind):
     """Six-type coefficient table of the mixed-coordinate form difference."""
+    from . import forms
+
     report = VerificationReport(
         command="forms expand-diff",
         parameters={"n": n, "kind": kind},
         notes=["touching configurations (second index meets the next start) "
                "are tabulated with type I: the overlap formula does not "
                "extend to them"])
-    form = nahm.expand_form_difference(n, kind)
+    form = forms.expand_form_difference(n, kind)
     bad = 0
-    for (typ, desc, coeff, expected) in nahm.six_type_table(form, n, kind):
+    for (typ, desc, coeff, expected) in forms.six_type_table(form, n, kind):
         line = f"type {typ:3} {desc}: {coeff}"
         if expected is not None:
             bad += coeff != expected
             line += " [ok]" if coeff == expected else f" [EXPECTED {expected}]"
         report.lines.append(line)
-    nonzero = {k: v for k, v in nahm.cross_k_coefficients(form, n).items() if v}
+    nonzero = {k: v for k, v in forms.cross_k_coefficients(form, n).items() if v}
     report.lines.append(f"k_i*k_j (j>i+1) coefficients all zero: {not nonzero}")
     report.verdict = "equal" if (bad == 0 and not nonzero) else "mismatch"
     if kind == "B":
@@ -394,17 +398,19 @@ def forms_expand_diff(settings, n, kind):
     return report
 
 
-@forms.command("show")
+@forms_group.command("show")
 @click.option("--preset", "preset_name", required=True)
 @reporting
 def forms_show(settings, preset_name):
     """Serialize a named lattice form to JSON (editable for verify custom)."""
-    return _preset(presets.nahm_preset, preset_name).to_json()
+    from . import forms
+
+    return forms.to_json(_preset(presets.nahm_preset, preset_name))
 
 
-@forms.command("eval")
+@forms_group.command("eval")
 @click.option("--preset", "preset_name", default=None)
-@click.option("--spec-file", type=click.Path(exists=True, dir_okay=False), default=None)
+@click.option("--spec-file", type=FILE, default=None)
 @click.option("--order", type=click.IntRange(min=1), required=True)
 @click.option("--charges", is_flag=True)
 @reporting
@@ -426,7 +432,7 @@ def forms_eval(settings, preset_name, spec_file, order, charges):
 # ---------------------------------------------------------------------------
 
 @main.command("suite")
-@click.argument("config", type=click.Path(exists=True, dir_okay=False))
+@click.argument("config", type=FILE)
 @reporting
 def run_suite(settings, config):
     """Run a file of commands (one CLI line each); exit with the worst code.

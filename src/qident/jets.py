@@ -21,28 +21,28 @@ This is the leading-term view of arc-space ideals
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import prod
 
 from .linalg import rank_of_rows
 from .nahm import D4_ROOTS, BudgetExceeded, _bprime_coeff, a_pairs, a_root
 from .poly import add_terms
+from .record import Record
 from .series import QSeries, CompareResult, series_eq
 
 
-@dataclass(frozen=True)
-class WeightedRing:
-    generators: tuple
-    charges: tuple = None     # optional tuple of integer tuples, one per generator
+class WeightedRing(Record):
+    # charges: None, or a tuple of integer tuples, one per generator
+    __slots__ = ("generators", "charges")
 
-    def __post_init__(self):
-        if len(set(self.generators)) != len(self.generators):
-            raise ValueError(f"duplicate generator (generators: {' '.join(self.generators)})")
-        if self.charges is not None:
-            if len(self.charges) != len(self.generators):
+    def __init__(self, generators, charges=None):
+        if len(set(generators)) != len(generators):
+            raise ValueError(f"duplicate generator (generators: {' '.join(generators)})")
+        if charges is not None:
+            if len(charges) != len(generators):
                 raise ValueError("need one charge vector per generator")
-            if len({len(c) for c in self.charges}) > 1:
+            if len({len(c) for c in charges}) > 1:
                 raise ValueError("charge vectors must share a rank")
+        self._set(generators, charges)
 
     @property
     def charge_rank(self):
@@ -127,29 +127,25 @@ def _mono_charge(ring, mono):
                  for i in range(ring.charge_rank))
 
 
-@dataclass(frozen=True)
-class JetPreset:
+class JetPreset(Record):
     """A presented ring with its relations.  `symmetries` are signed
     generator permutations (`WeightedRing.signed_map`) that map the ideal
     onto itself; each is checked at construction (`_charge_permutation`,
     `_check_span`) and `hilbert_series` ranks one block per orbit of the
     group they generate."""
-    ring: WeightedRing
-    relations: tuple
-    name: str = ""
-    notes: tuple = ()
-    symmetries: tuple = ()
+    __slots__ = ("ring", "relations", "name", "notes", "symmetries")
 
-    def __post_init__(self):
-        for f in self.relations:
+    def __init__(self, ring, relations, name="", notes=(), symmetries=()):
+        for f in relations:
             w = f.weight()
             if w is None or w < 2:
                 raise ValueError("relations must be homogeneous of weight >= 2")
-            if self.ring.charges is not None:
-                f.charge(self.ring)  # raises when not charge-homogeneous
-        for sym in self.symmetries:
-            _charge_permutation(self.ring, sym)
-            _check_span(self.relations, sym)
+            if ring.charges is not None:
+                f.charge(ring)  # raises when not charge-homogeneous
+        for sym in symmetries:
+            _charge_permutation(ring, sym)
+            _check_span(relations, sym)
+        self._set(ring, relations, name, notes, symmetries)
 
 
 def _charge_permutation(ring, sym):

@@ -21,21 +21,18 @@ coefficient (see _slot_bits), so the program merges, cuts and divides by
 into lists.
 A form is stored only as its doubled integer tables, 4*quad and 2*linear;
 quad and linear are Fraction views of them for the reports and JSON.
-The symbolic side is the same spec: each form difference is one pair of
-int tables whose matrix is a congruence M^T (4 quad) M (_congruent), and a
-monomial's coefficient is read straight off them.
+A spec's JSON form and the symbolic form differences are in qident.forms.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from . import kernels
 from .halfint import twice_of
-from .poly import add_terms
+from .record import Record
+# inv_pochhammer_dense is not called here; instrumentation patches it on this module
 from .series import QSeries, CompareResult, inv_pochhammer_dense, series_eq
 
 
@@ -50,8 +47,7 @@ class BudgetExceeded(RuntimeError):
         self.limit = limit
 
 
-@dataclass(frozen=True, init=False)
-class NahmSumSpec:
+class NahmSumSpec(Record):
     """One lattice form, stored as its doubled integer tables: four = 4*quad
     (symmetric int rows with an even diagonal) and lin2 = 2*linear, with
     labels and integer charge rows.  quad and linear are Fraction views of
@@ -66,12 +62,9 @@ class NahmSumSpec:
     through _of_ints, which runs the same label, shape and symmetry checks.
     """
 
-    labels: tuple
-    four: tuple          # 4*quad: symmetric int rows with an even diagonal
-    lin2: tuple          # 2*linear, ints
-    charges: tuple       # integer matrix, one row per charge variable
-    name: str = ""
-    notes: tuple = ()
+    # four: 4*quad, symmetric int rows with an even diagonal; lin2: 2*linear,
+    # ints; charges: an integer matrix, one row per charge variable
+    __slots__ = ("labels", "four", "lin2", "charges", "name", "notes")
 
     def __init__(self, labels, quad, linear, charges, name="", notes=()):
         _check_shape(labels, quad, linear, charges)
@@ -83,7 +76,7 @@ class NahmSumSpec:
             for j in range(i + 1, l):
                 four[i][j] = four[j][i] = _times(row[j], 4,
                                                  "4*off-diagonal entries must be integers")
-        self._set(labels, four, lin2, charges, name, notes)
+        self._store(labels, four, lin2, charges, name, notes)
 
     @classmethod
     def _of_ints(cls, labels, four, lin2, charges=(), name="", notes=()):
@@ -91,14 +84,12 @@ class NahmSumSpec:
         (2*linear), taken as they are: the builders' entry."""
         _check_shape(labels, four, lin2, charges)
         spec = object.__new__(cls)
-        spec._set(labels, four, lin2, charges, name, notes)
+        spec._store(labels, four, lin2, charges, name, notes)
         return spec
 
-    def _set(self, labels, four, lin2, charges, name, notes):
-        for key, value in (("labels", tuple(labels)), ("four", tuple(map(tuple, four))),
-                           ("lin2", tuple(lin2)), ("charges", tuple(charges)),
-                           ("name", name), ("notes", tuple(notes))):
-            object.__setattr__(self, key, value)
+    def _store(self, labels, four, lin2, charges, name, notes):
+        self._set(tuple(labels), tuple(map(tuple, four)), tuple(lin2), tuple(charges), name,
+                  tuple(notes))
 
     @property
     def quad(self):
@@ -139,69 +130,6 @@ class NahmSumSpec:
             [self.labels[p] for p in perm], [[self.four[p][r] for r in perm] for p in perm],
             [self.lin2[p] for p in perm], [tuple(row[p] for p in perm) for row in self.charges],
             self.name, self.notes)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json_dict(self):
-        return {
-            "name": self.name,
-            "labels": list(self.labels),
-            "quadratic": [[str(x) for x in row] for row in self.quad],
-            "linear": [str(x) for x in self.linear],
-            "charges": [list(row) for row in self.charges],
-            "notes": list(self.notes),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, data):
-        """Inverse of to_json_dict; a missing or malformed key is a ValueError."""
-        if not isinstance(data, dict):
-            raise ValueError("form spec must be a JSON object")
-        missing = [k for k in ("labels", "quadratic", "linear") if k not in data]
-        if missing:
-            raise ValueError("form spec lacks " + ", ".join(map(repr, missing)))
-
-        def field(key, convert, matrix=False):
-            value = data.get(key, [])
-            try:
-                if not isinstance(value, list) or (
-                        matrix and not all(isinstance(r, list) for r in value)):
-                    raise TypeError(key)
-                return tuple(tuple(map(convert, r)) if matrix else convert(r) for r in value)
-            except (TypeError, ValueError, ArithmeticError):
-                shape = "a list of lists" if matrix else "a list"
-                raise ValueError(f"form spec {key!r} must be {shape} of valid entries") from None
-
-        def number(x):
-            if isinstance(x, bool):
-                raise TypeError(x)
-            return Fraction(x)
-
-        def exact(kind):                    # an int is not a bool, float or string
-            def check(x):
-                if type(x) is not kind:
-                    raise TypeError(x)
-                return x
-            return check
-
-        name = data.get("name", "")
-        if type(name) is not str:
-            raise ValueError("form spec 'name' must be a string")
-        return cls(
-            labels=field("labels", exact(str)),
-            quad=field("quadratic", number, matrix=True),
-            linear=field("linear", number),
-            charges=field("charges", exact(int), matrix=True),
-            name=name,
-            notes=field("notes", exact(str)),
-        )
-
-    @classmethod
-    def from_json(cls, text: str):
-        return cls.from_json_dict(json.loads(text))
 
 
 def _check_shape(labels, quad, linear, charges):
@@ -410,8 +338,7 @@ def build_d4_form(primed=False) -> NahmSumSpec:
 # enumeration bounds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EnumerationBound:
+class EnumerationBound(NamedTuple):
     per_variable_max: tuple
     strategy: str                        # "all_nonneg" | "positive_definite"
     table: tuple                         # (G, g, levels, R, lin) of _sum_levels
@@ -720,7 +647,8 @@ def evaluate(spec: NahmSumSpec, order, charges=True, node_budget=None,
 
     compute_bound certifies coercivity once and gives the table that drives
     the level sum of _sum_levels; node_budget caps its (state, v) steps.
-    The box of compute_bound is what evaluate_bruteforce iterates.  With
+    The box of compute_bound is what the tests' brute-force oracle
+    (lattice_reference.evaluate_bruteforce) iterates.  With
     charges=False (or no charge rows) the charge monomials are never formed.
     charge_box, one cap per charge row, keeps only the terms with charge
     u <= charge_box, pruned as the sum runs (see compute_bound for the
@@ -739,31 +667,6 @@ def evaluate(spec: NahmSumSpec, order, charges=True, node_budget=None,
     return QSeries.from_rows(order2, rank, ((u, (off // G, g, S)) for u, (off, S) in level.items()))
 
 
-def evaluate_bruteforce(spec: NahmSumSpec, order, box, charges=True) -> QSeries:
-    """Unpruned oracle: iterate the whole box, multiply everything out naively.
-
-    Independent of the level sum (no pruning, no shared states); used to
-    cross-check evaluate() at small sizes.
-    """
-    import itertools
-
-    order2 = twice_of(order)
-    rank = spec.charge_rank if charges else 0
-    int_len = (order2 + 1) // 2
-    acc = {}
-    for m in itertools.product(*(range(b + 1) for b in box)):
-        e2 = spec.exponent2(m)
-        if e2 >= order2:
-            continue
-        prod = [1]
-        for mi in m:
-            prod = kernels.conv_trunc(prod, inv_pochhammer_dense(mi, int_len), int_len)
-        ch = spec.charge_of(m) if rank else ()
-        add_terms(acc, (((e2 + 2 * k, ch), c) for k, c in enumerate(prod)
-                        if e2 + 2 * k < order2))
-    return QSeries._raw(order2, rank, acc)
-
-
 def verify_identity(lhs: NahmSumSpec, rhs: NahmSumSpec, order, with_charges=True,
                     node_budget=None) -> CompareResult:
     """Evaluate both sides and compare coefficientwise."""
@@ -773,139 +676,3 @@ def verify_identity(lhs: NahmSumSpec, rhs: NahmSumSpec, order, with_charges=True
     a = evaluate(lhs, order, charges=with_charges, node_budget=node_budget)
     b = evaluate(rhs, order, charges=with_charges, node_budget=node_budget)
     return series_eq(a, b)
-
-
-# ---------------------------------------------------------------------------
-# symbolic form differences (quadratic-form bookkeeping)
-# ---------------------------------------------------------------------------
-
-_A_FORMS = {"B": build_B_form, "Bprime": build_Bprime_form}
-
-
-def _congruent(quad, M):
-    """M^T quad M, the matrix of x^T quad x under the change x = M y (M has
-    one row per x and one column per y): two products that skip zeros."""
-    cols = list(zip(*M))
-    QM = [[sum(q * x for q, x in zip(row, col) if q) for col in cols] for row in quad]
-    return [[sum(x * y for x, y in zip(a, b) if x) for b in zip(*QM)] for a in cols]
-
-
-def expand_form_difference(n, kind) -> NahmSumSpec:
-    """kind(m) - (1/2) k^T A k in mixed coordinates.
-
-    Variables are k1..kn together with the non-nearest m[i,j] (j >= i+2,
-    j <= n+1); the nearest-neighbour m[i,i+1] are eliminated through
-    lambda_i(m) = k_i.  This is the table whose six coefficient families
-    the table check reads off.  The change of variables m = M y is linear, so
-    the form becomes M^T quad M, and (1/2) k^T A k sits on the k block.
-    """
-    if n < 2:
-        raise ValueError("expand_form_difference needs n >= 2")
-    spec = _A_FORMS[kind](n + 1)
-    cartan = build_cartan_side(f"a{n + 1}")
-    nearest = tuple(_mvar(i, i + 1) for i in range(1, n + 1))
-    far = tuple(lab for lab in spec.labels if lab not in nearest)
-    mixed_names = cartan.labels + far
-    far_at = [spec.labels.index(lab) for lab in far]
-    M = [[int(y == lab) for y in mixed_names] for lab in spec.labels]   # far: itself
-    for i, (near, row) in enumerate(zip(nearest, spec.charges)):
-        # lambda_i(m) = k_i, solved for its nearest m[i,i+1]
-        M[spec.labels.index(near)] = [int(j == i) for j in range(n)] + [-row[a] for a in far_at]
-    four = _congruent(spec.four, M)
-    for i, row in enumerate(cartan.four):
-        for j, a in enumerate(row):
-            four[i][j] -= a
-    return NahmSumSpec._of_ints(mixed_names, four,
-                                [sum(x * y for x, y in zip(spec.lin2, col)) for col in zip(*M)])
-
-
-def _monomial_coeff(form, u, w):
-    """Coefficient of u*w in the form's quadratic part, a Fraction:
-    quad[u][u] for a square, 2*quad[u][w] for two distinct labels."""
-    a, b = form.labels.index(u), form.labels.index(w)
-    return Fraction(form.four[a][b] * (1 + (a != b)), 4)
-
-
-def six_type_table(form, n, kind):
-    """Classify every monomial of form = expand_form_difference(n, kind)
-    that touches an m[i,n+1] variable.
-
-    Returns a list of rows (type, description, coefficient, expected) covering
-    all applicable index configurations; expected is None for kind='B' (the
-    table is only pinned for the primed form).
-    """
-    N = n + 1
-    names = form.labels
-    kvars = [f"k{i}" for i in range(1, N)]
-    end_vars = [_mvar(c, N) for c in range(1, N - 1)]  # variables ending at n+1
-
-    def expect(kind_row, params):
-        if kind != "Bprime":
-            return None
-        if kind_row in ("I", "IV"):
-            return Fraction(0)
-        if kind_row == "II":
-            b, c = params
-            return Fraction(2 * (b - 1 - c) + 1)
-        if kind_row == "III":
-            a, b = params
-            return Fraction(2 * (b - 1 - a))
-        if kind_row == "V":
-            i, c = params
-            return Fraction(-1) if (i == c or i == n) else Fraction(-2)
-        if kind_row == "VI":
-            (c,) = params
-            return Fraction(n - c)
-        raise AssertionError(kind_row)
-
-    rows = []
-    mvars = [name for name in names if name.startswith("m[")]
-
-    def parse(name):
-        i, j = name[2:-1].split(",")
-        return int(i), int(j)
-
-    for u in mvars:
-        a, b = parse(u)
-        for w in end_vars:
-            c, _ = parse(w)
-            if u == w:
-                coeff = _monomial_coeff(form, u, u)
-                rows.append(("VI", f"{u}^2", coeff, expect("VI", (c,))))
-                continue
-            coeff = _monomial_coeff(form, u, w)
-            if b == N and u != w:
-                # both factors end at n+1: reads as Type III with i1 < i2
-                lo, hi = min(a, c), max(a, c)
-                if a > c:
-                    rows.append(("III", f"{u}*{w}", coeff, expect("III", (hi, N))))
-                continue
-            if b <= c:
-                # gap (I) or the degenerate touching boundary, both vanish;
-                # the overlap formula of row II does not extend to touching
-                label = "I" if b < c else "I*"
-                rows.append((label, f"{u}*{w}", coeff, expect("I", ())))
-            elif a < c < b:
-                rows.append(("II", f"{u}*{w}", coeff, expect("II", (b, c))))
-            elif c <= a:
-                rows.append(("III", f"{u}*{w}", coeff, expect("III", (a, b))))
-    for kv in kvars:
-        i = int(kv[1:])
-        for w in end_vars:
-            c, _ = parse(w)
-            coeff = _monomial_coeff(form, kv, w)
-            if c >= i + 1:
-                rows.append(("IV", f"{kv}*{w}", coeff, expect("IV", ())))
-            else:
-                rows.append(("V", f"{kv}*{w}", coeff, expect("V", (i, c))))
-    return rows
-
-
-def cross_k_coefficients(form, n):
-    """Coefficients of k_i*k_j (j > i+1) in form = expand_form_difference(n,
-    kind); all must vanish."""
-    out = {}
-    for i in range(1, n + 1):
-        for j in range(i + 2, n + 1):
-            out[(i, j)] = _monomial_coeff(form, f"k{i}", f"k{j}")
-    return out

@@ -12,26 +12,26 @@ time.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import add
 
 from . import kernels, nahm
 from .halfint import twice_of
+from .record import Record
 from .series import QSeries, CompareResult, _trimmed, inv_pochhammer_dense, series_eq
 
 
-@dataclass(frozen=True)
-class QuiverA:
-    rank: int
-    orientation: tuple   # 'R'/'L' per arrow a_1..a_{rank-1}
+class QuiverA(Record):
+    # orientation: 'R'/'L' per arrow a_1..a_{rank-1}
+    __slots__ = ("rank", "orientation")
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank, orientation):
+        if rank < 1:
             raise ValueError("rank must be >= 1")
-        if len(self.orientation) != self.rank - 1:
+        if len(orientation) != rank - 1:
             raise ValueError("need one orientation letter per arrow")
-        if any(c not in ("R", "L") for c in self.orientation):
+        if any(c not in ("R", "L") for c in orientation):
             raise ValueError("orientation letters must be R or L")
+        self._set(rank, orientation)
 
     @classmethod
     def from_string(cls, rank, letters):

@@ -28,11 +28,10 @@ first-difference scan of series_eq.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, ne
 from types import MappingProxyType
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import nahm
 from .halfint import twice_of
@@ -296,8 +295,7 @@ class NCElement:
         return f"NCElement(xdeg={self.xdeg}, {self.render()})"
 
 
-@dataclass(frozen=True)
-class NCMismatch:
+class NCMismatch(NamedTuple):
     exps: tuple
     qexp: Fraction
     coeff_a: int
@@ -308,8 +306,7 @@ class NCMismatch:
         return sum(self.exps)
 
 
-@dataclass(frozen=True)
-class NCCompareResult:
+class NCCompareResult(NamedTuple):
     equal: bool
     xdeg: int
     qorder2: int

@@ -7,7 +7,8 @@ backend diagnostics only appear behind the --timings flag.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+
+from .record import Record
 
 ENGINE_VERSION = "qident 0.1.0"
 
@@ -17,17 +18,21 @@ EXIT_USAGE = 2
 EXIT_ERROR = 3
 
 
-@dataclass
-class VerificationReport:
-    command: str
-    parameters: dict
-    # equal | holds | info pass (exit 0); mismatch | violation fail (exit 1);
-    # error: the program itself failed, detail names the exception (exit 3)
-    verdict: str = "equal"
-    detail: dict = field(default_factory=dict)
-    lines: list = field(default_factory=list)   # extra report body lines
-    notes: list = field(default_factory=list)
-    wall_time: float = None
+class VerificationReport(Record):
+    """A report under construction: its fields can be reassigned, so it
+    has no hash.  verdict is equal | holds | info to pass (exit 0),
+    mismatch | violation to fail (exit 1), or error when the program itself
+    failed, with detail naming the exception (exit 3); lines are extra
+    report body lines."""
+    __slots__ = ("command", "parameters", "verdict", "detail", "lines", "notes", "wall_time")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, command, parameters, verdict="equal", detail=None, lines=None,
+                 notes=None, wall_time=None):
+        self._set(command, parameters, verdict, {} if detail is None else detail,
+                  [] if lines is None else lines, [] if notes is None else notes, wall_time)
 
     @property
     def passed(self):

@@ -23,12 +23,11 @@ qident.qweyl, whose first exponents may be negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from operator import add, gt, ne
 from types import MappingProxyType
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import kernels
 from .halfint import twice_of
@@ -333,16 +332,14 @@ def _q_power(e2):
 # -- comparison verdicts ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     qexp: Fraction
     charges: tuple
     coeff_a: int
     coeff_b: int
 
 
-@dataclass(frozen=True)
-class CompareResult:
+class CompareResult(NamedTuple):
     equal: bool
     order2: int
     mismatch: Optional[Mismatch] = None

@@ -12,11 +12,15 @@ spec.quad in Fractions, the diagonal of Q^-1 from it, and the table built
 from those Fractions.  It is the oracle of the integer elimination, cap for
 cap and table entry for table entry.
 
+evaluate_bruteforce iterates the whole box and multiplies every term out
+naively: the unpruned oracle of nahm.evaluate at small sizes.
+
 form_difference_pure is kind(m) - (1/2) lambda(m)^T A lambda(m) in the m
 variables alone, summed in Fractions off the public quad view: the oracle of
-nahm.expand_form_difference on lattice points.
+forms.expand_form_difference on lattice points.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from operator import add
@@ -25,6 +29,8 @@ from qident import kernels
 from qident.halfint import twice_of
 from qident import nahm
 from qident.nahm import BudgetExceeded, CoercivityError, EnumerationBound, _box_caps
+from qident.poly import add_terms
+from qident.series import QSeries, inv_pochhammer_dense
 
 
 def _reverse_ldl(quad):
@@ -170,6 +176,29 @@ def list_sum_levels(spec, order2, rank, node_budget, bound, charge_box=None):
         columns.append([(key & mask) - b for key in keys])
         keys = [key >> width for key in keys]
     return dict(zip(zip(*columns) if columns else [()] * len(keys), level.values()))
+
+
+def evaluate_bruteforce(spec, order, box, charges=True):
+    """Unpruned oracle: iterate the whole box, multiply everything out naively.
+
+    Independent of the level sum (no pruning, no shared states); used to
+    cross-check evaluate() at small sizes.
+    """
+    order2 = twice_of(order)
+    rank = spec.charge_rank if charges else 0
+    int_len = (order2 + 1) // 2
+    acc = {}
+    for m in itertools.product(*(range(b + 1) for b in box)):
+        e2 = spec.exponent2(m)
+        if e2 >= order2:
+            continue
+        prod = [1]
+        for mi in m:
+            prod = kernels.conv_trunc(prod, inv_pochhammer_dense(mi, int_len), int_len)
+        ch = spec.charge_of(m) if rank else ()
+        add_terms(acc, (((e2 + 2 * k, ch), c) for k, c in enumerate(prod)
+                        if e2 + 2 * k < order2))
+    return QSeries._raw(order2, rank, acc)
 
 
 def form_difference_pure(n, kind):

@@ -11,7 +11,7 @@ import time
 import pytest
 from fractions import Fraction
 
-from qident import jets, nahm, quiver, qweyl
+from qident import forms, jets, nahm, quiver, qweyl
 from qident.series import (
     QSeries,
     euler_product,
@@ -132,7 +132,7 @@ def test_criterion_07_charge_word_identity():
     # n = 5: polynomial identity covers the whole box at once
     for n in (5,):
         E, form = qweyl.extract_E_form(n), nahm.build_Bprime_form(n)
-        half = nahm._congruent([[Fraction(i == j, 2) for j in range(n - 1)] for i in range(n - 1)],
+        half = forms._congruent([[Fraction(i == j, 2) for j in range(n - 1)] for i in range(n - 1)],
                                form.charges)
         C = [Fraction(2 - (j - i), 2) for i, j in nahm.a_pairs(n)]
         total = [[e + h + (C[a] if a == b else 0) for b, (e, h) in enumerate(zip(re, rh))]
@@ -154,10 +154,10 @@ def test_criterion_08_six_type_table():
     started = time.time()
     ok = True
     for n in range(3, 7):
-        poly = nahm.expand_form_difference(n, "Bprime")
-        for (typ, desc, coeff, expected) in nahm.six_type_table(poly, n, "Bprime"):
+        poly = forms.expand_form_difference(n, "Bprime")
+        for (typ, desc, coeff, expected) in forms.six_type_table(poly, n, "Bprime"):
             ok = ok and expected is not None and coeff == expected
-        ok = ok and all(v == 0 for v in nahm.cross_k_coefficients(poly, n).values())
+        ok = ok and all(v == 0 for v in forms.cross_k_coefficients(poly, n).values())
     _report(8, ok, "six-type coefficient table reproduced for n <= 6; "
             "k_i k_j (j>i+1) terms vanish", started)
 

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qident import cli, nahm, presets, quiver, qweyl, series
+from qident import cli, forms, nahm, presets, quiver, qweyl, series
 from qident.cli import main
 
 from quiver_reference import level_steps
@@ -168,13 +168,13 @@ def test_forms_expand_diff(runner):
 
 def test_forms_expand_diff_builds_the_polynomial_once(runner, monkeypatch):
     calls = []
-    build = nahm.expand_form_difference
+    build = forms.expand_form_difference
 
     def counted(*args):
         calls.append(args)
         return build(*args)
 
-    monkeypatch.setattr(nahm, "expand_form_difference", counted)
+    monkeypatch.setattr(forms, "expand_form_difference", counted)
     result = run(runner, "forms", "expand-diff", "--n", "4", "--kind", "Bprime")
     assert result.exit_code == 0
     assert calls == [(4, "Bprime")]
@@ -223,7 +223,7 @@ def test_forms_show_and_custom_verify(runner, tmp_path):
     lhs = tmp_path / "lhs.json"
     rhs = tmp_path / "rhs.json"
     lhs.write_text(shown.output, encoding="utf-8")
-    rhs.write_text(nahm.build_cartan_side("a2").to_json(), encoding="utf-8")
+    rhs.write_text(forms.to_json(nahm.build_cartan_side("a2")), encoding="utf-8")
     result = run(runner, "verify", "custom", "--lhs", str(lhs), "--rhs", str(rhs),
                  "--order", "10", "--charges")
     assert result.exit_code == 0
@@ -232,8 +232,8 @@ def test_forms_show_and_custom_verify(runner, tmp_path):
 def test_custom_mismatch_gives_exit_1(runner, tmp_path):
     lhs = tmp_path / "lhs.json"
     rhs = tmp_path / "rhs.json"
-    lhs.write_text(nahm.build_cartan_side("a2").to_json(), encoding="utf-8")
-    rhs.write_text(nahm.build_cartan_side("a3").to_json(), encoding="utf-8")
+    lhs.write_text(forms.to_json(nahm.build_cartan_side("a2")), encoding="utf-8")
+    rhs.write_text(forms.to_json(nahm.build_cartan_side("a3")), encoding="utf-8")
     result = run(runner, "verify", "custom", "--lhs", str(lhs), "--rhs", str(rhs),
                  "--order", "10")
     assert result.exit_code == 1
@@ -244,8 +244,8 @@ def test_custom_mismatch_gives_exit_1(runner, tmp_path):
 def test_custom_charge_rank_mismatch_is_exit_2(runner, tmp_path):
     lhs = tmp_path / "lhs.json"
     rhs = tmp_path / "rhs.json"
-    lhs.write_text(nahm.build_cartan_side("a2").to_json(), encoding="utf-8")
-    rhs.write_text(nahm.build_cartan_side("a3").to_json(), encoding="utf-8")
+    lhs.write_text(forms.to_json(nahm.build_cartan_side("a2")), encoding="utf-8")
+    rhs.write_text(forms.to_json(nahm.build_cartan_side("a3")), encoding="utf-8")
     result = run(runner, "verify", "custom", "--lhs", str(lhs), "--rhs", str(rhs),
                  "--order", "10", "--charges")
     assert_usage_exit(result)
@@ -310,7 +310,7 @@ def test_custom_malformed_json_is_exit_2(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     good = tmp_path / "good.json"
-    good.write_text(nahm.build_cartan_side("a2").to_json(), encoding="utf-8")
+    good.write_text(forms.to_json(nahm.build_cartan_side("a2")), encoding="utf-8")
     result = run(runner, "verify", "custom", "--lhs", str(bad), "--rhs", str(good),
                  "--order", "6")
     assert_usage_exit(result)
@@ -359,7 +359,7 @@ def test_jets_hilbert_has_no_fast_option(runner):
 
 def test_forms_eval_preset_file(runner, tmp_path):
     spec = tmp_path / "spec.json"
-    spec.write_text(nahm.build_B_form(2).to_json(), encoding="utf-8")
+    spec.write_text(forms.to_json(nahm.build_B_form(2)), encoding="utf-8")
     result = run(runner, "forms", "eval", "--spec-file", str(spec), "--order", "6")
     assert result.exit_code == 0
     assert "series: 1 + q + q^2 + q^3 + 2*q^4 + 2*q^5" in result.output
@@ -526,7 +526,7 @@ def test_readme_commands_run(runner, tmp_path, monkeypatch):
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     block = re.search(r"```sh\n(qident .*?)```", readme, re.S).group(1)
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "other.json").write_text(nahm.build_cartan_side("a3").to_json(),
+    (tmp_path / "other.json").write_text(forms.to_json(nahm.build_cartan_side("a3")),
                                          encoding="utf-8")
     (tmp_path / "my-checks.txt").write_text(
         "verify thm1 --variant a --n 2 --order 10\nforms eval --preset b2-char --order 10\n",
@@ -611,7 +611,7 @@ def test_directory_as_input_file_is_exit_2(runner, tmp_path, args):
     ("quadratic", [[True, "-1/2"], ["-1/2", 1]]),
 ])
 def test_form_spec_values_are_not_coerced(runner, tmp_path, key, value):
-    data = json.loads(nahm.build_cartan_side("a3").to_json())
+    data = json.loads(forms.to_json(nahm.build_cartan_side("a3")))
     data[key] = value
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(data), encoding="utf-8")

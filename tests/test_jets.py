@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import replace
 from itertools import combinations_with_replacement
 from math import prod
 from pathlib import Path
@@ -149,6 +148,25 @@ class TestPresets:
         bad = JetPoly({(x(0, 1), x(0, 1)): 1, (x(1, 1), x(1, 1)): 1})
         with pytest.raises(ValueError):
             JetPreset(ring, (bad,))
+
+    @pytest.mark.parametrize("generators,charges,message", [
+        (("a", "b", "a"), None, r"duplicate generator \(generators: a b a\)"),
+        (("a", "b"), ((1,),), "need one charge vector per generator"),
+        (("a", "b"), ((1,), (1, 0)), "charge vectors must share a rank"),
+    ], ids=["duplicate", "charge_count", "charge_rank"])
+    def test_ring_refusal_messages(self, generators, charges, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            WeightedRing(generators, charges)
+
+    @pytest.mark.parametrize("terms,message", [
+        ({(x(0, 1),): 1}, "relations must be homogeneous of weight >= 2"),
+        ({(x(0, 1), x(0, 1)): 1, (x(0, 3),): 1}, "polynomial is not weight-homogeneous"),
+        ({(x(0, 1), x(0, 1)): 1, (x(1, 1), x(1, 1)): 1}, "polynomial is not charge-homogeneous"),
+    ], ids=["weight_one", "weight", "charge"])
+    def test_preset_refusal_messages(self, terms, message):
+        ring = WeightedRing(("a", "b"), ((1, 0), (0, 1)))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            JetPreset(ring, (JetPoly(terms),))
 
 
 class TestParsing:
@@ -581,7 +599,7 @@ class TestBuilder:
 
         monkeypatch.setattr(jets, "rank_of_rows", counted)
         pre = jets.d4_D("repaired")
-        plain = replace(pre, symmetries=())
+        plain = JetPreset(pre.ring, pre.relations, pre.name, pre.notes, symmetries=())
         del calls[:]
         want = jets.hilbert_series(plain, 5, multigraded=True)
         without = len(calls)

@@ -6,11 +6,11 @@ import random
 import pytest
 from fractions import Fraction
 
-from qident import nahm, presets, quiver, qweyl
+from qident import forms, nahm, presets, quiver, qweyl
 from qident.series import QSeries, series_eq
 
-from lattice_reference import (_inverse_diagonal, _reverse_ldl, form_difference_pure, fraction_bound,
-                               list_sum_levels)
+from lattice_reference import (_inverse_diagonal, _reverse_ldl, evaluate_bruteforce,
+                               form_difference_pure, fraction_bound, list_sum_levels)
 from series_reference import charge_slice, charges_dropped
 from sylvester import is_positive_definite
 
@@ -351,7 +351,7 @@ class TestEvaluate:
         bound = nahm.compute_bound(spec, order)
         box = bound.per_variable_max
         fast = nahm.evaluate(spec, order, charges=True)
-        brute = nahm.evaluate_bruteforce(spec, order, box, charges=True)
+        brute = evaluate_bruteforce(spec, order, box, charges=True)
         assert series_eq(fast, brute).equal
 
     def test_enumeration_order_independence(self):
@@ -430,11 +430,11 @@ class TestEvaluate:
                                                 for i, row in enumerate(spec.four)
                                                 for j, x in enumerate(row))))
             plain = nahm.evaluate(spec, order, charges=False)
-            assert plain == nahm.evaluate_bruteforce(spec, order, box, charges=False), \
+            assert plain == evaluate_bruteforce(spec, order, box, charges=False), \
                 (quad, spec.linear, order)
             charged = nahm.evaluate(spec, order, charges=True)
             assert plain == charges_dropped(charged)
-            assert charged == nahm.evaluate_bruteforce(spec, order, box, charges=True), \
+            assert charged == evaluate_bruteforce(spec, order, box, charges=True), \
                 (quad, spec.linear, spec.charges, order)
             checked += 1
         assert units == {1, 2}
@@ -468,7 +468,7 @@ class TestEvaluate:
         spec = nahm.NahmSumSpec((), (), (), ((),))
         for charges in (False, True):
             s = nahm.evaluate(spec, 5, charges=charges)
-            assert s == nahm.evaluate_bruteforce(spec, 5, (), charges=charges)
+            assert s == evaluate_bruteforce(spec, 5, (), charges=charges)
             assert s.terms == {(0, (0,) if charges else ()): 1}
 
     @pytest.mark.parametrize("spec", [nahm.build_d4_form(), nahm.build_cartan_side("a3")],
@@ -500,7 +500,7 @@ class TestEvaluate:
                 continue
             for charges in (False, True):
                 fast = nahm.evaluate(spec, order, charges=charges)
-                brute = nahm.evaluate_bruteforce(spec, order, box, charges=charges)
+                brute = evaluate_bruteforce(spec, order, box, charges=charges)
                 assert fast == brute, (quad, spec.charges, order, charges)
             checked += 1
 
@@ -560,7 +560,7 @@ class TestEvaluate:
             caps = bound.per_variable_max
             if math.prod(b + 1 for b in caps) > 1500:
                 continue
-            brute = nahm.evaluate_bruteforce(spec, order, caps)
+            brute = evaluate_bruteforce(spec, order, caps)
             for rank in (len(charges), 0):
                 cap = box if rank else None
                 got = nahm._sum_levels(spec, 2 * order, rank, None, bound, cap)
@@ -575,7 +575,7 @@ class TestEvaluate:
             else:
                 assert nahm.evaluate(spec, order) == brute, (quad, linear, charges, order)
                 assert nahm.evaluate(spec, order, charges=False) == \
-                    nahm.evaluate_bruteforce(spec, order, caps, charges=False)
+                    evaluate_bruteforce(spec, order, caps, charges=False)
             seen.add(bound.strategy)
             if any(x < 0 for row in bound.table[3] for x in row):
                 seen.add("negative running sums")
@@ -592,7 +592,7 @@ class TestEvaluate:
             order = top * top + 1
             assert nahm.compute_bound(spec, order).per_variable_max == (top,)
             got = nahm.evaluate(spec, order)
-            assert got == nahm.evaluate_bruteforce(spec, order, (top,))
+            assert got == evaluate_bruteforce(spec, order, (top,))
             assert (top * top * 2, (c * top, top)) in got.terms
             if c > 0:
                 assert nahm.evaluate(spec, order, charge_box=(c * top, top - 1)) == \
@@ -611,7 +611,7 @@ class TestEvaluate:
         assert (bound.strategy, bound.table[0], bound.table[1]) == (strategy, G, 1)
         for charges in (True, False):
             fast = nahm.evaluate(spec, 8, charges=charges)
-            brute = nahm.evaluate_bruteforce(spec, 8, bound.per_variable_max, charges=charges)
+            brute = evaluate_bruteforce(spec, 8, bound.per_variable_max, charges=charges)
             assert fast == brute and fast.terms == brute.terms
         assert {step for _first, step, _c in fast.rows.values()} == {1}
         assert {step for _first, step, _c in nahm.evaluate(spec, 8).rows.values()} == {1, 2}
@@ -691,7 +691,7 @@ class TestChargeBox:
         for kmax, order in (((2, 2, 2), 6), ((1, 3, 2), 9), ((0, 2, 1), 4)):
             bound = nahm.compute_bound(spec, order, kmax)
             assert bound.strategy == "all_nonneg"
-            brute = nahm.evaluate_bruteforce(spec, order, bound.per_variable_max)
+            brute = evaluate_bruteforce(spec, order, bound.per_variable_max)
             assert nahm.evaluate(spec, order, charge_box=kmax) == _within(brute, kmax)
 
     def test_negative_boxed_row_refused(self):
@@ -713,7 +713,7 @@ class TestChargeBox:
         capped = nahm.NahmSumSpec(("a", "b"), quad, (F(0), F(0)), ((1, 1),))
         bound = nahm.compute_bound(capped, 8, (3,))
         assert bound.per_variable_max == (3, 2)
-        brute = nahm.evaluate_bruteforce(capped, 8, bound.per_variable_max)
+        brute = evaluate_bruteforce(capped, 8, bound.per_variable_max)
         assert nahm.evaluate(capped, 8, charge_box=(3,)) == _within(brute, (3,))
 
     def test_box_needs_charges(self):
@@ -783,11 +783,11 @@ class TestIdentities:
 class TestSerialization:
     def test_round_trip(self):
         spec = nahm.build_b2_quintuple_form()
-        again = nahm.NahmSumSpec.from_json(spec.to_json())
+        again = forms.from_json(forms.to_json(spec))
         assert again == spec
 
     def test_json_is_plain_data(self):
-        data = json.loads(nahm.build_B_form(2).to_json())
+        data = json.loads(forms.to_json(nahm.build_B_form(2)))
         assert data["labels"] == ["m[1,2]"]
         assert data["quadratic"] == [["1"]]
 
@@ -814,7 +814,7 @@ class TestSerialization:
         data = {"labels": ["a"], "quadratic": [[1]], "linear": [0]}
         data[key] = value
         with pytest.raises(ValueError, match=repr(key)):
-            nahm.NahmSumSpec.from_json_dict(data)
+            forms.from_json_dict(data)
 
 
 def _shipped_forms():
@@ -823,15 +823,16 @@ def _shipped_forms():
     form-difference tables, and both product sides of the pentagons and of
     the ordered products a2-a6 and d4, as product_side hands them to
     nahm.evaluate."""
-    forms = [nahm.build_cartan_side(t) for t in [f"a{n}" for n in range(2, 9)] + ["d4"]]
-    forms += [build(n) for n in range(2, 8) for build in (nahm.build_B_form,
-                                                         nahm.build_Bprime_form)]
-    forms += [nahm.build_b2_char_form(), nahm.build_b2_quintuple_form(),
-              nahm.build_d4_form(), nahm.build_d4_form(primed=True)]
-    forms += [quiver.codim_form(quiver.QuiverA(rank, letters)) for rank in range(1, 6)
-              for letters in itertools.product("RL", repeat=rank - 1)]
-    forms += [qweyl.extract_E_form(n) for n in range(2, 6)]
-    forms += [nahm.expand_form_difference(n, kind) for n in range(2, 6) for kind in ("B", "Bprime")]
+    shipped = [nahm.build_cartan_side(t) for t in [f"a{n}" for n in range(2, 9)] + ["d4"]]
+    shipped += [build(n) for n in range(2, 8) for build in (nahm.build_B_form,
+                                                           nahm.build_Bprime_form)]
+    shipped += [nahm.build_b2_char_form(), nahm.build_b2_quintuple_form(),
+                nahm.build_d4_form(), nahm.build_d4_form(primed=True)]
+    shipped += [quiver.codim_form(quiver.QuiverA(rank, letters)) for rank in range(1, 6)
+                for letters in itertools.product("RL", repeat=rank - 1)]
+    shipped += [qweyl.extract_E_form(n) for n in range(2, 6)]
+    shipped += [forms.expand_form_difference(n, kind) for n in range(2, 6)
+                for kind in ("B", "Bprime")]
     sides, evaluate = [], nahm.evaluate
 
     def captured(spec, *args, **kwargs):
@@ -845,7 +846,7 @@ def _shipped_forms():
         for name in [f"a{n}" for n in range(2, 7)] + ["d4"]:
             assert qweyl.ordered_product_check(name, 3, 4)[0].equal
     assert len(sides) == 16
-    return forms + sides
+    return shipped + sides
 
 
 class TestEntries:
@@ -853,13 +854,13 @@ class TestEntries:
     builders' int entry make the same form, and JSON carries it unchanged."""
 
     def test_shipped_forms_round_trip(self):
-        forms = _shipped_forms()
-        for spec in forms:
+        shipped = _shipped_forms()
+        for spec in shipped:
             again = nahm.NahmSumSpec(spec.labels, spec.quad, spec.linear, spec.charges,
                                      spec.name, spec.notes)
             assert again == spec, spec.name
-            assert nahm.NahmSumSpec.from_json(spec.to_json()) == spec, spec.name
-        assert len(forms) == 8 + 12 + 4 + 31 + 4 + 8 + 16
+            assert forms.from_json(forms.to_json(spec)) == spec, spec.name
+        assert len(shipped) == 8 + 12 + 4 + 31 + 4 + 8 + 16
 
     def test_builder_tables_are_ints(self):
         for spec in _shipped_forms():
@@ -890,7 +891,7 @@ class TestEntries:
             again = nahm.NahmSumSpec(spec.labels, spec.quad, spec.linear, spec.charges,
                                      spec.name, spec.notes)
             assert again == spec
-            assert nahm.NahmSumSpec.from_json(spec.to_json()) == spec
+            assert forms.from_json(forms.to_json(spec)) == spec
             assert nahm.NahmSumSpec._of_ints(spec.labels, spec.four, spec.lin2, spec.charges,
                                              spec.name, spec.notes) == spec
             quarters += any(x.denominator == 4 for row in quad for x in row)
@@ -927,7 +928,7 @@ class TestFormDifference:
         for n in (3, 4):
             N = n + 1
             pure = form_difference_pure(n, "Bprime")
-            mixed = nahm.expand_form_difference(n, "Bprime")
+            mixed = forms.expand_form_difference(n, "Bprime")
             pairs = [(i, j) for i in range(1, N + 1) for j in range(i + 1, N + 1)]
             for _ in range(50):
                 m = {p: rng.randrange(4) for p in pairs}
@@ -948,7 +949,7 @@ class TestFormDifference:
         form = {"B": nahm.build_B_form, "Bprime": nahm.build_Bprime_form}[kind](n + 1)
         A = nahm.cartan_matrix(f"a{n + 1}")
         pure = form_difference_pure(n, kind)
-        mixed = nahm.expand_form_difference(n, kind)
+        mixed = forms.expand_form_difference(n, kind)
         assert pure.labels == form.labels
         rng = random.Random(n)
         for _ in range(40):
@@ -963,7 +964,7 @@ class TestFormDifference:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_six_type_table(self, n):
-        rows = nahm.six_type_table(nahm.expand_form_difference(n, "Bprime"), n, "Bprime")
+        rows = forms.six_type_table(forms.expand_form_difference(n, "Bprime"), n, "Bprime")
         assert rows, "table must not be empty"
         for (typ, desc, coeff, expected) in rows:
             assert expected is not None
@@ -972,8 +973,8 @@ class TestFormDifference:
     def test_cross_k_terms_vanish(self):
         for n in (3, 4, 5):
             for kind in ("Bprime", "B"):
-                poly = nahm.expand_form_difference(n, kind)
-                assert all(v == 0 for v in nahm.cross_k_coefficients(poly, n).values())
+                poly = forms.expand_form_difference(n, kind)
+                assert all(v == 0 for v in forms.cross_k_coefficients(poly, n).values())
 
     def test_congruent_table_matches_evaluation(self):
         # x^T Q x + l.x at x = M y equals y^T (M^T Q M) y + (M^T l).y
@@ -991,7 +992,7 @@ class TestFormDifference:
                 for j in range(i, rows):
                     Q[i][j] = Q[j][i] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
             lin = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rows)]
-            quad = nahm._congruent(Q, M)
+            quad = forms._congruent(Q, M)
             lin_y = [sum(a * M[i][c] for i, a in enumerate(lin)) for c in range(cols)]
             assert all(quad[a][b] == quad[b][a] for a in range(cols) for b in range(cols))
             for _ in range(5):

@@ -1,6 +1,6 @@
 import pytest
 
-from qident import nahm, presets
+from qident import forms, nahm, presets
 
 
 ALL_FORM_NAMES = ["cartan-a2", "cartan-a3", "cartan-a5", "cartan-d4",
@@ -19,7 +19,7 @@ def test_every_form_preset_resolves_and_evaluates(name):
 @pytest.mark.parametrize("name", ALL_FORM_NAMES)
 def test_every_form_preset_serializes(name):
     spec = presets.nahm_preset(name)
-    assert nahm.NahmSumSpec.from_json(spec.to_json()) == spec
+    assert forms.from_json(forms.to_json(spec)) == spec
 
 
 @pytest.mark.parametrize("name", ["sln-a2", "sln-a4", "sln-b3", "sln-h3",

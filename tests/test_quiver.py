@@ -166,6 +166,17 @@ def test_orientation_validation():
         QuiverA.from_string(3, "RX")
 
 
+@pytest.mark.parametrize("rank,letters,message", [
+    (0, "", r"rank must be >= 1"),
+    (3, "R", "need one orientation letter per arrow"),
+    (2, "RL", "need one orientation letter per arrow"),
+    (3, "RX", "orientation letters must be R or L"),
+], ids=["rank", "short", "long", "letter"])
+def test_orientation_refusal_messages(rank, letters, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        QuiverA.from_string(rank, letters)
+
+
 def _recording_series_eq(monkeypatch):
     """Wrap quiver.series_eq; returns the list of its argument pairs' terms."""
     seen = []

@@ -6,7 +6,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
-from qident import nahm, qweyl, series
+from qident import forms, nahm, qweyl, series
 from qident.halfint import twice_of
 from qident.nahm import BudgetExceeded, CoercivityError
 from qident.qweyl import LaurentQ, NCAlgebra, NCElement
@@ -590,7 +590,7 @@ class TestChargeWord:
     def test_symbolic_identity(self, n):
         # C + E + (1/2) sum lambda_i^2 == B'  as tables
         E, form = qweyl.extract_E_form(n), nahm.build_Bprime_form(n)
-        half = nahm._congruent([[Fraction(i == j, 2) for j in range(n - 1)] for i in range(n - 1)],
+        half = forms._congruent([[Fraction(i == j, 2) for j in range(n - 1)] for i in range(n - 1)],
                                form.charges)
         C = [Fraction(2 - (j - i), 2) for i, j in nahm.a_pairs(n)]
         total = [[e + h + (C[a] if a == b else 0) for b, (e, h) in enumerate(zip(re, rh))]
@@ -630,7 +630,7 @@ class TestD4Transcription:
         factors = [(sh, w, word_to_label[w]) for (_s, sh, w) in rhs]
         P = qweyl.dilog_product_form(alg, factors, names)
         spec = nahm.build_d4_form()
-        half = nahm._congruent([[Fraction(i == j, 2) for j in range(4)] for i in range(4)],
+        half = forms._congruent([[Fraction(i == j, 2) for j in range(4)] for i in range(4)],
                                spec.charges)
         assert P.labels == spec.labels
         assert [list(row) for row in P.quad] == [[a - b for a, b in zip(ra, rb)]
