@@ -12,7 +12,6 @@ returns its report (`suite` exits with the worst code of its lines);
 from __future__ import annotations
 
 import functools
-import shlex
 import sys
 import time
 
@@ -439,6 +438,8 @@ def run_suite(settings, config):
 
     The global --json, --budget and --timings reach every line; a line's own
     global options come after them and win.  A `suite` line is refused."""
+    import shlex
+
     if settings.in_suite:
         raise ValueError("a suite file cannot run suite")
     flags = [f for f, on in (("--json", settings.json), ("--timings", settings.timings)) if on]

@@ -2,10 +2,10 @@
 
 Terms map keys (exponent vectors, or pairs of them) to nonzero coefficients.
 `add_terms` is the one term-dict sum of QSeries and JetPoly; `powers` writes
-the monomials of QSeries and NCElement, and `render_terms` the signed terms
-of QSeries and LaurentQ.  A quadratic form in the lattice variables is not a
-polynomial here: it is one (labels, quad, linear) table, a
-qident.nahm.NahmSumSpec.
+the monomials of QSeries and of a product check's mismatch report, and
+`render_terms` the signed terms of QSeries.  A quadratic form in the lattice
+variables is not a polynomial here: it is one (labels, quad, linear) table,
+a qident.nahm.NahmSumSpec.
 """
 
 

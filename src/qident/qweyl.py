@@ -1,18 +1,17 @@
-"""q-commuting variable algebra and quantum dilogarithm expansions.
+"""q-commuting variables, quantum dilogarithm products and the charge word.
 
 Generators obey x_i x_j = q^(eps_ij) x_j x_i with an antisymmetric integer
-matrix eps.  Elements are truncated in two directions at once: total x-degree
-(exclusive bound xdeg) and q-order; coefficients are Laurent polynomials in
-q^(1/2), each a LaurentQ: one canonical series row, the row format and row
-kernels of qident.series, and a validity order tracked through every
-multiplication, so a comparison can certify exactly how far it is
-meaningful.  The product of two elements sums, over the pairs of monomials,
-each pair's LaurentQ product shifted by its merge power: LaurentQ.__mul__,
+matrix eps.  An NCElement maps normal-ordered monomials below total x-degree
+xdeg to Laurent coefficients in q^(1/2), each a LaurentQ: one canonical
+series row (the row format and kernels of qident.series) and a validity
+order, so a comparison can certify exactly how far it is meaningful.  Its
+one operation, the reference product, sums over the pairs of monomials each
+pair's LaurentQ product shifted by its merge power; LaurentQ.__mul__,
 shifted and __add__ alone set every coefficient's terms and validity order.
 
 Inside, every q-exponent is a doubled int (order2, base2, e2).  Factor
 shifts come in as ints or Fractions, normal-ordering powers are ints, and
-mismatches and renders give exponents back as Fractions.
+mismatches give exponents back as Fractions.
 
 The x^lam coefficient of an ordered product of dilogarithms phi(-q^h X^beta)
 is the fermionic sum of q^(P(m)) / prod (q)_(m_t) over the m of charge lam
@@ -22,7 +21,8 @@ sum (product_side).  Both sides get the same G(lam) added, which makes the
 left side the Cartan form and the shipped right sides all-nonnegative; the
 rows, moved back down by G(lam), stay canonical and are compared by nc_eq,
 as list slices where two rows share a grid and otherwise through the
-first-difference scan of series_eq.
+first-difference scan of series_eq.  The A-type charge word's exponent
+C(m) + E(m) is read off the same tables (_charge_word).
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from typing import NamedTuple, Optional
 
 from . import nahm
 from .halfint import twice_of
-from .nahm import NahmSumSpec, _symmetric_from_products, a_pairs, build_Bprime_form, cartan_matrix
-from .poly import powers, render_terms
+from .nahm import NahmSumSpec, a_pairs, build_Bprime_form, cartan_matrix
 from .series import _first_difference, _row_product, _row_sum, _row_terms, _trim, inv_pochhammer_dense
 
 
@@ -60,9 +59,6 @@ class NCAlgebra:
         rank = len(C)
         return cls([[C[a][b] * ((a > b) - (a < b)) for b in range(rank)]
                     for a in range(rank)])
-
-    def eps_of(self, a, b):
-        return self.eps[a - 1][b - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +120,6 @@ class LaurentQ:
         order2 = min(self.order2, other.order2)
         return LaurentQ._canonical(_row_sum(self.row, other.row, order2), order2)
 
-    def __neg__(self):
-        return self * -1
-
     def __mul__(self, other):
         if isinstance(other, int):
             if not other or self.row is None:
@@ -139,19 +132,10 @@ class LaurentQ:
         order2 = min(bounds or (self.order2, other.order2))
         return LaurentQ._canonical(x and y and _row_product(x, y, order2), order2)
 
-    __rmul__ = __mul__
-
     def shifted(self, d2):
         """Multiply by q^(d2/2)."""
         row = self.row and (self.row[0] + d2, self.row[1], self.row[2])
         return LaurentQ._canonical(row, self.order2 + d2)
-
-    def render(self):
-        return render_terms((c, [] if not e else ["q" if e == 2 else f"q^{{{Fraction(e, 2)}}}"])
-                            for e, c in self.terms.items())
-
-    def __repr__(self):
-        return f"LaurentQ({self.render()} ; order {Fraction(self.order2, 2)})"
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +145,7 @@ class LaurentQ:
 def word_cross(algebra, left, right):
     """Sum of eps over pairs (a in left, b in right) with a > b: the q-power
     created when a copy of `right` is pushed through a copy of `left`."""
-    return sum(algebra.eps_of(a, b) for a in left for b in right if a > b)
+    return sum(algebra.eps[a - 1][b - 1] for a in left for b in right if a > b)
 
 
 def word_inversions(algebra, word):
@@ -224,27 +208,6 @@ class NCElement:
         order2 of the coefficients."""
         return min((c.order2 for c in self.terms.values()), default=1 << 60)
 
-    @classmethod
-    def unit(cls, algebra, xdeg, order2):
-        zero = (0,) * algebra.generator_count
-        return cls(algebra, xdeg, {zero: LaurentQ({0: 1}, order2)})
-
-    def __add__(self, other):
-        if self.algebra is not other.algebra:
-            raise ValueError("algebra mismatch")
-        xdeg = min(self.xdeg, other.xdeg)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            out[exps] = out[exps] + c if exps in out else c
-        return NCElement(self.algebra, xdeg, out)
-
-    def __neg__(self):
-        return NCElement(self.algebra, self.xdeg,
-                         {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         """Product below the smaller x-degree bound.  Each output monomial's
         coefficient is the sum, over the pairs of monomials that merge into it,
@@ -263,36 +226,6 @@ class NCElement:
                     piece = (ca * cb).shifted(monomial_merge_power2(alg, ea, eb))
                     out[key] = out[key] + piece if key in out else piece
         return NCElement(alg, xdeg, out)
-
-    def coefficient(self, exps) -> LaurentQ:
-        exps = tuple(exps)
-        if sum(exps) >= self.xdeg:
-            raise ValueError("monomial beyond x-degree truncation")
-        hit = self.terms.get(exps)
-        return hit if hit is not None else LaurentQ.zero(self.absent_order2())
-
-    def render(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        names = [f"x{i}" for i in range(1, self.algebra.generator_count + 1)]
-        for exps in sorted(self.terms, key=lambda e: (sum(e), e)):
-            mono = "*".join(powers(names, exps))
-            cs = self.terms[exps].render()
-            if not mono:
-                parts.append(f"({cs})" if ("+" in cs or "- " in cs) else cs)
-            elif cs == "1":
-                parts.append(mono)
-            elif "+" in cs or "- " in cs:
-                parts.append(f"({cs})*{mono}")
-            else:
-                parts.append(f"{cs}*{mono}")
-        # later terms are signed like render_terms: a negative one as `- body`
-        return " ".join([parts[0], *(f"- {t[1:]}" if t.startswith("-") else f"+ {t}"
-                                     for t in parts[1:])])
-
-    def __repr__(self):
-        return f"NCElement(xdeg={self.xdeg}, {self.render()})"
 
 
 class NCMismatch(NamedTuple):
@@ -575,19 +508,20 @@ def ordered_product_check(name, xdeg, qorder, budget=None):
 # the charge word F and its normal-ordering exponent E(m)
 # ---------------------------------------------------------------------------
 
-def _charge_crossings(n):
-    """The crossings (A, B, word_cross(A, B)) of the charge word F, for each
-    segment A before a segment B, so that E(m) sums m_A * m_B * word_cross.
-
-    F concatenates, for j = 2..n and i = 1..j-1 in turn, the segment powers
-    (x_i ... x_{j-1})^(m_ij), each already normal-ordered as x_i^(m_ij) ...
-    x_{j-1}^(m_ij).
-    """
-    algebra = NCAlgebra.from_cartan(f"a{n}")
-    segments = [((i, j), range(i, j)) for j in range(2, n + 1) for i in range(1, j)]
-    for k, (pa, wa) in enumerate(segments):
-        for pb, wb in segments[k + 1:]:
-            yield pa, pb, word_cross(algebra, wa, wb)
+def _charge_word(n) -> NahmSumSpec:
+    """C(m) + E(m), the exponent of the charge word F, as a form over the
+    labels m[i,j] of the primed form, charged by the segment roots.  F is
+    the ordered product, for j = 2..n and i = 1..j-1 in turn, of the segment
+    powers (x_i ... x_{j-1})^(m_ij), each normal-ordered as x_i^(m_ij) ...
+    x_{j-1}^(m_ij): its _product_tables hold E(m) off the diagonal and C(m) =
+    sum (2-(j-i)) m_ij^2 / 2 on it, as 2 + 2 beta^T L beta = 4 - 2(j-i)."""
+    order = [(i, j) for j in range(2, n + 1) for i in range(1, j)]
+    betas, four, _lin2 = _product_tables(NCAlgebra.from_cartan(f"a{n}"),
+                                         [(-1, 0, tuple(range(i, j))) for i, j in order])
+    at = [order.index(p) for p in a_pairs(n)]
+    return NahmSumSpec._of_ints([f"m[{i},{j}]" for i, j in a_pairs(n)],
+                                [[four[t][u] for u in at] for t in at], [0] * len(at),
+                                tuple(zip(*(betas[t] for t in at))))
 
 
 def extract_E(n, m):
@@ -596,17 +530,16 @@ def extract_E(n, m):
     Segment (i, j) of F adds m_ij to each of x_i .. x_{j-1}, so the exponent
     vector always equals the charge vector lambda(m).
     """
-    exps = tuple(sum(m[(i, j)] for i, j in a_pairs(n) if i <= g < j) for g in range(1, n))
-    return sum(m[a] * m[b] * x for a, b, x in _charge_crossings(n)), exps
+    vec = [m[p] for p in a_pairs(n)]
+    return extract_E_form(n).exponent2(vec) // 2, _charge_word(n).charge_of(vec)
 
 
 def extract_E_form(n) -> NahmSumSpec:
     """E(m) as an exact quadratic form over the labels m[i,j] of the primed
     form, in its variable order."""
-    pairs = a_pairs(n)
-    at = {p: t for t, p in enumerate(pairs)}
-    return NahmSumSpec._of_ints([f"m[{i},{j}]" for i, j in pairs], *_symmetric_from_products(
-        len(pairs), [(at[a], at[b], x) for a, b, x in _charge_crossings(n) if x]))
+    F = _charge_word(n)
+    return NahmSumSpec._of_ints(F.labels, [[x * (t != u) for u, x in enumerate(row)]
+                                           for t, row in enumerate(F.four)], F.lin2)
 
 
 def charge_word_identity_holds(n, m, form=None) -> bool:
@@ -626,12 +559,8 @@ def charge_word_identity_holds(n, m, form=None) -> bool:
     """
     if form is None:
         form = build_Bprime_form(n)
-    vec = tuple(m[p] for p in a_pairs(n))
-    E, exps = extract_E(n, m)
+    F = _charge_word(n)
+    vec = [m[p] for p in a_pairs(n)]
     lam = form.charge_of(vec)
-    if exps != lam:
-        return False
-    # C(m) = sum (2-(j-i)) m_ij^2 / 2
-    C2 = sum((2 - (j - i)) * v * v for (i, j), v in m.items())
-    lhs = Fraction(C2 + sum(k * k for k in lam), 2) + E
-    return lhs == form.exponent(vec)
+    return (F.charge_of(vec) == lam
+            and F.exponent(vec) + Fraction(sum(k * k for k in lam), 2) == form.exponent(vec))

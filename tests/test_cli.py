@@ -4,14 +4,13 @@ import re
 import shlex
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qident import cli, forms, nahm, presets, quiver, qweyl, series
+from qident import forms, nahm, presets, quiver, qweyl, series
 from qident.cli import main
 
 from quiver_reference import level_steps
@@ -479,7 +478,7 @@ def test_suite_internal_error_is_a_report_with_exit_3(runner, tmp_path, monkeypa
     def broken(line):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "shlex", SimpleNamespace(split=broken))
+    monkeypatch.setattr(shlex, "split", broken)
     cfg = tmp_path / "suite.txt"
     cfg.write_text("verify pentagon --xdeg 3 --qorder 8\n", encoding="utf-8")
     result = run(runner, "suite", str(cfg))

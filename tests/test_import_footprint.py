@@ -2,9 +2,10 @@
 
 Every check of the paper runs as one short command per process, so start-up
 is paid on every check.  Importing the CLI must not load the dataclasses
-module or the form tooling of qident.forms, and the commands of every
-identity family must then load no module of their own (apart from a text
-codec), so no import cost hides inside a timed command.
+module, the form tooling of qident.forms or shlex (which only `suite`
+reads), and the commands of every identity family must then load no module
+of their own (apart from a text codec), so no import cost hides inside a
+timed command.
 """
 
 import json
@@ -43,9 +44,9 @@ print(json.dumps({"at_import": at_import, "codes": codes, "new": new}))
 """ % (COMMANDS,)
 
 
-def _run():
+def _run(script=SCRIPT):
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True)
     return json.loads(out.stdout)
 
@@ -59,3 +60,10 @@ def test_cli_import_and_commands_load_nothing_extra():
     assert result["codes"] == [0] * len(COMMANDS)
     for line, modules in result["new"].items():
         assert all(m.startswith("encodings.") for m in modules), (line, modules)
+
+
+def test_cli_import_loads_no_shlex():
+    # SCRIPT imports shlex itself, so the bare import is checked on its own
+    loaded = _run("import json, sys, qident.cli; print(json.dumps(sorted(sys.modules)))")
+    assert "qident.cli" in loaded
+    assert "shlex" not in loaded
