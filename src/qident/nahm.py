@@ -18,7 +18,9 @@ certification of the form (see compute_bound) gives that bound's table.
 Each state's series is one packed int row, a fixed number of bits per
 coefficient (see _slot_bits), so the program merges, cuts and divides by
 (1 - q^j) with a few big-int operations and unpacks only the last level
-into lists.
+into lists, already the canonical rows of the QSeries that evaluate
+returns; a charged sum whose slots fit in 64 bits packs them in 64-bit
+lanes, so that each of its rows unpacks in one C-level call.
 A form is stored only as its doubled integer tables, 4*quad and 2*linear;
 quad and linear are Fraction views of them for the reports and JSON.
 A spec's JSON form and the symbolic form differences are in qident.forms.
@@ -27,13 +29,15 @@ A spec's JSON form and the symbolic form differences are in qident.forms.
 from __future__ import annotations
 
 import math
+import sys
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
 from .halfint import twice_of
 from .record import Record
 # inv_pochhammer_dense is not called here; instrumentation patches it on this module
-from .series import QSeries, CompareResult, inv_pochhammer_dense, series_eq
+from .series import QSeries, CompareResult, _trim, inv_pochhammer_dense, series_eq
 
 
 class CoercivityError(ValueError):
@@ -487,13 +491,14 @@ def _slot_bits(spec: NahmSumSpec, bound: EnumerationBound, order2):
               if bound.strategy == "all_nonneg" else [0] * len(top))
     s = 0.35 * math.pi * math.sqrt(len(top) / (6 * ((order2 + 1) // 2)))
     log_bound = (order2 - 1) * s + math.log(2)
-    for t, c in zip(top, shifts):
+    # variables with the same (cap, diagonal) pair have the same factor of F: sum it once
+    for (t, c), times in Counter(zip(top, shifts)).items():
         logs, p = [0.0], 0.0           # log of z^(c*v^2) / (z^2; z^2)_v for v = 0..t
         for v in range(1, t + 1):
             p -= math.log(-math.expm1(-2 * s * v))
             logs.append(p - c * v * v * s)
         m = max(logs)
-        log_bound += m + math.log(math.fsum(math.exp(x - m) for x in logs))
+        log_bound += times * (m + math.log(math.fsum(math.exp(x - m) for x in logs)))
     return math.ceil(log_bound / math.log(2)) + 2
 
 
@@ -528,7 +533,12 @@ def _sum_levels(spec: NahmSumSpec, order2, rank, node_budget, bound: Enumeration
     slot k reads slots k and below), so what lies above them never reaches
     them, and the last level unpacks n(offset) slots.  W from _slot_bits
     bounds every slot below the cut, so none of them carries into the
-    next.  A new child takes S itself, and a merge at another offset is
+    next.  A charged sum (rank > 0) with W <= 64 widens W to 64: its last
+    level holds one row per charge, and each then unpacks as the masked
+    row's bytes read as unsigned 64-bit words.  Any other sum keeps the
+    tight W, whose rows unpack one slot at a time (an uncharged sum hands
+    over one long row, and wider slots would slow every operation on it).
+    A new child takes S itself, and a merge at another offset is
     one shift and one add.  Dividing by (1 - q^j) multiplies by
     (1 + q^j)(1 + q^2j)(1 + q^4j)...: S += S << j*W with j doubling while
     it is below the slot count, then one AND with the mask of those slots,
@@ -547,9 +557,15 @@ def _sum_levels(spec: NahmSumSpec, order2, rank, node_budget, bound: Enumeration
     n(offset) slots.  node_budget caps the
     (state, v) steps; it is checked once per state, and raises exactly when
     the steps exceed it.  Each state is popped as it is consumed and only
-    two levels are alive at once.  Returns the last level, {u: (offset,
-    S)}: one state per charge u, whose offset is G times the exact doubled
-    exponent, and S the list of its slots.
+    two levels are alive at once.
+
+    Returns the last level as {u: (first, step, coeffs)}, one state per
+    charge u in the order the sum leaves them, each row canonical as
+    series._trim leaves it.  The state's offset is G times the exact
+    doubled exponent first, and slot k sits at first + k*g.  Slot 0 is
+    never zero (the prefix at the offset adds 1 there), so a row with
+    g = 2 and a nonzero last slot is (first, 2, slots) as it stands; any
+    other row is trimmed.
     """
     l = spec.nvars
     G, g, levels, R, lin = bound.table
@@ -561,6 +577,8 @@ def _sum_levels(spec: NahmSumSpec, order2, rank, node_budget, bound: Enumeration
     definite = bound.strategy == "positive_definite"
     budget = math.inf if node_budget is None else node_budget
     W = _slot_bits(spec, bound, order2)
+    if rank and W <= 64:
+        W = 64                          # 64-bit lanes: the last level unpacks in one C call
     # masks[n]: the low n slots of a row
     masks = [(1 << n * W) - 1 for n in range((cut - 1) // step + 2)]
     # field k of the first level: s_k for k < l (the x_i with i < k feed it), u_{k-l} after
@@ -625,14 +643,21 @@ def _sum_levels(spec: NahmSumSpec, order2, rank, node_budget, bound: Enumeration
             if steps > budget:
                 raise BudgetExceeded("level-sum steps", node_budget)
         level = nxt
-    # unpack each row in place, low slot first, so that each int is freed as its list is made
+    # hand each row over canonical (see series._trim), in order, and free each int as its list
+    # is made.  Slot 0 holds the 1 of the prefix at the offset, so a step-2 row whose last
+    # slot is nonzero is canonical as it stands; only the others are trimmed
     slot = masks[1]
     for key, (off, S) in level.items():
-        row = [0] * ((cut - off - 1) // step + 1)
-        for k in range(len(row)):
-            row[k] = S & slot
-            S >>= W
-        level[key] = (off, row)
+        n = (cut - off - 1) // step + 1
+        if W == 64:
+            row = memoryview((S & masks[n]).to_bytes(8 * n, sys.byteorder)).cast("Q").tolist()
+        else:
+            row = [0] * n
+            for k in range(n):
+                row[k] = S & slot
+                S >>= W
+        level[key] = ((off // G, 2, row) if g == 2 and row[-1]
+                      else _trim(off // G, g, row, order2))
     # unpack the charge fields a column at a time; rank 0 keeps its one () row
     keys, columns = list(level), []
     for b in bias[l:]:
@@ -653,6 +678,8 @@ def evaluate(spec: NahmSumSpec, order, charges=True, node_budget=None,
     charge_box, one cap per charge row, keeps only the terms with charge
     u <= charge_box, pruned as the sum runs (see compute_bound for the
     coercivity rule under a box); it needs charges=True (ValueError).
+    The level sum's rows are canonical as it hands them over, so they
+    become the result's rows with no second pass.
     """
     if charge_box is not None and not charges:
         raise ValueError("a charge box needs charges=True")
@@ -661,10 +688,8 @@ def evaluate(spec: NahmSumSpec, order, charges=True, node_budget=None,
     rank = spec.charge_rank if charges else 0
     if order2 <= 0:
         return QSeries._raw(max(order2, 0), rank, {})
-    G, g = bound.table[:2]
-    level = _sum_levels(spec, order2, rank, node_budget, bound, charge_box)
-    # slot k of S sits at the doubled exponent off // G + k * g
-    return QSeries.from_rows(order2, rank, ((u, (off // G, g, S)) for u, (off, S) in level.items()))
+    return QSeries._canonical(order2, rank,
+                              _sum_levels(spec, order2, rank, node_budget, bound, charge_box))
 
 
 def verify_identity(lhs: NahmSumSpec, rhs: NahmSumSpec, order, with_charges=True,

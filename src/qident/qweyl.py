@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from operator import add, mul, ne
 from types import MappingProxyType
 from typing import NamedTuple, Optional
@@ -508,13 +509,15 @@ def ordered_product_check(name, xdeg, qorder, budget=None):
 # the charge word F and its normal-ordering exponent E(m)
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=16)
 def _charge_word(n) -> NahmSumSpec:
     """C(m) + E(m), the exponent of the charge word F, as a form over the
     labels m[i,j] of the primed form, charged by the segment roots.  F is
     the ordered product, for j = 2..n and i = 1..j-1 in turn, of the segment
     powers (x_i ... x_{j-1})^(m_ij), each normal-ordered as x_i^(m_ij) ...
     x_{j-1}^(m_ij): its _product_tables hold E(m) off the diagonal and C(m) =
-    sum (2-(j-i)) m_ij^2 / 2 on it, as 2 + 2 beta^T L beta = 4 - 2(j-i)."""
+    sum (2-(j-i)) m_ij^2 / 2 on it, as 2 + 2 beta^T L beta = 4 - 2(j-i).
+    Built once per n and shared: a NahmSumSpec is immutable."""
     order = [(i, j) for j in range(2, n + 1) for i in range(1, j)]
     betas, four, _lin2 = _product_tables(NCAlgebra.from_cartan(f"a{n}"),
                                          [(-1, 0, tuple(range(i, j))) for i, j in order])

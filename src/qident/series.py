@@ -13,10 +13,11 @@ order, its first and last coefficients are nonzero, and its step is 2 unless a
 nonzero term sits at an odd doubled distance from the first (then it is 1).
 Charges with no terms have no row.  So two series are equal exactly when their
 orders, ranks and row dicts are, and `==`, `hash` and `series_eq` compare rows
-directly.  Engines that sum dense rows (the lattice level sum, quiver boxes,
-the Pochhammer products) hand them over through `from_rows`, trimmed once;
-`terms`, the {(doubled exponent, charges): coefficient} view, is built only
-when a caller reads it.
+directly.  The lattice level sum (and so the quiver boxes) hands its rows
+over already canonical, through `_canonical`; other engines that sum dense
+rows (the Pochhammer products) hand them over through `from_rows`, trimmed
+once; `terms`, the {(doubled exponent, charges): coefficient} view, is built
+only when a caller reads it.
 The same rows and row helpers also hold the dilogarithm coefficients of
 qident.qweyl, whose first exponents may be negative.
 """

@@ -7,7 +7,7 @@ import pytest
 from fractions import Fraction
 
 from qident import forms, nahm, presets, quiver, qweyl
-from qident.series import QSeries, series_eq
+from qident.series import QSeries, _trim, series_eq
 
 from lattice_reference import (_inverse_diagonal, _reverse_ldl, evaluate_bruteforce,
                                form_difference_pure, fraction_bound, list_sum_levels)
@@ -520,11 +520,15 @@ class TestEvaluate:
     ])
     def test_last_level_rows_and_their_order(self, quad, linear, charges, order, want):
         # the last level's packed keys come back as charge tuples, row for row
-        # and in the order the level sum leaves them; uncharged, one () row
+        # and in the order the level sum leaves them; uncharged, one () row.
+        # want holds (offset, slots) as the list reference leaves them, and
+        # each row is handed over canonical: _trim(offset // G, g, slots)
         spec = nahm.NahmSumSpec(("x", "y"), quad, linear, charges)
         bound = nahm.compute_bound(spec, order)
         got = nahm._sum_levels(spec, 2 * order, len(charges), None, bound)
-        assert list(got.items()) == want
+        want_rows = _canonical_levels(dict(want), bound, 2 * order)
+        assert list(got.items()) == list(want_rows.items())
+        assert list(list_sum_levels(spec, 2 * order, len(charges), None, bound).items()) == want
 
     def test_packed_fields_at_their_edges_match_bruteforce(self):
         # a level-sum state packs each running sum and charge into one field,
@@ -564,7 +568,8 @@ class TestEvaluate:
             for rank in (len(charges), 0):
                 cap = box if rank else None
                 got = nahm._sum_levels(spec, 2 * order, rank, None, bound, cap)
-                want = list_sum_levels(spec, 2 * order, rank, None, bound, cap)
+                want = _canonical_levels(list_sum_levels(spec, 2 * order, rank, None, bound, cap),
+                                         bound, 2 * order)
                 assert list(got.items()) == list(want.items()), (quad, linear, charges, order, box)
             if bound.table[1] == 1:
                 seen.add("half-integral")
@@ -634,8 +639,22 @@ class TestPackedRows:
         spec = presets.nahm_preset(name)
         bound = nahm.compute_bound(spec, order)
         got = nahm._sum_levels(spec, 2 * order, spec.charge_rank if charges else 0, None, bound)
-        largest = max(c for _off, row in got.values() for c in row)
+        largest = max(c for _first, _step, row in got.values() for c in row)
         assert largest.bit_length() < nahm._slot_bits(spec, bound, 2 * order)
+
+    @pytest.mark.parametrize("name,widths", [
+        ("cartan-a5", (30, 44, 79, 134)), ("cartan-a6", (34, 52, 91, 154)),
+        ("cartan-d4", (29, 45, 81, 136)), ("B-a5", (26, 41, 75, 130)),
+        ("B-a6", (30, 49, 91, 158)), ("Bprime-a5", (26, 41, 75, 130)),
+        ("Bprime-a6", (30, 49, 91, 158)), ("b2-char", (24, 37, 67, 114)),
+        ("b2-quintuple", (19, 30, 53, 91)), ("d4", (28, 45, 82, 142)),
+        ("d4-prime", (28, 45, 82, 142))])
+    def test_slot_width_of_the_shipped_forms(self, name, widths):
+        # _slot_bits at q^12, q^30, q^100 and q^300, pinned so that the width
+        # (and which charged sums get 64-bit lanes) does not move
+        spec = presets.nahm_preset(name)
+        assert tuple(nahm._slot_bits(spec, nahm.compute_bound(spec, order), 2 * order)
+                     for order in (12, 30, 100, 300)) == widths
 
     @pytest.mark.parametrize("name", [
         "cartan-a5", "cartan-d4", "B-a5", "Bprime-a5", "b2-char", "b2-quintuple", "d4", "d4-prime"])
@@ -644,19 +663,83 @@ class TestPackedRows:
         bound = nahm.compute_bound(spec, 12)
         for rank in (spec.charge_rank, 0):
             got = nahm._sum_levels(spec, 24, rank, None, bound)
-            assert list(got.items()) == list(list_sum_levels(spec, 24, rank, None, bound).items())
+            want = _canonical_levels(list_sum_levels(spec, 24, rank, None, bound), bound, 24)
+            assert list(got.items()) == list(want.items())
 
     def test_a_width_short_of_the_largest_coefficient_is_seen(self, monkeypatch):
         # an overflowing slot carries into the next one: the rows then differ
         # from the list reference, so the comparisons above can see a width
-        # that is too small
+        # that is too small.  Uncharged, so the level sum keeps the tight
+        # width of _slot_bits
         spec = presets.nahm_preset("b2-quintuple")
         bound = nahm.compute_bound(spec, 60)
-        want = list(list_sum_levels(spec, 120, 0, None, bound).items())
+        want = list(_canonical_levels(list_sum_levels(spec, 120, 0, None, bound), bound,
+                                      120).items())
         assert list(nahm._sum_levels(spec, 120, 0, None, bound).items()) == want
-        needed = max(want[0][1][1]).bit_length()
+        needed = max(want[0][1][2]).bit_length()
         monkeypatch.setattr(nahm, "_slot_bits", lambda *_args: needed - 3)
         assert list(nahm._sum_levels(spec, 120, 0, None, bound).items()) != want
+
+    @pytest.mark.parametrize("name,bits", [("b2-char", 67), ("b2-quintuple", 53)])
+    def test_charged_rows_at_either_slot_width_match_the_list_reference(self, name, bits):
+        # a charged sum packs its slots in 64-bit lanes when _slot_bits allows
+        # (b2-quintuple at q^100) and keeps the tight width past that (b2-char)
+        spec = presets.nahm_preset(name)
+        bound = nahm.compute_bound(spec, 100)
+        assert nahm._slot_bits(spec, bound, 200) == bits
+        got = nahm._sum_levels(spec, 200, spec.charge_rank, None, bound)
+        want = _canonical_levels(list_sum_levels(spec, 200, spec.charge_rank, None, bound),
+                                 bound, 200)
+        assert list(got.items()) == list(want.items())
+
+    def test_every_handed_over_row_is_canonical(self, monkeypatch):
+        # _sum_levels hands each row over as series._trim would leave it, and
+        # evaluate keeps it as it is: the shipped forms, charged and not, a
+        # boxed quiver codimension form, the product-side forms of two
+        # dilogarithm checks, and half-integral (g = 1) forms
+        seen = []
+        sum_levels = nahm._sum_levels
+
+        def spy(spec, order2, *args):
+            level = sum_levels(spec, order2, *args)
+            seen.append((order2, level))
+            return level
+
+        monkeypatch.setattr(nahm, "_sum_levels", spy)
+        for name in ("cartan-a5", "cartan-d4", "B-a5", "Bprime-a5", "b2-char", "b2-quintuple",
+                     "d4", "d4-prime"):
+            for charges in (True, False):
+                nahm.evaluate(presets.nahm_preset(name), 12, charges=charges)
+        nahm.evaluate(quiver.codim_form(quiver.QuiverA.equioriented(3)), 9, charge_box=(3, 2, 3))
+        assert qweyl.pentagon_check(6, 16).equal
+        assert qweyl.ordered_product_check("a4", 4, 10)[0].equal
+        rng = random.Random(61)
+        half_integral = 0
+        while half_integral < 20:
+            l = rng.randint(1, 3)
+            quad = [[F(rng.randint(0, 2), 4) for _ in range(l)] for _ in range(l)]
+            for i in range(l):
+                quad[i][i] = F(rng.randint(1, 4), 2)
+                for j in range(i):
+                    quad[i][j] = quad[j][i]
+            spec = nahm.NahmSumSpec(tuple(f"x{i}" for i in range(l)), tuple(map(tuple, quad)),
+                                    tuple(F(rng.randint(0, 3), 2) for _ in range(l)),
+                                    (tuple(rng.randint(0, 2) for _ in range(l)),))
+            order = rng.randint(3, 9)
+            if nahm.compute_bound(spec, order).table[1] == 1:
+                nahm.evaluate(spec, order, charges=rng.random() < 0.7)
+                half_integral += 1
+        assert len(seen) == 16 + 1 + 2 + 2 + 20
+        for order2, level in seen:
+            for first, step, coeffs in level.values():
+                assert _trim(first, step, coeffs, order2) == (first, step, coeffs)
+
+
+def _canonical_levels(levels, bound, order2):
+    """The list reference's {u: (offset, slots)} as _sum_levels hands it
+    over: each row trimmed to canonical, in the same key order."""
+    G, g = bound.table[:2]
+    return {u: _trim(off // G, g, S, order2) for u, (off, S) in levels.items()}
 
 
 def _within(series, box):
